@@ -3,7 +3,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build vet lint lint-fix-audit test race test-race fuzz-short e16-determinism e17-determinism soak-short soak-exit-gate soak bench-gate bench-baseline check bench experiments examples cover clean
+.PHONY: all build vet lint lint-fix-audit test race test-race fuzz-short e16-determinism e17-determinism soak-short soak-exit-gate soak bench-gate bench-baseline check bench experiments examples cover loc clean
 
 all: build vet test
 
@@ -132,6 +132,13 @@ examples:
 
 cover:
 	$(GO) test -cover ./...
+
+# Non-test Go lines per package, and the total outside bench/ — the
+# number ROADMAP open item 2's "fewer lines" target is stated in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total outside bench/\n", t }' | sort -k2
 
 clean:
 	$(GO) clean ./...

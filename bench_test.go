@@ -249,7 +249,7 @@ policy 0 match any action=forward
 // producers into an N-worker pipeline (Block policy, so every packet is
 // processed). One op = one packet, so pkts/sec = 1e9 / (ns/op).
 func BenchmarkDataplaneScaling(b *testing.B) {
-	install := func(b *testing.B, t openflow.RuleTable) {
+	install := func(b *testing.B, t *openflow.FlowTable) {
 		b.Helper()
 		cfg, err := pvnc.Parse(`
 pvnc bench

@@ -53,7 +53,7 @@ policy 70 match proto=udp dport=53 action=forward
 policy 0 match any action=forward
 `
 
-func installDataplaneRules(t openflow.RuleTable) error {
+func installDataplaneRules(t *openflow.FlowTable) error {
 	cfg, err := pvnc.Parse(dataplaneRules)
 	if err != nil {
 		return err

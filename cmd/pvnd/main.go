@@ -214,7 +214,7 @@ func serveMain(args []string) {
 	}
 
 	// -dataplane=sharded fronts the switch with the parallel pipeline:
-	// deployments mirror their flow rules into the pipeline's sharded
+	// deployments mirror their flow rules and meters into the pipeline's
 	// table (ExtraRules), and chain execution serializes on the shared
 	// middlebox runtime via middlebox.Synchronized.
 	if *dpMode == "sharded" {

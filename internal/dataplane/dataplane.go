@@ -17,10 +17,10 @@
 //	    directions of a conversation land on the same shard and all
 //	    per-flow state (the exact-match flow cache) is owned by exactly one
 //	    worker — no locks on the hot path.
-//	  - Rule state lives in a ShardedTable: an atomically-published
-//	    copy-on-write snapshot written by the control plane
-//	    (sdncontroller/deployserver flow mods) and read lock-free by every
-//	    worker.
+//	  - Rule and meter state lives in an openflow.FlowTable: an
+//	    atomically-published copy-on-write snapshot written by the
+//	    control plane (deployserver flow mods) and read lock-free by
+//	    every worker through its private openflow.FlowCache.
 //	  - Workers pull fixed-size batches from their ring to amortize queue
 //	    synchronization, and recycle packet buffers through a sync.Pool.
 //	  - Queues are bounded; the DropPolicy decides whether overload tail
@@ -95,7 +95,7 @@ type Config struct {
 type shard struct {
 	id     int
 	queue  *ring
-	cache  *flowCache
+	cache  *openflow.FlowCache
 	chains openflow.ChainExecutor
 	// batchChains is chains' batched fast path, resolved once at New so
 	// the worker never pays a per-batch type assertion; nil when chains
@@ -108,11 +108,8 @@ type shard struct {
 // through workers into the configured hooks.
 type Pipeline struct {
 	cfg    Config
-	table  *ShardedTable
+	table  *openflow.FlowTable
 	shards []*shard
-
-	meterMu sync.Mutex
-	meters  map[string]*openflow.Meter
 
 	bufPool sync.Pool
 
@@ -130,8 +127,8 @@ type Pipeline struct {
 	stopped bool
 }
 
-// New builds a pipeline over its own ShardedTable. Install rules through
-// Table() (it implements openflow.RuleTable, so FlowMod.Apply works).
+// New builds a pipeline over its own flow table. Install rules and
+// meters through Table().
 func New(cfg Config) *Pipeline {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -147,13 +144,12 @@ func New(cfg Config) *Pipeline {
 	}
 	p := &Pipeline{
 		cfg:          cfg,
-		table:        NewShardedTable(),
-		meters:       make(map[string]*openflow.Meter),
+		table:        openflow.NewFlowTable(),
 		expireEveryN: 4096,
 	}
 	p.bufPool.New = func() any { b := make([]byte, 0, 2048); return &b }
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{id: i, queue: newRing(cfg.QueueDepth, cfg.Policy), cache: newFlowCache()}
+		sh := &shard{id: i, queue: newRing(cfg.QueueDepth, cfg.Policy), cache: openflow.NewFlowCache()}
 		if cfg.ChainsFor != nil {
 			sh.chains = cfg.ChainsFor(i)
 		} else {
@@ -165,16 +161,12 @@ func New(cfg Config) *Pipeline {
 	return p
 }
 
-// Table exposes the rule state for control-plane updates.
-func (p *Pipeline) Table() *ShardedTable { return p.table }
+// Table exposes the rule and meter state for control-plane updates.
+func (p *Pipeline) Table() *openflow.FlowTable { return p.table }
 
-// AddMeter installs a named meter. Meters are shared across shards and
-// the pipeline serializes Shape calls internally.
-func (p *Pipeline) AddMeter(id string, m *openflow.Meter) {
-	p.meterMu.Lock()
-	p.meters[id] = m
-	p.meterMu.Unlock()
-}
+// NewShardedTable returns the table type pipelines run over. It
+// survives only as the name bench/ calls; use openflow.NewFlowTable.
+func NewShardedTable() *openflow.FlowTable { return openflow.NewFlowTable() }
 
 // Shards reports the configured shard count.
 func (p *Pipeline) Shards() int { return len(p.shards) }
@@ -233,7 +225,7 @@ func (p *Pipeline) Drain() {
 // Dropped — see the ShardStats invariant.
 func (p *Pipeline) Submit(data []byte, inPort uint16) bool {
 	key, ok := flowKeyOf(data, inPort)
-	sh := p.shards[int(key.flow.FastHash()%uint64(len(p.shards)))]
+	sh := p.shards[int(key.Flow.FastHash()%uint64(len(p.shards)))]
 	seq := sh.counters.enqueued.Add(1)
 
 	bp := p.getBuf(len(data))
@@ -289,8 +281,8 @@ func (p *Pipeline) release(bp *[]byte) {
 // minimal header parse (no full packet.Decode on the submit path). ok is
 // false for non-IPv4 or truncated packets; those all land on one shard
 // and skip the flow cache.
-func flowKeyOf(data []byte, inPort uint16) (cacheKey, bool) {
-	key := cacheKey{inPort: inPort}
+func flowKeyOf(data []byte, inPort uint16) (openflow.CacheKey, bool) {
+	key := openflow.CacheKey{InPort: inPort}
 	if len(data) < 20 || data[0]>>4 != 4 {
 		return key, false
 	}
@@ -305,7 +297,7 @@ func flowKeyOf(data []byte, inPort uint16) (cacheKey, bool) {
 		f.Src.Port = uint16(data[ihl])<<8 | uint16(data[ihl+1])
 		f.Dst.Port = uint16(data[ihl+2])<<8 | uint16(data[ihl+3])
 	}
-	key.flow = f
+	key.Flow = f
 	return key, true
 }
 
@@ -319,11 +311,7 @@ func (p *Pipeline) maybeExpire(n int64) {
 	if s/p.expireEveryN == (s-n)/p.expireEveryN {
 		return
 	}
-	for _, fe := range p.table.Expire(p.cfg.Now()) {
-		if p.cfg.OnExpired != nil {
-			p.cfg.OnExpired(fe)
-		}
-	}
+	p.ExpireNow()
 }
 
 // ExpireNow forces an expiry pass immediately.

@@ -39,10 +39,10 @@ func buildRuntime(t testing.TB) *middlebox.Runtime {
 	return rt
 }
 
-// installRules populates any RuleTable with the canonical test policy:
+// installRules populates a table with the canonical test policy:
 // dport 80 forward, 443 tunnel, 25 drop, 8080 via chain then forward;
 // everything else punts to the controller (table miss).
-func installRules(t testing.TB, rt openflow.RuleTable) {
+func installRules(t testing.TB, rt *openflow.FlowTable) {
 	t.Helper()
 	mk := func(dport uint16, prio int, actions ...openflow.Action) {
 		rt.Install(&openflow.FlowEntry{
@@ -80,18 +80,31 @@ func frames(t testing.TB, n int) [][]byte {
 }
 
 // TestPipelineMatchesSerial checks that the sharded pipeline reaches the
-// same verdicts as the serial openflow.Switch on the same rule set and
-// traffic.
+// same verdicts and bills the same traffic as the serial openflow.Switch
+// on the same rule set and traffic, with the same flow mods landing at
+// the same packet index on both sides.
 func TestPipelineMatchesSerial(t *testing.T) {
-	const n = 1000
+	const n = 4000
 	pkts := frames(t, n)
+	dport := func(p uint16) openflow.Match {
+		return openflow.Match{Fields: openflow.FieldProto | openflow.FieldDstPort, Proto: packet.IPProtoTCP, DstPort: p}
+	}
+	out := []openflow.Action{openflow.Output(1)}
+	mods := map[int]openflow.FlowMod{
+		n / 4:     {Command: openflow.FlowAdd, Priority: 110, Cookie: 9, Match: dport(9999), Actions: out}, // punts become outputs
+		n / 2:     {Command: openflow.FlowAdd, Priority: 120, Cookie: 11, Match: dport(25), Actions: out},  // shadows the drop rule
+		3 * n / 4: {Command: openflow.FlowDeleteCookie, Cookie: 11},                                        // drop rule back in force
+	}
 
 	// Serial reference.
 	sw := openflow.NewSwitch("ref", nil)
 	sw.Chains = buildRuntime(t)
 	installRules(t, sw.Table)
 	var ref ShardStats
-	for _, data := range pkts {
+	for i, data := range pkts {
+		if fm, ok := mods[i]; ok {
+			fm.Apply(sw.Table, 0)
+		}
 		switch d := sw.Process(data, 0); d.Verdict {
 		case openflow.VerdictOutput:
 			ref.Outputs++
@@ -130,7 +143,11 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	})
 	installRules(t, p.Table())
 	p.Start()
-	for _, data := range pkts {
+	for i, data := range pkts {
+		if fm, ok := mods[i]; ok {
+			p.Drain()
+			fm.Apply(p.Table(), 0)
+		}
 		if !p.Submit(data, 0) {
 			t.Fatal("unexpected backpressure drop")
 		}
@@ -153,16 +170,23 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		int64(hookCounts["controller"]) != got.PacketIns {
 		t.Errorf("hook counts %v disagree with stats %+v", hookCounts, got)
 	}
-	// With 64 distinct flows and 1000 packets the exact-match cache must
-	// carry most lookups.
+	// With 320 distinct flows and 1000 packets between cache-flushing
+	// rule writes, the exact-match cache must carry most lookups.
 	if got.CacheHits < n/2 {
 		t.Errorf("cache hits = %d, want >= %d", got.CacheHits, n/2)
 	}
-	// Billing parity: both tables counted the same matched traffic.
-	refPkts, _ := sw.Table.StatsByCookie(7)
-	gotPkts, _ := p.Table().StatsByCookie(7)
-	if refPkts != gotPkts {
-		t.Errorf("cookie stats: pipeline %d vs serial %d", gotPkts, refPkts)
+	// Billing parity: both tables counted the same matched traffic per
+	// cookie — the resident rules, the mid-stream add, and the deleted
+	// cookie (nothing left to bill on either side).
+	for _, cookie := range []uint64{7, 9, 11} {
+		refPkts, refBytes := sw.Table.StatsByCookie(cookie)
+		gotPkts, gotBytes := p.Table().StatsByCookie(cookie)
+		if refPkts != gotPkts || refBytes != gotBytes {
+			t.Errorf("cookie %d stats: pipeline %d pkts/%d B vs serial %d pkts/%d B", cookie, gotPkts, gotBytes, refPkts, refBytes)
+		}
+		if (cookie == 11) != (refPkts == 0) {
+			t.Errorf("cookie %d: serial billed %d packets", cookie, refPkts)
+		}
 	}
 }
 
@@ -243,7 +267,7 @@ func TestRuleUpdateMidStream(t *testing.T) {
 	}
 
 	// Control plane flips port 80 to drop, at higher priority, via the
-	// same FlowMod path sdncontroller uses.
+	// same FlowMod path deployserver uses.
 	fm := openflow.FlowMod{
 		Command:  openflow.FlowAdd,
 		Priority: 200,
@@ -398,11 +422,11 @@ func TestShardAffinity(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatal("flow key extraction failed")
 	}
-	if rev.flow != fwd.flow.Reverse() {
-		t.Fatalf("raw parse got %v, want reverse of %v", rev.flow, fwd.flow)
+	if rev.Flow != fwd.Flow.Reverse() {
+		t.Fatalf("raw parse got %v, want reverse of %v", rev.Flow, fwd.Flow)
 	}
 	for _, shards := range []uint64{1, 2, 4, 8, 16} {
-		if fwd.flow.FastHash()%shards != rev.flow.FastHash()%shards {
+		if fwd.Flow.FastHash()%shards != rev.Flow.FastHash()%shards {
 			t.Errorf("flow and reverse on different shards at %d shards", shards)
 		}
 	}

@@ -1,6 +1,10 @@
 package dataplane
 
-import "sync"
+import (
+	"sync"
+
+	"pvn/internal/openflow"
+)
 
 // DropPolicy selects what a full shard queue does with new packets.
 type DropPolicy uint8
@@ -26,7 +30,7 @@ type item struct {
 	buf    *[]byte
 	data   []byte
 	inPort uint16
-	key    cacheKey
+	key    openflow.CacheKey
 	ok     bool  // key extraction succeeded
 	enq    int64 // wall-clock ns at enqueue; 0 = not latency-sampled
 }

@@ -2,8 +2,8 @@ package dataplane
 
 // Concurrent lookup/update interleaving stress. Run with -race: these
 // tests exist to prove that M dataplane readers against a control-plane
-// writer are clean on both the new sharded table and the legacy
-// openflow.FlowTable (post its RWMutex conversion).
+// writer are clean on both read paths of openflow.FlowTable: the
+// workers' cached lookup and the serial switch's snapshot scan.
 
 import (
 	"sync"
@@ -47,7 +47,7 @@ func raceEntry(prio int) *openflow.FlowEntry {
 
 // TestShardedTableRace spins M readers (each owning its flow cache, as
 // workers do) against one writer interleaving installs, removals and
-// expiry on the ShardedTable.
+// expiry on the flow table's cached read path.
 func TestShardedTableRace(t *testing.T) {
 	tbl := NewShardedTable()
 	tbl.Install(raceEntry(1), 0)
@@ -57,15 +57,17 @@ func TestShardedTableRace(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			cache := newFlowCache() // one per goroutine: worker-private
+			cache := openflow.NewFlowCache() // one per goroutine: worker-private
 			for i := 0; i < raceLookups; i++ {
 				f := raceFields(i)
-				key := cacheKey{flow: packet.Flow{
+				key := openflow.CacheKey{Flow: packet.Flow{
 					Proto: f.Proto,
 					Src:   packet.Endpoint{Addr: f.SrcIP, Port: f.SrcPort},
 					Dst:   packet.Endpoint{Addr: f.DstIP, Port: f.DstPort},
 				}}
-				tbl.Lookup(cache, key, true, f, 100, time.Duration(i))
+				if _, hit := tbl.LookupCached(cache, key, true, 100, time.Duration(i)); !hit {
+					tbl.LookupScan(cache, key, true, f, 100, time.Duration(i))
+				}
 			}
 		}(r)
 	}
@@ -96,9 +98,10 @@ func TestShardedTableRace(t *testing.T) {
 	}
 }
 
-// TestLegacyTableRace runs the same interleaving against the legacy
-// FlowTable: concurrent Lookup under the read lock with atomic counter
-// updates, against Install/RemoveByCookie/Expire writers.
+// TestLegacyTableRace runs the same interleaving against the table's
+// cacheless read path (the serial switch's Lookup): concurrent snapshot
+// scans with atomic counter updates, against Install/RemoveByCookie/
+// Expire writers.
 func TestLegacyTableRace(t *testing.T) {
 	tbl := openflow.NewFlowTable()
 	tbl.Install(raceEntry(1), 0)

@@ -194,7 +194,7 @@ func (p *Pipeline) advance(sh *shard, ws *workerState, i int, now time.Duration,
 			lc.tunnels++
 			name := a.Tunnel
 			if p.cfg.Tunnels != nil && it.ok {
-				name, _ = p.cfg.Tunnels.Route(name, it.key.flow)
+				name, _ = p.cfg.Tunnels.Route(name, it.key.Flow)
 			}
 			if p.cfg.OnTunnel != nil {
 				p.cfg.OnTunnel(name, ws.cur[i])
@@ -212,11 +212,7 @@ func (p *Pipeline) advance(sh *shard, ws *workerState, i int, now time.Duration,
 			return
 
 		case openflow.ActionTypeMeter:
-			p.meterMu.Lock()
-			if m := p.meters[a.MeterID]; m != nil {
-				ws.delay[i] += m.Shape(now+ws.delay[i], len(ws.cur[i]))
-			}
-			p.meterMu.Unlock()
+			ws.delay[i] += p.table.Shape(a.MeterID, now+ws.delay[i], len(ws.cur[i]))
 			ws.pc[i]++
 
 		case openflow.ActionTypeSetDst:

@@ -60,10 +60,11 @@ type Server struct {
 	// may carry a cloud-storage URI instead of inline source, §3.1).
 	// Nil means URI-based requests are refused.
 	FetchPVNC func(uri string) (string, error)
-	// ExtraRules, when non-nil, receives every flow-rule install/removal
-	// in addition to Switch.Table — how cmd/pvnd mirrors deployments into
-	// the sharded dataplane's table when -dataplane=sharded.
-	ExtraRules openflow.RuleTable
+	// ExtraRules, when non-nil, receives every rule and meter write in
+	// addition to Switch.Table — how cmd/pvnd mirrors deployments into
+	// the sharded dataplane's table when -dataplane=sharded. Usage and
+	// Teardown bill the traffic of both.
+	ExtraRules *openflow.FlowTable
 	// DevicePort/UpstreamPort are the compile targets.
 	DevicePort, UpstreamPort uint16
 	// LeaseTTL bounds how long a deployment lives without a Renew call.
@@ -249,13 +250,7 @@ func (s *Server) HandleDeploy(req *discovery.DeployRequest) *discovery.DeployRes
 			owner, name, _ := cutChain(ch)
 			s.Runtime.RemoveChain(owner, name)
 		}
-		for _, m := range dep.Meters {
-			s.Switch.RemoveMeter(m)
-		}
-		s.Switch.Table.RemoveByCookie(cookie)
-		if s.ExtraRules != nil {
-			s.ExtraRules.RemoveByCookie(cookie)
-		}
+		s.uninstall(dep)
 	}
 	for _, plan := range compiled.Middleboxes {
 		inst, err := s.Runtime.Instantiate(cfg.Owner, plan.Type, plan.Config)
@@ -281,19 +276,49 @@ func (s *Server) HandleDeploy(req *discovery.DeployRequest) *discovery.DeployRes
 		dep.Chains = append(dep.Chains, namespace+"/"+ch.Name)
 	}
 	for _, m := range compiled.Meters {
-		s.Switch.AddMeter(m.ID, &openflow.Meter{RateBps: m.RateBps})
 		dep.Meters = append(dep.Meters, m.ID)
 	}
 	now := s.Now()
-	for i := range compiled.FlowMods {
-		compiled.FlowMods[i].Apply(s.Switch.Table, now)
-		if s.ExtraRules != nil {
-			compiled.FlowMods[i].Apply(s.ExtraRules, now)
+	for _, t := range s.tables() {
+		for _, m := range compiled.Meters {
+			t.AddMeter(m.ID, openflow.Meter{RateBps: m.RateBps})
+		}
+		for i := range compiled.FlowMods {
+			compiled.FlowMods[i].Apply(t, now)
 		}
 	}
 
 	s.deployments[req.DeviceID] = dep
 	return &discovery.DeployResponse{OK: true, Cookie: cookie, DHCPRefresh: true}
+}
+
+// tables lists every table a deployment is written to: the switch's
+// own, then the mirror when one is attached. Each holds its own copy of
+// the rules and meters, so each counts only the traffic that crossed it.
+func (s *Server) tables() []*openflow.FlowTable {
+	if s.ExtraRules != nil {
+		return []*openflow.FlowTable{s.Switch.Table, s.ExtraRules}
+	}
+	return []*openflow.FlowTable{s.Switch.Table}
+}
+
+// usage sums a cookie's traffic over every table.
+func (s *Server) usage(cookie uint64) (packets, bytes int64) {
+	for _, t := range s.tables() {
+		p, b := t.StatsByCookie(cookie)
+		packets, bytes = packets+p, bytes+b
+	}
+	return packets, bytes
+}
+
+// uninstall removes a deployment's rules and meters from every table.
+func (s *Server) uninstall(dep *Deployment) {
+	for _, t := range s.tables() {
+		t.RemoveByCookie(dep.Cookie)
+		for _, m := range dep.Meters {
+			t.RemoveMeter(m)
+		}
+	}
 }
 
 func cutChain(s string) (owner, name string, ok bool) {
@@ -391,8 +416,8 @@ func (s *Server) Usage(deviceID string) (packets, bytes int64, ok bool) {
 	if dep == nil {
 		return 0, 0, false
 	}
-	p, b := s.Switch.Table.StatsByCookie(dep.Cookie)
-	return p, b, true
+	packets, bytes = s.usage(dep.Cookie)
+	return packets, bytes, true
 }
 
 // Teardown removes a deployment: flow rules, chains, instances, meters.
@@ -408,20 +433,14 @@ func (s *Server) teardownLocked(deviceID string) (packets, bytes int64, err erro
 	if dep == nil {
 		return 0, 0, fmt.Errorf("deployserver: no deployment for %q", deviceID)
 	}
-	packets, bytes = s.Switch.Table.StatsByCookie(dep.Cookie)
-	s.Switch.Table.RemoveByCookie(dep.Cookie)
-	if s.ExtraRules != nil {
-		s.ExtraRules.RemoveByCookie(dep.Cookie)
-	}
+	packets, bytes = s.usage(dep.Cookie)
+	s.uninstall(dep)
 	for _, ch := range dep.Chains {
 		owner, name, _ := cutChain(ch)
 		s.Runtime.RemoveChain(owner, name)
 	}
 	for _, id := range dep.InstanceIDs {
 		s.Runtime.Terminate(id)
-	}
-	for _, m := range dep.Meters {
-		s.Switch.RemoveMeter(m)
 	}
 	delete(s.deployments, deviceID)
 	return packets, bytes, nil
@@ -544,18 +563,12 @@ func (s *Server) ReclaimOrphans() (rules, meters, chains, instances int) {
 			keepInst[id] = true
 		}
 	}
-	for _, e := range s.Switch.Table.Entries() {
-		if !cookies[e.Cookie] {
-			rules += s.Switch.Table.RemoveByCookie(e.Cookie)
-			if s.ExtraRules != nil {
-				s.ExtraRules.RemoveByCookie(e.Cookie)
-			}
-		}
-	}
-	for id := range s.Switch.Meters {
-		if !keepMeter[id] {
-			s.Switch.RemoveMeter(id)
-			meters++
+	// The tables hold identical rule and meter sets; the reported counts
+	// are the switch's own.
+	for i, t := range s.tables() {
+		r, m := reclaimTable(t, cookies, keepMeter)
+		if i == 0 {
+			rules, meters = r, m
 		}
 	}
 	for _, key := range s.Runtime.ChainKeys() {
@@ -572,6 +585,23 @@ func (s *Server) ReclaimOrphans() (rules, meters, chains, instances int) {
 		}
 	}
 	return rules, meters, chains, instances
+}
+
+// reclaimTable removes every rule whose cookie and every meter whose id
+// is not in the keep sets, and reports how many of each it removed.
+func reclaimTable(t *openflow.FlowTable, cookies map[uint64]bool, keepMeter map[string]bool) (rules, meters int) {
+	for _, e := range t.Entries() {
+		if !cookies[e.Cookie] {
+			rules += t.RemoveByCookie(e.Cookie)
+		}
+	}
+	for _, id := range t.MeterIDs() {
+		if !keepMeter[id] {
+			t.RemoveMeter(id)
+			meters++
+		}
+	}
+	return rules, meters
 }
 
 // Manifest describes what is actually installed for a device — the input
@@ -610,10 +640,6 @@ func (s *Server) BuildManifest(deviceID string) *Manifest {
 			m.InstanceTypes = append(m.InstanceTypes, inst.Spec.Type)
 		}
 	}
-	for _, e := range s.Switch.Table.Entries() {
-		if e.Cookie == dep.Cookie {
-			m.RuleCount++
-		}
-	}
+	m.RuleCount = s.Switch.Table.CountByCookie(dep.Cookie)
 	return m
 }

@@ -261,7 +261,7 @@ func TestRestartReclaimsOrphans(t *testing.T) {
 	}
 	preReq := negotiated(t, s, "dev-pre") // offer issued before the crash
 
-	rules, meters := s.Switch.Table.Len(), len(s.Switch.Meters)
+	rules, meters := s.Switch.Table.Len(), len(s.Switch.Table.MeterIDs())
 	insts := len(s.Runtime.InstanceIDs())
 	if rules == 0 || meters == 0 || insts == 0 {
 		t.Fatalf("deploy installed nothing: rules=%d meters=%d insts=%d", rules, meters, insts)
@@ -286,7 +286,7 @@ func TestRestartReclaimsOrphans(t *testing.T) {
 	if s.Switch.Table.Len() != 0 || s.ExtraRules.Len() != 0 {
 		t.Fatalf("rules leaked: table=%d extra=%d", s.Switch.Table.Len(), s.ExtraRules.Len())
 	}
-	if len(s.Switch.Meters) != 0 || len(s.Runtime.ChainKeys()) != 0 || len(s.Runtime.InstanceIDs()) != 0 {
+	if len(s.Switch.Table.MeterIDs()) != 0 || len(s.Runtime.ChainKeys()) != 0 || len(s.Runtime.InstanceIDs()) != 0 {
 		t.Fatal("orphans survived reclaim")
 	}
 	if s.Runtime.MemoryUsed() != 0 {
@@ -368,7 +368,7 @@ func TestRollbackOnChainConflict(t *testing.T) {
 	if len(s.Runtime.ChainKeys()) != 1 {
 		t.Fatalf("chains: %v", s.Runtime.ChainKeys())
 	}
-	if s.Switch.Table.Len() != 0 || s.ExtraRules.Len() != 0 || len(s.Switch.Meters) != 0 {
+	if s.Switch.Table.Len() != 0 || s.ExtraRules.Len() != 0 || len(s.Switch.Table.MeterIDs()) != 0 {
 		t.Fatal("switch state leaked by rollback")
 	}
 }
@@ -387,14 +387,14 @@ func TestTeardownRemovesMeters(t *testing.T) {
 	if resp := s.HandleDeploy(req); !resp.OK {
 		t.Fatal(resp.Reason)
 	}
-	if len(s.Switch.Meters) == 0 {
+	if len(s.Switch.Table.MeterIDs()) == 0 {
 		t.Fatal("rate policy installed no meter")
 	}
 	if _, _, err := s.Teardown("dev1"); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Switch.Meters) != 0 {
-		t.Fatalf("teardown leaked meters: %v", s.Switch.Meters)
+	if len(s.Switch.Table.MeterIDs()) != 0 {
+		t.Fatalf("teardown leaked meters: %v", s.Switch.Table.MeterIDs())
 	}
 }
 
@@ -409,14 +409,14 @@ func assertPristine(t *testing.T, s *Server) {
 	if n := len(s.Runtime.ChainKeys()); n != 0 {
 		t.Fatalf("%d chains leaked", n)
 	}
-	if n := len(s.Switch.Meters); n != 0 {
+	if n := len(s.Switch.Table.MeterIDs()); n != 0 {
 		t.Fatalf("%d meters leaked", n)
 	}
 	if s.Switch.Table.Len() != 0 {
 		t.Fatalf("%d rules leaked", s.Switch.Table.Len())
 	}
-	if s.ExtraRules != nil && s.ExtraRules.Len() != 0 {
-		t.Fatalf("%d mirrored rules leaked", s.ExtraRules.Len())
+	if s.ExtraRules != nil && (s.ExtraRules.Len() != 0 || len(s.ExtraRules.MeterIDs()) != 0) {
+		t.Fatalf("%d mirrored rules, %d mirrored meters leaked", s.ExtraRules.Len(), len(s.ExtraRules.MeterIDs()))
 	}
 }
 

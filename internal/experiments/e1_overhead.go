@@ -195,7 +195,7 @@ func e1Frames(n int) [][]byte {
 // deterministic.
 func e1Dataplane(packets, shards int, sw Stopwatch) (serialKpps, shardedKpps float64) {
 	frames := e1Frames(packets)
-	chainRule := func(t openflow.RuleTable) {
+	chainRule := func(t *openflow.FlowTable) {
 		t.Install(&openflow.FlowEntry{
 			Priority: 10,
 			Actions:  []openflow.Action{openflow.ToMiddlebox("e1/c"), openflow.Output(1)},

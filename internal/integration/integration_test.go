@@ -206,7 +206,7 @@ func TestAuditorDetectsRealShapingSwitch(t *testing.T) {
 		sw := openflow.NewSwitch("isp-edge", func() time.Duration { return now })
 		videoPrefix := packet.MustParseIPv4("203.0.113.0")
 		if cheat {
-			sw.AddMeter("sneaky", &openflow.Meter{RateBps: 1.5e6, BurstBytes: 4 << 10})
+			sw.Table.AddMeter("sneaky", openflow.Meter{RateBps: 1.5e6, BurstBytes: 4 << 10})
 			sw.Table.Install(&openflow.FlowEntry{
 				Priority: 1000,
 				Match:    openflow.Match{Fields: openflow.FieldDstIP, DstIP: videoPrefix, DstBits: 24},

@@ -226,19 +226,17 @@ func DefaultConfig() *Config {
 		SupervisorFiles: map[string]bool{"supervisor.go": true},
 		ProjectPrefix:   "pvn",
 		TaintPkgs: map[string]bool{
-			"pvn/internal/overlay":       true,
-			"pvn/internal/discovery":     true,
-			"pvn/internal/deployserver":  true,
-			"pvn/internal/orchestrator":  true,
-			"pvn/internal/store":         true,
-			"pvn/internal/pvnc":          true,
-			"pvn/internal/sdncontroller": true,
+			"pvn/internal/overlay":      true,
+			"pvn/internal/discovery":    true,
+			"pvn/internal/deployserver": true,
+			"pvn/internal/orchestrator": true,
+			"pvn/internal/store":        true,
+			"pvn/internal/pvnc":         true,
 		},
 		TaintSources: map[string]bool{
 			"pvn/internal/overlay.DecodeEnvelope": true,
 			"pvn/internal/store.DecodeModule":     true,
 			"pvn/internal/pvnc.Parse":             true,
-			"pvn/internal/openflow.ReadMessage":   true,
 			"pvn/internal/pki.DecodeCertificate":  true,
 			"pvn/internal/pki.DecodeChain":        true,
 		},
@@ -249,8 +247,7 @@ func DefaultConfig() *Config {
 		TaintSinks: map[string]bool{
 			"pvn/internal/openflow.FlowMod.Apply":           true,
 			"pvn/internal/openflow.FlowTable.Install":       true,
-			"pvn/internal/openflow.Switch.AddMeter":         true,
-			"pvn/internal/dataplane.ShardedTable.Install":   true,
+			"pvn/internal/openflow.FlowTable.AddMeter":      true,
 			"pvn/internal/pvnc.Compile":                     true,
 			"pvn/internal/pvnc.TemplateCache.CompileShared": true,
 			"pvn/internal/middlebox.Runtime.Instantiate":    true,

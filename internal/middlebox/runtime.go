@@ -184,7 +184,7 @@ type Instance struct {
 	// cfg is retained for supervisor restarts via Spec.New.
 	cfg map[string]string
 	// hlt is the supervisor's health state.
-	hlt health
+	hlt instanceHealth
 }
 
 // Chain is an ordered middlebox pipeline plus its isolation scope.

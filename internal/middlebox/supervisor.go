@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"pvn/internal/health"
 )
 
 // FailPolicy declares what a chain does with a packet when one of its
@@ -277,47 +279,19 @@ func (s *supCounters) snapshot() SupervisorStats {
 // runtime executes chains (via SyncExecutor or per-worker clones).
 func (r *Runtime) SupervisorStats() SupervisorStats { return r.sup.snapshot() }
 
-// health is the per-instance supervision state: a bitmask ring of the
-// last window() Process outcomes plus breaker bookkeeping. It lives
+// instanceHealth is the per-instance supervision state: the window of
+// the last window() Process outcomes plus breaker bookkeeping. It lives
 // inside Instance and is touched only under the runtime's execution
 // contract (single goroutine, or serialized via SyncExecutor).
-type health struct {
+type instanceHealth struct {
 	state HealthState
-	// window bit i set = call at ring slot i failed.
-	window      uint64
-	wpos, wfill int
-	fails       int
+	health.Window
 	// backoff is the current restart cooldown; doubles per breaker
 	// open without an intervening recovery, capped.
 	backoff   time.Duration
 	restartAt time.Duration
 	// probationLeft counts successes still needed to close the breaker.
 	probationLeft int
-}
-
-// push records one outcome into the sliding window and returns the
-// failure count now in view.
-func (h *health) push(fail bool, size int) int {
-	bit := uint64(1) << uint(h.wpos)
-	if h.wfill == size {
-		if h.window&bit != 0 {
-			h.fails--
-		}
-	} else {
-		h.wfill++
-	}
-	if fail {
-		h.window |= bit
-		h.fails++
-	} else {
-		h.window &^= bit
-	}
-	h.wpos = (h.wpos + 1) % size
-	return h.fails
-}
-
-func (h *health) clearWindow() {
-	h.window, h.wpos, h.wfill, h.fails = 0, 0, 0, 0
 }
 
 // Health reports the instance's supervision state.
@@ -360,7 +334,7 @@ func (r *Runtime) recordFailure(inst *Instance, at time.Duration) {
 		r.openBreaker(inst, at)
 		return
 	}
-	fails := h.push(true, r.Supervisor.window())
+	fails := h.Push(true, r.Supervisor.window())
 	switch {
 	case fails >= r.Supervisor.breaker():
 		r.openBreaker(inst, at)
@@ -377,14 +351,14 @@ func (r *Runtime) recordSuccess(inst *Instance, at time.Duration) {
 		h.probationLeft--
 		if h.probationLeft <= 0 {
 			h.state = Healthy
-			h.clearWindow()
+			h.Clear()
 			h.backoff = 0
 			r.sup.recoveries.Add(1)
 			r.instEvent(EventRecovered, inst, at, "survived probation")
 		}
 		return
 	}
-	fails := h.push(false, r.Supervisor.window())
+	fails := h.Push(false, r.Supervisor.window())
 	if h.state == Degraded && fails < r.Supervisor.degraded() {
 		h.state = Healthy
 	}
@@ -404,7 +378,7 @@ func (r *Runtime) openBreaker(inst *Instance, at time.Duration) {
 		}
 	}
 	h.restartAt = at + h.backoff
-	h.clearWindow()
+	h.Clear()
 	r.sup.breakerOpens.Add(1)
 	r.instEvent(EventBreakerOpen, inst, at, fmt.Sprintf("restart in %v", h.backoff))
 }

@@ -139,6 +139,46 @@ func TestTableTimeouts(t *testing.T) {
 	}
 }
 
+// TestExpireNothingDue: an expiry pass that evicts nothing must not
+// publish a snapshot (every worker's flow cache stays valid) and must
+// not allocate (the serial switch runs it per packet) — with no timed
+// rule installed, and with one installed but not yet due.
+func TestExpireNothingDue(t *testing.T) {
+	tbl := NewFlowTable()
+	tbl.Install(&FlowEntry{Priority: 1, Actions: []Action{Output(1)}}, 0)
+	cache, key := NewFlowCache(), CacheKey{InPort: 3}
+	check := func(when string, now time.Duration) {
+		t.Helper()
+		tbl.LookupCached(cache, key, true, 1, now) // sync the cache to the current generation
+		tbl.LookupScan(cache, key, true, PacketFields{}, 1, now)
+		gen := tbl.snap.Load().gen
+		allocs := testing.AllocsPerRun(100, func() {
+			if exp := tbl.Expire(now); exp != nil {
+				t.Fatalf("%s: expired %v", when, exp)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Expire allocated %v times per call", when, allocs)
+		}
+		if got := tbl.snap.Load().gen; got != gen {
+			t.Errorf("%s: generation moved %d -> %d", when, gen, got)
+		}
+		if _, hit := tbl.LookupCached(cache, key, true, 1, now); !hit {
+			t.Errorf("%s: flow cache was flushed", when)
+		}
+	}
+	check("no timed rule", time.Hour)
+	tbl.Install(&FlowEntry{Priority: 0, HardTimeout: time.Minute, IdleTimeout: time.Minute, Actions: []Action{Drop()}}, 0)
+	check("timed rule not due", 59*time.Second)
+	if exp := tbl.Expire(time.Minute); len(exp) != 1 || tbl.Len() != 1 {
+		t.Fatalf("due rule: expired %d, %d left", len(exp), tbl.Len())
+	}
+	if _, hit := tbl.LookupCached(cache, key, true, 1, time.Minute); hit {
+		t.Error("flow cache survived an eviction")
+	}
+	check("timed rule gone", time.Hour)
+}
+
 func TestRemoveByCookie(t *testing.T) {
 	tbl := NewFlowTable()
 	tbl.Install(&FlowEntry{Cookie: 1, Actions: []Action{Output(1)}}, 0)
@@ -195,14 +235,6 @@ func TestMeterSustainedRate(t *testing.T) {
 	}
 }
 
-type recordingController struct {
-	got []PacketIn
-}
-
-func (r *recordingController) PacketIn(sw *Switch, inPort uint16, data []byte) {
-	r.got = append(r.got, PacketIn{SwitchID: sw.ID, InPort: inPort, Data: data})
-}
-
 type fakeChains struct {
 	transform func([]byte) []byte
 	delay     time.Duration
@@ -223,15 +255,14 @@ func TestSwitchOutputPath(t *testing.T) {
 }
 
 func TestSwitchTableMissGoesToController(t *testing.T) {
-	ctrl := &recordingController{}
 	sw := NewSwitch("s1", nil)
-	sw.Controller = ctrl
-	d := sw.Process(tcpPacket(t, clientIP, webIP, 1, 80, "x"), 5)
-	if d.Verdict != VerdictController {
-		t.Fatalf("verdict %v", d.Verdict)
+	in := tcpPacket(t, clientIP, webIP, 1, 80, "x")
+	d := sw.Process(in, 5)
+	if d.Verdict != VerdictController || d.Entry != nil {
+		t.Fatalf("disposition %+v", d)
 	}
-	if len(ctrl.got) != 1 || ctrl.got[0].InPort != 5 || ctrl.got[0].SwitchID != "s1" {
-		t.Fatalf("controller saw %+v", ctrl.got)
+	if sw.PacketIns != 1 || !bytes.Equal(d.Data, in) {
+		t.Fatalf("punt not counted or data altered: packet-ins=%d", sw.PacketIns)
 	}
 }
 
@@ -277,7 +308,7 @@ func TestSwitchMeterAddsDelay(t *testing.T) {
 	now := time.Duration(0)
 	sw := NewSwitch("s1", func() time.Duration { return now })
 	// Burst of 60 bytes: the 50-byte packet fits once, then debt builds.
-	sw.AddMeter("shape", &Meter{RateBps: 8000, BurstBytes: 60})
+	sw.Table.AddMeter("shape", Meter{RateBps: 8000, BurstBytes: 60})
 	sw.Table.Install(&FlowEntry{Priority: 1, Actions: []Action{Metered("shape"), Output(1)}}, 0)
 	pkt := tcpPacket(t, clientIP, videoIP, 1, 80, "0123456789")
 	d1 := sw.Process(pkt, 0)
@@ -325,68 +356,6 @@ func TestSwitchEmptyActionListDrops(t *testing.T) {
 	sw.Table.Install(&FlowEntry{Priority: 1}, 0)
 	if d := sw.Process(tcpPacket(t, clientIP, webIP, 1, 80, "x"), 0); d.Verdict != VerdictDrop {
 		t.Fatalf("verdict %v", d.Verdict)
-	}
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	fm := FlowMod{
-		Command:  FlowAdd,
-		Priority: 50,
-		Match:    Match{Fields: FieldDstPort | FieldProto, DstPort: 443, Proto: 6},
-		Actions:  []Action{ToMiddlebox("tls-verify"), Output(1)},
-		Cookie:   0xdeadbeef,
-	}
-	if err := WriteMessage(&buf, MsgFlowMod, &fm); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMessage(&buf, MsgPacketOut, &PacketOut{Port: 3, Data: []byte{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-
-	typ, body, err := ReadMessage(&buf)
-	if err != nil || typ != MsgFlowMod {
-		t.Fatalf("read 1: type=%v err=%v", typ, err)
-	}
-	var got FlowMod
-	if err := DecodeBody(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Cookie != fm.Cookie || got.Match.DstPort != 443 || len(got.Actions) != 2 || got.Actions[0].Chain != "tls-verify" {
-		t.Fatalf("decoded %+v", got)
-	}
-
-	typ, body, err = ReadMessage(&buf)
-	if err != nil || typ != MsgPacketOut {
-		t.Fatalf("read 2: type=%v err=%v", typ, err)
-	}
-	var po PacketOut
-	if err := DecodeBody(body, &po); err != nil {
-		t.Fatal(err)
-	}
-	if po.Port != 3 || !bytes.Equal(po.Data, []byte{1, 2, 3}) {
-		t.Fatalf("decoded %+v", po)
-	}
-}
-
-func TestCodecRejectsBadFrames(t *testing.T) {
-	// Oversized declared length.
-	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 1})
-	if _, _, err := ReadMessage(&buf); err == nil {
-		t.Fatal("oversized frame accepted")
-	}
-	// Zero length.
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0, 0})
-	if _, _, err := ReadMessage(&buf); err == nil {
-		t.Fatal("zero-length frame accepted")
-	}
-	// Truncated body.
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 10, 1, 'x'})
-	if _, _, err := ReadMessage(&buf); err == nil {
-		t.Fatal("truncated frame accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -105,6 +106,39 @@ func TestQuickTableLookupDeterministic(t *testing.T) {
 			return e1 == e2
 		}
 		return e1.Cookie == e2.Cookie && a1[0].Port == a2[0].Port
+	}, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickInstallOrder: Install places each rule by binary search
+// instead of re-sorting; the result must equal a stable sort of the
+// install sequence by descending priority, whatever removals happen in
+// between.
+func TestQuickInstallOrder(t *testing.T) {
+	if err := quick.Check(func(prios []uint8) bool {
+		tbl := NewFlowTable()
+		var want []*FlowEntry
+		for i, p := range prios {
+			e := &FlowEntry{Priority: int(p % 8), Cookie: uint64(i)}
+			tbl.Install(e, 0)
+			want = append(want, e)
+			if i%5 == 4 {
+				tbl.RemoveByCookie(uint64(i - 2))
+				want = append(want[:len(want)-3], want[len(want)-2:]...)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Priority > want[j].Priority })
+		got := tbl.Entries()
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i].Cookie != want[i].Cookie {
+				return false
+			}
+		}
+		return true
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}

@@ -72,27 +72,18 @@ type BatchProcessor interface {
 	ExecuteChainBatch(chain string, pkts [][]byte, outs [][]byte, delays []time.Duration, errs []error)
 }
 
-// PacketInHandler receives table-miss/controller punts.
-type PacketInHandler interface {
-	PacketIn(sw *Switch, inPort uint16, data []byte)
-}
-
-// Switch is a match/action forwarding element: one flow table, a meter
-// bank, an optional middlebox executor and an optional controller.
+// Switch is a match/action forwarding element: one flow table (rules
+// and meters) and an optional middlebox executor. Process is the scalar
+// reference interpreter of the table; the dataplane pipeline runs the
+// same actions batched over the same table type, and the differential
+// tests hold the two together.
 type Switch struct {
-	ID     string
-	Table  *FlowTable
-	Meters map[string]*Meter
+	ID    string
+	Table *FlowTable
 
 	// Chains executes Middlebox actions; nil makes such actions drops
 	// (fail-closed: PVN traffic must not bypass its middleboxes).
 	Chains ChainExecutor
-	// Controller receives packet-ins; nil makes controller punts drops.
-	Controller PacketInHandler
-	// OnExpired observes entries evicted by idle/hard timeouts, letting
-	// the control plane learn about rule expiry (OpenFlow's
-	// FLOW_REMOVED). Nil ignores expirations.
-	OnExpired func(*FlowEntry)
 	// Now supplies simulated time for counters/timeouts/meters.
 	Now func() time.Duration
 
@@ -100,34 +91,21 @@ type Switch struct {
 	RxPackets, Dropped, PacketIns int64
 }
 
-// NewSwitch returns a switch with an empty table and meter bank. now may
-// be nil, in which case time zero is used everywhere (fine for pure
-// table tests).
+// NewSwitch returns a switch with an empty table. now may be nil, in
+// which case time zero is used everywhere (fine for pure table tests).
 func NewSwitch(id string, now func() time.Duration) *Switch {
 	if now == nil {
 		now = func() time.Duration { return 0 }
 	}
-	return &Switch{ID: id, Table: NewFlowTable(), Meters: make(map[string]*Meter), Now: now}
+	return &Switch{ID: id, Table: NewFlowTable(), Now: now}
 }
-
-// AddMeter installs a named meter.
-func (s *Switch) AddMeter(id string, m *Meter) { s.Meters[id] = m }
-
-// RemoveMeter uninstalls a named meter. Flow rules still referencing it
-// fall back to unmetered forwarding (the lookup treats a missing meter
-// as pass-through), so removal order vs. rule removal does not matter.
-func (s *Switch) RemoveMeter(id string) { delete(s.Meters, id) }
 
 // Process runs one packet (raw IPv4 bytes) through the pipeline and
 // returns its disposition.
 func (s *Switch) Process(data []byte, inPort uint16) Disposition {
 	s.RxPackets++
 	now := s.Now()
-	for _, e := range s.Table.Expire(now) {
-		if s.OnExpired != nil {
-			s.OnExpired(e)
-		}
-	}
+	s.Table.Expire(now)
 
 	pkt := packet.Decode(data, packet.LayerTypeIPv4)
 	fields := ExtractFields(pkt, inPort)
@@ -149,9 +127,6 @@ func (s *Switch) Process(data []byte, inPort uint16) Disposition {
 		case ActionTypeController:
 			s.PacketIns++
 			d.Verdict = VerdictController
-			if s.Controller != nil {
-				s.Controller.PacketIn(s, inPort, d.Data)
-			}
 			return d
 
 		case ActionTypeTunnel:
@@ -175,13 +150,7 @@ func (s *Switch) Process(data []byte, inPort uint16) Disposition {
 			d.Data = out
 
 		case ActionTypeMeter:
-			m := s.Meters[a.MeterID]
-			if m == nil {
-				// Unknown meter: fail-open (no rate constraint) but
-				// visible in counters would be better; treat as no-op.
-				continue
-			}
-			d.Delay += m.Shape(now+d.Delay, len(d.Data))
+			d.Delay += s.Table.Shape(a.MeterID, now+d.Delay, len(d.Data))
 
 		case ActionTypeSetDst:
 			out, err := RewriteDst(d.Data, a.Dst, a.DstPort)

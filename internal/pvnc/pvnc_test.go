@@ -221,7 +221,7 @@ func TestCompiledRulesBehaveOnSwitch(t *testing.T) {
 		c.FlowMods[i].Apply(sw.Table, 0)
 	}
 	for _, m := range c.Meters {
-		sw.AddMeter(m.ID, &openflow.Meter{RateBps: m.RateBps})
+		sw.Table.AddMeter(m.ID, openflow.Meter{RateBps: m.RateBps})
 	}
 	sw.Chains = passthroughChains{}
 

@@ -156,13 +156,13 @@ func (e *Engine) checkLeaseLeaks(strict bool) {
 				e.violate("lease-leak", "%s: deployment %s (cookie=%d) has no flow rules installed", n.Name, id, c)
 			}
 		}
-		for id := range srv.Switch.Meters {
+		for _, id := range srv.Switch.Table.MeterIDs() {
 			if _, ok := bookMeters[id]; !ok {
 				e.violate("lease-leak", "%s: orphan meter %s", n.Name, id)
 			}
 		}
 		for m, id := range bookMeters {
-			if srv.Switch.Meters[m] == nil {
+			if _, ok := srv.Switch.Table.Meter(m); !ok {
 				e.violate("lease-leak", "%s: deployment %s lost meter %s", n.Name, id, m)
 			}
 		}

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pvn/internal/health"
 	"pvn/internal/netsim"
 )
 
@@ -175,11 +176,8 @@ type endpointState struct {
 	failedOver             atomic.Int64
 
 	health Health
-	// window bit i set = probe at ring slot i was lost (the supervisor's
-	// bitmask ring, see middlebox/supervisor.go).
-	window      uint64
-	wpos, wfill int
-	fails       int
+	// The window counts lost probes.
+	health.Window
 	// srtt is the smoothed probe RTT (EWMA, gain 1/8).
 	srtt time.Duration
 	// backoff is the current down-state probe interval; doubles per
@@ -187,31 +185,6 @@ type endpointState struct {
 	backoff time.Duration
 	// probationLeft counts successes still needed to return to Healthy.
 	probationLeft int
-}
-
-// push records one probe outcome into the sliding window and returns
-// the loss count now in view.
-func (st *endpointState) push(lost bool, size int) int {
-	bit := uint64(1) << uint(st.wpos)
-	if st.wfill == size {
-		if st.window&bit != 0 {
-			st.fails--
-		}
-	} else {
-		st.wfill++
-	}
-	if lost {
-		st.window |= bit
-		st.fails++
-	} else {
-		st.window &^= bit
-	}
-	st.wpos = (st.wpos + 1) % size
-	return st.fails
-}
-
-func (st *endpointState) clearWindow() {
-	st.window, st.wpos, st.wfill, st.fails = 0, 0, 0, 0
 }
 
 // RecordProbe feeds one probe outcome into the endpoint's health ladder
@@ -245,7 +218,7 @@ func (t *Table) RecordProbe(name string, ok bool, rtt, now time.Duration) Health
 			st.probationLeft--
 			detail = fmt.Sprintf("probation cleared (srtt %v)", st.srtt)
 		default:
-			fails := st.push(false, cfg.window())
+			fails := st.Push(false, cfg.window())
 			if st.health == Degraded && fails < cfg.degraded() {
 				st.health = Healthy
 				detail = fmt.Sprintf("loss cleared the window (srtt %v)", st.srtt)
@@ -253,7 +226,7 @@ func (t *Table) RecordProbe(name string, ok bool, rtt, now time.Duration) Health
 		}
 		if st.health == Probation && st.probationLeft <= 0 {
 			st.health = Healthy
-			st.clearWindow()
+			st.Clear()
 			st.backoff = 0
 		}
 	} else {
@@ -272,12 +245,12 @@ func (t *Table) RecordProbe(name string, ok bool, rtt, now time.Duration) Health
 		case Down:
 			widen()
 		default:
-			fails := st.push(true, cfg.window())
+			fails := st.Push(true, cfg.window())
 			switch {
 			case fails >= cfg.down():
 				st.health = Down
 				st.backoff = cfg.retryBackoff()
-				st.clearWindow()
+				st.Clear()
 				detail = fmt.Sprintf("%d of last %d probes lost, retry in %v", fails, cfg.window(), st.backoff)
 			case fails >= cfg.degraded() && st.health == Healthy:
 				st.health = Degraded
