@@ -53,10 +53,13 @@ race:
 
 # Discovery→deploy lifecycle suite under the race detector: the session
 # state machine, the locked deployserver (concurrent HandleDM / deploy /
-# teardown), and the deterministic fault-injection tests. Faster than a
-# full `make race` and targeted at the lifecycle code paths.
+# teardown, and deploys racing chain traffic on the self-locking
+# middlebox runtime), the health ladder and its two owners, and the
+# deterministic fault-injection tests. Faster than a full `make race`
+# and targeted at the lifecycle code paths.
 test-race:
-	$(GO) test -race ./internal/discovery/ ./internal/deployserver/ ./internal/netsim/ ./cmd/pvnd/
+	$(GO) test -race ./internal/discovery/ ./internal/deployserver/ ./internal/netsim/ ./cmd/pvnd/ \
+		./internal/health/ ./internal/middlebox/ ./internal/tunnel/
 
 # A short seed-corpus + random fuzz pass over every parser that handles
 # untrusted bytes: the packet decoder, the DHT wire envelope, and the

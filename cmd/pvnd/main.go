@@ -216,11 +216,11 @@ func serveMain(args []string) {
 	// -dataplane=sharded fronts the switch with the parallel pipeline:
 	// deployments mirror their flow rules and meters into the pipeline's
 	// table (ExtraRules), and chain execution serializes on the shared
-	// middlebox runtime via middlebox.Synchronized.
+	// middlebox runtime's own lock.
 	if *dpMode == "sharded" {
 		dp := dataplane.New(dataplane.Config{
 			Shards: *dpShards,
-			Chains: middlebox.Synchronized(rt),
+			Chains: rt,
 			Now:    now,
 		})
 		srv.ExtraRules = dp.Table()

@@ -49,7 +49,7 @@ func (o RoamOptions) drainDeadline() time.Duration {
 // exportBoxState snapshots every stateful middlebox in the session's
 // deployment. The deployserver does the walking under its own lock —
 // a roam may race a lease sweep or crash-reclaim tearing instances
-// down, and the middlebox runtime itself is not goroutine-safe.
+// down.
 func exportBoxState(s *Session) []deployserver.BoxState {
 	if s.Mode != ModeInNetwork {
 		return nil

@@ -7,7 +7,6 @@ package dataplane
 // Each test fails against the pre-fix code.
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -181,9 +180,7 @@ func TestStartStopRace(t *testing.T) {
 //
 //	Enqueued == Processed + Dropped + QueueDepth.
 //
-// Before the sweep, rejected and evicted packets were missing from
-// Enqueued, so DropNewest and DropOldest produced differently-shaped
-// books for identical overloads.
+// Before the sweep, rejected packets were missing from Enqueued.
 func TestDropAccountingInvariant(t *testing.T) {
 	pkts := frames(t, 1) // one flow -> one shard
 
@@ -216,22 +213,6 @@ func TestDropAccountingInvariant(t *testing.T) {
 		check(t, p.Stats().Total(), 10, 4, 6)
 	})
 
-	t.Run("DropOldest", func(t *testing.T) {
-		p := New(Config{Shards: 1, QueueDepth: 4, Policy: DropOldest})
-		installRules(t, p.Table())
-		for i := 0; i < 10; i++ { // 10 admitted, 6 oldest evicted
-			if !p.Submit(pkts[0], 0) {
-				t.Fatalf("DropOldest rejected packet %d", i)
-			}
-		}
-		st := p.Stats().Total()
-		check(t, st, 10, 0, 6)
-		p.Start()
-		p.Drain()
-		p.Stop()
-		check(t, p.Stats().Total(), 10, 4, 6)
-	})
-
 	t.Run("Block", func(t *testing.T) {
 		p := New(Config{Shards: 1, QueueDepth: 4, Policy: Block})
 		installRules(t, p.Table())
@@ -251,34 +232,6 @@ func TestDropAccountingInvariant(t *testing.T) {
 		}
 		check(t, p.Stats().Total(), 11, 10, 1)
 	})
-}
-
-// TestDropOldestEvictionRecycling checks that a DropOldest eviction
-// recycles the victim's pooled buffer instead of leaking it: after the
-// eviction, the pool must hand the victim's buffer (still carrying its
-// bytes) back out.
-func TestDropOldestEvictionRecycling(t *testing.T) {
-	pkts := frames(t, 1)
-	p := New(Config{Shards: 1, QueueDepth: 2, Policy: DropOldest})
-	installRules(t, p.Table())
-	// Workers not started: three submits into a depth-2 ring evict the
-	// first packet, whose buffer Submit must release to the pool.
-	for i := 0; i < 3; i++ {
-		if !p.Submit(pkts[0], 0) {
-			t.Fatalf("submit %d rejected", i)
-		}
-	}
-	st := p.Stats().Total()
-	if st.Dropped != 1 || st.QueueDepth != 2 {
-		t.Fatalf("dropped/depth = %d/%d, want 1/2", st.Dropped, st.QueueDepth)
-	}
-	bp, _ := p.bufPool.Get().(*[]byte)
-	if bp == nil {
-		t.Fatal("evicted buffer was not recycled into the pool")
-	}
-	if !bytes.Equal(*bp, pkts[0]) {
-		t.Fatalf("recycled buffer holds %d unexpected bytes, want the evicted packet", len(*bp))
-	}
 }
 
 // TestPipelineZeroAllocFastPath pins the tentpole's headline property:

@@ -24,14 +24,13 @@
 //	  - Workers pull fixed-size batches from their ring to amortize queue
 //	    synchronization, and recycle packet buffers through a sync.Pool.
 //	  - Queues are bounded; the DropPolicy decides whether overload tail
-//	    drops, head drops, or blocks the producer. Memory stays bounded
-//	    either way.
+//	    drops or blocks the producer. Memory stays bounded either way.
 //
 // Middlebox chains: openflow.ChainExecutor implementations are invoked
-// concurrently from worker goroutines. A bare middlebox.Runtime is not
-// goroutine-safe — wrap it in middlebox.Synchronized, or supply
-// per-shard runtime clones via Config.ChainsFor (see the regression
-// tests in internal/middlebox).
+// concurrently from worker goroutines. A middlebox.Runtime locks itself,
+// so one shared by all shards is safe and chain execution is the
+// pipeline's serial section; per-shard runtime clones via
+// Config.ChainsFor scale it.
 package dataplane
 
 import (
@@ -60,7 +59,7 @@ type Config struct {
 	Policy DropPolicy
 
 	// Chains executes Middlebox actions and is shared by all shards; it
-	// MUST be goroutine-safe (e.g. middlebox.Synchronized). Nil makes
+	// MUST be goroutine-safe (a middlebox.Runtime is). Nil makes
 	// middlebox actions drops, like openflow.Switch.
 	Chains openflow.ChainExecutor
 	// ChainsFor, when set, overrides Chains with a per-shard executor —
@@ -221,8 +220,8 @@ func (p *Pipeline) Drain() {
 // whether the packet was admitted (false = backpressure drop).
 //
 // Counting: Enqueued is incremented for every Submit, admitted or not,
-// and every never-processed packet (rejection or eviction) increments
-// Dropped — see the ShardStats invariant.
+// and every rejected packet increments Dropped — see the ShardStats
+// invariant.
 func (p *Pipeline) Submit(data []byte, inPort uint16) bool {
 	key, ok := flowKeyOf(data, inPort)
 	sh := p.shards[int(key.Flow.FastHash()%uint64(len(p.shards)))]
@@ -238,13 +237,7 @@ func (p *Pipeline) Submit(data []byte, inPort uint16) bool {
 	}
 
 	p.inFlight.Add(1)
-	admitted, evicted, hasEvicted := sh.queue.push(it)
-	if hasEvicted {
-		p.release(evicted.buf)
-		p.inFlight.Add(-1)
-		sh.counters.dropped.Add(1)
-	}
-	if !admitted {
+	if !sh.queue.push(it) {
 		p.release(bp)
 		p.inFlight.Add(-1)
 		sh.counters.dropped.Add(1)

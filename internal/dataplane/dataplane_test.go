@@ -190,39 +190,35 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBackpressure checks the bounded-queue overload policies.
+// TestBackpressure checks the bounded queue under overload: DropNewest
+// rejects what does not fit (TestBlockPolicy covers Block).
 func TestBackpressure(t *testing.T) {
 	pkts := frames(t, 1) // one flow -> one shard
-	for _, tc := range []struct {
-		policy   DropPolicy
-		admitted bool
-	}{{DropNewest, false}, {DropOldest, true}} {
-		p := New(Config{Shards: 2, QueueDepth: 8, Policy: tc.policy})
-		installRules(t, p.Table())
-		// Workers not started: the shard queue fills at 8.
-		for i := 0; i < 8; i++ {
-			if !p.Submit(pkts[0], 0) {
-				t.Fatalf("policy %d: early drop at %d", tc.policy, i)
-			}
+	p := New(Config{Shards: 2, QueueDepth: 8, Policy: DropNewest})
+	installRules(t, p.Table())
+	// Workers not started: the shard queue fills at 8.
+	for i := 0; i < 8; i++ {
+		if !p.Submit(pkts[0], 0) {
+			t.Fatalf("early drop at %d", i)
 		}
-		for i := 0; i < 12; i++ {
-			if got := p.Submit(pkts[0], 0); got != tc.admitted {
-				t.Fatalf("policy %d: overflow Submit = %v, want %v", tc.policy, got, tc.admitted)
-			}
+	}
+	for i := 0; i < 12; i++ {
+		if p.Submit(pkts[0], 0) {
+			t.Fatalf("overflow Submit %d admitted", i)
 		}
-		p.Start()
-		p.Drain()
-		p.Stop()
-		st := p.Stats().Total()
-		if st.Dropped != 12 {
-			t.Errorf("policy %d: dropped = %d, want 12", tc.policy, st.Dropped)
-		}
-		if st.Processed != 8 {
-			t.Errorf("policy %d: processed = %d, want 8", tc.policy, st.Processed)
-		}
-		if st.QueueDepth != 0 {
-			t.Errorf("policy %d: residual queue depth %d", tc.policy, st.QueueDepth)
-		}
+	}
+	p.Start()
+	p.Drain()
+	p.Stop()
+	st := p.Stats().Total()
+	if st.Dropped != 12 {
+		t.Errorf("dropped = %d, want 12", st.Dropped)
+	}
+	if st.Processed != 8 {
+		t.Errorf("processed = %d, want 8", st.Processed)
+	}
+	if st.QueueDepth != 0 {
+		t.Errorf("residual queue depth %d", st.QueueDepth)
 	}
 }
 

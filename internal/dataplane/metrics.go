@@ -131,18 +131,14 @@ func (l *localCounters) flush(c *shardCounters) {
 
 // ShardStats is a point-in-time copy of one shard's counters.
 //
-// Accounting invariant (both drop policies, and Block): Enqueued counts
-// every packet Submit dispatched at this shard — admitted or not — and
-// Dropped counts every dispatched packet that will never be processed
-// (tail-drop rejections, DropOldest evictions, submits after close).
-// At quiescence therefore:
+// Accounting invariant (DropNewest and Block): Enqueued counts every
+// packet Submit dispatched at this shard — admitted or not — and Dropped
+// counts every dispatched packet that will never be processed (tail-drop
+// rejections, submits after close). At quiescence therefore:
 //
 //	Enqueued == Processed + Dropped + QueueDepth
 //
-// A DropOldest eviction contributes one packet to Enqueued (the victim,
-// counted when it was submitted) and one to Dropped (the same victim,
-// counted at eviction); the packet that displaced it is counted in
-// Enqueued like any admit. Tests pin this per policy.
+// Tests pin this per policy.
 type ShardStats struct {
 	Enqueued, Dropped, Processed, Batches int64
 	Bytes                                 int64
@@ -216,7 +212,7 @@ func (c *shardCounters) snapshot(depth int) ShardStats {
 }
 
 // chainSupervisor is implemented by supervised chain executors
-// (middlebox.Runtime and middlebox.SyncExecutor).
+// (middlebox.Runtime).
 type chainSupervisor interface {
 	SupervisorStats() middlebox.SupervisorStats
 }

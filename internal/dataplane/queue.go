@@ -14,9 +14,6 @@ const (
 	// DropNewest rejects the incoming packet (tail drop), the default:
 	// overload degrades to loss, never to unbounded memory.
 	DropNewest DropPolicy = iota
-	// DropOldest evicts the head of the queue to admit the new packet,
-	// favouring fresh traffic under overload.
-	DropOldest
 	// Block makes Submit wait for queue space — backpressure propagates
 	// to the producer instead of dropping. Use only when the producer
 	// can tolerate stalls (benchmarks, file replay).
@@ -58,40 +55,25 @@ func newRing(depth int, policy DropPolicy) *ring {
 	return r
 }
 
-// push enqueues one packet per the drop policy. It returns whether the
-// item was admitted and, for DropOldest, the evicted victim (whose
-// buffer the caller must recycle).
-func (r *ring) push(it item) (ok bool, evicted item, hasEvicted bool) {
+// push enqueues one packet per the drop policy and reports whether it
+// was admitted; on false the caller still owns the item's buffer.
+func (r *ring) push(it item) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return false, item{}, false
-	}
-	if r.n == len(r.items) {
-		switch r.policy {
-		case DropNewest:
-			return false, item{}, false
-		case DropOldest:
-			evicted = r.items[r.head]
-			r.items[r.head] = item{}
-			r.head = (r.head + 1) % len(r.items)
-			r.n--
-			hasEvicted = true
-		case Block:
-			for r.n == len(r.items) && !r.closed {
-				r.notFull.Wait()
-			}
-			if r.closed {
-				return false, item{}, false
-			}
+	if r.policy == Block {
+		for r.n == len(r.items) && !r.closed {
+			r.notFull.Wait()
 		}
+	}
+	if r.closed || r.n == len(r.items) {
+		return false
 	}
 	r.items[(r.head+r.n)%len(r.items)] = it
 	r.n++
 	if r.n == 1 {
 		r.notEmpty.Signal()
 	}
-	return true, evicted, hasEvicted
+	return true
 }
 
 // popBatch moves up to len(dst) items into dst, blocking while the ring

@@ -34,7 +34,7 @@ func TestRingBlockCloseRace(t *testing.T) {
 			go func(pr int) {
 				defer wg.Done()
 				for i := 0; i < perProducer; i++ {
-					ok, _, _ := r.push(testItem(pr*perProducer + i))
+					ok := r.push(testItem(pr*perProducer + i))
 					if ok {
 						admitted.Add(1)
 					} else {
@@ -78,13 +78,12 @@ func TestRingBlockCloseRace(t *testing.T) {
 }
 
 // TestRingHammerDropPolicies runs the same producer/consumer storm over
-// the two drop policies, checking conservation: every push is admitted
-// or rejected, every admitted item is popped or evicted or still queued
-// at the end.
+// both policies, checking conservation: every push is admitted or
+// rejected, and every admitted item is popped.
 func TestRingHammerDropPolicies(t *testing.T) {
-	for _, policy := range []DropPolicy{DropNewest, DropOldest} {
+	for _, policy := range []DropPolicy{DropNewest, Block} {
 		r := newRing(8, policy)
-		var admitted, rejected, evicted, popped int64
+		var admitted, rejected, popped int64
 		var mu sync.Mutex // guards the tallies updated by producers
 		var wg sync.WaitGroup
 		for pr := 0; pr < 4; pr++ {
@@ -92,15 +91,12 @@ func TestRingHammerDropPolicies(t *testing.T) {
 			go func(pr int) {
 				defer wg.Done()
 				for i := 0; i < 2000; i++ {
-					ok, _, hasEvicted := r.push(testItem(pr*2000 + i))
+					ok := r.push(testItem(pr*2000 + i))
 					mu.Lock()
 					if ok {
 						admitted++
 					} else {
 						rejected++
-					}
-					if hasEvicted {
-						evicted++
 					}
 					mu.Unlock()
 				}
@@ -124,38 +120,12 @@ func TestRingHammerDropPolicies(t *testing.T) {
 		r.close()
 		<-done
 
-		if admitted != popped+evicted {
-			t.Fatalf("policy %d: admitted %d != popped %d + evicted %d",
-				policy, admitted, popped, evicted)
+		if admitted+rejected != 8000 || admitted != popped {
+			t.Fatalf("policy %d: admitted %d + rejected %d of 8000 pushes, popped %d",
+				policy, admitted, rejected, popped)
 		}
-		if policy == DropNewest && evicted != 0 {
-			t.Fatalf("DropNewest evicted %d items", evicted)
+		if policy == Block && rejected != 0 {
+			t.Fatalf("Block rejected %d pushes on an open ring", rejected)
 		}
-		if policy == DropOldest && rejected != 0 {
-			t.Fatalf("DropOldest rejected %d pushes on an open ring", rejected)
-		}
-	}
-}
-
-// TestRingDropOldestEviction pins the eviction contract a recycling
-// caller depends on: the victim is the current head, it is handed back
-// exactly once, and FIFO order among survivors is preserved.
-func TestRingDropOldestEviction(t *testing.T) {
-	r := newRing(2, DropOldest)
-	for seq := 0; seq < 2; seq++ {
-		if ok, _, hasEvicted := r.push(testItem(seq)); !ok || hasEvicted {
-			t.Fatalf("push %d: ok=%v evicted=%v", seq, ok, hasEvicted)
-		}
-	}
-	ok, victim, hasEvicted := r.push(testItem(2))
-	if !ok || !hasEvicted {
-		t.Fatalf("full-ring push: ok=%v evicted=%v, want admit+evict", ok, hasEvicted)
-	}
-	if victim.data[0] != 0 {
-		t.Fatalf("evicted item %d, want the oldest (0)", victim.data[0])
-	}
-	batch := make([]item, 4)
-	if n := r.popBatch(batch); n != 2 || batch[0].data[0] != 1 || batch[1].data[0] != 2 {
-		t.Fatalf("drained %d items, want survivors 1,2 in order", n)
 	}
 }

@@ -85,10 +85,12 @@ type Server struct {
 	// instead of each owning a private copy (ROADMAP item 1).
 	Templates *pvnc.TemplateCache
 
-	// mu guards the deployment book and cookie counter, and serializes
-	// installs/teardowns against the (not goroutine-safe) runtime —
+	// mu guards the deployment book and cookie counter, and makes each
+	// install/teardown one atomic step against the switch and runtime —
 	// cmd/pvnd dispatches concurrent client connections straight into
-	// these methods.
+	// these methods. Lock order: mu, then the Runtime's own lock (which
+	// is all that orders these methods against chain traffic; dataplane
+	// workers never take mu).
 	mu          sync.Mutex
 	nextCookie  uint64
 	deployments map[string]*Deployment // by device ID
@@ -352,9 +354,9 @@ type BoxState struct {
 }
 
 // ExportBoxStates snapshots every stateful middlebox in a device's
-// deployment, in deployment order. It runs under the server lock: the
-// runtime is not goroutine-safe, and a roam may export state while a
-// sweep or crash-reclaim is tearing instances down.
+// deployment, in deployment order. It runs under the server lock: a
+// roam may export state while a sweep or crash-reclaim is tearing the
+// deployment's instances down.
 func (s *Server) ExportBoxStates(deviceID string) []BoxState {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -148,7 +148,7 @@ func e11Dataplane(srv *ds.Server, packets int, shardCounts []int, sw Stopwatch) 
 		dp := dataplane.New(dataplane.Config{
 			Shards: shards,
 			Policy: dataplane.Block,
-			Chains: middlebox.Synchronized(srv.Runtime),
+			Chains: srv.Runtime,
 		})
 		for _, e := range srv.Switch.Table.Entries() {
 			ec := *e

@@ -138,7 +138,7 @@ func runE14(p E14Params, policy string, restart bool) e14Stats {
 
 	// Every fail-open bypass of the security box becomes one ledger
 	// violation, exactly as the daemon wires it. OnEvent fires inside the
-	// SyncExecutor's critical section, so the ledger needs no extra lock.
+	// runtime's critical section, so the ledger needs no extra lock.
 	ledger := auditor.NewLedger()
 	rt.OnEvent = func(ev middlebox.SupEvent) {
 		if ev.Kind == middlebox.EventBypass && ev.Security {
@@ -171,7 +171,7 @@ func runE14(p E14Params, policy string, restart bool) e14Stats {
 		// so every loss in the table is a supervision decision and the
 		// counts are exact for any seed and shard interleaving.
 		Policy: dataplane.Block,
-		Chains: middlebox.Synchronized(rt),
+		Chains: rt,
 		Now:    now,
 		OnOutput: func(port uint16, data []byte) {
 			delivered.Add(1)

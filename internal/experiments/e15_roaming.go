@@ -8,6 +8,7 @@ import (
 	"pvn/internal/billing"
 	"pvn/internal/core"
 	"pvn/internal/discovery"
+	"pvn/internal/health"
 	"pvn/internal/middlebox/mbx"
 	"pvn/internal/netsim"
 	"pvn/internal/openflow"
@@ -129,7 +130,7 @@ func runE15Failover(p E15Params, probes bool) e15FailoverStats {
 		ProbationProbes: 1,
 	}
 	tbl.OnEvent = func(ev tunnel.Event) {
-		if ev.Endpoint == "cloud" && ev.To == tunnel.Down && st.downAt == 0 {
+		if ev.Endpoint == "cloud" && ev.To == health.Down && st.downAt == 0 {
 			st.downAt = ev.At
 		}
 	}

@@ -1,13 +1,14 @@
-// Package health holds what the repo's health ladders share. Today that
-// is the outcome window under the middlebox supervisor's breaker and the
-// tunnel table's probe ladder; the state machines on top stay with their
-// owners.
+// Package health is the repo's one health ladder: the healthy → degraded
+// → down → probation state machine (Ladder) over a sliding outcome
+// window (Window) with capped exponential backoff. The middlebox
+// supervisor's circuit breaker and the tunnel table's probe ladder are
+// both callers; each keeps only what is its own (events, counters,
+// restart times and fail policy; RTT scoring and probe cadence).
 package health
 
 // Window is a sliding window of the last size pass/fail outcomes, kept
 // as a bitmask ring (so size is at most 64). The zero value is an empty
-// window. It is not goroutine-safe; the embedding state's owner
-// serializes access.
+// window. It is not goroutine-safe; the owner serializes access.
 type Window struct {
 	// bits has bit i set when the outcome at ring slot i was a failure.
 	bits      uint64

@@ -210,6 +210,7 @@ func DefaultConfig() *Config {
 			"pvn/internal/netsim":        true,
 			"pvn/internal/discovery":     true,
 			"pvn/internal/tunnel":        true,
+			"pvn/internal/health":        true,
 			"pvn/internal/middlebox":     true,
 			"pvn/internal/middlebox/mbx": true,
 			"pvn/internal/core":          true,

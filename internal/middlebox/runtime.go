@@ -17,9 +17,11 @@ package middlebox
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"pvn/internal/health"
 	"pvn/internal/packet"
 )
 
@@ -56,11 +58,8 @@ const (
 //
 // Concurrency: a Context is per-packet scratch state, created by the
 // runtime once per chain invocation and re-pointed at each hop's
-// instance; it is used from exactly one goroutine and must not be
-// retained across Process calls. Because Alert writes into the
-// shared runtime, a chain instance — and the Runtime hosting it — is
-// not goroutine-safe either: concurrent dataplane workers must either
-// serialize through Synchronized or run per-worker Runtime clones.
+// instance; it is used from exactly one goroutine, under the runtime's
+// lock, and must not be retained across Process calls.
 type Context struct {
 	// Owner is the user the instance belongs to.
 	Owner string
@@ -183,8 +182,10 @@ type Instance struct {
 
 	// cfg is retained for supervisor restarts via Spec.New.
 	cfg map[string]string
-	// hlt is the supervisor's health state.
-	hlt instanceHealth
+	// ladder is the supervisor's health state; restartAt is when a
+	// health.Down instance is next rebuilt.
+	ladder    health.Ladder
+	restartAt time.Duration
 }
 
 // Chain is an ordered middlebox pipeline plus its isolation scope.
@@ -211,6 +212,16 @@ func (c *Chain) FailClosedResidue() bool { return c.residueClosed }
 const DefaultAlertCap = 4096
 
 // Runtime hosts instances and chains on one middlebox server.
+//
+// Concurrency: the Runtime locks itself. One mutex serializes chain
+// execution with every control-plane method that touches the registry,
+// instances, chains, box state or the alert ring, so dataplane workers
+// may execute chains while a deployment server attaches and detaches
+// subscribers. Code the runtime calls under the lock — Box.Process,
+// Spec.New, OnEvent — must not call back into it (Context.Alert is the
+// sanctioned way in); a caller holding its own lock takes that first
+// (deployserver's Server.mu → Runtime). Counters and health read off a
+// returned *Instance are stable only while no chain is executing.
 type Runtime struct {
 	// Now supplies simulated time.
 	Now func() time.Duration
@@ -228,6 +239,8 @@ type Runtime struct {
 	// chain execution — keep it cheap and non-blocking.
 	OnEvent func(SupEvent)
 
+	// mu guards everything below except the atomics.
+	mu        sync.Mutex
 	registry  map[string]*Spec
 	instances map[string]*Instance
 	chains    map[string]*Chain
@@ -259,10 +272,16 @@ func NewRuntime(now func() time.Duration) *Runtime {
 // Register adds a middlebox type to the registry. Registering the same
 // type twice replaces the spec (latest wins), which is how the PVN store
 // ships updates.
-func (r *Runtime) Register(s *Spec) { r.registry[s.Type] = s }
+func (r *Runtime) Register(s *Spec) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.registry[s.Type] = s
+}
 
 // Types returns the registered type names.
 func (r *Runtime) Types() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]string, 0, len(r.registry))
 	for k := range r.registry {
 		out = append(out, k)
@@ -278,12 +297,18 @@ func (r *Runtime) memCap() int {
 }
 
 // MemoryUsed reports committed instance memory.
-func (r *Runtime) MemoryUsed() int { return r.memUsed }
+func (r *Runtime) MemoryUsed() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.memUsed
+}
 
 // Instantiate boots an instance of the named type for owner. The instance
 // becomes usable BootDelay after the call (simulated time); the returned
 // Instance reports that in ReadyAt.
 func (r *Runtime) Instantiate(owner, typ string, cfg map[string]string) (*Instance, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	spec, ok := r.registry[typ]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownType, typ)
@@ -325,6 +350,8 @@ func (r *Runtime) Instantiate(owner, typ string, cfg map[string]string) (*Instan
 
 // Terminate destroys an instance and releases its memory.
 func (r *Runtime) Terminate(id string) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	inst, ok := r.instances[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrInstanceunknown, id)
@@ -356,6 +383,8 @@ func (r *Runtime) Terminate(id string) error {
 // TeardownUser destroys every instance and chain belonging to owner and
 // returns how many instances were released. Used on PVN teardown.
 func (r *Runtime) TeardownUser(owner string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	n := 0
 	for id, inst := range r.instances {
 		if inst.Owner == owner {
@@ -373,12 +402,18 @@ func (r *Runtime) TeardownUser(owner string) int {
 }
 
 // Instance returns the instance by ID, or nil.
-func (r *Runtime) Instance(id string) *Instance { return r.instances[id] }
+func (r *Runtime) Instance(id string) *Instance {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.instances[id]
+}
 
 // InstanceIDs returns the IDs of every hosted instance, in no particular
 // order. Deployment-server crash recovery diffs this against its book to
 // find orphans.
 func (r *Runtime) InstanceIDs() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]string, 0, len(r.instances))
 	for id := range r.instances {
 		out = append(out, id)
@@ -389,6 +424,8 @@ func (r *Runtime) InstanceIDs() []string {
 // ChainKeys returns every chain's "namespace/name" key, in no particular
 // order — the counterpart of InstanceIDs for crash recovery.
 func (r *Runtime) ChainKeys() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]string, 0, len(r.chains))
 	for key := range r.chains {
 		out = append(out, key)
@@ -398,6 +435,8 @@ func (r *Runtime) ChainKeys() []string {
 
 // InstancesOf returns all instances owned by owner.
 func (r *Runtime) InstancesOf(owner string) []*Instance {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var out []*Instance
 	for _, inst := range r.instances {
 		if inst.Owner == owner {
@@ -420,6 +459,8 @@ func (r *Runtime) BuildChain(owner, name string, instanceIDs []string, ownerAddr
 // owner. Deployments of the same user's PVNC from multiple devices use
 // per-deployment namespaces so their chains coexist.
 func (r *Runtime) BuildChainIn(owner, namespace, name string, instanceIDs []string, ownerAddrs []packet.IPv4Address) (*Chain, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	key := chainKey(namespace, name)
 	if _, dup := r.chains[key]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateChain, key)
@@ -442,30 +483,41 @@ func (r *Runtime) BuildChainIn(owner, namespace, name string, instanceIDs []stri
 // RemoveChain deletes a chain by its namespace and name (instances
 // survive).
 func (r *Runtime) RemoveChain(namespace, name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	delete(r.chains, chainKey(namespace, name))
 }
 
 // Chain returns a chain by namespace and name, or nil.
-func (r *Runtime) Chain(namespace, name string) *Chain { return r.chains[chainKey(namespace, name)] }
+func (r *Runtime) Chain(namespace, name string) *Chain {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.chains[chainKey(namespace, name)]
+}
 
 func chainKey(owner, name string) string { return owner + "/" + name }
 
 // ExecuteChain implements openflow.ChainExecutor: the chain name on flow
 // rules is "owner/chain".
 func (r *Runtime) ExecuteChain(chain string, data []byte) ([]byte, time.Duration, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c, ok := r.chains[chain]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownChain, chain)
 	}
-	return r.run(c, data)
+	return r.run(c, data) //lint:allow lockorder serializing chain execution under mu IS the Runtime's contract (see the type comment); Process cannot re-enter the runtime
 }
 
-// ExecuteChainBatch implements openflow.BatchProcessor: one chain
-// resolution for the whole batch, then the scalar path per packet, so
-// batch semantics are the scalar semantics by construction (supervision,
-// breakers and fail policies all run per packet). Like the Runtime
-// itself it is not goroutine-safe; Synchronized adds the lock.
+// ExecuteChainBatch implements openflow.BatchProcessor: one lock
+// acquisition and one chain resolution for the whole batch, then the
+// scalar path per packet, so batch semantics are the scalar semantics by
+// construction (supervision, breakers and fail policies all run per
+// packet). Under N workers the lock is the serial section, and batching
+// divides its acquisition count by the batch size.
 func (r *Runtime) ExecuteChainBatch(chain string, pkts [][]byte, outs [][]byte, delays []time.Duration, errs []error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c, ok := r.chains[chain]
 	if !ok {
 		err := fmt.Errorf("%w: %q", ErrUnknownChain, chain)
@@ -475,10 +527,11 @@ func (r *Runtime) ExecuteChainBatch(chain string, pkts [][]byte, outs [][]byte, 
 		return
 	}
 	for i := range pkts {
-		outs[i], delays[i], errs[i] = r.run(c, pkts[i])
+		outs[i], delays[i], errs[i] = r.run(c, pkts[i]) //lint:allow lockorder serializing batch execution under mu IS the Runtime's contract (see the type comment); Process cannot re-enter the runtime
 	}
 }
 
+// run executes one packet through c. The caller holds r.mu.
 func (r *Runtime) run(c *Chain, data []byte) ([]byte, time.Duration, error) {
 	now := r.Now()
 	var delay time.Duration
@@ -498,10 +551,10 @@ func (r *Runtime) run(c *Chain, data []byte) ([]byte, time.Duration, error) {
 	cur := data
 	for _, inst := range c.Boxes {
 		at := now + delay
-		if inst.hlt.state == Broken {
+		if inst.ladder.State() == health.Down {
 			r.maybeRestart(inst, at)
 		}
-		if inst.hlt.state == Broken || (at < inst.ReadyAt && inst.Restarts > 0) {
+		if inst.ladder.State() == health.Down || (at < inst.ReadyAt && inst.Restarts > 0) {
 			// Unavailable (breaker open, or rebooting after a
 			// restart): the failure policy decides, without running
 			// user code.
@@ -578,7 +631,8 @@ func (r *Runtime) alertCap() int {
 }
 
 // pushAlert appends to the bounded alert ring, evicting (and counting)
-// the oldest alert once the ring is full.
+// the oldest alert once the ring is full. It runs under r.mu: its only
+// caller is Context.Alert, inside a Process call.
 func (r *Runtime) pushAlert(a Alert) {
 	max := r.alertCap()
 	if len(r.alerts) < max {
@@ -602,6 +656,8 @@ func (r *Runtime) pushAlert(a Alert) {
 // ""), oldest first. Only the newest alertCap() alerts are retained;
 // AlertsDropped counts the evicted remainder.
 func (r *Runtime) Alerts(owner string) []Alert {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var out []Alert
 	n := len(r.alerts)
 	for i := 0; i < n; i++ {

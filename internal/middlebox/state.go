@@ -26,6 +26,8 @@ type StatefulBox interface {
 // when the instance does not exist or its box carries no migratable
 // state (not a StatefulBox).
 func (r *Runtime) ExportState(id string) (data []byte, ok bool, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	inst := r.instances[id]
 	if inst == nil {
 		return nil, false, nil
@@ -47,6 +49,8 @@ func (r *Runtime) ExportState(id string) (data []byte, ok bool, err error) {
 // instance, and silently dropping the state would turn a migration bug
 // into a cold start.
 func (r *Runtime) ImportState(id string, data []byte) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	inst := r.instances[id]
 	if inst == nil {
 		return fmt.Errorf("%w: %q", ErrInstanceunknown, id)

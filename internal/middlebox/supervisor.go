@@ -68,35 +68,6 @@ func ParseFailPolicy(s string) (FailPolicy, error) {
 	return PolicyDefault, fmt.Errorf("middlebox: bad fail policy %q (want open or closed)", s)
 }
 
-// HealthState is the supervisor's view of one instance.
-type HealthState uint8
-
-// Health states, in escalation order. Probation is the breaker's
-// half-open state: the instance has been restarted and is processing
-// trial traffic; one failure sends it straight back to Broken.
-const (
-	Healthy HealthState = iota
-	Degraded
-	Broken
-	Probation
-)
-
-// String implements fmt.Stringer.
-func (h HealthState) String() string {
-	switch h {
-	case Healthy:
-		return "healthy"
-	case Degraded:
-		return "degraded"
-	case Broken:
-		return "broken"
-	case Probation:
-		return "probation"
-	default:
-		return fmt.Sprintf("health(%d)", uint8(h))
-	}
-}
-
 // SupervisorConfig tunes the supervision layer. The zero value is live:
 // 32-call window, breaker at 8 failures, degraded at 4, 200 ms initial
 // restart backoff doubling to a 10 s cap, 8 probation packets.
@@ -128,53 +99,19 @@ type SupervisorConfig struct {
 	DefaultPolicy FailPolicy
 }
 
-func (c *SupervisorConfig) window() int {
-	if c.Window <= 0 {
-		return 32
-	}
-	if c.Window > 64 {
-		return 64
-	}
-	return c.Window
+// supervisorDefaults fills the SupervisorConfig fields left zero.
+var supervisorDefaults = health.Config{
+	Window: 32, Down: 8,
+	Backoff: 200 * time.Millisecond, BackoffMax: 10 * time.Second,
+	Probation: 8,
 }
 
-func (c *SupervisorConfig) breaker() int {
-	if c.BreakerThreshold <= 0 {
-		return 8
-	}
-	return c.BreakerThreshold
-}
-
-func (c *SupervisorConfig) degraded() int {
-	if c.DegradedThreshold > 0 {
-		return c.DegradedThreshold
-	}
-	d := c.breaker() / 2
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
-func (c *SupervisorConfig) restartBackoff() time.Duration {
-	if c.RestartBackoff <= 0 {
-		return 200 * time.Millisecond
-	}
-	return c.RestartBackoff
-}
-
-func (c *SupervisorConfig) restartBackoffMax() time.Duration {
-	if c.RestartBackoffMax <= 0 {
-		return 10 * time.Second
-	}
-	return c.RestartBackoffMax
-}
-
-func (c *SupervisorConfig) probation() int {
-	if c.ProbationPackets <= 0 {
-		return 8
-	}
-	return c.ProbationPackets
+func (c *SupervisorConfig) ladder() health.Config {
+	return health.Config{
+		Window: c.Window, Down: c.BreakerThreshold, Degraded: c.DegradedThreshold,
+		Backoff: c.RestartBackoff, BackoffMax: c.RestartBackoffMax,
+		Probation: c.ProbationPackets,
+	}.Or(supervisorDefaults)
 }
 
 // SupEventKind classifies a supervision event.
@@ -275,27 +212,13 @@ func (s *supCounters) snapshot() SupervisorStats {
 }
 
 // SupervisorStats returns the supervision counters. The counters are
-// atomic, so this is safe to call from a metrics poller even while the
-// runtime executes chains (via SyncExecutor or per-worker clones).
+// atomic, so a metrics poller reads them without taking the runtime's
+// lock, even while chains execute.
 func (r *Runtime) SupervisorStats() SupervisorStats { return r.sup.snapshot() }
 
-// instanceHealth is the per-instance supervision state: the window of
-// the last window() Process outcomes plus breaker bookkeeping. It lives
-// inside Instance and is touched only under the runtime's execution
-// contract (single goroutine, or serialized via SyncExecutor).
-type instanceHealth struct {
-	state HealthState
-	health.Window
-	// backoff is the current restart cooldown; doubles per breaker
-	// open without an intervening recovery, capped.
-	backoff   time.Duration
-	restartAt time.Duration
-	// probationLeft counts successes still needed to close the breaker.
-	probationLeft int
-}
-
-// Health reports the instance's supervision state.
-func (i *Instance) Health() HealthState { return i.hlt.state }
+// Health reports the instance's supervision state: the circuit breaker
+// is open while it is health.Down and half-open in health.Probation.
+func (i *Instance) Health() health.State { return i.ladder.State() }
 
 func (r *Runtime) emit(ev SupEvent) {
 	if r.OnEvent != nil {
@@ -325,62 +248,27 @@ func callBox(ctx *Context, b Box, data []byte) (out []byte, v Verdict, err error
 	return
 }
 
-// recordFailure feeds one fault into the instance's window and walks the
-// healthy → degraded → broken ladder. A probation failure re-opens the
-// breaker immediately (half-open semantics).
+// recordFailure feeds one fault into the instance's ladder. Crossing the
+// failure threshold, or any failure in probation, opens the breaker:
+// the instance is health.Down until its restart, scheduled with the
+// ladder's capped exponential backoff.
 func (r *Runtime) recordFailure(inst *Instance, at time.Duration) {
-	h := &inst.hlt
-	if h.state == Probation {
-		r.openBreaker(inst, at)
+	if st, _ := inst.ladder.Record(false, r.Supervisor.ladder()); st != health.Down {
 		return
 	}
-	fails := h.Push(true, r.Supervisor.window())
-	switch {
-	case fails >= r.Supervisor.breaker():
-		r.openBreaker(inst, at)
-	case fails >= r.Supervisor.degraded() && h.state == Healthy:
-		h.state = Degraded
-	}
+	inst.restartAt = at + inst.ladder.Backoff()
+	r.sup.breakerOpens.Add(1)
+	r.instEvent(EventBreakerOpen, inst, at, fmt.Sprintf("restart in %v", inst.ladder.Backoff()))
 }
 
-// recordSuccess feeds one clean call into the window; enough of them
+// recordSuccess feeds one clean call into the ladder; enough of them
 // close a half-open breaker or clear a degraded mark.
 func (r *Runtime) recordSuccess(inst *Instance, at time.Duration) {
-	h := &inst.hlt
-	if h.state == Probation {
-		h.probationLeft--
-		if h.probationLeft <= 0 {
-			h.state = Healthy
-			h.Clear()
-			h.backoff = 0
-			r.sup.recoveries.Add(1)
-			r.instEvent(EventRecovered, inst, at, "survived probation")
-		}
-		return
+	prev := inst.ladder.State()
+	if st, _ := inst.ladder.Record(true, r.Supervisor.ladder()); prev == health.Probation && st == health.Healthy {
+		r.sup.recoveries.Add(1)
+		r.instEvent(EventRecovered, inst, at, "survived probation")
 	}
-	fails := h.Push(false, r.Supervisor.window())
-	if h.state == Degraded && fails < r.Supervisor.degraded() {
-		h.state = Healthy
-	}
-}
-
-// openBreaker marks the instance broken and schedules its restart with
-// capped exponential backoff.
-func (r *Runtime) openBreaker(inst *Instance, at time.Duration) {
-	h := &inst.hlt
-	h.state = Broken
-	if h.backoff == 0 {
-		h.backoff = r.Supervisor.restartBackoff()
-	} else {
-		h.backoff *= 2
-		if max := r.Supervisor.restartBackoffMax(); h.backoff > max {
-			h.backoff = max
-		}
-	}
-	h.restartAt = at + h.backoff
-	h.Clear()
-	r.sup.breakerOpens.Add(1)
-	r.instEvent(EventBreakerOpen, inst, at, fmt.Sprintf("restart in %v", h.backoff))
 }
 
 // maybeRestart rebuilds a broken instance once its cooldown has elapsed
@@ -390,26 +278,21 @@ func (r *Runtime) openBreaker(inst *Instance, at time.Duration) {
 // an instance whose cooldown and boot both fit inside a quiet period is
 // simply ready when traffic returns.
 func (r *Runtime) maybeRestart(inst *Instance, at time.Duration) {
-	h := &inst.hlt
-	if r.Supervisor.DisableRestart || at < h.restartAt {
+	if r.Supervisor.DisableRestart || at < inst.restartAt {
 		return
 	}
 	box, err := inst.Spec.New(inst.cfg)
 	if err != nil {
 		// The factory itself is failing: stay broken, widen the retry.
-		h.backoff *= 2
-		if max := r.Supervisor.restartBackoffMax(); h.backoff > max {
-			h.backoff = max
-		}
-		h.restartAt = at + h.backoff
+		inst.ladder.Record(false, r.Supervisor.ladder())
+		inst.restartAt = at + inst.ladder.Backoff()
 		r.instEvent(EventBoxError, inst, at, fmt.Sprintf("restart failed: %v", err))
 		return
 	}
 	inst.Box = box
-	inst.ReadyAt = h.restartAt + inst.Spec.boot()
+	inst.ReadyAt = inst.restartAt + inst.Spec.boot()
 	inst.Restarts++
-	h.state = Probation
-	h.probationLeft = r.Supervisor.probation()
+	inst.ladder.BeginProbation(r.Supervisor.ladder())
 	r.sup.restarts.Add(1)
 	r.instEvent(EventRestart, inst, at, fmt.Sprintf("ready at %v (restart #%d)", inst.ReadyAt, inst.Restarts))
 }

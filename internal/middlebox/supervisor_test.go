@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pvn/internal/health"
 	"pvn/internal/middlebox"
 	"pvn/internal/middlebox/mbx"
 	"pvn/internal/packet"
@@ -75,21 +76,21 @@ func TestSupervisedFaultKinds(t *testing.T) {
 		wantErr              error
 		wantPanics, wantErrs int64
 		wantCorrupt          bool
-		wantHealth           middlebox.HealthState
+		wantHealth           health.State
 	}{
 		{
 			name:       "panicking",
 			cfg:        map[string]string{"panic-every": "1"},
 			wantErr:    middlebox.ErrBoxPanic,
 			wantPanics: 1, wantErrs: 1,
-			wantHealth: middlebox.Healthy, // one failure, threshold 8
+			wantHealth: health.Healthy, // one failure, threshold 8
 		},
 		{
 			name:       "erroring",
 			cfg:        map[string]string{"error-every": "1"},
 			wantErr:    errors.New("faulty: injected error"),
 			wantErrs:   1,
-			wantHealth: middlebox.Healthy,
+			wantHealth: health.Healthy,
 		},
 		{
 			name:        "corrupting",
@@ -97,7 +98,7 @@ func TestSupervisedFaultKinds(t *testing.T) {
 			wantCorrupt: true,
 			// Well-formed-but-wrong output is invisible to the
 			// supervisor: no oracle, no failure, Healthy.
-			wantHealth: middlebox.Healthy,
+			wantHealth: health.Healthy,
 		},
 	}
 	for _, tc := range cases {
@@ -180,7 +181,7 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 			t.Fatalf("packet %d: fail-open chain must deliver: %v", i, err)
 		}
 	}
-	if faulty.Health() != middlebox.Broken {
+	if faulty.Health() != health.Down {
 		t.Fatalf("health = %v, want broken", faulty.Health())
 	}
 	box := faulty.Box.(*mbx.FaultyBox)
@@ -228,7 +229,7 @@ func TestRestartAfterCooldown(t *testing.T) {
 	for i := 0; i < 3; i++ { // trip the breaker during the storm
 		rt.ExecuteChain("alice/c", pkt)
 	}
-	if faulty.Health() != middlebox.Broken {
+	if faulty.Health() != health.Down {
 		t.Fatalf("health = %v, want broken", faulty.Health())
 	}
 	packetsSoFar := faulty.Packets
@@ -251,13 +252,13 @@ func TestRestartAfterCooldown(t *testing.T) {
 	if faulty.Packets != packetsSoFar+1 {
 		t.Fatalf("packets = %d, want cumulative %d", faulty.Packets, packetsSoFar+1)
 	}
-	if faulty.Health() != middlebox.Probation {
+	if faulty.Health() != health.Probation {
 		t.Fatalf("health = %v, want probation after first clean packet", faulty.Health())
 	}
 	if out, _, err := rt.ExecuteChain("alice/c", pkt); err != nil || out == nil {
 		t.Fatalf("probation packet: %v", err)
 	}
-	if faulty.Health() != middlebox.Healthy {
+	if faulty.Health() != health.Healthy {
 		t.Fatalf("health = %v, want healthy after %d probation successes", faulty.Health(), 2)
 	}
 	st := rt.SupervisorStats()
@@ -286,7 +287,7 @@ func TestProbationFailureDoublesBackoff(t *testing.T) {
 	rt.ExecuteChain("alice/c", pkt) // threshold 2 → breaker opens
 	now += time.Second              // past cooldown + boot
 	rt.ExecuteChain("alice/c", pkt) // restart, probation packet panics → reopen
-	if faulty.Health() != middlebox.Broken {
+	if faulty.Health() != health.Down {
 		t.Fatalf("health = %v, want broken after probation failure", faulty.Health())
 	}
 	if len(opens) != 2 {
@@ -346,7 +347,7 @@ func TestFailClosedBrokenDropsTraffic(t *testing.T) {
 			t.Fatalf("packet %d: err = %v, want ErrBoxPanic", i, err)
 		}
 	}
-	if faulty.Health() != middlebox.Broken {
+	if faulty.Health() != health.Down {
 		t.Fatalf("health = %v, want broken", faulty.Health())
 	}
 	now += time.Hour // DisableRestart: time heals nothing

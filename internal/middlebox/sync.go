@@ -1,58 +1,29 @@
 package middlebox
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// SyncExecutor makes one Runtime shareable by concurrent dataplane
-// workers by serializing chain execution on a mutex.
-//
-// A bare Runtime is NOT goroutine-safe: ExecuteChain mutates instance
-// counters, box state and the alert log without synchronization, and
-// each Context it creates is a single-goroutine, single-packet scratch
-// object. Callers therefore have exactly two safe options, both
-// exercised by the dataplane's regression tests:
-//
-//   - wrap the shared Runtime in a SyncExecutor (correct, but chain
-//     execution becomes the serial section of the pipeline), or
-//   - give every worker its own Runtime clone (scales linearly; see
-//     dataplane.Config.ChainsFor), keeping per-instance state
-//     worker-private.
-type SyncExecutor struct {
-	mu sync.Mutex
-	rt *Runtime
-}
+// SyncExecutor forwards to a Runtime. It predates the Runtime locking
+// itself and survives for callers that hand a pipeline
+// middlebox.Synchronized(rt); passing rt directly is equivalent.
+type SyncExecutor struct{ rt *Runtime }
 
-// Synchronized wraps rt so ExecuteChain may be called from any number of
-// goroutines.
+// Synchronized wraps rt. The Runtime is already safe to call from any
+// number of goroutines, so this adds nothing but the type.
 func Synchronized(rt *Runtime) *SyncExecutor { return &SyncExecutor{rt: rt} }
 
 // ExecuteChain implements openflow.ChainExecutor.
 func (s *SyncExecutor) ExecuteChain(chain string, data []byte) ([]byte, time.Duration, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rt.ExecuteChain(chain, data) //lint:allow lockorder serializing chain execution under mu IS this type's contract (see the type comment); Process cannot re-enter the executor
+	return s.rt.ExecuteChain(chain, data)
 }
 
-// ExecuteChainBatch implements openflow.BatchProcessor: one lock
-// acquisition per batch instead of one per packet, which is the whole
-// reason a batched dataplane wants this path — under N workers the
-// mutex is the serial section, and batching divides its acquisition
-// count by the batch size.
+// ExecuteChainBatch implements openflow.BatchProcessor.
 func (s *SyncExecutor) ExecuteChainBatch(chain string, pkts [][]byte, outs [][]byte, delays []time.Duration, errs []error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rt.ExecuteChainBatch(chain, pkts, outs, delays, errs) //lint:allow lockorder serializing batch execution under mu IS this type's contract (see the type comment); Process cannot re-enter the executor
+	s.rt.ExecuteChainBatch(chain, pkts, outs, delays, errs)
 }
 
 // SupervisorStats exposes the wrapped runtime's supervision counters to
-// metrics pollers (e.g. dataplane.Pipeline.Stats). The counters are
-// atomic, so this does not contend with chain execution.
+// metrics pollers (e.g. dataplane.Pipeline.Stats).
 func (s *SyncExecutor) SupervisorStats() SupervisorStats { return s.rt.SupervisorStats() }
 
-// Runtime returns the wrapped runtime for control-plane configuration
-// (instantiation, chain building). Those calls must not race with
-// ExecuteChain; perform them before traffic starts or behind the same
-// coordination that quiesces the pipeline.
+// Runtime returns the wrapped runtime.
 func (s *SyncExecutor) Runtime() *Runtime { return s.rt }

@@ -52,84 +52,13 @@ type Compiled struct {
 
 // Compile lowers a validated PVNC to flow rules and deployment plans. It
 // fails if Validate reports any violation: invalid configurations must
-// not reach the data plane.
+// not reach the data plane. It is TemplateCache.CompileShared without
+// the cache: the skeleton is built, specialized once and dropped.
 func Compile(p *PVNC, opt CompileOptions) (*Compiled, error) {
 	if errs := p.Validate(); len(errs) > 0 {
 		return nil, fmt.Errorf("pvnc: refusing to compile invalid config: %v", errs[0])
 	}
-	ns := opt.ChainNamespace
-	if ns == "" {
-		ns = p.Owner
-	}
-	out := &Compiled{
-		Middleboxes: append([]Middlebox(nil), p.Middleboxes...),
-		Chains:      append([]Chain(nil), p.Chains...),
-		Owner:       p.Owner,
-		Namespace:   ns,
-		Hash:        p.Hash(),
-	}
-
-	for _, pol := range p.SortedPolicies() {
-		var meterID string
-		if pol.RateBps > 0 {
-			meterID = fmt.Sprintf("%s-p%d", p.Name, pol.Priority)
-			out.Meters = append(out.Meters, MeterPlan{ID: meterID, RateBps: pol.RateBps})
-		}
-
-		base := []openflow.Action{}
-		if pol.Via != "" {
-			base = append(base, openflow.ToMiddlebox(ns+"/"+pol.Via))
-		}
-		if meterID != "" {
-			base = append(base, openflow.Metered(meterID))
-		}
-		terminalOut, terminalIn := terminalActions(pol, opt)
-
-		if pol.Match.Any {
-			// The catch-all still only covers the deployment's own
-			// addresses: a PVN must never interpose on (or forward)
-			// other subscribers' traffic (§3.3 isolation).
-			for _, addr := range p.CoveredAddrs() {
-				out.FlowMods = append(out.FlowMods, openflow.FlowMod{
-					Command:  openflow.FlowAdd,
-					Priority: pol.Priority,
-					Match:    openflow.Match{Fields: openflow.FieldSrcIP, SrcIP: addr, SrcBits: 32},
-					Actions:  append(append([]openflow.Action(nil), base...), terminalOut...),
-					Cookie:   opt.Cookie,
-				})
-				out.FlowMods = append(out.FlowMods, openflow.FlowMod{
-					Command:  openflow.FlowAdd,
-					Priority: pol.Priority,
-					Match:    openflow.Match{Fields: openflow.FieldDstIP, DstIP: addr, DstBits: 32},
-					Actions:  append(append([]openflow.Action(nil), base...), terminalIn...),
-					Cookie:   opt.Cookie,
-				})
-			}
-			continue
-		}
-
-		// One outbound + one mirrored inbound rule per covered address
-		// (the device, plus any sensors the policies also protect).
-		for _, addr := range p.CoveredAddrs() {
-			mOut := matchFor(pol.Match, addr, true)
-			out.FlowMods = append(out.FlowMods, openflow.FlowMod{
-				Command:  openflow.FlowAdd,
-				Priority: pol.Priority,
-				Match:    mOut,
-				Actions:  append(append([]openflow.Action(nil), base...), terminalOut...),
-				Cookie:   opt.Cookie,
-			})
-			mIn := matchFor(pol.Match, addr, false)
-			out.FlowMods = append(out.FlowMods, openflow.FlowMod{
-				Command:  openflow.FlowAdd,
-				Priority: pol.Priority,
-				Match:    mIn,
-				Actions:  append(append([]openflow.Action(nil), base...), terminalIn...),
-				Cookie:   opt.Cookie,
-			})
-		}
-	}
-	return out, nil
+	return buildSkeleton(p, opt).specialize(p, opt, nil), nil
 }
 
 // terminalActions returns the outbound and inbound terminal action lists

@@ -13,12 +13,11 @@ import (
 
 // Template sharing (ROADMAP item 1, PVN Store refactor): thousands of
 // subscribers install the *same* store module, differing only in owner,
-// device address and sensors. Plain Compile lowers every subscriber
-// independently — every deployment owns private action slices even
-// though most of them are byte-identical across subscribers. A
-// TemplateCache content-addresses the subscriber-independent shape of a
-// PVNC, compiles that shape once into a skeleton, and specializes the
-// skeleton per subscriber: matches and cookies are stamped per
+// device address and sensors. Lowering is therefore two steps: compile
+// the subscriber-independent shape of a PVNC into a skeleton, then
+// specialize the skeleton per subscriber. Plain Compile builds a
+// skeleton per call; a TemplateCache content-addresses the shape and
+// builds it once: matches and cookies are stamped per
 // deployment (they embed the device address), while action slices that
 // carry no per-deployment state are shared read-only across every
 // deployment of the template. Action slices that do embed deployment
@@ -162,13 +161,10 @@ func (c *TemplateCache) CompileShared(p *PVNC, opt CompileOptions) (*Compiled, e
 	if errs := p.Validate(); len(errs) > 0 {
 		return nil, fmt.Errorf("pvnc: refusing to compile invalid config: %v", errs[0])
 	}
-	ns := opt.ChainNamespace
-	if ns == "" {
-		ns = p.Owner
-	}
 	key := fmt.Sprintf("%s|%d|%d", TemplateKey(p), opt.DevicePort, opt.UpstreamPort)
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	skel, ok := c.skeletons[key]
 	if !ok {
 		skel = buildSkeleton(p, opt)
@@ -178,7 +174,16 @@ func (c *TemplateCache) CompileShared(p *PVNC, opt CompileOptions) (*Compiled, e
 	} else {
 		c.stats.Hits++
 	}
+	return skel.specialize(p, opt, &c.stats), nil
+}
 
+// specialize stamps one deployment of p out of its skeleton. st, when
+// non-nil, accumulates the rule-table byte model (the cached path).
+func (skel *skeleton) specialize(p *PVNC, opt CompileOptions, st *TemplateStats) *Compiled {
+	ns := opt.ChainNamespace
+	if ns == "" {
+		ns = p.Owner
+	}
 	out := &Compiled{
 		Middleboxes: skel.middleboxes,
 		Chains:      skel.chains,
@@ -190,6 +195,11 @@ func (c *TemplateCache) CompileShared(p *PVNC, opt CompileOptions) (*Compiled, e
 		out.Meters = append([]MeterPlan(nil), skel.meters...)
 	}
 
+	// One outbound + one mirrored inbound rule per policy and covered
+	// address (the device, plus any sensors the policies also protect).
+	// Even the catch-all only covers the deployment's own addresses: a
+	// PVN must never interpose on (or forward) other subscribers'
+	// traffic (§3.3 isolation).
 	covered := p.CoveredAddrs()
 	for i := range skel.policies {
 		sp := &skel.policies[i]
@@ -205,7 +215,9 @@ func (c *TemplateCache) CompileShared(p *PVNC, opt CompileOptions) (*Compiled, e
 			tOut, tIn := terminalActions(sp.pol, opt)
 			outActs = append(append([]openflow.Action(nil), base...), tOut...)
 			inActs = append(append([]openflow.Action(nil), base...), tIn...)
-			c.stats.PrivateActionBytes += actionSliceBytes(outActs) + actionSliceBytes(inActs)
+			if st != nil {
+				st.PrivateActionBytes += actionSliceBytes(outActs) + actionSliceBytes(inActs)
+			}
 		}
 		for _, addr := range covered {
 			var mOut, mIn openflow.Match
@@ -219,12 +231,13 @@ func (c *TemplateCache) CompileShared(p *PVNC, opt CompileOptions) (*Compiled, e
 			out.FlowMods = append(out.FlowMods,
 				openflow.FlowMod{Command: openflow.FlowAdd, Priority: sp.pol.Priority, Match: mOut, Actions: outActs, Cookie: opt.Cookie},
 				openflow.FlowMod{Command: openflow.FlowAdd, Priority: sp.pol.Priority, Match: mIn, Actions: inActs, Cookie: opt.Cookie})
-			c.stats.Entries += 2
-			c.stats.NaiveActionBytes += actionSliceBytes(outActs) + actionSliceBytes(inActs)
+			if st != nil {
+				st.Entries += 2
+				st.NaiveActionBytes += actionSliceBytes(outActs) + actionSliceBytes(inActs)
+			}
 		}
 	}
-	c.mu.Unlock()
-	return out, nil
+	return out
 }
 
 // buildSkeleton compiles the subscriber-independent part of a template.

@@ -1,9 +1,8 @@
 // Endpoint health probing (§3.3: "use active measurements to inform the
-// costs of alternative locations"). Each endpoint carries an RTT/loss-
-// scored health ladder — healthy → degraded → down, with a probation
-// half-open state on the way back up — mirroring the sliding-window +
-// capped-backoff breaker the middlebox supervisor uses for instances:
-// the same defense, applied to redirection targets instead of boxes.
+// costs of alternative locations"). Each endpoint carries a health.Ladder
+// — healthy → degraded → down, with a probation half-open state on the
+// way back up; the same ladder the middlebox supervisor runs per
+// instance — fed by probe outcomes and scored by smoothed probe RTT.
 //
 // The Prober drives the ladder on the netsim clock: one probe loop per
 // endpoint, each probe traversing a netsim.FaultInjector that models the
@@ -21,46 +20,17 @@ import (
 	"pvn/internal/netsim"
 )
 
-// Health is the probed state of one tunnel endpoint.
-type Health uint8
-
-// Health states. Probation is the half-open state: a down endpoint
-// answered a probe and is accumulating consecutive successes; one loss
-// sends it straight back to Down with a widened retry backoff.
-const (
-	Healthy Health = iota
-	Degraded
-	Down
-	Probation
-)
-
-// String implements fmt.Stringer.
-func (h Health) String() string {
-	switch h {
-	case Healthy:
-		return "healthy"
-	case Degraded:
-		return "degraded"
-	case Down:
-		return "down"
-	case Probation:
-		return "probation"
-	default:
-		return fmt.Sprintf("health(%d)", uint8(h))
-	}
-}
-
 // downTier is the selection tier at and above which an endpoint is
-// avoided (see tier).
+// avoided (see selectionTier).
 const downTier = 3
 
-// tier orders health states for endpoint selection: healthy first, then
-// degraded/recovering, down last.
-func (h Health) tier() int {
+// selectionTier orders health states for endpoint selection: healthy
+// first, then degraded/recovering, down last.
+func selectionTier(h health.State) int {
 	switch h {
-	case Healthy:
+	case health.Healthy:
 		return 0
-	case Degraded, Probation:
+	case health.Degraded, health.Probation:
 		return 1
 	default:
 		return downTier
@@ -96,32 +66,19 @@ type HealthConfig struct {
 	ProbationProbes int
 }
 
-func (c *HealthConfig) window() int {
-	if c.Window <= 0 {
-		return 16
-	}
-	if c.Window > 64 {
-		return 64
-	}
-	return c.Window
+// healthDefaults fills the ladder fields of HealthConfig left zero.
+var healthDefaults = health.Config{
+	Window: 16, Down: 4,
+	Backoff: 200 * time.Millisecond, BackoffMax: 2 * time.Second,
+	Probation: 3,
 }
 
-func (c *HealthConfig) down() int {
-	if c.DownThreshold <= 0 {
-		return 4
-	}
-	return c.DownThreshold
-}
-
-func (c *HealthConfig) degraded() int {
-	if c.DegradedThreshold > 0 {
-		return c.DegradedThreshold
-	}
-	d := c.down() / 2
-	if d < 1 {
-		d = 1
-	}
-	return d
+func (c *HealthConfig) ladder() health.Config {
+	return health.Config{
+		Window: c.Window, Down: c.DownThreshold, Degraded: c.DegradedThreshold,
+		Backoff: c.RetryBackoff, BackoffMax: c.RetryBackoffMax,
+		Probation: c.ProbationProbes,
+	}.Or(healthDefaults)
 }
 
 func (c *HealthConfig) probeInterval() time.Duration {
@@ -138,31 +95,10 @@ func (c *HealthConfig) probeTimeout() time.Duration {
 	return c.ProbeTimeout
 }
 
-func (c *HealthConfig) retryBackoff() time.Duration {
-	if c.RetryBackoff <= 0 {
-		return 200 * time.Millisecond
-	}
-	return c.RetryBackoff
-}
-
-func (c *HealthConfig) retryBackoffMax() time.Duration {
-	if c.RetryBackoffMax <= 0 {
-		return 2 * time.Second
-	}
-	return c.RetryBackoffMax
-}
-
-func (c *HealthConfig) probation() int {
-	if c.ProbationProbes <= 0 {
-		return 3
-	}
-	return c.ProbationProbes
-}
-
 // Event is one endpoint health transition, delivered to Table.OnEvent.
 type Event struct {
 	Endpoint string
-	From, To Health
+	From, To health.State
 	At       time.Duration
 	Detail   string
 }
@@ -175,16 +111,11 @@ type endpointState struct {
 	probesSent, probesLost atomic.Int64
 	failedOver             atomic.Int64
 
-	health Health
-	// The window counts lost probes.
-	health.Window
+	// The ladder's window counts lost probes; while Down its backoff
+	// is the probe interval.
+	health.Ladder
 	// srtt is the smoothed probe RTT (EWMA, gain 1/8).
 	srtt time.Duration
-	// backoff is the current down-state probe interval; doubles per
-	// consecutive loss while down, capped.
-	backoff time.Duration
-	// probationLeft counts successes still needed to return to Healthy.
-	probationLeft int
 }
 
 // RecordProbe feeds one probe outcome into the endpoint's health ladder
@@ -192,78 +123,53 @@ type endpointState struct {
 // raw entry point the Prober drives; tests and real daemons with their
 // own probe transport call it directly. It returns the endpoint's
 // health after the outcome.
-func (t *Table) RecordProbe(name string, ok bool, rtt, now time.Duration) Health {
+func (t *Table) RecordProbe(name string, ok bool, rtt, now time.Duration) health.State {
 	t.mu.Lock()
 	st := t.states[name]
 	if st == nil {
 		t.mu.Unlock()
-		return Healthy
+		return health.Healthy
 	}
-	cfg := &t.Health
-	prev := st.health
+	cfg := t.Health.ladder()
+	prev := st.State()
 	st.probesSent.Add(1)
-	detail := ""
 	if ok {
 		if st.srtt == 0 {
 			st.srtt = rtt
 		} else {
 			st.srtt = (7*st.srtt + rtt) / 8
 		}
-		switch st.health {
-		case Down:
-			st.health = Probation
-			st.probationLeft = cfg.probation() - 1
-			detail = fmt.Sprintf("probe answered in %v", rtt)
-		case Probation:
-			st.probationLeft--
-			detail = fmt.Sprintf("probation cleared (srtt %v)", st.srtt)
-		default:
-			fails := st.Push(false, cfg.window())
-			if st.health == Degraded && fails < cfg.degraded() {
-				st.health = Healthy
-				detail = fmt.Sprintf("loss cleared the window (srtt %v)", st.srtt)
-			}
-		}
-		if st.health == Probation && st.probationLeft <= 0 {
-			st.health = Healthy
-			st.Clear()
-			st.backoff = 0
+		if prev == health.Down {
+			// An answered probe is the retry: it opens probation and
+			// counts as its first success.
+			st.BeginProbation(cfg)
 		}
 	} else {
 		st.probesLost.Add(1)
-		widen := func() {
-			st.backoff *= 2
-			if max := cfg.retryBackoffMax(); st.backoff > max {
-				st.backoff = max
-			}
-		}
-		switch st.health {
-		case Probation:
-			st.health = Down
-			widen()
-			detail = fmt.Sprintf("probe lost in probation, retry in %v", st.backoff)
-		case Down:
-			widen()
-		default:
-			fails := st.Push(true, cfg.window())
-			switch {
-			case fails >= cfg.down():
-				st.health = Down
-				st.backoff = cfg.retryBackoff()
-				st.Clear()
-				detail = fmt.Sprintf("%d of last %d probes lost, retry in %v", fails, cfg.window(), st.backoff)
-			case fails >= cfg.degraded() && st.health == Healthy:
-				st.health = Degraded
-				detail = fmt.Sprintf("%d of last %d probes lost", fails, cfg.window())
-			}
-		}
 	}
-	cur := st.health
+	cur, fails := st.Record(ok, cfg)
 	hook := t.OnEvent
-	t.mu.Unlock()
-	if cur != prev && hook != nil {
-		hook(Event{Endpoint: name, From: prev, To: cur, At: now, Detail: detail})
+	if cur == prev || hook == nil {
+		t.mu.Unlock()
+		return cur
 	}
+	ev := Event{Endpoint: name, From: prev, To: cur, At: now}
+	switch {
+	case ok && prev == health.Down:
+		ev.Detail = fmt.Sprintf("probe answered in %v", rtt)
+	case ok && prev == health.Probation:
+		ev.Detail = fmt.Sprintf("probation cleared (srtt %v)", st.srtt)
+	case ok:
+		ev.Detail = fmt.Sprintf("loss cleared the window (srtt %v)", st.srtt)
+	case prev == health.Probation:
+		ev.Detail = fmt.Sprintf("probe lost in probation, retry in %v", st.Backoff())
+	case cur == health.Down:
+		ev.Detail = fmt.Sprintf("%d of last %d probes lost, retry in %v", fails, cfg.Window, st.Backoff())
+	default:
+		ev.Detail = fmt.Sprintf("%d of last %d probes lost", fails, cfg.Window)
+	}
+	t.mu.Unlock()
+	hook(ev)
 	return cur
 }
 
@@ -273,8 +179,8 @@ func (t *Table) RecordProbe(name string, ok bool, rtt, now time.Duration) Health
 func (t *Table) probeDelay(name string) time.Duration {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if st := t.states[name]; st != nil && st.health == Down && st.backoff > 0 {
-		return st.backoff
+	if st := t.states[name]; st != nil && st.State() == health.Down {
+		return st.Backoff()
 	}
 	return t.Health.probeInterval()
 }

@@ -1,9 +1,12 @@
 package tunnel
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"time"
 
+	"pvn/internal/health"
 	"pvn/internal/netsim"
 	"pvn/internal/packet"
 )
@@ -32,12 +35,12 @@ func TestHealthLadder(t *testing.T) {
 
 	// Two losses: degraded.
 	tbl.RecordProbe("cloud", false, 0, 1)
-	if h := tbl.RecordProbe("cloud", false, 0, 2); h != Degraded {
+	if h := tbl.RecordProbe("cloud", false, 0, 2); h != health.Degraded {
 		t.Fatalf("after 2 losses: %v", h)
 	}
 	// Two more: down, backoff at the initial retry interval.
 	tbl.RecordProbe("cloud", false, 0, 3)
-	if h := tbl.RecordProbe("cloud", false, 0, 4); h != Down {
+	if h := tbl.RecordProbe("cloud", false, 0, 4); h != health.Down {
 		t.Fatalf("after 4 losses: %v", h)
 	}
 	if d := tbl.probeDelay("cloud"); d != 100*time.Millisecond {
@@ -51,24 +54,24 @@ func TestHealthLadder(t *testing.T) {
 		t.Fatalf("capped backoff %v, want 400ms", d)
 	}
 	// A success opens probation; a loss there goes straight back down.
-	if h := tbl.RecordProbe("cloud", true, 10*time.Millisecond, 8); h != Probation {
+	if h := tbl.RecordProbe("cloud", true, 10*time.Millisecond, 8); h != health.Probation {
 		t.Fatalf("first success: %v", h)
 	}
-	if h := tbl.RecordProbe("cloud", false, 0, 9); h != Down {
+	if h := tbl.RecordProbe("cloud", false, 0, 9); h != health.Down {
 		t.Fatalf("loss in probation: %v", h)
 	}
 	// Recovery: success, then the remaining probation probe.
 	tbl.RecordProbe("cloud", true, 10*time.Millisecond, 10)
-	if h := tbl.RecordProbe("cloud", true, 10*time.Millisecond, 11); h != Healthy {
+	if h := tbl.RecordProbe("cloud", true, 10*time.Millisecond, 11); h != health.Healthy {
 		t.Fatalf("after probation: %v", h)
 	}
 	if d := tbl.probeDelay("cloud"); d != tbl.Health.probeInterval() {
 		t.Fatalf("recovered cadence %v", d)
 	}
 
-	wantPath := []struct{ from, to Health }{
-		{Healthy, Degraded}, {Degraded, Down}, {Down, Probation},
-		{Probation, Down}, {Down, Probation}, {Probation, Healthy},
+	wantPath := []struct{ from, to health.State }{
+		{health.Healthy, health.Degraded}, {health.Degraded, health.Down}, {health.Down, health.Probation},
+		{health.Probation, health.Down}, {health.Down, health.Probation}, {health.Probation, health.Healthy},
 	}
 	if len(events) != len(wantPath) {
 		t.Fatalf("events %+v", events)
@@ -174,7 +177,7 @@ func TestRouteFailover(t *testing.T) {
 }
 
 // TestProberDetectsOutage drives the full loop on the simulated clock:
-// an injected outage window turns the endpoint Down after the probe
+// an injected outage window turns the endpoint health.Down after the probe
 // timeouts accumulate, Route fails flows over, and the endpoint recovers
 // through probation once the outage lifts.
 func TestProberDetectsOutage(t *testing.T) {
@@ -202,7 +205,7 @@ func TestProberDetectsOutage(t *testing.T) {
 	p.Start()
 
 	clock.RunUntil(90 * time.Millisecond)
-	if h := tbl.EndpointHealth("cloud"); h != Healthy {
+	if h := tbl.EndpointHealth("cloud"); h != health.Healthy {
 		t.Fatalf("pre-outage health %v", h)
 	}
 	if st := tbl.Stats(); st.Endpoints[0].SRTT != 2*time.Millisecond {
@@ -212,7 +215,7 @@ func TestProberDetectsOutage(t *testing.T) {
 	// Inside the outage, after two probe timeouts: down. First lost
 	// probe fires at 100ms, times out at 120ms; second at 110ms→130ms.
 	clock.RunUntil(140 * time.Millisecond)
-	if h := tbl.EndpointHealth("cloud"); h != Down {
+	if h := tbl.EndpointHealth("cloud"); h != health.Down {
 		t.Fatalf("mid-outage health %v", h)
 	}
 	f := testFlow(40000)
@@ -222,7 +225,7 @@ func TestProberDetectsOutage(t *testing.T) {
 
 	// After the outage the backoff-spaced probes bring it back.
 	clock.RunUntil(500 * time.Millisecond)
-	if h := tbl.EndpointHealth("cloud"); h != Healthy {
+	if h := tbl.EndpointHealth("cloud"); h != health.Healthy {
 		t.Fatalf("post-outage health %v", h)
 	}
 	// The flow stays pinned to its standby (no flap-back)…
@@ -247,5 +250,52 @@ func TestProberDetectsOutage(t *testing.T) {
 	}
 	if st.Failovers != 1 {
 		t.Fatalf("failovers %d", st.Failovers)
+	}
+}
+
+// goldenProbeTrace feeds one endpoint a seeded probe-outcome stream whose
+// loss rate changes every 500 probes (clean, flapping, lossy, dead) and
+// hashes (health, probeDelay) after each probe.
+func goldenProbeTrace(cfg HealthConfig, probes int) (uint64, [4]int) {
+	tbl := NewTable(devAddr)
+	tbl.Health = cfg
+	tbl.Add(&Endpoint{Name: "cloud", Addr: cloudAddr, Trusted: true})
+	lossBy := []float64{0.02, 0.15, 0.5, 0.97, 0.3, 0.08}
+	rng := netsim.NewRNG(29)
+	h := fnv.New64a()
+	var seen [4]int
+	var rec [9]byte
+	for i := 0; i < probes; i++ {
+		ok := !rng.Bool(lossBy[i/500%len(lossBy)])
+		rtt := time.Duration(5+rng.Intn(40)) * time.Millisecond
+		st := tbl.RecordProbe("cloud", ok, rtt, time.Duration(i)*time.Millisecond)
+		seen[st]++
+		rec[0] = uint8(st)
+		binary.LittleEndian.PutUint64(rec[1:], uint64(tbl.probeDelay("cloud")))
+		h.Write(rec[:])
+	}
+	return h.Sum64(), seen
+}
+
+// TestGoldenProbeTrace pins the probe ladder to hashes recorded before
+// the state machine moved into internal/health.
+func TestGoldenProbeTrace(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  HealthConfig
+		want uint64
+	}{
+		{"default", HealthConfig{}, 0x56489fbcca0cd9df},
+		{"window8-down2-probation1", HealthConfig{Window: 8, DownThreshold: 2, ProbationProbes: 1}, 0x4c4fb09e3bdd9265},
+	}
+	for _, tc := range cases {
+		got, seen := goldenProbeTrace(tc.cfg, 12000)
+		// health.Probation is absent by design when one probe clears it.
+		if seen[health.Degraded] < 100 || seen[health.Down] < 100 {
+			t.Errorf("%s: states %v: the trace does not exercise the ladder", tc.name, seen)
+		}
+		if got != tc.want {
+			t.Errorf("%s: trace hash %#x, want %#x", tc.name, got, tc.want)
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pvn/internal/health"
 	"pvn/internal/packet"
 )
 
@@ -249,7 +250,7 @@ func (t *Table) bestLocked(trustedOnly, skipDown bool, exclude string) *Endpoint
 		st := t.states[name]
 		tier, rtt := 0, e.ExtraRTT
 		if st != nil {
-			tier = st.health.tier()
+			tier = selectionTier(st.State())
 			if st.srtt > 0 {
 				rtt = st.srtt
 			}
@@ -283,7 +284,7 @@ func (t *Table) Route(requested string, flow packet.Flow) (name string, failedOv
 		cur = requested
 	}
 	st := t.states[cur]
-	alive := st == nil || st.health != Down
+	alive := st == nil || st.State() != health.Down
 	t.mu.RUnlock()
 	if pinned && alive {
 		return cur, false
@@ -297,7 +298,7 @@ func (t *Table) Route(requested string, flow packet.Flow) (name string, failedOv
 		cur = requested
 	}
 	st = t.states[cur]
-	if st == nil || st.health != Down {
+	if st == nil || st.State() != health.Down {
 		if !pinned && t.endpoints[cur] != nil {
 			t.pins[key] = cur
 		}
@@ -346,7 +347,7 @@ func (t *Table) PinnedTo(name string) int {
 type EndpointStats struct {
 	Name        string
 	Sent, Bytes int64
-	Health      Health
+	Health      health.State
 	// SRTT is the smoothed probe round-trip; zero until probed.
 	SRTT time.Duration
 	// ProbesSent/ProbesLost count health probes.
@@ -381,7 +382,7 @@ func (t *Table) Stats() Stats {
 			Name:       name,
 			Sent:       st.sent.Load(),
 			Bytes:      st.bytes.Load(),
-			Health:     st.health,
+			Health:     st.State(),
 			SRTT:       st.srtt,
 			ProbesSent: st.probesSent.Load(),
 			ProbesLost: st.probesLost.Load(),
@@ -395,11 +396,11 @@ func (t *Table) Stats() Stats {
 
 // EndpointHealth reports the probed health of the named endpoint
 // (Healthy for unknown or never-probed endpoints).
-func (t *Table) EndpointHealth(name string) Health {
+func (t *Table) EndpointHealth(name string) health.State {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if st := t.states[name]; st != nil {
-		return st.health
+		return st.State()
 	}
-	return Healthy
+	return health.Healthy
 }
