@@ -99,8 +99,9 @@ soak:
 	$(GO) test -race -run 'TestSoakMillionSimSeconds' ./internal/scenario/
 	$(GO) test -race -run 'TestReclaimOrphansRacesBeginRoam' ./internal/core/
 
-# The dataplane performance gate: re-run the scaling sweep and diff it
-# against the committed BENCH_DATAPLANE.json. Allocs/op gates strictly
+# The dataplane performance gate: re-run the scaling sweep (no-chain and
+# chain-bearing rule sets) and diff it against the committed
+# BENCH_DATAPLANE.json. Allocs/op gates strictly
 # (machine-independent); ops/sec only flags collapses below 25% of the
 # baseline, so CI hardware variance passes but a new per-packet
 # allocation or lock does not.

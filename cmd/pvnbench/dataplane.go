@@ -1,11 +1,13 @@
 package main
 
 // The dataplane scaling entry: a self-contained sweep of the serial
-// switch and the sharded pipeline over the canonical pvnc rule set,
-// reporting ops/sec, allocs/op and queue-latency percentiles per
-// configuration. Its JSON artifact (BENCH_DATAPLANE.json) is the
-// committed baseline `make bench-gate` diffs against, so fast-path
-// regressions (a new per-packet allocation, a serialization bottleneck)
+// switch and the sharded pipeline over the canonical pvnc rule set, and
+// of the pipeline over a chain-bearing one (HTTP GETs through
+// pii-detect + tracker-block on one shared middlebox.Runtime — what
+// every real PVNC pays), reporting ops/sec, allocs/op and queue-latency
+// percentiles per configuration. Its JSON artifact
+// (BENCH_DATAPLANE.json) is the committed baseline `make bench-gate`
+// diffs against, so fast-path regressions (a new per-packet allocation, a serialization bottleneck)
 // fail CI instead of landing silently.
 
 import (
@@ -15,9 +17,12 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pvn/internal/dataplane"
+	"pvn/internal/middlebox"
+	"pvn/internal/middlebox/mbx"
 	"pvn/internal/openflow"
 	"pvn/internal/packet"
 	"pvn/internal/pvnc"
@@ -142,44 +147,129 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 		if err := installDataplaneRules(dp.Table()); err != nil {
 			return nil, err
 		}
-		dp.Start()
-		producers := min(runtime.GOMAXPROCS(0), shards)
-		pump := func(count int64) {
-			var wg sync.WaitGroup
-			for pr := 0; pr < producers; pr++ {
-				wg.Add(1)
-				go func(pr int) {
-					defer wg.Done()
-					for i := int64(pr); i < count; i += int64(producers) {
-						dp.Submit(frames[i%int64(len(frames))], 0)
-					}
-				}(pr)
-			}
-			wg.Wait()
-			dp.Drain()
+		row, err := measurePipeline(fmt.Sprintf("shards=%d", shards), shards, n, dp, frames)
+		if err != nil {
+			return nil, err
 		}
-		row := measure(fmt.Sprintf("shards=%d", shards), n, pump, pump)
-		dist := dp.LatencyDist()
-		if dist.N() > 0 {
-			row.P50Us = dist.Percentile(50)
-			row.P99Us = dist.Percentile(99)
+		art.Rows = append(art.Rows, row)
+	}
+
+	// The chain-bearing rule set: every shard executes on one shared
+	// runtime, as pvnd wires it.
+	for _, shards := range []int{1, 2} {
+		var outputs atomic.Int64
+		dp, chainFrames, err := chainPipeline(shards, &outputs)
+		if err != nil {
+			return nil, err
 		}
-		dp.Stop()
-		if st := dp.Stats().Total(); st.Dropped > 0 {
-			return nil, fmt.Errorf("pvnbench: %d drops under Block policy at shards=%d", st.Dropped, shards)
+		row, err := measurePipeline(fmt.Sprintf("chain shards=%d", shards), shards, n/4, dp, chainFrames)
+		if err != nil {
+			return nil, err
+		}
+		if sent := dp.Stats().Total().Processed; outputs.Load() != sent {
+			return nil, fmt.Errorf("pvnbench: %d of %d clean GETs came out of the chain at shards=%d", outputs.Load(), sent, shards)
 		}
 		art.Rows = append(art.Rows, row)
 	}
 	return art, nil
 }
 
+// measurePipeline starts dp, pumps n of frames through it from
+// min(GOMAXPROCS, shards) producers and stops it. A drop under the Block
+// policy is an error.
+func measurePipeline(config string, shards int, n int64, dp *dataplane.Pipeline, frames [][]byte) (dataplaneRow, error) {
+	dp.Start()
+	producers := min(runtime.GOMAXPROCS(0), shards)
+	pump := func(count int64) {
+		var wg sync.WaitGroup
+		for pr := 0; pr < producers; pr++ {
+			wg.Add(1)
+			go func(pr int) {
+				defer wg.Done()
+				for i := int64(pr); i < count; i += int64(producers) {
+					dp.Submit(frames[i%int64(len(frames))], 0)
+				}
+			}(pr)
+		}
+		wg.Wait()
+		dp.Drain()
+	}
+	row := measure(config, n, pump, pump)
+	dist := dp.LatencyDist()
+	if dist.N() > 0 {
+		row.P50Us = dist.Percentile(50)
+		row.P99Us = dist.Percentile(99)
+	}
+	dp.Stop()
+	if st := dp.Stats().Total(); st.Dropped > 0 {
+		return row, fmt.Errorf("pvnbench: %d drops under Block policy at %s", st.Dropped, config)
+	}
+	return row, nil
+}
+
+// chainOwners is how many subscribers the chain-bearing rule set
+// serves: enough that two workers rarely hold the same owner's batch.
+const chainOwners = 16
+
+// chainPipeline builds a pipeline whose port-80 traffic crosses each
+// owner's pii-detect + tracker-block chain on one shared runtime, and
+// the clean ~800-byte GETs to send through it. outputs counts forwarded
+// packets, so the caller can tell that every GET came out.
+func chainPipeline(shards int, outputs *atomic.Int64) (*dataplane.Pipeline, [][]byte, error) {
+	var clock atomic.Int64
+	now := func() time.Duration { return time.Duration(clock.Load()) }
+	rt := middlebox.NewRuntime(now)
+	mbx.RegisterBuiltins(rt, mbx.Deps{})
+	dp := dataplane.New(dataplane.Config{
+		Shards: shards, Policy: dataplane.Block, Chains: rt, Now: now,
+		OnOutput: func(uint16, []byte) { outputs.Add(1) },
+	})
+	filler := strings.Repeat("abcdefghij klmnop; ", 35)
+	var frames [][]byte
+	for o := 0; o < chainOwners; o++ {
+		owner := fmt.Sprintf("u%d", o)
+		dev := packet.IPv4Address{10, 0, 1, byte(o + 1)}
+		pii, err := rt.Instantiate(owner, "pii-detect", map[string]string{"mode": "block", "secrets": fmt.Sprintf("secret-of-%s", owner)})
+		if err != nil {
+			return nil, nil, err
+		}
+		trk, err := rt.Instantiate(owner, "tracker-block", map[string]string{"domains": "ads.example,tracker.net"})
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := rt.BuildChain(owner, "secure", []string{pii.ID, trk.ID}, []packet.IPv4Address{dev}); err != nil {
+			return nil, nil, err
+		}
+		dp.Table().Install(&openflow.FlowEntry{
+			Priority: 100,
+			Match: openflow.Match{Fields: openflow.FieldSrcIP | openflow.FieldProto | openflow.FieldDstPort,
+				SrcIP: dev, SrcBits: 32, Proto: packet.IPProtoTCP, DstPort: 80},
+			Actions: []openflow.Action{openflow.ToMiddlebox(owner + "/secure"), openflow.Output(1)},
+		}, 0)
+		for f := 0; f < 8; f++ {
+			ip := &packet.IPv4{Src: dev, Dst: packet.MustParseIPv4("93.184.216.34"), Protocol: packet.IPProtoTCP}
+			tcp := &packet.TCP{SrcPort: uint16(40000 + f), DstPort: 80}
+			tcp.SetNetworkLayerForChecksum(ip)
+			get := &packet.HTTP{IsRequest: true, Method: "GET", Path: fmt.Sprintf("/story/%d", f), Headers: []packet.HTTPHeader{
+				{Name: "Host", Value: "news.example"}, {Name: "Cookie", Value: filler}}}
+			data, err := packet.SerializeToBytes(ip, tcp, get)
+			if err != nil {
+				return nil, nil, err
+			}
+			frames = append(frames, data)
+		}
+	}
+	clock.Store(int64(time.Second)) // past every instance's boot
+	return dp, frames, nil
+}
+
 // String renders the sweep as the usual pvnbench table.
 func (a *dataplaneArtifact) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s (GOMAXPROCS=%d)\n", a.ID, a.Title, a.GoMaxProcs)
-	fmt.Fprintf(&b, "%-10s %12s %14s %12s %10s %10s\n", "config", "ns/op", "pkts/sec", "allocs/op", "p50 µs", "p99 µs")
+	fmt.Fprintf(&b, "%-14s %12s %14s %12s %10s %10s\n", "config", "ns/op", "pkts/sec", "allocs/op", "p50 µs", "p99 µs")
 	for _, r := range a.Rows {
-		fmt.Fprintf(&b, "%-10s %12.1f %14.0f %12.3f %10.1f %10.1f\n",
+		fmt.Fprintf(&b, "%-14s %12.1f %14.0f %12.3f %10.1f %10.1f\n",
 			r.Config, r.NsPerOp, r.OpsPerSec, r.AllocsOp, r.P50Us, r.P99Us)
 	}
 	return b.String()

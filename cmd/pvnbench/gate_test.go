@@ -101,3 +101,25 @@ func TestGateBaselineRoundTrip(t *testing.T) {
 		t.Fatal("rowless baseline accepted")
 	}
 }
+
+// TestCommittedBaselineCoversChainPath: the gate only holds the rows the
+// baseline has, so the committed one must keep the chain-bearing rule
+// set beside the no-chain one, within the chain's allocation budget.
+func TestCommittedBaselineCoversChainPath(t *testing.T) {
+	base, err := loadDataplaneBaseline(filepath.Join("..", "..", "BENCH_DATAPLANE.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]dataplaneRow{}
+	for _, r := range base.Rows {
+		rows[r.Config] = r
+	}
+	for _, cfg := range []string{"shards=1", "shards=2", "chain shards=1", "chain shards=2"} {
+		r, ok := rows[cfg]
+		if !ok {
+			t.Errorf("BENCH_DATAPLANE.json has no %q row", cfg)
+		} else if strings.HasPrefix(cfg, "chain") && (r.AllocsOp < 1 || r.AllocsOp > 16) {
+			t.Errorf("%s: %.2f allocs/op recorded, want the one shared decode (at most 16)", cfg, r.AllocsOp)
+		}
+	}
+}

@@ -78,6 +78,9 @@ func TestLatencyDistTracksLateTraffic(t *testing.T) {
 // whenever len(data) > 2048 — every oversized packet then cost a fresh
 // allocation forever after.
 func TestGetBufGrowsPooledBufferInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Puts: pointer identity through the pool is not observable")
+	}
 	p := New(Config{Shards: 1})
 	small := make([]byte, 0, 2048)
 	sp := &small
@@ -119,7 +122,7 @@ func TestSubmitLargePacketsSteadyStateAllocs(t *testing.T) {
 		p.Submit(big, 0)
 		p.Drain()
 	})
-	if avg >= 1 {
+	if avg >= 1 && !raceEnabled {
 		t.Fatalf("steady-state Submit of >2048B packets allocates %.2f/op, want ~0 (pooled buffer leaked?)", avg)
 	}
 }
@@ -253,7 +256,7 @@ func TestPipelineZeroAllocFastPath(t *testing.T) {
 		p.Submit(pkts[0], 0)
 	})
 	p.Drain()
-	if avg >= 1 {
+	if avg >= 1 && !raceEnabled {
 		t.Fatalf("fast path allocates %.2f/op, want 0", avg)
 	}
 }

@@ -27,10 +27,11 @@
 //	    drops or blocks the producer. Memory stays bounded either way.
 //
 // Middlebox chains: openflow.ChainExecutor implementations are invoked
-// concurrently from worker goroutines. A middlebox.Runtime locks itself,
-// so one shared by all shards is safe and chain execution is the
-// pipeline's serial section; per-shard runtime clones via
-// Config.ChainsFor scale it.
+// concurrently from worker goroutines. A middlebox.Runtime locks itself
+// per owner, so one shared by all shards is safe and workers serialize
+// only where their batches belong to the same owner; per-shard runtime
+// clones via Config.ChainsFor remove that too, at the price of per-shard
+// box state.
 package dataplane
 
 import (
@@ -62,8 +63,11 @@ type Config struct {
 	// MUST be goroutine-safe (a middlebox.Runtime is). Nil makes
 	// middlebox actions drops, like openflow.Switch.
 	Chains openflow.ChainExecutor
-	// ChainsFor, when set, overrides Chains with a per-shard executor —
-	// the cloned-per-worker alternative that scales chain execution.
+	// ChainsFor, when set, overrides Chains with a per-shard executor: a
+	// runtime clone per worker. A shared middlebox.Runtime already runs
+	// different owners' chains in parallel; clones also spread one
+	// owner's flows, whose boxes then keep state (and counters, alerts,
+	// breakers) per shard.
 	ChainsFor func(shard int) openflow.ChainExecutor
 
 	// Tunnels, when set, makes tunnel dispatch health-aware: each

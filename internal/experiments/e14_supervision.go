@@ -137,8 +137,8 @@ func runE14(p E14Params, policy string, restart bool) e14Stats {
 	})
 
 	// Every fail-open bypass of the security box becomes one ledger
-	// violation, exactly as the daemon wires it. OnEvent fires inside the
-	// runtime's critical section, so the ledger needs no extra lock.
+	// violation, exactly as the daemon wires it. The runtime serializes
+	// OnEvent calls, so the ledger needs no extra lock.
 	ledger := auditor.NewLedger()
 	rt.OnEvent = func(ev middlebox.SupEvent) {
 		if ev.Kind == middlebox.EventBypass && ev.Security {

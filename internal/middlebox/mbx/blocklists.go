@@ -33,12 +33,12 @@ func (t *TrackerBlock) Name() string { return "tracker-block" }
 
 // Process implements middlebox.Box.
 func (t *TrackerBlock) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	host := hostOf(data)
+	host := hostOf(ctx.Packet(data))
 	if host == "" {
 		return data, middlebox.VerdictPass, nil
 	}
 	for _, d := range t.Domains {
-		if host == d || strings.HasSuffix(host, "."+d) {
+		if host == d || isSubdomain(host, d) {
 			t.Blocked++
 			ctx.Alert("tracker-blocked", host)
 			return nil, middlebox.VerdictDrop, nil
@@ -47,9 +47,14 @@ func (t *TrackerBlock) Process(ctx *middlebox.Context, data []byte) ([]byte, mid
 	return data, middlebox.VerdictPass, nil
 }
 
+// isSubdomain reports whether host ends in "."+domain, without building
+// that string per packet.
+func isSubdomain(host, domain string) bool {
+	return len(host) > len(domain) && strings.HasSuffix(host, domain) && host[len(host)-len(domain)-1] == '.'
+}
+
 // hostOf extracts the destination hostname from HTTP Host or TLS SNI.
-func hostOf(data []byte) string {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+func hostOf(p *packet.Packet) string {
 	if h := p.HTTP(); h != nil && h.IsRequest {
 		return strings.ToLower(h.Host())
 	}
@@ -94,7 +99,7 @@ func (m *MalwareScan) Name() string { return "malware-scan" }
 
 // Process implements middlebox.Box.
 func (m *MalwareScan) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	payload := p.ApplicationPayload()
 	if h := p.HTTP(); h != nil {
 		payload = h.Body

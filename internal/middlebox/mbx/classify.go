@@ -50,7 +50,7 @@ func (c *Classifier) ClassOf(f packet.Flow) TrafficClass {
 
 // Process implements middlebox.Box. Classification never drops.
 func (c *Classifier) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	flow, ok := packet.FlowOf(p)
 	if !ok {
 		c.Counts[ClassOther]++
@@ -144,7 +144,7 @@ func (t *Transcoder) Name() string { return "transcoder" }
 // Process implements middlebox.Box: video responses get their bodies
 // shrunk by Ratio and re-checksummed; everything else passes untouched.
 func (t *Transcoder) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	h := p.HTTP()
 	if h == nil || h.IsRequest || len(h.Body) == 0 {
 		return data, middlebox.VerdictPass, nil
@@ -162,7 +162,7 @@ func (t *Transcoder) Process(ctx *middlebox.Context, data []byte) ([]byte, middl
 	if newLen < 1 {
 		newLen = 1
 	}
-	nh := *h
+	nh := cloneHTTP(h)
 	nh.Body = h.Body[:newLen]
 	nh.SetHeader("Content-Length", strconv.Itoa(newLen))
 	nh.SetHeader("X-PVN-Transcoded", "1")

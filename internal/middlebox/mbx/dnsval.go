@@ -3,6 +3,7 @@ package mbx
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"pvn/internal/dnssim"
 	"pvn/internal/middlebox"
@@ -27,6 +28,12 @@ type DNSValidate struct {
 	Validated, Forged, Unverifiable int64
 }
 
+// quorumMu serializes quorum lookups: a host hands every owner's
+// validator the same open resolvers (Deps.OpenResolvers), a Resolver
+// counts and draws randomness per query, and validators of different
+// owners run concurrently.
+var quorumMu sync.Mutex
+
 // NewDNSValidate builds the validator.
 func NewDNSValidate(anchors dnssim.TrustAnchors, open []*dnssim.Resolver, quorum int) *DNSValidate {
 	if quorum == 0 {
@@ -40,7 +47,7 @@ func (d *DNSValidate) Name() string { return "dns-validate" }
 
 // Process implements middlebox.Box.
 func (d *DNSValidate) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	msg := p.DNS()
 	if msg == nil || !msg.QR || msg.Rcode != packet.DNSRcodeNoError || len(msg.Questions) == 0 {
 		return data, middlebox.VerdictPass, nil
@@ -83,7 +90,9 @@ func (d *DNSValidate) quorumCheck(ctx *middlebox.Context, data []byte, msg *pack
 		d.Unverifiable++
 		return data, middlebox.VerdictPass, nil
 	}
+	quorumMu.Lock()
 	res, err := dnssim.QuorumResolve(q.Name, d.OpenResolvers, d.Quorum)
+	quorumMu.Unlock()
 	if err != nil {
 		// No quorum among open resolvers: cannot prove the answer
 		// wrong; pass but record that it was unverifiable.

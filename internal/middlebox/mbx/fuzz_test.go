@@ -1,6 +1,10 @@
 package mbx
 
-import "testing"
+import (
+	"testing"
+
+	"pvn/internal/packet"
+)
 
 // FuzzCompileScript: the sandboxed filter-language compiler on arbitrary
 // programs — must never panic, and accepted programs must execute.
@@ -18,7 +22,7 @@ func FuzzCompileScript(f *testing.F) {
 		}
 		// Accepted programs evaluate without panicking.
 		pkt := []byte{0x45, 0, 0, 20, 0, 0, 0, 0, 64, 6, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}
-		fields := extractScriptFields(pkt)
+		fields := extractScriptFields(packet.Decode(pkt, packet.LayerTypeIPv4))
 		for _, r := range box.rules {
 			_ = r.expr.eval(fields)
 		}

@@ -386,25 +386,25 @@ func TestPIIDetectSkipsTLS(t *testing.T) {
 }
 
 func TestFindEmailEdges(t *testing.T) {
-	if e := findEmail("write to bob.smith+x@mail.example.org."); e != "bob.smith+x@mail.example.org" {
+	if e := string(findEmail([]byte("write to bob.smith+x@mail.example.org."))); e != "bob.smith+x@mail.example.org" {
 		t.Fatalf("email %q", e)
 	}
-	if e := findEmail("no at sign here"); e != "" {
+	if e := string(findEmail([]byte("no at sign here"))); e != "" {
 		t.Fatalf("false email %q", e)
 	}
-	if e := findEmail("a@b"); e != "" {
+	if e := string(findEmail([]byte("a@b"))); e != "" {
 		t.Fatalf("tld-less email accepted: %q", e)
 	}
 }
 
 func TestFindPhoneEdges(t *testing.T) {
-	if p := findPhone("call 617-555-1234 now"); p != "617-555-1234" {
+	if p := string(findPhone([]byte("call 617-555-1234 now"))); p != "617-555-1234" {
 		t.Fatalf("phone %q", p)
 	}
-	if p := findPhone("version 1.2.3"); p != "" {
+	if p := string(findPhone([]byte("version 1.2.3"))); p != "" {
 		t.Fatalf("false phone %q", p)
 	}
-	if p := findPhone("id 123456789012345"); p != "" {
+	if p := string(findPhone([]byte("id 123456789012345"))); p != "" {
 		t.Fatalf("long digit run misread as phone: %q", p)
 	}
 }

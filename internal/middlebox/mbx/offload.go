@@ -62,7 +62,7 @@ func (r *ReplicaSelector) Best() (packet.IPv4Address, bool) {
 // Process implements middlebox.Box: outbound packets to the service
 // address get their destination rewritten to the best replica.
 func (r *ReplicaSelector) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	ip := p.IPv4()
 	if ip == nil || ip.Dst != r.Service {
 		return data, middlebox.VerdictPass, nil
@@ -97,7 +97,7 @@ func (w *WebRenderer) Name() string { return "web-render" }
 
 // Process implements middlebox.Box.
 func (w *WebRenderer) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	h := p.HTTP()
 	if h == nil || h.IsRequest || len(h.Body) == 0 {
 		return data, middlebox.VerdictPass, nil
@@ -117,7 +117,7 @@ func (w *WebRenderer) Process(ctx *middlebox.Context, data []byte) ([]byte, midd
 	w.BytesOut += int64(len(rendered))
 	w.Rendered++
 
-	nh := *h
+	nh := cloneHTTP(h)
 	nh.Body = []byte(rendered)
 	nh.SetHeader("Content-Type", "text/plain; charset=utf-8")
 	nh.SetHeader("Content-Length", strconv.Itoa(len(rendered)))

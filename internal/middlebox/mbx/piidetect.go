@@ -1,8 +1,9 @@
 package mbx
 
 import (
-	"fmt"
+	"bytes"
 	"strings"
+	"sync"
 
 	"pvn/internal/middlebox"
 	"pvn/internal/packet"
@@ -25,8 +26,11 @@ const (
 // GPS coordinates). It reproduces the in-network leg of ReCon [30].
 type PIIDetect struct {
 	Mode PIIMode
-	// Secrets are user-provided exact strings to protect.
+	// Secrets are user-provided exact strings to protect, matched
+	// ignoring ASCII case. Fixed by NewPIIDetect.
 	Secrets []string
+	// folded[i] is Secrets[i] case-folded, once per instance.
+	folded [][]byte
 	// DetectPatterns enables the structural detectors.
 	DetectPatterns bool
 
@@ -39,34 +43,75 @@ func NewPIIDetect(mode PIIMode, secrets []string) *PIIDetect {
 	if mode == "" {
 		mode = PIIAlert
 	}
-	return &PIIDetect{Mode: mode, Secrets: secrets, DetectPatterns: true}
+	d := &PIIDetect{Mode: mode, Secrets: secrets, DetectPatterns: true, folded: make([][]byte, len(secrets))}
+	for i, sec := range secrets {
+		d.folded[i] = foldASCII(nil, sec)
+	}
+	return d
 }
 
 // Name implements middlebox.Box.
 func (d *PIIDetect) Name() string { return "pii-detect" }
 
+// scanScratch is the working memory of one scan: the text scanned and
+// its case-folded copy. It is pooled per worker, never held per
+// instance or per owner: a host keeps thousands of resident detectors
+// and runs a handful at a time.
+type scanScratch struct{ text, lower []byte }
+
+var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// scanText returns what the detectors read. For HTTP that is the whole
+// message, assembled in sc: PII leaks ride in paths and headers as often
+// as bodies, and the parts are joined so a token that straddles two of
+// them is still found. Anything else is scanned where it lies.
+func (sc *scanScratch) scanText(p *packet.Packet) []byte {
+	payload := p.ApplicationPayload()
+	h := p.HTTP()
+	if h == nil {
+		return payload
+	}
+	t := append(sc.text[:0], h.Method...)
+	t = append(t, ' ')
+	t = append(t, h.Path...)
+	t = append(t, ' ')
+	t = append(t, payload...)
+	for _, hd := range h.Headers {
+		t = append(t, ' ')
+		t = append(t, hd.Name...)
+		t = append(t, ": "...)
+		t = append(t, hd.Value...)
+	}
+	sc.text = t
+	return t
+}
+
+// foldASCII appends src to dst with A-Z lowered. The fold is byte for
+// byte, so an offset into the result is an offset into src whatever
+// else src holds (strings.ToLower changes the length of non-ASCII and
+// invalid UTF-8 text).
+func foldASCII[S ~string | ~[]byte](dst []byte, src S) []byte {
+	n := len(dst)
+	dst = append(dst, src...)
+	for i, c := range dst[n:] {
+		if 'A' <= c && c <= 'Z' {
+			dst[n+i] = c + ('a' - 'A')
+		}
+	}
+	return dst
+}
+
 // Process implements middlebox.Box.
 func (d *PIIDetect) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	if p.TLS() != nil {
 		// Encrypted: out of scope for the in-network detector (the
 		// paper routes these to trusted execution instead, Fig 1c).
 		return data, middlebox.VerdictPass, nil
 	}
-	payload := p.ApplicationPayload()
-	if h := p.HTTP(); h != nil {
-		// Scan the whole HTTP message: PII leaks ride in paths and
-		// headers as often as bodies.
-		payload = append([]byte(h.Method+" "+h.Path+" "), payload...)
-		for _, hd := range h.Headers {
-			payload = append(payload, []byte(" "+hd.Name+": "+hd.Value)...)
-		}
-	}
-	if len(payload) == 0 {
-		return data, middlebox.VerdictPass, nil
-	}
-
-	found := d.scan(string(payload))
+	sc := scanPool.Get().(*scanScratch)
+	found := d.scan(sc, sc.scanText(p))
+	scanPool.Put(sc)
 	if len(found) == 0 {
 		return data, middlebox.VerdictPass, nil
 	}
@@ -80,7 +125,7 @@ func (d *PIIDetect) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 		d.Blocked++
 		return nil, middlebox.VerdictDrop, nil
 	case PIIRedact:
-		out := d.redact(data, found)
+		out := d.redact(p, found)
 		if out != nil {
 			d.Redactions++
 			return out, middlebox.VerdictPass, nil
@@ -93,24 +138,29 @@ func (d *PIIDetect) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 	}
 }
 
-// scan returns descriptions of each PII hit in s.
-func (d *PIIDetect) scan(s string) []string {
+// scan returns descriptions of each PII hit in text, using sc for the
+// folded copy. It allocates only when there is a finding, and findings
+// are copies: nothing returned points into sc.
+func (d *PIIDetect) scan(sc *scanScratch, text []byte) []string {
+	if len(text) == 0 {
+		return nil
+	}
 	var found []string
-	lower := strings.ToLower(s)
-	for _, sec := range d.Secrets {
-		if sec != "" && strings.Contains(lower, strings.ToLower(sec)) {
-			found = append(found, fmt.Sprintf("secret:%s", sec))
+	sc.lower = foldASCII(sc.lower[:0], text)
+	for i, sec := range d.folded {
+		if len(sec) > 0 && bytes.Contains(sc.lower, sec) {
+			found = append(found, "secret:"+d.Secrets[i])
 		}
 	}
 	if d.DetectPatterns {
-		if e := findEmail(s); e != "" {
-			found = append(found, "email:"+e)
+		if e := findEmail(text); e != nil {
+			found = append(found, "email:"+string(e))
 		}
-		if ph := findPhone(s); ph != "" {
-			found = append(found, "phone:"+ph)
+		if ph := findPhone(text); ph != nil {
+			found = append(found, "phone:"+string(ph))
 		}
-		if g := findGPS(lower); g != "" {
-			found = append(found, "gps:"+g)
+		if g := findGPS(sc.lower); g != nil {
+			found = append(found, "gps:"+string(g))
 		}
 	}
 	return found
@@ -119,8 +169,7 @@ func (d *PIIDetect) scan(s string) []string {
 // redact rewrites the HTTP body, replacing each finding's literal value
 // with asterisks, and re-serializes the packet with fresh checksums. It
 // returns nil when the packet is not rewritable HTTP.
-func (d *PIIDetect) redact(data []byte, found []string) []byte {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+func (d *PIIDetect) redact(p *packet.Packet, found []string) []byte {
 	h := p.HTTP()
 	ip := p.IPv4()
 	t := p.TCP()
@@ -150,15 +199,16 @@ func (d *PIIDetect) redact(data []byte, found []string) []byte {
 	return out
 }
 
-// replaceFold replaces every case-insensitive occurrence of old in s.
+// replaceFold replaces every occurrence of old in s, ignoring ASCII
+// case, with new.
 func replaceFold(s, old, new string) string {
 	if old == "" {
 		return s
 	}
 	var b strings.Builder
-	ls, lo := strings.ToLower(s), strings.ToLower(old)
+	ls, lo := foldASCII(nil, s), foldASCII(nil, old)
 	for {
-		i := strings.Index(ls, lo)
+		i := bytes.Index(ls, lo)
 		if i < 0 {
 			b.WriteString(s)
 			return b.String()
@@ -169,8 +219,8 @@ func replaceFold(s, old, new string) string {
 	}
 }
 
-// findEmail returns the first email-shaped token, or "".
-func findEmail(s string) string {
+// findEmail returns the first email-shaped token, or nil.
+func findEmail(s []byte) []byte {
 	for i := 0; i < len(s); i++ {
 		if s[i] != '@' {
 			continue
@@ -196,7 +246,7 @@ func findEmail(s string) string {
 			return s[start:end]
 		}
 	}
-	return ""
+	return nil
 }
 
 func isEmailLocal(c byte) bool {
@@ -208,8 +258,8 @@ func isAlnum(c byte) bool {
 }
 
 // findPhone returns the first run of 10-11 digits (allowing separators),
-// or "".
-func findPhone(s string) string {
+// or nil.
+func findPhone(s []byte) []byte {
 	i := 0
 	for i < len(s) {
 		if s[i] < '0' || s[i] > '9' {
@@ -238,16 +288,16 @@ func findPhone(s string) string {
 		}
 		i = j
 	}
-	return ""
+	return nil
 }
 
 // findGPS detects "lat=...&lon=..."-style coordinate pairs, the common
-// mobile-app location leak shape.
-func findGPS(lower string) string {
-	latIdx := strings.Index(lower, "lat=")
-	lonIdx := strings.Index(lower, "lon=")
+// mobile-app location leak shape, in case-folded text.
+func findGPS(lower []byte) []byte {
+	latIdx := bytes.Index(lower, []byte("lat="))
+	lonIdx := bytes.Index(lower, []byte("lon="))
 	if lonIdx < 0 {
-		lonIdx = strings.Index(lower, "lng=")
+		lonIdx = bytes.Index(lower, []byte("lng="))
 	}
 	if latIdx >= 0 && lonIdx >= 0 {
 		end := lonIdx + 4
@@ -260,5 +310,5 @@ func findGPS(lower string) string {
 		}
 		return lower[start:end]
 	}
-	return ""
+	return nil
 }

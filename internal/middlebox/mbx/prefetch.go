@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"pvn/internal/middlebox"
-	"pvn/internal/packet"
 )
 
 // PrefetchEngine is the active half of the paper's prefetching story
@@ -41,7 +40,7 @@ func (e *PrefetchEngine) Name() string { return "prefetch-engine" }
 // Process implements middlebox.Box: HTML responses trigger prefetching;
 // nothing is modified or dropped.
 func (e *PrefetchEngine) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	h := p.HTTP()
 	if h == nil || h.IsRequest || len(h.Body) == 0 {
 		return data, middlebox.VerdictPass, nil

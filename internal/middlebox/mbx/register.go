@@ -38,7 +38,7 @@ func (t *TCPProxy) Name() string { return "tcp-proxy" }
 
 // Process implements middlebox.Box.
 func (t *TCPProxy) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	if f, ok := packet.FlowOf(p); ok {
 		t.Flows[f.Canonical()] = true
 	}

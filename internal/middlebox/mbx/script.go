@@ -312,7 +312,7 @@ func (s *ScriptBox) Name() string { return "user-script" }
 
 // Process implements middlebox.Box: first matching rule decides.
 func (s *ScriptBox) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	f := extractScriptFields(data)
+	f := extractScriptFields(ctx.Packet(data))
 	for _, r := range s.rules {
 		if !r.expr.eval(f) {
 			continue
@@ -331,8 +331,7 @@ func (s *ScriptBox) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 	return data, middlebox.VerdictPass, nil
 }
 
-func extractScriptFields(data []byte) *scriptFields {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+func extractScriptFields(p *packet.Packet) *scriptFields {
 	f := &scriptFields{}
 	if ip := p.IPv4(); ip != nil {
 		f.src, f.dst = ip.Src.String(), ip.Dst.String()
@@ -355,7 +354,7 @@ func extractScriptFields(data []byte) *scriptFields {
 		f.payload = string(p.ApplicationPayload())
 	}
 	if f.host == "" {
-		f.host = hostOf(data)
+		f.host = hostOf(p)
 	}
 	return f
 }

@@ -65,7 +65,7 @@ func (t *TLSVerify) Name() string { return "tls-verify" }
 
 // Process implements middlebox.Box.
 func (t *TLSVerify) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	tcp := p.TCP()
 	if tcp == nil || (tcp.SrcPort != 443 && tcp.DstPort != 443) || len(tcp.LayerPayload()) == 0 {
 		return data, middlebox.VerdictPass, nil

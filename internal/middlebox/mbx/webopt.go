@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -40,7 +41,7 @@ func compressible(ct string) bool {
 
 // Process implements middlebox.Box.
 func (c *Compressor) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	h := p.HTTP()
 	if h == nil || h.IsRequest || len(h.Body) < c.MinBytes || !compressible(h.Header("Content-Type")) {
 		return data, middlebox.VerdictPass, nil
@@ -67,7 +68,7 @@ func (c *Compressor) Process(ctx *middlebox.Context, data []byte) ([]byte, middl
 	c.BytesIn += int64(len(h.Body))
 	c.BytesOut += int64(buf.Len())
 
-	nh := *h
+	nh := cloneHTTP(h)
 	nh.Body = buf.Bytes()
 	nh.SetHeader("Content-Encoding", "deflate")
 	nh.SetHeader("Content-Length", strconv.Itoa(buf.Len()))
@@ -80,6 +81,14 @@ func (c *Compressor) Process(ctx *middlebox.Context, data []byte) ([]byte, middl
 		return data, middlebox.VerdictPass, nil
 	}
 	return out, middlebox.VerdictPass, nil
+}
+
+// cloneHTTP copies h with a header list of its own, so a rewriting box's
+// SetHeader calls leave the decode it shares with the other hops alone.
+func cloneHTTP(h *packet.HTTP) packet.HTTP {
+	nh := *h
+	nh.Headers = slices.Clone(h.Headers)
+	return nh
 }
 
 // Decompress reverses Compressor, for tests and for device-side
@@ -129,7 +138,7 @@ func (f *Prefetcher) Lookup(host, path string) ([]byte, bool) {
 // populate the cache; requests are counted against it. Forwarding
 // decisions stay with the data plane — the box never drops.
 func (f *Prefetcher) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+	p := ctx.Packet(data)
 	h := p.HTTP()
 	if h == nil {
 		return data, middlebox.VerdictPass, nil

@@ -58,16 +58,38 @@ const (
 //
 // Concurrency: a Context is per-packet scratch state, created by the
 // runtime once per chain invocation and re-pointed at each hop's
-// instance; it is used from exactly one goroutine, under the runtime's
+// instance; it is used from exactly one goroutine, under the owner's
 // lock, and must not be retained across Process calls.
 type Context struct {
 	// Owner is the user the instance belongs to.
 	Owner string
 	// Now is the simulated time of this packet.
 	Now time.Duration
-	// alerts accumulate via Alert.
+
 	runtime  *Runtime
 	instance *Instance
+	// pkt is the decode of pktData, kept for the chain invocation (see
+	// Packet).
+	pkt     *packet.Packet
+	pktData []byte
+}
+
+// Packet returns data decoded as an IPv4 packet. The decode is done once
+// per chain invocation and shared by the isolation check and every hop
+// that is handed the same bytes; a hop that passes on different bytes (a
+// rewriting box) makes the next caller decode those instead, so the
+// result always describes exactly the slice passed in. The packet is a
+// read-only view: a box must not modify it, its layers or data.
+func (c *Context) Packet(data []byte) *packet.Packet {
+	if c.pkt == nil || !sameSlice(c.pktData, data) {
+		c.pkt, c.pktData = packet.Decode(data, packet.LayerTypeIPv4), data
+	}
+	return c.pkt
+}
+
+// sameSlice reports whether a and b are the same bytes in memory.
+func sameSlice(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Alert records a security/privacy finding (blocked MITM, PII leak, …).
@@ -93,13 +115,18 @@ type Alert struct {
 
 // Box is the middlebox implementation interface. Implementations must be
 // deterministic and must not retain data across calls except through
-// their own fields (their sandboxed state).
+// their own fields (their sandboxed state). Process calls on all of one
+// owner's boxes are serialized; boxes of different owners run
+// concurrently, so anything a box shares beyond its owner (a resolver
+// set, a package variable) needs its own synchronization.
 type Box interface {
 	// Name identifies the middlebox type.
 	Name() string
 	// Process inspects/transforms one raw IPv4 packet. Returning
 	// VerdictDrop discards it; out is ignored then. Returning modified
-	// bytes with VerdictPass rewrites the packet.
+	// bytes with VerdictPass rewrites the packet: data itself and
+	// ctx.Packet(data) are shared with the other hops and read-only, so
+	// a rewrite is a new slice.
 	Process(ctx *Context, data []byte) (out []byte, v Verdict, err error)
 }
 
@@ -202,6 +229,8 @@ type Chain struct {
 	// instead of silently passing everything the removed box would
 	// have filtered.
 	residueClosed bool
+	// lock is the owner's execution lock (Runtime.owners[Owner]).
+	lock *ownerLock
 }
 
 // FailClosedResidue reports whether a terminated fail-closed box has
@@ -211,17 +240,37 @@ func (c *Chain) FailClosedResidue() bool { return c.residueClosed }
 // DefaultAlertCap bounds the runtime's alert ring when AlertCap is 0.
 const DefaultAlertCap = 4096
 
+// ownerLock serializes chain execution over one owner's instances.
+type ownerLock struct {
+	mu sync.Mutex
+	// refs counts the owner's instances and chains; the entry leaves
+	// Runtime.owners with the last one. Guarded by Runtime.mu.
+	refs int
+}
+
 // Runtime hosts instances and chains on one middlebox server.
 //
-// Concurrency: the Runtime locks itself. One mutex serializes chain
-// execution with every control-plane method that touches the registry,
-// instances, chains, box state or the alert ring, so dataplane workers
-// may execute chains while a deployment server attaches and detaches
-// subscribers. Code the runtime calls under the lock — Box.Process,
-// Spec.New, OnEvent — must not call back into it (Context.Alert is the
-// sanctioned way in); a caller holding its own lock takes that first
-// (deployserver's Server.mu → Runtime). Counters and health read off a
-// returned *Instance are stable only while no chain is executing.
+// Concurrency: the Runtime locks itself, and chains of different owners
+// execute in parallel. Chain execution holds mu shared plus the chain
+// owner's lock; an instance belongs to one owner and a chain runs only
+// over its owner's instances (ErrCrossUser), so everything execution
+// writes — box state, instance counters, health ladders, supervisor
+// restarts — is serialized per owner, and two owners share nothing but
+// the atomic supervision counters and the alert ring. Every
+// control-plane method (Register, Instantiate, Terminate, TeardownUser,
+// BuildChainIn, RemoveChain, ExportState, ImportState and the getters)
+// holds mu exclusively, so it sees no chain mid-packet and dataplane
+// workers may execute chains while a deployment server attaches and
+// detaches subscribers. The alert ring and OnEvent delivery sit under a
+// leaf mutex of their own. Lock order: a caller's own lock
+// (deployserver's Server.mu) → mu → owner lock → evMu.
+//
+// Code the runtime calls under these locks — Box.Process, Spec.New,
+// OnEvent — must not call back into it (Context.Alert and
+// Context.Packet are the sanctioned ways in). Now and Spec.New are
+// called from concurrent executions and must be goroutine-safe.
+// Counters and health read off a returned *Instance are stable only
+// while no chain of its owner is executing.
 type Runtime struct {
 	// Now supplies simulated time.
 	Now func() time.Duration
@@ -236,17 +285,25 @@ type Runtime struct {
 	Supervisor SupervisorConfig
 	// OnEvent, when set, receives every supervision event (panics,
 	// breaker transitions, restarts, bypasses). Called inline from
-	// chain execution — keep it cheap and non-blocking.
+	// chain execution — keep it cheap and non-blocking. Calls are
+	// serialized across all owners (under evMu), so a hook may keep
+	// plain state; one owner's events arrive in the order they happened.
 	OnEvent func(SupEvent)
 
-	// mu guards everything below except the atomics.
-	mu        sync.Mutex
+	// mu guards the registry, the instance, chain and owner maps and the
+	// memory account: held shared by chain execution, exclusively by the
+	// control plane.
+	mu        sync.RWMutex
 	registry  map[string]*Spec
 	instances map[string]*Instance
 	chains    map[string]*Chain
+	owners    map[string]*ownerLock
 	memUsed   int
 	nextID    int
 
+	// evMu guards the alert ring and serializes OnEvent. It is a leaf:
+	// nothing else is acquired under it.
+	evMu sync.Mutex
 	// alerts is a ring: once len == alertCap(), alertHead is the
 	// oldest element and new alerts overwrite it.
 	alerts        []Alert
@@ -266,6 +323,30 @@ func NewRuntime(now func() time.Duration) *Runtime {
 		registry:  make(map[string]*Spec),
 		instances: make(map[string]*Instance),
 		chains:    make(map[string]*Chain),
+		owners:    make(map[string]*ownerLock),
+	}
+}
+
+// retain adds one reference (an instance or a chain) to owner's lock,
+// creating it on first use. The caller holds mu exclusively.
+func (r *Runtime) retain(owner string) *ownerLock {
+	l := r.owners[owner]
+	if l == nil {
+		l = &ownerLock{}
+		r.owners[owner] = l
+	}
+	l.refs++
+	return l
+}
+
+// release drops one reference; the owner's lock goes with its last
+// instance or chain, so owner churn cannot grow the runtime. The caller
+// holds mu exclusively.
+func (r *Runtime) release(owner string) {
+	if l := r.owners[owner]; l != nil {
+		if l.refs--; l.refs == 0 {
+			delete(r.owners, owner)
+		}
 	}
 }
 
@@ -345,6 +426,7 @@ func (r *Runtime) Instantiate(owner, typ string, cfg map[string]string) (*Instan
 	}
 	r.instances[inst.ID] = inst
 	r.memUsed += spec.memory()
+	r.retain(owner)
 	return inst, nil
 }
 
@@ -358,6 +440,7 @@ func (r *Runtime) Terminate(id string) error {
 	}
 	delete(r.instances, id)
 	r.memUsed -= inst.Spec.memory()
+	r.release(inst.Owner)
 	// Remove it from any chains that reference it. A chain that loses
 	// a fail-closed box remembers that: if it is ever emptied this
 	// way it drops traffic rather than passing everything the removed
@@ -398,6 +481,7 @@ func (r *Runtime) TeardownUser(owner string) int {
 			delete(r.chains, name)
 		}
 	}
+	delete(r.owners, owner)
 	return n
 }
 
@@ -476,6 +560,7 @@ func (r *Runtime) BuildChainIn(owner, namespace, name string, instanceIDs []stri
 		}
 		c.Boxes = append(c.Boxes, inst)
 	}
+	c.lock = r.retain(owner)
 	r.chains[key] = c
 	return c, nil
 }
@@ -485,7 +570,11 @@ func (r *Runtime) BuildChainIn(owner, namespace, name string, instanceIDs []stri
 func (r *Runtime) RemoveChain(namespace, name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.chains, chainKey(namespace, name))
+	key := chainKey(namespace, name)
+	if c, ok := r.chains[key]; ok {
+		delete(r.chains, key)
+		r.release(c.Owner)
+	}
 }
 
 // Chain returns a chain by namespace and name, or nil.
@@ -500,24 +589,26 @@ func chainKey(owner, name string) string { return owner + "/" + name }
 // ExecuteChain implements openflow.ChainExecutor: the chain name on flow
 // rules is "owner/chain".
 func (r *Runtime) ExecuteChain(chain string, data []byte) ([]byte, time.Duration, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	c, ok := r.chains[chain]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownChain, chain)
 	}
-	return r.run(c, data) //lint:allow lockorder serializing chain execution under mu IS the Runtime's contract (see the type comment); Process cannot re-enter the runtime
+	c.lock.mu.Lock()
+	defer c.lock.mu.Unlock()
+	return r.run(c, data) //lint:allow lockorder mu is held shared and the owner lock serializes only this owner's boxes (order: Server.mu → Runtime.mu shared → owner lock → evMu leaf); Process cannot re-enter the runtime
 }
 
-// ExecuteChainBatch implements openflow.BatchProcessor: one lock
-// acquisition and one chain resolution for the whole batch, then the
-// scalar path per packet, so batch semantics are the scalar semantics by
-// construction (supervision, breakers and fail policies all run per
-// packet). Under N workers the lock is the serial section, and batching
-// divides its acquisition count by the batch size.
+// ExecuteChainBatch implements openflow.BatchProcessor: one acquisition
+// of mu (shared) and of the owner lock and one chain resolution for the
+// whole batch, then the scalar path per packet, so batch semantics are
+// the scalar semantics by construction (supervision, breakers and fail
+// policies all run per packet). Workers contend only when their batches
+// belong to the same owner.
 func (r *Runtime) ExecuteChainBatch(chain string, pkts [][]byte, outs [][]byte, delays []time.Duration, errs []error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	c, ok := r.chains[chain]
 	if !ok {
 		err := fmt.Errorf("%w: %q", ErrUnknownChain, chain)
@@ -526,28 +617,29 @@ func (r *Runtime) ExecuteChainBatch(chain string, pkts [][]byte, outs [][]byte, 
 		}
 		return
 	}
+	c.lock.mu.Lock()
+	defer c.lock.mu.Unlock()
 	for i := range pkts {
-		outs[i], delays[i], errs[i] = r.run(c, pkts[i]) //lint:allow lockorder serializing batch execution under mu IS the Runtime's contract (see the type comment); Process cannot re-enter the runtime
+		outs[i], delays[i], errs[i] = r.run(c, pkts[i]) //lint:allow lockorder mu is held shared and the owner lock serializes only this owner's boxes (order: Server.mu → Runtime.mu shared → owner lock → evMu leaf); Process cannot re-enter the runtime
 	}
 }
 
-// run executes one packet through c. The caller holds r.mu.
+// run executes one packet through c. The caller holds r.mu shared and
+// c's owner lock.
 func (r *Runtime) run(c *Chain, data []byte) ([]byte, time.Duration, error) {
 	now := r.Now()
 	var delay time.Duration
 
-	if len(c.OwnerAddrs) > 0 {
-		if !r.packetBelongsTo(c, data) {
-			return nil, 0, fmt.Errorf("%w: chain %s/%s", ErrIsolation, c.Owner, c.Name)
-		}
+	// One Context per chain invocation, re-pointed per hop: the hot
+	// path allocates once, not once per box, and decodes once.
+	ctx := Context{Owner: c.Owner, runtime: r}
+	if len(c.OwnerAddrs) > 0 && !packetBelongsTo(c, ctx.Packet(data)) {
+		return nil, 0, fmt.Errorf("%w: chain %s/%s", ErrIsolation, c.Owner, c.Name)
 	}
 	if len(c.Boxes) == 0 && c.residueClosed {
 		return nil, 0, fmt.Errorf("%w: chain %s/%s emptied of fail-closed boxes", ErrDropped, c.Owner, c.Name)
 	}
 
-	// One Context per chain invocation, re-pointed per hop: the hot
-	// path allocates once, not once per box.
-	ctx := Context{Owner: c.Owner, runtime: r}
 	cur := data
 	for _, inst := range c.Boxes {
 		at := now + delay
@@ -609,8 +701,10 @@ func (r *Runtime) run(c *Chain, data []byte) ([]byte, time.Duration, error) {
 	return cur, delay, nil
 }
 
-func (r *Runtime) packetBelongsTo(c *Chain, data []byte) bool {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
+// packetBelongsTo is the isolation check: p must decode as IPv4 (which
+// a bad header checksum prevents) and be from or to one of c's owner
+// addresses.
+func packetBelongsTo(c *Chain, p *packet.Packet) bool {
 	ip := p.IPv4()
 	if ip == nil {
 		return false
@@ -631,9 +725,11 @@ func (r *Runtime) alertCap() int {
 }
 
 // pushAlert appends to the bounded alert ring, evicting (and counting)
-// the oldest alert once the ring is full. It runs under r.mu: its only
-// caller is Context.Alert, inside a Process call.
+// the oldest alert once the ring is full. Its only caller is
+// Context.Alert, inside a Process call.
 func (r *Runtime) pushAlert(a Alert) {
+	r.evMu.Lock()
+	defer r.evMu.Unlock()
 	max := r.alertCap()
 	if len(r.alerts) < max {
 		r.alerts = append(r.alerts, a)
@@ -656,8 +752,11 @@ func (r *Runtime) pushAlert(a Alert) {
 // ""), oldest first. Only the newest alertCap() alerts are retained;
 // AlertsDropped counts the evicted remainder.
 func (r *Runtime) Alerts(owner string) []Alert {
+	// mu like every getter (no chain is mid-packet); evMu for the ring.
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.evMu.Lock()
+	defer r.evMu.Unlock()
 	var out []Alert
 	n := len(r.alerts)
 	for i := 0; i < n; i++ {

@@ -222,6 +222,8 @@ func (i *Instance) Health() health.State { return i.ladder.State() }
 
 func (r *Runtime) emit(ev SupEvent) {
 	if r.OnEvent != nil {
+		r.evMu.Lock()
+		defer r.evMu.Unlock()
 		r.OnEvent(ev)
 	}
 }

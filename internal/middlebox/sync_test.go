@@ -19,7 +19,7 @@ func (syncAlertBox) Process(ctx *Context, data []byte) ([]byte, Verdict, error) 
 
 // TestSyncExecutorConcurrent is the regression test for the dataplane
 // concurrency contract: a Runtime shared by many workers serializes
-// them itself, through Synchronized or not. Run with -race.
+// one owner's chain itself, through Synchronized or not. Run with -race.
 func TestSyncExecutorConcurrent(t *testing.T) {
 	rt := NewRuntime(nil)
 	rt.Register(&Spec{Type: "alert", New: func(map[string]string) (Box, error) { return syncAlertBox{}, nil }})
