@@ -61,13 +61,22 @@ test-race:
 	$(GO) test -race ./internal/discovery/ ./internal/deployserver/ ./internal/netsim/ ./cmd/pvnd/ \
 		./internal/health/ ./internal/middlebox/ ./internal/tunnel/
 
-# A short seed-corpus + random fuzz pass over every parser that handles
-# untrusted bytes: the packet decoder, the DHT wire envelope, and the
-# distributed-store module manifest.
+# A short seed-corpus + random fuzz pass over every fuzz target in the
+# tree, i.e. every parser that handles untrusted bytes: the packet
+# decoder and the HTTP/TLS/DNS parsers each chain hop runs on wire bytes,
+# the DHT wire envelope, the distributed-store module manifest, the PVNC
+# and user-script compilers, and the pcap reader. Patterns are anchored:
+# go test refuses -fuzz when it matches more than one target.
 fuzz-short:
-	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/packet/
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/overlay/
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeModule -fuzztime=10s ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/packet/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeEnvelope$$' -fuzztime=10s ./internal/overlay/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeModule$$' -fuzztime=10s ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzHTTPDecode$$' -fuzztime=6s ./internal/packet/
+	$(GO) test -run='^$$' -fuzz='^FuzzTLSDecode$$' -fuzztime=6s ./internal/packet/
+	$(GO) test -run='^$$' -fuzz='^FuzzDNSDecode$$' -fuzztime=6s ./internal/packet/
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=6s ./internal/pvnc/
+	$(GO) test -run='^$$' -fuzz='^FuzzCompileScript$$' -fuzztime=6s ./internal/middlebox/mbx/
+	$(GO) test -run='^$$' -fuzz='^FuzzReader$$' -fuzztime=6s ./internal/pcapio/
 
 # The overlay determinism gate: the E16 table must be bit-identical
 # across runs under the race detector (DESIGN.md §12).

@@ -215,8 +215,8 @@ func serveMain(args []string) {
 
 	// -dataplane=sharded fronts the switch with the parallel pipeline:
 	// deployments mirror their flow rules and meters into the pipeline's
-	// table (ExtraRules), and chain execution serializes on the shared
-	// middlebox runtime's own lock.
+	// table (ExtraRules), and every worker calls the one middlebox
+	// runtime, which serializes only packets of the same owner.
 	if *dpMode == "sharded" {
 		dp := dataplane.New(dataplane.Config{
 			Shards: *dpShards,
@@ -226,7 +226,7 @@ func serveMain(args []string) {
 		srv.ExtraRules = dp.Table()
 		dp.Start()
 		defer dp.Stop()
-		log.Printf("pvnd: sharded dataplane up: %d shards, batch 32, queue 1024/shard", dp.Shards())
+		log.Printf("pvnd: sharded dataplane up: %d shards", dp.Shards())
 	}
 
 	ln, err := net.Listen("tcp", *listen)

@@ -26,12 +26,10 @@
 //	  - Queues are bounded; the DropPolicy decides whether overload tail
 //	    drops or blocks the producer. Memory stays bounded either way.
 //
-// Middlebox chains: openflow.ChainExecutor implementations are invoked
-// concurrently from worker goroutines. A middlebox.Runtime locks itself
-// per owner, so one shared by all shards is safe and workers serialize
-// only where their batches belong to the same owner; per-shard runtime
-// clones via Config.ChainsFor remove that too, at the price of per-shard
-// box state.
+// Middlebox chains: the one openflow.ChainExecutor is invoked
+// concurrently from worker goroutines, one ExecuteChain call per
+// Middlebox action. A middlebox.Runtime locks itself per owner, so
+// workers serialize only where their packets belong to the same owner.
 package dataplane
 
 import (
@@ -59,16 +57,11 @@ type Config struct {
 	// Policy is the overload behaviour. Default DropNewest.
 	Policy DropPolicy
 
-	// Chains executes Middlebox actions and is shared by all shards; it
-	// MUST be goroutine-safe (a middlebox.Runtime is). Nil makes
-	// middlebox actions drops, like openflow.Switch.
+	// Chains executes Middlebox actions, one ExecuteChain call per
+	// packet, for every shard; it MUST be goroutine-safe (a
+	// middlebox.Runtime is, and runs different owners' chains in
+	// parallel). Nil makes middlebox actions drops, like openflow.Switch.
 	Chains openflow.ChainExecutor
-	// ChainsFor, when set, overrides Chains with a per-shard executor: a
-	// runtime clone per worker. A shared middlebox.Runtime already runs
-	// different owners' chains in parallel; clones also spread one
-	// owner's flows, whose boxes then keep state (and counters, alerts,
-	// breakers) per shard.
-	ChainsFor func(shard int) openflow.ChainExecutor
 
 	// Tunnels, when set, makes tunnel dispatch health-aware: each
 	// tunnel-action packet is routed through the table (Table.Route), so
@@ -96,15 +89,10 @@ type Config struct {
 
 // shard is one queue + worker + privately-owned flow state.
 type shard struct {
-	id     int
-	queue  *ring
-	cache  *openflow.FlowCache
-	chains openflow.ChainExecutor
-	// batchChains is chains' batched fast path, resolved once at New so
-	// the worker never pays a per-batch type assertion; nil when chains
-	// doesn't implement openflow.BatchProcessor.
-	batchChains openflow.BatchProcessor
-	counters    shardCounters
+	id       int
+	queue    *ring
+	cache    *openflow.FlowCache
+	counters shardCounters
 }
 
 // Pipeline is the running dataplane: N shards fed by Submit, draining
@@ -152,14 +140,7 @@ func New(cfg Config) *Pipeline {
 	}
 	p.bufPool.New = func() any { b := make([]byte, 0, 2048); return &b }
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{id: i, queue: newRing(cfg.QueueDepth, cfg.Policy), cache: openflow.NewFlowCache()}
-		if cfg.ChainsFor != nil {
-			sh.chains = cfg.ChainsFor(i)
-		} else {
-			sh.chains = cfg.Chains
-		}
-		sh.batchChains, _ = sh.chains.(openflow.BatchProcessor)
-		p.shards = append(p.shards, sh)
+		p.shards = append(p.shards, &shard{id: i, queue: newRing(cfg.QueueDepth, cfg.Policy), cache: openflow.NewFlowCache()})
 	}
 	return p
 }

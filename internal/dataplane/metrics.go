@@ -143,7 +143,11 @@ type ShardStats struct {
 	Enqueued, Dropped, Processed, Batches int64
 	Bytes                                 int64
 	CacheHits                             int64
-	Outputs, Drops, Tunnels, PacketIns    int64
+	// CacheFlushes counts the times this shard's flow cache hit its
+	// bound and was emptied — nonzero means some sender is minting
+	// 5-tuples faster than the rules change.
+	CacheFlushes                       int64
+	Outputs, Drops, Tunnels, PacketIns int64
 	// ChainErrs counts packets whose middlebox chain failed on this
 	// shard (a box errored or panicked fail-closed, or a broken box's
 	// breaker dropped it). Always a subset of Drops.
@@ -156,9 +160,9 @@ type ShardStats struct {
 type Stats struct {
 	Shards []ShardStats
 	// Chain aggregates supervision counters (panics contained, breaker
-	// opens, restarts, bypasses, …) from every distinct chain executor
-	// the shards use — the middlebox runtime's verdict stream surfaced
-	// next to the packet counters it explains.
+	// opens, restarts, bypasses, …) from the chain executor — the
+	// middlebox runtime's verdict stream surfaced next to the packet
+	// counters it explains.
 	Chain middlebox.SupervisorStats
 	// Tunnel is the attached tunnel table's snapshot (endpoint health,
 	// per-endpoint usage, failover counts); zero when Config.Tunnels is
@@ -176,6 +180,7 @@ func (s Stats) Total() ShardStats {
 		t.Batches += sh.Batches
 		t.Bytes += sh.Bytes
 		t.CacheHits += sh.CacheHits
+		t.CacheFlushes += sh.CacheFlushes
 		t.Outputs += sh.Outputs
 		t.Drops += sh.Drops
 		t.Tunnels += sh.Tunnels
@@ -218,24 +223,15 @@ type chainSupervisor interface {
 }
 
 // Stats returns a point-in-time copy of every shard's counters, plus
-// the aggregated supervision counters of the chain executors.
+// the supervision counters of the chain executor.
 func (p *Pipeline) Stats() Stats {
 	out := Stats{Shards: make([]ShardStats, len(p.shards))}
-	seen := make(map[chainSupervisor]bool)
 	for i, sh := range p.shards {
 		out.Shards[i] = sh.counters.snapshot(sh.queue.depth())
-		if sup, ok := sh.chains.(chainSupervisor); ok && !seen[sup] {
-			seen[sup] = true
-			s := sup.SupervisorStats()
-			out.Chain.Panics += s.Panics
-			out.Chain.BoxErrors += s.BoxErrors
-			out.Chain.BreakerOpens += s.BreakerOpens
-			out.Chain.Restarts += s.Restarts
-			out.Chain.Recoveries += s.Recoveries
-			out.Chain.Bypasses += s.Bypasses
-			out.Chain.SecurityBypasses += s.SecurityBypasses
-			out.Chain.BrokenDrops += s.BrokenDrops
-		}
+		out.Shards[i].CacheFlushes = sh.cache.Flushes()
+	}
+	if sup, ok := p.cfg.Chains.(chainSupervisor); ok {
+		out.Chain = sup.SupervisorStats()
 	}
 	if p.cfg.Tunnels != nil {
 		out.Tunnel = p.cfg.Tunnels.Stats()

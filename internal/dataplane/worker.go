@@ -8,44 +8,24 @@ import (
 )
 
 // workerState is one worker's preallocated scratch: the drained batch,
-// a reusable header decoder, per-packet interpreter state, and the
-// grouping arenas for batched chain execution. Everything is sized to
-// BatchSize once, so the steady-state loop allocates nothing.
+// a reusable header decoder and per-packet interpreter state. Everything
+// is sized to BatchSize once, so the steady-state loop allocates nothing.
 type workerState struct {
 	batch []item
 	dec   packet.Decoder
 
 	// Per-packet interpreter state, indexed like batch.
-	acts    [][]openflow.Action // resolved action list
-	cur     [][]byte            // current bytes (after any rewrites)
-	pc      []int               // next action index
-	delay   []time.Duration     // accumulated shaping/chain delay
-	done    []bool              // reached a terminal disposition
-	claimed []bool              // grouped in the current chain pass
-
-	// Chain-batching arenas: one group's packets and its caller-allocated
-	// result slices (see openflow.BatchProcessor).
-	gidx []int
-	pkts [][]byte
-	outs [][]byte
-	cdel []time.Duration
-	cerr []error
+	acts  [][]openflow.Action // resolved action list
+	cur   [][]byte            // current bytes (after any rewrites)
+	delay []time.Duration     // accumulated shaping/chain delay
 }
 
 func newWorkerState(batchSize int) *workerState {
 	return &workerState{
-		batch:   make([]item, batchSize),
-		acts:    make([][]openflow.Action, batchSize),
-		cur:     make([][]byte, batchSize),
-		pc:      make([]int, batchSize),
-		delay:   make([]time.Duration, batchSize),
-		done:    make([]bool, batchSize),
-		claimed: make([]bool, batchSize),
-		gidx:    make([]int, 0, batchSize),
-		pkts:    make([][]byte, 0, batchSize),
-		outs:    make([][]byte, batchSize),
-		cdel:    make([]time.Duration, batchSize),
-		cerr:    make([]error, batchSize),
+		batch: make([]item, batchSize),
+		acts:  make([][]openflow.Action, batchSize),
+		cur:   make([][]byte, batchSize),
+		delay: make([]time.Duration, batchSize),
 	}
 }
 
@@ -76,11 +56,11 @@ func (p *Pipeline) work(sh *shard) {
 	}
 }
 
-// processBatch runs n packets through resolve → interpret as two batch
-// stages, mirroring openflow.Switch.Process semantics per packet so the
-// serial and sharded dataplanes stay behaviourally interchangeable. All
-// counters accumulate in a localCounters and hit the shard atomics once,
-// at the end.
+// processBatch resolves the whole batch's actions, then interprets each
+// packet to its verdict, mirroring openflow.Switch.Process semantics per
+// packet so the serial and sharded dataplanes stay behaviourally
+// interchangeable. All counters accumulate in a localCounters and hit
+// the shard atomics once, at the end.
 func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool) {
 	t0 := time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
 	now := p.cfg.Now()
@@ -113,9 +93,7 @@ func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool)
 		}
 		ws.acts[i] = actions
 		ws.cur[i] = it.data
-		ws.pc[i] = 0
 		ws.delay[i] = 0
-		ws.done[i] = false
 		lc.bytes += int64(len(it.data))
 	}
 	lc.processed = int64(n)
@@ -125,25 +103,10 @@ func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool)
 		lc.lookupNs = (t1 - t0) - decodeNs
 	}
 
-	// Stage 2: interpret the action lists. Packets run until they reach
-	// a terminal verdict or stall at a Middlebox action; stalled packets
-	// are grouped by chain and executed as batches, then resume. Packets
-	// sharing a rule stall together, so the common case is one chain
-	// call per batch.
-	for {
-		stalled := 0
-		for i := 0; i < n; i++ {
-			if !ws.done[i] {
-				p.advance(sh, ws, i, now, &lc)
-				if !ws.done[i] {
-					stalled++
-				}
-			}
-		}
-		if stalled == 0 {
-			break
-		}
-		p.runChains(sh, ws, n, &lc, sampled)
+	// Stage 2: interpret each action list to its verdict, in arrival
+	// order.
+	for i := 0; i < n; i++ {
+		p.advance(ws, i, now, &lc, sampled)
 	}
 
 	end := time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
@@ -160,26 +123,24 @@ func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool)
 	}
 }
 
-// advance runs packet i's action list until it terminates or stalls at a
-// Middlebox action (left for runChains). Semantics per action match
-// openflow.Switch.Process exactly.
-func (p *Pipeline) advance(sh *shard, ws *workerState, i int, now time.Duration, lc *localCounters) {
+// advance runs packet i's action list to its verdict, leaving the
+// shaping and chain delay it accumulated in ws.delay[i]. Semantics per
+// action match openflow.Switch.Process exactly; this is the worker's own
+// copy so that Process stays an independent reference for the
+// differential tests.
+func (p *Pipeline) advance(ws *workerState, i int, now time.Duration, lc *localCounters, sampled bool) {
 	it := &ws.batch[i]
-	acts := ws.acts[i]
-	for ws.pc[i] < len(acts) {
-		a := acts[ws.pc[i]]
+	for _, a := range ws.acts[i] {
 		switch a.Type {
 		case openflow.ActionTypeOutput:
 			lc.outputs++
 			if p.cfg.OnOutput != nil {
 				p.cfg.OnOutput(a.Port, ws.cur[i])
 			}
-			ws.done[i] = true
 			return
 
 		case openflow.ActionTypeDrop:
 			lc.drops++
-			ws.done[i] = true
 			return
 
 		case openflow.ActionTypeController:
@@ -187,7 +148,6 @@ func (p *Pipeline) advance(sh *shard, ws *workerState, i int, now time.Duration,
 			if p.cfg.OnController != nil {
 				p.cfg.OnController(it.inPort, ws.cur[i])
 			}
-			ws.done[i] = true
 			return
 
 		case openflow.ActionTypeTunnel:
@@ -199,93 +159,43 @@ func (p *Pipeline) advance(sh *shard, ws *workerState, i int, now time.Duration,
 			if p.cfg.OnTunnel != nil {
 				p.cfg.OnTunnel(name, ws.cur[i])
 			}
-			ws.done[i] = true
 			return
 
 		case openflow.ActionTypeMiddlebox:
-			if sh.chains == nil {
+			if p.cfg.Chains == nil {
 				lc.drops++
-				ws.done[i] = true
 				return
 			}
-			// Stall: runChains executes this step as part of a group.
-			return
+			var tc int64
+			if sampled {
+				tc = time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
+			}
+			out, d, err := p.cfg.Chains.ExecuteChain(a.Chain, ws.cur[i])
+			if sampled {
+				lc.chainNs += time.Now().UnixNano() - tc //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
+			}
+			ws.delay[i] += d
+			if err != nil || out == nil {
+				if err != nil {
+					lc.chainErrs++
+				}
+				lc.drops++
+				return
+			}
+			ws.cur[i] = out
 
 		case openflow.ActionTypeMeter:
 			ws.delay[i] += p.table.Shape(a.MeterID, now+ws.delay[i], len(ws.cur[i]))
-			ws.pc[i]++
 
 		case openflow.ActionTypeSetDst:
 			out, err := openflow.RewriteDst(ws.cur[i], a.Dst, a.DstPort)
 			if err != nil {
 				lc.drops++
-				ws.done[i] = true
 				return
 			}
 			ws.cur[i] = out
-			ws.pc[i]++
-
-		default:
-			ws.pc[i]++
 		}
 	}
 	// Action list ended without a terminal action: drop, per OpenFlow.
 	lc.drops++
-	ws.done[i] = true
-}
-
-// runChains executes one middlebox step for every stalled packet,
-// grouping packets stalled on the same chain into a single batched call
-// (openflow.BatchProcessor when the executor supports it, a scalar loop
-// otherwise). After the chain invariant — every not-done packet sits on
-// a Middlebox action with a non-nil executor — outs[i]==nil with no
-// error means the chain dropped the packet, as in the scalar path.
-func (p *Pipeline) runChains(sh *shard, ws *workerState, n int, lc *localCounters, sampled bool) {
-	for i := 0; i < n; i++ {
-		ws.claimed[i] = false
-	}
-	for i := 0; i < n; i++ {
-		if ws.done[i] || ws.claimed[i] {
-			continue
-		}
-		chain := ws.acts[i][ws.pc[i]].Chain
-		g := ws.gidx[:0]
-		pkts := ws.pkts[:0]
-		for j := i; j < n; j++ {
-			if ws.done[j] || ws.claimed[j] || ws.acts[j][ws.pc[j]].Chain != chain {
-				continue
-			}
-			ws.claimed[j] = true
-			g = append(g, j)
-			pkts = append(pkts, ws.cur[j])
-		}
-		outs, dels, errs := ws.outs[:len(g)], ws.cdel[:len(g)], ws.cerr[:len(g)]
-		var tc int64
-		if sampled {
-			tc = time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
-		}
-		if sh.batchChains != nil {
-			sh.batchChains.ExecuteChainBatch(chain, pkts, outs, dels, errs)
-		} else {
-			for k, j := range g {
-				outs[k], dels[k], errs[k] = sh.chains.ExecuteChain(chain, ws.cur[j])
-			}
-		}
-		if sampled {
-			lc.chainNs += time.Now().UnixNano() - tc //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
-		}
-		for k, j := range g {
-			ws.delay[j] += dels[k]
-			if errs[k] != nil || outs[k] == nil {
-				if errs[k] != nil {
-					lc.chainErrs++
-				}
-				lc.drops++
-				ws.done[j] = true
-			} else {
-				ws.cur[j] = outs[k]
-				ws.pc[j]++
-			}
-		}
-	}
 }

@@ -13,7 +13,7 @@ import (
 // resident's frames cross its chain on the pipeline's workers. Deploys
 // run under Server.mu and workers never take it, so the Runtime's own
 // lock is all that orders BuildChainIn's map write against
-// ExecuteChainBatch's map read. Needs -race to mean anything; without
+// ExecuteChain's map read. Needs -race to mean anything; without
 // the lock it reports the two, or the Go runtime aborts on the
 // concurrent map access.
 func TestDeployRacesChainTraffic(t *testing.T) {

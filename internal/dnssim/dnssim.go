@@ -157,9 +157,6 @@ type Authority struct {
 // NewAuthority builds an authority over the given zones.
 func NewAuthority(zones ...*Zone) *Authority { return &Authority{zones: zones} }
 
-// AddZone registers another zone.
-func (a *Authority) AddZone(z *Zone) { a.zones = append(a.zones, z) }
-
 // Resolve answers a query message with a response message.
 func (a *Authority) Resolve(query *packet.DNS) *packet.DNS {
 	resp := &packet.DNS{ID: query.ID, QR: true, RA: true, Questions: query.Questions}

@@ -120,9 +120,8 @@ func E1(p E1Params) *Result {
 	}
 
 	// Parallel dataplane: the same chain workload executed by the sharded
-	// worker pool with per-worker runtime clones (the scaling
-	// configuration internal/dataplane documents), versus one core
-	// driving the runtime directly.
+	// worker pool over one shared runtime, versus one core driving the
+	// runtime directly.
 	if p.DataplanePackets > 0 {
 		shards := p.DataplaneShards
 		if shards <= 0 {
@@ -136,7 +135,7 @@ func E1(p E1Params) *Result {
 		res.AddRow(fmt.Sprintf("sharded chain throughput, %d workers", shards),
 			fmt.Sprint(p.DataplanePackets), f1(shardedKpps), f1(shardedKpps), "kpkt/s")
 		if isWallclock(p.Timing) {
-			res.Findingf("dataplane chain throughput: %.0f kpkt/s serial -> %.0f kpkt/s with %d workers (per-worker runtime clones)",
+			res.Findingf("dataplane chain throughput: %.0f kpkt/s serial -> %.0f kpkt/s with %d workers (one shared runtime)",
 				serialKpps, shardedKpps, shards)
 		} else {
 			res.Findingf("simclock timing: throughput cells are synthetic placeholders; run pvnbench -wallclock for measured kpkt/s")
@@ -154,7 +153,7 @@ func E1(p E1Params) *Result {
 }
 
 // e1ChainRuntime builds one middlebox runtime hosting a single countBox
-// chain "e1/c" — the unit that is cloned per dataplane worker.
+// chain "e1/c".
 func e1ChainRuntime() *middlebox.Runtime {
 	rt := middlebox.NewRuntime(nil)
 	rt.Register(&middlebox.Spec{Type: "count", New: func(map[string]string) (middlebox.Box, error) {
@@ -190,8 +189,8 @@ func e1Frames(n int) [][]byte {
 }
 
 // e1Dataplane measures chain-inclusive packet throughput (kpkt/s) on
-// the serial switch path versus the sharded pipeline with per-worker
-// runtime clones. Elapsed time flows through sw so the default run is
+// the serial switch path versus the sharded pipeline, each over its own
+// runtime. Elapsed time flows through sw so the default run is
 // deterministic.
 func e1Dataplane(packets, shards int, sw Stopwatch) (serialKpps, shardedKpps float64) {
 	frames := e1Frames(packets)
@@ -214,9 +213,7 @@ func e1Dataplane(packets, shards int, sw Stopwatch) (serialKpps, shardedKpps flo
 	dp := dataplane.New(dataplane.Config{
 		Shards: shards,
 		Policy: dataplane.Block, // throughput probe: backpressure, not drops
-		ChainsFor: func(int) openflow.ChainExecutor {
-			return e1ChainRuntime()
-		},
+		Chains: e1ChainRuntime(),
 	})
 	chainRule(dp.Table())
 	dp.Start()

@@ -39,15 +39,6 @@ func NewClassifier() *Classifier {
 // Name implements middlebox.Box.
 func (c *Classifier) Name() string { return "classifier" }
 
-// ClassOf returns the recorded class for a flow (either direction), or
-// ClassOther.
-func (c *Classifier) ClassOf(f packet.Flow) TrafficClass {
-	if cl, ok := c.flows[f.Canonical()]; ok {
-		return cl
-	}
-	return ClassOther
-}
-
 // Process implements middlebox.Box. Classification never drops.
 func (c *Classifier) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
 	p := ctx.Packet(data)

@@ -45,8 +45,7 @@ func TestParallelOwnersExactCounters(t *testing.T) {
 	const (
 		distinct      = 4
 		sharedWorkers = 3
-		packets       = 420 // per goroutine; a multiple of 5, 7 and batch
-		batch         = 6
+		packets       = 420 // per goroutine; a multiple of 5 and 7
 	)
 	now := time.Duration(0)
 	rt := testRuntime(&now)
@@ -82,23 +81,12 @@ func TestParallelOwnersExactCounters(t *testing.T) {
 	for _, l := range loads {
 		for w := 0; w < l.workers; w++ {
 			traffic.Add(1)
-			go func(chain string, batched bool) {
+			go func(chain string) {
 				defer traffic.Done()
-				if !batched {
-					for i := 0; i < packets; i++ {
-						rt.ExecuteChain(chain, []byte("pkt"))
-					}
-					return
+				for i := 0; i < packets; i++ {
+					rt.ExecuteChain(chain, []byte("pkt"))
 				}
-				pkts := make([][]byte, batch)
-				for i := range pkts {
-					pkts[i] = []byte("pkt")
-				}
-				outs, dels, errs := make([][]byte, batch), make([]time.Duration, batch), make([]error, batch)
-				for i := 0; i < packets; i += batch {
-					rt.ExecuteChainBatch(chain, pkts, outs, dels, errs)
-				}
-			}(l.owner+"/c", w%2 == 1)
+			}(l.owner + "/c")
 		}
 	}
 

@@ -600,30 +600,6 @@ func (r *Runtime) ExecuteChain(chain string, data []byte) ([]byte, time.Duration
 	return r.run(c, data) //lint:allow lockorder mu is held shared and the owner lock serializes only this owner's boxes (order: Server.mu → Runtime.mu shared → owner lock → evMu leaf); Process cannot re-enter the runtime
 }
 
-// ExecuteChainBatch implements openflow.BatchProcessor: one acquisition
-// of mu (shared) and of the owner lock and one chain resolution for the
-// whole batch, then the scalar path per packet, so batch semantics are
-// the scalar semantics by construction (supervision, breakers and fail
-// policies all run per packet). Workers contend only when their batches
-// belong to the same owner.
-func (r *Runtime) ExecuteChainBatch(chain string, pkts [][]byte, outs [][]byte, delays []time.Duration, errs []error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c, ok := r.chains[chain]
-	if !ok {
-		err := fmt.Errorf("%w: %q", ErrUnknownChain, chain)
-		for i := range pkts {
-			outs[i], delays[i], errs[i] = nil, 0, err
-		}
-		return
-	}
-	c.lock.mu.Lock()
-	defer c.lock.mu.Unlock()
-	for i := range pkts {
-		outs[i], delays[i], errs[i] = r.run(c, pkts[i]) //lint:allow lockorder mu is held shared and the owner lock serializes only this owner's boxes (order: Server.mu → Runtime.mu shared → owner lock → evMu leaf); Process cannot re-enter the runtime
-	}
-}
-
 // run executes one packet through c. The caller holds r.mu shared and
 // c's owner lock.
 func (r *Runtime) run(c *Chain, data []byte) ([]byte, time.Duration, error) {

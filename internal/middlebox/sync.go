@@ -16,9 +16,13 @@ func (s *SyncExecutor) ExecuteChain(chain string, data []byte) ([]byte, time.Dur
 	return s.rt.ExecuteChain(chain, data)
 }
 
-// ExecuteChainBatch implements openflow.BatchProcessor.
+// ExecuteChainBatch is ExecuteChain for each packet in order, filling the
+// caller's result slices. The dataplane calls ExecuteChain per packet;
+// this survives only as the name bench/ calls.
 func (s *SyncExecutor) ExecuteChainBatch(chain string, pkts [][]byte, outs [][]byte, delays []time.Duration, errs []error) {
-	s.rt.ExecuteChainBatch(chain, pkts, outs, delays, errs)
+	for i, p := range pkts {
+		outs[i], delays[i], errs[i] = s.rt.ExecuteChain(chain, p)
+	}
 }
 
 // SupervisorStats exposes the wrapped runtime's supervision counters to

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -405,12 +404,4 @@ func (net *Network) TotalDrops() (queue, random int64) {
 		}
 	}
 	return queue, random
-}
-
-// SortedNodeIDs returns node IDs sorted lexicographically, for stable test
-// output.
-func (net *Network) SortedNodeIDs() []string {
-	ids := append([]string(nil), net.order...)
-	sort.Strings(ids)
-	return ids
 }

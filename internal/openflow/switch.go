@@ -56,27 +56,11 @@ type ChainExecutor interface {
 	ExecuteChain(chain string, data []byte) (out []byte, delay time.Duration, err error)
 }
 
-// BatchProcessor is the optional batched fast path of a ChainExecutor:
-// a dataplane that has already grouped packets bound for the same chain
-// hands the whole group to one call, letting the executor amortize
-// per-invocation overhead (lock acquisition, chain resolution, clock
-// reads) across the batch.
-//
-// The contract is strict: filling outs[i]/delays[i]/errs[i] must be
-// observably identical to calling ExecuteChain(chain, pkts[i]) for each
-// i in order — outs[i] == nil with errs[i] == nil means the chain
-// dropped packet i, exactly like the scalar path. The three result
-// slices are caller-allocated with len(pkts) (so a pooled dataplane
-// allocates nothing per batch); implementations must fill every index.
-type BatchProcessor interface {
-	ExecuteChainBatch(chain string, pkts [][]byte, outs [][]byte, delays []time.Duration, errs []error)
-}
-
 // Switch is a match/action forwarding element: one flow table (rules
 // and meters) and an optional middlebox executor. Process is the scalar
-// reference interpreter of the table; the dataplane pipeline runs the
-// same actions batched over the same table type, and the differential
-// tests hold the two together.
+// reference interpreter of the table; the dataplane pipeline's workers
+// run their own copy of the same action switch over the same table type,
+// and the differential tests hold the two together.
 type Switch struct {
 	ID    string
 	Table *FlowTable

@@ -260,12 +260,23 @@ type CacheKey struct {
 // dataplane worker) and therefore needs no lock; a generation bump (any
 // rule update or expiry) invalidates it wholesale.
 type FlowCache struct {
-	gen uint64
-	m   map[CacheKey]*FlowEntry
+	gen     uint64
+	m       map[CacheKey]*FlowEntry
+	flushes atomic.Int64
 }
+
+// flowCacheMax bounds one FlowCache. Whoever sends the traffic picks the
+// 5-tuples (spoofed source ports are free), so without a bound the map
+// grows for as long as the rules stay put. A full cache is flushed
+// wholesale, like a generation bump: live flows pay one more scan each.
+const flowCacheMax = 1 << 18
 
 // NewFlowCache returns an empty cache.
 func NewFlowCache() *FlowCache { return &FlowCache{m: make(map[CacheKey]*FlowEntry)} }
+
+// Flushes reports how many times the cache overflowed its bound and was
+// emptied. Safe to call from any goroutine.
+func (c *FlowCache) Flushes() int64 { return c.flushes.Load() }
 
 // LookupCached answers from the caller's exact-match cache alone — the
 // steady-state fast path, which needs only the 5-tuple key and no
@@ -295,6 +306,10 @@ func (t *FlowTable) LookupCached(c *FlowCache, key CacheKey, cacheable bool, siz
 func (t *FlowTable) LookupScan(c *FlowCache, key CacheKey, cacheable bool, fields PacketFields, size int, now time.Duration) []Action {
 	actions, e := t.Lookup(fields, size, now)
 	if e != nil && cacheable {
+		if len(c.m) >= flowCacheMax {
+			clear(c.m)
+			c.flushes.Add(1)
+		}
 		c.m[key] = e
 	}
 	return actions

@@ -63,9 +63,6 @@ type Host struct {
 // Health returns the control plane's current view of the host.
 func (h *Host) Health() HostHealth { return h.health }
 
-// Used returns the capacity the placement book has charged to the host.
-func (h *Host) Used() (cpuMilli, memBytes int64) { return h.usedCPU, h.usedMem }
-
 // HostParams parameterizes NewHost.
 type HostParams struct {
 	Spec  HostSpec
@@ -569,29 +566,6 @@ func (c *Cluster) RetryParked() int {
 		c.install(p, h, cost, spilled)
 		c.stats.Reparked++
 		n++
-	}
-	return n
-}
-
-// RenewAll renews every placed chain's lease on its host, in chain-ID
-// order. Callers schedule it; per-device expiry spread comes from the
-// hosts' RenewJitter.
-func (c *Cluster) RenewAll() int {
-	ids := make([]string, 0, len(c.placements))
-	for id, p := range c.placements {
-		if p.State == StatePlaced && p.Sess != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	n := 0
-	for _, id := range ids {
-		p := c.placements[id]
-		if h := c.hostByName[p.Host]; h != nil && !h.down {
-			if _, ok := h.Net.Server.Renew(p.Dev.ID); ok {
-				n++
-			}
-		}
 	}
 	return n
 }

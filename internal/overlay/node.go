@@ -129,13 +129,6 @@ func (n *Node) Alive() bool { return n.alive }
 // crash — there is no goodbye message.
 func (n *Node) Leave() { n.alive = false }
 
-// Rejoin brings a departed node back with its identity and records
-// intact but its routing table cold.
-func (n *Node) Rejoin() {
-	n.alive = true
-	n.table = NewTable(n.self.ID, n.cfg.K)
-}
-
 // Seed inserts a bootstrap contact directly (out-of-band introduction).
 func (n *Node) Seed(p Peer) { n.table.Update(p, n.clock.Now()) }
 

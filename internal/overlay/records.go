@@ -127,11 +127,6 @@ func (r *Record) Verify() error {
 	return nil
 }
 
-// PublisherID returns the overlay identity of the signing key.
-func (r *Record) PublisherID() ID {
-	return IDFromPublicKey(ed25519.PublicKey(r.PublicKey))
-}
-
 // OfferAd is the body of an offer record: the static half of a
 // provider's discovery answer, enough for a device that has never met
 // the provider to synthesize and rank an Offer without any round trip

@@ -147,12 +147,3 @@ func (t *Table) Len() int {
 	}
 	return n
 }
-
-// BucketLen returns the population of bucket i, for maintenance and
-// tests.
-func (t *Table) BucketLen(i int) int {
-	if i < 0 || i >= IDBits {
-		return 0
-	}
-	return len(t.buckets[i])
-}

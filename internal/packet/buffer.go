@@ -17,7 +17,7 @@ func NewBuffer() *Buffer {
 }
 
 // Bytes returns the serialized bytes accumulated so far. The slice is
-// invalidated by further Prepend/Append calls.
+// invalidated by further Prepend calls.
 func (b *Buffer) Bytes() []byte { return b.data[b.start:] }
 
 // Len returns the current content length.
@@ -38,14 +38,6 @@ func (b *Buffer) Prepend(n int) []byte {
 		s[i] = 0
 	}
 	return s
-}
-
-// Append returns n writable bytes after the current content. Used by
-// layers that serialize trailers or by payload injection.
-func (b *Buffer) Append(n int) []byte {
-	old := len(b.data)
-	b.data = append(b.data, make([]byte, n)...)
-	return b.data[old : old+n]
 }
 
 // PushBytes prepends a copy of p.

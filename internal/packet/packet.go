@@ -100,9 +100,6 @@ func Decode(data []byte, first LayerType) *Packet {
 	return p
 }
 
-// Layers returns the decoded layers, outermost first.
-func (p *Packet) Layers() []Layer { return p.layers }
-
 // Data returns the raw bytes the packet was decoded from.
 func (p *Packet) Data() []byte { return p.data }
 

@@ -181,9 +181,6 @@ func (ca *CA) Issue(opt IssueOptions) *Certificate {
 // Revoke adds a serial to this CA's revocation list.
 func (ca *CA) Revoke(serial uint64) { ca.crl[serial] = true }
 
-// Revoked reports whether the serial is on the CA's revocation list.
-func (ca *CA) Revoked(serial uint64) bool { return ca.crl[serial] }
-
 // SelfSign creates a certificate signed by its own key — the classic
 // self-signed server cert that must fail verification against real roots.
 func SelfSign(subject string, kp KeyPair, validFrom, validUntil int64) *Certificate {

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"time"
-
 	"pvn/internal/auditor"
 	"pvn/internal/core"
 	"pvn/internal/dataplane"
@@ -268,11 +266,4 @@ func (e *Engine) checkOverlayTamper() {
 		e.violate("overlay-tamper", "%d tampered module manifests were installed (of %d tampered records served)",
 			e.evilInstalls, e.tamperServed)
 	}
-}
-
-// BlackoutBoundFor is the natural bound for a config: one heartbeat to
-// notice, the repair delay, a reconnect retry, and one heartbeat to
-// confirm — with slack for storms that stack detection windows.
-func BlackoutBoundFor(heartbeat, repair time.Duration) time.Duration {
-	return 2*heartbeat + repair + 30*time.Second
 }
