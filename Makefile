@@ -55,11 +55,12 @@ race:
 # state machine, the locked deployserver (concurrent HandleDM / deploy /
 # teardown, and deploys racing chain traffic on the self-locking
 # middlebox runtime), the health ladder and its two owners, and the
-# deterministic fault-injection tests. Faster than a full `make race`
-# and targeted at the lifecycle code paths.
+# deterministic fault-injection tests — and the flow table those deploys
+# write while lookups read it. Faster than a full `make race` and
+# targeted at the lifecycle code paths.
 test-race:
 	$(GO) test -race ./internal/discovery/ ./internal/deployserver/ ./internal/netsim/ ./cmd/pvnd/ \
-		./internal/health/ ./internal/middlebox/ ./internal/tunnel/
+		./internal/health/ ./internal/middlebox/ ./internal/tunnel/ ./internal/openflow/
 
 # A short seed-corpus + random fuzz pass over every fuzz target in the
 # tree, i.e. every parser that handles untrusted bytes: the packet
@@ -109,11 +110,11 @@ soak:
 	$(GO) test -race -run 'TestReclaimOrphansRacesBeginRoam' ./internal/core/
 
 # The dataplane performance gate: re-run the scaling sweep (no-chain and
-# chain-bearing rule sets) and diff it against the committed
-# BENCH_DATAPLANE.json. Allocs/op gates strictly
-# (machine-independent); ops/sec only flags collapses below 25% of the
-# baseline, so CI hardware variance passes but a new per-packet
-# allocation or lock does not.
+# chain-bearing rule sets, and the flow-cache miss path at a thousand
+# subscribers) and diff it against the committed BENCH_DATAPLANE.json.
+# Allocs/op gates strictly (machine-independent); ops/sec only flags
+# collapses below 25% of the baseline, so CI hardware variance passes
+# but a new per-packet allocation or lock does not.
 bench-gate:
 	$(GO) run ./cmd/pvnbench -gate BENCH_DATAPLANE.json -quick
 

@@ -1,16 +1,19 @@
 package main
 
 // The dataplane scaling entry: a self-contained sweep of the serial
-// switch and the sharded pipeline over the canonical pvnc rule set, and
-// of the pipeline over a chain-bearing one (HTTP GETs through
+// switch and the sharded pipeline over the canonical pvnc rule set, of
+// the pipeline over a chain-bearing one (HTTP GETs through
 // pii-detect + tracker-block on one shared middlebox.Runtime — what
-// every real PVNC pays), reporting ops/sec, allocs/op and queue-latency
-// percentiles per configuration. Its JSON artifact
-// (BENCH_DATAPLANE.json) is the committed baseline `make bench-gate`
-// diffs against, so fast-path regressions (a new per-packet allocation, a serialization bottleneck)
-// fail CI instead of landing silently.
+// every real PVNC pays), and of the pipeline's miss path (a thousand
+// subscribers' rules under flows that never return), reporting ops/sec,
+// allocs/op and queue-latency percentiles per configuration. Its JSON
+// artifact (BENCH_DATAPLANE.json) is the committed baseline `make
+// bench-gate` diffs against, so fast-path regressions (a new per-packet
+// allocation, a serialization bottleneck) fail CI instead of landing
+// silently.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -67,9 +70,7 @@ func installDataplaneRules(t *openflow.FlowTable) error {
 	if err != nil {
 		return err
 	}
-	for i := range compiled.FlowMods {
-		compiled.FlowMods[i].Apply(t, 0)
-	}
+	t.InstallAll(compiled.Entries(), 0)
 	return nil
 }
 
@@ -147,7 +148,7 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 		if err := installDataplaneRules(dp.Table()); err != nil {
 			return nil, err
 		}
-		row, err := measurePipeline(fmt.Sprintf("shards=%d", shards), shards, n, dp, frames)
+		row, err := measurePipeline(fmt.Sprintf("shards=%d", shards), shards, n, dp, cycle(frames))
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +163,7 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := measurePipeline(fmt.Sprintf("chain shards=%d", shards), shards, n/4, dp, chainFrames)
+		row, err := measurePipeline(fmt.Sprintf("chain shards=%d", shards), shards, n/4, dp, cycle(chainFrames))
 		if err != nil {
 			return nil, err
 		}
@@ -171,23 +172,57 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 		}
 		art.Rows = append(art.Rows, row)
 	}
+
+	// The miss path: what a packet costs when the flow cache has never
+	// seen its flow, at a subscriber count where a walk over everyone's
+	// rules would dominate.
+	for _, shards := range []int{1, 2} {
+		dp, err := missPipeline(shards)
+		if err != nil {
+			return nil, err
+		}
+		row, err := measurePipeline(fmt.Sprintf("miss shards=%d", shards), shards, n, dp, missFrame)
+		if err != nil {
+			return nil, err
+		}
+		// Three packets in four of a subscriber's flow hit the cache;
+		// a stranger's never do.
+		st := dp.Stats().Total()
+		strangers := st.Processed / (4 * missStrangerEvery) * 4
+		if st.PacketIns != strangers || st.Outputs != st.Processed-strangers || st.CacheHits != st.Outputs/4*3 {
+			return nil, fmt.Errorf("pvnbench: miss mix at shards=%d: %d processed, %d punted, %d forwarded, %d cache hits",
+				shards, st.Processed, st.PacketIns, st.Outputs, st.CacheHits)
+		}
+		art.Rows = append(art.Rows, row)
+	}
 	return art, nil
 }
 
-// measurePipeline starts dp, pumps n of frames through it from
-// min(GOMAXPROCS, shards) producers and stops it. A drop under the Block
-// policy is an error.
-func measurePipeline(config string, shards int, n int64, dp *dataplane.Pipeline, frames [][]byte) (dataplaneRow, error) {
+// cycle serves frames round-robin.
+func cycle(frames [][]byte) func(int64, []byte) []byte {
+	return func(i int64, _ []byte) []byte { return frames[i%int64(len(frames))] }
+}
+
+// measurePipeline starts dp, pumps n frames through it from
+// min(GOMAXPROCS, shards) producers and stops it. frame returns the i'th
+// frame of the run, counted across warm-up and measurement, and may
+// build it in the scratch buffer it is handed (Submit copies). A drop
+// under the Block policy is an error.
+func measurePipeline(config string, shards int, n int64, dp *dataplane.Pipeline, frame func(i int64, scratch []byte) []byte) (dataplaneRow, error) {
 	dp.Start()
 	producers := min(runtime.GOMAXPROCS(0), shards)
+	var sent int64
 	pump := func(count int64) {
+		base := sent
+		sent += count
 		var wg sync.WaitGroup
 		for pr := 0; pr < producers; pr++ {
 			wg.Add(1)
 			go func(pr int) {
 				defer wg.Done()
+				scratch := make([]byte, 0, 64)
 				for i := int64(pr); i < count; i += int64(producers) {
-					dp.Submit(frames[i%int64(len(frames))], 0)
+					dp.Submit(frame(base+i, scratch), 0)
 				}
 			}(pr)
 		}
@@ -261,6 +296,66 @@ func chainPipeline(shards int, outputs *atomic.Int64) (*dataplane.Pipeline, [][]
 	}
 	clock.Store(int64(time.Second)) // past every instance's boot
 	return dp, frames, nil
+}
+
+const (
+	// missOwners subscribers with the six rules missRules compiles to
+	// each: the resident rule count of bench's flow_churn.
+	missOwners = 1000
+	// Every missStrangerEvery'th flow comes from an address no
+	// subscriber owns: it matches nothing, is never memoized, and pays
+	// the lookup on each of its packets.
+	missStrangerEvery = 16
+)
+
+const missRules = `
+pvnc miss-%d
+owner u%d
+device %s
+policy 100 match proto=tcp dport=80 action=forward
+policy 90 match proto=tcp dport=443 action=forward
+policy 0 match any action=forward
+`
+
+func missOwnerAddr(o int64) packet.IPv4Address {
+	return packet.IPv4Address{10, 16, byte(o >> 8), byte(o)}
+}
+
+// missPipeline builds a chain-free pipeline holding missOwners compiled
+// deployments.
+func missPipeline(shards int) (*dataplane.Pipeline, error) {
+	dp := dataplane.New(dataplane.Config{Shards: shards, Policy: dataplane.Block})
+	for o := int64(0); o < missOwners; o++ {
+		cfg, err := pvnc.Parse(fmt.Sprintf(missRules, o, o, missOwnerAddr(o)))
+		if err != nil {
+			return nil, err
+		}
+		compiled, err := pvnc.Compile(cfg, pvnc.CompileOptions{Cookie: uint64(o + 1), UpstreamPort: 1})
+		if err != nil {
+			return nil, err
+		}
+		dp.Table().InstallAll(compiled.Entries(), 0)
+	}
+	return dp, nil
+}
+
+// missFrame builds packet i of the miss workload: 40-byte TCP segments
+// in flows of four packets whose 5-tuple never comes back, so one
+// packet in four pays decode, lookup and a cache insert. Only the IPv4
+// header checksum is kept valid; the decoder checks no other.
+func missFrame(i int64, scratch []byte) []byte {
+	flow := i / 4
+	src := missOwnerAddr(flow % missOwners)
+	if flow%missStrangerEvery == missStrangerEvery-1 {
+		src = packet.IPv4Address{172, 16, byte(flow >> 8), byte(flow)}
+	}
+	b := append(scratch[:0], 0x45, 0, 0, 40, 0, 0, 0, 0, 64, packet.IPProtoTCP, 0, 0)
+	b = append(append(b, src[:]...), 93, 184, 216, 34)
+	b = binary.BigEndian.AppendUint16(b, uint16(1024+flow/missOwners)) // at most one flow per owner and source port
+	b = binary.BigEndian.AppendUint16(b, []uint16{80, 443, 8080}[flow%3])
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0, 5<<4, 0x10, 0xff, 0xff, 0, 0, 0, 0)
+	binary.BigEndian.PutUint16(b[10:12], packet.Checksum(b[:20]))
+	return b
 }
 
 // String renders the sweep as the usual pvnbench table.

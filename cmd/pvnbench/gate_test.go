@@ -123,3 +123,25 @@ func TestCommittedBaselineCoversChainPath(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedBaselineCoversMissPath: the same for the flow-cache miss
+// path — the rows must be in the committed baseline for the gate to hold
+// them, and a miss allocates nothing per packet beyond the cache's own
+// amortized growth.
+func TestCommittedBaselineCoversMissPath(t *testing.T) {
+	base, err := loadDataplaneBaseline(filepath.Join("..", "..", "BENCH_DATAPLANE.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]dataplaneRow{}
+	for _, r := range base.Rows {
+		rows[r.Config] = r
+	}
+	for _, cfg := range []string{"miss shards=1", "miss shards=2"} {
+		if r, ok := rows[cfg]; !ok {
+			t.Errorf("BENCH_DATAPLANE.json has no %q row", cfg)
+		} else if r.AllocsOp >= 0.5 {
+			t.Errorf("%s: %.2f allocs/op recorded, want none per packet", cfg, r.AllocsOp)
+		}
+	}
+}

@@ -84,12 +84,24 @@ func frames(t testing.TB, n int) [][]byte {
 // on the same rule set and traffic, with the same flow mods landing at
 // the same packet index on both sides.
 func TestPipelineMatchesSerial(t *testing.T) {
-	const n = 4000
-	pkts := frames(t, n)
+	pkts := frames(t, 4000)
+	// Malformed twins ahead of the first well-formed packet of two
+	// port-80 flows: the peeked cache key is the flow's, the decoded
+	// fields are not, and the hygiene rules below give those fields a
+	// rule of their own — which must not stick to the flow
+	// (poison_test.go).
+	pkts = append([][]byte{badIPChecksum(pkts[0]), cutTCPHeader(pkts[5])}, pkts...)
+	n := len(pkts)
 	dport := func(p uint16) openflow.Match {
 		return openflow.Match{Fields: openflow.FieldProto | openflow.FieldDstPort, Proto: packet.IPProtoTCP, DstPort: p}
 	}
 	out := []openflow.Action{openflow.Output(1)}
+	hygiene := func(tbl *openflow.FlowTable) {
+		drop := []openflow.Action{openflow.Drop()}
+		tbl.Install(&openflow.FlowEntry{Priority: 1, Cookie: 13, Actions: drop, // undecodable
+			Match: openflow.Match{Fields: openflow.FieldEthType}}, 0)
+		tbl.Install(&openflow.FlowEntry{Priority: 1, Cookie: 13, Actions: drop, Match: dport(0)}, 0) // TCP port 0
+	}
 	mods := map[int]openflow.FlowMod{
 		n / 4:     {Command: openflow.FlowAdd, Priority: 110, Cookie: 9, Match: dport(9999), Actions: out}, // punts become outputs
 		n / 2:     {Command: openflow.FlowAdd, Priority: 120, Cookie: 11, Match: dport(25), Actions: out},  // shadows the drop rule
@@ -100,6 +112,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	sw := openflow.NewSwitch("ref", nil)
 	sw.Chains = buildRuntime(t)
 	installRules(t, sw.Table)
+	hygiene(sw.Table)
 	var ref ShardStats
 	for i, data := range pkts {
 		if fm, ok := mods[i]; ok {
@@ -142,6 +155,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		OnController: func(inPort uint16, data []byte) { ctlHook() },
 	})
 	installRules(t, p.Table())
+	hygiene(p.Table())
 	p.Start()
 	for i, data := range pkts {
 		if fm, ok := mods[i]; ok {
@@ -156,7 +170,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	p.Stop()
 
 	got := p.Stats().Total()
-	if got.Processed != n {
+	if got.Processed != int64(n) {
 		t.Fatalf("processed = %d, want %d", got.Processed, n)
 	}
 	if got.Outputs != ref.Outputs || got.Drops != ref.Drops ||
@@ -172,13 +186,14 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	}
 	// With 320 distinct flows and 1000 packets between cache-flushing
 	// rule writes, the exact-match cache must carry most lookups.
-	if got.CacheHits < n/2 {
+	if got.CacheHits < int64(n/2) {
 		t.Errorf("cache hits = %d, want >= %d", got.CacheHits, n/2)
 	}
 	// Billing parity: both tables counted the same matched traffic per
 	// cookie — the resident rules, the mid-stream add, and the deleted
-	// cookie (nothing left to bill on either side).
-	for _, cookie := range []uint64{7, 9, 11} {
+	// cookie (nothing left to bill on either side) — and the hygiene
+	// rules, which bill the two malformed frames and nothing else.
+	for _, cookie := range []uint64{7, 9, 11, 13} {
 		refPkts, refBytes := sw.Table.StatsByCookie(cookie)
 		gotPkts, gotBytes := p.Table().StatsByCookie(cookie)
 		if refPkts != gotPkts || refBytes != gotBytes {

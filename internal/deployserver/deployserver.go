@@ -285,9 +285,7 @@ func (s *Server) HandleDeploy(req *discovery.DeployRequest) *discovery.DeployRes
 		for _, m := range compiled.Meters {
 			t.AddMeter(m.ID, openflow.Meter{RateBps: m.RateBps})
 		}
-		for i := range compiled.FlowMods {
-			compiled.FlowMods[i].Apply(t, now)
-		}
+		t.InstallAll(compiled.Entries(), now) // one table write per deployment
 	}
 
 	s.deployments[req.DeviceID] = dep
@@ -592,11 +590,15 @@ func (s *Server) ReclaimOrphans() (rules, meters, chains, instances int) {
 // reclaimTable removes every rule whose cookie and every meter whose id
 // is not in the keep sets, and reports how many of each it removed.
 func reclaimTable(t *openflow.FlowTable, cookies map[uint64]bool, keepMeter map[string]bool) (rules, meters int) {
+	// Every orphaned cookie first (repeats are harmless), then one pass
+	// and one table write.
+	var orphans []uint64
 	for _, e := range t.Entries() {
 		if !cookies[e.Cookie] {
-			rules += t.RemoveByCookie(e.Cookie)
+			orphans = append(orphans, e.Cookie)
 		}
 	}
+	rules = t.RemoveByCookie(orphans...)
 	for _, id := range t.MeterIDs() {
 		if !keepMeter[id] {
 			t.RemoveMeter(id)

@@ -8,6 +8,7 @@ import (
 	"pvn/internal/dataplane"
 	"pvn/internal/discovery"
 	"pvn/internal/middlebox"
+	"pvn/internal/openflow"
 	"pvn/internal/packet"
 )
 
@@ -129,4 +130,53 @@ func TestMeterReachesPipeline(t *testing.T) {
 		t.Fatalf("reclaimed %d meters, want 1", n)
 	}
 	assertPristine(t, s)
+}
+
+// TestOneTableWritePerDeployment: every generation bump flushes every
+// worker's flow cache, so a deployment — however many rules it compiles
+// to — must move each table's generation once, and so must its
+// teardown, and so must reclaiming any number of crashed deployments.
+func TestOneTableWritePerDeployment(t *testing.T) {
+	now := time.Duration(0)
+	s := testServer(t, &now)
+	s.ExtraRules = openflow.NewFlowTable()
+	tables := s.tables()
+	step := func(what string, do func()) {
+		t.Helper()
+		before := []uint64{tables[0].Generation(), tables[1].Generation()}
+		do()
+		for i, tbl := range tables {
+			if got := tbl.Generation() - before[i]; got != 1 {
+				t.Errorf("%s: table %d took %d writes, want 1", what, i, got)
+			}
+		}
+	}
+	deploy := func(dev string) func() {
+		return func() {
+			t.Helper()
+			if resp := s.HandleDeploy(&discovery.DeployRequest{DeviceID: dev, PVNCSource: ratedSrc, Payment: 300}); !resp.OK {
+				t.Fatal(resp.Reason)
+			}
+		}
+	}
+	step("deploy", deploy("dev1"))
+	if n := tables[1].Len(); n != 6 {
+		t.Fatalf("deployment compiled to %d rules, want 6", n)
+	}
+	step("second deploy", deploy("dev2"))
+	step("teardown", func() {
+		if _, _, err := s.Teardown("dev1"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	deploy("dev3")()
+	s.Restart()
+	step("reclaim of two crashed deployments", func() {
+		if rules, _, _, _ := s.ReclaimOrphans(); rules != 12 {
+			t.Fatalf("reclaimed %d rules, want 12", rules)
+		}
+	})
+	if tables[0].Len() != 0 || tables[1].Len() != 0 {
+		t.Fatalf("rules left: %d and %d", tables[0].Len(), tables[1].Len())
+	}
 }

@@ -150,10 +150,7 @@ func e11Dataplane(srv *ds.Server, packets int, shardCounts []int, sw Stopwatch) 
 			Policy: dataplane.Block,
 			Chains: srv.Runtime,
 		})
-		for _, e := range srv.Switch.Table.Entries() {
-			ec := *e
-			dp.Table().Install(&ec, 0)
-		}
+		dp.Table().InstallAll(srv.Switch.Table.Entries(), 0) // Entries hands out copies
 		dp.Start()
 		stop = sw.Start()
 		for i := 0; i < packets; i++ {

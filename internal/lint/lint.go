@@ -248,6 +248,7 @@ func DefaultConfig() *Config {
 		TaintSinks: map[string]bool{
 			"pvn/internal/openflow.FlowMod.Apply":           true,
 			"pvn/internal/openflow.FlowTable.Install":       true,
+			"pvn/internal/openflow.FlowTable.InstallAll":    true,
 			"pvn/internal/openflow.FlowTable.AddMeter":      true,
 			"pvn/internal/pvnc.Compile":                     true,
 			"pvn/internal/pvnc.TemplateCache.CompileShared": true,

@@ -71,10 +71,10 @@ func sameEntries(t *testing.T, what string, ref, fast []*FlowEntry) {
 // flushes it instead of growing it, the flush is counted, and the
 // answers and per-rule counters stay those of the uncached Lookup.
 func TestFlowCacheBounded(t *testing.T) {
-	ref, fast := NewFlowTable(), NewFlowTable()
-	for _, tbl := range []*FlowTable{ref, fast} {
-		tbl.Install(&FlowEntry{Priority: 20, Match: Match{Fields: FieldDstPort, DstPort: 443}, Actions: []Action{Output(1)}}, 0)
-		tbl.Install(&FlowEntry{Priority: 10, Match: Match{Fields: FieldProto, Proto: packet.IPProtoTCP}, Actions: []Action{Output(2)}}, 0)
+	ref, fast := &scanTable{}, NewFlowTable()
+	for _, install := range []func(*FlowEntry, time.Duration){ref.Install, fast.Install} {
+		install(&FlowEntry{Priority: 20, Match: Match{Fields: FieldDstPort, DstPort: 443}, Actions: []Action{Output(1)}}, 0)
+		install(&FlowEntry{Priority: 10, Match: Match{Fields: FieldProto, Proto: packet.IPProtoTCP}, Actions: []Action{Output(2)}}, 0)
 	}
 	c := NewFlowCache()
 	dst := packet.MustParseIPv4("93.184.216.34")
@@ -111,14 +111,14 @@ func TestFlowCacheBounded(t *testing.T) {
 
 // TestCachedLookupMatchesLookup is the differential oracle for the
 // dataplane's rule fast path: whatever rule writes land between packets,
-// LookupCached followed on a miss by LookupScan must pick the rule plain
-// Lookup picks on a twin table and leave every entry's counters the
-// same — including entries Expire hands back and packets that cannot be
-// cached, which share one meaningless key.
+// LookupCached followed on a miss by LookupScan must pick the rule the
+// reference scan picks on a twin rule set and leave every entry's
+// counters the same — including entries Expire hands back and packets
+// that cannot be cached, which share one meaningless key.
 func TestCachedLookupMatchesLookup(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		ref, fast := NewFlowTable(), NewFlowTable()
+		ref, fast := &scanTable{}, NewFlowTable()
 		// Two caches, as two shards would hold: each sees generation
 		// bumps only when its own next packet arrives.
 		caches := [2]*FlowCache{NewFlowCache(), NewFlowCache()}

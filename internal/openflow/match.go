@@ -107,7 +107,7 @@ func (m *Match) Matches(f PacketFields) bool {
 }
 
 func prefixMatch(addr, want packet.IPv4Address, bits uint8) bool {
-	if bits == 0 || bits >= 32 {
+	if exactBits(bits) {
 		return addr == want
 	}
 	a := uint32(addr[0])<<24 | uint32(addr[1])<<16 | uint32(addr[2])<<8 | uint32(addr[3])

@@ -114,27 +114,67 @@ func TestQuickTableLookupDeterministic(t *testing.T) {
 // TestQuickInstallOrder: Install places each rule by binary search
 // instead of re-sorting; the result must equal a stable sort of the
 // install sequence by descending priority, whatever removals happen in
-// between.
+// between. InstallAll of k rules must leave what k Install calls leave —
+// the same Entries() order and the same lookups — in one generation.
 func TestQuickInstallOrder(t *testing.T) {
-	if err := quick.Check(func(prios []uint8) bool {
-		tbl := NewFlowTable()
-		var want []*FlowEntry
+	probes := []PacketFields{{}, {SrcIP: packet.IPv4Address{10, 0, 0, 1}}, {DstIP: packet.IPv4Address{10, 0, 0, 2}},
+		{SrcIP: packet.IPv4Address{10, 0, 0, 3}, DstIP: packet.IPv4Address{10, 0, 0, 1}}}
+	if err := quick.Check(func(prios []uint8, chunk uint8) bool {
+		one, all := NewFlowTable(), NewFlowTable()
+		var want, batch []*FlowEntry
+		flush := func() bool {
+			gen := all.snap.Load().gen
+			if len(batch) > 0 {
+				gen++ // one write, however many rules
+			}
+			all.InstallAll(batch, 0)
+			batch = nil
+			return all.snap.Load().gen == gen
+		}
 		for i, p := range prios {
-			e := &FlowEntry{Priority: int(p % 8), Cookie: uint64(i)}
-			tbl.Install(e, 0)
-			want = append(want, e)
+			// A third of the rules pinned by source, a third by
+			// destination, a third unpinned, over three addresses.
+			e := FlowEntry{Priority: int(p % 8), Cookie: uint64(i)}
+			switch addr := (packet.IPv4Address{10, 0, 0, 1 + p>>3%3}); p >> 6 {
+			case 0:
+				e.Match = Match{Fields: FieldSrcIP, SrcIP: addr, SrcBits: 32}
+			case 1:
+				e.Match = Match{Fields: FieldDstIP, DstIP: addr}
+			}
+			twin := e
+			one.Install(&e, 0)
+			batch = append(batch, &twin)
+			want = append(want, &e)
+			if len(batch) > int(chunk%7) && !flush() {
+				return false
+			}
 			if i%5 == 4 {
-				tbl.RemoveByCookie(uint64(i - 2))
+				if !flush() {
+					return false
+				}
+				one.RemoveByCookie(uint64(i - 2))
+				all.RemoveByCookie(uint64(i - 2))
 				want = append(want[:len(want)-3], want[len(want)-2:]...)
 			}
 		}
-		sort.SliceStable(want, func(i, j int) bool { return want[i].Priority > want[j].Priority })
-		got := tbl.Entries()
-		if len(got) != len(want) {
+		if !flush() {
 			return false
 		}
-		for i := range got {
-			if got[i].Cookie != want[i].Cookie {
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Priority > want[j].Priority })
+		for _, got := range [][]*FlowEntry{one.Entries(), all.Entries()} {
+			if len(got) != len(want) {
+				return false
+			}
+			for i := range got {
+				if got[i].Cookie != want[i].Cookie {
+					return false
+				}
+			}
+		}
+		for _, f := range probes {
+			_, a := one.Lookup(f, 1, 0)
+			_, b := all.Lookup(f, 1, 0)
+			if (a == nil) != (b == nil) || a != nil && a.Cookie != b.Cookie {
 				return false
 			}
 		}

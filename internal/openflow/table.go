@@ -10,9 +10,9 @@ import (
 	"pvn/internal/packet"
 )
 
-// FlowEntry is one rule: if Match, run Actions. Higher Priority wins;
-// among equal priorities the earliest-installed entry wins
-// (deterministic, like OpenFlow's undefined-order made concrete).
+// FlowEntry is one rule: if Match, run Actions. Of the rules matching a
+// packet the first in match order wins (see snapshot): OpenFlow's
+// undefined order among equal priorities made concrete.
 //
 // It is a plain struct and may be copied freely before it is installed.
 // Once installed, every field but the counters is immutable and the
@@ -63,35 +63,64 @@ func (e *FlowEntry) count(size int, now time.Duration) {
 // default PVN relies on.
 var missActions = []Action{ToController()}
 
-// snapshot is one immutable generation of the rule set in match order
-// (priority desc, install order within a priority). Readers load it
-// through an atomic pointer; writers build a fresh copy and swap it in,
+// snapshot is one immutable generation of the rule set. Readers load it
+// through an atomic pointer; writers build the next one and swap it in,
 // so the lookup path never blocks on the control plane.
+//
+// Match order is stated here once: higher priority first, and within one
+// priority the earlier-installed rule first. entries holds every rule in
+// that order — what Entries, the per-cookie sums and the removal sweep
+// walk. Lookups do not walk it. The isolation rule (§3.3) makes pvnc pin
+// every compiled rule to its owner's address, so each rule is also filed
+// in exactly one of three places, each in match order: bySrc under its
+// exact source address, byDst under its exact destination address, or
+// open when it is pinned to neither (operator rules, prefix-only
+// matches). A packet can only match rules filed under its own source,
+// under its own destination, or in open, so a lookup costs the rules on
+// the packet's two addresses plus the unpinned ones, whatever the other
+// subscribers installed.
 type snapshot struct {
 	gen     uint64
 	entries []*FlowEntry
 	timed   int // entries carrying an idle or hard timeout
+
+	bySrc, byDst addrIndex
+	open         []slot
 }
 
+// match is the one function that chooses a rule: the first, in match
+// order, whose Match accepts f. The three places a rule can be filed are
+// filters, never verdicts — every candidate is confirmed by Matches, and
+// the best of the three first matches is the rule a walk over entries
+// would have stopped at.
 func (s *snapshot) match(f PacketFields) *FlowEntry {
-	for _, e := range s.entries {
-		if e.Match.Matches(f) {
-			return e
+	best := s.bySrc.match(addrKey(f.SrcIP), f, slot{})
+	best = s.byDst.match(addrKey(f.DstIP), f, best)
+	for _, o := range s.open {
+		if !o.beats(best) {
+			break
+		}
+		if o.e.Match.Matches(f) {
+			return o.e
 		}
 	}
-	return nil
+	return best.e
 }
 
 // FlowTable is the whole match/action state of one forwarding element:
 // a copy-on-write rule snapshot and the meter bank its Metered actions
-// name. Rule writes (Install/RemoveByCookie/Expire) serialize on a
-// writer mutex and publish a new snapshot atomically; lookups — the
-// serial Switch's Lookup and the dataplane workers' LookupCached /
-// LookupScan over a worker-private FlowCache — read the current
-// snapshot lock-free and keep using an old generation until their next
-// packet.
+// name. Rule writes (Install/InstallAll/RemoveByCookie/Expire)
+// serialize on a writer mutex and publish a new snapshot atomically —
+// one O(rules) copy of the ordered slice, one generation bump and so
+// one flow-cache flush per call, however many rules the call carries;
+// the address indexes share every leaf the write did not touch.
+// Lookups — the serial Switch's Lookup and the dataplane workers'
+// LookupCached / LookupScan over a worker-private FlowCache — read the
+// current snapshot lock-free and keep using an old generation until
+// their next packet.
 type FlowTable struct {
 	mu   sync.Mutex // serializes rule writers
+	seq  uint64     // install stamps handed out; guarded by mu
 	snap atomic.Pointer[snapshot]
 
 	// The meter bank has its own lock so shaping on the packet path
@@ -103,38 +132,69 @@ type FlowTable struct {
 // NewFlowTable returns an empty table with an empty meter bank.
 func NewFlowTable() *FlowTable {
 	t := &FlowTable{meters: make(map[string]*Meter)}
-	t.snap.Store(&snapshot{})
+	t.snap.Store(&snapshot{byDst: addrIndex{dst: true}})
 	return t
 }
 
-// publish installs a new snapshot; callers hold t.mu.
-func (t *FlowTable) publish(entries []*FlowEntry, timed int) {
-	t.snap.Store(&snapshot{gen: t.snap.Load().gen + 1, entries: entries, timed: timed})
-}
+// Generation counts the writes that changed the rule set. Each one costs
+// every flow cache a flush, so a deployment should move it once.
+func (t *FlowTable) Generation() uint64 { return t.snap.Load().gen }
 
 // Len returns the number of installed entries.
 func (t *FlowTable) Len() int { return len(t.snap.Load().entries) }
 
-// Install adds an entry at the given simulated time. The table keeps e
-// itself: its counters are live from here on. A new entry is the
-// youngest of its priority, so it goes right before the first entry of
-// lower priority and the order needs no re-sort.
+// Install adds one entry at the given simulated time: InstallAll of one.
 func (t *FlowTable) Install(e *FlowEntry, now time.Duration) {
+	t.InstallAll([]*FlowEntry{e}, now)
+}
+
+// InstallAll adds the entries, in the order given, as one table write:
+// the result is what that many Install calls leave, reached with one
+// snapshot swap. The table keeps the entries themselves: their counters
+// are live from here on. Each new entry is the youngest of its
+// priority, so it goes right before the first entry of lower priority
+// and the order needs no re-sort.
+func (t *FlowTable) InstallAll(batch []*FlowEntry, now time.Duration) {
+	if len(batch) == 0 {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e.installedAt = now
-	atomic.StoreInt64(&e.lastUsed, int64(now))
 	old := t.snap.Load()
-	at := sort.Search(len(old.entries), func(i int) bool { return old.entries[i].Priority < e.Priority })
-	entries := make([]*FlowEntry, len(old.entries)+1)
-	copy(entries, old.entries[:at])
-	entries[at] = e
-	copy(entries[at+1:], old.entries[at:])
-	timed := old.timed
-	if e.timed() {
-		timed++
+	next := &snapshot{gen: old.gen + 1, timed: old.timed, bySrc: old.bySrc, byDst: old.byDst, open: old.open}
+	fresh := make([]slot, len(batch))
+	for i, e := range batch {
+		e.installedAt = now
+		atomic.StoreInt64(&e.lastUsed, int64(now))
+		if e.timed() {
+			next.timed++
+		}
+		t.seq++
+		s := slot{e: e, seq: t.seq}
+		fresh[i] = s
+		switch pinOf(&e.Match) {
+		case pinSrc:
+			next.bySrc = next.bySrc.with(s)
+		case pinDst:
+			next.byDst = next.byDst.with(s)
+		default:
+			at := sort.Search(len(next.open), func(n int) bool { return next.open[n].e.Priority < e.Priority })
+			next.open = splice(next.open, at, s)
+		}
 	}
-	t.publish(entries, timed)
+	// Merge into the ordered slice: the batch by descending priority
+	// (stable, so install order survives within one), each entry landing
+	// behind what is left of the old entries of its priority.
+	sort.SliceStable(fresh, func(a, b int) bool { return fresh[a].e.Priority > fresh[b].e.Priority })
+	next.entries = make([]*FlowEntry, 0, len(old.entries)+len(fresh))
+	rest := old.entries
+	for _, s := range fresh {
+		at := sort.Search(len(rest), func(n int) bool { return rest[n].Priority < s.e.Priority })
+		next.entries = append(append(next.entries, rest[:at]...), s.e)
+		rest = rest[at:]
+	}
+	next.entries = append(next.entries, rest...)
+	t.snap.Store(next)
 }
 
 // remove republishes the table without the entries dead selects and
@@ -151,7 +211,7 @@ func (t *FlowTable) remove(dead func(*FlowEntry) bool) []*FlowEntry {
 	}
 	kept := make([]*FlowEntry, first, len(old.entries)-1)
 	copy(kept, old.entries[:first])
-	var removed []*FlowEntry
+	var removed, src, dst, unpinned []*FlowEntry
 	timed := old.timed
 	for _, e := range old.entries[first:] {
 		if !dead(e) {
@@ -162,18 +222,40 @@ func (t *FlowTable) remove(dead func(*FlowEntry) bool) []*FlowEntry {
 		if e.timed() {
 			timed--
 		}
+		switch pinOf(&e.Match) {
+		case pinSrc:
+			src = append(src, e)
+		case pinDst:
+			dst = append(dst, e)
+		default:
+			unpinned = append(unpinned, e)
+		}
 	}
-	t.publish(kept, timed)
+	next := &snapshot{gen: old.gen + 1, entries: kept, timed: timed,
+		bySrc: old.bySrc.without(src), byDst: old.byDst.without(dst), open: old.open}
+	if len(unpinned) > 0 {
+		next.open, _ = strain(old.open, unpinned) // both in match order
+	}
+	t.snap.Store(next)
 	return removed
 }
 
-// RemoveByCookie deletes all entries with the given cookie and returns
-// how many were removed. The deployment server uses this for PVN
-// teardown.
-func (t *FlowTable) RemoveByCookie(cookie uint64) int {
+// RemoveByCookie deletes all entries carrying any of the given cookies,
+// as one table write, and returns how many were removed. The deployment
+// server uses this for PVN teardown (one cookie) and for reclaiming
+// what a crash orphaned (all of their cookies at once).
+func (t *FlowTable) RemoveByCookie(cookies ...uint64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.remove(func(e *FlowEntry) bool { return e.Cookie == cookie }))
+	if len(cookies) == 1 {
+		cookie := cookies[0]
+		return len(t.remove(func(e *FlowEntry) bool { return e.Cookie == cookie }))
+	}
+	set := make(map[uint64]struct{}, len(cookies))
+	for _, c := range cookies {
+		set[c] = struct{}{}
+	}
+	return len(t.remove(func(e *FlowEntry) bool { _, ok := set[e.Cookie]; return ok }))
 }
 
 // Expire removes entries whose idle or hard timeout has passed and
@@ -235,9 +317,10 @@ func (t *FlowTable) Entries() []*FlowEntry {
 	return out
 }
 
-// Lookup scans the current snapshot for the packet summary and updates
-// the winning entry's counters — the scalar reference read the serial
-// Switch uses. Misses return the table-miss actions and a nil entry.
+// Lookup finds the packet summary's rule in the current snapshot and
+// updates the winning entry's counters — the scalar reference read the
+// serial Switch uses. Misses return the table-miss actions and a nil
+// entry.
 func (t *FlowTable) Lookup(f PacketFields, size int, now time.Duration) ([]Action, *FlowEntry) {
 	e := t.snap.Load().match(f)
 	if e == nil {
@@ -253,6 +336,12 @@ func (t *FlowTable) Lookup(f PacketFields, size int, now time.Duration) ([]Actio
 type CacheKey struct {
 	Flow   packet.Flow
 	InPort uint16
+}
+
+// describes reports whether the key's 5-tuple is the one in f.
+func (k CacheKey) describes(f PacketFields) bool {
+	return k.Flow.Src.Addr == f.SrcIP && k.Flow.Dst.Addr == f.DstIP && k.Flow.Proto == f.Proto &&
+		k.Flow.Src.Port == f.SrcPort && k.Flow.Dst.Port == f.DstPort
 }
 
 // FlowCache is an exact-match fast path over the rule snapshot, in the
@@ -300,12 +389,21 @@ func (t *FlowTable) LookupCached(c *FlowCache, key CacheKey, cacheable bool, siz
 	return e.Actions, true
 }
 
-// LookupScan is Lookup — the same scan the serial Switch runs —
+// LookupScan is Lookup — the same read the serial Switch runs —
 // memoizing the winning entry in the cache. Callers must have tried
 // LookupCached first (it also syncs the cache generation).
+//
+// The key is what the submit path peeked from raw bytes; fields is what
+// the decoder, with its length and checksum checks, saw. The answer is
+// memoized only when the two describe the same 5-tuple: a frame the
+// decoder rejected (or cut short of its ports) is answered from its
+// fields but must not plant that answer under a key that the flow's
+// well-formed packets share. The converse is not policed: a malformed
+// packet whose peeked 5-tuple is already cached hits in LookupCached,
+// is never decoded, and follows the flow's actions.
 func (t *FlowTable) LookupScan(c *FlowCache, key CacheKey, cacheable bool, fields PacketFields, size int, now time.Duration) []Action {
 	actions, e := t.Lookup(fields, size, now)
-	if e != nil && cacheable {
+	if e != nil && cacheable && key.describes(fields) {
 		if len(c.m) >= flowCacheMax {
 			clear(c.m)
 			c.flushes.Add(1)

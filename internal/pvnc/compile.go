@@ -50,6 +50,17 @@ type Compiled struct {
 	Hash      string
 }
 
+// Entries returns fresh flow entries for the compiled rules, in install
+// order: one table's worth (each table a deployment is written to counts
+// its own traffic), ready for FlowTable.InstallAll.
+func (c *Compiled) Entries() []*openflow.FlowEntry {
+	entries := make([]*openflow.FlowEntry, len(c.FlowMods))
+	for i := range c.FlowMods {
+		entries[i] = c.FlowMods[i].Entry()
+	}
+	return entries
+}
+
 // Compile lowers a validated PVNC to flow rules and deployment plans. It
 // fails if Validate reports any violation: invalid configurations must
 // not reach the data plane. It is TemplateCache.CompileShared without

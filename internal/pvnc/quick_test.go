@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pvn/internal/netsim"
+	"pvn/internal/openflow"
 	"pvn/internal/packet"
 )
 
@@ -47,6 +48,9 @@ func genConfig(seed uint64) *PVNC {
 	for i := 0; i < nPol; i++ {
 		prio := 100 - i*10
 		fmt.Fprintf(&b, "policy %d match proto=tcp dport=%d", prio, 1+rng.Intn(65535))
+		if rng.Bool(0.3) {
+			fmt.Fprintf(&b, " dst=198.%d.%d.0/%d", rng.Intn(256), rng.Intn(256), 8*(1+rng.Intn(4)))
+		}
 		if nChains > 0 && rng.Bool(0.5) {
 			fmt.Fprintf(&b, " via=c%d", rng.Intn(nChains))
 		}
@@ -172,6 +176,48 @@ func TestQuickCoveredAddrs(t *testing.T) {
 		}
 		return addrs[0] == p.Device
 	}, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickEveryRulePinnedToCoveredAddr is the §3.3 isolation rule as a
+// property of the compiler's output: whatever a PVNC says — `match any`,
+// `dst=` prefixes, sensors — and whichever way it is compiled, every
+// rule it emits matches only packets from, or only packets to, one
+// exact address the deployment covers. openflow.FlowTable finds rules by
+// that address; its list of rules pinned to none stays as short as the
+// operator's own rule set only while this holds.
+func TestQuickEveryRulePinnedToCoveredAddr(t *testing.T) {
+	cache := NewTemplateCache()
+	compilers := map[string]func(*PVNC, CompileOptions) (*Compiled, error){"Compile": Compile, "CompileShared": cache.CompileShared}
+	exact := func(bits uint8) bool { return bits == 0 || bits >= 32 }
+	if err := quick.Check(func(seed uint64) bool {
+		p := genConfig(seed % 10000)
+		if len(p.Validate()) > 0 {
+			return true
+		}
+		covered := map[packet.IPv4Address]bool{}
+		for _, a := range p.CoveredAddrs() {
+			covered[a] = true
+		}
+		for name, compile := range compilers {
+			c, err := compile(p, CompileOptions{Cookie: 1, UpstreamPort: 1, ChainNamespace: "ns"})
+			if err != nil {
+				t.Logf("seed %d: %s: %v", seed, name, err)
+				return false
+			}
+			for _, fm := range c.FlowMods {
+				m := fm.Match
+				bySrc := m.Fields&openflow.FieldSrcIP != 0 && exact(m.SrcBits) && covered[m.SrcIP]
+				byDst := m.Fields&openflow.FieldDstIP != 0 && exact(m.DstBits) && covered[m.DstIP]
+				if !bySrc && !byDst {
+					t.Logf("seed %d: %s emitted %s, pinned to no covered address", seed, name, m.String())
+					return false
+				}
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
