@@ -56,20 +56,25 @@ race:
 # teardown, and deploys racing chain traffic on the self-locking
 # middlebox runtime), the health ladder and its two owners, and the
 # deterministic fault-injection tests — and the flow table those deploys
-# write while lookups read it. Faster than a full `make race` and
-# targeted at the lifecycle code paths.
+# write while lookups read it — plus the reusable decoder and the boxes
+# that read it, since race builds poison the chain's pooled decode after
+# every invocation (a box that keeps a view of it fails there). Faster
+# than a full `make race` and targeted at the lifecycle code paths.
 test-race:
 	$(GO) test -race ./internal/discovery/ ./internal/deployserver/ ./internal/netsim/ ./cmd/pvnd/ \
-		./internal/health/ ./internal/middlebox/ ./internal/tunnel/ ./internal/openflow/
+		./internal/health/ ./internal/middlebox/ ./internal/tunnel/ ./internal/openflow/ \
+		./internal/packet/ ./internal/middlebox/mbx/
 
 # A short seed-corpus + random fuzz pass over every fuzz target in the
 # tree, i.e. every parser that handles untrusted bytes: the packet
 # decoder and the HTTP/TLS/DNS parsers each chain hop runs on wire bytes,
 # the DHT wire envelope, the distributed-store module manifest, the PVNC
-# and user-script compilers, and the pcap reader. Patterns are anchored:
+# and user-script compilers, and the pcap reader — plus the differential
+# holding the reusable Decoder to a fresh decode. Patterns are anchored:
 # go test refuses -fuzz when it matches more than one target.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/packet/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecoderReuse$$' -fuzztime=10s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeEnvelope$$' -fuzztime=10s ./internal/overlay/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeModule$$' -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzHTTPDecode$$' -fuzztime=6s ./internal/packet/

@@ -184,6 +184,15 @@ func (l *loader) load(path string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
 			continue
 		}
+		// Build constraints as a plain `go build` sees them: of a
+		// race/!race pair, only the !race file.
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
 		names = append(names, n)
 	}
 	sort.Strings(names)

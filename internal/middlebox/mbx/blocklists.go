@@ -31,32 +31,62 @@ func NewTrackerBlock(domains []string) *TrackerBlock {
 // Name implements middlebox.Box.
 func (t *TrackerBlock) Name() string { return "tracker-block" }
 
-// Process implements middlebox.Box.
+// Process implements middlebox.Box. The host is matched in whatever case
+// it arrived in, and lowered only for the alert of a blocked packet.
 func (t *TrackerBlock) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
 	host := hostOf(ctx.Packet(data))
 	if host == "" {
 		return data, middlebox.VerdictPass, nil
 	}
+	if !isASCII(host) {
+		// Unicode lowering can change a host's length and map non-ASCII
+		// letters onto ASCII ones: lower it first, as a block list would.
+		host = strings.ToLower(host)
+	}
 	for _, d := range t.Domains {
-		if host == d || isSubdomain(host, d) {
+		if inDomain(host, d) {
 			t.Blocked++
-			ctx.Alert("tracker-blocked", host)
+			ctx.Alert("tracker-blocked", strings.ToLower(host))
 			return nil, middlebox.VerdictDrop, nil
 		}
 	}
 	return data, middlebox.VerdictPass, nil
 }
 
-// isSubdomain reports whether host ends in "."+domain, without building
-// that string per packet.
-func isSubdomain(host, domain string) bool {
-	return len(host) > len(domain) && strings.HasSuffix(host, domain) && host[len(host)-len(domain)-1] == '.'
+// inDomain reports whether host, with A-Z folded, is the lowercase domain
+// or a subdomain of it.
+func inDomain(host, domain string) bool {
+	n := len(host) - len(domain)
+	if n < 0 || n > 0 && host[n-1] != '.' {
+		return false
+	}
+	for i := 0; i < len(domain); i++ {
+		c := host[n+i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != domain[i] {
+			return false
+		}
+	}
+	return true
 }
 
-// hostOf extracts the destination hostname from HTTP Host or TLS SNI.
+// isASCII reports whether s has no byte above 0x7F.
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// hostOf extracts the destination hostname from HTTP Host or TLS SNI, as
+// the packet carries it.
 func hostOf(p *packet.Packet) string {
 	if h := p.HTTP(); h != nil && h.IsRequest {
-		return strings.ToLower(h.Host())
+		return h.Host()
 	}
 	if tl := p.TLS(); tl != nil {
 		for _, rec := range tl.Records {
@@ -70,7 +100,7 @@ func hostOf(p *packet.Packet) string {
 			for _, hs := range hss {
 				if hs.Type == packet.TLSHandshakeClientHello {
 					if ch, err := packet.ParseClientHello(hs.Body); err == nil {
-						return strings.ToLower(ch.ServerName)
+						return ch.ServerName
 					}
 				}
 			}

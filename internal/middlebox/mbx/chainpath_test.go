@@ -2,6 +2,7 @@ package mbx
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,18 +12,32 @@ import (
 )
 
 // viewBox records what ctx.Packet shows a hop: the bytes it was handed
-// and the HTTP message decoded from them.
+// and the HTTP message decoded from them. Both are deep copies: the
+// decode's header list and the packet's bytes are reused once the chain
+// invocation ends. live is the shared decode itself, for a later hop of
+// the same invocation to look at.
 type viewBox struct {
 	data []byte
 	http packet.HTTP
+	live *packet.HTTP
 }
 
 func (*viewBox) Name() string { return "view" }
 func (v *viewBox) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	v.data = data
-	if h := ctx.Packet(data).HTTP(); h != nil {
-		v.http = *h
+	v.data = slices.Clone(data)
+	if v.live = ctx.Packet(data).HTTP(); v.live != nil {
+		v.http = *v.live
+		v.http.Headers, v.http.Body = slices.Clone(v.live.Headers), slices.Clone(v.live.Body)
 	}
+	return data, middlebox.VerdictPass, nil
+}
+
+// funcBox runs check as a hop and passes the packet on.
+type funcBox struct{ check func() }
+
+func (funcBox) Name() string { return "func" }
+func (f funcBox) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
+	f.check()
 	return data, middlebox.VerdictPass, nil
 }
 
@@ -88,8 +103,16 @@ func TestReaderBehindRewriterSeesRewrittenPacket(t *testing.T) {
 	})
 	t.Run("compressor", func(t *testing.T) {
 		before, after := &viewBox{}, &viewBox{}
-		rt := chainOf(t, before, NewCompressor(), after)
 		page := strings.Repeat("<p>compressible text</p>", 40)
+		// The compressor replaces Content-Length on its own copy of the
+		// message: the decode it shared with the reader ahead of it stays
+		// as it was for the rest of the invocation.
+		shared := funcBox{check: func() {
+			if got := before.live.Header("Content-Length"); got != strconv.Itoa(len(page)) {
+				t.Errorf("the rewriter changed the decode the hop ahead of it shares: Content-Length %q", got)
+			}
+		}}
+		rt := chainOf(t, before, NewCompressor(), after, shared)
 		resp := &packet.HTTP{StatusCode: 200, StatusText: "OK", Body: []byte(page), Headers: []packet.HTTPHeader{
 			{Name: "Server", Value: "t"}, {Name: "Content-Type", Value: "text/html"}, {Name: "Content-Length", Value: strconv.Itoa(len(page))}}}
 		msg, err := packet.SerializeToBytes(resp)
@@ -100,11 +123,8 @@ func TestReaderBehindRewriterSeesRewrittenPacket(t *testing.T) {
 		if err != nil || out == nil {
 			t.Fatalf("chain: out=%v err=%v", out != nil, err)
 		}
-		// The compressor replaces Content-Length on its own copy of the
-		// message: the decode it shared with the reader ahead of it
-		// stays as it was.
 		if before.http.Header("Content-Length") != strconv.Itoa(len(page)) || string(before.http.Body) != page {
-			t.Errorf("the rewriter changed what the hop ahead of it had decoded: %+v", before.http.Headers)
+			t.Errorf("the hop ahead of the rewriter decoded %+v", before.http.Headers)
 		}
 		if after.http.Header("Content-Encoding") != "deflate" {
 			t.Fatalf("reader behind the compressor saw headers %+v", after.http.Headers)
@@ -123,4 +143,37 @@ func TestReaderBehindRewriterSeesRewrittenPacket(t *testing.T) {
 			t.Errorf("the hop behind the decoy decoded %q %q, not the packet it was handed", after.http.Host(), after.http.Path)
 		}
 	})
+}
+
+// chainAllocs is what one packet through alice's chain on rt allocates,
+// once the pooled scratch has grown.
+func chainAllocs(t *testing.T, rt *middlebox.Runtime, frame []byte) float64 {
+	t.Helper()
+	exec := func() {
+		if out, err := runChain(t, rt, frame); err != nil || out == nil {
+			t.Fatalf("clean packet did not pass: out=%v err=%v", out != nil, err)
+		}
+	}
+	exec()
+	return testing.AllocsPerRun(200, exec)
+}
+
+// TestCleanPacketBoxAllocs: a clean ~800-byte GET allocates once per
+// chain invocation, for the decode's copy of the header block, and
+// neither pii-detect (every detector, block mode) nor tracker-block (a
+// mixed-case host) adds to that.
+func TestCleanPacketBoxAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	get := httpReq(t, "GET", "News.Example", "/story", "", packet.HTTPHeader{Name: "Cookie", Value: strings.Repeat("abcdefghij klmnop; ", 37)})
+	decode := chainAllocs(t, chainOf(t), get) // the isolation check alone
+	if decode != 1 {
+		t.Errorf("the decode allocates %.1f per packet, want 1", decode)
+	}
+	for _, box := range []middlebox.Box{NewPIIDetect(PIIBlock, []string{"hunter2", "DevID-77"}), NewTrackerBlock([]string{"ads.example", "tracker.net"})} {
+		if got := chainAllocs(t, chainOf(t, box), get) - decode; got != 0 {
+			t.Errorf("%s allocates %.1f per clean packet, want 0", box.Name(), got)
+		}
+	}
 }

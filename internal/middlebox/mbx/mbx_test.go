@@ -477,6 +477,33 @@ func TestTrackerBlockByHostAndSNI(t *testing.T) {
 	if box.Blocked != 3 {
 		t.Fatalf("blocked %d", box.Blocked)
 	}
+
+	// Hosts match in any case, and the alert names the lowered host. A
+	// non-ASCII host is lowered first: the Kelvin sign lowers to 'k'.
+	for _, tc := range []struct {
+		host, alert string
+	}{
+		{"cdn.ADS.example", "cdn.ads.example"},
+		{"ADS.EXAMPLE", "ads.example"},
+		{"Sub.Tracker.Net", "sub.tracker.net"},
+		{"Trac\u212aer.NET", "tracker.net"},
+		{"News.Example", ""},
+		{"xads.example", ""},
+		{"ads.example.org", ""},
+		{"ds.example", ""},
+	} {
+		before := box.Blocked
+		out, _ := runChain(t, rt, httpReq(t, "GET", tc.host, "/", ""))
+		alerts := rt.Alerts("alice")
+		switch {
+		case tc.alert == "" && (out == nil || box.Blocked != before):
+			t.Errorf("%q was blocked", tc.host)
+		case tc.alert != "" && (out != nil || box.Blocked != before+1):
+			t.Errorf("%q passed", tc.host)
+		case tc.alert != "" && alerts[len(alerts)-1].Detail != tc.alert:
+			t.Errorf("%q blocked with alert %q, want %q", tc.host, alerts[len(alerts)-1].Detail, tc.alert)
+		}
+	}
 }
 
 func TestMalwareScan(t *testing.T) {

@@ -2,6 +2,8 @@ package mbx
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"strings"
 	"sync"
 
@@ -138,15 +140,68 @@ func (d *PIIDetect) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 	}
 }
 
+// foldScan is foldASCII over a whole scan text in one pass that also
+// reports the index of the first ASCII digit in src, or -1. It works a
+// 64-bit word at a time (SWAR): per byte, the 0x80 bit of
+// inRange(w, 'A', 'Z') shifted down to 0x20 is exactly the case bit to
+// set, and inRange(w, '0', '9') marks digits.
+func foldScan(dst, src []byte) ([]byte, int) {
+	n := len(dst)
+	dst = append(dst, src...)
+	out, digit := dst[n:], -1
+	i := 0
+	for ; i+8 <= len(out); i += 8 {
+		w := binary.LittleEndian.Uint64(out[i:])
+		if upper := inRange(w, 'A', 'Z'); upper != 0 {
+			binary.LittleEndian.PutUint64(out[i:], w|upper>>2)
+		}
+		if digit < 0 {
+			if m := inRange(w, '0', '9'); m != 0 {
+				digit = i + bits.TrailingZeros64(m)/8
+			}
+		}
+	}
+	for ; i < len(out); i++ {
+		switch c := out[i]; {
+		case 'A' <= c && c <= 'Z':
+			out[i] = c + ('a' - 'A')
+		case digit < 0 && '0' <= c && c <= '9':
+			digit = i
+		}
+	}
+	return dst, digit
+}
+
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+)
+
+// inRange returns w with the 0x80 bit set in every byte that is an ASCII
+// byte in [lo, hi] (lo >= 1, hi < 0x80) and every other bit clear. Each
+// byte's low 7 bits plus 0x80-lo carries into its 0x80 bit iff they are
+// >= lo, plus 0x7f-hi iff they are > hi; neither sum can carry into the
+// next byte. The last term drops bytes with the high bit already set:
+// 0xC1..0xDA share their low 7 bits with 'A'..'Z'.
+func inRange(w uint64, lo, hi byte) uint64 {
+	low7 := w &^ msbs
+	geLo := low7 + lsbs*uint64(0x80-lo)
+	gtHi := low7 + lsbs*uint64(0x7f-hi)
+	return geLo &^ gtHi &^ w & msbs
+}
+
 // scan returns descriptions of each PII hit in text, using sc for the
 // folded copy. It allocates only when there is a finding, and findings
-// are copies: nothing returned points into sc.
+// are copies: nothing returned points into sc. Each structural detector
+// starts where its pattern first can: the phone search at the first
+// digit, the GPS search just before the first '='.
 func (d *PIIDetect) scan(sc *scanScratch, text []byte) []string {
 	if len(text) == 0 {
 		return nil
 	}
 	var found []string
-	sc.lower = foldASCII(sc.lower[:0], text)
+	var digit int
+	sc.lower, digit = foldScan(sc.lower[:0], text)
 	for i, sec := range d.folded {
 		if len(sec) > 0 && bytes.Contains(sc.lower, sec) {
 			found = append(found, "secret:"+d.Secrets[i])
@@ -156,8 +211,10 @@ func (d *PIIDetect) scan(sc *scanScratch, text []byte) []string {
 		if e := findEmail(text); e != nil {
 			found = append(found, "email:"+string(e))
 		}
-		if ph := findPhone(text); ph != nil {
-			found = append(found, "phone:"+string(ph))
+		if digit >= 0 {
+			if ph := findPhone(text[digit:]); ph != nil {
+				found = append(found, "phone:"+string(ph))
+			}
 		}
 		if g := findGPS(sc.lower); g != nil {
 			found = append(found, "gps:"+string(g))
@@ -221,10 +278,12 @@ func replaceFold(s, old, new string) string {
 
 // findEmail returns the first email-shaped token, or nil.
 func findEmail(s []byte) []byte {
-	for i := 0; i < len(s); i++ {
-		if s[i] != '@' {
-			continue
+	for i := 0; ; i++ {
+		at := bytes.IndexByte(s[i:], '@')
+		if at < 0 {
+			return nil
 		}
+		i += at
 		start := i
 		for start > 0 && isEmailLocal(s[start-1]) {
 			start--
@@ -246,7 +305,6 @@ func findEmail(s []byte) []byte {
 			return s[start:end]
 		}
 	}
-	return nil
 }
 
 func isEmailLocal(c byte) bool {
@@ -292,12 +350,18 @@ func findPhone(s []byte) []byte {
 }
 
 // findGPS detects "lat=...&lon=..."-style coordinate pairs, the common
-// mobile-app location leak shape, in case-folded text.
+// mobile-app location leak shape, in case-folded text. Each key ends in
+// '=', so none starts before 3 bytes ahead of the first '='.
 func findGPS(lower []byte) []byte {
-	latIdx := bytes.Index(lower, []byte("lat="))
-	lonIdx := bytes.Index(lower, []byte("lon="))
+	eq := bytes.IndexByte(lower, '=')
+	if eq < 0 {
+		return nil
+	}
+	from := max(eq-3, 0)
+	latIdx := index(lower, from, "lat=")
+	lonIdx := index(lower, from, "lon=")
 	if lonIdx < 0 {
-		lonIdx = bytes.Index(lower, []byte("lng="))
+		lonIdx = index(lower, from, "lng=")
 	}
 	if latIdx >= 0 && lonIdx >= 0 {
 		end := lonIdx + 4
@@ -311,4 +375,13 @@ func findGPS(lower []byte) []byte {
 		return lower[start:end]
 	}
 	return nil
+}
+
+// index is bytes.Index(s, sep) for a match known not to start before
+// from.
+func index(s []byte, from int, sep string) int {
+	if i := bytes.Index(s[from:], []byte(sep)); i >= 0 {
+		return from + i
+	}
+	return -1
 }

@@ -1,6 +1,7 @@
 package mbx
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -227,7 +228,8 @@ func randomCases(seed int64, n int) []scanCase {
 // TestScanMatchesReference is the differential oracle for the in-place
 // scan: over the straddle cases and a seeded random corpus, the scan
 // text is byte-identical to the old concatenation and the findings are
-// the old scan's, in order.
+// the old scan's, in order; over the seeded raw texts the findings are
+// the old scan's and the fold is foldASCII's.
 func TestScanMatchesReference(t *testing.T) {
 	d := NewPIIDetect(PIIAlert, scanSecrets)
 	cases := append(append([]scanCase(nil), straddleCases...), randomCases(14, 600)...)
@@ -269,6 +271,78 @@ func TestScanMatchesReference(t *testing.T) {
 	if d.scan(&sc, nil) != nil {
 		t.Fatal("empty text produced findings")
 	}
+
+	// Raw texts aimed at the word-at-a-time fold and the detectors'
+	// start positions; the fold itself is held to foldASCII byte for byte.
+	d = NewPIIDetect(PIIAlert, append(slices.Clone(scanSecrets), "grüße", "жук"))
+	hits = map[string]int{}
+	for i, text := range seededTexts() {
+		got, ref := d.scan(&sc, text), refScan(d, string(text))
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("seeded text %d %q:\n got %q\nwant %q", i, text, got, ref)
+		}
+		if want := foldASCII(nil, text); string(sc.lower) != string(want) {
+			t.Fatalf("seeded text %d %q: folded to %q, want %q", i, text, sc.lower, want)
+		}
+		for _, f := range got {
+			hits[f[:strings.IndexByte(f, ':')]]++
+		}
+	}
+	for _, kind := range []string{"secret", "email", "phone", "gps"} {
+		if hits[kind] < 100 {
+			t.Errorf("seeded texts are too thin to mean anything: %d %s findings", hits[kind], kind)
+		}
+	}
+}
+
+// TestFoldScanMatchesFoldASCII: on random bytes the word-at-a-time fold
+// is foldASCII, appended after what dst already holds, and the digit it
+// reports is the first one.
+func TestFoldScanMatchesFoldASCII(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	var dst []byte
+	for i := 0; i < 200_000; i++ {
+		src := make([]byte, r.Intn(41))
+		r.Read(src)
+		prefix := r.Intn(3)
+		got, digit := foldScan(append(dst[:0], "ab"[:prefix]...), src)
+		if want := foldASCII([]byte("ab"[:prefix]), src); string(got) != string(want) {
+			t.Fatalf("foldScan(%q) = %q, want %q", src, got, want)
+		}
+		if want := bytes.IndexFunc(src, func(c rune) bool { return '0' <= c && c <= '9' }); digit != want {
+			t.Fatalf("foldScan(%q) reports digit %d, want %d", src, digit, want)
+		}
+		dst = got
+	}
+}
+
+// seededTexts puts each detector's trigger at every offset mod 8 of the
+// fold's 64-bit words and in the tail past the last whole word, every
+// byte 0x80..0xFF among upper-case letters, lower-case non-ASCII letters
+// inside coordinates and secrets, and "lat=" at offsets 0 to 2. Filler
+// is letters only, so no trigger is found by accident.
+func seededTexts() [][]byte {
+	var texts [][]byte
+	for _, trig := range []string{
+		"617-555-1234", "6175551234", "7", "a@b.cd", "@", "x@y.z.", "=", "lat=1&lon=2",
+		"LAT=42.33;LNG=-71.09", "lon=3 lat=4", "HUNTER2", "DevID-77", "Grüße", "жук",
+		"lat=1é&lon=2ж", "the ß@mail.example",
+	} {
+		for lead := 0; lead < 16; lead++ {
+			for tail := 0; tail < 9; tail++ {
+				texts = append(texts, []byte(strings.Repeat("Q", lead)+trig+strings.Repeat("z", tail)))
+			}
+		}
+	}
+	for b := 0x80; b <= 0xff; b++ {
+		for lead := 0; lead < 9; lead++ {
+			texts = append(texts, append([]byte(strings.Repeat("AZ", 4)[:lead]), byte(b), 'A', 'Z', 'a', 'z', '0', '9', '@', 'Z'))
+		}
+	}
+	for lead := 0; lead < 3; lead++ {
+		texts = append(texts, []byte("xy"[:lead]+"lat=1&lon=2"), []byte("xy"[:lead]+"lon=2&lat=1"))
+	}
+	return texts
 }
 
 // TestRedactMasksBehindNonASCII pins the replaceFold offset bug: offsets

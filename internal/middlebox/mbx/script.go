@@ -354,7 +354,7 @@ func extractScriptFields(p *packet.Packet) *scriptFields {
 		f.payload = string(p.ApplicationPayload())
 	}
 	if f.host == "" {
-		f.host = hostOf(p)
+		f.host = strings.ToLower(hostOf(p))
 	}
 	return f
 }

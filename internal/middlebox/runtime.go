@@ -56,10 +56,14 @@ const (
 
 // Context gives a middlebox controlled access to its environment.
 //
-// Concurrency: a Context is per-packet scratch state, created by the
-// runtime once per chain invocation and re-pointed at each hop's
-// instance; it is used from exactly one goroutine, under the owner's
-// lock, and must not be retained across Process calls.
+// Concurrency: a Context is per-invocation scratch state, taken from a
+// pool once per chain invocation, re-pointed at each hop's instance and
+// returned to the pool when the chain finishes; it is used from exactly
+// one goroutine, under the owner's lock. Neither the Context nor
+// anything reached through it (ctx.Packet's packet, its layers, their
+// header lists and record slices) may outlive the Process call: the
+// next packet reuses the storage. Race builds poison it after every
+// invocation, so a box that keeps such a view reads garbage there.
 type Context struct {
 	// Owner is the user the instance belongs to.
 	Owner string
@@ -72,19 +76,48 @@ type Context struct {
 	// Packet).
 	pkt     *packet.Packet
 	pktData []byte
+	// entered is the packet the chain was entered with, the one slice
+	// whose decode goes into dec; everything else a hop asks about gets
+	// a decode of its own.
+	entered []byte
+	dec     packet.Decoder
 }
+
+// ctxPool recycles Contexts and their decode storage across chain
+// invocations: per P, never per owner, because a host keeps thousands
+// of resident subscribers and runs a handful of chains at a time.
+var ctxPool = sync.Pool{New: func() any { return new(Context) }}
 
 // Packet returns data decoded as an IPv4 packet. The decode is done once
 // per chain invocation and shared by the isolation check and every hop
 // that is handed the same bytes; a hop that passes on different bytes (a
 // rewriting box) makes the next caller decode those instead, so the
 // result always describes exactly the slice passed in. The packet is a
-// read-only view: a box must not modify it, its layers or data.
+// read-only view: a box must not modify it, its layers or data, nor keep
+// any of it past Process.
 func (c *Context) Packet(data []byte) *packet.Packet {
-	if c.pkt == nil || !sameSlice(c.pktData, data) {
-		c.pkt, c.pktData = packet.Decode(data, packet.LayerTypeIPv4), data
+	if c.pkt != nil && sameSlice(c.pktData, data) {
+		return c.pkt
 	}
+	if sameSlice(c.entered, data) {
+		c.pkt = c.dec.Decode(data, packet.LayerTypeIPv4)
+	} else {
+		c.pkt = packet.Decode(data, packet.LayerTypeIPv4)
+	}
+	c.pktData = data
 	return c.pkt
+}
+
+// release ends the chain invocation c served and returns it to ctxPool,
+// dropping its references to the packet. Race builds poison the decode
+// storage first, so a view retained past Process fails loudly.
+func (c *Context) release() {
+	if raceEnabled {
+		c.dec.Poison()
+	}
+	c.Owner, c.Now, c.runtime, c.instance = "", 0, nil, nil
+	c.pkt, c.pktData, c.entered = nil, nil, nil
+	ctxPool.Put(c)
 }
 
 // sameSlice reports whether a and b are the same bytes in memory.
@@ -115,10 +148,14 @@ type Alert struct {
 
 // Box is the middlebox implementation interface. Implementations must be
 // deterministic and must not retain data across calls except through
-// their own fields (their sandboxed state). Process calls on all of one
-// owner's boxes are serialized; boxes of different owners run
-// concurrently, so anything a box shares beyond its owner (a resolver
-// set, a package variable) needs its own synchronization.
+// their own fields (their sandboxed state), and what they keep there must
+// be their own: data, ctx.Packet(data), its layers and every slice
+// reached through them (header lists, bodies, payloads) are reused for
+// later packets once Process returns. Strings are safe to keep, slices
+// must be copied. Process calls on all of one owner's boxes are
+// serialized; boxes of different owners run concurrently, so anything a
+// box shares beyond its owner (a resolver set, a package variable) needs
+// its own synchronization.
 type Box interface {
 	// Name identifies the middlebox type.
 	Name() string
@@ -606,9 +643,12 @@ func (r *Runtime) run(c *Chain, data []byte) ([]byte, time.Duration, error) {
 	now := r.Now()
 	var delay time.Duration
 
-	// One Context per chain invocation, re-pointed per hop: the hot
-	// path allocates once, not once per box, and decodes once.
-	ctx := Context{Owner: c.Owner, runtime: r}
+	// One pooled Context per chain invocation, re-pointed per hop: the
+	// hot path decodes once, into storage the previous invocation
+	// already grew.
+	ctx := ctxPool.Get().(*Context)
+	ctx.Owner, ctx.runtime, ctx.entered = c.Owner, r, data
+	defer ctx.release()
 	if len(c.OwnerAddrs) > 0 && !packetBelongsTo(c, ctx.Packet(data)) {
 		return nil, 0, fmt.Errorf("%w: chain %s/%s", ErrIsolation, c.Owner, c.Name)
 	}
@@ -640,7 +680,7 @@ func (r *Runtime) run(c *Chain, data []byte) ([]byte, time.Duration, error) {
 		}
 		ctx.Now = at
 		ctx.instance = inst
-		out, v, err, panicked := callBox(&ctx, inst.Box, cur)
+		out, v, err, panicked := callBox(ctx, inst.Box, cur)
 		inst.Packets++
 		inst.Bytes += int64(len(cur))
 		pp := inst.Spec.perPacket()

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -117,6 +118,23 @@ func TestDecoderTruncated(t *testing.T) {
 	}
 }
 
+// TestDecoderPoison: after Poison a view kept from the last decode reads
+// the marker, not the packet, and the decoder still decodes exactly.
+func TestDecoderPoison(t *testing.T) {
+	var d Decoder
+	data := decoderFrame(t, 40000, 80, "GET /a HTTP/1.1\r\nHost: h\r\n\r\n")
+	p := d.Decode(data, LayerTypeIPv4)
+	h := p.HTTP()
+	kept := *h // a copy still shares the header array
+	d.Poison()
+	if h.Method != "" || p.HTTP() != nil || kept.Headers[0].Name != poisonText || kept.Header("Host") != "" {
+		t.Errorf("poison missed a view: method %q, layers %v, headers %+v", h.Method, p, kept.Headers)
+	}
+	if got, want := describe(d.Decode(data, LayerTypeIPv4)), describe(Decode(data, LayerTypeIPv4)); got != want {
+		t.Errorf("decode after Poison\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestDecoderZeroAlloc pins the whole point: steady-state header
 // decoding allocates nothing.
 func TestDecoderZeroAlloc(t *testing.T) {
@@ -131,4 +149,50 @@ func TestDecoderZeroAlloc(t *testing.T) {
 	if got != 0 {
 		t.Errorf("DecodeHeaders allocates %.1f per packet, want 0", got)
 	}
+
+	// A full decode allocates nothing below HTTP, and for HTTP only the
+	// string the header block is parsed from: the layer structs and the
+	// header list are the decoder's own.
+	for _, tc := range []struct {
+		data []byte
+		want float64
+	}{
+		{decoderFrame(t, 40000, 9000, "hello world"), 0},
+		{decoderFrame(t, 40000, 80, "GET /a HTTP/1.1\r\nHost: h\r\nAccept: */*\r\nCookie: c\r\nX-A: 1\r\nX-B: 2\r\n\r\nbody"), 1},
+	} {
+		d.Decode(tc.data, LayerTypeIPv4) // grow the header list
+		got := testing.AllocsPerRun(200, func() { d.Decode(tc.data, LayerTypeIPv4) })
+		if got != tc.want {
+			t.Errorf("Decode of %q allocates %.1f per packet, want %.0f", tc.data[40:], got, tc.want)
+		}
+	}
 }
+
+// BenchmarkDecode times a full decode of an ~800-byte HTTP GET, fresh
+// (Decode) and into a reused Decoder.
+func BenchmarkDecode(b *testing.B) {
+	ip := &IPv4{Src: MustParseIPv4("10.0.0.5"), Dst: MustParseIPv4("93.184.216.34"), Protocol: IPProtoTCP}
+	tcp := &TCP{SrcPort: 40000, DstPort: 80}
+	tcp.SetNetworkLayerForChecksum(ip)
+	data, err := SerializeToBytes(ip, tcp, &HTTP{IsRequest: true, Method: "GET", Path: "/abcdefgh", Headers: []HTTPHeader{
+		{Name: "Host", Value: "news.example"}, {Name: "User-Agent", Value: "pvn-bench"}, {Name: "Accept", Value: "text/html"},
+		{Name: "Cookie", Value: "session " + strings.Repeat("abcdefghij klmnop; ", 36)}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchPacket = Decode(data, LayerTypeIPv4)
+		}
+	})
+	b.Run("reused", func(b *testing.B) {
+		var d Decoder
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchPacket = d.Decode(data, LayerTypeIPv4)
+		}
+	})
+}
+
+var benchPacket *Packet

@@ -1,52 +1,72 @@
 package packet
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
-// FuzzDecode: the full-stack decoder must never panic on arbitrary
-// bytes, and whatever it decodes must re-serialize without corruption of
-// invariants.
-func FuzzDecode(f *testing.F) {
-	// Seed with real frames of each shape.
+// frameSeeds is the packet corpus: real frames of each shape, plus
+// malformed headers, so even the minimum corpus exercises the decoder's
+// bounds checks rather than only the happy paths.
+func frameSeeds() [][]byte {
 	ip := &IPv4{Src: srcIP, Dst: dstIP, Protocol: IPProtoTCP}
 	tcp := &TCP{SrcPort: 40000, DstPort: 443}
 	tcp.SetNetworkLayerForChecksum(ip)
 	frame, _ := SerializeToBytes(&Ethernet{Src: srcM, Dst: dstM, EtherType: EtherTypeIPv4}, ip, tcp, Payload("x"))
-	f.Add(frame)
 	udpFrame, _ := SerializeToBytes(&IPv4{Src: srcIP, Dst: dstIP, Protocol: IPProtoUDP},
 		&UDP{SrcPort: 53, DstPort: 53}, Payload("y"))
-	f.Add(udpFrame)
-	f.Add([]byte{})
-	f.Add([]byte{0x45})
-
-	// Malformed-header seeds, so even the minimum corpus exercises the
-	// decoder's bounds checks rather than only the happy paths.
+	seeds := [][]byte{frame, udpFrame, {}, {0x45}}
 	if len(udpFrame) > 0 {
 		badIHL := append([]byte(nil), udpFrame...)
 		badIHL[0] = 0x4f // IHL=15: 60-byte header claimed, frame is shorter
-		f.Add(badIHL)
 		tinyIHL := append([]byte(nil), udpFrame...)
 		tinyIHL[0] = 0x42 // IHL=2: below the minimum 5
-		f.Add(tinyIHL)
+		seeds = append(seeds, badIHL, tinyIHL)
 	}
 	ipOnly, _ := SerializeToBytes(ip, tcp, Payload("x"))
 	if len(ipOnly) > 24 {
-		f.Add(ipOnly[:24]) // TCP header truncated mid-way
+		seeds = append(seeds, ipOnly[:24]) // TCP header truncated mid-way
 	}
 	frag := &IPv4{Src: srcIP, Dst: dstIP, Protocol: IPProtoTCP, Flags: 1 /* MF */, FragOff: 8}
 	fragFrame, _ := SerializeToBytes(frag, Payload("fragment tail bytes"))
-	f.Add(fragFrame)
 	// IHL=6: a 24-byte header carrying one 4-byte option (record-route
 	// shape), followed by a UDP header. Checksum is wrong on purpose —
 	// the rejection path is a path too.
-	f.Add([]byte{
+	return append(seeds, fragFrame, []byte{
 		0x46, 0, 0, 32, 0, 0, 0, 0, 64, 17, 0, 0,
 		10, 0, 0, 5, 93, 184, 216, 34, // src, dst
 		7, 4, 0, 0, // record-route option
 		0, 53, 0, 53, 0, 8, 0, 0, // UDP header
 	})
+}
 
+// dnsSeeds is the DNS corpus: a query, and a compression pointer to
+// offset 12.
+func dnsSeeds() [][]byte {
+	good, _ := SerializeToBytes(&DNS{ID: 1, RD: true,
+		Questions: []DNSQuestion{{Name: "www.example.com", Type: DNSTypeA, Class: DNSClassIN}}})
+	return [][]byte{good, {0, 1, 0x81, 0x80, 0, 1, 0, 1, 0, 0, 0, 0, 0xc0, 12}, {}}
+}
+
+// tlsSeeds is the TLS corpus: a ClientHello record and an empty one.
+func tlsSeeds() [][]byte {
+	data, _ := SerializeToBytes(&TLS{Records: []TLSRecord{BuildClientHello("h.example", [32]byte{}, []uint16{1})}})
+	return [][]byte{data, {22, 3, 3, 0, 0}}
+}
+
+// httpSeeds is the HTTP corpus.
+func httpSeeds() [][]byte {
+	return [][]byte{[]byte("GET / HTTP/1.1\r\nHost: h\r\n\r\nbody"), []byte("HTTP/1.1 200 OK\r\n\r\n"), []byte("")}
+}
+
+// FuzzDecode: the full-stack decoder must never panic on arbitrary
+// bytes, and whatever it decodes must re-serialize without corruption of
+// invariants.
+func FuzzDecode(f *testing.F) {
+	for _, s := range frameSeeds() {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, first := range []LayerType{LayerTypeEthernet, LayerTypeIPv4, LayerTypeTCP, LayerTypeUDP} {
 			p := Decode(data, first)
@@ -65,13 +85,9 @@ func FuzzDecode(f *testing.F) {
 // FuzzDNSDecode: the DNS wire parser (with name compression) must never
 // panic or loop, and successful decodes must re-encode.
 func FuzzDNSDecode(f *testing.F) {
-	good, _ := SerializeToBytes(&DNS{ID: 1, RD: true,
-		Questions: []DNSQuestion{{Name: "www.example.com", Type: DNSTypeA, Class: DNSClassIN}}})
-	f.Add(good)
-	// A compression pointer to offset 12.
-	f.Add([]byte{0, 1, 0x81, 0x80, 0, 1, 0, 1, 0, 0, 0, 0, 0xc0, 12})
-	f.Add([]byte{})
-
+	for _, s := range dnsSeeds() {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d DNS
 		if err := d.DecodeFromBytes(data); err != nil {
@@ -87,11 +103,9 @@ func FuzzDNSDecode(f *testing.F) {
 // FuzzTLSDecode: record parsing and handshake extraction on arbitrary
 // input.
 func FuzzTLSDecode(f *testing.F) {
-	rec := BuildClientHello("h.example", [32]byte{}, []uint16{1})
-	data, _ := SerializeToBytes(&TLS{Records: []TLSRecord{rec}})
-	f.Add(data)
-	f.Add([]byte{22, 3, 3, 0, 0})
-
+	for _, s := range tlsSeeds() {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tl TLS
 		if err := tl.DecodeFromBytes(data); err != nil {
@@ -116,10 +130,9 @@ func FuzzTLSDecode(f *testing.F) {
 
 // FuzzHTTPDecode: the HTTP/1.x parser on arbitrary text.
 func FuzzHTTPDecode(f *testing.F) {
-	f.Add([]byte("GET / HTTP/1.1\r\nHost: h\r\n\r\nbody"))
-	f.Add([]byte("HTTP/1.1 200 OK\r\n\r\n"))
-	f.Add([]byte(""))
-
+	for _, s := range httpSeeds() {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var h HTTP
 		if err := h.DecodeFromBytes(data); err != nil {
@@ -130,4 +143,130 @@ func FuzzHTTPDecode(f *testing.F) {
 			t.Fatalf("parsed message failed to serialize: %v", err)
 		}
 	})
+}
+
+// A FuzzDecoderReuse mode word packs one 4-bit step per input: the
+// first layer's offset from Ethernet (Ethernet..Payload) in the low three
+// bits, and 8 for a header-only decode.
+func reuseStep(first LayerType, headers bool) uint16 {
+	s := uint16(first - LayerTypeEthernet)
+	if headers {
+		s |= 8
+	}
+	return s
+}
+
+// reuseMode packs three steps.
+func reuseMode(a, b, c uint16) uint16 { return a | b<<4 | c<<8 }
+
+// FuzzDecoderReuse is the differential for the reusable Decoder: one
+// Decoder decodes inputs a, b and c in turn, each at the first layer and
+// depth its step of mode selects, and after every step the result must
+// equal, field by field, what a fresh decode of the same input gives
+// (Decode, or a new Decoder's DecodeHeaders). Whatever one packet leaves
+// in the reused layer structs must not show through the next.
+func FuzzDecoderReuse(f *testing.F) {
+	tcpTo := func(port uint16, msg []byte) []byte {
+		ip := &IPv4{Src: srcIP, Dst: dstIP, Protocol: IPProtoTCP}
+		tcp := &TCP{SrcPort: 40000, DstPort: port}
+		tcp.SetNetworkLayerForChecksum(ip)
+		out, _ := SerializeToBytes(ip, tcp, Payload(msg))
+		return out
+	}
+	udpTo := func(port uint16, msg []byte) []byte {
+		ip := &IPv4{Src: srcIP, Dst: dstIP, Protocol: IPProtoUDP}
+		udp := &UDP{SrcPort: 5353, DstPort: port}
+		udp.SetNetworkLayerForChecksum(ip)
+		out, _ := SerializeToBytes(ip, udp, Payload(msg))
+		return out
+	}
+	full := func(t LayerType) uint16 { return reuseStep(t, false) }
+	hdrs := func(t LayerType) uint16 { return reuseStep(t, true) }
+	ipv4 := full(LayerTypeIPv4)
+
+	// The existing corpora, each after and before a shape of another kind.
+	apps := []struct {
+		t     LayerType
+		seeds [][]byte
+	}{{LayerTypeHTTP, httpSeeds()}, {LayerTypeTLS, tlsSeeds()}, {LayerTypeDNS, dnsSeeds()}}
+	frames := frameSeeds()
+	for i, fr := range frames {
+		next := frames[(i+1)%len(frames)]
+		f.Add(fr, next, fr, reuseMode(full(LayerTypeEthernet), ipv4, hdrs(LayerTypeIPv4)))
+		f.Add(fr, next, fr, reuseMode(ipv4, hdrs(LayerTypeEthernet), full(LayerTypeUDP)))
+	}
+	for k, a := range apps {
+		b := apps[(k+1)%len(apps)]
+		for i, s := range a.seeds {
+			f.Add(s, b.seeds[i%len(b.seeds)], s, reuseMode(full(a.t), full(b.t), full(a.t)))
+		}
+	}
+
+	// A request then a response then a request, bare and in frames: the
+	// request's Method/Path must not survive into the response, nor the
+	// response's status into the next request.
+	req := []byte("POST /login?u=alice HTTP/1.1\r\nHost: a.example\r\nCookie: k=v\r\nX-Long: " +
+		strings.Repeat("v", 40) + "\r\n\r\npassword=hunter2")
+	resp := []byte("HTTP/1.1 404 Not Found\r\nServer: s\r\n\r\n")
+	get := []byte("GET / HTTP/1.1\r\n\r\n")
+	http := full(LayerTypeHTTP)
+	f.Add(req, resp, get, reuseMode(http, http, http))
+	f.Add(resp, req, resp, reuseMode(http, http, http))
+	f.Add(tcpTo(80, req), tcpTo(80, resp), tcpTo(8080, get), reuseMode(ipv4, ipv4, ipv4))
+	// HTTP, then TLS, then DNS, as frames through the port guesses.
+	tls, dns := tlsSeeds()[0], dnsSeeds()[0]
+	f.Add(tcpTo(80, req), tcpTo(443, tls), udpTo(53, dns), reuseMode(ipv4, ipv4, ipv4))
+	f.Add(udpTo(53, dns), tcpTo(443, tls), tcpTo(80, resp), reuseMode(ipv4, ipv4, ipv4))
+	// A full decode, then a header-only one and a truncated frame.
+	f.Add(tcpTo(80, req), tcpTo(443, tls), tcpTo(80, req)[:30], reuseMode(ipv4, hdrs(LayerTypeIPv4), ipv4))
+
+	f.Fuzz(func(t *testing.T, a, b, c []byte, mode uint16) {
+		var d Decoder
+		for i, data := range [][]byte{a, b, c} {
+			step := mode >> (4 * i)
+			first, headers := LayerTypeEthernet+LayerType(step&7), step&8 != 0
+			var got, want *Packet
+			if headers {
+				got, want = d.DecodeHeaders(data, first), new(Decoder).DecodeHeaders(data, first)
+			} else {
+				got, want = d.Decode(data, first), Decode(data, first)
+			}
+			if g, w := describe(got), describe(want); g != w {
+				t.Fatalf("step %d (%v, headers=%t): the reused decoder differs from a fresh one\n got %s\nwant %s", i, first, headers, g, w)
+			}
+		}
+	})
+}
+
+// describe renders every field of every layer of p, unexported ones
+// included; a transport layer's checksum binding is rendered as what it
+// points at, since the two decodes' IPv4 structs sit at different
+// addresses.
+func describe(p *Packet) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "data=%q err=%v", p.Data(), p.ErrLayer())
+	binding := func(ip *IPv4) string {
+		switch {
+		case ip == nil:
+			return "unbound"
+		case ip == p.IPv4():
+			return "this packet's IPv4"
+		}
+		return fmt.Sprintf("a stale IPv4 %+v", *ip)
+	}
+	for i, l := range p.layers {
+		switch l := l.(type) {
+		case *TCP:
+			c := *l
+			c.ipForChecksum = nil
+			fmt.Fprintf(&b, "\n%d %T %+v checksum=%s", i, l, c, binding(l.ipForChecksum))
+		case *UDP:
+			c := *l
+			c.ipForChecksum = nil
+			fmt.Fprintf(&b, "\n%d %T %+v checksum=%s", i, l, c, binding(l.ipForChecksum))
+		default:
+			fmt.Fprintf(&b, "\n%d %T %+v", i, l, l)
+		}
+	}
+	return b.String()
 }

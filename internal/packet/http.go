@@ -63,54 +63,53 @@ func (h *HTTP) SetHeader(name, value string) {
 // Host returns the request host (Host header).
 func (h *HTTP) Host() string { return h.Header("Host") }
 
-// DecodeFromBytes implements DecodingLayer.
+// DecodeFromBytes implements DecodingLayer. Every field is reset, and the
+// Headers array is reused, so one HTTP can decode message after message.
+// The header block is copied into one string that all the string fields
+// share: they must not alias data, which the caller may reuse while a
+// field (a Host kept in an alert, say) lives on.
 func (h *HTTP) DecodeFromBytes(data []byte) error {
-	headEnd := bytes.Index(data, []byte("\r\n\r\n"))
-	var head, body []byte
-	if headEnd < 0 {
-		head = data // header-only fragment
-	} else {
-		head = data[:headEnd]
-		body = data[headEnd+4:]
-	}
-	lines := strings.Split(string(head), "\r\n")
-	if len(lines) == 0 || lines[0] == "" {
+	*h = HTTP{Headers: h.Headers[:0]}
+	head, body, _ := bytes.Cut(data, []byte("\r\n\r\n")) // no blank line: a header-only fragment
+	startLine, rest, more := strings.Cut(string(head), "\r\n")
+	if startLine == "" {
 		return errf(LayerTypeHTTP, "empty message")
 	}
-	first := strings.SplitN(lines[0], " ", 3)
-	if len(first) < 3 {
-		return errf(LayerTypeHTTP, "malformed start line %q", lines[0])
+	f0, r0, ok0 := strings.Cut(startLine, " ")
+	f1, f2, ok1 := strings.Cut(r0, " ")
+	if !ok0 || !ok1 {
+		return errf(LayerTypeHTTP, "malformed start line %q", startLine)
 	}
-	if strings.HasPrefix(first[0], "HTTP/") {
-		h.IsRequest = false
-		h.Proto = first[0]
-		code, err := strconv.Atoi(first[1])
+	if strings.HasPrefix(f0, "HTTP/") {
+		h.Proto = f0
+		code, err := strconv.Atoi(f1)
 		if err != nil {
-			return errf(LayerTypeHTTP, "bad status code %q", first[1])
+			return errf(LayerTypeHTTP, "bad status code %q", f1)
 		}
 		h.StatusCode = code
-		h.StatusText = first[2]
+		h.StatusText = f2
 	} else {
-		if !strings.HasPrefix(first[2], "HTTP/") {
-			return errf(LayerTypeHTTP, "not an HTTP start line %q", lines[0])
+		if !strings.HasPrefix(f2, "HTTP/") {
+			return errf(LayerTypeHTTP, "not an HTTP start line %q", startLine)
 		}
 		h.IsRequest = true
-		h.Method = first[0]
-		h.Path = first[1]
-		h.Proto = first[2]
+		h.Method = f0
+		h.Path = f1
+		h.Proto = f2
 	}
-	h.Headers = h.Headers[:0]
-	for _, line := range lines[1:] {
+	for more {
+		var line string
+		line, rest, more = strings.Cut(rest, "\r\n")
 		if line == "" {
 			continue
 		}
-		colon := strings.Index(line, ":")
-		if colon < 0 {
+		name, value, ok := strings.Cut(line, ":")
+		if !ok {
 			return errf(LayerTypeHTTP, "malformed header %q", line)
 		}
 		h.Headers = append(h.Headers, HTTPHeader{
-			Name:  strings.TrimSpace(line[:colon]),
-			Value: strings.TrimSpace(line[colon+1:]),
+			Name:  strings.TrimSpace(name),
+			Value: strings.TrimSpace(value),
 		})
 	}
 	h.Body = body

@@ -38,68 +38,6 @@ type Packet struct {
 	errLayer error
 }
 
-// Decode parses data starting at the given first layer. Decoding continues
-// until a layer reports LayerTypePayload/Invalid or a parse error occurs;
-// a parse error is recorded (ErrLayer) rather than failing the whole
-// packet, matching gopacket behaviour where outer layers stay usable.
-func Decode(data []byte, first LayerType) *Packet {
-	p := &Packet{data: data}
-	cur := data
-	next := first
-	var lastIP *IPv4 // pseudo-header source for transport checksums
-	for len(cur) > 0 && next != LayerTypeInvalid {
-		var dl DecodingLayer
-		switch next {
-		case LayerTypeEthernet:
-			dl = &Ethernet{}
-		case LayerTypeIPv4:
-			dl = &IPv4{}
-		case LayerTypeTCP:
-			dl = &TCP{}
-		case LayerTypeUDP:
-			dl = &UDP{}
-		case LayerTypeDNS:
-			dl = &DNS{}
-		case LayerTypeTLS:
-			dl = &TLS{}
-		case LayerTypeHTTP:
-			dl = &HTTP{}
-		default:
-			pl := Payload(nil)
-			dl = &pl
-		}
-		if err := dl.DecodeFromBytes(cur); err != nil {
-			p.errLayer = err
-			// Keep the undecodable remainder accessible as payload.
-			p.layers = append(p.layers, Payload(cur))
-			return p
-		}
-		// *Payload stores by pointer; append the value for uniform
-		// Layer access.
-		if pl, ok := dl.(*Payload); ok {
-			p.layers = append(p.layers, *pl)
-			return p
-		}
-		p.layers = append(p.layers, dl)
-		// Bind checksums so VerifyChecksum works out of the box.
-		switch l := dl.(type) {
-		case *IPv4:
-			lastIP = l
-		case *TCP:
-			if lastIP != nil {
-				l.SetNetworkLayerForChecksum(lastIP)
-			}
-		case *UDP:
-			if lastIP != nil {
-				l.SetNetworkLayerForChecksum(lastIP)
-			}
-		}
-		next = dl.NextLayerType()
-		cur = dl.LayerPayload()
-	}
-	return p
-}
-
 // Data returns the raw bytes the packet was decoded from.
 func (p *Packet) Data() []byte { return p.data }
 
