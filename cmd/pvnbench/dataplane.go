@@ -1,7 +1,8 @@
 package main
 
-// The dataplane scaling entry: a self-contained sweep of the serial
-// switch and the sharded pipeline over the canonical pvnc rule set, of
+// The dataplane scaling entry: a self-contained sweep of the inline
+// path (Switch.Process on the caller's goroutine) and the sharded
+// pipeline over the canonical pvnc rule set, of
 // the pipeline over a chain-bearing one (HTTP GETs through
 // pii-detect + tracker-block on one shared middlebox.Runtime — what
 // every real PVNC pays), and of the pipeline's miss path (a thousand
@@ -125,23 +126,24 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 	}
 	art := &dataplaneArtifact{
 		ID:         "DATAPLANE",
-		Title:      "dataplane scaling: serial switch vs sharded pipeline",
+		Title:      "dataplane scaling: inline Switch.Process vs sharded pipeline",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 
-	// Serial reference: one goroutine calling Switch.Process.
+	// Inline: one goroutine calling Switch.Process, the workers' code
+	// with no ring in front of it.
 	sw := openflow.NewSwitch("bench", nil)
 	if err := installDataplaneRules(sw.Table); err != nil {
 		return nil, err
 	}
-	serial := func(count int64) {
+	inline := func(count int64) {
 		for i := int64(0); i < count; i++ {
 			if d := sw.Process(frames[i%int64(len(frames))], 0); d.Verdict != openflow.VerdictOutput {
-				panic("pvnbench: unexpected serial verdict")
+				panic("pvnbench: unexpected inline verdict")
 			}
 		}
 	}
-	art.Rows = append(art.Rows, measure("serial", n, serial, serial))
+	art.Rows = append(art.Rows, measure("inline", n, inline, inline))
 
 	for _, shards := range []int{1, 2, 4, 8} {
 		dp := dataplane.New(dataplane.Config{Shards: shards, Policy: dataplane.Block})

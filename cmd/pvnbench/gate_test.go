@@ -10,10 +10,10 @@ import (
 func gateBaseline() *dataplaneArtifact {
 	return &dataplaneArtifact{
 		ID:         "DATAPLANE",
-		Title:      "dataplane scaling: serial switch vs sharded pipeline",
+		Title:      "dataplane scaling: inline Switch.Process vs sharded pipeline",
 		GoMaxProcs: 4,
 		Rows: []dataplaneRow{
-			{Config: "serial", Packets: 300_000, NsPerOp: 900, OpsPerSec: 1.1e6, AllocsOp: 10},
+			{Config: "inline", Packets: 300_000, NsPerOp: 110, OpsPerSec: 9e6, AllocsOp: 0},
 			{Config: "shards=1", Packets: 300_000, NsPerOp: 280, OpsPerSec: 3.5e6, AllocsOp: 0, P50Us: 30, P99Us: 120},
 			{Config: "shards=4", Packets: 300_000, NsPerOp: 300, OpsPerSec: 3.3e6, AllocsOp: 0, P50Us: 35, P99Us: 150},
 		},
@@ -66,7 +66,7 @@ func TestGateFailsOnSeededRegressions(t *testing.T) {
 		cur := copyArtifact(base)
 		cur.Rows[0].OpsPerSec = base.Rows[0].OpsPerSec / 10
 		v := compareDataplane(base, cur)
-		if len(v) != 1 || !strings.Contains(v[0], "ops/sec") || !strings.Contains(v[0], "serial") {
+		if len(v) != 1 || !strings.Contains(v[0], "ops/sec") || !strings.Contains(v[0], "inline") {
 			t.Fatalf("seeded throughput collapse not flagged: %v", v)
 		}
 	})
@@ -126,9 +126,10 @@ func TestCommittedBaselineCoversChainPath(t *testing.T) {
 }
 
 // TestCommittedBaselineCoversMissPath: the same for the flow-cache miss
-// path — the rows must be in the committed baseline for the gate to hold
-// them, and a miss allocates nothing per packet beyond the cache's own
-// amortized growth.
+// path and the inline path (Switch.Process, the workers' code on the
+// caller's goroutine) — the rows must be in the committed baseline for
+// the gate to hold them, and neither allocates per packet beyond the
+// cache's own amortized growth.
 func TestCommittedBaselineCoversMissPath(t *testing.T) {
 	base, err := loadDataplaneBaseline(filepath.Join("..", "..", "BENCH_DATAPLANE.json"))
 	if err != nil {
@@ -138,7 +139,7 @@ func TestCommittedBaselineCoversMissPath(t *testing.T) {
 	for _, r := range base.Rows {
 		rows[r.Config] = r
 	}
-	for _, cfg := range []string{"miss shards=1", "miss shards=2"} {
+	for _, cfg := range []string{"miss shards=1", "miss shards=2", "inline"} {
 		if r, ok := rows[cfg]; !ok {
 			t.Errorf("BENCH_DATAPLANE.json has no %q row", cfg)
 		} else if r.AllocsOp >= 0.5 {

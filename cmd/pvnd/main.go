@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"pvn/internal/core"
-	"pvn/internal/dataplane"
 	"pvn/internal/deployserver"
 	"pvn/internal/discovery"
 	"pvn/internal/middlebox"
@@ -142,8 +141,6 @@ func serveMain(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:7474", "API listen address")
 	provider := fs.String("provider", "pvnd-isp", "provider name quoted in offers")
-	dpMode := fs.String("dataplane", "serial", "packet pipeline: serial (single-threaded switch) or sharded (parallel worker pool)")
-	dpShards := fs.Int("shards", 0, "shard/worker count for -dataplane=sharded (0 = GOMAXPROCS)")
 	offerTTL := fs.Duration("offer-ttl", 30*time.Second, "how long quoted offers stay deployable")
 	leaseTTL := fs.Duration("lease-ttl", 0, "deployment lease length; 0 = deployments last until teardown")
 	leaseSweep := fs.Duration("lease-sweep", 10*time.Second, "how often lapsed leases are reclaimed (with -lease-ttl)")
@@ -151,9 +148,6 @@ func serveMain(args []string) {
 	mbxBreaker := fs.Int("mbx-breaker-threshold", 8, "failures within the health window that open an instance's circuit breaker")
 	mbxBackoff := fs.Duration("mbx-restart-backoff", 200*time.Millisecond, "initial broken-instance restart cooldown (doubles per re-open, capped at 10s)")
 	fs.Parse(args)
-	if *dpMode != "serial" && *dpMode != "sharded" {
-		log.Fatalf("pvnd: -dataplane must be serial or sharded, got %q", *dpMode)
-	}
 	defaultPolicy, err := middlebox.ParseFailPolicy(*mbxFailPolicy)
 	if err != nil {
 		log.Fatalf("pvnd: -mbx-fail-policy: %v", err)
@@ -211,22 +205,6 @@ func serveMain(args []string) {
 			}
 		}()
 		log.Printf("pvnd: deployment leases: ttl=%v sweep=%v", *leaseTTL, *leaseSweep)
-	}
-
-	// -dataplane=sharded fronts the switch with the parallel pipeline:
-	// deployments mirror their flow rules and meters into the pipeline's
-	// table (ExtraRules), and every worker calls the one middlebox
-	// runtime, which serializes only packets of the same owner.
-	if *dpMode == "sharded" {
-		dp := dataplane.New(dataplane.Config{
-			Shards: *dpShards,
-			Chains: rt,
-			Now:    now,
-		})
-		srv.ExtraRules = dp.Table()
-		dp.Start()
-		defer dp.Stop()
-		log.Printf("pvnd: sharded dataplane up: %d shards", dp.Shards())
 	}
 
 	ln, err := net.Listen("tcp", *listen)

@@ -1,10 +1,12 @@
-// Package dataplane is the PVN host's parallel packet pipeline: the
-// subsystem that turns the per-packet serial call chain (decode →
-// openflow table lookup → middlebox chain → tunnel/forward) into a
-// sharded worker pool, so one edge host can use every core the access
-// hardware has (ROADMAP: "heavy traffic from millions of users, as fast
-// as the hardware allows"; paper §3.3 cites ClickOS-class per-packet
-// budgets that leave no room for a global lock).
+// Package dataplane is the PVN host's parallel packet pipeline: it puts
+// bounded queues and a sharded worker pool in front of the per-packet
+// path openflow.Switch.Process runs inline (flow cache → header decode
+// on a miss → FlowTable.Interpret → output/tunnel/controller), so one
+// edge host can use every core the access hardware has (ROADMAP: "heavy
+// traffic from millions of users, as fast as the hardware allows";
+// paper §3.3 cites ClickOS-class per-packet budgets that leave no room
+// for a global lock). The workers and Switch.Process share one action
+// interpreter; the pipeline adds the rings, the batching and the hooks.
 //
 // Architecture:
 //
@@ -27,9 +29,10 @@
 //	    drops or blocks the producer. Memory stays bounded either way.
 //
 // Middlebox chains: the one openflow.ChainExecutor is invoked
-// concurrently from worker goroutines, one ExecuteChain call per
-// Middlebox action. A middlebox.Runtime locks itself per owner, so
-// workers serialize only where their packets belong to the same owner.
+// concurrently from worker goroutines, one ExecuteChain call (made by
+// Interpret) per Middlebox action. A middlebox.Runtime locks itself per
+// owner, so workers serialize only where their packets belong to the
+// same owner.
 package dataplane
 
 import (
@@ -39,7 +42,6 @@ import (
 	"time"
 
 	"pvn/internal/openflow"
-	"pvn/internal/packet"
 	"pvn/internal/tunnel"
 )
 
@@ -208,7 +210,7 @@ func (p *Pipeline) Drain() {
 // and every rejected packet increments Dropped — see the ShardStats
 // invariant.
 func (p *Pipeline) Submit(data []byte, inPort uint16) bool {
-	key, ok := flowKeyOf(data, inPort)
+	key, ok := openflow.KeyOf(data, inPort)
 	sh := p.shards[int(key.Flow.FastHash()%uint64(len(p.shards)))]
 	seq := sh.counters.enqueued.Add(1)
 
@@ -255,35 +257,11 @@ func (p *Pipeline) release(bp *[]byte) {
 	}
 }
 
-// flowKeyOf extracts the 5-tuple cache key from raw IPv4 bytes with a
-// minimal header parse (no full packet.Decode on the submit path). ok is
-// false for non-IPv4 or truncated packets; those all land on one shard
-// and skip the flow cache.
-func flowKeyOf(data []byte, inPort uint16) (openflow.CacheKey, bool) {
-	key := openflow.CacheKey{InPort: inPort}
-	if len(data) < 20 || data[0]>>4 != 4 {
-		return key, false
-	}
-	ihl := int(data[0]&0x0f) * 4
-	if ihl < 20 || len(data) < ihl {
-		return key, false
-	}
-	f := packet.Flow{Proto: data[9]}
-	copy(f.Src.Addr[:], data[12:16])
-	copy(f.Dst.Addr[:], data[16:20])
-	if (f.Proto == packet.IPProtoTCP || f.Proto == packet.IPProtoUDP) && len(data) >= ihl+4 {
-		f.Src.Port = uint16(data[ihl])<<8 | uint16(data[ihl+1])
-		f.Dst.Port = uint16(data[ihl+2])<<8 | uint16(data[ihl+3])
-	}
-	key.Flow = f
-	return key, true
-}
-
 // maybeExpire runs table expiry roughly every expireEveryN processed
 // packets, pipeline-wide, so timeouts fire without a dedicated timer
-// goroutine (mirroring the serial switch's expire-per-packet,
-// amortized). Workers call it once per batch with the batch size; the
-// pass fires when the running count crosses an expireEveryN boundary.
+// goroutine (Switch.Process's expire-per-packet, amortized). Workers
+// call it once per batch with the batch size; the pass fires when the
+// running count crosses an expireEveryN boundary.
 func (p *Pipeline) maybeExpire(n int64) {
 	s := p.sinceExpire.Add(n)
 	if s/p.expireEveryN == (s-n)/p.expireEveryN {

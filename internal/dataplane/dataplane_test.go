@@ -1,11 +1,14 @@
 package dataplane
 
 import (
+	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pvn/internal/middlebox"
+	"pvn/internal/middlebox/mbx"
 	"pvn/internal/openflow"
 	"pvn/internal/packet"
 	"pvn/internal/trace"
@@ -47,7 +50,7 @@ func installRules(t testing.TB, rt *openflow.FlowTable) {
 	mk := func(dport uint16, prio int, actions ...openflow.Action) {
 		rt.Install(&openflow.FlowEntry{
 			Priority: prio,
-			Match:    openflow.Match{Fields: openflow.FieldProto | openflow.FieldDstPort, Proto: packet.IPProtoTCP, DstPort: dport},
+			Match:    dportMatch(dport),
 			Actions:  actions,
 			Cookie:   7,
 		}, 0)
@@ -58,11 +61,18 @@ func installRules(t testing.TB, rt *openflow.FlowTable) {
 	mk(8080, 70, openflow.ToMiddlebox("u/c"), openflow.Output(1))
 }
 
-// frames builds n TCP packets spread over many flows and the four rule
-// classes above.
-func frames(t testing.TB, n int) [][]byte {
+func dportMatch(dport uint16) openflow.Match {
+	return openflow.Match{Fields: openflow.FieldProto | openflow.FieldDstPort, Proto: packet.IPProtoTCP, DstPort: dport}
+}
+
+// frames builds n TCP packets spread over many flows and, round robin,
+// the given destination ports — by default the four rule classes above
+// and one port no rule claims.
+func frames(t testing.TB, n int, dports ...uint16) [][]byte {
 	t.Helper()
-	dports := []uint16{80, 443, 25, 8080, 9999}
+	if len(dports) == 0 {
+		dports = []uint16{80, 443, 25, 8080, 9999}
+	}
 	src := packet.MustParseIPv4("10.0.0.5")
 	dst := packet.MustParseIPv4("93.184.216.34")
 	out := make([][]byte, 0, n)
@@ -79,67 +89,142 @@ func frames(t testing.TB, n int) [][]byte {
 	return out
 }
 
-// TestPipelineMatchesSerial checks that the sharded pipeline reaches the
-// same verdicts and bills the same traffic as the serial openflow.Switch
-// on the same rule set and traffic, with the same flow mods landing at
-// the same packet index on both sides.
+// faultyRuntime is buildRuntime plus two chains that fail on every
+// packet: e/c, whose mbx.FaultyBox returns an error, and p/c, whose box
+// panics. Each fails by its box's own fault until the breaker opens and
+// as a broken box after (the runtime's clock stands still, so it never
+// restarts), so how many packets fail does not depend on their order.
+func faultyRuntime(t testing.TB) *middlebox.Runtime {
+	t.Helper()
+	rt := buildRuntime(t)
+	mbx.RegisterBuiltins(rt, mbx.Deps{})
+	rt.Now = func() time.Duration { return 0 }
+	for _, f := range []struct{ owner, plan string }{{"e", "error-every"}, {"p", "panic-every"}} {
+		inst, err := rt.Instantiate(f.owner, "faulty", map[string]string{f.plan: "1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.BuildChain(f.owner, "c", []string{inst.ID}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt.Now = func() time.Duration { return time.Second }
+	return rt
+}
+
+// sameEntry reports whether two tables' dispositions name the same rule
+// with the same counters (the tables are twins, so pointers differ).
+func sameEntry(a, b *openflow.FlowEntry) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Cookie == b.Cookie && a.String() == b.String()
+}
+
+// TestPipelineMatchesSerial holds the three ways a packet can be run —
+// the sharded pipeline, Switch.Process inline, and the refSwitch oracle
+// — to each other on twin rule sets and the same traffic, with the same
+// flow mods, clock steps and expiries landing at the same packet index
+// on every side. Switch.Process must agree with the oracle packet by
+// packet: verdict, port, tunnel, bytes, delay and matched entry. The
+// pipeline, whose shards reorder packets, must agree in its verdict and
+// chain-error counts. All three must bill every cookie alike, and count
+// the meter and the expired rule alike.
 func TestPipelineMatchesSerial(t *testing.T) {
-	pkts := frames(t, 4000)
+	dports := []uint16{80, 443, 25, 8080, 9999, 8443, 8081, 7070, 6001, 6002}
+	const wellFormed = 4000
+	pkts := frames(t, wellFormed, dports...)
 	// Malformed twins ahead of the first well-formed packet of two
 	// port-80 flows: the peeked cache key is the flow's, the decoded
 	// fields are not, and the hygiene rules below give those fields a
 	// rule of their own — which must not stick to the flow
-	// (poison_test.go).
-	pkts = append([][]byte{badIPChecksum(pkts[0]), cutTCPHeader(pkts[5])}, pkts...)
+	// (poison_test.go). They go first because the oracle judges every
+	// frame on its own decode, while a frame riding a cached 5-tuple
+	// follows the flow's actions.
+	pkts = append([][]byte{badIPChecksum(pkts[0]), cutTCPHeader(pkts[len(dports)])}, pkts...)
 	n := len(pkts)
-	dport := func(p uint16) openflow.Match {
-		return openflow.Match{Fields: openflow.FieldProto | openflow.FieldDstPort, Proto: packet.IPProtoTCP, DstPort: p}
-	}
 	out := []openflow.Action{openflow.Output(1)}
-	hygiene := func(tbl *openflow.FlowTable) {
+	proxy := packet.MustParseIPv4("10.99.0.1")
+	rules := func(tbl *openflow.FlowTable) {
+		installRules(t, tbl)
 		drop := []openflow.Action{openflow.Drop()}
 		tbl.Install(&openflow.FlowEntry{Priority: 1, Cookie: 13, Actions: drop, // undecodable
 			Match: openflow.Match{Fields: openflow.FieldEthType}}, 0)
-		tbl.Install(&openflow.FlowEntry{Priority: 1, Cookie: 13, Actions: drop, Match: dport(0)}, 0) // TCP port 0
+		tbl.Install(&openflow.FlowEntry{Priority: 1, Cookie: 13, Actions: drop, Match: dportMatch(0)}, 0) // TCP port 0
+		tbl.AddMeter("shape", openflow.Meter{RateBps: 8000, BurstBytes: 600})
+		for _, e := range []openflow.FlowEntry{
+			{Priority: 60, Cookie: 12, Match: dportMatch(8443), Actions: []openflow.Action{openflow.Metered("shape"), openflow.Output(1)}},
+			{Priority: 60, Cookie: 12, Match: dportMatch(8081), Actions: []openflow.Action{openflow.SetDst(proxy, 9090), openflow.Output(1)}},
+			{Priority: 60, Cookie: 14, Match: dportMatch(6001), Actions: []openflow.Action{openflow.ToMiddlebox("e/c"), openflow.Output(1)}},
+			{Priority: 60, Cookie: 14, Match: dportMatch(6002), Actions: []openflow.Action{openflow.ToMiddlebox("p/c"), openflow.Output(1)}},
+			// Falls due at the second clock step.
+			{Priority: 60, Cookie: 15, Match: dportMatch(7070), Actions: out, HardTimeout: 1500 * time.Millisecond},
+		} {
+			tbl.Install(&e, 0)
+		}
 	}
+	// The clock steps one second at each flow mod.
 	mods := map[int]openflow.FlowMod{
-		n / 4:     {Command: openflow.FlowAdd, Priority: 110, Cookie: 9, Match: dport(9999), Actions: out}, // punts become outputs
-		n / 2:     {Command: openflow.FlowAdd, Priority: 120, Cookie: 11, Match: dport(25), Actions: out},  // shadows the drop rule
-		3 * n / 4: {Command: openflow.FlowDeleteCookie, Cookie: 11},                                        // drop rule back in force
+		n / 4:     {Command: openflow.FlowAdd, Priority: 110, Cookie: 9, Match: dportMatch(9999), Actions: out}, // punts become outputs
+		n / 2:     {Command: openflow.FlowAdd, Priority: 120, Cookie: 11, Match: dportMatch(25), Actions: out},  // shadows the drop rule
+		3 * n / 4: {Command: openflow.FlowDeleteCookie, Cookie: 11},                                             // drop rule back in force
 	}
+	var clock atomic.Int64
+	now := func() time.Duration { return time.Duration(clock.Load()) }
 
-	// Serial reference.
-	sw := openflow.NewSwitch("ref", nil)
-	sw.Chains = buildRuntime(t)
-	installRules(t, sw.Table)
-	hygiene(sw.Table)
-	var ref ShardStats
+	// Switch.Process against the oracle, packet by packet.
+	ref := newRefSwitch(faultyRuntime(t), now)
+	rules(ref.table)
+	sw := openflow.NewSwitch("inline", now)
+	sw.Chains = faultyRuntime(t)
+	rules(sw.Table)
+	var want ShardStats
+	var refTimed, swTimed *openflow.FlowEntry // the rule that expires, as each table billed it
 	for i, data := range pkts {
 		if fm, ok := mods[i]; ok {
-			fm.Apply(sw.Table, 0)
+			clock.Add(int64(time.Second))
+			fm.Apply(ref.table, now())
+			fm.Apply(sw.Table, now())
 		}
-		switch d := sw.Process(data, 0); d.Verdict {
+		r, s := ref.process(data, 0), sw.Process(data, 0)
+		if r.Verdict != s.Verdict || r.Port != s.Port || r.TunnelName != s.TunnelName ||
+			!bytes.Equal(r.Data, s.Data) || r.Delay != s.Delay || !sameEntry(r.Entry, s.Entry) {
+			t.Fatalf("packet %d: Switch.Process %v port=%d tunnel=%q delay=%v entry=%v, oracle %v port=%d tunnel=%q delay=%v entry=%v (same bytes: %t)",
+				i, s.Verdict, s.Port, s.TunnelName, s.Delay, s.Entry, r.Verdict, r.Port, r.TunnelName, r.Delay, r.Entry, bytes.Equal(r.Data, s.Data))
+		}
+		if r.Entry != nil && r.Entry.Cookie == 15 {
+			refTimed, swTimed = r.Entry, s.Entry
+		}
+		switch r.Verdict {
 		case openflow.VerdictOutput:
-			ref.Outputs++
+			want.Outputs++
 		case openflow.VerdictDrop:
-			ref.Drops++
+			want.Drops++
 		case openflow.VerdictTunnel:
-			ref.Tunnels++
+			want.Tunnels++
 		case openflow.VerdictController:
-			ref.PacketIns++
+			want.PacketIns++
 		}
+	}
+	want.ChainErrs = ref.chainErrs
+	if want.ChainErrs != 2*wellFormed/int64(len(dports)) || refTimed == nil || ref.table.CountByCookie(15) != 0 {
+		t.Fatalf("oracle: %d chain errors, timed rule billed %v and %d left installed; the mix did not reach both failing chains and the expiry",
+			want.ChainErrs, refTimed, ref.table.CountByCookie(15))
 	}
 
 	// Sharded pipeline, with every hook counting deliveries.
+	clock.Store(0)
 	var mu sync.Mutex
 	hookCounts := map[string]int{}
+	var pipeTimed []*openflow.FlowEntry
 	hook := func(kind string) func() {
 		return func() { mu.Lock(); hookCounts[kind]++; mu.Unlock() }
 	}
 	outHook, tunHook, ctlHook := hook("output"), hook("tunnel"), hook("controller")
 	p := New(Config{
 		Shards: 4,
-		Chains: middlebox.Synchronized(buildRuntime(t)),
+		Chains: middlebox.Synchronized(faultyRuntime(t)),
+		Now:    now,
 		OnOutput: func(port uint16, data []byte) {
 			if port != 1 {
 				t.Errorf("output port = %d, want 1", port)
@@ -153,14 +238,16 @@ func TestPipelineMatchesSerial(t *testing.T) {
 			tunHook()
 		},
 		OnController: func(inPort uint16, data []byte) { ctlHook() },
+		OnExpired:    func(e *openflow.FlowEntry) { pipeTimed = append(pipeTimed, e) },
 	})
-	installRules(t, p.Table())
-	hygiene(p.Table())
+	rules(p.Table())
 	p.Start()
 	for i, data := range pkts {
 		if fm, ok := mods[i]; ok {
 			p.Drain()
-			fm.Apply(p.Table(), 0)
+			clock.Add(int64(time.Second))
+			p.ExpireNow()
+			fm.Apply(p.Table(), now())
 		}
 		if !p.Submit(data, 0) {
 			t.Fatal("unexpected backpressure drop")
@@ -173,10 +260,11 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	if got.Processed != int64(n) {
 		t.Fatalf("processed = %d, want %d", got.Processed, n)
 	}
-	if got.Outputs != ref.Outputs || got.Drops != ref.Drops ||
-		got.Tunnels != ref.Tunnels || got.PacketIns != ref.PacketIns {
-		t.Errorf("verdicts diverge: pipeline %+v vs serial out=%d drop=%d tun=%d punt=%d",
-			got, ref.Outputs, ref.Drops, ref.Tunnels, ref.PacketIns)
+	if got.Outputs != want.Outputs || got.Drops != want.Drops ||
+		got.Tunnels != want.Tunnels || got.PacketIns != want.PacketIns || got.ChainErrs != want.ChainErrs {
+		t.Errorf("verdicts diverge: pipeline out=%d drop=%d tun=%d punt=%d chain-errs=%d vs oracle out=%d drop=%d tun=%d punt=%d chain-errs=%d",
+			got.Outputs, got.Drops, got.Tunnels, got.PacketIns, got.ChainErrs,
+			want.Outputs, want.Drops, want.Tunnels, want.PacketIns, want.ChainErrs)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -189,19 +277,39 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	if got.CacheHits < int64(n/2) {
 		t.Errorf("cache hits = %d, want >= %d", got.CacheHits, n/2)
 	}
-	// Billing parity: both tables counted the same matched traffic per
-	// cookie — the resident rules, the mid-stream add, and the deleted
-	// cookie (nothing left to bill on either side) — and the hygiene
+	// Billing parity: the three tables counted the same matched traffic
+	// per cookie — the resident rules, the mid-stream add, and the
+	// deleted cookie (nothing left to bill anywhere) — and the hygiene
 	// rules, which bill the two malformed frames and nothing else.
-	for _, cookie := range []uint64{7, 9, 11, 13} {
-		refPkts, refBytes := sw.Table.StatsByCookie(cookie)
-		gotPkts, gotBytes := p.Table().StatsByCookie(cookie)
-		if refPkts != gotPkts || refBytes != gotBytes {
-			t.Errorf("cookie %d stats: pipeline %d pkts/%d B vs serial %d pkts/%d B", cookie, gotPkts, gotBytes, refPkts, refBytes)
+	tables := []*openflow.FlowTable{ref.table, sw.Table, p.Table()}
+	for _, cookie := range []uint64{7, 9, 11, 12, 13, 14} {
+		refPkts, refBytes := ref.table.StatsByCookie(cookie)
+		for _, tbl := range tables[1:] {
+			if gotPkts, gotBytes := tbl.StatsByCookie(cookie); refPkts != gotPkts || refBytes != gotBytes {
+				t.Errorf("cookie %d stats: %d pkts/%d B vs oracle %d pkts/%d B", cookie, gotPkts, gotBytes, refPkts, refBytes)
+			}
 		}
 		if (cookie == 11) != (refPkts == 0) {
-			t.Errorf("cookie %d: serial billed %d packets", cookie, refPkts)
+			t.Errorf("cookie %d: oracle billed %d packets", cookie, refPkts)
 		}
+	}
+	// The expired rule's final counters, and the meter's.
+	if len(pipeTimed) != 1 || pipeTimed[0].Cookie != 15 {
+		t.Fatalf("pipeline expired %v, want the one cookie-15 rule", pipeTimed)
+	}
+	for _, e := range []*openflow.FlowEntry{swTimed, pipeTimed[0]} {
+		if e.Packets != refTimed.Packets || e.Bytes != refTimed.Bytes {
+			t.Errorf("expired rule billed %d pkts/%d B vs oracle %d/%d", e.Packets, e.Bytes, refTimed.Packets, refTimed.Bytes)
+		}
+	}
+	refMeter, _ := ref.table.Meter("shape")
+	for _, tbl := range tables[1:] {
+		if m, _ := tbl.Meter("shape"); m.Conformed != refMeter.Conformed || m.Exceeded != refMeter.Exceeded {
+			t.Errorf("meter conformed/exceeded %d/%d vs oracle %d/%d", m.Conformed, m.Exceeded, refMeter.Conformed, refMeter.Exceeded)
+		}
+	}
+	if refMeter.Exceeded == 0 {
+		t.Error("the meter never shaped: the test does not reach the meter delay")
 	}
 }
 
@@ -426,8 +534,8 @@ func TestTraceWorkload(t *testing.T) {
 // TestShardAffinity checks both directions of a flow land on one shard,
 // so bidirectional state stays worker-private.
 func TestShardAffinity(t *testing.T) {
-	fwd, ok1 := flowKeyOf(mustFrame(t, "10.0.0.5", "93.184.216.34", 40000, 80), 0)
-	rev, ok2 := flowKeyOf(mustFrame(t, "93.184.216.34", "10.0.0.5", 80, 40000), 0)
+	fwd, ok1 := openflow.KeyOf(mustFrame(t, "10.0.0.5", "93.184.216.34", 40000, 80), 0)
+	rev, ok2 := openflow.KeyOf(mustFrame(t, "93.184.216.34", "10.0.0.5", 80, 40000), 0)
 	if !ok1 || !ok2 {
 		t.Fatal("flow key extraction failed")
 	}

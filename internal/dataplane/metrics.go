@@ -38,6 +38,7 @@ type shardCounters struct {
 	// every stageSampleEvery'th batch only, so the steady state pays two
 	// clock reads per batch. Compare stage counters to each other for
 	// shares; scale by stageSampleEvery to estimate absolute time.
+	// chainNs is the whole of stage 2 (see ShardStats).
 	decodeNs atomic.Int64
 	lookupNs atomic.Int64
 	chainNs  atomic.Int64
@@ -151,8 +152,12 @@ type ShardStats struct {
 	// ChainErrs counts packets whose middlebox chain failed on this
 	// shard (a box errored or panicked fail-closed, or a broken box's
 	// breaker dropped it). Always a subset of Drops.
-	ChainErrs                            int64
-	QueueDepth                           int
+	ChainErrs  int64
+	QueueDepth int
+	// Per-stage wall-clock ns, split on every stageSampleEvery'th batch
+	// only (TotalNs covers all): DecodeNs is the header decodes of cache
+	// misses, LookupNs the rest of stage 1, and ChainNs stage 2 —
+	// Interpret (meters, rewrites, middlebox chains) and the verdict hooks.
 	DecodeNs, LookupNs, ChainNs, TotalNs int64
 }
 

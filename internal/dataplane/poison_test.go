@@ -6,12 +6,15 @@ package dataplane
 // packet matched under that key. One malformed frame could so plant the
 // wrong rule for every well-formed packet of its 5-tuple — a drop, or a
 // forward that skips the flow's middlebox chain. Both tests fail against
-// the pre-fix code.
+// the pre-fix code. Switch.Process runs the same cached path, so the
+// test holds it and the pipeline to the refSwitch oracle, which decodes
+// every frame and caches nothing.
 
 import (
 	"encoding/binary"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pvn/internal/openflow"
 	"pvn/internal/packet"
@@ -85,7 +88,9 @@ func TestMalformedFrameDoesNotPoisonFlowCache(t *testing.T) {
 		{"TCP header cut to 8 bytes", cutTCPHeader(good[0])},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sw := openflow.NewSwitch("ref", nil)
+			ref := newRefSwitch(nil, func() time.Duration { return 0 })
+			poisonRules(ref.table, dev)
+			sw := openflow.NewSwitch("inline", nil)
 			poisonRules(sw.Table, dev)
 			var port2 atomic.Int64
 			p := New(Config{Shards: 1, Policy: Block, OnOutput: func(port uint16, _ []byte) {
@@ -97,12 +102,17 @@ func TestMalformedFrameDoesNotPoisonFlowCache(t *testing.T) {
 			p.Start()
 			defer p.Stop()
 
-			sw.Process(tc.poison, 0)
+			if r, s := ref.process(tc.poison, 0), sw.Process(tc.poison, 0); r.Verdict != s.Verdict || r.Port != s.Port {
+				t.Fatalf("malformed frame: Switch.Process %v port %d, oracle %v port %d", s.Verdict, s.Port, r.Verdict, r.Port)
+			}
 			p.Submit(tc.poison, 0)
 			p.Drain()
 			for _, f := range good {
+				if d := ref.process(f, 0); d.Verdict != openflow.VerdictOutput || d.Port != 2 {
+					t.Fatalf("oracle: %v port %d, want output on port 2", d.Verdict, d.Port)
+				}
 				if d := sw.Process(f, 0); d.Verdict != openflow.VerdictOutput || d.Port != 2 {
-					t.Fatalf("serial reference: %v port %d, want output on port 2", d.Verdict, d.Port)
+					t.Fatalf("Switch.Process: %v port %d, want output on port 2", d.Verdict, d.Port)
 				}
 				p.Submit(f, 0)
 			}
@@ -112,10 +122,11 @@ func TestMalformedFrameDoesNotPoisonFlowCache(t *testing.T) {
 				t.Errorf("%d of %d well-formed packets took the port-80 rule (outputs=%d drops=%d)", got, len(good), st.Outputs, st.Drops)
 			}
 			for _, cookie := range []uint64{1, 2} {
-				rp, rb := sw.Table.StatsByCookie(cookie)
-				gp, gb := p.Table().StatsByCookie(cookie)
-				if rp != gp || rb != gb {
-					t.Errorf("cookie %d billed %d pkts/%d B, serial reference %d/%d", cookie, gp, gb, rp, rb)
+				rp, rb := ref.table.StatsByCookie(cookie)
+				for name, tbl := range map[string]*openflow.FlowTable{"Switch.Process": sw.Table, "pipeline": p.Table()} {
+					if gp, gb := tbl.StatsByCookie(cookie); rp != gp || rb != gb {
+						t.Errorf("%s: cookie %d billed %d pkts/%d B, oracle %d/%d", name, cookie, gp, gb, rp, rb)
+					}
 				}
 			}
 			if hits := p.Stats().Total().CacheHits; hits != int64(len(good))-1 {

@@ -2,8 +2,8 @@ package dataplane
 
 // Concurrent lookup/update interleaving stress. Run with -race: these
 // tests exist to prove that M dataplane readers against a control-plane
-// writer are clean on both read paths of openflow.FlowTable: the
-// workers' cached lookup and the serial switch's snapshot scan.
+// writer are clean on both read paths of openflow.FlowTable: the cached
+// lookup (workers, Switch.Process) and the uncached snapshot scan.
 
 import (
 	"sync"
@@ -65,7 +65,7 @@ func TestShardedTableRace(t *testing.T) {
 					Src:   packet.Endpoint{Addr: f.SrcIP, Port: f.SrcPort},
 					Dst:   packet.Endpoint{Addr: f.DstIP, Port: f.DstPort},
 				}}
-				if _, hit := tbl.LookupCached(cache, key, true, 100, time.Duration(i)); !hit {
+				if _, e := tbl.LookupCached(cache, key, true, 100, time.Duration(i)); e == nil {
 					tbl.LookupScan(cache, key, true, f, 100, time.Duration(i))
 				}
 			}
@@ -99,7 +99,7 @@ func TestShardedTableRace(t *testing.T) {
 }
 
 // TestLegacyTableRace runs the same interleaving against the table's
-// cacheless read path (the serial switch's Lookup): concurrent snapshot
+// cacheless read path (Lookup, under LookupScan): concurrent snapshot
 // scans with atomic counter updates, against Install/RemoveByCookie/
 // Expire writers.
 func TestLegacyTableRace(t *testing.T) {

@@ -61,9 +61,9 @@ type Server struct {
 	// Nil means URI-based requests are refused.
 	FetchPVNC func(uri string) (string, error)
 	// ExtraRules, when non-nil, receives every rule and meter write in
-	// addition to Switch.Table — how cmd/pvnd mirrors deployments into
-	// the sharded dataplane's table when -dataplane=sharded. Usage and
-	// Teardown bill the traffic of both.
+	// addition to Switch.Table — how a host that fronts its deployments
+	// with a dataplane.Pipeline mirrors them into the pipeline's table
+	// (bench/ wires one). Usage and Teardown bill the traffic of both.
 	ExtraRules *openflow.FlowTable
 	// DevicePort/UpstreamPort are the compile targets.
 	DevicePort, UpstreamPort uint16

@@ -36,10 +36,11 @@ func tcpProbe(src, dst packet.IPv4Address, sport, dport, inPort uint16, size int
 // fastLookup is the worker's protocol: the cache alone first, the scan
 // only on a miss.
 func fastLookup(t *FlowTable, c *FlowCache, p probe, now time.Duration) []Action {
-	if actions, hit := t.LookupCached(c, p.key, p.cacheable, p.size, now); hit {
+	if actions, e := t.LookupCached(c, p.key, p.cacheable, p.size, now); e != nil {
 		return actions
 	}
-	return t.LookupScan(c, p.key, p.cacheable, p.fields, p.size, now)
+	actions, _ := t.LookupScan(c, p.key, p.cacheable, p.fields, p.size, now)
+	return actions
 }
 
 // ruleID reads back the id twinRule stored in a rule's only action;

@@ -141,7 +141,7 @@ func TestTableTimeouts(t *testing.T) {
 
 // TestExpireNothingDue: an expiry pass that evicts nothing must not
 // publish a snapshot (every worker's flow cache stays valid) and must
-// not allocate (the serial switch runs it per packet) — with no timed
+// not allocate (Switch.Process runs it per packet) — with no timed
 // rule installed, and with one installed but not yet due.
 func TestExpireNothingDue(t *testing.T) {
 	tbl := NewFlowTable()
@@ -163,7 +163,7 @@ func TestExpireNothingDue(t *testing.T) {
 		if got := tbl.snap.Load().gen; got != gen {
 			t.Errorf("%s: generation moved %d -> %d", when, gen, got)
 		}
-		if _, hit := tbl.LookupCached(cache, key, true, 1, now); !hit {
+		if _, e := tbl.LookupCached(cache, key, true, 1, now); e == nil {
 			t.Errorf("%s: flow cache was flushed", when)
 		}
 	}
@@ -173,7 +173,7 @@ func TestExpireNothingDue(t *testing.T) {
 	if exp := tbl.Expire(time.Minute); len(exp) != 1 || tbl.Len() != 1 {
 		t.Fatalf("due rule: expired %d, %d left", len(exp), tbl.Len())
 	}
-	if _, hit := tbl.LookupCached(cache, key, true, 1, time.Minute); hit {
+	if _, e := tbl.LookupCached(cache, key, true, 1, time.Minute); e != nil {
 		t.Error("flow cache survived an eviction")
 	}
 	check("timed rule gone", time.Hour)
@@ -356,6 +356,45 @@ func TestSwitchEmptyActionListDrops(t *testing.T) {
 	sw.Table.Install(&FlowEntry{Priority: 1}, 0)
 	if d := sw.Process(tcpPacket(t, clientIP, webIP, 1, 80, "x"), 0); d.Verdict != VerdictDrop {
 		t.Fatalf("verdict %v", d.Verdict)
+	}
+}
+
+// TestSwitchProcessZeroAlloc: on a no-chain rule the inline path
+// allocates nothing per packet, on a flow-cache hit and on a miss (a
+// header decode into the switch's decoder and a snapshot lookup).
+func TestSwitchProcessZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	sw := NewSwitch("s1", nil)
+	sw.Table.Install(&FlowEntry{Priority: 1, Match: Match{Fields: FieldProto, Proto: packet.IPProtoTCP}, Actions: []Action{Output(1)}}, 0)
+	const flows = 256
+	frames := make([][]byte, flows)
+	for i := range frames {
+		frames[i] = tcpPacket(t, clientIP, webIP, uint16(1000+i), 80, "x")
+	}
+	next := 0
+	process := func() {
+		if d := sw.Process(frames[next%flows], 0); d.Verdict != VerdictOutput || d.Entry == nil {
+			t.Fatalf("packet %d: %v", next, d.Verdict)
+		}
+		next++
+	}
+	for range frames {
+		process() // memoize every flow
+	}
+	if n := testing.AllocsPerRun(flows, process); n != 0 {
+		t.Errorf("cache hit: %v allocs per packet", n)
+	}
+	// A rule write empties the cache but keeps the storage its map grew,
+	// so each flow is a miss once more, decoded and looked up again.
+	sw.Table.Install(&FlowEntry{Priority: 0, Actions: []Action{Drop()}}, 0)
+	next = 0
+	if n := testing.AllocsPerRun(flows-1, process); n != 0 {
+		t.Errorf("cache miss: %v allocs per packet", n)
+	}
+	if len(sw.cache.m) != flows {
+		t.Fatalf("%d flows memoized after the miss pass, want %d: the packets did not all miss", len(sw.cache.m), flows)
 	}
 }
 

@@ -57,10 +57,10 @@ type ChainExecutor interface {
 }
 
 // Switch is a match/action forwarding element: one flow table (rules
-// and meters) and an optional middlebox executor. Process is the scalar
-// reference interpreter of the table; the dataplane pipeline's workers
-// run their own copy of the same action switch over the same table type,
-// and the differential tests hold the two together.
+// and meters) and an optional middlebox executor. Process is the
+// dataplane's inline mode: a packet runs on the caller's goroutine
+// through the code a pipeline worker runs — flow cache, header decode
+// on a miss, Interpret — with no queue in front of it.
 type Switch struct {
 	ID    string
 	Table *FlowTable
@@ -71,8 +71,11 @@ type Switch struct {
 	// Now supplies simulated time for counters/timeouts/meters.
 	Now func() time.Duration
 
-	// Counters.
-	RxPackets, Dropped, PacketIns int64
+	// PacketIns counts table-miss punts to the controller.
+	PacketIns int64
+
+	cache *FlowCache
+	dec   packet.Decoder
 }
 
 // NewSwitch returns a switch with an empty table. now may be nil, in
@@ -81,75 +84,90 @@ func NewSwitch(id string, now func() time.Duration) *Switch {
 	if now == nil {
 		now = func() time.Duration { return 0 }
 	}
-	return &Switch{ID: id, Table: NewFlowTable(), Now: now}
+	return &Switch{ID: id, Table: NewFlowTable(), Now: now, cache: NewFlowCache()}
 }
 
-// Process runs one packet (raw IPv4 bytes) through the pipeline and
-// returns its disposition.
+// Process runs one packet (raw IPv4 bytes) to its disposition: expire
+// due rules, answer from the switch's flow cache by the peeked 5-tuple,
+// and on a miss decode the headers and look them up in the snapshot;
+// then Interpret the actions. Like a worker's, the cache memoizes only
+// decisions the decoder agreed with, and a malformed frame riding an
+// already cached 5-tuple follows the flow's actions (see LookupScan).
+//
+// The cache and decoder belong to the switch, so Process must be called
+// from one goroutine at a time.
 func (s *Switch) Process(data []byte, inPort uint16) Disposition {
-	s.RxPackets++
 	now := s.Now()
 	s.Table.Expire(now)
+	key, cacheable := KeyOf(data, inPort)
+	actions, entry := s.Table.LookupCached(s.cache, key, cacheable, len(data), now)
+	if entry == nil {
+		fields := ExtractFields(s.dec.DecodeHeaders(data, packet.LayerTypeIPv4), inPort)
+		actions, entry = s.Table.LookupScan(s.cache, key, cacheable, fields, len(data), now)
+	}
+	term, out, delay, _ := s.Table.Interpret(actions, data, now, s.Chains)
+	d := Disposition{Data: out, Delay: delay, Entry: entry}
+	if term == nil {
+		return d
+	}
+	switch term.Type {
+	case ActionTypeOutput:
+		d.Verdict, d.Port = VerdictOutput, term.Port
+	case ActionTypeController:
+		s.PacketIns++
+		d.Verdict = VerdictController
+	case ActionTypeTunnel:
+		d.Verdict, d.TunnelName = VerdictTunnel, term.Tunnel
+	}
+	return d
+}
 
-	pkt := packet.Decode(data, packet.LayerTypeIPv4)
-	fields := ExtractFields(pkt, inPort)
-	actions, entry := s.Table.Lookup(fields, len(data), now)
-
-	d := Disposition{Data: data, Entry: entry}
-	for _, a := range actions {
+// Interpret runs one packet's action list to the action that decides
+// it: the one action interpreter, behind Switch.Process and the
+// dataplane workers alike.
+//
+// term is the Output, Controller or Tunnel action that ended the list;
+// nil means drop — a Drop action, a chain that dropped or failed, a
+// Middlebox action with no executor, a failed rewrite, or a list with
+// no terminal action. out is the packet as it stood at that point
+// (rewritten by SetDst and chains; the bytes the chain was given when
+// it dropped them), delay the meter shaping and chain processing time
+// accumulated on the way, and err the chain's error when one failed.
+func (t *FlowTable) Interpret(actions []Action, data []byte, now time.Duration, chains ChainExecutor) (term *Action, out []byte, delay time.Duration, err error) {
+	out = data
+	for i := range actions {
+		a := &actions[i]
 		switch a.Type {
-		case ActionTypeOutput:
-			d.Verdict = VerdictOutput
-			d.Port = a.Port
-			return d
+		case ActionTypeOutput, ActionTypeController, ActionTypeTunnel:
+			return a, out, delay, nil
 
 		case ActionTypeDrop:
-			s.Dropped++
-			d.Verdict = VerdictDrop
-			return d
-
-		case ActionTypeController:
-			s.PacketIns++
-			d.Verdict = VerdictController
-			return d
-
-		case ActionTypeTunnel:
-			d.Verdict = VerdictTunnel
-			d.TunnelName = a.Tunnel
-			return d
+			return nil, out, delay, nil
 
 		case ActionTypeMiddlebox:
-			if s.Chains == nil {
-				s.Dropped++
-				d.Verdict = VerdictDrop
-				return d
+			if chains == nil {
+				return nil, out, delay, nil
 			}
-			out, delay, err := s.Chains.ExecuteChain(a.Chain, d.Data)
-			d.Delay += delay
-			if err != nil || out == nil {
-				s.Dropped++
-				d.Verdict = VerdictDrop
-				return d
+			next, d, err := chains.ExecuteChain(a.Chain, out)
+			delay += d
+			if err != nil || next == nil {
+				return nil, out, delay, err
 			}
-			d.Data = out
+			out = next
 
 		case ActionTypeMeter:
-			d.Delay += s.Table.Shape(a.MeterID, now+d.Delay, len(d.Data))
+			delay += t.Shape(a.MeterID, now+delay, len(out))
 
 		case ActionTypeSetDst:
-			out, err := RewriteDst(d.Data, a.Dst, a.DstPort)
+			next, err := RewriteDst(out, a.Dst, a.DstPort)
 			if err != nil {
-				s.Dropped++
-				d.Verdict = VerdictDrop
-				return d
+				return nil, out, delay, nil
 			}
-			d.Data = out
+			out = next
 		}
 	}
 	// Action list ended without a terminal action: drop, per OpenFlow.
-	s.Dropped++
-	d.Verdict = VerdictDrop
-	return d
+	return nil, out, delay, nil
 }
 
 // RewriteDst returns a copy of the IPv4 packet with its destination

@@ -114,10 +114,9 @@ func (s *snapshot) match(f PacketFields) *FlowEntry {
 // one O(rules) copy of the ordered slice, one generation bump and so
 // one flow-cache flush per call, however many rules the call carries;
 // the address indexes share every leaf the write did not touch.
-// Lookups — the serial Switch's Lookup and the dataplane workers'
-// LookupCached / LookupScan over a worker-private FlowCache — read the
-// current snapshot lock-free and keep using an old generation until
-// their next packet.
+// Lookups — LookupCached / LookupScan over a FlowCache private to one
+// dataplane worker or one Switch — read the current snapshot lock-free
+// and keep using an old generation until their next packet.
 type FlowTable struct {
 	mu   sync.Mutex // serializes rule writers
 	seq  uint64     // install stamps handed out; guarded by mu
@@ -318,9 +317,8 @@ func (t *FlowTable) Entries() []*FlowEntry {
 }
 
 // Lookup finds the packet summary's rule in the current snapshot and
-// updates the winning entry's counters — the scalar reference read the
-// serial Switch uses. Misses return the table-miss actions and a nil
-// entry.
+// updates the winning entry's counters — the uncached read under
+// LookupScan. Misses return the table-miss actions and a nil entry.
 func (t *FlowTable) Lookup(f PacketFields, size int, now time.Duration) ([]Action, *FlowEntry) {
 	e := t.snap.Load().match(f)
 	if e == nil {
@@ -338,6 +336,30 @@ type CacheKey struct {
 	InPort uint16
 }
 
+// KeyOf peeks the cache key from raw IPv4 bytes with a minimal header
+// parse: no decode, and no length or checksum checks. ok is false for
+// non-IPv4 or truncated packets; those skip the flow cache (and, in the
+// dataplane, all land on one shard).
+func KeyOf(data []byte, inPort uint16) (key CacheKey, ok bool) {
+	key.InPort = inPort
+	if len(data) < 20 || data[0]>>4 != 4 {
+		return key, false
+	}
+	ihl := int(data[0]&0x0f) * 4
+	if ihl < 20 || len(data) < ihl {
+		return key, false
+	}
+	f := packet.Flow{Proto: data[9]}
+	copy(f.Src.Addr[:], data[12:16])
+	copy(f.Dst.Addr[:], data[16:20])
+	if (f.Proto == packet.IPProtoTCP || f.Proto == packet.IPProtoUDP) && len(data) >= ihl+4 {
+		f.Src.Port = uint16(data[ihl])<<8 | uint16(data[ihl+1])
+		f.Dst.Port = uint16(data[ihl+2])<<8 | uint16(data[ihl+3])
+	}
+	key.Flow = f
+	return key, true
+}
+
 // describes reports whether the key's 5-tuple is the one in f.
 func (k CacheKey) describes(f PacketFields) bool {
 	return k.Flow.Src.Addr == f.SrcIP && k.Flow.Dst.Addr == f.DstIP && k.Flow.Proto == f.Proto &&
@@ -345,9 +367,10 @@ func (k CacheKey) describes(f PacketFields) bool {
 }
 
 // FlowCache is an exact-match fast path over the rule snapshot, in the
-// spirit of OVS's flow cache. It is owned by exactly one goroutine (a
-// dataplane worker) and therefore needs no lock; a generation bump (any
-// rule update or expiry) invalidates it wholesale.
+// spirit of OVS's flow cache. It is owned by exactly one goroutine at a
+// time (a dataplane worker, or the caller of one Switch's Process) and
+// therefore needs no lock; a generation bump (any rule update or
+// expiry) invalidates it wholesale.
 type FlowCache struct {
 	gen     uint64
 	m       map[CacheKey]*FlowEntry
@@ -370,28 +393,28 @@ func (c *FlowCache) Flushes() int64 { return c.flushes.Load() }
 // LookupCached answers from the caller's exact-match cache alone — the
 // steady-state fast path, which needs only the 5-tuple key and no
 // packet decode at all. cacheable is false for packets whose 5-tuple
-// could not be extracted (they still match, just uncached). A false
-// return means the caller must extract match fields and call
-// LookupScan.
-func (t *FlowTable) LookupCached(c *FlowCache, key CacheKey, cacheable bool, size int, now time.Duration) ([]Action, bool) {
+// could not be extracted (they still match, just uncached). A hit
+// returns the memoized entry and its actions; a nil entry means the
+// caller must extract match fields and call LookupScan.
+func (t *FlowTable) LookupCached(c *FlowCache, key CacheKey, cacheable bool, size int, now time.Duration) ([]Action, *FlowEntry) {
 	if gen := t.snap.Load().gen; c.gen != gen {
 		c.gen = gen
 		clear(c.m)
 	}
 	if !cacheable {
-		return nil, false
+		return nil, nil
 	}
-	e, ok := c.m[key]
-	if !ok {
-		return nil, false
+	e := c.m[key]
+	if e == nil {
+		return nil, nil
 	}
 	e.count(size, now)
-	return e.Actions, true
+	return e.Actions, e
 }
 
-// LookupScan is Lookup — the same read the serial Switch runs —
-// memoizing the winning entry in the cache. Callers must have tried
-// LookupCached first (it also syncs the cache generation).
+// LookupScan is Lookup, memoizing the winning entry in the cache.
+// Callers must have tried LookupCached first (it also syncs the cache
+// generation).
 //
 // The key is what the submit path peeked from raw bytes; fields is what
 // the decoder, with its length and checksum checks, saw. The answer is
@@ -401,7 +424,7 @@ func (t *FlowTable) LookupCached(c *FlowCache, key CacheKey, cacheable bool, siz
 // well-formed packets share. The converse is not policed: a malformed
 // packet whose peeked 5-tuple is already cached hits in LookupCached,
 // is never decoded, and follows the flow's actions.
-func (t *FlowTable) LookupScan(c *FlowCache, key CacheKey, cacheable bool, fields PacketFields, size int, now time.Duration) []Action {
+func (t *FlowTable) LookupScan(c *FlowCache, key CacheKey, cacheable bool, fields PacketFields, size int, now time.Duration) ([]Action, *FlowEntry) {
 	actions, e := t.Lookup(fields, size, now)
 	if e != nil && cacheable && key.describes(fields) {
 		if len(c.m) >= flowCacheMax {
@@ -410,7 +433,7 @@ func (t *FlowTable) LookupScan(c *FlowCache, key CacheKey, cacheable bool, field
 		}
 		c.m[key] = e
 	}
-	return actions
+	return actions, e
 }
 
 // AddMeter installs a named meter, replacing any earlier one with the
