@@ -58,18 +58,20 @@ race:
 # deterministic fault-injection tests — and the flow table those deploys
 # write while lookups read it — plus the reusable decoder and the boxes
 # that read it, since race builds poison the chain's pooled decode after
-# every invocation (a box that keeps a view of it fails there). Faster
-# than a full `make race` and targeted at the lifecycle code paths.
+# every invocation (a box that keeps a view of it fails there), and the
+# DNS resolvers every owner's dns-validate box shares. Faster than a
+# full `make race` and targeted at the lifecycle code paths.
 test-race:
 	$(GO) test -race ./internal/discovery/ ./internal/deployserver/ ./internal/netsim/ ./cmd/pvnd/ \
 		./internal/health/ ./internal/middlebox/ ./internal/tunnel/ ./internal/openflow/ \
-		./internal/packet/ ./internal/middlebox/mbx/
+		./internal/packet/ ./internal/middlebox/mbx/ ./internal/dnssim/
 
 # A short seed-corpus + random fuzz pass over every fuzz target in the
 # tree, i.e. every parser that handles untrusted bytes: the packet
 # decoder and the HTTP/TLS/DNS parsers each chain hop runs on wire bytes,
-# the DHT wire envelope, the distributed-store module manifest, the PVNC
-# and user-script compilers, and the pcap reader — plus the differential
+# the DHT wire envelope and the offer/module records it carries, the
+# distributed-store module manifest, certificate blobs, tunnel frames,
+# the PVNC and user-script compilers, and the pcap reader — plus the differential
 # holding the reusable Decoder to a fresh decode. Patterns are anchored:
 # go test refuses -fuzz when it matches more than one target.
 fuzz-short:
@@ -83,6 +85,9 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=6s ./internal/pvnc/
 	$(GO) test -run='^$$' -fuzz='^FuzzCompileScript$$' -fuzztime=6s ./internal/middlebox/mbx/
 	$(GO) test -run='^$$' -fuzz='^FuzzReader$$' -fuzztime=6s ./internal/pcapio/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeCertificate$$' -fuzztime=6s ./internal/pki/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecap$$' -fuzztime=6s ./internal/tunnel/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=6s ./internal/overlay/
 
 # The overlay determinism gate: the E16 table must be bit-identical
 # across runs under the race detector (DESIGN.md §12).

@@ -35,7 +35,6 @@ var all = []experiment{
 		if q {
 			p.Instances, p.PacketsPerChain = 16, 50
 		}
-		p.Timing = benchTiming()
 		return experiments.E1(p)
 	}},
 	{"E2", "in-network vs tunneled latency", func(q bool) *experiments.Result {
@@ -168,7 +167,7 @@ var all = []experiment{
 }
 
 // wallclock is pvnbench's explicit measurement mode: real elapsed-time
-// readings for the E1/E11 throughput probes. Off by default so a plain
+// readings for E11's per-packet cost probes. Off by default so a plain
 // run prints bit-deterministic tables (the EXPERIMENTS.md recorded
 // numbers come from -wallclock runs).
 var wallclock bool
@@ -231,7 +230,7 @@ func main() {
 	soakFlag := flag.Bool("soak", false, "run the scenario-engine random soak instead of the experiments")
 	seedFlag := flag.Uint64("seed", 1, "soak: RNG seed (a violation report's reproduction line sets this)")
 	simHours := flag.Float64("sim-hours", 1.0, "soak: simulated hours of composed storms")
-	flag.BoolVar(&wallclock, "wallclock", false, "measure E1/E11 throughput with the real clock (tables become machine-dependent)")
+	flag.BoolVar(&wallclock, "wallclock", false, "measure E11's per-packet cost with the real clock (its table becomes machine-dependent)")
 	flag.Parse()
 
 	if *soakFlag {

@@ -144,7 +144,6 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	pkts = append([][]byte{badIPChecksum(pkts[0]), cutTCPHeader(pkts[len(dports)])}, pkts...)
 	n := len(pkts)
 	out := []openflow.Action{openflow.Output(1)}
-	proxy := packet.MustParseIPv4("10.99.0.1")
 	rules := func(tbl *openflow.FlowTable) {
 		installRules(t, tbl)
 		drop := []openflow.Action{openflow.Drop()}
@@ -154,7 +153,6 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		tbl.AddMeter("shape", openflow.Meter{RateBps: 8000, BurstBytes: 600})
 		for _, e := range []openflow.FlowEntry{
 			{Priority: 60, Cookie: 12, Match: dportMatch(8443), Actions: []openflow.Action{openflow.Metered("shape"), openflow.Output(1)}},
-			{Priority: 60, Cookie: 12, Match: dportMatch(8081), Actions: []openflow.Action{openflow.SetDst(proxy, 9090), openflow.Output(1)}},
 			{Priority: 60, Cookie: 14, Match: dportMatch(6001), Actions: []openflow.Action{openflow.ToMiddlebox("e/c"), openflow.Output(1)}},
 			{Priority: 60, Cookie: 14, Match: dportMatch(6002), Actions: []openflow.Action{openflow.ToMiddlebox("p/c"), openflow.Output(1)}},
 			// Falls due at the second clock step.

@@ -73,14 +73,6 @@ func (s *refSwitch) process(data []byte, inPort uint16) openflow.Disposition {
 
 		case openflow.ActionTypeMeter:
 			d.Delay += s.table.Shape(a.MeterID, now+d.Delay, len(d.Data))
-
-		case openflow.ActionTypeSetDst:
-			out, err := openflow.RewriteDst(d.Data, a.Dst, a.DstPort)
-			if err != nil {
-				d.Verdict = openflow.VerdictDrop
-				return d
-			}
-			d.Data = out
 		}
 	}
 	// Action list ended without a terminal action: drop, per OpenFlow.

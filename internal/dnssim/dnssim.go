@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"pvn/internal/netsim"
 	"pvn/internal/packet"
@@ -187,7 +188,8 @@ func (a *Authority) Resolve(query *packet.DNS) *packet.DNS {
 
 // Resolver models one recursive resolver a device might use. Malicious
 // resolvers forge configured names (and strip signatures, as a real
-// attacker without zone keys must).
+// attacker without zone keys must). Query is safe for concurrent use: a
+// host hands every owner's validator the same open resolvers.
 type Resolver struct {
 	// Name identifies the resolver in experiment output.
 	Name      string
@@ -199,10 +201,9 @@ type Resolver struct {
 	// FailRate drops queries with this probability (SERVFAIL).
 	FailRate float64
 
-	rng *netsim.RNG
-
-	// Queries counts lookups served, for probe-cost accounting.
-	Queries int64
+	mu      sync.Mutex // guards rng and queries
+	rng     *netsim.RNG
+	queries int64
 }
 
 // NewResolver builds a resolver over the authority. seed drives failure
@@ -211,12 +212,23 @@ func NewResolver(name string, upstream *Authority, seed uint64) *Resolver {
 	return &Resolver{Name: name, Upstream: upstream, Forge: make(map[string]packet.IPv4Address), rng: netsim.NewRNG(seed)}
 }
 
+// Queries counts lookups served, for probe-cost accounting.
+func (r *Resolver) Queries() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.queries
+}
+
 // Query resolves one name/type.
 func (r *Resolver) Query(name string, rtype uint16) *packet.DNS {
-	r.Queries++
-	q := &packet.DNS{ID: uint16(r.rng.Uint64()), RD: true,
+	r.mu.Lock()
+	r.queries++
+	id := uint16(r.rng.Uint64())
+	fail := r.FailRate > 0 && r.rng.Bool(r.FailRate)
+	r.mu.Unlock()
+	q := &packet.DNS{ID: id, RD: true,
 		Questions: []packet.DNSQuestion{{Name: name, Type: rtype, Class: packet.DNSClassIN}}}
-	if r.FailRate > 0 && r.rng.Bool(r.FailRate) {
+	if fail {
 		return &packet.DNS{ID: q.ID, QR: true, Rcode: packet.DNSRcodeServFail, Questions: q.Questions}
 	}
 	if r.Malicious {

@@ -203,8 +203,8 @@ func TestResolverQueryCount(t *testing.T) {
 	r := NewResolver("r1", auth, 1)
 	r.Query("www.example.com", packet.DNSTypeA)
 	r.Query("www.example.com", packet.DNSTypeA)
-	if r.Queries != 2 {
-		t.Fatalf("query count %d", r.Queries)
+	if r.Queries() != 2 {
+		t.Fatalf("query count %d", r.Queries())
 	}
 }
 

@@ -2,10 +2,9 @@ package experiments
 
 import "time"
 
-// Stopwatch is the elapsed-time source for the throughput probes (E1's
-// dataplane section, E11's per-packet cost sweep). Everything else in
-// this package already runs on simulated clocks; the probes were the
-// last wall-clock leak, which made the experiment *tables* a function
+// Stopwatch is the elapsed-time source for E11's per-packet cost sweep.
+// Everything else in this package already runs on simulated clocks; the
+// probes were the last wall-clock leak, which made the experiment *tables* a function
 // of machine speed instead of the seed. The default is the
 // deterministic SimStopwatch; real measurement is an explicit opt-in
 // (pvnbench -wallclock), which is where EXPERIMENTS.md's recorded
@@ -59,7 +58,7 @@ func timing(sw Stopwatch) Stopwatch {
 }
 
 // isWallclock reports whether sw measures real time — findings mention
-// it so a reader of a deterministic table knows the throughput cells
+// it so a reader of a deterministic table knows the per-packet cells
 // are synthetic.
 func isWallclock(sw Stopwatch) bool {
 	_, ok := timing(sw).(WallStopwatch)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"pvn/internal/dataplane"
-
 	"pvn/internal/discovery"
 	"pvn/internal/middlebox"
 	"pvn/internal/middlebox/mbx"
@@ -25,9 +23,6 @@ type E11Params struct {
 	HostMemoryBytes int
 	// PacketsPerProbe measures data-plane cost per configuration.
 	PacketsPerProbe int
-	// DataplaneShards sweeps sharded-pipeline worker counts against the
-	// serial switch on the fully-loaded rule table (empty disables).
-	DataplaneShards []int
 	// Timing is the elapsed-time source for the per-packet cost probes.
 	// Nil = deterministic SimStopwatch; pass WallStopwatch for real
 	// measurement (pvnbench -wallclock).
@@ -40,7 +35,6 @@ var DefaultE11 = E11Params{
 	UserCounts:      []int{1, 10, 50, 100, 200},
 	HostMemoryBytes: 4 << 30,
 	PacketsPerProbe: 2000,
-	DataplaneShards: []int{1, 2, 4},
 	Seed:            11,
 }
 
@@ -72,10 +66,8 @@ func E11(p E11Params) *Result {
 	// Baseline: an empty switch (non-PVN connection).
 	baseNs := probeDataPlane(nil, p.PacketsPerProbe, "10.0.0.5", timing(p.Timing))
 
-	var lastSrv *ds.Server
 	for _, users := range p.UserCounts {
 		srv := e11Server(p.HostMemoryBytes)
-		lastSrv = srv
 		deployed := 0
 		for u := 0; u < users; u++ {
 			src := fmt.Sprintf(e11Cfg, u, u, u/250, u%250)
@@ -100,67 +92,13 @@ func E11(p E11Params) *Result {
 	}
 
 	if isWallclock(p.Timing) {
-		res.Findingf("per-packet cost grows with table size (linear-scan switch); the dominant term is the user's own middlebox chain")
+		res.Findingf("a lookup reads only the rules filed under the packet's two addresses plus the unpinned ones, so the other subscribers' rules add little; the dominant term is the user's own middlebox chain")
 	} else {
 		res.Findingf("simclock timing: per-packet cost cells are synthetic placeholders; run pvnbench -wallclock for measured costs")
 	}
 	res.Findingf("memory = 12 MB/subscriber (two 6 MB instances), matching the ClickOS-style footprint the paper banks on")
 
-	// Sharded dataplane on the fully-loaded table: the same rule set the
-	// largest sweep installed, probed with chain-free HTTPS traffic so the
-	// measurement isolates lookup + forwarding scale-out.
-	if len(p.DataplaneShards) > 0 && lastSrv != nil {
-		serialKpps, rows := e11Dataplane(lastSrv, p.PacketsPerProbe, p.DataplaneShards, timing(p.Timing))
-		res.Findingf("dataplane on %d-rule table: serial %.0f kpkt/s", lastSrv.Switch.Table.Len(), serialKpps)
-		for i, shards := range p.DataplaneShards {
-			res.Findingf("dataplane on %d-rule table: %d shards %.0f kpkt/s (%.2fx serial)",
-				lastSrv.Switch.Table.Len(), shards, rows[i], rows[i]/serialKpps)
-		}
-	}
 	return res
-}
-
-// e11Dataplane replays chain-free HTTPS traffic (many flows) through the
-// serial switch and then through sharded pipelines carrying a copy of
-// the same rule table, returning aggregate kpkt/s for each. Elapsed
-// time flows through sw so the default run is deterministic.
-func e11Dataplane(srv *ds.Server, packets int, shardCounts []int, sw Stopwatch) (serialKpps float64, shardedKpps []float64) {
-	web := packet.MustParseIPv4("93.184.216.34")
-	frames := make([][]byte, 0, 128)
-	for i := 0; i < 128; i++ {
-		ip := &packet.IPv4{Src: packet.MustParseIPv4(fmt.Sprintf("10.0.%d.5", i%200)), Dst: web, Protocol: packet.IPProtoTCP}
-		tcp := &packet.TCP{SrcPort: uint16(40000 + i), DstPort: 443}
-		tcp.SetNetworkLayerForChecksum(ip)
-		data, err := packet.SerializeToBytes(ip, tcp, packet.Payload("x"))
-		if err != nil {
-			panic(err)
-		}
-		frames = append(frames, data)
-	}
-
-	stop := sw.Start()
-	for i := 0; i < packets; i++ {
-		srv.Switch.Process(frames[i%len(frames)], 0)
-	}
-	serialKpps = float64(packets) / stop(packets).Seconds() / 1e3
-
-	for _, shards := range shardCounts {
-		dp := dataplane.New(dataplane.Config{
-			Shards: shards,
-			Policy: dataplane.Block,
-			Chains: srv.Runtime,
-		})
-		dp.Table().InstallAll(srv.Switch.Table.Entries(), 0) // Entries hands out copies
-		dp.Start()
-		stop = sw.Start()
-		for i := 0; i < packets; i++ {
-			dp.Submit(frames[i%len(frames)], 0)
-		}
-		dp.Drain()
-		shardedKpps = append(shardedKpps, float64(packets)/stop(packets).Seconds()/1e3)
-		dp.Stop()
-	}
-	return serialKpps, shardedKpps
 }
 
 // e11Server builds a deployment server with a free-tier provider.

@@ -36,12 +36,12 @@ var DefaultE19 = E19Params{
 // random soak mixing all of it with lease churn and provider crashes.
 // Every row must end with zero invariant violations: no invoice drift,
 // no lease leaks, no blackout beyond the failover bound, a complete
-// auditor trail, and exact dataplane drop-accounting.
+// auditor trail, and no tampered module manifest installed.
 func E19(p E19Params) *Result {
 	res := &Result{
 		ID:     "E19",
 		Title:  "composed failure storms under global invariants",
-		Claim:  "concurrent roam storms, connectivity flaps, lease churn, provider crashes and adversarial campaigns compose without breaking billing exactness, lease bookkeeping, bounded blackout, audit completeness or drop accounting (paper S3.3/S4 robustness, composed)",
+		Claim:  "concurrent roam storms, connectivity flaps, lease churn, provider crashes and adversarial campaigns compose without breaking billing exactness, lease bookkeeping, bounded blackout, audit completeness or overlay integrity (paper S3.3/S4 robustness, composed)",
 		Header: []string{"scenario", "sim time", "activity", "outcome", "violations"},
 	}
 
@@ -139,6 +139,6 @@ func E19(p E19Params) *Result {
 		res.SetMetric("soak_violations", float64(sum.Violations))
 	}
 
-	res.Findingf("composed storms held every global invariant: storm, flap, campaign and %v soak all ended with zero violations (billing exact, leases clean, blackouts bounded, ledger complete, drops accounted)", p.SoakSimTime)
+	res.Findingf("composed storms held every global invariant: storm, flap, campaign and %v soak all ended with zero violations (billing exact, leases clean, blackouts bounded, ledger complete, no tampered module installed)", p.SoakSimTime)
 	return res
 }

@@ -114,7 +114,7 @@ func E6(p E6Params) *Result {
 			}
 		}
 		for _, r := range open {
-			probes += r.Queries
+			probes += r.Queries()
 		}
 		return
 	}

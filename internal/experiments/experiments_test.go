@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"math/bits"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -681,8 +684,13 @@ func TestE17OrchestrationShape(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/<ID>.golden from this run")
+
 // TestExperimentsDeterministic: EXPERIMENTS.md promises bit-identical
-// tables on every run; verify for a representative subset.
+// tables on every run; verify for a representative subset, and hold each
+// table to its committed golden file so a refactor that changes a table
+// shows up as a golden diff (go test -run TestExperimentsDeterministic
+// -update rewrites them).
 func TestExperimentsDeterministic(t *testing.T) {
 	pairs := []struct {
 		name string
@@ -721,6 +729,20 @@ func TestExperimentsDeterministic(t *testing.T) {
 		a, b := c.run(), c.run()
 		if a != b {
 			t.Errorf("%s not deterministic:\n%s\nvs\n%s", c.name, a, b)
+		}
+		golden := filepath.Join("testdata", c.name+".golden")
+		if *update {
+			if err := os.WriteFile(golden, []byte(a), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		if a != string(want) {
+			t.Errorf("%s differs from %s:\n%s\nwant:\n%s", c.name, golden, a, want)
 		}
 	}
 }

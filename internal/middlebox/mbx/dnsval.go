@@ -3,7 +3,6 @@ package mbx
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"pvn/internal/dnssim"
 	"pvn/internal/middlebox"
@@ -27,12 +26,6 @@ type DNSValidate struct {
 	// Validated, Forged and Unverifiable count outcomes.
 	Validated, Forged, Unverifiable int64
 }
-
-// quorumMu serializes quorum lookups: a host hands every owner's
-// validator the same open resolvers (Deps.OpenResolvers), a Resolver
-// counts and draws randomness per query, and validators of different
-// owners run concurrently.
-var quorumMu sync.Mutex
 
 // NewDNSValidate builds the validator.
 func NewDNSValidate(anchors dnssim.TrustAnchors, open []*dnssim.Resolver, quorum int) *DNSValidate {
@@ -90,9 +83,7 @@ func (d *DNSValidate) quorumCheck(ctx *middlebox.Context, data []byte, msg *pack
 		d.Unverifiable++
 		return data, middlebox.VerdictPass, nil
 	}
-	quorumMu.Lock()
 	res, err := dnssim.QuorumResolve(q.Name, d.OpenResolvers, d.Quorum)
-	quorumMu.Unlock()
 	if err != nil {
 		// No quorum among open resolvers: cannot prove the answer
 		// wrong; pass but record that it was unverifiable.

@@ -3,6 +3,7 @@ package mbx
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -298,6 +299,59 @@ func TestDNSValidateQuorumCatchesForgedUnsigned(t *testing.T) {
 		Answers:   []packet.DNSRecord{{Name: "old.legacy.net", Type: packet.DNSTypeA, Class: packet.DNSClassIN, TTL: 60, Data: srvIP[:]}}}
 	if out, err := runChain(t, rt, dnsPacket(t, honest)); err != nil || out == nil {
 		t.Fatal("honest unsigned answer blocked")
+	}
+}
+
+// TestDNSValidateSharedResolvers: a host hands every owner's validator
+// the same open resolvers, and different owners' chains run at once. Run
+// under -race: each Resolver guards its own counter and RNG, and the
+// query count comes out exact.
+func TestDNSValidateSharedResolvers(t *testing.T) {
+	zone, _ := dnssim.NewZone("legacy.net", false, 1)
+	zone.AddA("old.legacy.net", srvIP, 300)
+	auth := dnssim.NewAuthority(zone)
+	var open []*dnssim.Resolver
+	for i := 0; i < 3; i++ {
+		open = append(open, dnssim.NewResolver("o", auth, uint64(i)))
+	}
+	rt := middlebox.NewRuntime(nil)
+	RegisterBuiltins(rt, Deps{TrustStore: pki.NewTrustStore(), OpenResolvers: open})
+	owners := []string{"alice", "bob"}
+	for _, owner := range owners {
+		inst, err := rt.Instantiate(owner, "dns-validate", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.BuildChain(owner, "v", []string{inst.ID}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt.Now = func() time.Duration { return time.Second } // booted
+	evilAddr := packet.MustParseIPv4("198.18.0.66")
+	forged := dnsPacket(t, &packet.DNS{ID: 1, QR: true,
+		Questions: []packet.DNSQuestion{{Name: "old.legacy.net", Type: packet.DNSTypeA, Class: packet.DNSClassIN}},
+		Answers:   []packet.DNSRecord{{Name: "old.legacy.net", Type: packet.DNSTypeA, Class: packet.DNSClassIN, TTL: 60, Data: evilAddr[:]}}})
+	const perOwner = 200
+	var wg sync.WaitGroup
+	for _, owner := range owners {
+		wg.Add(1)
+		go func(chain string) {
+			defer wg.Done()
+			for i := 0; i < perOwner; i++ {
+				if out, _, err := rt.ExecuteChain(chain, forged); err != nil || out != nil {
+					t.Errorf("%s: forged answer passed (err %v)", chain, err)
+					return
+				}
+			}
+		}(owner + "/v")
+	}
+	wg.Wait()
+	var queries int64
+	for _, r := range open {
+		queries += r.Queries()
+	}
+	if want := int64(len(owners) * perOwner * len(open)); queries != want {
+		t.Errorf("open resolvers served %d queries, want %d", queries, want)
 	}
 }
 

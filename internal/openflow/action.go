@@ -1,10 +1,6 @@
 package openflow
 
-import (
-	"fmt"
-
-	"pvn/internal/packet"
-)
+import "fmt"
 
 // ActionType discriminates Action variants for the wire codec.
 type ActionType uint8
@@ -16,7 +12,6 @@ const (
 	ActionTypeController
 	ActionTypeMiddlebox
 	ActionTypeMeter
-	ActionTypeSetDst
 	ActionTypeTunnel
 )
 
@@ -31,10 +26,6 @@ type Action struct {
 	Chain string
 	// MeterID names the meter for Meter actions.
 	MeterID string
-	// Dst rewrites the destination address/port for SetDst actions
-	// (port 0 leaves the transport port unchanged).
-	Dst     packet.IPv4Address
-	DstPort uint16
 	// Tunnel names the tunnel endpoint for Tunnel actions.
 	Tunnel string
 }
@@ -61,11 +52,6 @@ func (a Action) String() string {
 		return "mbx:" + a.Chain
 	case ActionTypeMeter:
 		return "meter:" + a.MeterID
-	case ActionTypeSetDst:
-		if a.DstPort != 0 {
-			return fmt.Sprintf("set-dst:%s:%d", a.Dst, a.DstPort)
-		}
-		return "set-dst:" + a.Dst.String()
 	case ActionTypeTunnel:
 		return "tunnel:" + a.Tunnel
 	}
@@ -89,11 +75,6 @@ func ToMiddlebox(chain string) Action { return Action{Type: ActionTypeMiddlebox,
 
 // Metered applies the named rate meter (shaping/policing).
 func Metered(id string) Action { return Action{Type: ActionTypeMeter, MeterID: id} }
-
-// SetDst rewrites the destination IP (and port when nonzero).
-func SetDst(addr packet.IPv4Address, port uint16) Action {
-	return Action{Type: ActionTypeSetDst, Dst: addr, DstPort: port}
-}
 
 // Tunnel encapsulates the packet toward the named tunnel endpoint.
 func Tunnel(name string) Action { return Action{Type: ActionTypeTunnel, Tunnel: name} }

@@ -11,8 +11,8 @@ import (
 // slot is one rule as the index files it: the entry and its install
 // stamp. Stamps grow with every install, so between two rules of equal
 // priority the lower stamp is the earlier-installed one — match order
-// decided without finding either rule in the ordered entries slice, and
-// without a field on FlowEntry (which sits exactly on a size class).
+// decided across the places a rule can be filed, and without a field on
+// FlowEntry (which sits exactly on a size class).
 type slot struct {
 	e   *FlowEntry
 	seq uint64
@@ -51,9 +51,8 @@ func pinOf(m *Match) pin {
 
 func addrKey(a packet.IPv4Address) uint32 { return binary.BigEndian.Uint32(a[:]) }
 
-// leafMax bounds one leaf of an addrIndex: a write copies one leaf, so
-// this is the per-install cost the index adds to the O(rules) copy of
-// the ordered slice, and a lookup's binary search inside the leaf.
+// leafMax bounds one leaf of an addrIndex: an install copies one leaf
+// plus the root, and a lookup binary-searches inside one leaf.
 const leafMax = 128
 
 // addrIndex holds the rules pinned to an exact source (or, with dst
@@ -155,49 +154,44 @@ func splice(run []slot, at int, s slot) []slot {
 	return out
 }
 
-// strain returns run without the slots that hold dead's leading
-// entries, and what is left of dead. Both must be in one order, so the
-// next entry to drop is always dead's head.
-func strain(run []slot, dead []*FlowEntry) ([]slot, []*FlowEntry) {
-	kept := make([]slot, 0, len(run))
-	for _, s := range run {
-		if len(dead) > 0 && s.e == dead[0] {
-			dead = dead[1:]
-			continue
-		}
-		kept = append(kept, s)
+// filter returns run without the slots whose entries dead selects,
+// appending those to gone. A run that loses nothing comes back as it is,
+// with nothing allocated.
+func filter(run []slot, dead func(*FlowEntry) bool, gone []slot) ([]slot, []slot) {
+	first := slices.IndexFunc(run, func(s slot) bool { return dead(s.e) })
+	if first < 0 {
+		return run, gone
 	}
-	return kept, dead
+	kept := append(make([]slot, 0, len(run)-1), run[:first]...)
+	for _, s := range run[first:] {
+		if dead(s.e) {
+			gone = append(gone, s)
+		} else {
+			kept = append(kept, s)
+		}
+	}
+	return kept, gone
 }
 
-// without returns the index minus the slots of dead, every one of which
-// it must hold. dead arrives in match order and is reordered in place.
-func (ix addrIndex) without(dead []*FlowEntry) addrIndex {
-	if len(dead) == 0 {
-		return ix
-	}
-	// Stable by (address, priority) puts match-ordered rules in index
-	// order, so one forward sweep meets them in turn.
-	sort.SliceStable(dead, func(a, b int) bool {
-		ka, kb := ix.key(dead[a]), ix.key(dead[b])
-		return ka < kb || ka == kb && dead[a].Priority > dead[b].Priority
-	})
-	li, _ := ix.seek(ix.key(dead[0]))
-	leaves := make([][]slot, li, len(ix.leaves))
-	copy(leaves, ix.leaves[:li])
-	for ; li < len(ix.leaves) && len(dead) > 0; li++ {
-		leaf := ix.leaves[li]
-		if ix.key(leaf[len(leaf)-1].e) < ix.key(dead[0]) {
-			leaves = append(leaves, leaf) // ends below the next dead rule's address
-			continue
-		}
+// filter returns the index without the slots whose entries dead
+// selects, appending those to gone. Each leaf is filtered on its own: a
+// leaf that loses nothing is shared, one that loses everything vanishes,
+// and an index that loses nothing comes back as it is.
+func (ix addrIndex) filter(dead func(*FlowEntry) bool, gone []slot) (addrIndex, []slot) {
+	var leaves [][]slot // nil until some leaf loses a slot
+	for i, leaf := range ix.leaves {
+		had := len(gone)
 		var kept []slot
-		if kept, dead = strain(leaf, dead); len(kept) > 0 {
+		kept, gone = filter(leaf, dead, gone)
+		if len(gone) > had && leaves == nil {
+			leaves = append(make([][]slot, 0, len(ix.leaves)), ix.leaves[:i]...)
+		}
+		if leaves != nil && len(kept) > 0 {
 			leaves = append(leaves, kept)
 		}
 	}
-	if len(dead) > 0 {
-		panic("openflow: installed rule missing from its address index")
+	if leaves == nil {
+		return ix, gone
 	}
-	return addrIndex{dst: ix.dst, leaves: append(leaves, ix.leaves[li:]...)}
+	return addrIndex{dst: ix.dst, leaves: leaves}, gone
 }

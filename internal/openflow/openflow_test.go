@@ -321,12 +321,13 @@ func TestSwitchMeterAddsDelay(t *testing.T) {
 	}
 }
 
-func TestSwitchSetDstRewrites(t *testing.T) {
-	sw := NewSwitch("s1", nil)
+func TestRewriteDstTCP(t *testing.T) {
 	proxy := packet.MustParseIPv4("10.99.0.1")
-	sw.Table.Install(&FlowEntry{Priority: 1, Actions: []Action{SetDst(proxy, 8080), Output(1)}}, 0)
-	d := sw.Process(tcpPacket(t, clientIP, webIP, 1234, 80, "GETx"), 0)
-	p := packet.Decode(d.Data, packet.LayerTypeIPv4)
+	out, err := RewriteDst(tcpPacket(t, clientIP, webIP, 1234, 80, "GETx"), proxy, 8080)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := packet.Decode(out, packet.LayerTypeIPv4)
 	if p.IPv4().Dst != proxy {
 		t.Fatalf("dst %v, want %v", p.IPv4().Dst, proxy)
 	}

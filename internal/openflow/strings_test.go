@@ -18,8 +18,6 @@ func TestActionStringsAndTerminal(t *testing.T) {
 		{ToController(), "controller", true},
 		{ToMiddlebox("alice/secure"), "mbx:alice/secure", false},
 		{Metered("m1"), "meter:m1", false},
-		{SetDst(packet.MustParseIPv4("1.2.3.4"), 0), "set-dst:1.2.3.4", false},
-		{SetDst(packet.MustParseIPv4("1.2.3.4"), 99), "set-dst:1.2.3.4:99", false},
 		{Tunnel("cloud"), "tunnel:cloud", true},
 		{Action{Type: ActionType(200)}, "action(200)", false},
 	}

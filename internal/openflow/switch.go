@@ -128,10 +128,9 @@ func (s *Switch) Process(data []byte, inPort uint16) Disposition {
 //
 // term is the Output, Controller or Tunnel action that ended the list;
 // nil means drop — a Drop action, a chain that dropped or failed, a
-// Middlebox action with no executor, a failed rewrite, or a list with
-// no terminal action. out is the packet as it stood at that point
-// (rewritten by SetDst and chains; the bytes the chain was given when
-// it dropped them), delay the meter shaping and chain processing time
+// Middlebox action with no executor, or a list with no terminal action.
+// out is the packet as it stood at that point (rewritten by chains; the
+// bytes the chain was given when it dropped them), delay the meter shaping and chain processing time
 // accumulated on the way, and err the chain's error when one failed.
 func (t *FlowTable) Interpret(actions []Action, data []byte, now time.Duration, chains ChainExecutor) (term *Action, out []byte, delay time.Duration, err error) {
 	out = data
@@ -157,13 +156,6 @@ func (t *FlowTable) Interpret(actions []Action, data []byte, now time.Duration, 
 
 		case ActionTypeMeter:
 			delay += t.Shape(a.MeterID, now+delay, len(out))
-
-		case ActionTypeSetDst:
-			next, err := RewriteDst(out, a.Dst, a.DstPort)
-			if err != nil {
-				return nil, out, delay, nil
-			}
-			out = next
 		}
 	}
 	// Action list ended without a terminal action: drop, per OpenFlow.

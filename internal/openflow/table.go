@@ -68,31 +68,42 @@ var missActions = []Action{ToController()}
 // so the lookup path never blocks on the control plane.
 //
 // Match order is stated here once: higher priority first, and within one
-// priority the earlier-installed rule first. entries holds every rule in
-// that order — what Entries, the per-cookie sums and the removal sweep
-// walk. Lookups do not walk it. The isolation rule (§3.3) makes pvnc pin
-// every compiled rule to its owner's address, so each rule is also filed
-// in exactly one of three places, each in match order: bySrc under its
-// exact source address, byDst under its exact destination address, or
-// open when it is pinned to neither (operator rules, prefix-only
-// matches). A packet can only match rules filed under its own source,
-// under its own destination, or in open, so a lookup costs the rules on
-// the packet's two addresses plus the unpinned ones, whatever the other
+// priority the earlier-installed rule first. The isolation rule (§3.3)
+// makes pvnc pin every compiled rule to its owner's address, so the
+// table files each rule in exactly one of three places, each in match
+// order: bySrc under its exact source address, byDst under its exact
+// destination address, or open when it is pinned to neither (operator
+// rules, prefix-only matches). Those three are the table; no other copy
+// of the rules exists. A packet can only match rules filed under its own
+// source, under its own destination, or in open, so a lookup costs the
+// rules on the packet's two addresses plus the unpinned ones, and a
+// write copies only the leaves it touches, whatever the other
 // subscribers installed.
 type snapshot struct {
-	gen     uint64
-	entries []*FlowEntry
-	timed   int // entries carrying an idle or hard timeout
+	gen   uint64
+	rules int // rules filed
+	timed int // of them, the ones carrying an idle or hard timeout
 
 	bySrc, byDst addrIndex
 	open         []slot
 }
 
+// each calls fn on every filed rule, in no particular order.
+func (s *snapshot) each(fn func(slot)) {
+	for _, run := range [][][]slot{s.bySrc.leaves, s.byDst.leaves, {s.open}} {
+		for _, leaf := range run {
+			for _, o := range leaf {
+				fn(o)
+			}
+		}
+	}
+}
+
 // match is the one function that chooses a rule: the first, in match
 // order, whose Match accepts f. The three places a rule can be filed are
 // filters, never verdicts — every candidate is confirmed by Matches, and
-// the best of the three first matches is the rule a walk over entries
-// would have stopped at.
+// the best of the three first matches is the rule a walk over all rules
+// in match order would have stopped at.
 func (s *snapshot) match(f PacketFields) *FlowEntry {
 	best := s.bySrc.match(addrKey(f.SrcIP), f, slot{})
 	best = s.byDst.match(addrKey(f.DstIP), f, best)
@@ -111,9 +122,9 @@ func (s *snapshot) match(f PacketFields) *FlowEntry {
 // a copy-on-write rule snapshot and the meter bank its Metered actions
 // name. Rule writes (Install/InstallAll/RemoveByCookie/Expire)
 // serialize on a writer mutex and publish a new snapshot atomically —
-// one O(rules) copy of the ordered slice, one generation bump and so
-// one flow-cache flush per call, however many rules the call carries;
-// the address indexes share every leaf the write did not touch.
+// one generation bump and so one flow-cache flush per call, however many
+// rules the call carries. A write copies the leaves it touches and the
+// index roots; every other leaf is shared with the previous snapshot.
 // Lookups — LookupCached / LookupScan over a FlowCache private to one
 // dataplane worker or one Switch — read the current snapshot lock-free
 // and keep using an old generation until their next packet.
@@ -123,7 +134,7 @@ type FlowTable struct {
 	snap atomic.Pointer[snapshot]
 
 	// The meter bank has its own lock so shaping on the packet path
-	// never waits behind an O(rules) snapshot copy.
+	// never waits behind a rule write.
 	meterMu sync.Mutex
 	meters  map[string]*Meter
 }
@@ -140,7 +151,7 @@ func NewFlowTable() *FlowTable {
 func (t *FlowTable) Generation() uint64 { return t.snap.Load().gen }
 
 // Len returns the number of installed entries.
-func (t *FlowTable) Len() int { return len(t.snap.Load().entries) }
+func (t *FlowTable) Len() int { return t.snap.Load().rules }
 
 // Install adds one entry at the given simulated time: InstallAll of one.
 func (t *FlowTable) Install(e *FlowEntry, now time.Duration) {
@@ -152,7 +163,7 @@ func (t *FlowTable) Install(e *FlowEntry, now time.Duration) {
 // snapshot swap. The table keeps the entries themselves: their counters
 // are live from here on. Each new entry is the youngest of its
 // priority, so it goes right before the first entry of lower priority
-// and the order needs no re-sort.
+// in its place and the order needs no re-sort.
 func (t *FlowTable) InstallAll(batch []*FlowEntry, now time.Duration) {
 	if len(batch) == 0 {
 		return
@@ -160,9 +171,9 @@ func (t *FlowTable) InstallAll(batch []*FlowEntry, now time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := t.snap.Load()
-	next := &snapshot{gen: old.gen + 1, timed: old.timed, bySrc: old.bySrc, byDst: old.byDst, open: old.open}
-	fresh := make([]slot, len(batch))
-	for i, e := range batch {
+	next := &snapshot{gen: old.gen + 1, rules: old.rules + len(batch), timed: old.timed,
+		bySrc: old.bySrc, byDst: old.byDst, open: old.open}
+	for _, e := range batch {
 		e.installedAt = now
 		atomic.StoreInt64(&e.lastUsed, int64(now))
 		if e.timed() {
@@ -170,7 +181,6 @@ func (t *FlowTable) InstallAll(batch []*FlowEntry, now time.Duration) {
 		}
 		t.seq++
 		s := slot{e: e, seq: t.seq}
-		fresh[i] = s
 		switch pinOf(&e.Match) {
 		case pinSrc:
 			next.bySrc = next.bySrc.with(s)
@@ -181,59 +191,32 @@ func (t *FlowTable) InstallAll(batch []*FlowEntry, now time.Duration) {
 			next.open = splice(next.open, at, s)
 		}
 	}
-	// Merge into the ordered slice: the batch by descending priority
-	// (stable, so install order survives within one), each entry landing
-	// behind what is left of the old entries of its priority.
-	sort.SliceStable(fresh, func(a, b int) bool { return fresh[a].e.Priority > fresh[b].e.Priority })
-	next.entries = make([]*FlowEntry, 0, len(old.entries)+len(fresh))
-	rest := old.entries
-	for _, s := range fresh {
-		at := sort.Search(len(rest), func(n int) bool { return rest[n].Priority < s.e.Priority })
-		next.entries = append(append(next.entries, rest[:at]...), s.e)
-		rest = rest[at:]
-	}
-	next.entries = append(next.entries, rest...)
 	t.snap.Store(next)
 }
 
 // remove republishes the table without the entries dead selects and
-// returns them; when it selects none, nothing is published (every flow
-// cache stays valid) and nothing is allocated. Callers hold t.mu.
+// returns them in match order. Each leaf and the unpinned list is
+// filtered once: one that loses nothing is shared, one that loses
+// everything vanishes. When dead selects nothing, nothing is published
+// (every flow cache stays valid) and nothing is allocated. Callers hold
+// t.mu.
 func (t *FlowTable) remove(dead func(*FlowEntry) bool) []*FlowEntry {
 	old := t.snap.Load()
-	first := 0
-	for first < len(old.entries) && !dead(old.entries[first]) {
-		first++
-	}
-	if first == len(old.entries) {
+	bySrc, gone := old.bySrc.filter(dead, nil)
+	byDst, gone := old.byDst.filter(dead, gone)
+	open, gone := filter(old.open, dead, gone)
+	if len(gone) == 0 {
 		return nil
 	}
-	kept := make([]*FlowEntry, first, len(old.entries)-1)
-	copy(kept, old.entries[:first])
-	var removed, src, dst, unpinned []*FlowEntry
-	timed := old.timed
-	for _, e := range old.entries[first:] {
-		if !dead(e) {
-			kept = append(kept, e)
-			continue
+	next := &snapshot{gen: old.gen + 1, rules: old.rules - len(gone), timed: old.timed,
+		bySrc: bySrc, byDst: byDst, open: open}
+	sort.Slice(gone, func(a, b int) bool { return gone[a].beats(gone[b]) })
+	removed := make([]*FlowEntry, len(gone))
+	for i, o := range gone {
+		removed[i] = o.e
+		if o.e.timed() {
+			next.timed--
 		}
-		removed = append(removed, e)
-		if e.timed() {
-			timed--
-		}
-		switch pinOf(&e.Match) {
-		case pinSrc:
-			src = append(src, e)
-		case pinDst:
-			dst = append(dst, e)
-		default:
-			unpinned = append(unpinned, e)
-		}
-	}
-	next := &snapshot{gen: old.gen + 1, entries: kept, timed: timed,
-		bySrc: old.bySrc.without(src), byDst: old.byDst.without(dst), open: old.open}
-	if len(unpinned) > 0 {
-		next.open, _ = strain(old.open, unpinned) // both in match order
 	}
 	t.snap.Store(next)
 	return removed
@@ -273,23 +256,23 @@ func (t *FlowTable) Expire(now time.Duration) []*FlowEntry {
 // StatsByCookie sums packet/byte counters over entries with the cookie,
 // the data source for usage-based billing.
 func (t *FlowTable) StatsByCookie(cookie uint64) (packets, bytes int64) {
-	for _, e := range t.snap.Load().entries {
-		if e.Cookie == cookie {
-			packets += atomic.LoadInt64(&e.Packets)
-			bytes += atomic.LoadInt64(&e.Bytes)
+	t.snap.Load().each(func(o slot) {
+		if o.e.Cookie == cookie {
+			packets += atomic.LoadInt64(&o.e.Packets)
+			bytes += atomic.LoadInt64(&o.e.Bytes)
 		}
-	}
+	})
 	return packets, bytes
 }
 
 // CountByCookie returns how many installed entries carry the cookie.
 func (t *FlowTable) CountByCookie(cookie uint64) int {
 	n := 0
-	for _, e := range t.snap.Load().entries {
-		if e.Cookie == cookie {
+	t.snap.Load().each(func(o slot) {
+		if o.e.Cookie == cookie {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -297,10 +280,14 @@ func (t *FlowTable) CountByCookie(cookie uint64) int {
 // their current counters. Copies, not the live entries: those keep
 // changing under concurrent lookups.
 func (t *FlowTable) Entries() []*FlowEntry {
-	entries := t.snap.Load().entries
-	copies := make([]FlowEntry, len(entries))
-	out := make([]*FlowEntry, len(entries))
-	for i, e := range entries {
+	s := t.snap.Load()
+	all := make([]slot, 0, s.rules)
+	s.each(func(o slot) { all = append(all, o) })
+	sort.Slice(all, func(a, b int) bool { return all[a].beats(all[b]) })
+	copies := make([]FlowEntry, len(all))
+	out := make([]*FlowEntry, len(all))
+	for i, o := range all {
+		e := o.e
 		copies[i] = FlowEntry{
 			Priority:    e.Priority,
 			Match:       e.Match,

@@ -2,9 +2,11 @@ package overlay
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"pvn/internal/pki"
+	"pvn/internal/store"
 )
 
 // FuzzDecodeEnvelope: the DHT wire decoder parses every byte a hostile
@@ -45,6 +47,54 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		if !bytes.Equal(e.Encode(), again.Encode()) {
 			t.Fatal("envelope changed across Encode/Decode round trip")
+		}
+	})
+}
+
+// FuzzDecodeRecord: DecodeOfferAd and DecodeModuleRecord parse record
+// bodies a replica hands back. The fuzzer fills a record's fields — the
+// body as the wire decoder would deliver it, valid JSON — signs it with
+// a real key when asked to (so the body parsers run, not only the
+// signature check), and keys it the way an honest publisher would.
+// Neither decoder may panic, and what they accept must be a record of
+// their kind whose binding they promised to check.
+func FuzzDecodeRecord(f *testing.F) {
+	kp, err := pki.GenerateKey(pki.NewDeterministicRand(0xfe2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	offer := NewOfferRecord("pvn", OfferAd{Provider: "isp", DeployServer: "d",
+		Standards: []string{"match-action"}, Supported: map[string]int64{"tls-verify": 3}}, kp, 1)
+	f.Add(offer.Kind, offer.Service, offer.Publisher, []byte(offer.Body), true)
+	m := &store.Module{Name: "acme/blocker", Version: "1.0", Publisher: "acme",
+		Type: "tracker-block", Config: map[string]string{"list": "ads.example"}}
+	m.Sign(kp.Private)
+	f.Add(RecordModule, "", "acme", m.Encode(), true)
+	f.Add(RecordOffer, "pvn", "isp", []byte(`{"provider":"other"}`), true)
+	f.Add(RecordModule, "", "acme", m.Encode(), false)
+	f.Add("bogus", "pvn", "isp", []byte(`{}`), true)
+
+	f.Fuzz(func(t *testing.T, kind, service, publisher string, body []byte, sign bool) {
+		if !json.Valid(body) {
+			return // a decoded envelope's body is always valid JSON
+		}
+		r := &Record{Kind: kind, Key: ServiceKey(service), Service: service, Publisher: publisher,
+			PublicKey: kp.Public, Seq: 1, Body: body}
+		if mod, err := store.DecodeModule(body); err == nil {
+			r.Key = ModuleKey(mod)
+		}
+		if sign {
+			r.Sign(kp.Private)
+		}
+		if ad, err := DecodeOfferAd(r); err == nil {
+			if r.Kind != RecordOffer || !sign || ad.Provider != r.Publisher || ServiceKey(r.Service) != r.Key {
+				t.Fatalf("accepted offer ad %+v from record kind=%q signed=%t publisher=%q", ad, r.Kind, sign, r.Publisher)
+			}
+		}
+		if mod, err := DecodeModuleRecord(r); err == nil {
+			if r.Kind != RecordModule || !sign || ModuleKey(mod) != r.Key {
+				t.Fatalf("accepted module %+v from record kind=%q signed=%t", mod, r.Kind, sign)
+			}
 		}
 	})
 }

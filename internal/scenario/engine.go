@@ -16,9 +16,7 @@ import (
 
 // Engine drives a World through composed failure storms on the
 // simulated clock. Everything runs single-threaded inside clock
-// callbacks (the only other goroutines are the dataplane's workers,
-// which never touch engine state), so one seed reproduces a run
-// bit-for-bit.
+// callbacks, so one seed reproduces a run bit-for-bit.
 type Engine struct {
 	cfg Config
 	W   *World
@@ -38,7 +36,6 @@ type Engine struct {
 	campaigns, gossipLies              int64
 	fetches, installs, rejects         int64
 	evilInstalls, tamperServed         int64
-	pumped                             int64
 
 	campaignActive bool
 	evilReported   bool
@@ -143,7 +140,7 @@ func (e *Engine) Summary() Summary {
 }
 
 // Start launches the background machinery up to the given horizon:
-// heartbeats (measurement traffic plus dataplane pumping) and, with
+// heartbeats (measurement traffic) and, with
 // leases enabled, the renewal and sweep cadences.
 func (e *Engine) Start(until time.Duration) {
 	if e.started {
@@ -165,17 +162,12 @@ func (e *Engine) beatLoop(until time.Duration) {
 	}
 }
 
-// beat sends every device's measurement packet(s) and pumps background
-// frames through the sharded dataplane.
+// beat sends every device's measurement packet(s).
 func (e *Engine) beat() {
 	for _, d := range e.W.Devs {
 		for i := 0; i < e.cfg.TrafficPerBeat; i++ {
 			e.tick(d)
 		}
-	}
-	for i := 0; i < e.cfg.PipelinePerBeat; i++ {
-		e.W.Pipe.Submit(e.W.pumpFrames[int(e.pumped)%len(e.W.pumpFrames)], 0)
-		e.pumped++
 	}
 }
 
@@ -410,7 +402,7 @@ func (e *Engine) Soak(simTime time.Duration) {
 
 // FinishAt advances to the horizon and quiesces: pending handovers
 // complete, episodes drain, every session is torn down and invoiced,
-// the dataplane drains, and the strict invariant check runs.
+// and the strict invariant check runs.
 func (e *Engine) FinishAt(horizon time.Duration) {
 	e.W.Clock.RunUntil(horizon)
 	e.Quiesce()
@@ -581,8 +573,8 @@ func (e *Engine) opFetch() {
 
 // Quiesce winds the world down and runs the strict invariant check:
 // probers stop, pending handovers complete, in-flight episodes drain
-// through a grace window, every session is torn down and invoiced, a
-// final sweep mops lapsed leases, and the dataplane drains.
+// through a grace window, every session is torn down and invoiced, and
+// a final sweep mops lapsed leases.
 func (e *Engine) Quiesce() {
 	for _, d := range e.W.Devs {
 		if d.probing {
@@ -626,5 +618,4 @@ func (e *Engine) Quiesce() {
 	}
 	e.sweepOnce()
 	e.checkAll(true)
-	e.W.Pipe.Stop()
 }

@@ -3,7 +3,6 @@ package scenario
 import (
 	"pvn/internal/auditor"
 	"pvn/internal/core"
-	"pvn/internal/dataplane"
 	"pvn/internal/orchestrator"
 )
 
@@ -14,17 +13,14 @@ import (
 //  2. lease-leak      deployment book <=> switch/runtime resources
 //  3. blackout        max unserved gap <= BlackoutBound
 //  4. ledger-complete every roam/failover/corruption left evidence
-//  5. drop-accounting Enqueued == Processed + Dropped + QueueDepth
-//  6. overlay-tamper  no tampered module manifest ever installed
-//  7. placement-book  orchestrator book <=> actual host state (only
+//  5. overlay-tamper  no tampered module manifest ever installed
+//  6. placement-book  orchestrator book <=> actual host state (only
 //     when a cluster is attached, Engine.AttachCluster)
 //
 // checkAll runs them between events (strict=false) and at quiesce
 // (strict=true, which additionally demands zero pending usage and
 // empty deployment books).
 func (e *Engine) checkAll(strict bool) {
-	e.W.Pipe.Drain()
-	e.checkDropAccounting()
 	e.checkInvoiceDrift(strict)
 	e.checkLeaseLeaks(strict)
 	e.checkBlackouts()
@@ -50,29 +46,6 @@ func (e *Engine) checkPlacement() {
 	}
 	for _, v := range e.W.Cluster.BookViolations() {
 		e.violate("placement-book", "%s", v)
-	}
-}
-
-// checkDropAccounting audits the sharded dataplane's PR 7 invariant on
-// every shard and in total, and — since the pipeline runs the Block
-// policy — demands zero drops. The pipeline was drained first, so
-// queue depths are zero and the counts are exact.
-func (e *Engine) checkDropAccounting() {
-	st := e.W.Pipe.Stats()
-	var total dataplane.ShardStats
-	for i, sh := range st.Shards {
-		if sh.Enqueued != sh.Processed+sh.Dropped+int64(sh.QueueDepth) {
-			e.violate("drop-accounting", "shard %d: enqueued %d != processed %d + dropped %d + depth %d",
-				i, sh.Enqueued, sh.Processed, sh.Dropped, sh.QueueDepth)
-		}
-		if sh.Dropped != 0 {
-			e.violate("drop-accounting", "shard %d dropped %d packets under the Block policy", i, sh.Dropped)
-		}
-		total.Enqueued += sh.Enqueued
-		total.Processed += sh.Processed
-	}
-	if total.Enqueued != e.pumped {
-		e.violate("drop-accounting", "pipeline enqueued %d of %d submitted", total.Enqueued, e.pumped)
 	}
 }
 

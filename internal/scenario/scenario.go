@@ -1,6 +1,6 @@
 // Package scenario is the adversarial soak harness: a deterministic,
 // seeded engine that composes concurrent failure storms over a running
-// core+dataplane+overlay system and checks global invariants between
+// core+overlay system and checks global invariants between
 // events and at quiesce (ROADMAP item 3 — the regression net that lets
 // the scale/refactor items change machinery aggressively).
 //
@@ -42,8 +42,6 @@
 //     detection+failover bound;
 //   - ledger-complete: every completed roam and tunnel failover has a
 //     redirection record, every detected corruption a violation;
-//   - drop-accounting: the sharded dataplane's PR 7 invariant,
-//     Enqueued == Processed + Dropped + QueueDepth, on every shard;
 //   - overlay-tamper: no tampered module manifest is ever installed.
 //
 // Violations carry the seed and the tail of the event trace; Report
@@ -96,11 +94,9 @@ type Config struct {
 	SweepEvery time.Duration
 
 	// HeartbeatEvery is the measurement cadence: every beat, every
-	// device sends TrafficPerBeat packets through its session and
-	// PipelinePerBeat synthetic packets enter the sharded dataplane.
-	HeartbeatEvery  time.Duration
-	TrafficPerBeat  int
-	PipelinePerBeat int
+	// device sends TrafficPerBeat packets through its session.
+	HeartbeatEvery time.Duration
+	TrafficPerBeat int
 
 	// MeanOpInterval spaces the randomly composed scenario events
 	// (exponential); CheckEveryOps runs the invariant sweep every N
@@ -116,10 +112,6 @@ type Config struct {
 	BlackoutBound time.Duration
 	// DrainDeadline bounds handover drains.
 	DrainDeadline time.Duration
-
-	// PipelineShards sizes the sharded dataplane (Block policy, so the
-	// drop invariant is exact).
-	PipelineShards int
 
 	// Weights biases the random composition mode per op kind (see
 	// opKinds); nil uses defaults. Only listed kinds run.
@@ -145,13 +137,11 @@ func DefaultConfig(seed uint64) Config {
 		SweepEvery:      120 * time.Second,
 		HeartbeatEvery:  40 * time.Second,
 		TrafficPerBeat:  1,
-		PipelinePerBeat: 4,
 		MeanOpInterval:  200 * time.Second,
 		CheckEveryOps:   25,
 		RepairDelay:     5 * time.Second,
 		BlackoutBound:   150 * time.Second,
 		DrainDeadline:   2 * time.Second,
-		PipelineShards:  2,
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"pvn/internal/auditor"
 	"pvn/internal/billing"
 	"pvn/internal/core"
-	"pvn/internal/dataplane"
 	"pvn/internal/discovery"
 	"pvn/internal/netsim"
 	"pvn/internal/openflow"
@@ -23,8 +22,7 @@ import (
 
 // World is the assembled system under test: access networks with lossy
 // control channels, a device population attached through package core,
-// the sharded dataplane pumping synthetic background traffic, and
-// (optionally) a discovery overlay riding the same simulated clock.
+// and (optionally) a discovery overlay riding the same simulated clock.
 type World struct {
 	Clock *netsim.Clock
 	Nets  []*core.AccessNetwork
@@ -33,7 +31,6 @@ type World struct {
 	// evidence from all of them lands here, which is what the
 	// ledger-complete invariant audits.
 	Ledger *auditor.Ledger
-	Pipe   *dataplane.Pipeline
 	Over   *overlayWorld // nil when Config.OverlayNodes == 0
 	// Cluster is an optional fleet control plane riding the same clock
 	// (Engine.AttachCluster); when set, the placement-book invariant
@@ -42,8 +39,6 @@ type World struct {
 
 	netIdx  map[*core.AccessNetwork]int
 	devByID map[string]*device
-	// pumpFrames cycle through the dataplane every heartbeat.
-	pumpFrames [][]byte
 }
 
 // device is one simulated device plus the harness's exact accounting
@@ -321,26 +316,5 @@ func buildWorld(cfg Config, rng *netsim.RNG) *World {
 		}
 	}
 
-	// Sharded dataplane carrying background traffic under the Block
-	// policy (so the drop-accounting invariant demands Dropped == 0).
-	// Workers run on real goroutines: Now must be a constant, never the
-	// simulated clock (worker reads would race the single-threaded sim).
-	w.Pipe = dataplane.New(dataplane.Config{
-		Shards: cfg.PipelineShards, QueueDepth: 256, Policy: dataplane.Block,
-		Now: func() time.Duration { return 0 },
-	})
-	w.Pipe.Table().Install(&openflow.FlowEntry{
-		Priority: 1, Actions: []openflow.Action{openflow.Output(1)}, Cookie: 9901,
-	}, 0)
-	for i := 0; i < 32; i++ {
-		f, err := trace.HTTPRequestPacket(
-			packet.MustParseIPv4(fmt.Sprintf("10.99.0.%d", 1+i)), dst,
-			uint16(50000+i), "pump.example", "/bg", "x")
-		if err != nil {
-			panic(fmt.Sprintf("scenario: pump packet: %v", err))
-		}
-		w.pumpFrames = append(w.pumpFrames, f)
-	}
-	w.Pipe.Start()
 	return w
 }
