@@ -70,7 +70,8 @@ test-race:
 # tree, i.e. every parser that handles untrusted bytes: the packet
 # decoder and the HTTP/TLS/DNS parsers each chain hop runs on wire bytes,
 # the DHT wire envelope and the offer/module records it carries, the
-# distributed-store module manifest, certificate blobs, tunnel frames,
+# distributed-store module manifest, the UDP discovery datagrams (DM and
+# offer), certificate blobs, tunnel frames,
 # the PVNC and user-script compilers, and the pcap reader — plus the differential
 # holding the reusable Decoder to a fresh decode. Patterns are anchored:
 # go test refuses -fuzz when it matches more than one target.
@@ -88,6 +89,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeCertificate$$' -fuzztime=6s ./internal/pki/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecap$$' -fuzztime=6s ./internal/tunnel/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=6s ./internal/overlay/
+	$(GO) test -run='^$$' -fuzz='^FuzzDiscoveryDatagram$$' -fuzztime=6s ./internal/discovery/
 
 # The overlay determinism gate: the E16 table must be bit-identical
 # across runs under the race detector (DESIGN.md §12).

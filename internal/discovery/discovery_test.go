@@ -22,7 +22,7 @@ policy 80 match dst=203.0.113.0/24 via=video action=forward
 policy 0 match any action=forward
 `
 
-func testConfig(t *testing.T) *pvnc.PVNC {
+func testConfig(t testing.TB) *pvnc.PVNC {
 	t.Helper()
 	p, err := pvnc.Parse(cfgSrc)
 	if err != nil {

@@ -30,11 +30,11 @@ func ServeUDP(conn net.PacketConn, policy *ProviderPolicy, now func() time.Durat
 			}
 			return fmt.Errorf("discovery: udp read: %w", err)
 		}
-		var dm DM
-		if err := json.Unmarshal(buf[:n], &dm); err != nil || dm.DeviceID == "" {
+		dm, err := decodeDM(buf[:n])
+		if err != nil {
 			continue
 		}
-		offer := policy.HandleDM(&dm, now())
+		offer := policy.HandleDM(dm, now())
 		if offer == nil {
 			continue // unsupported: silence, like a PVN-free network
 		}
@@ -76,10 +76,36 @@ func DiscoverUDP(conn net.PacketConn, dm *DM, candidates []net.Addr, wait time.D
 			}
 			return offers, fmt.Errorf("discovery: udp read: %w", err)
 		}
-		var offer Offer
-		if err := json.Unmarshal(buf[:n], &offer); err != nil || offer.OfferID == "" {
+		offer, err := decodeOffer(buf[:n])
+		if err != nil {
 			continue
 		}
-		offers = append(offers, &offer)
+		offers = append(offers, offer)
 	}
+}
+
+// decodeDM parses one DM datagram. Undecodable bytes and a DM naming
+// no device are both rejected.
+func decodeDM(b []byte) (*DM, error) {
+	var dm DM
+	if err := json.Unmarshal(b, &dm); err != nil {
+		return nil, fmt.Errorf("discovery: decode DM: %w", err)
+	}
+	if dm.DeviceID == "" {
+		return nil, errors.New("discovery: DM without device ID")
+	}
+	return &dm, nil
+}
+
+// decodeOffer parses one offer datagram. Undecodable bytes and an
+// offer without an ID are both rejected.
+func decodeOffer(b []byte) (*Offer, error) {
+	var offer Offer
+	if err := json.Unmarshal(b, &offer); err != nil {
+		return nil, fmt.Errorf("discovery: decode offer: %w", err)
+	}
+	if offer.OfferID == "" {
+		return nil, errors.New("discovery: offer without ID")
+	}
+	return &offer, nil
 }

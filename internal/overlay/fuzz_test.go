@@ -3,6 +3,7 @@ package overlay
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"pvn/internal/pki"
@@ -57,8 +58,12 @@ func FuzzDecodeEnvelope(f *testing.F) {
 // a real key when asked to (so the body parsers run, not only the
 // signature check), and keys it the way an honest publisher would.
 // Neither decoder may panic, and what they accept must be a record of
-// their kind whose binding they promised to check.
+// their kind whose binding they promised to check. A node's memoized
+// verifyRecord, called twice (the second call can hit the memo), must
+// agree with Verify.
 func FuzzDecodeRecord(f *testing.F) {
+	_, nodes := newSwarm(f, 0xfe3, 1, Config{})
+	node := nodes[0]
 	kp, err := pki.GenerateKey(pki.NewDeterministicRand(0xfe2))
 	if err != nil {
 		f.Fatal(err)
@@ -85,6 +90,12 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if sign {
 			r.Sign(kp.Private)
+		}
+		want := fmt.Sprint(r.Verify())
+		for pass := 0; pass < 2; pass++ {
+			if got := fmt.Sprint(node.verifyRecord(r)); got != want {
+				t.Fatalf("verifyRecord pass %d = %s, Verify = %s", pass, got, want)
+			}
 		}
 		if ad, err := DecodeOfferAd(r); err == nil {
 			if r.Kind != RecordOffer || !sign || ad.Provider != r.Publisher || ServiceKey(r.Service) != r.Key {

@@ -44,7 +44,7 @@ type lookup struct {
 	entries   map[ID]*lkEntry
 	inFlight  int
 	res       LookupResult
-	records   map[ID]map[string]*Record // key unused beyond target; publisher -> record
+	records   map[string]*Record // publisher -> highest-Seq record under target
 	done      func(LookupResult)
 	finished  bool
 }
@@ -118,7 +118,7 @@ func (n *Node) startLookup(target ID, findValue bool, done func(LookupResult)) {
 		target:    target,
 		findValue: findValue,
 		entries:   make(map[ID]*lkEntry),
-		records:   make(map[ID]map[string]*Record),
+		records:   make(map[string]*Record),
 		done:      done,
 		res:       LookupResult{Target: target},
 	}
@@ -205,17 +205,14 @@ func (lk *lookup) onReply(e *lkEntry, resp *Envelope) {
 			// record from the highest-Seq-per-publisher merge, and the
 			// caller's later verification would reject it — the
 			// honest record lost to a fake the replica knew was junk.
-			if err := r.Verify(); err != nil {
+			// Every replica returns the same records, so past the first
+			// reply this is a memo hit.
+			if err := lk.n.verifyRecord(r); err != nil {
 				lk.n.Stats.BadRecords++
 				continue
 			}
-			byPub := lk.records[lk.target]
-			if byPub == nil {
-				byPub = make(map[string]*Record)
-				lk.records[lk.target] = byPub
-			}
-			if old, ok := byPub[r.Publisher]; !ok || r.Seq > old.Seq {
-				byPub[r.Publisher] = r
+			if old, ok := lk.records[r.Publisher]; !ok || r.Seq > old.Seq {
+				lk.records[r.Publisher] = r
 			}
 		}
 	}
@@ -254,14 +251,14 @@ func (lk *lookup) finish() {
 		}
 	}
 	lk.res.Closest = closest
-	if byPub := lk.records[lk.target]; len(byPub) > 0 {
-		pubs := make([]string, 0, len(byPub))
-		for p := range byPub {
+	if len(lk.records) > 0 {
+		pubs := make([]string, 0, len(lk.records))
+		for p := range lk.records {
 			pubs = append(pubs, p)
 		}
 		sort.Strings(pubs)
 		for _, p := range pubs {
-			lk.res.Records = append(lk.res.Records, byPub[p])
+			lk.res.Records = append(lk.res.Records, lk.records[p])
 		}
 		lk.res.Found = true
 	}

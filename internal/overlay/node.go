@@ -1,6 +1,9 @@
 package overlay
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"sort"
 	"time"
 
@@ -53,7 +56,27 @@ type Stats struct {
 	BadEnvelopes int // undecodable wire messages dropped
 	BadRecords   int // records rejected by verification (store requests and lookup replies)
 	GossipMerged int // reputation claims that changed local state
+	// RecordVerifies counts full Record.Verify runs; a record this node
+	// already verified is a memo hit and does not count.
+	RecordVerifies int
+	VerifyFlushes  int // times the verified-record memo hit maxVerified and was emptied
+	KeysRefused    int // records refused because the store already holds maxKeys keys
 }
+
+// maxVerified bounds the verified-record memo; on overflow it is
+// emptied whole, so a record costs at most one more Verify after a
+// flush.
+const maxVerified = 1024
+
+// maxKeys bounds how many distinct keys one node stores records under.
+// admit caps publishers per key (maxRecords); this caps the keys, so a
+// peer minting validly self-signed records under fresh service or
+// content keys cannot grow a replica's store without limit.
+const maxKeys = 1024
+
+// ErrStoreFull is returned (and carried in a stored reply's Err) when a
+// record under a new key arrives at a node already holding maxKeys keys.
+var ErrStoreFull = errors.New("overlay: record store full")
 
 // pendingRPC tracks one in-flight request awaiting its response.
 type pendingRPC struct {
@@ -76,6 +99,10 @@ type Node struct {
 	records map[ID]map[string]*Record // key -> publisher -> record
 	rep     *RepStore
 
+	// verified holds the digests of records whose Verify passed here
+	// (see verifyRecord).
+	verified map[[sha256.Size]byte]struct{}
+
 	nextRPC uint64
 	pending map[uint64]*pendingRPC
 	alive   bool
@@ -95,15 +122,16 @@ type Node struct {
 // positions) and delivers overlay envelopes locally.
 func NewNode(sim *netsim.Node, kp pki.KeyPair, cfg Config) *Node {
 	n := &Node{
-		cfg:     cfg.withDefaults(),
-		kp:      kp,
-		self:    Peer{ID: IDFromPublicKey(kp.Public), Addr: sim.ID, Key: kp.Public},
-		sim:     sim,
-		clock:   sim.Network().Clock,
-		records: make(map[ID]map[string]*Record),
-		rep:     NewRepStore(),
-		pending: make(map[uint64]*pendingRPC),
-		alive:   true,
+		cfg:      cfg.withDefaults(),
+		kp:       kp,
+		self:     Peer{ID: IDFromPublicKey(kp.Public), Addr: sim.ID, Key: kp.Public},
+		sim:      sim,
+		clock:    sim.Network().Clock,
+		records:  make(map[ID]map[string]*Record),
+		rep:      NewRepStore(),
+		verified: make(map[[sha256.Size]byte]struct{}),
+		pending:  make(map[uint64]*pendingRPC),
+		alive:    true,
 	}
 	n.table = NewTable(n.self.ID, n.cfg.K)
 	sim.Handler = netsim.RouterHandler(func(_ *netsim.Node, _ *netsim.Port, msg *netsim.Message) {
@@ -145,13 +173,64 @@ func (n *Node) Refresh(done func(LookupResult)) { n.Lookup(n.self.ID, done) }
 
 // StoreLocal records a record on this node without any network traffic
 // (the node is its own first replica). It enforces the same
-// verification as a remote store.
+// verification and key cap as a remote store.
 func (n *Node) StoreLocal(r *Record) error {
+	if err := n.verifyRecord(r); err != nil {
+		return err
+	}
+	return n.admit(r)
+}
+
+// verifyRecord is r.Verify, run once per node for each record. Verify
+// is a pure function of the record's fields and recordDigest hashes
+// every one of them, so a memo hit means this node already ran Verify
+// on identical input and it passed: the memo is exact, not a cache of
+// a looser check. Only successes are kept, so a bad record re-runs
+// Verify every time it arrives.
+func (n *Node) verifyRecord(r *Record) error {
+	d := recordDigest(r)
+	if _, ok := n.verified[d]; ok {
+		return nil
+	}
+	n.Stats.RecordVerifies++
 	if err := r.Verify(); err != nil {
 		return err
 	}
-	n.admit(r)
+	if len(n.verified) >= maxVerified {
+		clear(n.verified)
+		n.Stats.VerifyFlushes++
+	}
+	n.verified[d] = struct{}{}
 	return nil
+}
+
+// recordDigest is the verified-record memo key: SHA-256 over every
+// field Verify reads, each length-prefixed so no two records share a
+// preimage. It is never keyed on the pointer, the signature alone, or
+// (publisher, seq): a replica that keeps the signature and swaps the
+// body must miss.
+func recordDigest(r *Record) [sha256.Size]byte {
+	var seq [8]byte
+	binary.BigEndian.PutUint64(seq[:], r.Seq)
+	// An offer record's preimage fits the stack buffer; larger bodies
+	// spill to the heap.
+	var buf [1024]byte
+	b := buf[:0]
+	b = appendField(b, r.Kind)
+	b = appendField(b, r.Key[:])
+	b = appendField(b, r.Service)
+	b = appendField(b, r.Publisher)
+	b = appendField(b, r.PublicKey)
+	b = appendField(b, seq[:])
+	b = appendField(b, r.Body)
+	b = appendField(b, r.Sig)
+	return sha256.Sum256(b)
+}
+
+// appendField appends f to b behind its 8-byte big-endian length.
+func appendField[T ~string | ~[]byte](b []byte, f T) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(len(f)))
+	return append(b, f...)
 }
 
 // RecordCount returns how many records this node holds.
@@ -164,23 +243,29 @@ func (n *Node) RecordCount() int {
 }
 
 // admit stores a verified record, keeping the highest Seq per
-// (key, publisher).
-func (n *Node) admit(r *Record) bool {
+// (key, publisher). A stale Seq, or a new publisher under a key already
+// holding maxRecords of them, is dropped silently; a new key past
+// maxKeys is refused with ErrStoreFull.
+func (n *Node) admit(r *Record) error {
 	byPub := n.records[r.Key]
 	if byPub == nil {
+		if len(n.records) >= maxKeys {
+			n.Stats.KeysRefused++
+			return ErrStoreFull
+		}
 		byPub = make(map[string]*Record)
 		n.records[r.Key] = byPub
 	}
 	if old, ok := byPub[r.Publisher]; ok && old.Seq >= r.Seq {
-		return false
+		return nil
 	}
 	if len(byPub) >= maxRecords {
 		if _, ok := byPub[r.Publisher]; !ok {
-			return false // key full of other publishers; bound memory
+			return nil // key full of other publishers; bound memory
 		}
 	}
 	byPub[r.Publisher] = r
-	return true
+	return nil
 }
 
 // held returns the records under key in deterministic publisher order,
@@ -316,13 +401,13 @@ func (n *Node) deliver(msg *netsim.Message) {
 		resp := n.envelope(KindStored, e.RPC)
 		if e.Record == nil {
 			resp.Err = "no record"
-		} else if err := e.Record.Verify(); err != nil {
+		} else if err := n.verifyRecord(e.Record); err != nil {
 			// A replica never stores what it cannot verify: the DHT
 			// carries only publisher-signed, key-bound records.
 			n.Stats.BadRecords++
 			resp.Err = err.Error()
-		} else {
-			n.admit(e.Record)
+		} else if err := n.admit(e.Record); err != nil {
+			resp.Err = err.Error()
 		}
 		n.reply(e, resp)
 	}

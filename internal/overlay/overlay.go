@@ -75,24 +75,31 @@ func (id ID) Short() string { return hex.EncodeToString(id[:4]) }
 // IsZero reports whether the ID is all zeros (the unset value).
 func (id ID) IsZero() bool { return id == ID{} }
 
-// MarshalJSON encodes the ID as a hex string.
-func (id ID) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + id.String() + `"`), nil
+// MarshalText encodes the ID as hex. encoding/json quotes text
+// marshalers itself, so IDs appear on the wire as hex strings without
+// the re-validation pass it runs over a MarshalJSON result.
+func (id ID) MarshalText() ([]byte, error) {
+	b := make([]byte, 2*IDBytes)
+	hex.Encode(b, id[:])
+	return b, nil
 }
 
-// UnmarshalJSON decodes a hex string of exactly IDBytes bytes.
+// UnmarshalJSON decodes a JSON string of exactly 2*IDBytes hex digits.
+// Escaped strings and null are rejected, and a failed decode leaves id
+// unchanged.
 func (id *ID) UnmarshalJSON(b []byte) error {
 	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
 		return fmt.Errorf("overlay: ID must be a JSON string")
 	}
-	raw, err := hex.DecodeString(string(b[1 : len(b)-1]))
-	if err != nil {
+	digits := b[1 : len(b)-1]
+	if len(digits) != 2*IDBytes {
+		return fmt.Errorf("overlay: ID must be %d hex digits, got %d", 2*IDBytes, len(digits))
+	}
+	var v ID
+	if _, err := hex.Decode(v[:], digits); err != nil {
 		return fmt.Errorf("overlay: bad ID hex: %w", err)
 	}
-	if len(raw) != IDBytes {
-		return fmt.Errorf("overlay: ID must be %d bytes, got %d", IDBytes, len(raw))
-	}
-	copy(id[:], raw)
+	*id = v
 	return nil
 }
 
@@ -121,14 +128,18 @@ func Distance(a, b ID) ID {
 
 // DistanceLess reports whether a is XOR-closer to target than b — the
 // total order every routing and storage decision uses.
-func DistanceLess(a, b, target ID) bool {
+func DistanceLess(a, b, target ID) bool { return distanceCmp(a, b, target) < 0 }
+
+// distanceCmp is the three-way form of DistanceLess: negative when a is
+// XOR-closer to target than b, zero when a == b, positive otherwise.
+func distanceCmp(a, b, target ID) int {
 	for i := 0; i < IDBytes; i++ {
 		da, db := a[i]^target[i], b[i]^target[i]
 		if da != db {
-			return da < db
+			return int(da) - int(db)
 		}
 	}
-	return false
+	return 0
 }
 
 // BucketIndex returns the k-bucket an ID belongs to relative to self:

@@ -3,6 +3,10 @@ package overlay
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,6 +73,19 @@ func TestIDJSONRoundTrip(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`42`), &back); err == nil {
 		t.Fatal("non-string must be rejected")
+	}
+	hexID := id.String()
+	for _, bad := range []string{`null`, `"\u0030` + hexID[1:] + `"`, `"` + hexID[:63] + `g"`, `"` + hexID + `00"`} {
+		back = id
+		if err := json.Unmarshal([]byte(bad), &back); err == nil {
+			t.Errorf("%s must be rejected", bad)
+		} else if back != id {
+			t.Errorf("rejected %s still changed the ID", bad)
+		}
+	}
+	var upper ID
+	if err := json.Unmarshal([]byte(`"`+strings.ToUpper(hexID)+`"`), &upper); err != nil || upper != id {
+		t.Fatalf("upper-case hex: %v", err)
 	}
 	if _, err := ParseID("zz"); err == nil {
 		t.Fatal("bad hex must be rejected")
@@ -141,6 +158,77 @@ func TestTableClosestOrdering(t *testing.T) {
 	}
 	if got := tb.Closest(self, 2); len(got) != 2 {
 		t.Fatalf("closest(2) returned %d", len(got))
+	}
+}
+
+// TestClosestMatchesSortAll holds Closest's bucket walk to the plain
+// definition: every contact sorted by XOR distance, first n kept. The
+// tables crowd self's low buckets (peers sharing long prefixes with it)
+// and the targets include self, table members, random points and
+// points sharing long prefixes with self.
+func TestClosestMatchesSortAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randID := func() ID {
+		var id ID
+		rng.Read(id[:])
+		return id
+	}
+	// near returns a random ID whose highest bit differing from self is
+	// bit, so it lands in bucket bit.
+	near := func(self ID, bit int) ID {
+		id := randID()
+		byteIdx := IDBytes - 1 - bit/8
+		copy(id[:byteIdx], self[:byteIdx])
+		mask := byte(1) << uint(bit%8)
+		id[byteIdx] = (self[byteIdx] &^ (mask<<1 - 1)) | (^self[byteIdx] & mask) | (id[byteIdx] & (mask - 1))
+		return id
+	}
+	for bit := 0; bit < IDBits; bit++ {
+		if self := randID(); BucketIndex(self, near(self, bit)) != bit {
+			t.Fatalf("near(self, %d) lands in bucket %d", bit, BucketIndex(self, near(self, bit)))
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		self := randID()
+		tb := NewTable(self, 1+rng.Intn(16))
+		var all []Peer
+		seen := map[ID]bool{}
+		for i := 0; i < 300; i++ {
+			id := randID()
+			if rng.Intn(2) == 0 {
+				id = near(self, rng.Intn(IDBits))
+			}
+			// Deep buckets hold few distinct IDs (bucket 0 only one),
+			// so near() repeats itself; the reference lists each once.
+			if tb.Update(Peer{ID: id, Addr: fmt.Sprint(i)}, 0) && !seen[id] {
+				seen[id] = true
+				all = append(all, Peer{ID: id, Addr: fmt.Sprint(i)})
+			}
+		}
+		targets := []ID{self, randID(), near(self, 0), near(self, 3), near(self, 40), near(self, 200)}
+		for i := 0; i < 4; i++ {
+			targets = append(targets, all[rng.Intn(len(all))].ID)
+		}
+		for _, target := range targets {
+			want := append([]Peer(nil), all...)
+			sort.Slice(want, func(i, j int) bool { return DistanceLess(want[i].ID, want[j].ID, target) })
+			for _, n := range []int{0, 1, 3, 16, 64, len(all), len(all) + 5} {
+				w := want
+				if len(w) > n {
+					w = w[:n]
+				}
+				got := tb.Closest(target, n)
+				if len(got) != len(w) {
+					t.Fatalf("trial %d n=%d: %d peers, want %d", trial, n, len(got), len(w))
+				}
+				for i := range w {
+					if got[i].ID != w[i].ID {
+						t.Fatalf("trial %d self %s target %s n=%d: position %d is %s, want %s",
+							trial, self, target, n, i, got[i].ID, w[i].ID)
+					}
+				}
+			}
+		}
 	}
 }
 

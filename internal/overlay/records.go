@@ -164,11 +164,15 @@ func NewOfferRecord(service string, ad OfferAd, kp pki.KeyPair, seq uint64) *Rec
 }
 
 // DecodeOfferAd verifies the record and parses its advertisement.
-func DecodeOfferAd(r *Record) (*OfferAd, error) {
+func DecodeOfferAd(r *Record) (*OfferAd, error) { return decodeOfferAd(r, (*Record).Verify) }
+
+// decodeOfferAd is DecodeOfferAd with the signature check supplied: a
+// node passes its verifyRecord memo, outside callers the full Verify.
+func decodeOfferAd(r *Record, verify func(*Record) error) (*OfferAd, error) {
 	if r.Kind != RecordOffer {
 		return nil, fmt.Errorf("%w: want %q, got %q", ErrBadRecordKind, RecordOffer, r.Kind)
 	}
-	if err := r.Verify(); err != nil {
+	if err := verify(r); err != nil {
 		return nil, err
 	}
 	var ad OfferAd

@@ -2,7 +2,7 @@ package overlay
 
 import (
 	"crypto/ed25519"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -125,18 +125,46 @@ func (t *Table) Remove(id ID) {
 
 // Closest returns up to n known peers ordered by XOR distance to
 // target (ties cannot occur: IDs are unique points in the metric).
+//
+// The buckets already partition contacts by distance. With b the
+// bucket target itself falls in, contacts in bucket b lie nearer than
+// 2^b, those in buckets 0..b-1 all lie in [2^b, 2^(b+1)), and those in
+// bucket i > b lie in [2^i, 2^(i+1)). Closest walks those groups in
+// that order and sorts within each, stopping at the first group that
+// reaches n, so a reply sorts about n contacts rather than the table.
 func (t *Table) Closest(target ID, n int) []Peer {
-	var all []Peer
-	for i := range t.buckets {
-		for _, c := range t.buckets[i] {
-			all = append(all, c.peer)
+	b := BucketIndex(t.self, target) // -1 when target is self: groups 0, 1, 2, ...
+	group := func(g int) (lo, hi int) {
+		switch g {
+		case 0:
+			return max(b, 0), b
+		case 1:
+			return 0, b - 1
+		}
+		return b + g - 1, b + g - 1
+	}
+	groups, size := 0, 0
+	for ; groups <= IDBits-b && size < n; groups++ {
+		lo, hi := group(groups)
+		for i := lo; i <= hi; i++ {
+			size += len(t.buckets[i])
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return DistanceLess(all[i].ID, all[j].ID, target) })
-	if len(all) > n {
-		all = all[:n]
+	out := make([]Peer, 0, size)
+	for g := 0; g < groups; g++ {
+		start := len(out)
+		lo, hi := group(g)
+		for i := lo; i <= hi; i++ {
+			for _, c := range t.buckets[i] {
+				out = append(out, c.peer)
+			}
+		}
+		slices.SortFunc(out[start:], func(x, y Peer) int { return distanceCmp(x.ID, y.ID, target) })
 	}
-	return all
+	if len(out) > n {
+		out = out[:n]
+	}
+	return out
 }
 
 // Len returns the total number of contacts.
