@@ -58,13 +58,15 @@ race:
 # deterministic fault-injection tests — and the flow table those deploys
 # write while lookups read it — plus the reusable decoder and the boxes
 # that read it, since race builds poison the chain's pooled decode after
-# every invocation (a box that keeps a view of it fails there), and the
-# DNS resolvers every owner's dns-validate box shares. Faster than a
+# every invocation (a box that keeps a view of it fails there), the
+# DNS resolvers every owner's dns-validate box shares, and the trust
+# store's signature memo that every owner's tls-verify box and every
+# audit share. Faster than a
 # full `make race` and targeted at the lifecycle code paths.
 test-race:
 	$(GO) test -race ./internal/discovery/ ./internal/deployserver/ ./internal/netsim/ ./cmd/pvnd/ \
 		./internal/health/ ./internal/middlebox/ ./internal/tunnel/ ./internal/openflow/ \
-		./internal/packet/ ./internal/middlebox/mbx/ ./internal/dnssim/
+		./internal/packet/ ./internal/middlebox/mbx/ ./internal/dnssim/ ./internal/pki/ ./internal/auditor/
 
 # A short seed-corpus + random fuzz pass over every fuzz target in the
 # tree, i.e. every parser that handles untrusted bytes: the packet
@@ -72,8 +74,9 @@ test-race:
 # the DHT wire envelope and the offer/module records it carries, the
 # distributed-store module manifest, the UDP discovery datagrams (DM and
 # offer), certificate blobs, tunnel frames,
-# the PVNC and user-script compilers, and the pcap reader — plus the differential
-# holding the reusable Decoder to a fresh decode. Patterns are anchored:
+# the PVNC and user-script compilers, the pcap reader and pvnd's deploy
+# request (which must tear down to the host it found) — plus the
+# differential holding the reusable Decoder to a fresh decode. Patterns are anchored:
 # go test refuses -fuzz when it matches more than one target.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/packet/
@@ -90,6 +93,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecap$$' -fuzztime=6s ./internal/tunnel/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=6s ./internal/overlay/
 	$(GO) test -run='^$$' -fuzz='^FuzzDiscoveryDatagram$$' -fuzztime=6s ./internal/discovery/
+	$(GO) test -run='^$$' -fuzz='^FuzzDeployRequest$$' -fuzztime=6s ./cmd/pvnd/
 
 # The overlay determinism gate: the E16 table must be bit-identical
 # across runs under the race detector (DESIGN.md §12).

@@ -50,6 +50,34 @@ func TestAttestationHappyPath(t *testing.T) {
 	}
 }
 
+// TestVerifyAttestationChecksKeyCertOnce: the vendor's signature on the
+// provider's key certificate is checked on the first verification only;
+// every attestation's own signature and nonce are still checked.
+func TestVerifyAttestationChecksKeyCertOnce(t *testing.T) {
+	f := newAttFixture(t)
+	for nonce, want := range []int64{1, 0, 0} {
+		att, err := f.attester.Attest(Statement{Provider: "isp1", DeviceID: "d", PVNCHash: "h", Nonce: uint64(nonce)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, _ := f.vendors.SignatureStats()
+		if err := VerifyAttestation(att, f.vendors, "h", uint64(nonce), 10); err != nil {
+			t.Fatalf("attestation %d: %v", nonce, err)
+		}
+		if checks, _ := f.vendors.SignatureStats(); checks-before != want {
+			t.Fatalf("attestation %d ran %d certificate-signature checks, want %d", nonce, checks-before, want)
+		}
+		att.Signature[0] ^= 1
+		if err := VerifyAttestation(att, f.vendors, "h", uint64(nonce), 10); !errors.Is(err, ErrBadAttestation) {
+			t.Fatalf("attestation %d with a flipped signature: %v", nonce, err)
+		}
+		att.Signature[0] ^= 1
+		if err := VerifyAttestation(att, f.vendors, "h", uint64(nonce)+1, 10); !errors.Is(err, ErrBadAttestation) {
+			t.Fatalf("attestation %d replayed: %v", nonce, err)
+		}
+	}
+}
+
 func TestAttestationWrongHash(t *testing.T) {
 	f := newAttFixture(t)
 	att, _ := f.attester.Attest(Statement{PVNCHash: "deployed-other-config", Nonce: 1})

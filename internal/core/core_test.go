@@ -290,6 +290,36 @@ func TestHonestAttestationFailsAfterTampering(t *testing.T) {
 	}
 }
 
+// TestRepeatAuditSkipsVendorSignature: the device checks the vendor's
+// signature on the provider's key certificate once. A second audit runs
+// no certificate-signature check and still verifies the attestation,
+// and an audit against a provider that swapped its deployment still
+// fails.
+func TestRepeatAuditSkipsVendorSignature(t *testing.T) {
+	w := newWorld(t, fullProvider())
+	s, err := Connect(w.dev, []*AccessNetwork{w.network})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for audit, want := range []int64{1, 0, 0} {
+		before, _ := w.dev.Vendors.SignatureStats()
+		if err := s.Audit(10 + int64(audit)); err != nil {
+			t.Fatalf("audit %d: %v", audit+1, err)
+		}
+		if checks, _ := w.dev.Vendors.SignatureStats(); checks-before != want {
+			t.Fatalf("audit %d ran %d certificate-signature checks, want %d", audit+1, checks-before, want)
+		}
+	}
+	w.network.Server.Teardown("dev1")
+	other, _ := pvnc.Parse("pvnc other\nowner alice\ndevice 10.0.0.5\npolicy 0 match any action=forward")
+	if resp := w.network.Server.HandleDeploy(&discovery.DeployRequest{DeviceID: "dev1", PVNCSource: other.Source()}); !resp.OK {
+		t.Fatalf("redeploy: %s", resp.Reason)
+	}
+	if err := s.Audit(20); !errors.Is(err, auditor.ErrHashMismatch) {
+		t.Fatalf("audit of a swapped deployment: %v, want ErrHashMismatch", err)
+	}
+}
+
 func TestAuditWithoutAttesterFails(t *testing.T) {
 	w := newWorld(t, fullProvider())
 	w.network.Attester = nil

@@ -44,6 +44,12 @@ type Deployment struct {
 	// LeaseExpires is when the deployment lapses unless renewed; zero
 	// means the lease never expires (the server has no LeaseTTL).
 	LeaseExpires time.Duration
+
+	// rules holds the entries installed in each of the server's tables,
+	// in tables() order: teardown removes exactly these, and usage and
+	// the manifest read them, so none of the three walks the tenants
+	// sharing the table.
+	rules [2][]*openflow.FlowEntry
 }
 
 // Server hosts PVN deployments for one access network.
@@ -281,11 +287,12 @@ func (s *Server) HandleDeploy(req *discovery.DeployRequest) *discovery.DeployRes
 		dep.Meters = append(dep.Meters, m.ID)
 	}
 	now := s.Now()
-	for _, t := range s.tables() {
+	for i, t := range s.tables() {
 		for _, m := range compiled.Meters {
 			t.AddMeter(m.ID, openflow.Meter{RateBps: m.RateBps})
 		}
-		t.InstallAll(compiled.Entries(), now) // one table write per deployment
+		dep.rules[i] = compiled.Entries()
+		t.InstallAll(dep.rules[i], now) // one table write per deployment
 	}
 
 	s.deployments[req.DeviceID] = dep
@@ -302,19 +309,23 @@ func (s *Server) tables() []*openflow.FlowTable {
 	return []*openflow.FlowTable{s.Switch.Table}
 }
 
-// usage sums a cookie's traffic over every table.
-func (s *Server) usage(cookie uint64) (packets, bytes int64) {
-	for _, t := range s.tables() {
-		p, b := t.StatsByCookie(cookie)
-		packets, bytes = packets+p, bytes+b
+// usage sums the traffic of the deployment's own rules over every
+// table. A rule removed early (an operator FlowMod, an expiry) keeps
+// its counters, so what it carried stays billed.
+func (s *Server) usage(dep *Deployment) (packets, bytes int64) {
+	for _, es := range dep.rules {
+		for _, e := range es {
+			p, b := e.Stats()
+			packets, bytes = packets+p, bytes+b
+		}
 	}
 	return packets, bytes
 }
 
 // uninstall removes a deployment's rules and meters from every table.
 func (s *Server) uninstall(dep *Deployment) {
-	for _, t := range s.tables() {
-		t.RemoveByCookie(dep.Cookie)
+	for i, t := range s.tables() {
+		t.RemoveEntries(dep.rules[i])
 		for _, m := range dep.Meters {
 			t.RemoveMeter(m)
 		}
@@ -416,7 +427,7 @@ func (s *Server) Usage(deviceID string) (packets, bytes int64, ok bool) {
 	if dep == nil {
 		return 0, 0, false
 	}
-	packets, bytes = s.usage(dep.Cookie)
+	packets, bytes = s.usage(dep)
 	return packets, bytes, true
 }
 
@@ -433,7 +444,7 @@ func (s *Server) teardownLocked(deviceID string) (packets, bytes int64, err erro
 	if dep == nil {
 		return 0, 0, fmt.Errorf("deployserver: no deployment for %q", deviceID)
 	}
-	packets, bytes = s.usage(dep.Cookie)
+	packets, bytes = s.usage(dep)
 	s.uninstall(dep)
 	for _, ch := range dep.Chains {
 		owner, name, _ := cutChain(ch)
@@ -644,6 +655,6 @@ func (s *Server) BuildManifest(deviceID string) *Manifest {
 			m.InstanceTypes = append(m.InstanceTypes, inst.Spec.Type)
 		}
 	}
-	m.RuleCount = s.Switch.Table.CountByCookie(dep.Cookie)
+	m.RuleCount = s.Switch.Table.CountFiled(dep.rules[0])
 	return m
 }

@@ -17,6 +17,7 @@ package middlebox
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -266,8 +267,11 @@ type Chain struct {
 	// instead of silently passing everything the removed box would
 	// have filtered.
 	residueClosed bool
-	// lock is the owner's execution lock (Runtime.owners[Owner]).
-	lock *ownerLock
+	// key is the chain's "namespace/name" key in Runtime.chains.
+	key string
+	// owner is the owner's entry (Runtime.owners[Owner]): its
+	// execution lock, and the list this chain is on.
+	owner *ownerEntry
 }
 
 // FailClosedResidue reports whether a terminated fail-closed box has
@@ -277,12 +281,17 @@ func (c *Chain) FailClosedResidue() bool { return c.residueClosed }
 // DefaultAlertCap bounds the runtime's alert ring when AlertCap is 0.
 const DefaultAlertCap = 4096
 
-// ownerLock serializes chain execution over one owner's instances.
-type ownerLock struct {
+// ownerEntry is one owner's share of the runtime: the lock that
+// serializes chain execution over its instances, and its chains.
+type ownerEntry struct {
 	mu sync.Mutex
 	// refs counts the owner's instances and chains; the entry leaves
 	// Runtime.owners with the last one. Guarded by Runtime.mu.
 	refs int
+	// chains lists the owner's chains, so Terminate and TeardownUser
+	// walk one tenant's chains rather than the host's: a chain holds
+	// only its owner's instances (ErrCrossUser). Guarded by Runtime.mu.
+	chains []*Chain
 }
 
 // Runtime hosts instances and chains on one middlebox server.
@@ -334,9 +343,12 @@ type Runtime struct {
 	registry  map[string]*Spec
 	instances map[string]*Instance
 	chains    map[string]*Chain
-	owners    map[string]*ownerLock
+	owners    map[string]*ownerEntry
 	memUsed   int
 	nextID    int
+	// chainVisits counts the chains Terminate has examined, the work a
+	// teardown costs; guarded by mu.
+	chainVisits int
 
 	// evMu guards the alert ring and serializes OnEvent. It is a leaf:
 	// nothing else is acquired under it.
@@ -360,23 +372,23 @@ func NewRuntime(now func() time.Duration) *Runtime {
 		registry:  make(map[string]*Spec),
 		instances: make(map[string]*Instance),
 		chains:    make(map[string]*Chain),
-		owners:    make(map[string]*ownerLock),
+		owners:    make(map[string]*ownerEntry),
 	}
 }
 
-// retain adds one reference (an instance or a chain) to owner's lock,
+// retain adds one reference (an instance or a chain) to owner's entry,
 // creating it on first use. The caller holds mu exclusively.
-func (r *Runtime) retain(owner string) *ownerLock {
+func (r *Runtime) retain(owner string) *ownerEntry {
 	l := r.owners[owner]
 	if l == nil {
-		l = &ownerLock{}
+		l = &ownerEntry{}
 		r.owners[owner] = l
 	}
 	l.refs++
 	return l
 }
 
-// release drops one reference; the owner's lock goes with its last
+// release drops one reference; the owner's entry goes with its last
 // instance or chain, so owner churn cannot grow the runtime. The caller
 // holds mu exclusively.
 func (r *Runtime) release(owner string) {
@@ -477,12 +489,18 @@ func (r *Runtime) Terminate(id string) error {
 	}
 	delete(r.instances, id)
 	r.memUsed -= inst.Spec.memory()
+	// Remove it from any chains that reference it: only its owner's can
+	// (ErrCrossUser), and their list is read before release can drop
+	// the entry. A chain that loses a fail-closed box remembers that:
+	// if it is ever emptied this way it drops traffic rather than
+	// passing everything the removed box was there to filter.
+	var chains []*Chain
+	if o := r.owners[inst.Owner]; o != nil {
+		chains = o.chains
+	}
 	r.release(inst.Owner)
-	// Remove it from any chains that reference it. A chain that loses
-	// a fail-closed box remembers that: if it is ever emptied this
-	// way it drops traffic rather than passing everything the removed
-	// box was there to filter.
-	for _, c := range r.chains {
+	for _, c := range chains {
+		r.chainVisits++
 		kept := c.Boxes[:0]
 		removed := false
 		for _, b := range c.Boxes {
@@ -501,7 +519,10 @@ func (r *Runtime) Terminate(id string) error {
 }
 
 // TeardownUser destroys every instance and chain belonging to owner and
-// returns how many instances were released. Used on PVN teardown.
+// returns how many instances were released. Chains come off the owner's
+// list; instances are found by a scan of the host's, as this is an
+// operator's bulk removal and not the per-session teardown path (the
+// deployment server terminates its own instance IDs).
 func (r *Runtime) TeardownUser(owner string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -513,9 +534,9 @@ func (r *Runtime) TeardownUser(owner string) int {
 			n++
 		}
 	}
-	for name, c := range r.chains {
-		if c.Owner == owner {
-			delete(r.chains, name)
+	if o := r.owners[owner]; o != nil {
+		for _, c := range o.chains {
+			delete(r.chains, c.key)
 		}
 	}
 	delete(r.owners, owner)
@@ -554,6 +575,15 @@ func (r *Runtime) ChainKeys() []string {
 	return out
 }
 
+// OwnerCount reports how many owners hold an instance or a chain on the
+// host: every owner that leaves takes its entry along, so after a
+// tenant's teardown this is back where it was.
+func (r *Runtime) OwnerCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.owners)
+}
+
 // InstancesOf returns all instances owned by owner.
 func (r *Runtime) InstancesOf(owner string) []*Instance {
 	r.mu.Lock()
@@ -586,7 +616,7 @@ func (r *Runtime) BuildChainIn(owner, namespace, name string, instanceIDs []stri
 	if _, dup := r.chains[key]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateChain, key)
 	}
-	c := &Chain{Name: name, Owner: owner, OwnerAddrs: ownerAddrs}
+	c := &Chain{Name: name, Owner: owner, OwnerAddrs: ownerAddrs, key: key}
 	for _, id := range instanceIDs {
 		inst, ok := r.instances[id]
 		if !ok {
@@ -597,7 +627,8 @@ func (r *Runtime) BuildChainIn(owner, namespace, name string, instanceIDs []stri
 		}
 		c.Boxes = append(c.Boxes, inst)
 	}
-	c.lock = r.retain(owner)
+	c.owner = r.retain(owner)
+	c.owner.chains = append(c.owner.chains, c)
 	r.chains[key] = c
 	return c, nil
 }
@@ -610,6 +641,9 @@ func (r *Runtime) RemoveChain(namespace, name string) {
 	key := chainKey(namespace, name)
 	if c, ok := r.chains[key]; ok {
 		delete(r.chains, key)
+		if i := slices.Index(c.owner.chains, c); i >= 0 {
+			c.owner.chains = slices.Delete(c.owner.chains, i, i+1)
+		}
 		r.release(c.Owner)
 	}
 }
@@ -632,8 +666,8 @@ func (r *Runtime) ExecuteChain(chain string, data []byte) ([]byte, time.Duration
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownChain, chain)
 	}
-	c.lock.mu.Lock()
-	defer c.lock.mu.Unlock()
+	c.owner.mu.Lock()
+	defer c.owner.mu.Unlock()
 	return r.run(c, data) //lint:allow lockorder mu is held shared and the owner lock serializes only this owner's boxes (order: Server.mu → Runtime.mu shared → owner lock → evMu leaf); Process cannot re-enter the runtime
 }
 

@@ -195,3 +195,76 @@ func (ix addrIndex) filter(dead func(*FlowEntry) bool, gone []slot) (addrIndex, 
 	}
 	return addrIndex{dst: ix.dst, leaves: leaves}, gone
 }
+
+// unpinned reports whether e is filed in the unpinned list.
+func unpinned(e *FlowEntry) bool { return pinOf(&e.Match) == pinNone }
+
+// runs calls fn once for every leaf of each address run that can hold
+// one of es's entries pinned p: the leaves from the first slot filed
+// under that address to the last, which may be two leaves or more.
+// Addresses several entries share are walked once; a leaf holding two
+// of the addresses is passed once for each.
+func (ix *addrIndex) runs(es []*FlowEntry, p pin, fn func(addr uint32, leaf int)) {
+	for i, e := range es {
+		if pinOf(&e.Match) != p {
+			continue
+		}
+		addr := ix.key(e)
+		if slices.ContainsFunc(es[:i], func(o *FlowEntry) bool { return pinOf(&o.Match) == p && ix.key(o) == addr }) {
+			continue
+		}
+		for leaf, _ := ix.seek(addr); leaf < len(ix.leaves); leaf++ {
+			l := ix.leaves[leaf]
+			if ix.key(l[0].e) > addr {
+				break
+			}
+			fn(addr, leaf)
+			if ix.key(l[len(l)-1].e) != addr {
+				break // the run ends inside this leaf
+			}
+		}
+	}
+}
+
+// filterRuns is filter over only the leaves runs names for es, and also
+// reports how many leaf filters it ran. Every other leaf, and the index
+// itself when nothing is removed, is shared as it is.
+func (ix addrIndex) filterRuns(es []*FlowEntry, p pin, dead func(*FlowEntry) bool, gone []slot) (addrIndex, []slot, int) {
+	var leaves [][]slot // a copy of the root once some leaf loses a slot
+	filtered := 0
+	ix.runs(es, p, func(_ uint32, i int) {
+		filtered++
+		cur := ix.leaves[i]
+		if leaves != nil {
+			cur = leaves[i] // a leaf shared by two runs may have lost slots already
+		}
+		had := len(gone)
+		var kept []slot
+		kept, gone = filter(cur, dead, gone)
+		if len(gone) > had {
+			if leaves == nil {
+				leaves = slices.Clone(ix.leaves)
+			}
+			leaves[i] = kept
+		}
+	})
+	if leaves == nil {
+		return ix, gone, filtered
+	}
+	leaves = slices.DeleteFunc(leaves, func(l []slot) bool { return len(l) == 0 })
+	return addrIndex{dst: ix.dst, leaves: leaves}, gone, filtered
+}
+
+// countRuns returns how many of es's entries pinned p are filed in ix,
+// walking the same leaves filterRuns would filter.
+func (ix *addrIndex) countRuns(es []*FlowEntry, p pin) int {
+	n := 0
+	ix.runs(es, p, func(addr uint32, i int) {
+		for _, s := range ix.leaves[i] {
+			if ix.key(s.e) == addr && slices.Contains(es, s.e) {
+				n++
+			}
+		}
+	})
+	return n
+}

@@ -1,8 +1,10 @@
 package openflow
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +75,95 @@ func checkSnapshot(t *testing.T, what string, s *snapshot) {
 	}
 }
 
+// ruleGen draws the seeded rule sets the index differentials run on,
+// built to sit on every seam of the index: subscriber addresses several
+// to a /24, so prefix rules cover addresses other than their own; the
+// unset address non-IPv4 frames carry; and hot, which gets more rules
+// than a leaf holds. Rules come pinned by source, by destination, on
+// both sides and on neither, some with timeouts; each rule's Output
+// port is its ID.
+type ruleGen struct {
+	r              *rand.Rand
+	addrs, outside []packet.IPv4Address
+	hot            packet.IPv4Address
+	ports          []uint16
+	nextID         int
+}
+
+func newRuleGen(seed int64) *ruleGen {
+	g := &ruleGen{
+		r:       rand.New(rand.NewSource(seed)),
+		outside: []packet.IPv4Address{{93, 184, 216, 34}, {10, 0, 0, 200}, {172, 16, 0, 1}},
+		ports:   []uint16{80, 443, 53, 40000},
+	}
+	for i := 0; i < 12; i++ {
+		g.addrs = append(g.addrs, packet.IPv4Address{10, byte(i % 2), byte(i % 3), byte(1 + i)})
+	}
+	g.addrs = append(g.addrs, packet.IPv4Address{})
+	g.hot = g.addrs[7]
+	return g
+}
+
+func (g *ruleGen) pick(from []packet.IPv4Address) packet.IPv4Address {
+	return from[g.r.Intn(len(from))]
+}
+
+func (g *ruleGen) rule() FlowEntry {
+	r, pick, addrs, hot, ports := g.r, g.pick, g.addrs, g.hot, g.ports
+	var m Match
+	exact := []uint8{0, 32}[r.Intn(2)] // 0 is the /32 compatibility case
+	short := uint8(8 * (1 + r.Intn(3)))
+	switch shape := r.Intn(10); shape {
+	case 0, 1: // compiled outbound: src/32
+		m = Match{Fields: FieldSrcIP, SrcIP: pick(addrs), SrcBits: exact}
+	case 2, 3: // compiled inbound: dst/32
+		m = Match{Fields: FieldDstIP, DstIP: pick(addrs), DstBits: exact}
+	case 4: // pinned on both sides
+		m = Match{Fields: FieldSrcIP | FieldDstIP, SrcIP: pick(addrs), SrcBits: exact, DstIP: pick(addrs), DstBits: exact}
+	case 5: // exact on one side, prefix on the other (`dst=` policies)
+		m = Match{Fields: FieldSrcIP | FieldDstIP, SrcIP: pick(addrs), SrcBits: exact, DstIP: pick(addrs), DstBits: short}
+		if r.Intn(2) == 0 {
+			m.SrcBits, m.DstBits = short, exact
+		}
+	case 6: // prefix only
+		m = Match{Fields: FieldSrcIP, SrcIP: pick(addrs), SrcBits: short}
+		if r.Intn(2) == 0 {
+			m = Match{Fields: FieldDstIP, DstIP: pick(addrs), DstBits: short}
+		}
+	case 7: // portless wildcard
+		m = Match{Fields: FieldEthType, EthType: []uint16{packet.EtherTypeIPv4, 0x0806}[r.Intn(2)]}
+	default: // the hot address
+		m = Match{Fields: FieldSrcIP, SrcIP: hot, SrcBits: exact}
+		if r.Intn(3) == 0 {
+			m = Match{Fields: FieldDstIP, DstIP: hot, DstBits: exact}
+		}
+	}
+	if r.Intn(2) == 0 {
+		m.Fields |= FieldProto
+		m.Proto = []byte{packet.IPProtoTCP, packet.IPProtoUDP}[r.Intn(2)]
+	}
+	if r.Intn(3) == 0 {
+		m.Fields |= FieldDstPort
+		m.DstPort = ports[r.Intn(len(ports))]
+	}
+	if r.Intn(8) == 0 {
+		m.Fields |= FieldInPort
+		m.InPort = uint16(r.Intn(2))
+	}
+	e := FlowEntry{Priority: r.Intn(4), Match: m, Cookie: uint64(g.nextID % 7), Actions: []Action{Output(uint16(g.nextID))}}
+	if r.Intn(5) == 0 {
+		e.IdleTimeout = time.Duration(1+r.Intn(60)) * time.Millisecond
+	}
+	if r.Intn(6) == 0 {
+		e.HardTimeout = time.Duration(1+r.Intn(300)) * time.Millisecond
+	}
+	if r.Intn(40) == 0 { // matches everything, so it does not get to stay
+		e.Match, e.HardTimeout = Match{}, time.Duration(1+r.Intn(20))*time.Millisecond
+	}
+	g.nextID++
+	return e
+}
+
 // TestIndexedLookupMatchesScan is the differential oracle for the
 // address index: over seeded rule sets built to sit on every seam of the
 // index, with every kind of table write landing between packets, Lookup
@@ -80,77 +171,10 @@ func checkSnapshot(t *testing.T, what string, s *snapshot) {
 // — and bill it, so the final counters agree too.
 func TestIndexedLookupMatchesScan(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		r := rand.New(rand.NewSource(seed))
+		g := newRuleGen(seed)
+		r, addrs, hot, outside, ports, pick := g.r, g.addrs, g.hot, g.outside, g.ports, g.pick
 		ref, fast := &scanTable{}, NewFlowTable()
-
-		// Subscriber addresses, several to a /24 so prefix rules cover
-		// addresses other than their own; the unset address non-IPv4
-		// frames carry; and hot, which gets more rules than a leaf holds.
-		var addrs []packet.IPv4Address
-		for i := 0; i < 12; i++ {
-			addrs = append(addrs, packet.IPv4Address{10, byte(i % 2), byte(i % 3), byte(1 + i)})
-		}
-		addrs = append(addrs, packet.IPv4Address{})
-		hot := addrs[7]
-		outside := []packet.IPv4Address{{93, 184, 216, 34}, {10, 0, 0, 200}, {172, 16, 0, 1}}
-		ports := []uint16{80, 443, 53, 40000}
-		pick := func(from []packet.IPv4Address) packet.IPv4Address { return from[r.Intn(len(from))] }
-
-		nextID := 0
-		rule := func() FlowEntry {
-			var m Match
-			exact := []uint8{0, 32}[r.Intn(2)] // 0 is the /32 compatibility case
-			short := uint8(8 * (1 + r.Intn(3)))
-			switch shape := r.Intn(10); shape {
-			case 0, 1: // compiled outbound: src/32
-				m = Match{Fields: FieldSrcIP, SrcIP: pick(addrs), SrcBits: exact}
-			case 2, 3: // compiled inbound: dst/32
-				m = Match{Fields: FieldDstIP, DstIP: pick(addrs), DstBits: exact}
-			case 4: // pinned on both sides
-				m = Match{Fields: FieldSrcIP | FieldDstIP, SrcIP: pick(addrs), SrcBits: exact, DstIP: pick(addrs), DstBits: exact}
-			case 5: // exact on one side, prefix on the other (`dst=` policies)
-				m = Match{Fields: FieldSrcIP | FieldDstIP, SrcIP: pick(addrs), SrcBits: exact, DstIP: pick(addrs), DstBits: short}
-				if r.Intn(2) == 0 {
-					m.SrcBits, m.DstBits = short, exact
-				}
-			case 6: // prefix only
-				m = Match{Fields: FieldSrcIP, SrcIP: pick(addrs), SrcBits: short}
-				if r.Intn(2) == 0 {
-					m = Match{Fields: FieldDstIP, DstIP: pick(addrs), DstBits: short}
-				}
-			case 7: // portless wildcard
-				m = Match{Fields: FieldEthType, EthType: []uint16{packet.EtherTypeIPv4, 0x0806}[r.Intn(2)]}
-			default: // the hot address
-				m = Match{Fields: FieldSrcIP, SrcIP: hot, SrcBits: exact}
-				if r.Intn(3) == 0 {
-					m = Match{Fields: FieldDstIP, DstIP: hot, DstBits: exact}
-				}
-			}
-			if r.Intn(2) == 0 {
-				m.Fields |= FieldProto
-				m.Proto = []byte{packet.IPProtoTCP, packet.IPProtoUDP}[r.Intn(2)]
-			}
-			if r.Intn(3) == 0 {
-				m.Fields |= FieldDstPort
-				m.DstPort = ports[r.Intn(len(ports))]
-			}
-			if r.Intn(8) == 0 {
-				m.Fields |= FieldInPort
-				m.InPort = uint16(r.Intn(2))
-			}
-			e := FlowEntry{Priority: r.Intn(4), Match: m, Cookie: uint64(nextID % 7), Actions: []Action{Output(uint16(nextID))}}
-			if r.Intn(5) == 0 {
-				e.IdleTimeout = time.Duration(1+r.Intn(60)) * time.Millisecond
-			}
-			if r.Intn(6) == 0 {
-				e.HardTimeout = time.Duration(1+r.Intn(300)) * time.Millisecond
-			}
-			if r.Intn(40) == 0 { // matches everything, so it does not get to stay
-				e.Match, e.HardTimeout = Match{}, time.Duration(1+r.Intn(20))*time.Millisecond
-			}
-			nextID++
-			return e
-		}
+		rule := g.rule
 		// install puts k twin rules in both tables: one by one in the
 		// reference, as one InstallAll (or Install, for k = 1) in the
 		// indexed table.
@@ -172,9 +196,9 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 		var now time.Duration
 		install(60, now)
 		for i := 0; i < leafMax+40; i++ { // hot outgrows one leaf, one rule at a time
-			e := FlowEntry{Priority: r.Intn(4), Cookie: 100, Actions: []Action{Output(uint16(nextID))},
+			e := FlowEntry{Priority: r.Intn(4), Cookie: 100, Actions: []Action{Output(uint16(g.nextID))},
 				Match: Match{Fields: FieldSrcIP | FieldDstPort, SrcIP: hot, SrcBits: 32, DstPort: uint16(1000 + i)}}
-			nextID++
+			g.nextID++
 			twin := e
 			ref.Install(&e, now)
 			fast.Install(&twin, now)
@@ -396,4 +420,173 @@ func TestIndexedLookupUnderWrites(t *testing.T) {
 	}
 	wg.Wait()
 	checkSnapshot(t, "after the race", tbl.snap.Load())
+}
+
+// fields draws a packet for the rule sets ruleGen builds: mostly between
+// subscribers, some from or to outside, and some on the hot address's
+// ports (1000 on).
+func (g *ruleGen) fields() PacketFields {
+	r := g.r
+	f := PacketFields{InPort: uint16(r.Intn(2)), EthType: packet.EtherTypeIPv4,
+		SrcIP: g.pick(g.addrs), DstIP: g.pick(g.addrs),
+		Proto: []byte{packet.IPProtoTCP, packet.IPProtoUDP}[r.Intn(2)], SrcPort: g.ports[r.Intn(4)], DstPort: g.ports[r.Intn(4)]}
+	switch r.Intn(6) {
+	case 0:
+		f.SrcIP = g.pick(g.outside)
+	case 1:
+		f.DstIP = g.pick(g.outside)
+	case 2:
+		f.SrcIP, f.DstPort = g.hot, uint16(1000+r.Intn(3*leafMax))
+	case 3:
+		f.DstIP, f.SrcPort = g.hot, uint16(1000+r.Intn(3*leafMax))
+	}
+	return f
+}
+
+// TestRemoveEntriesMatchesRemoveByCookie is the differential oracle for
+// scoped removal. Two twin tables get the same deployments: seeded
+// random rules (pinned by source, by destination and by neither, some
+// timed), then four deployments interleaved on the hot address, one
+// rule at a time, so its run spans several leaves with each of the four
+// in every one. Tearing each deployment down by its own entries must
+// leave what tearing it down by cookie leaves — the same rules in the
+// same order, the same counters, the same answer to every lookup — and
+// count what is filed as CountByCookie does. A second removal of the
+// same entries finds nothing: it returns 0, publishes nothing and
+// allocates nothing.
+func TestRemoveEntriesMatchesRemoveByCookie(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		g := newRuleGen(seed)
+		r := g.r
+		byCookie, scoped := NewFlowTable(), NewFlowTable()
+		deps := map[uint64][]*FlowEntry{} // each deployment's entries in scoped
+		install := func(dep uint64, rules []FlowEntry) {
+			a, b := make([]*FlowEntry, len(rules)), make([]*FlowEntry, len(rules))
+			for i := range rules {
+				ea, eb := rules[i], rules[i]
+				ea.Cookie, eb.Cookie = dep, dep
+				a[i], b[i] = &ea, &eb
+			}
+			byCookie.InstallAll(a, 0)
+			scoped.InstallAll(b, 0)
+			deps[dep] = append(deps[dep], b...)
+		}
+		const random, hotDeps = 30, 4
+		for dep := uint64(1); dep <= random; dep++ {
+			rules := make([]FlowEntry, 1+r.Intn(12))
+			for i := range rules {
+				rules[i] = g.rule()
+			}
+			install(dep, rules)
+		}
+		for i := 0; i < 3*leafMax; i++ {
+			m := Match{Fields: FieldSrcIP | FieldDstPort, SrcIP: g.hot, SrcBits: 32, DstPort: uint16(1000 + i)}
+			if i%5 == 0 {
+				m = Match{Fields: FieldDstIP | FieldSrcPort, DstIP: g.hot, DstBits: 32, SrcPort: uint16(1000 + i)}
+			}
+			install(random+1+uint64(i%hotDeps), []FlowEntry{{Priority: r.Intn(4), Match: m, Actions: []Action{Output(uint16(g.nextID))}}})
+			g.nextID++
+		}
+		hotLeaves := 0
+		s := scoped.snap.Load()
+		for _, leaf := range s.bySrc.leaves {
+			if slices.ContainsFunc(leaf, func(o slot) bool { return o.e.Match.SrcIP == g.hot }) {
+				hotLeaves++
+			}
+		}
+		if hotLeaves < 3 || s.bySrc.leaves[0][0].e.Match.SrcIP == g.hot {
+			t.Fatalf("seed %d: the hot run spans %d leaves; the rule mix no longer splits it mid-leaf", seed, hotLeaves)
+		}
+		if len(s.open) == 0 {
+			t.Fatalf("seed %d: no unpinned rule installed", seed)
+		}
+
+		traffic := func(what string) {
+			t.Helper()
+			for i := 0; i < 300; i++ {
+				f, size := g.fields(), 40+r.Intn(1400)
+				_, want := byCookie.Lookup(f, size, 0)
+				_, got := scoped.Lookup(f, size, 0)
+				if (want == nil) != (got == nil) || want != nil && ruleID(want.Actions) != ruleID(got.Actions) {
+					t.Fatalf("seed %d %s: scoped table chose %v, by-cookie table %v (fields %+v)", seed, what, got, want, f)
+				}
+			}
+		}
+		traffic("before removal")
+		order := r.Perm(random + hotDeps)
+		for step, i := range order {
+			dep := uint64(i + 1)
+			what := fmt.Sprintf("seed %d step %d (deployment %d)", seed, step, dep)
+			want := byCookie.RemoveByCookie(dep)
+			if got := scoped.RemoveEntries(deps[dep]); got != want {
+				t.Fatalf("%s: RemoveEntries removed %d, RemoveByCookie %d", what, got, want)
+			}
+			checkSnapshot(t, what, scoped.snap.Load())
+			sameEntries(t, what, byCookie.Entries(), scoped.Entries())
+			for d, es := range deps {
+				if got, want := scoped.CountFiled(es), byCookie.CountByCookie(d); got != want {
+					t.Fatalf("%s: CountFiled(deployment %d) = %d, CountByCookie %d", what, d, got, want)
+				}
+			}
+			gen := scoped.Generation()
+			allocs := testing.AllocsPerRun(5, func() {
+				if n := scoped.RemoveEntries(deps[dep]); n != 0 {
+					t.Fatalf("%s: second removal removed %d", what, n)
+				}
+			})
+			if allocs != 0 || scoped.Generation() != gen {
+				t.Fatalf("%s: second removal allocated %v times per call, generation %d -> %d", what, allocs, gen, scoped.Generation())
+			}
+			traffic(what)
+		}
+		if scoped.Len() != 0 || byCookie.Len() != 0 {
+			t.Fatalf("seed %d: %d and %d rules left", seed, scoped.Len(), byCookie.Len())
+		}
+	}
+}
+
+// TestRemoveEntriesWorkIsTenantSized: the leaves a deployment's
+// teardown filters are set by its own rules, not by how many residents
+// share the table — the same count at 10² and 10⁴ residents, for a
+// resident in the middle of the address range and a visitor past its
+// end.
+func TestRemoveEntriesWorkIsTenantSized(t *testing.T) {
+	work := map[string][]int{}
+	for _, residents := range []int{100, 10000} {
+		tbl := NewFlowTable()
+		for owner := 0; owner < residents; owner++ {
+			tbl.InstallAll(compiledShape(owner), 0)
+		}
+		visitor := compiledShape(70000) // 10.17.x.x, past every resident
+		tbl.InstallAll(visitor, 0)
+		for _, c := range []struct {
+			what string
+			es   []*FlowEntry
+		}{{"visitor", visitor}, {"resident", tbl.residentEntries(compiledShape(residents / 2)[0].Cookie)}} {
+			before := tbl.leavesFiltered
+			if n := tbl.RemoveEntries(c.es); n != len(c.es) {
+				t.Fatalf("%d residents, %s: removed %d of %d", residents, c.what, n, len(c.es))
+			}
+			work[c.what] = append(work[c.what], tbl.leavesFiltered-before)
+		}
+	}
+	for what, w := range work {
+		if w[0] != w[1] || w[0] > 4 {
+			t.Errorf("%s teardown filtered %d leaves at 10² residents, %d at 10⁴; want one equal count of at most 4", what, w[0], w[1])
+		} else {
+			t.Logf("%s teardown filters %d leaves at 10² and at 10⁴ residents", what, w[0])
+		}
+	}
+}
+
+// residentEntries returns the live entries carrying the cookie, the
+// pointers a deployment server would have kept from its install.
+func (t *FlowTable) residentEntries(cookie uint64) []*FlowEntry {
+	var out []*FlowEntry
+	t.snap.Load().each(func(o slot) {
+		if o.e.Cookie == cookie {
+			out = append(out, o.e)
+		}
+	})
+	return out
 }

@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,7 @@ import (
 // It is a plain struct and may be copied freely before it is installed.
 // Once installed, every field but the counters is immutable and the
 // counters are only touched through sync/atomic, so lookups from many
-// workers need no lock; read a live entry's traffic through
+// workers need no lock; read a live entry's traffic through Stats,
 // StatsByCookie or the copies Entries returns.
 type FlowEntry struct {
 	Priority int
@@ -42,6 +43,12 @@ type FlowEntry struct {
 // String implements fmt.Stringer.
 func (e *FlowEntry) String() string {
 	return fmt.Sprintf("prio=%d %s -> %v (pkts=%d)", e.Priority, e.Match.String(), e.Actions, atomic.LoadInt64(&e.Packets))
+}
+
+// Stats reads the entry's counters; safe while lookups update them. A
+// removed entry keeps what it counted.
+func (e *FlowEntry) Stats() (packets, bytes int64) {
+	return atomic.LoadInt64(&e.Packets), atomic.LoadInt64(&e.Bytes)
 }
 
 func (e *FlowEntry) timed() bool { return e.IdleTimeout > 0 || e.HardTimeout > 0 }
@@ -132,6 +139,9 @@ type FlowTable struct {
 	mu   sync.Mutex // serializes rule writers
 	seq  uint64     // install stamps handed out; guarded by mu
 	snap atomic.Pointer[snapshot]
+	// leavesFiltered counts the leaves and unpinned lists RemoveEntries
+	// has filtered, the work a teardown costs; guarded by mu.
+	leavesFiltered int
 
 	// The meter bank has its own lock so shaping on the packet path
 	// never waits behind a rule write.
@@ -208,18 +218,72 @@ func (t *FlowTable) remove(dead func(*FlowEntry) bool) []*FlowEntry {
 	if len(gone) == 0 {
 		return nil
 	}
-	next := &snapshot{gen: old.gen + 1, rules: old.rules - len(gone), timed: old.timed,
-		bySrc: bySrc, byDst: byDst, open: open}
+	t.publish(old, bySrc, byDst, open, gone)
 	sort.Slice(gone, func(a, b int) bool { return gone[a].beats(gone[b]) })
 	removed := make([]*FlowEntry, len(gone))
 	for i, o := range gone {
 		removed[i] = o.e
+	}
+	return removed
+}
+
+// publish swaps in the snapshot that follows old once the rules in gone
+// are filtered out, leaving the given indexes and unpinned list. Callers
+// hold t.mu and have removed at least one rule.
+func (t *FlowTable) publish(old *snapshot, bySrc, byDst addrIndex, open, gone []slot) {
+	next := &snapshot{gen: old.gen + 1, rules: old.rules - len(gone), timed: old.timed,
+		bySrc: bySrc, byDst: byDst, open: open}
+	for _, o := range gone {
 		if o.e.timed() {
 			next.timed--
 		}
 	}
 	t.snap.Store(next)
-	return removed
+}
+
+// RemoveEntries deletes exactly the given entries — pointers this table
+// was handed by Install or InstallAll — as one table write, and returns
+// how many were still filed. It is the deployment server's teardown: the
+// entries' own pin keys name the only leaves that can hold them (one
+// address's run may span two leaves), and the unpinned list is filtered
+// only when one of them is unpinned, so the write costs the deployment's
+// own rules, not the table's. Entries already gone (expired, or removed
+// by cookie) are skipped; when none is left nothing is published and
+// nothing is allocated.
+func (t *FlowTable) RemoveEntries(es []*FlowEntry) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	dead := func(e *FlowEntry) bool { return slices.Contains(es, e) }
+	old := t.snap.Load()
+	bySrc, gone, n := old.bySrc.filterRuns(es, pinSrc, dead, nil)
+	byDst, gone, m := old.byDst.filterRuns(es, pinDst, dead, gone)
+	t.leavesFiltered += n + m
+	open := old.open
+	if slices.ContainsFunc(es, unpinned) {
+		open, gone = filter(old.open, dead, gone)
+		t.leavesFiltered++
+	}
+	if len(gone) == 0 {
+		return 0
+	}
+	t.publish(old, bySrc, byDst, open, gone)
+	return len(gone)
+}
+
+// CountFiled returns how many of the given entries the table still
+// files, walking only the runs RemoveEntries would filter: what a
+// deployment's manifest reports as installed.
+func (t *FlowTable) CountFiled(es []*FlowEntry) int {
+	s := t.snap.Load()
+	n := s.bySrc.countRuns(es, pinSrc) + s.byDst.countRuns(es, pinDst)
+	if slices.ContainsFunc(es, unpinned) {
+		for _, o := range s.open {
+			if slices.Contains(es, o.e) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // RemoveByCookie deletes all entries carrying any of the given cookies,

@@ -13,11 +13,13 @@ package pki
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -197,15 +199,34 @@ func SelfSign(subject string, kp KeyPair, validFrom, validUntil int64) *Certific
 }
 
 // TrustStore is a set of trusted root certificates plus revocation data.
+//
+// It remembers the certificate signatures it has checked and found
+// good, so a chain it sees again — the platform vendor's key
+// certificate on every audit, a server's chain on every handshake —
+// costs no Ed25519 verification. Only the signature check is skipped:
+// validity windows, revocation, CA bits and the root lookup run on
+// every Verify.
 type TrustStore struct {
 	roots map[string]*Certificate // by subject
 	// revoked aggregates CRLs the verifier has fetched.
 	revoked map[uint64]bool
+
+	// mu guards the signature memo and its counters: tls-verify boxes
+	// of different owners verify concurrently against one store.
+	mu        sync.Mutex
+	verified  map[[sha256.Size]byte]struct{}
+	sigChecks int64
+	flushes   int64
 }
+
+// maxVerifiedSigs bounds the signature memo; on overflow it is emptied
+// whole, so a signature costs at most one more check after a flush.
+const maxVerifiedSigs = 1024
 
 // NewTrustStore builds a store trusting the given roots.
 func NewTrustStore(roots ...*Certificate) *TrustStore {
-	ts := &TrustStore{roots: make(map[string]*Certificate), revoked: make(map[uint64]bool)}
+	ts := &TrustStore{roots: make(map[string]*Certificate), revoked: make(map[uint64]bool),
+		verified: make(map[[sha256.Size]byte]struct{})}
 	for _, r := range roots {
 		ts.roots[r.Subject] = r
 	}
@@ -259,7 +280,7 @@ func (ts *TrustStore) Verify(chain []*Certificate, wantName string, now int64) e
 		} else {
 			return fmt.Errorf("%w: issuer %q unknown", ErrUntrusted, c.Issuer)
 		}
-		if !ed25519.Verify(issuer.PublicKey, c.tbs(), c.Signature) {
+		if !ts.checkSignature(issuer.PublicKey, c.tbs(), c.Signature) {
 			return fmt.Errorf("%w: %q signed by %q", ErrBadSignature, c.Subject, c.Issuer)
 		}
 		// If the issuer came from the trust store we are done walking.
@@ -273,6 +294,60 @@ func (ts *TrustStore) Verify(chain []*Certificate, wantName string, now int64) e
 		}
 	}
 	return nil
+}
+
+// checkSignature is ed25519.Verify(pub, tbs, sig), run once per store
+// for each distinct input. The memo key hashes all three inputs, so a
+// hit means this store already verified exactly these bytes under
+// exactly this key and they passed: the memo is exact. Failures are not
+// kept, so a bad signature is checked every time it arrives.
+func (ts *TrustStore) checkSignature(pub ed25519.PublicKey, tbs, sig []byte) bool {
+	k := sigDigest(pub, tbs, sig)
+	ts.mu.Lock()
+	_, ok := ts.verified[k]
+	ts.mu.Unlock()
+	if ok {
+		return true
+	}
+	good := ed25519.Verify(pub, tbs, sig)
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	ts.sigChecks++
+	if good {
+		if len(ts.verified) >= maxVerifiedSigs {
+			clear(ts.verified)
+			ts.flushes++
+		}
+		ts.verified[k] = struct{}{}
+	}
+	return good
+}
+
+// sigDigest is the signature memo key: SHA-256 over the issuer key, the
+// to-be-signed bytes and the signature, each length-prefixed so no two
+// inputs share a preimage. Never the signature alone: a certificate
+// that keeps a good signature over different fields, or presents it
+// under another key, must miss.
+func sigDigest(pub ed25519.PublicKey, tbs, sig []byte) [sha256.Size]byte {
+	h := sha256.New()
+	var n [8]byte
+	for _, part := range [][]byte{pub, tbs, sig} {
+		binary.BigEndian.PutUint64(n[:], uint64(len(part)))
+		h.Write(n[:])
+		h.Write(part)
+	}
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
+}
+
+// SignatureStats reports how many certificate signatures the store has
+// run Ed25519 on (memo hits do not count) and how many times the memo
+// reached its bound and was emptied.
+func (ts *TrustStore) SignatureStats() (checks, flushes int64) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.sigChecks, ts.flushes
 }
 
 // nameMatches implements exact and single-label wildcard matching.
