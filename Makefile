@@ -61,11 +61,12 @@ race:
 # every invocation (a box that keeps a view of it fails there), the
 # DNS resolvers every owner's dns-validate box shares, and the trust
 # store's signature memo that every owner's tls-verify box and every
-# audit share. Faster than a
+# audit share — and the sharded pipeline, whose workers each resolve
+# through their own switch over that one table. Faster than a
 # full `make race` and targeted at the lifecycle code paths.
 test-race:
 	$(GO) test -race ./internal/discovery/ ./internal/deployserver/ ./internal/netsim/ ./cmd/pvnd/ \
-		./internal/health/ ./internal/middlebox/ ./internal/tunnel/ ./internal/openflow/ \
+		./internal/health/ ./internal/middlebox/ ./internal/tunnel/ ./internal/openflow/ ./internal/dataplane/ \
 		./internal/packet/ ./internal/middlebox/mbx/ ./internal/dnssim/ ./internal/pki/ ./internal/auditor/
 
 # A short seed-corpus + random fuzz pass over every fuzz target in the

@@ -1,19 +1,21 @@
 // Package dataplane is the PVN host's parallel packet pipeline: it puts
 // bounded queues and a sharded worker pool in front of the per-packet
-// path openflow.Switch.Process runs inline (flow cache → header decode
-// on a miss → FlowTable.Interpret → output/tunnel/controller), so one
-// edge host can use every core the access hardware has (ROADMAP: "heavy
-// traffic from millions of users, as fast as the hardware allows";
-// paper §3.3 cites ClickOS-class per-packet budgets that leave no room
-// for a global lock). The workers and Switch.Process share one action
-// interpreter; the pipeline adds the rings, the batching and the hooks.
+// path openflow.Switch.Process runs inline (Switch.Resolve's flow cache
+// or header decode and lookup → FlowTable.Interpret → output/tunnel/
+// controller), so one edge host can use every core the access hardware
+// has (ROADMAP: "heavy traffic from millions of users, as fast as the
+// hardware allows"; paper §3.3 cites ClickOS-class per-packet budgets
+// that leave no room for a global lock). Each shard is an
+// openflow.Switch over the pipeline's table, so the workers and
+// Switch.Process share one resolve step and one action interpreter; the
+// pipeline adds the rings, the batching and the hooks.
 //
 // Architecture:
 //
 //		Submit ─hash(5-tuple)─▶ per-shard bounded ring ─batch─▶ worker ─▶ hooks
 //		                              │                            │
-//		                        backpressure/drop            flowCache over
-//		                          policy                  COW rule snapshot
+//		                        backpressure/drop      shard's Switch.Resolve
+//		                          policy                over COW rule snapshot
 //
 //	  - Packets are partitioned by the symmetric packet.Flow hash, so both
 //	    directions of a conversation land on the same shard and all
@@ -22,7 +24,7 @@
 //	  - Rule and meter state lives in an openflow.FlowTable: an
 //	    atomically-published copy-on-write snapshot written by the
 //	    control plane (deployserver flow mods) and read lock-free by
-//	    every worker through its private openflow.FlowCache.
+//	    every worker through its shard switch's private flow cache.
 //	  - Workers pull fixed-size batches from their ring to amortize queue
 //	    synchronization, and recycle packet buffers through a sync.Pool.
 //	  - Queues are bounded; the DropPolicy decides whether overload tail
@@ -89,11 +91,13 @@ type Config struct {
 	Now func() time.Duration
 }
 
-// shard is one queue + worker + privately-owned flow state.
+// shard is one queue + worker + privately-owned flow state: the
+// worker's openflow.Switch over the pipeline's table and executor,
+// whose flow cache and decoder only that worker touches.
 type shard struct {
 	id       int
 	queue    *ring
-	cache    *openflow.FlowCache
+	sw       *openflow.Switch
 	counters shardCounters
 }
 
@@ -142,7 +146,8 @@ func New(cfg Config) *Pipeline {
 	}
 	p.bufPool.New = func() any { b := make([]byte, 0, 2048); return &b }
 	for i := 0; i < cfg.Shards; i++ {
-		p.shards = append(p.shards, &shard{id: i, queue: newRing(cfg.QueueDepth, cfg.Policy), cache: openflow.NewFlowCache()})
+		p.shards = append(p.shards, &shard{id: i, queue: newRing(cfg.QueueDepth, cfg.Policy),
+			sw: openflow.NewSwitchOn("shard", p.table, cfg.Chains, cfg.Now)})
 	}
 	return p
 }

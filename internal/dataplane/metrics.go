@@ -233,7 +233,7 @@ func (p *Pipeline) Stats() Stats {
 	out := Stats{Shards: make([]ShardStats, len(p.shards))}
 	for i, sh := range p.shards {
 		out.Shards[i] = sh.counters.snapshot(sh.queue.depth())
-		out.Shards[i].CacheFlushes = sh.cache.Flushes()
+		out.Shards[i].CacheFlushes = sh.sw.CacheFlushes()
 	}
 	if sup, ok := p.cfg.Chains.(chainSupervisor); ok {
 		out.Chain = sup.SupervisorStats()

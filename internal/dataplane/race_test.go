@@ -3,7 +3,8 @@ package dataplane
 // Concurrent lookup/update interleaving stress. Run with -race: these
 // tests exist to prove that M dataplane readers against a control-plane
 // writer are clean on both read paths of openflow.FlowTable: the cached
-// lookup (workers, Switch.Process) and the uncached snapshot scan.
+// lookup (Switch.Resolve, one switch per reader) and the uncached
+// snapshot scan.
 
 import (
 	"sync"
@@ -45,31 +46,30 @@ func raceEntry(prio int) *openflow.FlowEntry {
 	}
 }
 
-// TestShardedTableRace spins M readers (each owning its flow cache, as
-// workers do) against one writer interleaving installs, removals and
-// expiry on the flow table's cached read path.
+// TestShardedTableRace spins M readers (each its own openflow.Switch
+// over the one table, as shards are) against one writer interleaving
+// installs, removals and expiry on the flow table's cached read path.
 func TestShardedTableRace(t *testing.T) {
 	tbl := NewShardedTable()
 	tbl.Install(raceEntry(1), 0)
+	var pkts [128][]byte
+	for i := range pkts {
+		f := raceFields(i)
+		pkts[i] = mustFrame(t, f.SrcIP.String(), f.DstIP.String(), f.SrcPort, f.DstPort)
+	}
 
 	var wg sync.WaitGroup
 	for r := 0; r < raceReaders; r++ {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			cache := openflow.NewFlowCache() // one per goroutine: worker-private
+			sw := openflow.NewSwitchOn("reader", tbl, nil, nil) // one per goroutine: its cache is private
 			for i := 0; i < raceLookups; i++ {
-				f := raceFields(i)
-				key := openflow.CacheKey{Flow: packet.Flow{
-					Proto: f.Proto,
-					Src:   packet.Endpoint{Addr: f.SrcIP, Port: f.SrcPort},
-					Dst:   packet.Endpoint{Addr: f.DstIP, Port: f.DstPort},
-				}}
-				if _, e := tbl.LookupCached(cache, key, true, 100, time.Duration(i)); e == nil {
-					tbl.LookupScan(cache, key, true, f, 100, time.Duration(i))
-				}
+				data := pkts[i%len(pkts)]
+				key, ok := openflow.KeyOf(data, 0)
+				sw.Resolve(key, ok, data, time.Duration(i), nil)
 			}
-		}(r)
+		}()
 	}
 	wg.Add(1)
 	go func() {
@@ -99,9 +99,9 @@ func TestShardedTableRace(t *testing.T) {
 }
 
 // TestLegacyTableRace runs the same interleaving against the table's
-// cacheless read path (Lookup, under LookupScan): concurrent snapshot
-// scans with atomic counter updates, against Install/RemoveByCookie/
-// Expire writers.
+// cacheless read path (Lookup, what Switch.Resolve runs on a miss):
+// concurrent snapshot scans with atomic counter updates, against
+// Install/RemoveByCookie/Expire writers.
 func TestLegacyTableRace(t *testing.T) {
 	tbl := openflow.NewFlowTable()
 	tbl.Install(raceEntry(1), 0)

@@ -4,15 +4,13 @@ import (
 	"time"
 
 	"pvn/internal/openflow"
-	"pvn/internal/packet"
 )
 
-// workerState is one worker's preallocated scratch: the drained batch,
-// a reusable header decoder and per-packet state. Everything is sized
-// to BatchSize once, so the steady-state loop allocates nothing.
+// workerState is one worker's preallocated scratch: the drained batch
+// and per-packet state. Everything is sized to BatchSize once, so the
+// steady-state loop allocates nothing.
 type workerState struct {
 	batch []item
-	dec   packet.Decoder
 
 	// Per-packet state, indexed like batch.
 	acts  [][]openflow.Action // resolved action list
@@ -54,9 +52,10 @@ func (p *Pipeline) work(sh *shard) {
 	}
 }
 
-// processBatch resolves the whole batch's actions, then runs each
-// packet through openflow's one interpreter (FlowTable.Interpret, the
-// code Switch.Process runs inline) and hands it to its verdict's hook.
+// processBatch resolves the whole batch's actions through the shard's
+// switch (Switch.Resolve, the step Switch.Process runs inline), then
+// runs each packet through openflow's one interpreter
+// (FlowTable.Interpret) and hands it to its verdict's hook.
 // All counters accumulate in a localCounters and hit the shard atomics
 // once, at the end.
 func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool) {
@@ -65,29 +64,21 @@ func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool)
 	c := &sh.counters
 	c.batches.Add(1)
 	var lc localCounters
-	var decodeNs int64
+	var decodeNs *int64
+	if sampled {
+		decodeNs = &lc.decodeNs
+	}
 
 	// Stage 1: resolve actions for the whole batch. The flow cache is
 	// keyed by the 5-tuple Submit already extracted, so the steady state
 	// never decodes a packet; only cache misses pay for a header decode
-	// (into the worker's reusable decoder — no allocation) and a rule
-	// scan.
+	// (into the switch's reusable decoder — no allocation) and a rule
+	// scan, and only sampled batches time those decodes.
 	for i := 0; i < n; i++ {
 		it := &ws.batch[i]
-		actions, e := p.table.LookupCached(sh.cache, it.key, it.ok, len(it.data), now)
-		if e != nil {
+		actions, _, hit := sh.sw.Resolve(it.key, it.ok, it.data, now, decodeNs)
+		if hit {
 			lc.cacheHits++
-		} else {
-			var td int64
-			if sampled {
-				td = time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
-			}
-			pkt := ws.dec.DecodeHeaders(it.data, packet.LayerTypeIPv4)
-			fields := openflow.ExtractFields(pkt, it.inPort)
-			if sampled {
-				decodeNs += time.Now().UnixNano() - td //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
-			}
-			actions, _ = p.table.LookupScan(sh.cache, it.key, it.ok, fields, len(it.data), now)
 		}
 		ws.acts[i] = actions
 		lc.bytes += int64(len(it.data))
@@ -96,8 +87,7 @@ func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool)
 	var t1 int64
 	if sampled {
 		t1 = time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
-		lc.decodeNs = decodeNs
-		lc.lookupNs = (t1 - t0) - decodeNs
+		lc.lookupNs = (t1 - t0) - lc.decodeNs
 	}
 
 	// Stage 2: interpret each action list to its verdict, in arrival
@@ -106,7 +96,7 @@ func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool)
 	// per packet cost the bare-forwarding batch ~15 %.
 	for i := 0; i < n; i++ {
 		it := &ws.batch[i]
-		term, out, delay, err := p.table.Interpret(ws.acts[i], it.data, now, p.cfg.Chains)
+		term, out, delay, err := sh.sw.Table.Interpret(ws.acts[i], it.data, now, sh.sw.Chains)
 		ws.delay[i] = delay
 		if err != nil {
 			lc.chainErrs++

@@ -216,6 +216,7 @@ func DefaultConfig() *Config {
 			"pvn/internal/core":          true,
 			"pvn/internal/deployserver":  true,
 			"pvn/internal/dataplane":     true,
+			"pvn/internal/openflow":      true,
 			"pvn/internal/overlay":       true,
 			"pvn/internal/scenario":      true,
 			"pvn/internal/orchestrator":  true,

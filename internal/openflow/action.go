@@ -30,15 +30,6 @@ type Action struct {
 	Tunnel string
 }
 
-// Terminal reports whether the action ends pipeline processing.
-func (a Action) Terminal() bool {
-	switch a.Type {
-	case ActionTypeOutput, ActionTypeDrop, ActionTypeController, ActionTypeTunnel:
-		return true
-	}
-	return false
-}
-
 // String implements fmt.Stringer.
 func (a Action) String() string {
 	switch a.Type {

@@ -33,13 +33,13 @@ func tcpProbe(src, dst packet.IPv4Address, sport, dport, inPort uint16, size int
 	}
 }
 
-// fastLookup is the worker's protocol: the cache alone first, the scan
-// only on a miss.
-func fastLookup(t *FlowTable, c *FlowCache, p probe, now time.Duration) []Action {
-	if actions, e := t.LookupCached(c, p.key, p.cacheable, p.size, now); e != nil {
+// fastLookup is Switch.Resolve's protocol: the cache alone first, the
+// scan only on a miss.
+func fastLookup(t *FlowTable, c *flowCache, p probe, now time.Duration) []Action {
+	if actions, e := t.lookupCached(c, p.key, p.cacheable, p.size, now); e != nil {
 		return actions
 	}
-	actions, _ := t.LookupScan(c, p.key, p.cacheable, p.fields, p.size, now)
+	actions, _ := t.lookupScan(c, p.key, p.cacheable, p.fields, p.size, now)
 	return actions
 }
 
@@ -77,7 +77,7 @@ func TestFlowCacheBounded(t *testing.T) {
 		install(&FlowEntry{Priority: 20, Match: Match{Fields: FieldDstPort, DstPort: 443}, Actions: []Action{Output(1)}}, 0)
 		install(&FlowEntry{Priority: 10, Match: Match{Fields: FieldProto, Proto: packet.IPProtoTCP}, Actions: []Action{Output(2)}}, 0)
 	}
-	c := NewFlowCache()
+	c := newFlowCache()
 	dst := packet.MustParseIPv4("93.184.216.34")
 	flow := func(i int) probe {
 		src := packet.IPv4Address{10, byte(i >> 16), 0, 1}
@@ -96,12 +96,12 @@ func TestFlowCacheBounded(t *testing.T) {
 	for i := 0; i < flowCacheMax; i++ {
 		check(i)
 	}
-	if len(c.m) != flowCacheMax || c.Flushes() != 0 {
-		t.Fatalf("at the bound: %d entries, %d flushes; want %d and 0", len(c.m), c.Flushes(), flowCacheMax)
+	if len(c.m) != flowCacheMax || c.flushes.Load() != 0 {
+		t.Fatalf("at the bound: %d entries, %d flushes; want %d and 0", len(c.m), c.flushes.Load(), flowCacheMax)
 	}
 	check(flowCacheMax) // the one that does not fit
-	if len(c.m) != 1 || c.Flushes() != 1 {
-		t.Fatalf("past the bound: %d entries, %d flushes; want 1 and 1", len(c.m), c.Flushes())
+	if len(c.m) != 1 || c.flushes.Load() != 1 {
+		t.Fatalf("past the bound: %d entries, %d flushes; want 1 and 1", len(c.m), c.flushes.Load())
 	}
 	for i := 0; i < 64; i++ { // flushed flows come back through the scan, then hit
 		check(i)
@@ -112,7 +112,7 @@ func TestFlowCacheBounded(t *testing.T) {
 
 // TestCachedLookupMatchesLookup is the differential oracle for the
 // dataplane's rule fast path: whatever rule writes land between packets,
-// LookupCached followed on a miss by LookupScan must pick the rule the
+// lookupCached followed on a miss by lookupScan must pick the rule the
 // reference scan picks on a twin rule set and leave every entry's
 // counters the same — including entries Expire hands back and packets
 // that cannot be cached, which share one meaningless key.
@@ -122,7 +122,7 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 		ref, fast := &scanTable{}, NewFlowTable()
 		// Two caches, as two shards would hold: each sees generation
 		// bumps only when its own next packet arrives.
-		caches := [2]*FlowCache{NewFlowCache(), NewFlowCache()}
+		caches := [2]*flowCache{newFlowCache(), newFlowCache()}
 
 		addrs := []packet.IPv4Address{{10, 0, 0, 5}, {10, 0, 1, 9}, {10, 1, 0, 7}, {93, 184, 216, 34}}
 		ports := []uint16{80, 443, 8080, 40000, 40001}

@@ -116,18 +116,6 @@ func prefixMatch(addr, want packet.IPv4Address, bits uint8) bool {
 	return a&mask == w&mask
 }
 
-// Specificity counts set fields; more specific matches make better
-// tie-break diagnostics (priority still decides precedence).
-func (m *Match) Specificity() int {
-	n := 0
-	for b := FieldSet(1); b <= FieldDstPort; b <<= 1 {
-		if m.Fields&b != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // String renders the match compactly, e.g. "proto=6,dst=1.2.3.0/24,dport=443".
 func (m *Match) String() string {
 	if m.Fields == 0 {

@@ -146,11 +146,11 @@ func TestTableTimeouts(t *testing.T) {
 func TestExpireNothingDue(t *testing.T) {
 	tbl := NewFlowTable()
 	tbl.Install(&FlowEntry{Priority: 1, Actions: []Action{Output(1)}}, 0)
-	cache, key := NewFlowCache(), CacheKey{InPort: 3}
+	cache, key := newFlowCache(), CacheKey{InPort: 3}
 	check := func(when string, now time.Duration) {
 		t.Helper()
-		tbl.LookupCached(cache, key, true, 1, now) // sync the cache to the current generation
-		tbl.LookupScan(cache, key, true, PacketFields{}, 1, now)
+		tbl.lookupCached(cache, key, true, 1, now) // sync the cache to the current generation
+		tbl.lookupScan(cache, key, true, PacketFields{}, 1, now)
 		gen := tbl.snap.Load().gen
 		allocs := testing.AllocsPerRun(100, func() {
 			if exp := tbl.Expire(now); exp != nil {
@@ -163,7 +163,7 @@ func TestExpireNothingDue(t *testing.T) {
 		if got := tbl.snap.Load().gen; got != gen {
 			t.Errorf("%s: generation moved %d -> %d", when, gen, got)
 		}
-		if _, e := tbl.LookupCached(cache, key, true, 1, now); e == nil {
+		if _, e := tbl.lookupCached(cache, key, true, 1, now); e == nil {
 			t.Errorf("%s: flow cache was flushed", when)
 		}
 	}
@@ -173,7 +173,7 @@ func TestExpireNothingDue(t *testing.T) {
 	if exp := tbl.Expire(time.Minute); len(exp) != 1 || tbl.Len() != 1 {
 		t.Fatalf("due rule: expired %d, %d left", len(exp), tbl.Len())
 	}
-	if _, e := tbl.LookupCached(cache, key, true, 1, time.Minute); e != nil {
+	if _, e := tbl.lookupCached(cache, key, true, 1, time.Minute); e != nil {
 		t.Error("flow cache survived an eviction")
 	}
 	check("timed rule gone", time.Hour)
@@ -414,11 +414,8 @@ func TestFlowModApply(t *testing.T) {
 	}
 }
 
-func TestMatchStringAndSpecificity(t *testing.T) {
+func TestMatchString(t *testing.T) {
 	m := &Match{Fields: FieldDstIP | FieldDstPort | FieldProto, DstIP: videoIP, DstBits: 24, DstPort: 443, Proto: 6}
-	if m.Specificity() != 3 {
-		t.Fatalf("specificity %d", m.Specificity())
-	}
 	if s := m.String(); s == "" || s == "any" {
 		t.Fatalf("string %q", s)
 	}

@@ -7,26 +7,22 @@ import (
 	"pvn/internal/packet"
 )
 
-func TestActionStringsAndTerminal(t *testing.T) {
+func TestActionStrings(t *testing.T) {
 	cases := []struct {
-		a        Action
-		want     string
-		terminal bool
+		a    Action
+		want string
 	}{
-		{Output(3), "output:3", true},
-		{Drop(), "drop", true},
-		{ToController(), "controller", true},
-		{ToMiddlebox("alice/secure"), "mbx:alice/secure", false},
-		{Metered("m1"), "meter:m1", false},
-		{Tunnel("cloud"), "tunnel:cloud", true},
-		{Action{Type: ActionType(200)}, "action(200)", false},
+		{Output(3), "output:3"},
+		{Drop(), "drop"},
+		{ToController(), "controller"},
+		{ToMiddlebox("alice/secure"), "mbx:alice/secure"},
+		{Metered("m1"), "meter:m1"},
+		{Tunnel("cloud"), "tunnel:cloud"},
+		{Action{Type: ActionType(200)}, "action(200)"},
 	}
 	for _, c := range cases {
 		if got := c.a.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
-		}
-		if got := c.a.Terminal(); got != c.terminal {
-			t.Errorf("%s Terminal() = %v, want %v", c.want, got, c.terminal)
 		}
 	}
 }

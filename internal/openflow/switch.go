@@ -58,9 +58,9 @@ type ChainExecutor interface {
 
 // Switch is a match/action forwarding element: one flow table (rules
 // and meters) and an optional middlebox executor. Process is the
-// dataplane's inline mode: a packet runs on the caller's goroutine
-// through the code a pipeline worker runs — flow cache, header decode
-// on a miss, Interpret — with no queue in front of it.
+// dataplane's inline mode: a packet runs on the caller's goroutine with
+// no queue in front of it. A dataplane shard is a Switch too, over the
+// pipeline's shared table; both run Resolve, then Interpret.
 type Switch struct {
 	ID    string
 	Table *FlowTable
@@ -74,25 +74,28 @@ type Switch struct {
 	// PacketIns counts table-miss punts to the controller.
 	PacketIns int64
 
-	cache *FlowCache
+	cache *flowCache
 	dec   packet.Decoder
 }
 
 // NewSwitch returns a switch with an empty table. now may be nil, in
 // which case time zero is used everywhere (fine for pure table tests).
 func NewSwitch(id string, now func() time.Duration) *Switch {
+	return NewSwitchOn(id, NewFlowTable(), nil, now)
+}
+
+// NewSwitchOn returns a switch over an existing table and executor,
+// with its own flow cache and decoder: how several switches (dataplane
+// shards) share one rule set. now may be nil, as for NewSwitch.
+func NewSwitchOn(id string, table *FlowTable, chains ChainExecutor, now func() time.Duration) *Switch {
 	if now == nil {
 		now = func() time.Duration { return 0 }
 	}
-	return &Switch{ID: id, Table: NewFlowTable(), Now: now, cache: NewFlowCache()}
+	return &Switch{ID: id, Table: table, Chains: chains, Now: now, cache: newFlowCache()}
 }
 
 // Process runs one packet (raw IPv4 bytes) to its disposition: expire
-// due rules, answer from the switch's flow cache by the peeked 5-tuple,
-// and on a miss decode the headers and look them up in the snapshot;
-// then Interpret the actions. Like a worker's, the cache memoizes only
-// decisions the decoder agreed with, and a malformed frame riding an
-// already cached 5-tuple follows the flow's actions (see LookupScan).
+// due rules, Resolve its actions, Interpret them.
 //
 // The cache and decoder belong to the switch, so Process must be called
 // from one goroutine at a time.
@@ -100,11 +103,7 @@ func (s *Switch) Process(data []byte, inPort uint16) Disposition {
 	now := s.Now()
 	s.Table.Expire(now)
 	key, cacheable := KeyOf(data, inPort)
-	actions, entry := s.Table.LookupCached(s.cache, key, cacheable, len(data), now)
-	if entry == nil {
-		fields := ExtractFields(s.dec.DecodeHeaders(data, packet.LayerTypeIPv4), inPort)
-		actions, entry = s.Table.LookupScan(s.cache, key, cacheable, fields, len(data), now)
-	}
+	actions, entry, _ := s.Resolve(key, cacheable, data, now, nil)
 	term, out, delay, _ := s.Table.Interpret(actions, data, now, s.Chains)
 	d := Disposition{Data: out, Delay: delay, Entry: entry}
 	if term == nil {
@@ -121,6 +120,37 @@ func (s *Switch) Process(data []byte, inPort uint16) Disposition {
 	}
 	return d
 }
+
+// Resolve finds one packet's actions, the entry that supplied them (nil
+// on table miss) and whether the flow cache answered. key and cacheable
+// are KeyOf(data, inPort). A cache hit needs no decode; a miss decodes
+// the headers into the switch's decoder and looks the fields up in the
+// snapshot. The cache memoizes only decisions the decoder agreed with,
+// and a malformed frame riding an already cached 5-tuple follows the
+// flow's actions (see lookupScan).
+//
+// When decodeNs is non-nil the miss's header decode is timed into it;
+// callers sampling their stage split pass it on sampled batches only.
+// Like Process, Resolve must be called from one goroutine at a time.
+func (s *Switch) Resolve(key CacheKey, cacheable bool, data []byte, now time.Duration, decodeNs *int64) (actions []Action, entry *FlowEntry, hit bool) {
+	if actions, entry = s.Table.lookupCached(s.cache, key, cacheable, len(data), now); entry != nil {
+		return actions, entry, true
+	}
+	var t0 int64
+	if decodeNs != nil {
+		t0 = time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
+	}
+	fields := ExtractFields(s.dec.DecodeHeaders(data, packet.LayerTypeIPv4), key.InPort)
+	if decodeNs != nil {
+		*decodeNs += time.Now().UnixNano() - t0 //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
+	}
+	actions, entry = s.Table.lookupScan(s.cache, key, cacheable, fields, len(data), now)
+	return actions, entry, false
+}
+
+// CacheFlushes reports how many times the switch's flow cache overflowed
+// its bound and was emptied. Safe to call from any goroutine.
+func (s *Switch) CacheFlushes() int64 { return s.cache.flushes.Load() }
 
 // Interpret runs one packet's action list to the action that decides
 // it: the one action interpreter, behind Switch.Process and the

@@ -132,9 +132,9 @@ func (s *snapshot) match(f PacketFields) *FlowEntry {
 // one generation bump and so one flow-cache flush per call, however many
 // rules the call carries. A write copies the leaves it touches and the
 // index roots; every other leaf is shared with the previous snapshot.
-// Lookups — LookupCached / LookupScan over a FlowCache private to one
-// dataplane worker or one Switch — read the current snapshot lock-free
-// and keep using an old generation until their next packet.
+// Lookups — Switch.Resolve, through the flow cache private to that
+// switch — read the current snapshot lock-free and keep using an old
+// generation until their next packet.
 type FlowTable struct {
 	mu   sync.Mutex // serializes rule writers
 	seq  uint64     // install stamps handed out; guarded by mu
@@ -369,7 +369,7 @@ func (t *FlowTable) Entries() []*FlowEntry {
 
 // Lookup finds the packet summary's rule in the current snapshot and
 // updates the winning entry's counters — the uncached read under
-// LookupScan. Misses return the table-miss actions and a nil entry.
+// lookupScan. Misses return the table-miss actions and a nil entry.
 func (t *FlowTable) Lookup(f PacketFields, size int, now time.Duration) ([]Action, *FlowEntry) {
 	e := t.snap.Load().match(f)
 	if e == nil {
@@ -417,37 +417,31 @@ func (k CacheKey) describes(f PacketFields) bool {
 		k.Flow.Src.Port == f.SrcPort && k.Flow.Dst.Port == f.DstPort
 }
 
-// FlowCache is an exact-match fast path over the rule snapshot, in the
-// spirit of OVS's flow cache. It is owned by exactly one goroutine at a
-// time (a dataplane worker, or the caller of one Switch's Process) and
-// therefore needs no lock; a generation bump (any rule update or
-// expiry) invalidates it wholesale.
-type FlowCache struct {
+// flowCache is an exact-match fast path over the rule snapshot, in the
+// spirit of OVS's flow cache. Each Switch owns one and uses it from one
+// goroutine at a time, so it needs no lock; a generation bump (any rule
+// update or expiry) invalidates it wholesale.
+type flowCache struct {
 	gen     uint64
 	m       map[CacheKey]*FlowEntry
 	flushes atomic.Int64
 }
 
-// flowCacheMax bounds one FlowCache. Whoever sends the traffic picks the
+// flowCacheMax bounds one flowCache. Whoever sends the traffic picks the
 // 5-tuples (spoofed source ports are free), so without a bound the map
 // grows for as long as the rules stay put. A full cache is flushed
 // wholesale, like a generation bump: live flows pay one more scan each.
 const flowCacheMax = 1 << 18
 
-// NewFlowCache returns an empty cache.
-func NewFlowCache() *FlowCache { return &FlowCache{m: make(map[CacheKey]*FlowEntry)} }
+func newFlowCache() *flowCache { return &flowCache{m: make(map[CacheKey]*FlowEntry)} }
 
-// Flushes reports how many times the cache overflowed its bound and was
-// emptied. Safe to call from any goroutine.
-func (c *FlowCache) Flushes() int64 { return c.flushes.Load() }
-
-// LookupCached answers from the caller's exact-match cache alone — the
+// lookupCached answers from the caller's exact-match cache alone — the
 // steady-state fast path, which needs only the 5-tuple key and no
 // packet decode at all. cacheable is false for packets whose 5-tuple
 // could not be extracted (they still match, just uncached). A hit
 // returns the memoized entry and its actions; a nil entry means the
-// caller must extract match fields and call LookupScan.
-func (t *FlowTable) LookupCached(c *FlowCache, key CacheKey, cacheable bool, size int, now time.Duration) ([]Action, *FlowEntry) {
+// caller must extract match fields and call lookupScan.
+func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, size int, now time.Duration) ([]Action, *FlowEntry) {
 	if gen := t.snap.Load().gen; c.gen != gen {
 		c.gen = gen
 		clear(c.m)
@@ -463,8 +457,8 @@ func (t *FlowTable) LookupCached(c *FlowCache, key CacheKey, cacheable bool, siz
 	return e.Actions, e
 }
 
-// LookupScan is Lookup, memoizing the winning entry in the cache.
-// Callers must have tried LookupCached first (it also syncs the cache
+// lookupScan is Lookup, memoizing the winning entry in the cache.
+// Callers must have tried lookupCached first (it also syncs the cache
 // generation).
 //
 // The key is what the submit path peeked from raw bytes; fields is what
@@ -473,9 +467,9 @@ func (t *FlowTable) LookupCached(c *FlowCache, key CacheKey, cacheable bool, siz
 // decoder rejected (or cut short of its ports) is answered from its
 // fields but must not plant that answer under a key that the flow's
 // well-formed packets share. The converse is not policed: a malformed
-// packet whose peeked 5-tuple is already cached hits in LookupCached,
+// packet whose peeked 5-tuple is already cached hits in lookupCached,
 // is never decoded, and follows the flow's actions.
-func (t *FlowTable) LookupScan(c *FlowCache, key CacheKey, cacheable bool, fields PacketFields, size int, now time.Duration) ([]Action, *FlowEntry) {
+func (t *FlowTable) lookupScan(c *flowCache, key CacheKey, cacheable bool, fields PacketFields, size int, now time.Duration) ([]Action, *FlowEntry) {
 	actions, e := t.Lookup(fields, size, now)
 	if e != nil && cacheable && key.describes(fields) {
 		if len(c.m) >= flowCacheMax {
