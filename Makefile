@@ -77,7 +77,8 @@ test-race:
 # offer), certificate blobs, tunnel frames,
 # the PVNC and user-script compilers, the pcap reader and pvnd's deploy
 # request (which must tear down to the host it found) — plus the
-# differential holding the reusable Decoder to a fresh decode. Patterns are anchored:
+# differentials holding the reusable Decoder to a fresh decode and the
+# TCP reassembler to a plain byte array. Patterns are anchored:
 # go test refuses -fuzz when it matches more than one target.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/packet/
@@ -95,6 +96,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=6s ./internal/overlay/
 	$(GO) test -run='^$$' -fuzz='^FuzzDiscoveryDatagram$$' -fuzztime=6s ./internal/discovery/
 	$(GO) test -run='^$$' -fuzz='^FuzzDeployRequest$$' -fuzztime=6s ./cmd/pvnd/
+	$(GO) test -run='^$$' -fuzz='^FuzzReassemble$$' -fuzztime=6s ./internal/reasm/
 
 # The overlay determinism gate: the E16 table must be bit-identical
 # across runs under the race detector (DESIGN.md §12).

@@ -47,10 +47,6 @@ type Device struct {
 	BudgetMicro int64
 	// Strategy picks the fallback behaviour for partial offers.
 	Strategy discovery.Strategy
-	// AutoRenegotiate lets a strict device answer a partial offer with
-	// a counter-DM quoting the supported subset instead of giving up —
-	// the paper's automated soft-constraint negotiation (§3.1, §3.3).
-	AutoRenegotiate bool
 	// Tunnels are the device's off-network PVN locations (cloud, home).
 	Tunnels *tunnel.Table
 	// Vendors is the platform-vendor trust store attestations verify
@@ -207,11 +203,6 @@ func Connect(dev *Device, networks []*AccessNetwork) (*Session, error) {
 			}
 		} else {
 			s.logf("no acceptable offer (strategy=%d budget=%d)", dev.Strategy, dev.BudgetMicro)
-			if dev.AutoRenegotiate {
-				if done := s.renegotiate(neg, offers, offerNet); done {
-					return s, nil
-				}
-			}
 		}
 	}
 
@@ -248,37 +239,6 @@ func (s *Session) deploy(n *AccessNetwork, neg *discovery.Negotiator, offer *dis
 	s.logf("deployed on %s: cookie=%d cost=%d dropped=%v dhcp-refresh=%v",
 		n.Name, resp.Cookie, dec.Cost, dec.Dropped, resp.DHCPRefresh)
 	return true
-}
-
-// renegotiate runs one counter-DM round (§3.1: "send a new DM with a
-// PVNC that includes a subset of the original configuration") against
-// each offering provider, taking the first acceptable re-quote.
-func (s *Session) renegotiate(neg *discovery.Negotiator, offers []*discovery.Offer, offerNet map[string]*AccessNetwork) bool {
-	for _, offer := range offers {
-		if offer == nil {
-			continue
-		}
-		dm2, reduced, ok := neg.CounterDM(offer)
-		if !ok {
-			continue
-		}
-		n := offerNet[offer.OfferID]
-		offer2 := n.Server.HandleDM(dm2)
-		if offer2 == nil {
-			continue
-		}
-		s.logf("counter-DM to %s: %d types re-quoted at %d", n.Name, len(dm2.RequiredTypes), offer2.TotalCost)
-		neg2 := discovery.NewNegotiator(s.Device.ID, reduced, s.Device.BudgetMicro, discovery.StrategyStrict)
-		dec := neg2.Evaluate(offer2, n.clock()())
-		if !dec.Accept {
-			s.logf("re-quote from %s still unacceptable: %s", n.Name, dec.Reason)
-			continue
-		}
-		if s.deploy(n, neg2, offer2, dec) {
-			return true
-		}
-	}
-	return false
 }
 
 // Process runs one raw IPv4 packet through the session's data plane and

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -114,40 +113,19 @@ func TestRoamKeepsWorking(t *testing.T) {
 	}
 }
 
-// TestAutoRenegotiate: a strict device on a partial network counters
-// with the supported subset instead of falling back to tunneling.
-func TestAutoRenegotiate(t *testing.T) {
+// TestStrictPartialOfferRunsBare: a strict device facing an offer that
+// lacks one of its middleboxes, with no tunnel to fall back on, runs
+// bare. Renegotiating the supported subset is discovery.Session's
+// CounterDM round, not Connect's.
+func TestStrictPartialOfferRunsBare(t *testing.T) {
 	p := fullProvider()
 	delete(p.Supported, "tracker-block") // partial support
 	w := newWorld(t, p)
 	w.dev.Strategy = discovery.StrategyStrict
 
-	// Without auto-renegotiation: strict fails, no tunnel -> bare.
 	s, err := Connect(w.dev, []*AccessNetwork{w.network})
 	if err == nil || s.Mode != ModeBare {
-		t.Fatalf("strict without renegotiation: mode=%v err=%v", s.Mode, err)
-	}
-
-	// With it: one counter round deploys the subset.
-	w.dev.AutoRenegotiate = true
-	s, err = Connect(w.dev, []*AccessNetwork{w.network})
-	if err != nil {
-		t.Fatalf("connect: %v (%v)", err, s.Messages)
-	}
-	if s.Mode != ModeInNetwork {
-		t.Fatalf("mode %v", s.Mode)
-	}
-	if len(s.Decision.FinalConfig.Middleboxes) != 1 {
-		t.Fatalf("deployed %d middleboxes, want the supported 1", len(s.Decision.FinalConfig.Middleboxes))
-	}
-	found := false
-	for _, m := range s.Messages {
-		if strings.Contains(m, "counter-DM") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no counter-DM narration: %v", s.Messages)
+		t.Fatalf("strict on a partial offer: mode=%v err=%v", s.Mode, err)
 	}
 }
 

@@ -27,66 +27,54 @@ type SessionClock interface {
 	Schedule(d time.Duration, fn func())
 }
 
-// Backoff computes capped exponential retry delays with optional jitter.
+// Backoff computes exponential retry delays with optional jitter: each
+// retry doubles the delay, and no delay, jitter included, exceeds
+// backoffMax.
 type Backoff struct {
 	// Initial is the delay before the first retry. Zero means 100ms.
 	Initial time.Duration
-	// Max caps the delay, jitter included: no returned delay ever
-	// exceeds it. Zero means 5s.
-	Max time.Duration
-	// Factor multiplies the delay per retry. Values < 1 mean 2.
-	Factor float64
 	// Jitter in [0,1] spreads each delay uniformly over
 	// [d*(1-Jitter), d*(1+Jitter)], desynchronizing device herds after
 	// a provider restart. Zero disables jitter.
 	Jitter float64
 }
 
+// backoffMax caps every Backoff delay.
+const backoffMax = 5 * time.Second
+
 // Delay returns the delay before retry number retry (0-based), drawing
 // jitter from rand (a [0,1) source; nil means no jitter).
 func (b Backoff) Delay(retry int, rand func() float64) time.Duration {
-	initial, max, factor := b.Initial, b.Max, b.Factor
-	if initial <= 0 {
-		initial = 100 * time.Millisecond
+	d := float64(b.Initial)
+	if b.Initial <= 0 {
+		d = float64(100 * time.Millisecond)
 	}
-	if max <= 0 {
-		max = 5 * time.Second
+	for i := 0; i < retry && d < float64(backoffMax); i++ {
+		d *= 2
 	}
-	if factor < 1 {
-		factor = 2
-	}
-	d := float64(initial)
-	for i := 0; i < retry; i++ {
-		d *= factor
-		if d >= float64(max) {
-			break
-		}
-	}
-	if d > float64(max) {
-		d = float64(max)
-	}
+	d = min(d, float64(backoffMax))
 	if b.Jitter > 0 && rand != nil {
 		d *= 1 - b.Jitter + 2*b.Jitter*rand()
-		if d > float64(max) {
-			d = float64(max)
-		}
 	}
-	return time.Duration(d)
+	return time.Duration(min(d, float64(backoffMax)))
 }
 
-// SessionConfig tunes the lifecycle state machine.
+// How long each DM attempt collects offers before the negotiator picks,
+// how long each wait for a DeployResponse lasts before the request is
+// retransmitted, and how many retransmissions of one DeployRequest
+// precede a fresh discovery round.
+const (
+	offerWindow   = 500 * time.Millisecond
+	deployWait    = time.Second
+	deployRetries = 3
+)
+
+// SessionConfig tunes the lifecycle state machine. The offer window
+// (500ms), the deploy wait (1s) and the deploy retransmission budget (3)
+// are the same for every session.
 type SessionConfig struct {
-	// OfferWindow is how long each DM attempt collects offers before the
-	// negotiator picks. Zero means 500ms.
-	OfferWindow time.Duration
-	// DeployTimeout bounds each wait for a DeployResponse before the
-	// request is retransmitted. Zero means 1s.
-	DeployTimeout time.Duration
 	// MaxAttempts caps DM attempts (including the first). Zero means 8.
 	MaxAttempts int
-	// DeployRetries caps retransmissions of one DeployRequest before the
-	// session falls back to a fresh discovery round. Zero means 3.
-	DeployRetries int
 	// Deadline bounds the whole session from Start; when it passes the
 	// session finishes with Fallback set. Zero means 30s.
 	Deadline time.Duration
@@ -101,17 +89,8 @@ type SessionConfig struct {
 }
 
 func (c SessionConfig) withDefaults() SessionConfig {
-	if c.OfferWindow <= 0 {
-		c.OfferWindow = 500 * time.Millisecond
-	}
-	if c.DeployTimeout <= 0 {
-		c.DeployTimeout = time.Second
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 8
-	}
-	if c.DeployRetries <= 0 {
-		c.DeployRetries = 3
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 30 * time.Second
@@ -229,7 +208,7 @@ func (s *Session) sendDM(dm *DM) {
 	if s.OverlayQuery != nil {
 		s.OverlayQuery(dm, s.HandleOffer)
 	}
-	s.Clock.Schedule(s.cfg.OfferWindow, func() { s.closeOfferWindow(gen) })
+	s.Clock.Schedule(offerWindow, func() { s.closeOfferWindow(gen) })
 }
 
 // HandleOffer feeds one arriving offer into the state machine. Offers
@@ -335,7 +314,7 @@ func (s *Session) transmitDeploy() {
 	s.timerGen++
 	gen := s.timerGen
 	s.Send(s.pendingReq)
-	s.Clock.Schedule(s.cfg.DeployTimeout, func() { s.deployTimeout(gen) })
+	s.Clock.Schedule(deployWait, func() { s.deployTimeout(gen) })
 }
 
 // deployTimeout retransmits the request (the server ACKs duplicates
@@ -344,7 +323,7 @@ func (s *Session) deployTimeout(gen int) {
 	if s.state != sessionDeploying || gen != s.timerGen {
 		return
 	}
-	if s.deploySends <= s.cfg.DeployRetries {
+	if s.deploySends <= deployRetries {
 		s.result.Retries++
 		s.transmitDeploy()
 		return

@@ -174,11 +174,8 @@ func TestSessionRetransmitsDeploy(t *testing.T) {
 	clock := &netsim.Clock{}
 	pp := fullPolicy()
 	s := &Session{
-		Neg: NewNegotiator("dev1", sessConfig(t), 1000, StrategyStrict),
-		Config: SessionConfig{
-			DeployTimeout: 100 * time.Millisecond,
-			Backoff:       Backoff{Initial: 50 * time.Millisecond},
-		},
+		Neg:    NewNegotiator("dev1", sessConfig(t), 1000, StrategyStrict),
+		Config: SessionConfig{Backoff: Backoff{Initial: 50 * time.Millisecond}},
 	}
 	var got *SessionResult
 	s.Done = func(r SessionResult) { got = &r }
@@ -230,12 +227,8 @@ func TestSessionRediscoversWhenAllDeployACKsLost(t *testing.T) {
 	clock := &netsim.Clock{}
 	pp := fullPolicy()
 	s := &Session{
-		Neg: NewNegotiator("dev1", sessConfig(t), 1000, StrategyStrict),
-		Config: SessionConfig{
-			DeployTimeout: 50 * time.Millisecond,
-			DeployRetries: 2,
-			Backoff:       Backoff{Initial: 20 * time.Millisecond},
-		},
+		Neg:    NewNegotiator("dev1", sessConfig(t), 1000, StrategyStrict),
+		Config: SessionConfig{Backoff: Backoff{Initial: 20 * time.Millisecond}},
 	}
 	var got *SessionResult
 	s.Done = func(r SessionResult) { got = &r }
@@ -264,8 +257,8 @@ func TestSessionRediscoversWhenAllDeployACKsLost(t *testing.T) {
 	if dms != 2 {
 		t.Fatalf("discovery rounds %d, want a fresh round after deploy went unacknowledged", dms)
 	}
-	// Round one: initial send + 2 retransmissions; round two: one ACKed send.
-	if deploys != 4 {
+	// Round one: initial send + 3 retransmissions; round two: one ACKed send.
+	if deploys != 5 {
 		t.Fatalf("deploys=%d", deploys)
 	}
 	if got.Attempts != 2 {
@@ -281,7 +274,6 @@ func TestSessionFallsBackBoundedly(t *testing.T) {
 		Neg: NewNegotiator("dev1", sessConfig(t), 1000, StrategyStrict),
 		Config: SessionConfig{
 			MaxAttempts: 3,
-			OfferWindow: 100 * time.Millisecond,
 			Backoff:     Backoff{Initial: 50 * time.Millisecond},
 			Deadline:    10 * time.Second,
 		},
@@ -386,10 +378,11 @@ func TestSessionRediscoversAfterNACK(t *testing.T) {
 }
 
 func TestBackoffDelays(t *testing.T) {
-	b := Backoff{Initial: 100 * time.Millisecond, Max: time.Second, Factor: 2}
+	b := Backoff{Initial: 100 * time.Millisecond}
 	want := []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, time.Second, time.Second,
+		800 * time.Millisecond, 1600 * time.Millisecond, 3200 * time.Millisecond,
+		5 * time.Second, 5 * time.Second,
 	}
 	for i, w := range want {
 		if got := b.Delay(i, nil); got != w {
@@ -397,7 +390,7 @@ func TestBackoffDelays(t *testing.T) {
 		}
 	}
 	// Jitter stays within the configured band.
-	jb := Backoff{Initial: 100 * time.Millisecond, Max: time.Second, Jitter: 0.5}
+	jb := Backoff{Initial: 100 * time.Millisecond, Jitter: 0.5}
 	rng := netsim.NewRNG(5)
 	for i := 0; i < 100; i++ {
 		d := jb.Delay(0, rng.Float64)
@@ -405,12 +398,12 @@ func TestBackoffDelays(t *testing.T) {
 			t.Fatalf("jittered delay %v outside [50ms, 150ms]", d)
 		}
 	}
-	// Max is a hard cap: jitter on a delay at (or near) the cap must not
-	// push past it.
-	cb := Backoff{Initial: 800 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5}
+	// The 5s cap is hard: jitter on a delay at (or near) the cap must
+	// not push past it.
+	cb := Backoff{Initial: 4 * time.Second, Jitter: 0.5}
 	for i := 0; i < 100; i++ {
-		if d := cb.Delay(1, rng.Float64); d > time.Second {
-			t.Fatalf("jittered delay %v exceeds Max %v", d, time.Second)
+		if d := cb.Delay(1, rng.Float64); d > 5*time.Second {
+			t.Fatalf("jittered delay %v exceeds the 5s cap", d)
 		}
 	}
 }

@@ -89,8 +89,8 @@ func packetLevelTransfer(link netsim.LinkConfig, nBytes int, seed uint64) (time.
 	net.Connect(cn, sn, link)
 	clientAddr := packet.MustParseIPv4("10.0.0.5")
 	serverAddr := packet.MustParseIPv4("93.184.216.34")
-	client := tcpflow.NewStack(cn, clientAddr, tcpflow.Config{})
-	server := tcpflow.NewStack(sn, serverAddr, tcpflow.Config{})
+	client := tcpflow.NewStack(cn, clientAddr)
+	server := tcpflow.NewStack(sn, serverAddr)
 
 	done := time.Duration(-1)
 	server.Listen(80, func(c *tcpflow.Conn) {

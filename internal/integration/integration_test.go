@@ -302,8 +302,8 @@ policy 0 match any action=forward
 	Attach(en, network.Server.Switch)
 
 	// Real TCP endpoints on both sides of the PVN.
-	client := tcpflow.NewStack(cn, packet.MustParseIPv4("10.0.0.5"), tcpflow.Config{})
-	server := tcpflow.NewStack(sn, packet.MustParseIPv4("93.184.216.34"), tcpflow.Config{})
+	client := tcpflow.NewStack(cn, packet.MustParseIPv4("10.0.0.5"))
+	server := tcpflow.NewStack(sn, packet.MustParseIPv4("93.184.216.34"))
 	var done time.Duration = -1
 	var got int64
 	server.Listen(80, func(c *tcpflow.Conn) {

@@ -80,7 +80,6 @@ func TestGoldenSupervisorTrace(t *testing.T) {
 		want uint64
 	}{
 		{"default", middlebox.SupervisorConfig{}, 0xfd7a02c574bb1ced},
-		{"window8-breaker2-probation1", middlebox.SupervisorConfig{Window: 8, BreakerThreshold: 2, ProbationPackets: 1}, 0x3e0d23001c387fa},
 	}
 	for _, tc := range cases {
 		if got := goldenSupervisorTrace(t, tc.sup, 12000); got != tc.want {

@@ -49,7 +49,6 @@ func TestParallelOwnersExactCounters(t *testing.T) {
 	)
 	now := time.Duration(0)
 	rt := testRuntime(&now)
-	rt.AlertCap = (distinct + sharedWorkers) * packets
 	rt.Supervisor.BreakerThreshold = 64 // one fault in seven never opens it
 	rt.Register(&Spec{Type: "seq", FailPolicy: FailOpen, New: func(map[string]string) (Box, error) { return &seqBox{}, nil }})
 	events := 0 // plain: OnEvent calls are serialized

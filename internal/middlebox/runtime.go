@@ -278,8 +278,9 @@ type Chain struct {
 // left its mark on this chain (an emptied chain then drops traffic).
 func (c *Chain) FailClosedResidue() bool { return c.residueClosed }
 
-// DefaultAlertCap bounds the runtime's alert ring when AlertCap is 0.
-const DefaultAlertCap = 4096
+// AlertCap bounds the runtime's alert ring: the oldest alerts are
+// evicted (and counted in AlertsDropped) once it is full.
+const AlertCap = 4096
 
 // ownerEntry is one owner's share of the runtime: the lock that
 // serializes chain execution over its instances, and its chains.
@@ -322,10 +323,6 @@ type Runtime struct {
 	Now func() time.Duration
 	// MemoryCapBytes bounds total instance memory. Zero means 1 GiB.
 	MemoryCapBytes int
-	// AlertCap bounds the retained alert ring. Zero means
-	// DefaultAlertCap; the oldest alerts are evicted (and counted in
-	// AlertsDropped) once the ring is full.
-	AlertCap int
 	// Supervisor tunes panic isolation, circuit breaking and restart.
 	// The zero value is live (see SupervisorConfig).
 	Supervisor SupervisorConfig
@@ -353,7 +350,7 @@ type Runtime struct {
 	// evMu guards the alert ring and serializes OnEvent. It is a leaf:
 	// nothing else is acquired under it.
 	evMu sync.Mutex
-	// alerts is a ring: once len == alertCap(), alertHead is the
+	// alerts is a ring: once len == AlertCap, alertHead is the
 	// oldest element and new alerts overwrite it.
 	alerts        []Alert
 	alertHead     int
@@ -767,31 +764,15 @@ func packetBelongsTo(c *Chain, p *packet.Packet) bool {
 	return false
 }
 
-func (r *Runtime) alertCap() int {
-	if r.AlertCap <= 0 {
-		return DefaultAlertCap
-	}
-	return r.AlertCap
-}
-
 // pushAlert appends to the bounded alert ring, evicting (and counting)
 // the oldest alert once the ring is full. Its only caller is
 // Context.Alert, inside a Process call.
 func (r *Runtime) pushAlert(a Alert) {
 	r.evMu.Lock()
 	defer r.evMu.Unlock()
-	max := r.alertCap()
-	if len(r.alerts) < max {
+	if len(r.alerts) < AlertCap {
 		r.alerts = append(r.alerts, a)
 		return
-	}
-	// Ring shrank? (AlertCap lowered between calls.) Drop the excess.
-	for len(r.alerts) > max {
-		r.alerts = append(r.alerts[:r.alertHead], r.alerts[r.alertHead+1:]...)
-		if r.alertHead >= len(r.alerts) {
-			r.alertHead = 0
-		}
-		r.alertsDropped.Add(1)
 	}
 	r.alerts[r.alertHead] = a
 	r.alertHead = (r.alertHead + 1) % len(r.alerts)
@@ -799,7 +780,7 @@ func (r *Runtime) pushAlert(a Alert) {
 }
 
 // Alerts returns alerts recorded for owner (all owners when owner is
-// ""), oldest first. Only the newest alertCap() alerts are retained;
+// ""), oldest first. Only the newest AlertCap alerts are retained;
 // AlertsDropped counts the evicted remainder.
 func (r *Runtime) Alerts(owner string) []Alert {
 	// mu like every getter (no chain is mid-packet); evMu for the ring.

@@ -69,28 +69,16 @@ func ParseFailPolicy(s string) (FailPolicy, error) {
 }
 
 // SupervisorConfig tunes the supervision layer. The zero value is live:
-// 32-call window, breaker at 8 failures, degraded at 4, 200 ms initial
-// restart backoff doubling to a 10 s cap, 8 probation packets.
+// breaker at 8 failures, 200 ms initial restart backoff. The rest is
+// fixed: a 32-call outcome window, Degraded at half the breaker
+// threshold, backoff doubling to a 10 s cap, and 8 probation packets.
 type SupervisorConfig struct {
-	// Window is the sliding window of recent Process outcomes per
-	// instance, in calls. Clamped to 64. Zero means 32.
-	Window int
-	// BreakerThreshold is how many failures within Window open the
+	// BreakerThreshold is how many failures within the window open the
 	// breaker. Zero means 8.
 	BreakerThreshold int
-	// DegradedThreshold is how many failures within Window mark the
-	// instance Degraded. Zero means half of BreakerThreshold.
-	DegradedThreshold int
 	// RestartBackoff is the first breaker-open → restart cooldown.
 	// Zero means 200 ms.
 	RestartBackoff time.Duration
-	// RestartBackoffMax caps the backoff doubling, so a hard-crashing
-	// box retries at a bounded rate and otherwise pins open. Zero
-	// means 10 s.
-	RestartBackoffMax time.Duration
-	// ProbationPackets is how many consecutive successes close the
-	// breaker after a restart. Zero means 8.
-	ProbationPackets int
 	// DisableRestart leaves broken instances broken: the failure
 	// policy applies until the control plane intervenes.
 	DisableRestart bool
@@ -99,7 +87,8 @@ type SupervisorConfig struct {
 	DefaultPolicy FailPolicy
 }
 
-// supervisorDefaults fills the SupervisorConfig fields left zero.
+// supervisorDefaults fills the SupervisorConfig fields left zero and
+// fixes the rest of the ladder.
 var supervisorDefaults = health.Config{
 	Window: 32, Down: 8,
 	Backoff: 200 * time.Millisecond, BackoffMax: 10 * time.Second,
@@ -107,11 +96,7 @@ var supervisorDefaults = health.Config{
 }
 
 func (c *SupervisorConfig) ladder() health.Config {
-	return health.Config{
-		Window: c.Window, Down: c.BreakerThreshold, Degraded: c.DegradedThreshold,
-		Backoff: c.RestartBackoff, BackoffMax: c.RestartBackoffMax,
-		Probation: c.ProbationPackets,
-	}.Or(supervisorDefaults)
+	return health.Config{Down: c.BreakerThreshold, Backoff: c.RestartBackoff}.Or(supervisorDefaults)
 }
 
 // SupEventKind classifies a supervision event.

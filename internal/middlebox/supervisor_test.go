@@ -220,7 +220,7 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 func TestRestartAfterCooldown(t *testing.T) {
 	now := time.Duration(0)
 	rt := supRuntime(&now)
-	rt.Supervisor = middlebox.SupervisorConfig{BreakerThreshold: 3, RestartBackoff: 100 * time.Millisecond, ProbationPackets: 2}
+	rt.Supervisor = middlebox.SupervisorConfig{BreakerThreshold: 3, RestartBackoff: 100 * time.Millisecond}
 	// Hard-down until t=200ms, clean after.
 	_, faulty := supChain(t, rt, &now, map[string]string{"fail-until-ms": "200", "fail": "open", "seed": "7"})
 	id, oldBox := faulty.ID, faulty.Box
@@ -255,11 +255,17 @@ func TestRestartAfterCooldown(t *testing.T) {
 	if faulty.Health() != health.Probation {
 		t.Fatalf("health = %v, want probation after first clean packet", faulty.Health())
 	}
-	if out, _, err := rt.ExecuteChain("alice/c", pkt); err != nil || out == nil {
-		t.Fatalf("probation packet: %v", err)
+	// Probation lasts 8 clean packets, the first one included.
+	for i := 2; i <= 8; i++ {
+		if i < 8 && faulty.Health() != health.Probation {
+			t.Fatalf("health = %v after %d clean packets, want probation", faulty.Health(), i-1)
+		}
+		if out, _, err := rt.ExecuteChain("alice/c", pkt); err != nil || out == nil {
+			t.Fatalf("probation packet %d: %v", i, err)
+		}
 	}
 	if faulty.Health() != health.Healthy {
-		t.Fatalf("health = %v, want healthy after %d probation successes", faulty.Health(), 2)
+		t.Fatalf("health = %v, want healthy after %d probation successes", faulty.Health(), 8)
 	}
 	st := rt.SupervisorStats()
 	if st.Restarts != 1 || st.Recoveries != 1 {
@@ -460,7 +466,6 @@ func TestTerminateEmptiedChainPolicy(t *testing.T) {
 func TestAlertRingBounded(t *testing.T) {
 	now := time.Duration(0)
 	rt := supRuntime(&now)
-	rt.AlertCap = 8
 	rt.Register(&middlebox.Spec{Type: "alerter", New: func(map[string]string) (middlebox.Box, error) {
 		return alertEvery{}, nil
 	}})
@@ -473,28 +478,29 @@ func TestAlertRingBounded(t *testing.T) {
 	}
 	now += middlebox.DefaultBootDelay
 
+	const sent = middlebox.AlertCap + 12
 	pkt := supPacket(t)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < sent; i++ {
 		now += time.Millisecond
 		if _, _, err := rt.ExecuteChain("alice/a", pkt); err != nil {
 			t.Fatal(err)
 		}
 	}
 	alerts := rt.Alerts("alice")
-	if len(alerts) != 8 {
-		t.Fatalf("retained %d alerts, want cap 8", len(alerts))
+	if len(alerts) != middlebox.AlertCap {
+		t.Fatalf("retained %d alerts, want cap %d", len(alerts), middlebox.AlertCap)
 	}
 	if rt.AlertsDropped() != 12 {
 		t.Fatalf("dropped = %d, want 12", rt.AlertsDropped())
 	}
-	// Oldest-first: the survivors are packets 13..20.
+	// Oldest-first: the survivors are packets 13..sent.
 	for i, a := range alerts {
 		if want := middlebox.DefaultBootDelay + time.Duration(13+i)*time.Millisecond; a.At != want {
 			t.Fatalf("alert %d at %v, want %v (oldest-first ring order)", i, a.At, want)
 		}
 	}
-	if inst.Alerts != 20 {
-		t.Fatalf("instance alert counter %d, want 20 (eviction never loses the count)", inst.Alerts)
+	if inst.Alerts != sent {
+		t.Fatalf("instance alert counter %d, want %d (eviction never loses the count)", inst.Alerts, sent)
 	}
 }
 

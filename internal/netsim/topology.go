@@ -53,36 +53,26 @@ type AccessTopology struct {
 	HomeHost    *Node
 }
 
-// AccessTopologyConfig parameterizes NewAccessTopology.
+// AccessTopologyConfig parameterizes NewAccessTopology. The last mile
+// is always GoodWiFi and the ISP core <-> internet link always WideArea.
 type AccessTopologyConfig struct {
 	// Seed drives all stochastic behaviour in the topology's network.
 	Seed uint64
-	// LastMile is the device<->access point link. Defaults to GoodWiFi.
-	LastMile LinkConfig
 	// CloudTunnel is the internet<->cloud host link. Defaults to
 	// InterdomainGood.
 	CloudTunnel LinkConfig
 	// HomeTunnel is the internet<->home host link. Defaults to
 	// InterdomainPoor (residential uplinks are the slow case).
 	HomeTunnel LinkConfig
-	// WideAreaLink overrides the ISP core <-> internet link. Defaults to
-	// WideArea.
-	WideAreaLink LinkConfig
 }
 
 func (c *AccessTopologyConfig) applyDefaults() {
 	zero := LinkConfig{}
-	if c.LastMile == zero {
-		c.LastMile = GoodWiFi
-	}
 	if c.CloudTunnel == zero {
 		c.CloudTunnel = InterdomainGood
 	}
 	if c.HomeTunnel == zero {
 		c.HomeTunnel = InterdomainPoor
-	}
-	if c.WideAreaLink == zero {
-		c.WideAreaLink = WideArea
 	}
 }
 
@@ -106,10 +96,10 @@ func NewAccessTopology(cfg AccessTopologyConfig) *AccessTopology {
 		HomeHost:    net.AddNode("home-host"),
 	}
 
-	net.Connect(t.Device, t.AccessPoint, cfg.LastMile)
+	net.Connect(t.Device, t.AccessPoint, GoodWiFi)
 	net.Connect(t.AccessPoint, t.ISPEdge, ISPCore)
 	net.Connect(t.ISPEdge, t.ISPCoreNode, ISPCore)
-	net.Connect(t.ISPCoreNode, t.Internet, cfg.WideAreaLink)
+	net.Connect(t.ISPCoreNode, t.Internet, WideArea)
 	net.Connect(t.Internet, t.Server, LinkConfig{Latency: 2 * time.Millisecond, BandwidthBps: 10e9})
 	// In-network middlebox host: one backbone hop from the edge.
 	net.Connect(t.ISPEdge, t.PVNHost, LinkConfig{Latency: 500 * time.Microsecond, BandwidthBps: 10e9})

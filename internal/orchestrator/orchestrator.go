@@ -71,10 +71,7 @@ type HostParams struct {
 	// also the per-module tariff (scenario idiom: PerMBMicro 1<<20
 	// prices traffic at exactly 1 micro/byte so billing invariants are
 	// integer equalities).
-	Supported      map[string]int64
-	MemoryCapBytes int
-	// LeaseTTL/RenewJitter configure the host's deployment leases.
-	LeaseTTL, RenewJitter time.Duration
+	Supported map[string]int64
 	// Templates, when set, shares compiled PVNC templates across this
 	// host's subscribers (and across hosts handed the same cache).
 	Templates *pvnc.TemplateCache
@@ -89,15 +86,12 @@ func NewHost(p HostParams) (*Host, error) {
 			Standards: []string{discovery.StandardMatchAction, discovery.StandardMiddlebox},
 			Supported: p.Supported,
 		},
-		Now:            p.Clock.Now,
-		Tariff:         billing.Tariff{PerModuleMicro: p.Supported, PerMBMicro: 1 << 20},
-		MemoryCapBytes: p.MemoryCapBytes,
+		Now:    p.Clock.Now,
+		Tariff: billing.Tariff{PerModuleMicro: p.Supported, PerMBMicro: 1 << 20},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("orchestrator: host %s: %w", p.Spec.Name, err)
 	}
-	n.Server.LeaseTTL = p.LeaseTTL
-	n.Server.RenewJitter = p.RenewJitter
 	n.Server.Templates = p.Templates
 	return &Host{Spec: p.Spec, Net: n, placed: map[string]bool{}}, nil
 }
@@ -133,23 +127,22 @@ type Placement struct {
 	CostMicro int64
 }
 
-// Config parameterizes a Cluster.
+// A host that misses suspectAfter heartbeats in a row is suspect, and
+// one that misses deadAfter is dead and evacuated.
+const (
+	suspectAfter = 2
+	deadAfter    = 4
+)
+
+// Config parameterizes a Cluster. Placement is always HeuristicPlacer,
+// and evacuation handovers drain for core.DefaultDrainDeadline.
 type Config struct {
 	Clock *netsim.Clock
-	// Placer defaults to HeuristicPlacer.
-	Placer Placer
-	// HeartbeatEvery (default 10s) paces per-host liveness probes;
-	// SuspectAfter/DeadAfter (default 2/4) are the ladder thresholds in
-	// missed beats.
+	// HeartbeatEvery (default 10s) paces per-host liveness probes.
 	HeartbeatEvery time.Duration
-	SuspectAfter   int
-	DeadAfter      int
-	// DrainDeadline is passed to the make-before-break handover on
-	// evacuation.
-	DrainDeadline time.Duration
-	// DefaultQuota applies to tenants absent from Quotas.
-	DefaultQuota Quota
-	Quotas       map[string]Quota
+	// Quotas bounds each tenant's admitted load; a tenant absent from
+	// it is unlimited.
+	Quotas map[string]Quota
 	// OnInvoice receives every invoice the control plane collects
 	// (evacuation completions, brownout sheds, teardowns) so callers
 	// keep billing accounting exact.
@@ -184,17 +177,8 @@ func New(cfg Config) *Cluster {
 	if cfg.Clock == nil {
 		panic("orchestrator: Config.Clock is required")
 	}
-	if cfg.Placer == nil {
-		cfg.Placer = HeuristicPlacer{}
-	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 10 * time.Second
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 2
-	}
-	if cfg.DeadAfter <= cfg.SuspectAfter {
-		cfg.DeadAfter = cfg.SuspectAfter + 2
 	}
 	return &Cluster{
 		cfg:        cfg,
@@ -241,21 +225,13 @@ func (c *Cluster) Book() map[string]string {
 // DeadBy returns the worst-case detection deadline for a host that
 // stops beating now: the remaining ladder plus one beat of phase slack.
 func (c *Cluster) DeadBy() time.Duration {
-	return time.Duration(c.cfg.DeadAfter+1) * c.cfg.HeartbeatEvery
-}
-
-// quotaFor resolves a tenant's quota.
-func (c *Cluster) quotaFor(tenant string) Quota {
-	if q, ok := c.cfg.Quotas[tenant]; ok {
-		return q
-	}
-	return c.cfg.DefaultQuota
+	return time.Duration(deadAfter+1) * c.cfg.HeartbeatEvery
 }
 
 // admit enforces the tenant quota. Rejection never touches placed
 // chains: admission control degrades new demand, not existing service.
 func (c *Cluster) admit(r ChainRequest) error {
-	q := c.quotaFor(r.Tenant)
+	q := c.cfg.Quotas[r.Tenant]
 	u := c.tenants[r.Tenant]
 	if u == nil {
 		u = &Quota{}
@@ -303,7 +279,7 @@ func (c *Cluster) pickHost(r ChainRequest) (*Host, int64, bool, bool) {
 	}
 	ctx := &PlaceContext{Hosts: views, UsedDomains: used}
 	_, spilled := ctx.Feasible(r)
-	i, ok := c.cfg.Placer.Place(r, ctx)
+	i, ok := HeuristicPlacer{}.Place(r, ctx)
 	if !ok {
 		return nil, 0, false, false
 	}
@@ -398,10 +374,10 @@ func (c *Cluster) beat(h *Host) {
 	} else {
 		h.missed++
 		switch {
-		case h.missed >= c.cfg.DeadAfter && h.health != HostDead:
+		case h.missed >= deadAfter && h.health != HostDead:
 			h.health = HostDead
 			c.evacuate(h)
-		case h.missed >= c.cfg.SuspectAfter && h.health == HostAlive:
+		case h.missed >= suspectAfter && h.health == HostAlive:
 			h.health = HostSuspect
 		}
 	}
@@ -466,8 +442,7 @@ func (c *Cluster) evacuate(h *Host) {
 			continue
 		}
 		if p.Sess != nil {
-			ho, err := core.BeginRoam(p.Sess, []*core.AccessNetwork{target.Net},
-				core.RoamOptions{DrainDeadline: c.cfg.DrainDeadline})
+			ho, err := core.BeginRoam(p.Sess, []*core.AccessNetwork{target.Net}, core.RoamOptions{})
 			if err != nil {
 				c.stats.EvacFailed++
 				c.park(p)

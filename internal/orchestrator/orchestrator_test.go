@@ -155,7 +155,7 @@ func TestSubmitPlacesDeploysAndSpreadsDomains(t *testing.T) {
 
 func TestHeartbeatLadder(t *testing.T) {
 	clock := &netsim.Clock{}
-	c := New(Config{Clock: clock, HeartbeatEvery: 10 * time.Second, SuspectAfter: 2, DeadAfter: 4})
+	c := New(Config{Clock: clock, HeartbeatEvery: 10 * time.Second})
 	hosts := newFleet(t, clock, 2, 2, nil)
 	for _, h := range hosts {
 		c.AddHost(h)

@@ -150,7 +150,7 @@ func TestDHTRejectsForgedStore(t *testing.T) {
 }
 
 func TestDHTTamperedModuleRejectedAtFetch(t *testing.T) {
-	net, nodes := newSwarm(t, 6, 16, Config{Replicate: 16, K: 16})
+	net, nodes := newSwarm(t, 6, 16, Config{Replicate: 16})
 	kp := testKey(t, 102)
 	m := signedModule(t, kp)
 	rec := NewModuleRecord(m, kp, 1)
@@ -225,7 +225,7 @@ func TestDHTTamperedModuleRejectedAtFetch(t *testing.T) {
 // trustflow analyzer: onReply stored wire-decoded records without a
 // Verify on the path.)
 func TestDHTForgedHighSeqCannotDisplaceHonestRecord(t *testing.T) {
-	net, nodes := newSwarm(t, 10, 16, Config{Replicate: 16, K: 16})
+	net, nodes := newSwarm(t, 10, 16, Config{Replicate: 16})
 	kp := testKey(t, 107)
 	ad := OfferAd{Provider: "isp-a", DeployServer: "d", Standards: []string{"s/1"}, Supported: map[string]int64{"t": 1}}
 	var acks int

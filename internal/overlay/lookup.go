@@ -122,7 +122,7 @@ func (n *Node) startLookup(target ID, findValue bool, done func(LookupResult)) {
 		done:      done,
 		res:       LookupResult{Target: target},
 	}
-	for _, p := range n.table.Closest(target, n.cfg.K) {
+	for _, p := range n.table.Closest(target, bucketSize) {
 		lk.entries[p.ID] = &lkEntry{peer: p}
 	}
 	// We always count as a responded candidate for our own ID space
@@ -150,14 +150,14 @@ func (lk *lookup) round() {
 		return
 	}
 	candidates := lk.sorted()
-	if len(candidates) > lk.n.cfg.K {
-		candidates = candidates[:lk.n.cfg.K]
+	if len(candidates) > bucketSize {
+		candidates = candidates[:bucketSize]
 	}
 	var batch []*lkEntry
 	for _, e := range candidates {
 		if !e.queried {
 			batch = append(batch, e)
-			if len(batch) == lk.n.cfg.Alpha {
+			if len(batch) == lookupAlpha {
 				break
 			}
 		}
@@ -245,7 +245,7 @@ func (lk *lookup) finish() {
 	for _, e := range lk.sorted() {
 		if e.responded {
 			closest = append(closest, e.peer)
-			if len(closest) == lk.n.cfg.K {
+			if len(closest) == bucketSize {
 				break
 			}
 		}

@@ -11,39 +11,26 @@ import (
 	"pvn/internal/pki"
 )
 
-// Config tunes one overlay node.
+// The Kademlia constants every node runs with.
+const (
+	bucketSize   = 16              // bucket size and lookup width
+	lookupAlpha  = 3               // queries in flight per lookup round
+	rpcTimeout   = 2 * time.Second // wait before the contact takes a strike
+	gossipSample = 16              // reputation claims piggybacked per envelope
+)
+
+// Config tunes one overlay node. Bucket size (16), lookup parallelism
+// (3), the RPC timeout (2s) and the gossip sample (16 claims) are the
+// same for every node.
 type Config struct {
-	// K is the bucket size and replication target. Zero means 16.
-	K int
-	// Alpha is the lookup parallelism: queries in flight per round.
-	// Zero means 3.
-	Alpha int
-	// RPCTimeout is how long a request waits before the contact takes a
-	// strike. Zero means 2s.
-	RPCTimeout time.Duration
 	// Replicate is how many of the closest nodes receive each Put.
 	// Zero means 8.
 	Replicate int
-	// GossipSample caps the reputation claims piggybacked per envelope.
-	// Zero means 16; negative disables gossip.
-	GossipSample int
 }
 
 func (c Config) withDefaults() Config {
-	if c.K <= 0 {
-		c.K = 16
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 3
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 2 * time.Second
-	}
 	if c.Replicate <= 0 {
 		c.Replicate = 8
-	}
-	if c.GossipSample == 0 {
-		c.GossipSample = 16
 	}
 	return c
 }
@@ -133,7 +120,7 @@ func NewNode(sim *netsim.Node, kp pki.KeyPair, cfg Config) *Node {
 		pending:  make(map[uint64]*pendingRPC),
 		alive:    true,
 	}
-	n.table = NewTable(n.self.ID, n.cfg.K)
+	n.table = NewTable(n.self.ID, bucketSize)
 	sim.Handler = netsim.RouterHandler(func(_ *netsim.Node, _ *netsim.Port, msg *netsim.Message) {
 		n.deliver(msg)
 	})
@@ -301,9 +288,7 @@ func (n *Node) envelope(kind string, rpc uint64) *Envelope {
 		RPC:  rpc,
 		From: PeerInfo{ID: n.self.ID, Addr: n.self.Addr, Key: n.kp.Public},
 	}
-	if n.cfg.GossipSample > 0 {
-		e.Gossip = n.rep.Sample(n.cfg.GossipSample)
-	}
+	e.Gossip = n.rep.Sample(gossipSample)
 	return e
 }
 
@@ -336,7 +321,7 @@ func (n *Node) request(to Peer, e *Envelope, onReply func(*Envelope), onTimeout 
 	n.pending[id] = &pendingRPC{to: to.ID, onReply: onReply, onTimeout: onTimeout}
 	n.Stats.RPCsSent++
 	n.transmit(to, e)
-	n.clock.Schedule(n.cfg.RPCTimeout, func() {
+	n.clock.Schedule(rpcTimeout, func() {
 		p, ok := n.pending[id]
 		if !ok {
 			return
@@ -430,7 +415,7 @@ func (n *Node) reply(req *Envelope, resp *Envelope) {
 
 // closestInfos serializes our k closest contacts to target.
 func (n *Node) closestInfos(target ID) []PeerInfo {
-	peers := n.table.Closest(target, n.cfg.K)
+	peers := n.table.Closest(target, bucketSize)
 	out := make([]PeerInfo, 0, len(peers))
 	for _, p := range peers {
 		out = append(out, PeerInfo{ID: p.ID, Addr: p.Addr, Key: p.Key})

@@ -4,7 +4,8 @@
 // handled. Middleboxes that parse application messages larger than one
 // segment (TLS certificate chains, big HTTP bodies) consume the
 // contiguous stream instead of raw packets — the same job gopacket's
-// tcpassembly does for real capture pipelines.
+// tcpassembly does for real capture pipelines. Each stream buffers at
+// most MaxBuffered out-of-order bytes.
 package reasm
 
 import (
@@ -15,7 +16,10 @@ import (
 	"pvn/internal/packet"
 )
 
-// ErrBufferExceeded reports an out-of-order buffer past its limit, which
+// MaxBuffered caps the out-of-order bytes one stream buffers.
+const MaxBuffered = 256 << 10
+
+// ErrBufferExceeded reports an out-of-order buffer past MaxBuffered, which
 // in a middlebox means the flow should be bypassed or dropped rather
 // than buffered forever.
 var ErrBufferExceeded = errors.New("reasm: out-of-order buffer limit exceeded")
@@ -28,9 +32,6 @@ func seqLess(a, b uint32) bool {
 
 // Stream reassembles one direction of one TCP connection.
 type Stream struct {
-	// MaxBuffered caps buffered out-of-order bytes. Zero means 256 KiB.
-	MaxBuffered int
-
 	started bool
 	next    uint32 // next expected sequence number
 	// pending holds out-of-order segments keyed by sequence number.
@@ -61,16 +62,9 @@ func (s *Stream) Anchor(seq uint32) {
 	}
 }
 
-func (s *Stream) maxBuffered() int {
-	if s.MaxBuffered == 0 {
-		return 256 << 10
-	}
-	return s.MaxBuffered
-}
-
-// Push adds a segment at the given sequence number. Overlaps are trimmed
-// (first copy wins), duplicates dropped, and out-of-order data buffered
-// until the gap fills.
+// Push adds a segment at the given sequence number. Overlaps with
+// delivered data are trimmed (first copy wins), duplicates dropped, and
+// out-of-order data buffered until the gap fills.
 func (s *Stream) Push(seq uint32, data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -97,16 +91,19 @@ func (s *Stream) Push(seq uint32, data []byte) error {
 		return nil
 	}
 
-	// Out of order: buffer (first copy wins on exact-key collision).
-	if _, dup := s.pending[seq]; dup {
+	// Out of order: buffer. A segment at an already-buffered start keeps
+	// the first copy's bytes and adds only what extends past them.
+	held := s.pending[seq]
+	if len(data) <= len(held) {
 		s.Duplicates++
 		return nil
 	}
-	if s.buffered+len(data) > s.maxBuffered() {
+	extra := len(data) - len(held)
+	if s.buffered+extra > MaxBuffered {
 		return fmt.Errorf("%w: %d buffered", ErrBufferExceeded, s.buffered)
 	}
-	s.pending[seq] = append([]byte(nil), data...)
-	s.buffered += len(data)
+	s.pending[seq] = append(held, data[len(held):]...)
+	s.buffered += extra
 	s.OutOfOrder++
 	return nil
 }
@@ -118,35 +115,31 @@ func (s *Stream) deliver(data []byte) {
 }
 
 // drainPending promotes buffered segments that have become contiguous.
+// Each pass takes the segment starting at next or, failing that, the
+// one with the lowest start before next (it overlaps what was just
+// delivered), so a stale duplicate never hides a segment that covers
+// next, and of two conflicting copies of a byte the lower start wins.
 func (s *Stream) drainPending() {
-	for {
-		seg, ok := s.pending[s.next]
+	for len(s.pending) > 0 {
+		seq := s.next
+		seg, ok := s.pending[seq]
 		if !ok {
-			// A buffered segment may START before next (overlap with
-			// what just got delivered): scan for one that covers next.
-			found := false
-			for seq, data := range s.pending {
-				if seqLess(seq, s.next) {
-					end := seq + uint32(len(data))
-					delete(s.pending, seq)
-					s.buffered -= len(data)
-					if seqLess(s.next, end) {
-						s.deliver(data[s.next-seq:])
-						found = true
-					} else {
-						s.Duplicates++
-					}
-					break
+			for q, data := range s.pending {
+				if seqLess(q, s.next) && (!ok || seqLess(q, seq)) {
+					seq, seg, ok = q, data, true
 				}
 			}
-			if !found {
+			if !ok {
 				return
 			}
-			continue
 		}
-		delete(s.pending, s.next)
+		delete(s.pending, seq)
 		s.buffered -= len(seg)
-		s.deliver(seg)
+		if end := seq + uint32(len(seg)); seqLess(s.next, end) {
+			s.deliver(seg[s.next-seq:])
+		} else {
+			s.Duplicates++
+		}
 	}
 }
 
@@ -175,9 +168,6 @@ func (s *Stream) Gaps() []uint32 {
 
 // Assembler routes packets of many flows to per-direction streams.
 type Assembler struct {
-	// MaxBuffered applies to every stream.
-	MaxBuffered int
-
 	streams map[packet.Flow]*Stream
 }
 
@@ -192,7 +182,6 @@ func (a *Assembler) StreamFor(f packet.Flow) *Stream {
 	s, ok := a.streams[f]
 	if !ok {
 		s = NewStream()
-		s.MaxBuffered = a.MaxBuffered
 		a.streams[f] = s
 	}
 	return s

@@ -101,12 +101,11 @@ func TestConsume(t *testing.T) {
 
 func TestBufferLimit(t *testing.T) {
 	s := NewStream()
-	s.MaxBuffered = 10
 	s.Push(0, []byte("x"))
-	if err := s.Push(100, bytes.Repeat([]byte("y"), 8)); err != nil {
+	if err := s.Push(100, bytes.Repeat([]byte("y"), MaxBuffered)); err != nil {
 		t.Fatal(err)
 	}
-	err := s.Push(300, bytes.Repeat([]byte("z"), 8))
+	err := s.Push(MaxBuffered+200, []byte("z"))
 	if !errors.Is(err, ErrBufferExceeded) {
 		t.Fatalf("err=%v", err)
 	}
@@ -229,4 +228,88 @@ func TestAnchorPinsSequence(t *testing.T) {
 	if string(s.Bytes()) != "hello world" {
 		t.Fatalf("stream %q", s.Bytes())
 	}
+}
+
+// TestDrainSkipsStaleSegments: a gap fill that makes one buffered
+// segment stale and another one overlap the new edge must deliver the
+// overlapping one, whatever order the buffer is walked in. Conflicting
+// copies of the same bytes resolve the same way on every run: the
+// buffered segment with the lowest start wins.
+func TestDrainSkipsStaleSegments(t *testing.T) {
+	for run := 0; run < 100; run++ {
+		s := NewStream()
+		s.Anchor(0)
+		s.Push(2, []byte("234"))
+		s.Push(6, []byte("6789ab"))
+		s.Push(0, []byte("01234567"))
+		if got := string(s.Bytes()); got != "0123456789ab" {
+			t.Fatalf("run %d: stream %q, want all 12 bytes", run, got)
+		}
+		if len(s.Gaps()) != 0 {
+			t.Fatalf("run %d: segments left buffered at %v", run, s.Gaps())
+		}
+
+		// A longer copy at a buffered start adds the bytes past the first.
+		l := NewStream()
+		l.Anchor(0)
+		l.Push(3, []byte("3"))
+		l.Push(3, []byte("XY"))
+		l.Push(0, []byte("012"))
+		if got := string(l.Bytes()); got != "0123Y" {
+			t.Fatalf("run %d: stream %q, want the first copy extended by the longer one", run, got)
+		}
+
+		c := NewStream()
+		c.Anchor(0)
+		c.Push(3, []byte("aaaaaa"))  // [3,9)
+		c.Push(5, []byte("bbbbbbb")) // [5,12)
+		c.Push(0, []byte("000000"))  // [0,6)
+		if got := string(c.Bytes()); got != "000000aaabbb" {
+			t.Fatalf("run %d: conflicting overlaps gave %q, want the lowest start to win", run, got)
+		}
+	}
+}
+
+// FuzzReassemble holds the stream to a plain byte array: every segment
+// of one consistent stream writes the bytes it carries where none were
+// written yet, and the stream must deliver exactly the array's covered
+// prefix, whatever the segmentation, duplication and arrival order.
+// plan is read as (start, length) byte pairs over data.
+func FuzzReassemble(f *testing.F) {
+	f.Add(uint32(0), []byte("0123456789ab"), []byte{2, 2, 6, 5, 0, 7})
+	f.Add(uint32(0xFFFFFFFA), []byte("wraparound!"), []byte{4, 3, 0, 3, 0, 10, 4, 3})
+	f.Add(uint32(7), []byte("abcdefgh"), []byte{0, 7, 0, 7, 3, 1})
+	f.Fuzz(func(t *testing.T, base uint32, data, plan []byte) {
+		if len(data) == 0 || len(data) > 4096 {
+			return
+		}
+		s := NewStream()
+		s.Anchor(base)
+		want := make([]byte, len(data))
+		have := make([]bool, len(data))
+		for i := 0; i+1 < len(plan); i += 2 {
+			start := int(plan[i]) % len(data)
+			end := start + 1 + int(plan[i+1])%(len(data)-start)
+			for j := start; j < end; j++ {
+				if !have[j] {
+					want[j], have[j] = data[j], true
+				}
+			}
+			if err := s.Push(base+uint32(start), data[start:end]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := 0
+		for n < len(have) && have[n] {
+			n++
+		}
+		if got := s.Bytes(); !bytes.Equal(got, want[:n]) {
+			t.Fatalf("stream delivered %q, want the covered prefix %q", got, want[:n])
+		}
+		for _, g := range s.Gaps() {
+			if !seqLess(base+uint32(n), g) {
+				t.Fatalf("segment at %d stays buffered behind the delivered edge %d", g-base, n)
+			}
+		}
+	})
 }

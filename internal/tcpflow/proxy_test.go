@@ -23,9 +23,9 @@ func splitWorld(t *testing.T, lastMile, backbone netsim.LinkConfig, seed uint64)
 	net.Connect(cn, pn, lastMile) // proxy port 0 faces the client
 	net.Connect(pn, sn, backbone) // proxy port 1 faces the server
 
-	client := NewStack(cn, clientAddr, Config{})
-	server := NewStack(sn, serverAddr, Config{})
-	proxyStack := NewStack(pn, proxyAddr, Config{})
+	client := NewStack(cn, clientAddr)
+	server := NewStack(sn, serverAddr)
+	proxyStack := NewStack(pn, proxyAddr)
 	proxyStack.RoutePort = func(remote packet.IPv4Address) int {
 		if remote == serverAddr {
 			return 1
@@ -76,8 +76,8 @@ func uploadVia(t *testing.T, split bool, lastMile, backbone netsim.LinkConfig, s
 		out := 1 - in.Index() // two ports: bounce to the other side
 		n.Port(out).Send(&netsim.Message{Size: msg.Size, Payload: msg.Payload, Src: msg.Src})
 	}
-	client := NewStack(cn, clientAddr, Config{})
-	server := NewStack(sn, serverAddr, Config{})
+	client := NewStack(cn, clientAddr)
+	server := NewStack(sn, serverAddr)
 	var done time.Duration = -1
 	var got bytes.Buffer
 	server.Listen(80, func(c *Conn) {

@@ -3,7 +3,9 @@
 // with out-of-order reassembly, slow start and congestion avoidance,
 // fast retransmit on three duplicate ACKs, and exponential-backoff
 // retransmission timeouts — all driven by the simulated clock, packet by
-// packet.
+// packet. Every connection runs with the same constants: a 1400-byte MSS,
+// an initial window of 10 segments, a 1000-segment window cap and a
+// 200 ms RTO floor.
 //
 // It serves two purposes in the PVN reproduction. First, it is the
 // transport the end-to-end demos run over when analytic modelling is not
@@ -30,32 +32,13 @@ var (
 	ErrNoListener = errors.New("tcpflow: no listener on port")
 )
 
-// Config tunes a stack's connections.
-type Config struct {
-	// MSS is the maximum segment payload. Defaults to 1400.
-	MSS int
-	// InitCwnd in segments. Defaults to 10 (RFC 6928).
-	InitCwnd int
-	// MaxCwnd caps the window in segments. Defaults to 1000.
-	MaxCwnd int
-	// MinRTO floors the retransmission timeout. Defaults to 200 ms.
-	MinRTO time.Duration
-}
-
-func (c *Config) applyDefaults() {
-	if c.MSS == 0 {
-		c.MSS = 1400
-	}
-	if c.InitCwnd == 0 {
-		c.InitCwnd = 10
-	}
-	if c.MaxCwnd == 0 {
-		c.MaxCwnd = 1000
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-}
+// The transport constants every connection runs with.
+const (
+	mss      = 1400                   // maximum segment payload, bytes
+	initCwnd = 10                     // initial window, segments (RFC 6928)
+	maxCwnd  = 1000                   // window cap, segments
+	minRTO   = 200 * time.Millisecond // retransmission timeout floor
+)
 
 // connState is the TCP state machine subset we implement.
 type connState int
@@ -70,7 +53,6 @@ const (
 // Conn is one TCP connection endpoint.
 type Conn struct {
 	stack  *Stack
-	cfg    Config
 	local  packet.Endpoint
 	remote packet.Endpoint
 	state  connState
@@ -150,7 +132,6 @@ type Stack struct {
 	RoutePort func(remote packet.IPv4Address) int
 	// Addr is this stack's IPv4 address (used to build packets).
 	Addr packet.IPv4Address
-	Cfg  Config
 
 	conns     map[packet.Flow]*Conn
 	listeners map[uint16]func(*Conn)
@@ -159,10 +140,9 @@ type Stack struct {
 }
 
 // NewStack attaches a TCP stack to a node and installs its handler.
-func NewStack(node *netsim.Node, addr packet.IPv4Address, cfg Config) *Stack {
-	cfg.applyDefaults()
+func NewStack(node *netsim.Node, addr packet.IPv4Address) *Stack {
 	s := &Stack{
-		Node: node, Addr: addr, Cfg: cfg,
+		Node: node, Addr: addr,
 		conns:     make(map[packet.Flow]*Conn),
 		listeners: make(map[uint16]func(*Conn)),
 		nextPort:  40000,
@@ -202,9 +182,9 @@ func (s *Stack) Dial(remote packet.Endpoint) (*Conn, error) {
 func (s *Stack) newConn(local, remote packet.Endpoint) *Conn {
 	iss := uint32(s.rng.Uint64())
 	c := &Conn{
-		stack: s, cfg: s.Cfg, local: local, remote: remote,
+		stack: s, local: local, remote: remote,
 		iss: iss, sndUna: iss, sndNxt: iss,
-		cwnd: float64(s.Cfg.InitCwnd), ssthresh: float64(s.Cfg.MaxCwnd),
+		cwnd: initCwnd, ssthresh: maxCwnd,
 		sentAt: make(map[uint32]time.Duration),
 		retx:   make(map[uint32]bool),
 		segLen: make(map[uint32]int),
@@ -304,9 +284,9 @@ func (c *Conn) trySend() {
 	if c.state != stateEstablished {
 		return
 	}
-	wnd := int(c.cwnd) * c.cfg.MSS
+	wnd := int(c.cwnd) * mss
 	for len(c.sendBuf) > 0 && c.inFlight() < wnd {
-		n := c.cfg.MSS
+		n := mss
 		if n > len(c.sendBuf) {
 			n = len(c.sendBuf)
 		}
@@ -465,8 +445,8 @@ func (c *Conn) processAck(ack uint32) {
 	} else {
 		c.cwnd += 1 / c.cwnd // congestion avoidance
 	}
-	if c.cwnd > float64(c.cfg.MaxCwnd) {
-		c.cwnd = float64(c.cfg.MaxCwnd)
+	if c.cwnd > maxCwnd {
+		c.cwnd = maxCwnd
 	}
 
 	if c.finSent && int32(ack-(c.finSeq+1)) >= 0 {
@@ -522,8 +502,8 @@ func (c *Conn) sampleRTT(rtt time.Duration) {
 		c.srtt = (7*c.srtt + rtt) / 8
 	}
 	c.rto = c.srtt + 4*c.rttvar
-	if c.rto < c.cfg.MinRTO {
-		c.rto = c.cfg.MinRTO
+	if c.rto < minRTO {
+		c.rto = minRTO
 	}
 }
 

@@ -23,8 +23,8 @@ func pair(t *testing.T, link netsim.LinkConfig, seed uint64) (*netsim.Network, *
 	cn := net.AddNode("client")
 	sn := net.AddNode("server")
 	net.Connect(cn, sn, link)
-	client := NewStack(cn, clientAddr, Config{})
-	server := NewStack(sn, serverAddr, Config{})
+	client := NewStack(cn, clientAddr)
+	server := NewStack(sn, serverAddr)
 	return net, client, server
 }
 

@@ -29,22 +29,18 @@ type Params struct {
 	LossRate float64
 	// MSS is the maximum segment size in bytes. Defaults to 1460.
 	MSS int
-	// InitCwnd is the initial congestion window in segments. Defaults
-	// to 10 (RFC 6928).
-	InitCwnd int
-	// MaxCwnd caps the window in segments. Defaults to 1000.
-	MaxCwnd int
 }
+
+// Every modelled connection starts at initCwnd segments (RFC 6928) and
+// caps its window at maxCwnd.
+const (
+	initCwnd = 10
+	maxCwnd  = 1000
+)
 
 func (p *Params) applyDefaults() {
 	if p.MSS == 0 {
 		p.MSS = 1460
-	}
-	if p.InitCwnd == 0 {
-		p.InitCwnd = 10
-	}
-	if p.MaxCwnd == 0 {
-		p.MaxCwnd = 1000
 	}
 }
 
@@ -97,7 +93,7 @@ func TransferTime(p Params, totalBytes int, rng *netsim.RNG) (Trace, error) {
 	if bdpSegs < 1 {
 		bdpSegs = 1
 	}
-	maxW := p.MaxCwnd
+	maxW := maxCwnd
 	// Allow one BDP of queueing beyond the pipe before the cap binds.
 	if cap := 2 * bdpSegs; cap < maxW {
 		maxW = cap
@@ -105,7 +101,7 @@ func TransferTime(p Params, totalBytes int, rng *netsim.RNG) (Trace, error) {
 
 	tr := Trace{}
 	elapsed := p.RTT // SYN/SYN-ACK handshake
-	cwnd := float64(p.InitCwnd)
+	cwnd := float64(initCwnd)
 	ssthresh := float64(maxW)
 	remaining := totalBytes
 	firstData := true

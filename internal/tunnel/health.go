@@ -38,7 +38,7 @@ func selectionTier(h health.State) int {
 }
 
 // HealthConfig tunes the probe ladder. The zero value is live: a
-// 16-probe window, down at 4 losses, degraded at 2, 50 ms probe
+// 16-probe window, down at 4 losses, degraded at half of that, 50 ms probe
 // interval, 200 ms probe timeout, down-retry backoff starting at 200 ms
 // doubling to a 2 s cap, 3 probation probes.
 type HealthConfig struct {
@@ -46,11 +46,8 @@ type HealthConfig struct {
 	// endpoint, in probes. Clamped to 64. Zero means 16.
 	Window int
 	// DownThreshold is how many losses within Window mark the endpoint
-	// Down. Zero means 4.
+	// Down, and half as many (at least 1) mark it Degraded. Zero means 4.
 	DownThreshold int
-	// DegradedThreshold is how many losses within Window mark it
-	// Degraded. Zero means half of DownThreshold.
-	DegradedThreshold int
 	// ProbeInterval is the per-endpoint probe cadence. Zero means 50 ms.
 	ProbeInterval time.Duration
 	// ProbeTimeout is how long a probe waits for its answer before
@@ -75,7 +72,7 @@ var healthDefaults = health.Config{
 
 func (c *HealthConfig) ladder() health.Config {
 	return health.Config{
-		Window: c.Window, Down: c.DownThreshold, Degraded: c.DegradedThreshold,
+		Window: c.Window, Down: c.DownThreshold,
 		Backoff: c.RetryBackoff, BackoffMax: c.RetryBackoffMax,
 		Probation: c.ProbationProbes,
 	}.Or(healthDefaults)

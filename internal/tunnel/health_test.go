@@ -25,7 +25,7 @@ func testFlow(port uint16) packet.Flow {
 func TestHealthLadder(t *testing.T) {
 	tbl := NewTable(devAddr)
 	tbl.Health = HealthConfig{
-		Window: 8, DownThreshold: 4, DegradedThreshold: 2,
+		Window: 8, DownThreshold: 4,
 		RetryBackoff: 100 * time.Millisecond, RetryBackoffMax: 400 * time.Millisecond,
 		ProbationProbes: 2,
 	}
@@ -88,7 +88,7 @@ func TestHealthLadder(t *testing.T) {
 // endpoint when every trusted endpoint is dark.
 func TestHealthAwareBestTrusted(t *testing.T) {
 	tbl := NewTable(devAddr)
-	tbl.Health = HealthConfig{Window: 8, DownThreshold: 2, DegradedThreshold: 1}
+	tbl.Health = HealthConfig{Window: 8, DownThreshold: 2}
 	tbl.Add(&Endpoint{Name: "cloud", Addr: cloudAddr, ExtraRTT: 20 * time.Millisecond, Trusted: true})
 	tbl.Add(&Endpoint{Name: "home", Addr: homeAddr, ExtraRTT: 150 * time.Millisecond, Trusted: true})
 
