@@ -78,7 +78,8 @@ test-race:
 # the PVNC and user-script compilers, the pcap reader and pvnd's deploy
 # request (which must tear down to the host it found) — plus the
 # differentials holding the reusable Decoder to a fresh decode and the
-# TCP reassembler to a plain byte array. Patterns are anchored:
+# TCP reassembler to a plain byte array, and tls-verify's per-connection
+# state across random segment sequences with FIN and RST. Patterns are anchored:
 # go test refuses -fuzz when it matches more than one target.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/packet/
@@ -97,6 +98,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDiscoveryDatagram$$' -fuzztime=6s ./internal/discovery/
 	$(GO) test -run='^$$' -fuzz='^FuzzDeployRequest$$' -fuzztime=6s ./cmd/pvnd/
 	$(GO) test -run='^$$' -fuzz='^FuzzReassemble$$' -fuzztime=6s ./internal/reasm/
+	$(GO) test -run='^$$' -fuzz='^FuzzTLSVerify$$' -fuzztime=6s ./internal/middlebox/mbx/
 
 # The overlay determinism gate: the E16 table must be bit-identical
 # across runs under the race detector (DESIGN.md §12).

@@ -8,7 +8,6 @@ package billing
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"pvn/internal/auditor"
 )
@@ -39,8 +38,6 @@ type Usage struct {
 	ModuleTypes []string
 	// Bytes of traffic carried through the PVN.
 	Bytes int64
-	// Period covered.
-	Start, End time.Duration
 }
 
 // Line is one invoice line item.

@@ -98,9 +98,6 @@ func (h *Handover) SameDeployment() bool {
 		h.Old.Network == h.New.Network && h.Old.Cookie == h.New.Cookie
 }
 
-// Done reports whether Complete has already retired the old session.
-func (h *Handover) Done() bool { return h.done }
-
 // BeginRoam negotiates and deploys the device's PVN on the new networks
 // while the old session keeps serving — the "make". On success it
 // returns a live Handover carrying both sessions; the old session is
@@ -213,11 +210,16 @@ func attachment(s *Session) string {
 }
 
 // RoamWith moves the device to a new set of access networks under the
-// given options. The default is make-before-break: deploy on the new
-// networks, migrate middlebox state, then drain and retire the old
-// session, returning its exact final invoice. With TeardownFirst it
-// reproduces the old break-before-make sequence. On a make-before-break
-// failure the old session is returned untouched and still serving.
+// given options — the paper's headline user experience ("the illusion
+// that they are in the same, fully controlled and customized network
+// environment regardless of which access network they connect to").
+// The default is make-before-break: deploy on the new networks, migrate
+// middlebox state, then drain and retire the old session, returning its
+// exact final invoice. With TeardownFirst it reproduces the old
+// break-before-make sequence. On a make-before-break failure the old
+// session is returned untouched and still serving. Callers that need to
+// steer packets during the drain window use BeginRoam / Handover
+// directly.
 func RoamWith(s *Session, networks []*AccessNetwork, opts RoamOptions) (*Session, *billing.Invoice, error) {
 	if opts.TeardownFirst {
 		inv, err := s.Teardown()
@@ -236,16 +238,4 @@ func RoamWith(s *Session, networks []*AccessNetwork, opts RoamOptions) (*Session
 		return h.New, nil, err
 	}
 	return h.New, inv, nil
-}
-
-// Roam moves the device to a new set of access networks — the paper's
-// headline user experience ("the illusion that they are in the same,
-// fully controlled and customized network environment regardless of
-// which access network they connect to"). It is make-before-break with
-// default options: the new deployment is made and state migrated before
-// the old one is retired, and the old session's exact invoice is
-// returned. Callers that need to steer packets during the drain window
-// use BeginRoam / Handover directly.
-func Roam(s *Session, networks []*AccessNetwork) (*Session, *billing.Invoice, error) {
-	return RoamWith(s, networks, RoamOptions{})
 }

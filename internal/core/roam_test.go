@@ -57,7 +57,7 @@ func TestRoamBetweenNetworks(t *testing.T) {
 
 	// Roam to the partial network: protections degrade to the subset
 	// but the PII blocker stays.
-	s2, inv1, err := Roam(s1, []*AccessNetwork{partial})
+	s2, inv1, err := RoamWith(s1, []*AccessNetwork{partial}, RoamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRoamBetweenNetworks(t *testing.T) {
 	}
 
 	// Roam to the PVN-free network: fall back to tunneling home.
-	s3, _, err := Roam(s2, []*AccessNetwork{noPVN})
+	s3, _, err := RoamWith(s2, []*AccessNetwork{noPVN}, RoamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRoamKeepsWorking(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Roam back onto the same network (e.g. wifi flap).
-	s2, _, err := Roam(s, []*AccessNetwork{w.network})
+	s2, _, err := RoamWith(s, []*AccessNetwork{w.network}, RoamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestRoamUnderOutageRetries(t *testing.T) {
 	}
 
 	w.now += 20 * time.Millisecond // outage over; retry
-	s2, inv, err := Roam(s, []*AccessNetwork{flaky})
+	s2, inv, err := RoamWith(s, []*AccessNetwork{flaky}, RoamOptions{})
 	if err != nil {
 		t.Fatalf("retry after outage: %v", err)
 	}
@@ -403,7 +403,7 @@ func TestHandoverRecordsRedirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Roam(s, []*AccessNetwork{other}); err != nil {
+	if _, _, err := RoamWith(s, []*AccessNetwork{other}, RoamOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	reds := w.dev.Ledger.Redirections("isp1")

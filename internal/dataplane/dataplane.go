@@ -159,9 +159,6 @@ func (p *Pipeline) Table() *openflow.FlowTable { return p.table }
 // survives only as the name bench/ calls; use openflow.NewFlowTable.
 func NewShardedTable() *openflow.FlowTable { return openflow.NewFlowTable() }
 
-// Shards reports the configured shard count.
-func (p *Pipeline) Shards() int { return len(p.shards) }
-
 // Start launches one worker per shard. It is idempotent and safe to
 // call concurrently with Stop; once the pipeline has been stopped,
 // Start is a no-op (the queues are closed — the pipeline cannot be

@@ -136,7 +136,19 @@ type ProviderPolicy struct {
 	// issued remembers every outstanding offer's expiry so the deploy
 	// server can refuse deploys against unknown or expired offers.
 	issued map[string]time.Duration
+	// book lists the issued offers in issue order. Every offer lives
+	// OfferTTL, so that is expiry order too: pruning pops the expired
+	// ones off its head instead of scanning the whole book.
+	book []string
+	// refused counts DMs answered with no offer because the book held
+	// maxOffers live offers.
+	refused int64
 }
+
+// maxOffers caps a provider's live offers. DMs arrive unauthenticated
+// (pvnd serves them on a UDP port), so without it a flood grows the
+// book to rate × OfferTTL.
+const maxOffers = 1 << 16
 
 // OfferState classifies a quoted offer ID at deploy time.
 type OfferState int
@@ -153,7 +165,8 @@ const (
 )
 
 // HandleDM evaluates a discovery message and returns an offer, or nil
-// when the provider does not (or cannot) serve the request.
+// when the provider does not (or cannot) serve the request — including
+// when it already holds maxOffers live offers.
 func (pp *ProviderPolicy) HandleDM(dm *DM, now time.Duration) *Offer {
 	if pp.Disabled {
 		return nil
@@ -181,18 +194,23 @@ func (pp *ProviderPolicy) HandleDM(dm *DM, now time.Duration) *Offer {
 		ttl = 30 * time.Second
 	}
 	pp.mu.Lock()
+	// Prune dead offers so the book stays bounded by the live set.
+	for len(pp.book) > 0 && now >= pp.issued[pp.book[0]] {
+		delete(pp.issued, pp.book[0])
+		pp.book = pp.book[1:]
+	}
+	if len(pp.book) >= maxOffers {
+		pp.refused++
+		pp.mu.Unlock()
+		return nil
+	}
 	pp.nextOffer++
 	id := fmt.Sprintf("%s-%d", pp.Provider, pp.nextOffer)
 	if pp.issued == nil {
 		pp.issued = make(map[string]time.Duration)
 	}
-	// Prune dead offers so the book stays bounded by the live set.
-	for old, exp := range pp.issued {
-		if now >= exp {
-			delete(pp.issued, old)
-		}
-	}
 	pp.issued[id] = now + ttl
+	pp.book = append(pp.book, id)
 	pp.mu.Unlock()
 	return &Offer{
 		OfferID:        id,
@@ -226,7 +244,7 @@ func (pp *ProviderPolicy) OfferStatus(id string, now time.Duration) OfferState {
 // to its in-memory negotiation state.
 func (pp *ProviderPolicy) ForgetOffers() {
 	pp.mu.Lock()
-	pp.issued = nil
+	pp.issued, pp.book = nil, nil
 	pp.mu.Unlock()
 }
 

@@ -290,3 +290,63 @@ func TestCounterDMNothingSupported(t *testing.T) {
 		t.Fatal("counter-DM from nil offer")
 	}
 }
+
+// TestOfferFloodCapped: a DM flood inside one TTL fills the offer book
+// to maxOffers and no further; each DM past it gets no offer and is
+// counted. Once the flood's offers expire, DMs are served again.
+func TestOfferFloodCapped(t *testing.T) {
+	p := fullProvider()
+	dm := NewNegotiator("dev1", testConfig(t), 1000, StrategyStrict).MakeDM()
+	const over = 100
+	for i := 0; i < maxOffers+over; i++ {
+		offer := p.HandleDM(dm, time.Duration(i)*time.Microsecond)
+		if (offer == nil) != (i >= maxOffers) {
+			t.Fatalf("DM %d: offer %v; the book holds %d", i, offer != nil, len(p.issued))
+		}
+	}
+	if len(p.issued) != maxOffers || p.refused != over {
+		t.Fatalf("book %d, refused %d; want %d and %d", len(p.issued), p.refused, maxOffers, over)
+	}
+	if p.HandleDM(dm, 31*time.Second) == nil || len(p.issued) != 1 {
+		t.Fatalf("after the flood expired: %d live offers, want the 1 just issued", len(p.issued))
+	}
+}
+
+// TestOfferStatusAcrossPruning: pruning from the head of the issue-order
+// book answers OfferStatus exactly as a full scan of every issued offer
+// on each DM does — Valid while live, Expired until the next DM after
+// its expiry, Unknown after that.
+func TestOfferStatusAcrossPruning(t *testing.T) {
+	p := fullProvider()
+	p.OfferTTL = 10 * time.Second
+	dm := NewNegotiator("dev1", testConfig(t), 1000, StrategyStrict).MakeDM()
+	book := map[string]time.Duration{} // the full-scan model
+	var ids []string
+	rng := uint64(1)
+	now := time.Duration(0)
+	for step := 0; step < 400; step++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		now += time.Duration(rng>>40%4000) * time.Millisecond
+		for id, exp := range book {
+			if now >= exp {
+				delete(book, id)
+			}
+		}
+		offer := p.HandleDM(dm, now)
+		book[offer.OfferID] = offer.ExpiresAt
+		ids = append(ids, offer.OfferID)
+		for _, at := range []time.Duration{now, now + 5*time.Second, now + 20*time.Second} {
+			for _, id := range ids {
+				want := OfferUnknown
+				if exp, ok := book[id]; ok && at >= exp {
+					want = OfferExpired
+				} else if ok {
+					want = OfferValid
+				}
+				if got := p.OfferStatus(id, at); got != want {
+					t.Fatalf("step %d: OfferStatus(%s, %v) = %v, want %v", step, id, at, got, want)
+				}
+			}
+		}
+	}
+}

@@ -67,14 +67,6 @@ func (z *Zone) AddA(name string, addr packet.IPv4Address, ttl uint32) {
 	})
 }
 
-// AddTXT publishes a TXT record.
-func (z *Zone) AddTXT(name, text string, ttl uint32) {
-	name = strings.ToLower(name)
-	z.records[name] = append(z.records[name], packet.DNSRecord{
-		Name: name, Type: packet.DNSTypeTXT, Class: packet.DNSClassIN, TTL: ttl, Data: []byte(text),
-	})
-}
-
 // Contains reports whether the name belongs to this zone.
 func (z *Zone) Contains(name string) bool {
 	name = strings.ToLower(name)

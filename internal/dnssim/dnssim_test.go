@@ -20,7 +20,6 @@ func fixture(t *testing.T) (*Zone, *Zone, *Authority, TrustAnchors) {
 		t.Fatal(err)
 	}
 	signed.AddA("www.example.com", realAddr, 300)
-	signed.AddTXT("www.example.com", "v=pvn1", 300)
 
 	unsigned, err := NewZone("legacy.net", false, 2)
 	if err != nil {
@@ -132,15 +131,6 @@ func TestWrongSignerRejected(t *testing.T) {
 		t.Fatalf("err=%v, want ErrBadSignature (wrong zone key)", err)
 	}
 	_ = signed
-}
-
-func TestValidateTXTRecordSet(t *testing.T) {
-	_, _, auth, anchors := fixture(t)
-	r := NewResolver("r1", auth, 10)
-	resp := r.Query("www.example.com", packet.DNSTypeTXT)
-	if err := anchors.Validate(resp); err != nil {
-		t.Fatalf("TXT validation failed: %v", err)
-	}
 }
 
 func TestQuorumResolveHonestMajority(t *testing.T) {

@@ -1,10 +1,10 @@
-// Package integration glues the PVN data plane into the network
-// simulator: a netsim node that hosts an edge switch, forwarding packets
-// between the device side and the upstream side according to switch
-// verdicts — including middlebox delays, meter shaping and tunnel
-// encapsulation. The integration tests drive full device↔server
-// round trips through a deployed PVN over simulated links, and run the
-// auditor's probes against a data plane that really cheats.
+// Package integration holds only tests. This harness glues the PVN data
+// plane into the network simulator: a netsim node that hosts an edge
+// switch, forwarding packets between the device side and the upstream
+// side according to switch verdicts — including middlebox delays, meter
+// shaping and tunnel encapsulation. The integration tests drive full
+// device↔server round trips through a deployed PVN over simulated links,
+// and run the auditor's probes against a data plane that really cheats.
 package integration
 
 import (

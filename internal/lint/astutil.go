@@ -38,24 +38,6 @@ func (p *Pass) fieldOf(sel *ast.SelectorExpr) *types.Var {
 	return v
 }
 
-// calleeFunc resolves a call's target to its types.Func (methods and
-// package-level functions alike), or nil.
-func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if s, ok := p.Pkg.Info.Selections[fun]; ok {
-			f, _ := s.Obj().(*types.Func)
-			return f
-		}
-		f, _ := p.Pkg.Info.Uses[fun.Sel].(*types.Func)
-		return f
-	case *ast.Ident:
-		f, _ := p.Pkg.Info.Uses[fun].(*types.Func)
-		return f
-	}
-	return nil
-}
-
 // returnsError reports whether fn's last result is the error type.
 func returnsError(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)

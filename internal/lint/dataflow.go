@@ -695,8 +695,8 @@ func signatureParams(sig *types.Signature) []*types.Var {
 	return out
 }
 
-// calleeOf resolves a call's static target like Pass.calleeFunc but
-// without a Pass.
+// calleeOf resolves a call's static target to its types.Func (methods
+// and package-level functions alike), or nil.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:

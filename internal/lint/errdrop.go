@@ -26,7 +26,7 @@ var lifecycleAPIs = map[string]bool{
 
 func runErrDrop(pass *Pass) {
 	check := func(call *ast.CallExpr, how string) {
-		fn := pass.calleeFunc(call)
+		fn := calleeOf(pass.Pkg.Info, call)
 		if fn == nil || !lifecycleAPIs[fn.Name()] || !returnsError(fn) || !inProject(pass.Config, fn) {
 			return
 		}

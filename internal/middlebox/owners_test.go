@@ -61,14 +61,14 @@ func TestTerminateScopedToOwner(t *testing.T) {
 	if got := rt.chainVisits - visits; got != 2 {
 		t.Errorf("Terminate visited %d chains, want alice's 2", got)
 	}
-	if !both.FailClosedResidue() || !only.FailClosedResidue() {
-		t.Errorf("residue: both=%v only=%v, want both set", both.FailClosedResidue(), only.FailClosedResidue())
+	if !both.residueClosed || !only.residueClosed {
+		t.Errorf("residue: both=%v only=%v, want both set", both.residueClosed, only.residueClosed)
 	}
 	if len(both.Boxes) != 1 || both.Boxes[0] != tagged || len(only.Boxes) != 0 {
 		t.Errorf("after Terminate: both has %d boxes, only %d", len(both.Boxes), len(only.Boxes))
 	}
-	if bob.FailClosedResidue() || len(bob.Boxes) != 1 {
-		t.Errorf("bob's chain touched: residue=%v boxes=%d", bob.FailClosedResidue(), len(bob.Boxes))
+	if bob.residueClosed || len(bob.Boxes) != 1 {
+		t.Errorf("bob's chain touched: residue=%v boxes=%d", bob.residueClosed, len(bob.Boxes))
 	}
 	pkt := ipPacket(t, "10.0.0.1", "10.0.0.2")
 	if _, _, err := rt.ExecuteChain("alice.dev1/only", pkt); !errors.Is(err, ErrDropped) {

@@ -274,10 +274,6 @@ type Chain struct {
 	owner *ownerEntry
 }
 
-// FailClosedResidue reports whether a terminated fail-closed box has
-// left its mark on this chain (an emptied chain then drops traffic).
-func (c *Chain) FailClosedResidue() bool { return c.residueClosed }
-
 // AlertCap bounds the runtime's alert ring: the oldest alerts are
 // evicted (and counted in AlertsDropped) once it is full.
 const AlertCap = 4096

@@ -429,11 +429,11 @@ func TestTerminateEmptiedChainPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chClosed, err := rt.BuildChain("alice", "guard", []string{closed.ID}, nil)
+	_, err = rt.BuildChain("alice", "guard", []string{closed.ID}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chOpen, err := rt.BuildChain("alice", "opt", []string{open.ID}, nil)
+	_, err = rt.BuildChain("alice", "opt", []string{open.ID}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,13 +445,6 @@ func TestTerminateEmptiedChainPolicy(t *testing.T) {
 	if err := rt.Terminate(open.ID); err != nil {
 		t.Fatal(err)
 	}
-	if !chClosed.FailClosedResidue() {
-		t.Fatal("chain that lost a fail-closed box must carry residue")
-	}
-	if chOpen.FailClosedResidue() {
-		t.Fatal("chain that lost only fail-open boxes must not carry residue")
-	}
-
 	pkt := supPacket(t)
 	if _, _, err := rt.ExecuteChain("alice/guard", pkt); !errors.Is(err, middlebox.ErrDropped) {
 		t.Fatalf("emptied fail-closed chain: err = %v, want ErrDropped", err)

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 )
@@ -38,20 +37,6 @@ func (d *Dist) Mean() float64 {
 		return 0
 	}
 	return d.sum / float64(len(d.samples))
-}
-
-// Stddev returns the population standard deviation.
-func (d *Dist) Stddev() float64 {
-	n := len(d.samples)
-	if n == 0 {
-		return 0
-	}
-	m := d.Mean()
-	var ss float64
-	for _, v := range d.samples {
-		ss += (v - m) * (v - m)
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 func (d *Dist) ensureSorted() {

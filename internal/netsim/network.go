@@ -75,12 +75,6 @@ type Port struct {
 	Stats PortStats
 }
 
-// Node returns the node this port is attached to.
-func (p *Port) Node() *Node { return p.node }
-
-// Peer returns the port at the other end of the link.
-func (p *Port) Peer() *Port { return p.peer }
-
 // Index returns this port's index on its node.
 func (p *Port) Index() int { return p.index }
 
@@ -258,9 +252,6 @@ func (net *Network) AddNode(id string) *Node {
 	return n
 }
 
-// Node returns the node with the given ID, or nil.
-func (net *Network) Node(id string) *Node { return net.nodes[id] }
-
 // Nodes returns all nodes in creation order.
 func (net *Network) Nodes() []*Node {
 	out := make([]*Node, 0, len(net.order))
@@ -366,42 +357,4 @@ func RouterHandler(fallback Handler) Handler {
 			fallback(n, in, msg)
 		}
 	}
-}
-
-// PathLatency returns the summed one-way link latency on the current
-// shortest path from src to dst, or -1 if unreachable. It is a pure
-// topology query that does not account for queueing.
-func (net *Network) PathLatency(srcID, dstID string) time.Duration {
-	src := net.Node(srcID)
-	if src == nil || net.Node(dstID) == nil {
-		return -1
-	}
-	var total time.Duration
-	cur := src
-	seen := map[string]bool{}
-	for cur.ID != dstID {
-		if seen[cur.ID] {
-			return -1
-		}
-		seen[cur.ID] = true
-		p := cur.RouteTo(dstID)
-		if p == nil {
-			return -1
-		}
-		total += p.cfg.Latency
-		cur = p.peer.node
-	}
-	return total
-}
-
-// TotalDrops sums queue and random drops across the whole network, a quick
-// health indicator for experiments.
-func (net *Network) TotalDrops() (queue, random int64) {
-	for _, id := range net.order {
-		for _, p := range net.nodes[id].ports {
-			queue += p.Stats.QueueDrops
-			random += p.Stats.RandomDrops
-		}
-	}
-	return queue, random
 }

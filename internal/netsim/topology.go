@@ -156,25 +156,6 @@ func NewDualStarTopology(seed uint64, nA, nB int, leafLink, bridge LinkConfig) (
 	return net, hubs, leaves
 }
 
-// NewChainTopology builds n nodes in a line, all joined by link. Nodes are
-// named n0..n(n-1); interior nodes route. Useful for path-inflation and
-// middlebox-chain experiments.
-func NewChainTopology(seed uint64, n int, link LinkConfig) (*Network, []*Node) {
-	net := NewNetwork(seed)
-	nodes := make([]*Node, n)
-	for i := range nodes {
-		nodes[i] = net.AddNode("n" + itoa(i))
-		if i > 0 {
-			net.Connect(nodes[i-1], nodes[i], link)
-		}
-	}
-	net.ComputeRoutes()
-	for i := 1; i < n-1; i++ {
-		nodes[i].Handler = RouterHandler(nil)
-	}
-	return net, nodes
-}
-
 // FleetTopology models a multi-host edge fleet: a core router, one
 // aggregation switch per failure domain (rack/zone), and edge hosts
 // spread round-robin across the domains. Racks sit at increasing

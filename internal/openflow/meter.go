@@ -3,10 +3,10 @@ package openflow
 import "time"
 
 // Meter is a token-bucket rate limiter attached to flow entries via
-// Metered actions. It supports the two enforcement styles the paper's
-// network-management discussion distinguishes (§2.2): policing (drop when
-// over rate, what throttling deployments do) and shaping (delay to
-// conform, what "Binge On"-style 1.5 Mbps video throttles do).
+// Metered actions. Of the two enforcement styles the paper's
+// network-management discussion distinguishes (§2.2) it implements
+// shaping — delay to conform, what "Binge On"-style 1.5 Mbps video
+// throttles do — and not policing: no rule drops over rate.
 type Meter struct {
 	// RateBps is the sustained rate in bits per second.
 	RateBps float64
@@ -41,19 +41,6 @@ func (m *Meter) refill(now time.Duration) {
 		}
 		m.last = now
 	}
-}
-
-// Police consumes size bytes if tokens allow and reports whether the
-// packet conforms; non-conforming packets should be dropped.
-func (m *Meter) Police(now time.Duration, size int) bool {
-	m.refill(now)
-	if m.tokens >= float64(size) {
-		m.tokens -= float64(size)
-		m.Conformed++
-		return true
-	}
-	m.Exceeded++
-	return false
 }
 
 // Shape consumes size bytes, going into token debt if necessary, and

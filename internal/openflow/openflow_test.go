@@ -192,23 +192,6 @@ func TestRemoveByCookie(t *testing.T) {
 	}
 }
 
-func TestMeterPolice(t *testing.T) {
-	m := &Meter{RateBps: 8000, BurstBytes: 1000} // 1 KB/s, 1 KB burst
-	if !m.Police(0, 1000) {
-		t.Fatal("initial burst rejected")
-	}
-	if m.Police(0, 1) {
-		t.Fatal("empty bucket accepted a packet")
-	}
-	// After one second, 1000 bytes of tokens are back.
-	if !m.Police(time.Second, 900) {
-		t.Fatal("refilled bucket rejected packet")
-	}
-	if m.Conformed != 2 || m.Exceeded != 1 {
-		t.Fatalf("counters %d/%d", m.Conformed, m.Exceeded)
-	}
-}
-
 func TestMeterShapeDelay(t *testing.T) {
 	m := &Meter{RateBps: 8000, BurstBytes: 1000}
 	if d := m.Shape(0, 1000); d != 0 {

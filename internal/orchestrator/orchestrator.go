@@ -60,9 +60,6 @@ type Host struct {
 	placed           map[string]bool // chain IDs
 }
 
-// Health returns the control plane's current view of the host.
-func (h *Host) Health() HostHealth { return h.health }
-
 // HostParams parameterizes NewHost.
 type HostParams struct {
 	Spec  HostSpec
@@ -201,9 +198,6 @@ func (c *Cluster) AddHost(h *Host) {
 
 // Host returns a host by name, or nil.
 func (c *Cluster) Host(name string) *Host { return c.hostByName[name] }
-
-// Hosts returns the hosts in registration order.
-func (c *Cluster) Hosts() []*Host { return c.hosts }
 
 // Stats snapshots the counters.
 func (c *Cluster) Stats() Stats { return c.stats }

@@ -162,30 +162,30 @@ func TestHeartbeatLadder(t *testing.T) {
 	}
 	c.Start()
 	clock.RunFor(30 * time.Second)
-	if hosts[0].Health() != HostAlive {
-		t.Fatalf("beating host is %s", hosts[0].Health())
+	if hosts[0].health != HostAlive {
+		t.Fatalf("beating host is %s", hosts[0].health)
 	}
 	c.KillHost("host00")
 	var sawSuspect bool
 	for i := 0; i < 10; i++ {
 		clock.RunFor(10 * time.Second)
-		if hosts[0].Health() == HostSuspect {
+		if hosts[0].health == HostSuspect {
 			sawSuspect = true
 		}
-		if hosts[0].Health() == HostDead {
+		if hosts[0].health == HostDead {
 			break
 		}
 	}
-	if !sawSuspect || hosts[0].Health() != HostDead {
-		t.Fatalf("ladder never climbed alive→suspect→dead (suspect=%v final=%s)", sawSuspect, hosts[0].Health())
+	if !sawSuspect || hosts[0].health != HostDead {
+		t.Fatalf("ladder never climbed alive→suspect→dead (suspect=%v final=%s)", sawSuspect, hosts[0].health)
 	}
-	if hosts[1].Health() != HostAlive {
-		t.Fatalf("surviving host is %s", hosts[1].Health())
+	if hosts[1].health != HostAlive {
+		t.Fatalf("surviving host is %s", hosts[1].health)
 	}
 	c.RestoreHost("host00")
 	clock.RunFor(20 * time.Second)
-	if hosts[0].Health() != HostAlive {
-		t.Fatalf("restored host is %s", hosts[0].Health())
+	if hosts[0].health != HostAlive {
+		t.Fatalf("restored host is %s", hosts[0].health)
 	}
 	c.Stop()
 }

@@ -65,7 +65,7 @@ func TestDHTLookupConvergesInLogNRounds(t *testing.T) {
 			t.Fatalf("src %d: empty result", src)
 		}
 		if res.Closest[0].ID != target {
-			t.Errorf("src %d: nearest found %s, want exact target", src, res.Closest[0].ID.Short())
+			t.Errorf("src %d: nearest found %s, want exact target", src, res.Closest[0].ID)
 		}
 		if res.Rounds > bound {
 			t.Errorf("src %d: %d rounds exceeds O(log n) bound %d", src, res.Rounds, bound)
@@ -140,7 +140,7 @@ func TestDHTRejectsForgedStore(t *testing.T) {
 	bad := 0
 	for _, n := range nodes {
 		bad += n.Stats.BadRecords
-		if n.RecordCount() != 0 {
+		if len(n.records) != 0 {
 			t.Fatal("a replica stored a forged record")
 		}
 	}

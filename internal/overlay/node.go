@@ -220,15 +220,6 @@ func appendField[T ~string | ~[]byte](b []byte, f T) []byte {
 	return append(b, f...)
 }
 
-// RecordCount returns how many records this node holds.
-func (n *Node) RecordCount() int {
-	c := 0
-	for _, byPub := range n.records {
-		c += len(byPub)
-	}
-	return c
-}
-
 // admit stores a verified record, keeping the highest Seq per
 // (key, publisher). A stale Seq, or a new publisher under a key already
 // holding maxRecords of them, is dropped silently; a new key past

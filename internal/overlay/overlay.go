@@ -69,9 +69,6 @@ func ServiceKey(name string) ID {
 // String renders the full hex ID.
 func (id ID) String() string { return hex.EncodeToString(id[:]) }
 
-// Short renders the first 8 hex digits, for logs and tables.
-func (id ID) Short() string { return hex.EncodeToString(id[:4]) }
-
 // IsZero reports whether the ID is all zeros (the unset value).
 func (id ID) IsZero() bool { return id == ID{} }
 
@@ -101,29 +98,6 @@ func (id *ID) UnmarshalJSON(b []byte) error {
 	}
 	*id = v
 	return nil
-}
-
-// ParseID decodes a full-width hex ID string.
-func ParseID(s string) (ID, error) {
-	var id ID
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return id, fmt.Errorf("overlay: bad ID hex: %w", err)
-	}
-	if len(raw) != IDBytes {
-		return id, fmt.Errorf("overlay: ID must be %d bytes, got %d", IDBytes, len(raw))
-	}
-	copy(id[:], raw)
-	return id, nil
-}
-
-// Distance returns the XOR distance between two IDs.
-func Distance(a, b ID) ID {
-	var d ID
-	for i := range d {
-		d[i] = a[i] ^ b[i]
-	}
-	return d
 }
 
 // DistanceLess reports whether a is XOR-closer to target than b — the

@@ -45,12 +45,6 @@ func NewTable(self ID, k int) *Table {
 	return &Table{self: self, k: k}
 }
 
-// Self returns the identity the table is centered on.
-func (t *Table) Self() ID { return t.self }
-
-// K returns the bucket capacity.
-func (t *Table) K() int { return t.k }
-
 // Update records that the peer was heard from at now. Known contacts
 // move to the most-recently-seen end and reset their failure count;
 // new contacts append while the bucket has room. When a bucket is full
@@ -107,20 +101,6 @@ func (t *Table) Fail(id ID) bool {
 		}
 	}
 	return false
-}
-
-// Remove drops the peer immediately (e.g. on an explicit leave).
-func (t *Table) Remove(id ID) {
-	bi := BucketIndex(t.self, id)
-	if bi < 0 {
-		return
-	}
-	for i, c := range t.buckets[bi] {
-		if c.peer.ID == id {
-			t.buckets[bi] = append(t.buckets[bi][:i], t.buckets[bi][i+1:]...)
-			return
-		}
-	}
 }
 
 // Closest returns up to n known peers ordered by XOR distance to

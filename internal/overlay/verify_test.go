@@ -183,8 +183,8 @@ func TestStoreKeyCap(t *testing.T) {
 	if !replied || reply != ErrStoreFull.Error() {
 		t.Fatalf("remote store past the cap: replied %t err %q, want %q", replied, reply, ErrStoreFull)
 	}
-	if b.Stats.KeysRefused != 2 || b.RecordCount() != maxKeys {
-		t.Fatalf("refused %d, holding %d records; want 2 and %d", b.Stats.KeysRefused, b.RecordCount(), maxKeys)
+	if b.Stats.KeysRefused != 2 || len(b.records) != maxKeys {
+		t.Fatalf("refused %d, holding %d keys; want 2 and %d", b.Stats.KeysRefused, len(b.records), maxKeys)
 	}
 	if err := b.StoreLocal(NewOfferRecord("svc-0", ad, kp, 2)); err != nil {
 		t.Fatalf("newer version under a held key: %v", err)

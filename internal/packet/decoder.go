@@ -32,15 +32,16 @@ type Decoder struct {
 
 // Decode parses data starting at the given first layer. Decoding continues
 // until a layer reports LayerTypePayload/Invalid or a parse error occurs;
-// a parse error is recorded (ErrLayer) rather than failing the whole
-// packet, matching gopacket behaviour where outer layers stay usable, and
-// the undecodable remainder is kept as a Payload layer.
+// a parse error is recorded (Packet.String reports it) rather than
+// failing the whole packet, matching gopacket behaviour where outer
+// layers stay usable, and the undecodable remainder is kept as a Payload
+// layer.
 func Decode(data []byte, first LayerType) *Packet {
 	return new(Decoder).decode(data, first, true)
 }
 
 // Decode is the package-level Decode into the decoder's reusable layers:
-// the same layers, ErrLayer and Payload remainder, as a view valid until
+// the same layers, parse error and Payload remainder, as a view valid until
 // the decoder's next use.
 func (d *Decoder) Decode(data []byte, first LayerType) *Packet {
 	return d.decode(data, first, true)
@@ -51,7 +52,7 @@ func (d *Decoder) Decode(data []byte, first LayerType) *Packet {
 // them. Unlike Decode it never descends into application layers
 // (DNS/TLS/HTTP/Payload): decoding stops after TCP/UDP, whose
 // LayerPayload still exposes the application bytes, and a parse error is
-// recorded in ErrLayer without a Payload remainder. The outer layers stay
+// recorded without a Payload remainder. The outer layers stay
 // usable.
 func (d *Decoder) DecodeHeaders(data []byte, first LayerType) *Packet {
 	return d.decode(data, first, false)

@@ -95,7 +95,7 @@ func TestDecoderStopsAtTransport(t *testing.T) {
 	}
 }
 
-// TestDecoderTruncated: errors surface via ErrLayer, outer layers stay
+// TestDecoderTruncated: errors surface via errLayer, outer layers stay
 // usable, and the error does not leak into the next (valid) packet.
 func TestDecoderTruncated(t *testing.T) {
 	var d Decoder
@@ -103,15 +103,15 @@ func TestDecoderTruncated(t *testing.T) {
 	bad := good[:22] // IPv4 header intact, TCP truncated
 	// Rewrite total length so the IPv4 layer itself parses cleanly.
 	p := d.DecodeHeaders(bad, LayerTypeIPv4)
-	if p.ErrLayer() == nil {
+	if p.errLayer == nil {
 		t.Error("truncated TCP decoded without error")
 	}
 	if p.IPv4() == nil {
 		t.Error("outer IPv4 layer lost on truncation")
 	}
 	p = d.DecodeHeaders(good, LayerTypeIPv4)
-	if p.ErrLayer() != nil {
-		t.Errorf("error leaked across reuse: %v", p.ErrLayer())
+	if p.errLayer != nil {
+		t.Errorf("error leaked across reuse: %v", p.errLayer)
 	}
 	if p.TCP() == nil {
 		t.Error("valid frame lost its TCP layer after a truncated one")

@@ -53,9 +53,6 @@ func (r *DNSRecord) A() IPv4Address {
 	return a
 }
 
-// TXT returns the record data as a string for TXT-like records.
-func (r *DNSRecord) TXT() string { return string(r.Data) }
-
 // DNS is a DNS message (RFC 1035 wire format). Name compression pointers
 // are followed on decode; serialization always emits uncompressed names.
 type DNS struct {

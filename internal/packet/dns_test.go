@@ -51,7 +51,7 @@ func TestDNSResponseRoundTrip(t *testing.T) {
 	if got.Answers[0].A() != addr {
 		t.Fatalf("A record %v", got.Answers[0].A())
 	}
-	if got.Answers[1].TXT() != "sig-bytes" {
+	if string(got.Answers[1].Data) != "sig-bytes" {
 		t.Fatalf("RRSIG data %q", got.Answers[1].Data)
 	}
 	if len(got.Authorities) != 1 || got.Authorities[0].Type != DNSTypeNS {
@@ -155,8 +155,8 @@ func TestDNSInUDPStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Decode(data, LayerTypeIPv4)
-	if p.ErrLayer() != nil {
-		t.Fatalf("decode: %v (%s)", p.ErrLayer(), p)
+	if p.errLayer != nil {
+		t.Fatalf("decode: %v (%s)", p.errLayer, p)
 	}
 	d := p.DNS()
 	if d == nil {

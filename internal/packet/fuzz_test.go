@@ -244,7 +244,7 @@ func FuzzDecoderReuse(f *testing.F) {
 // addresses.
 func describe(p *Packet) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "data=%q err=%v", p.Data(), p.ErrLayer())
+	fmt.Fprintf(&b, "data=%q err=%v", p.Data(), p.errLayer)
 	binding := func(ip *IPv4) string {
 		switch {
 		case ip == nil:

@@ -33,16 +33,13 @@ func (p Payload) SerializeTo(b *Buffer) error {
 type Packet struct {
 	data   []byte
 	layers []Layer
-	// truncated records that decoding stopped early; ErrLayer explains
-	// why.
+	// errLayer is the decode error that stopped parsing early, or nil;
+	// String reports it.
 	errLayer error
 }
 
 // Data returns the raw bytes the packet was decoded from.
 func (p *Packet) Data() []byte { return p.data }
-
-// ErrLayer returns the decode error that stopped parsing, or nil.
-func (p *Packet) ErrLayer() error { return p.errLayer }
 
 // Layer returns the first layer of the given type, or nil.
 func (p *Packet) Layer(t LayerType) Layer {

@@ -164,8 +164,8 @@ func TestDecodeFullStackHTTP(t *testing.T) {
 	req := "GET /index.html HTTP/1.1\r\nHost: example.com\r\nUser-Agent: pvn\r\n\r\n"
 	frame := buildTCPFrame(t, 40000, 80, []byte(req))
 	p := Decode(frame, LayerTypeEthernet)
-	if p.ErrLayer() != nil {
-		t.Fatalf("decode error: %v", p.ErrLayer())
+	if p.errLayer != nil {
+		t.Fatalf("decode error: %v", p.errLayer)
 	}
 	if got := p.String(); got != "Ethernet/IPv4/TCP/HTTP" {
 		t.Fatalf("layer stack %q", got)
@@ -186,7 +186,7 @@ func TestDecodeErrorKeepsOuterLayers(t *testing.T) {
 	if p.Ethernet() == nil {
 		t.Fatal("outer Ethernet layer lost on inner decode failure")
 	}
-	if p.ErrLayer() == nil {
+	if p.errLayer == nil {
 		t.Fatal("decode failure not recorded")
 	}
 }

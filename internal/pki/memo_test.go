@@ -53,8 +53,8 @@ func TestSignatureMemoSkipsOnlyTheSignature(t *testing.T) {
 		setup func(*TrustStore)
 		want  error
 	}{
-		{what: "revoked leaf", chain: p.leafChain, now: now, setup: func(ts *TrustStore) { ts.MarkRevoked(leaf.Serial) }, want: ErrRevoked},
-		{what: "revoked intermediate", chain: p.leafChain, now: now, setup: func(ts *TrustStore) { ts.MarkRevoked(inter.Serial) }, want: ErrRevoked},
+		{what: "revoked leaf", chain: p.leafChain, now: now, setup: func(ts *TrustStore) { ts.revoked[leaf.Serial] = true }, want: ErrRevoked},
+		{what: "revoked intermediate", chain: p.leafChain, now: now, setup: func(ts *TrustStore) { ts.revoked[inter.Serial] = true }, want: ErrRevoked},
 		{what: "past ValidUntil", chain: p.leafChain, now: leaf.ValidUntil + 1, want: ErrExpired},
 		{what: "root with the same subject and another key", chain: p.leafChain, now: now,
 			setup: func(ts *TrustStore) { ts.roots[impostor.Cert.Subject] = impostor.Cert }, want: ErrBadSignature},

@@ -240,10 +240,6 @@ func (ts *TrustStore) AddCRL(ca *CA) {
 	}
 }
 
-// MarkRevoked records a single revoked serial (e.g. learned via OCSP-like
-// checks).
-func (ts *TrustStore) MarkRevoked(serial uint64) { ts.revoked[serial] = true }
-
 // Verify checks a leaf-first chain: every signature, validity window and
 // CA bit, termination at a trusted root, the leaf's name against
 // wantName (supports single-label wildcards like *.example.com), and

@@ -203,11 +203,3 @@ func TestSerialUniqueness(t *testing.T) {
 		seen[c.Serial] = true
 	}
 }
-
-func TestMarkRevokedSingle(t *testing.T) {
-	p := newTestPKI(t)
-	p.store.MarkRevoked(p.leafChain[0].Serial)
-	if err := p.store.Verify(p.leafChain, "www.example.com", 500); !errors.Is(err, ErrRevoked) {
-		t.Fatalf("err=%v, want ErrRevoked", err)
-	}
-}

@@ -11,7 +11,6 @@ package reasm
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"pvn/internal/packet"
 )
@@ -156,16 +155,6 @@ func (s *Stream) Consume(n int) {
 	s.ready = append(s.ready[:0], s.ready[n:]...)
 }
 
-// Gaps reports buffered out-of-order segment starts, for diagnostics.
-func (s *Stream) Gaps() []uint32 {
-	out := make([]uint32, 0, len(s.pending))
-	for seq := range s.pending {
-		out = append(out, seq)
-	}
-	sort.Slice(out, func(i, j int) bool { return seqLess(out[i], out[j]) })
-	return out
-}
-
 // Assembler routes packets of many flows to per-direction streams.
 type Assembler struct {
 	streams map[packet.Flow]*Stream
@@ -174,17 +163,6 @@ type Assembler struct {
 // NewAssembler builds an empty assembler.
 func NewAssembler() *Assembler {
 	return &Assembler{streams: make(map[packet.Flow]*Stream)}
-}
-
-// StreamFor returns (creating if needed) the stream for a directional
-// flow.
-func (a *Assembler) StreamFor(f packet.Flow) *Stream {
-	s, ok := a.streams[f]
-	if !ok {
-		s = NewStream()
-		a.streams[f] = s
-	}
-	return s
 }
 
 // Feed pushes a decoded TCP packet into its stream and returns that
@@ -202,11 +180,22 @@ func (a *Assembler) Feed(p *packet.Packet) (*Stream, error) {
 	if !ok {
 		return nil, nil
 	}
-	s := a.StreamFor(f)
-	if err := s.Push(t.Seq, payload); err != nil {
-		return s, err
+	s := a.streams[f]
+	if s == nil {
+		s = NewStream()
+		a.streams[f] = s
 	}
-	return s, nil
+	return s, s.Push(t.Seq, payload)
+}
+
+// Next reports the sequence number a flow's stream expects next, and
+// false when the flow has no started stream.
+func (a *Assembler) Next(f packet.Flow) (uint32, bool) {
+	s, ok := a.streams[f]
+	if !ok || !s.started {
+		return 0, false
+	}
+	return s.next, true
 }
 
 // Release drops a flow's stream (connection closed).

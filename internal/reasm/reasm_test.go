@@ -29,8 +29,8 @@ func TestOutOfOrderReordered(t *testing.T) {
 	if string(s.Bytes()) != "AA" {
 		t.Fatalf("premature delivery: %q", s.Bytes())
 	}
-	if len(s.Gaps()) != 1 || s.Gaps()[0] != 106 {
-		t.Fatalf("gaps %v", s.Gaps())
+	if _, ok := s.pending[106]; !ok || len(s.pending) != 1 {
+		t.Fatalf("buffered %v, want the segment at 106", s.pending)
 	}
 	s.Push(102, []byte("BBBB"))
 	if string(s.Bytes()) != "AABBBBCC" {
@@ -191,14 +191,16 @@ func TestAssemblerRoutesFlows(t *testing.T) {
 		t.Fatalf("flows %d", a.Flows())
 	}
 	// Directions are independent streams.
-	rev := mk(1111, 0, "x")
-	revFlow, _ := packet.FlowOf(rev)
-	if a.StreamFor(revFlow.Reverse()) == s1 {
-		t.Fatal("directions share a stream")
+	f1, _ := packet.FlowOf(mk(1111, 0, "x"))
+	if next, ok := a.Next(f1); !ok || next != 8 {
+		t.Fatalf("flow 1 expects %d (started %v), want 8", next, ok)
 	}
-	a.Release(revFlow)
-	if a.Flows() != 2 { // released the (unused) forward key? ensure count sane
-		t.Fatalf("flows %d after release", a.Flows())
+	if _, ok := a.Next(f1.Reverse()); ok {
+		t.Fatal("the reverse direction has a stream")
+	}
+	a.Release(f1)
+	if _, ok := a.Next(f1); ok || a.Flows() != 1 {
+		t.Fatalf("flows %d after releasing flow 1, want 1", a.Flows())
 	}
 }
 
@@ -245,8 +247,8 @@ func TestDrainSkipsStaleSegments(t *testing.T) {
 		if got := string(s.Bytes()); got != "0123456789ab" {
 			t.Fatalf("run %d: stream %q, want all 12 bytes", run, got)
 		}
-		if len(s.Gaps()) != 0 {
-			t.Fatalf("run %d: segments left buffered at %v", run, s.Gaps())
+		if len(s.pending) != 0 {
+			t.Fatalf("run %d: segments left buffered: %v", run, s.pending)
 		}
 
 		// A longer copy at a buffered start adds the bytes past the first.
@@ -306,7 +308,7 @@ func FuzzReassemble(f *testing.F) {
 		if got := s.Bytes(); !bytes.Equal(got, want[:n]) {
 			t.Fatalf("stream delivered %q, want the covered prefix %q", got, want[:n])
 		}
-		for _, g := range s.Gaps() {
+		for g := range s.pending {
 			if !seqLess(base+uint32(n), g) {
 				t.Fatalf("segment at %d stays buffered behind the delivered edge %d", g-base, n)
 			}

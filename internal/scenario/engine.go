@@ -31,9 +31,8 @@ type Engine struct {
 
 	ops, roams, roamFails              int64
 	flapRoams, flapFails, flapEpisodes int64
-	crashes, sweeps, detaches          int64
-	reconnects, invoiceCount           int64
-	campaigns, gossipLies              int64
+	crashes, sweeps, invoiceCount      int64
+	gossipLies                         int64
 	fetches, installs, rejects         int64
 	evilInstalls, tamperServed         int64
 
@@ -254,7 +253,6 @@ func (e *Engine) reconnect(d *device) {
 	s, err := core.Connect(d.dev, e.W.Nets)
 	d.sess = s
 	d.busy = false
-	e.reconnects++
 	if err != nil || s.Mode != core.ModeInNetwork {
 		d.repairPending = true
 		e.W.Clock.Schedule(30*time.Second, func() { e.reconnect(d) })
@@ -529,7 +527,6 @@ func (e *Engine) opDetach() {
 		return
 	}
 	e.noteInvoice(d, d.sess, inv)
-	e.detaches++
 	d.busy = true
 	e.note("detach", "%s detached from %s", d.id, d.sess.Network.Name)
 	e.W.Clock.Schedule(20*time.Second, func() { e.reconnect(d) })

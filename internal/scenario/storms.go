@@ -168,7 +168,6 @@ func (e *Engine) CampaignPulse() {
 		return
 	}
 	e.campaignActive = true
-	e.campaigns++
 	now := e.W.Clock.Now()
 	col := e.W.Nets[len(e.W.Nets)-1]
 	jit := time.Duration(e.stormRNG.Float64() * float64(10*time.Second))

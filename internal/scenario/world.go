@@ -9,7 +9,6 @@ import (
 	"pvn/internal/core"
 	"pvn/internal/discovery"
 	"pvn/internal/netsim"
-	"pvn/internal/openflow"
 	"pvn/internal/orchestrator"
 	"pvn/internal/overlay"
 	"pvn/internal/packet"
@@ -80,14 +79,6 @@ type device struct {
 	// Flap extras: per-endpoint path injectors and the prober.
 	paths  map[string]*netsim.FaultInjector
 	prober *tunnel.Prober
-}
-
-// proc runs one packet through whatever currently serves the device.
-func (d *device) proc(data []byte, inPort uint16) (openflow.Disposition, error) {
-	if d.hand != nil {
-		return d.hand.Process(data, inPort)
-	}
-	return d.sess.Process(data, inPort)
 }
 
 // attachments lists the live sessions whose usage the device still owes

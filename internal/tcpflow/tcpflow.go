@@ -7,13 +7,12 @@
 // an initial window of 10 segments, a 1000-segment window cap and a
 // 200 ms RTO floor.
 //
-// It serves two purposes in the PVN reproduction. First, it is the
-// transport the end-to-end demos run over when analytic modelling is not
-// enough (every byte really crosses the simulated links and the PVN
-// switch sits on the path). Second, it cross-validates internal/tcpsim:
-// the analytic round model and this packet-level implementation must
-// agree on the shape of every transfer-time claim (see the validation
-// test and experiment E3).
+// It serves two purposes in the PVN reproduction. First, the integration
+// tests run their end-to-end connections over it, so every byte really
+// crosses the simulated links and the PVN switch on the path. Second, it
+// cross-validates internal/tcpsim: the analytic round model and this
+// packet-level implementation must agree on the shape of every
+// transfer-time claim (see the validation test and experiment E3c).
 package tcpflow
 
 import (
@@ -105,20 +104,7 @@ type Conn struct {
 	FastRecovers int64
 	BytesSent    int64
 	BytesRcvd    int64
-
-	establishedAt time.Duration
-	closedAt      time.Duration
 }
-
-// Established reports whether the handshake completed.
-func (c *Conn) Established() bool { return c.state == stateEstablished }
-
-// Closed reports whether the connection ended.
-func (c *Conn) Closed() bool { return c.state == stateClosed }
-
-// Local and Remote name the endpoints.
-func (c *Conn) Local() packet.Endpoint  { return c.local }
-func (c *Conn) Remote() packet.Endpoint { return c.remote }
 
 // Stack runs TCP for one netsim node: it owns every connection keyed by
 // flow and must be installed as (or called from) the node's handler.
@@ -231,9 +217,6 @@ func (s *Stack) Deliver(data []byte) {
 	}
 	c.handleSegment(t)
 }
-
-// Conns reports live connections (diagnostics).
-func (s *Stack) Conns() int { return len(s.conns) }
 
 // --- Conn internals ---
 
@@ -389,7 +372,6 @@ func (c *Conn) handleSegment(t *packet.TCP) {
 
 func (c *Conn) establish() {
 	c.state = stateEstablished
-	c.establishedAt = c.now()
 	c.stream.Anchor(c.rcvNxt)
 	c.timerGen++ // cancel handshake RTO
 	if c.OnEstablished != nil {
@@ -403,7 +385,6 @@ func (c *Conn) shutdown() {
 		return
 	}
 	c.state = stateClosed
-	c.closedAt = c.now()
 	c.timerGen++
 	if c.OnClose != nil {
 		c.OnClose()

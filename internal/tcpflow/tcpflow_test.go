@@ -52,7 +52,7 @@ func transfer(t *testing.T, link netsim.LinkConfig, seed uint64, payload []byte)
 	net.Clock.RunUntil(10 * time.Minute)
 	if doneAt < 0 {
 		t.Fatalf("transfer never completed: established=%v sent=%d rcvd=%d retx=%d timeouts=%d pending=%d",
-			conn.Established() || conn.Closed(), conn.BytesSent, received.Len(), conn.Retransmits, conn.Timeouts, net.Clock.Pending())
+			conn.state == stateEstablished || conn.state == stateClosed, conn.BytesSent, received.Len(), conn.Retransmits, conn.Timeouts, net.Clock.Pending())
 	}
 	return received.Bytes(), doneAt, conn
 }
@@ -80,7 +80,7 @@ func TestHandshakeAndSmallTransfer(t *testing.T) {
 	if conn.Retransmits != 0 || conn.Timeouts != 0 {
 		t.Fatalf("loss events on clean link: %+v", conn)
 	}
-	if !conn.Closed() {
+	if conn.state != stateClosed {
 		t.Fatal("client connection not closed after FIN ack")
 	}
 }
@@ -158,10 +158,10 @@ func TestNoListenerIgnoresSyn(t *testing.T) {
 	net, client, server := pair(t, link, 7)
 	conn, _ := client.Dial(packet.Endpoint{Addr: serverAddr, Port: 9999})
 	net.Clock.RunUntil(3 * time.Second)
-	if conn.Established() {
+	if conn.state == stateEstablished {
 		t.Fatal("connected to a closed port")
 	}
-	if server.Conns() != 0 {
+	if len(server.conns) != 0 {
 		t.Fatal("server grew a connection")
 	}
 }
@@ -173,7 +173,7 @@ func TestMultipleConcurrentConnections(t *testing.T) {
 	recv := map[uint16]*bytes.Buffer{}
 	server.Listen(80, func(c *Conn) {
 		buf := &bytes.Buffer{}
-		recv[c.Remote().Port] = buf
+		recv[c.remote.Port] = buf
 		c.OnData = func(b []byte) { buf.Write(b) }
 	})
 
@@ -246,7 +246,7 @@ func TestEndpointAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Clock.RunUntil(time.Second)
-	if conn.Local().Addr != clientAddr || conn.Remote().Port != 80 {
-		t.Fatalf("endpoints %v -> %v", conn.Local(), conn.Remote())
+	if conn.local.Addr != clientAddr || conn.remote.Port != 80 {
+		t.Fatalf("endpoints %v -> %v", conn.local, conn.remote)
 	}
 }

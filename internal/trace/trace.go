@@ -1,11 +1,10 @@
 // Package trace generates the synthetic workloads the PVN experiments
 // run: web page loads (a page plus embedded objects, some from tracker
-// domains), adaptive-bitrate video sessions, IoT sensor reports, and
-// PII-leaking app traffic. All draws come from an explicit seed so every
-// experiment is reproducible; the distributions are chosen to match the
-// qualitative mixes the paper's motivation cites (browsers are a
-// minority of traffic, video dominates bytes, apps leak PII over
-// plaintext HTTP).
+// domains), adaptive-bitrate video sessions and PII-leaking app
+// traffic. All draws come from an explicit seed so every experiment is
+// reproducible; the distributions are chosen to match the qualitative
+// mixes the paper's motivation cites (browsers are a minority of
+// traffic, video dominates bytes, apps leak PII over plaintext HTTP).
 package trace
 
 import (
@@ -29,15 +28,6 @@ type Object struct {
 // WebPage is one page load: the document plus its subresources.
 type WebPage struct {
 	Objects []Object
-}
-
-// TotalBytes sums the page weight.
-func (p *WebPage) TotalBytes() int {
-	n := 0
-	for _, o := range p.Objects {
-		n += o.Bytes
-	}
-	return n
 }
 
 // TrackerDomains is the canonical blocklist used across experiments.
@@ -212,39 +202,6 @@ func (g *AppGen) Request() AppRequest {
 		default:
 			r.Body = `{"contact":"alice.doe@example.com","phone":"617-555-1234"}`
 		}
-	}
-	return r
-}
-
-// IoTReading is one sensor report.
-type IoTReading struct {
-	SensorID string
-	Payload  string
-	// Sensitive marks readings that reveal user activity (camera,
-	// microphone, presence).
-	Sensitive bool
-}
-
-// IoTGen generates sensor reports.
-type IoTGen struct {
-	rng *netsim.RNG
-	// SensitiveRate is the fraction of sensitive readings. Default 0.3.
-	SensitiveRate float64
-}
-
-// NewIoTGen builds a generator.
-func NewIoTGen(seed uint64) *IoTGen {
-	return &IoTGen{rng: netsim.NewRNG(seed), SensitiveRate: 0.3}
-}
-
-// Reading draws one report.
-func (g *IoTGen) Reading() IoTReading {
-	r := IoTReading{SensorID: fmt.Sprintf("sensor-%d", g.rng.Intn(8))}
-	if g.rng.Bool(g.SensitiveRate) {
-		r.Sensitive = true
-		r.Payload = fmt.Sprintf("presence=home cam_frame=%d lat=42.3601&lon=-71.0589", g.rng.Intn(1000))
-	} else {
-		r.Payload = fmt.Sprintf("temp=%d.%d", 18+g.rng.Intn(8), g.rng.Intn(10))
 	}
 	return r
 }

@@ -205,7 +205,7 @@ func TestProberDetectsOutage(t *testing.T) {
 	p.Start()
 
 	clock.RunUntil(90 * time.Millisecond)
-	if h := tbl.EndpointHealth("cloud"); h != health.Healthy {
+	if h := tbl.states["cloud"].State(); h != health.Healthy {
 		t.Fatalf("pre-outage health %v", h)
 	}
 	if st := tbl.Stats(); st.Endpoints[0].SRTT != 2*time.Millisecond {
@@ -215,7 +215,7 @@ func TestProberDetectsOutage(t *testing.T) {
 	// Inside the outage, after two probe timeouts: down. First lost
 	// probe fires at 100ms, times out at 120ms; second at 110ms→130ms.
 	clock.RunUntil(140 * time.Millisecond)
-	if h := tbl.EndpointHealth("cloud"); h != health.Down {
+	if h := tbl.states["cloud"].State(); h != health.Down {
 		t.Fatalf("mid-outage health %v", h)
 	}
 	f := testFlow(40000)
@@ -225,7 +225,7 @@ func TestProberDetectsOutage(t *testing.T) {
 
 	// After the outage the backoff-spaced probes bring it back.
 	clock.RunUntil(500 * time.Millisecond)
-	if h := tbl.EndpointHealth("cloud"); h != health.Healthy {
+	if h := tbl.states["cloud"].State(); h != health.Healthy {
 		t.Fatalf("post-outage health %v", h)
 	}
 	// The flow stays pinned to its standby (no flap-back)…

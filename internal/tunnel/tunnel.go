@@ -393,14 +393,3 @@ func (t *Table) Stats() Stats {
 	sort.Slice(out.Endpoints, func(i, j int) bool { return out.Endpoints[i].Name < out.Endpoints[j].Name })
 	return out
 }
-
-// EndpointHealth reports the probed health of the named endpoint
-// (Healthy for unknown or never-probed endpoints).
-func (t *Table) EndpointHealth(name string) health.State {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if st := t.states[name]; st != nil {
-		return st.State()
-	}
-	return health.Healthy
-}
