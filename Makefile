@@ -72,7 +72,8 @@ test-race:
 # A short seed-corpus + random fuzz pass over every fuzz target in the
 # tree, i.e. every parser that handles untrusted bytes: the packet
 # decoder and the HTTP/TLS/DNS parsers each chain hop runs on wire bytes,
-# the DHT wire envelope and the offer/module records it carries, the
+# the DHT wire envelope (a differential against encoding/json, plus
+# its encoder held to json.Marshal) and the offer/module records it carries, the
 # distributed-store module manifest, the UDP discovery datagrams (DM and
 # offer), certificate blobs, tunnel frames,
 # the PVNC and user-script compilers, the pcap reader and pvnd's deploy
@@ -85,6 +86,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecoderReuse$$' -fuzztime=10s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeEnvelope$$' -fuzztime=10s ./internal/overlay/
+	$(GO) test -run='^$$' -fuzz='^FuzzEnvelopeEncode$$' -fuzztime=6s ./internal/overlay/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeModule$$' -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzHTTPDecode$$' -fuzztime=6s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzTLSDecode$$' -fuzztime=6s ./internal/packet/

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pvn/internal/pki"
@@ -11,8 +14,11 @@ import (
 )
 
 // FuzzDecodeEnvelope: the DHT wire decoder parses every byte a hostile
-// peer sends. It must never panic, must enforce its bounds, and
-// anything it accepts must survive an Encode/Decode round trip.
+// peer sends. It must never panic, and it is a differential against
+// decodeEnvelopeReference: what it accepts, the reference accepts as
+// the same envelope, and Encode gives back the input byte for byte;
+// what the reference accepts in the form json.Marshal writes, it
+// accepts.
 func FuzzDecodeEnvelope(f *testing.F) {
 	kp, err := pki.GenerateKey(pki.NewDeterministicRand(0xfe1))
 	if err != nil {
@@ -27,27 +33,102 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add((&Envelope{Kind: KindStore, RPC: 8, From: from, Record: rec}).Encode())
 	f.Add((&Envelope{Kind: KindNodes, RPC: 9, From: from, Peers: []PeerInfo{from},
 		Gossip: []RepClaim{{Provider: "isp", Reporter: "dev", Seq: 1, Audits: 4, Violations: 1}}}).Encode())
+	f.Add((&Envelope{Kind: KindStored, RPC: 10, From: PeerInfo{ID: self, Addr: "n\u00e9\"<0>"}, Err: "full\n"}).Encode())
+	if golden, err := os.ReadFile(filepath.Join("testdata", "envelope.golden")); err == nil {
+		f.Add(golden)
+		f.Add(bytes.Replace(golden, []byte(`,"rpc":42`), []byte(` , "rpc" : 42`), 1))
+	}
 	f.Add([]byte(`{"kind":"ping"}`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeEnvelope(data)
+		ref, refErr := decodeEnvelopeReference(data)
 		if err != nil {
+			if refErr == nil {
+				if canon, _ := json.Marshal(ref); bytes.Equal(canon, data) {
+					t.Fatalf("rejected canonical input the reference accepts: %v", err)
+				}
+			}
 			return
 		}
-		if !knownKinds[e.Kind] || !e.From.valid() {
-			t.Fatalf("accepted envelope with bad kind/sender: %+v", e)
+		if refErr != nil {
+			t.Fatalf("accepted input the reference rejects: %v", refErr)
 		}
-		if len(e.Peers) > maxPeers || len(e.Records) > maxRecords || len(e.Gossip) > maxGossipClaims {
-			t.Fatalf("accepted envelope exceeding bounds: %d peers %d records %d claims",
-				len(e.Peers), len(e.Records), len(e.Gossip))
+		if !reflect.DeepEqual(e, ref) {
+			t.Fatalf("decoded %+v, reference decoded %+v", e, ref)
 		}
-		again, err := DecodeEnvelope(e.Encode())
+		if again := e.Encode(); !bytes.Equal(again, data) {
+			t.Fatalf("Encode of an accepted envelope differs from its input:\n got %s\nwant %s", again, data)
+		}
+	})
+}
+
+// FuzzEnvelopeEncode: Encode and Record.signable write exactly the
+// bytes json.Marshal writes, for envelopes built from fuzzed fields —
+// strings that need escaping or are not UTF-8, nil against empty byte
+// slices, bodies with whitespace and HTML characters, negative counts.
+// Encode's result has no spare capacity, since payloads outlive it.
+func FuzzEnvelopeEncode(f *testing.F) {
+	f.Add("value", "n\"1\\", "<isp>&\u2028", "dev\x01\xff", uint64(42), []byte{1, 2, 3}, []byte(` {"a": "<b>", "c": [1, 2]} `), -3, false)
+	f.Add("ping", "n0", "isp", "dev-1", uint64(0), []byte{}, []byte(`{"provider":"isp"}`), 0, true)
+	f.Add("", "\u00e9", "\x7f\t", "", uint64(1<<63), []byte(nil), []byte(`"x\u2029y"`), 1<<40, false)
+	f.Add("store", "a", "b", "c", uint64(7), []byte("k"), []byte(`not json`), -1, true)
+
+	f.Fuzz(func(t *testing.T, kind, addr, name, reporter string, n uint64, raw, body []byte, count int, nilBytes bool) {
+		bs := func() []byte {
+			if nilBytes {
+				return nil
+			}
+			return append([]byte{}, raw...)
+		}
+		if !json.Valid(body) {
+			body = nil
+		}
+		rec := &Record{Kind: kind, Key: ServiceKey(name), Service: name, Publisher: reporter,
+			PublicKey: bs(), Seq: n, Body: body, Sig: bs()}
+		e := &Envelope{
+			Kind:    kind,
+			RPC:     n,
+			From:    PeerInfo{ID: ContentKey(raw), Addr: addr, Key: bs()},
+			Target:  ServiceKey(addr),
+			Record:  rec,
+			Records: []*Record{rec, nil, {Kind: name, Publisher: addr, Body: bs()}},
+			Peers:   []PeerInfo{{Addr: name, Key: bs()}, {ID: ServiceKey(reporter), Addr: reporter}},
+			Gossip: []RepClaim{{Provider: name, Reporter: reporter, Seq: n,
+				Audits: count, Violations: -count, Bypasses: count / 3}},
+			Err: reporter,
+		}
+		if e.Records[2].Body != nil && !json.Valid(e.Records[2].Body) {
+			e.Records[2].Body = nil
+		}
+		if nilBytes {
+			e.Record, e.Peers, e.Gossip = nil, []PeerInfo{}, nil
+		}
+		got := e.Encode()
+		want, err := json.Marshal(e)
 		if err != nil {
-			t.Fatalf("accepted envelope failed re-decode: %v", err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(e.Encode(), again.Encode()) {
-			t.Fatal("envelope changed across Encode/Decode round trip")
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Encode differs from json.Marshal:\n got %s\nwant %s", got, want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("Encode returned cap %d for len %d", cap(got), len(got))
+		}
+		for _, r := range e.Records {
+			if r == nil {
+				continue
+			}
+			clone := *r
+			clone.Sig = nil
+			want, err := json.Marshal(&clone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.signable(); !bytes.Equal(got, want) {
+				t.Fatalf("signable differs from json.Marshal of the unsigned copy:\n got %s\nwant %s", got, want)
+			}
 		}
 	})
 }

@@ -28,7 +28,6 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 
 	"pvn/internal/pki"
 )
@@ -79,25 +78,6 @@ func (id ID) MarshalText() ([]byte, error) {
 	b := make([]byte, 2*IDBytes)
 	hex.Encode(b, id[:])
 	return b, nil
-}
-
-// UnmarshalJSON decodes a JSON string of exactly 2*IDBytes hex digits.
-// Escaped strings and null are rejected, and a failed decode leaves id
-// unchanged.
-func (id *ID) UnmarshalJSON(b []byte) error {
-	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
-		return fmt.Errorf("overlay: ID must be a JSON string")
-	}
-	digits := b[1 : len(b)-1]
-	if len(digits) != 2*IDBytes {
-		return fmt.Errorf("overlay: ID must be %d hex digits, got %d", 2*IDBytes, len(digits))
-	}
-	var v ID
-	if _, err := hex.Decode(v[:], digits); err != nil {
-		return fmt.Errorf("overlay: bad ID hex: %w", err)
-	}
-	*id = v
-	return nil
 }
 
 // DistanceLess reports whether a is XOR-closer to target than b — the

@@ -58,15 +58,12 @@ type Record struct {
 	Sig []byte `json:"sig,omitempty"`
 }
 
-// signable returns the bytes Sig covers.
+// signable returns the bytes Sig covers: the wire encoding of a copy
+// with Sig cleared.
 func (r *Record) signable() []byte {
 	clone := *r
 	clone.Sig = nil
-	b, err := json.Marshal(&clone)
-	if err != nil {
-		panic("overlay: marshal record: " + err.Error())
-	}
-	return b
+	return clone.appendJSON(nil)
 }
 
 // Sign signs the record with the publisher's private key.

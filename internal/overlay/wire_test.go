@@ -2,10 +2,14 @@ package overlay
 
 import (
 	"bytes"
+	"encoding/base64"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"pvn/internal/netsim"
 )
 
 var updateWire = flag.Bool("update", false, "rewrite testdata/envelope.golden from this run")
@@ -61,5 +65,121 @@ func TestEnvelopeWireGolden(t *testing.T) {
 	}
 	if again := e.Encode(); !bytes.Equal(again, want) {
 		t.Fatalf("decode/encode of the golden changed it:\n got %s\nwant %s", again, want)
+	}
+	for _, r := range e.Records {
+		if err := r.Verify(); err != nil {
+			t.Fatalf("recorded %s signature no longer verifies: %v", r.Kind, err)
+		}
+	}
+}
+
+// TestDecodeEnvelopeCanonicalOnly: each case is one edit to a valid
+// envelope that encoding/json would still decode, and the reader must
+// refuse, because Encode would not write it. Delivered to a node, each
+// counts once as a bad envelope.
+func TestDecodeEnvelopeCanonicalOnly(t *testing.T) {
+	e := goldenEnvelope(t)
+	e.Peers = nil
+	e.Err = "quota \"<full>\" \u00e9\u2028" // escapes: the reader's encoding/json path
+	canon := string(e.Encode())
+	key := base64.StdEncoding.EncodeToString(e.From.Key)
+	pad := strings.IndexByte(key, '=') - 1
+	flipped := key[:pad] + string(base64Alphabet[strings.IndexByte(base64Alphabet, key[pad])^1]) + key[pad+1:]
+	target := e.Target.String()
+	edit := func(old, new string) string {
+		if !strings.Contains(canon, old) {
+			t.Fatalf("%q is not in the envelope", old)
+		}
+		return strings.Replace(canon, old, new, 1)
+	}
+	cases := []struct {
+		name string
+		data string
+		// jsonRejects marks a case encoding/json refuses as well.
+		jsonRejects bool
+	}{
+		{name: "whitespace between tokens", data: edit(`,"rpc":42`, `, "rpc": 42`)},
+		{name: "trailing newline", data: canon + "\n"},
+		{name: "swapped keys", data: edit(`{"kind":"value","rpc":42`, `{"rpc":42,"kind":"value"`)},
+		{name: "unknown key", data: edit(`,"rpc":42`, `,"rpc":42,"x":1`)},
+		{name: "duplicate key", data: edit(`,"rpc":42`, `,"rpc":41,"rpc":42`)},
+		{name: "case-folded key", data: edit(`{"kind":`, `{"Kind":`)},
+		{name: "null peers", data: edit(`,"gossip":`, `,"peers":null,"gossip":`)},
+		{name: "upper-case ID hex", data: edit(target, strings.ToUpper(target))},
+		{name: "base64 pad bits", data: edit(key, flipped)},
+		{name: "escaped letter", data: edit(`"kind":"value"`, `"kind":"v\u0061lue"`)},
+		{name: "leading zero", data: edit(`,"rpc":42`, `,"rpc":042`), jsonRejects: true},
+		{name: "negative zero", data: edit(`"bypasses":0`, `"bypasses":-0`)},
+	}
+	_, nodes := newSwarm(t, 0xca1, 1, Config{})
+	node := nodes[0]
+	for _, c := range cases {
+		if _, err := decodeEnvelopeReference([]byte(c.data)); (err != nil) != c.jsonRejects {
+			t.Errorf("%s: encoding/json decode error %v, want rejected=%t", c.name, err, c.jsonRejects)
+		}
+		if _, err := DecodeEnvelope([]byte(c.data)); err == nil {
+			t.Errorf("%s: decode must fail", c.name)
+		}
+		before := node.Stats.BadEnvelopes
+		node.deliver(&netsim.Message{Payload: []byte(c.data)})
+		if got := node.Stats.BadEnvelopes - before; got != 1 {
+			t.Errorf("%s: delivered, counted %d bad envelopes, want 1", c.name, got)
+		}
+	}
+	if _, err := DecodeEnvelope([]byte(canon)); err != nil {
+		t.Fatalf("the unedited envelope must decode: %v", err)
+	}
+}
+
+const base64Alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+// TestDecodeEnvelopeBoundsBeforeAlloc: a 256 KiB envelope listing far
+// more gossip claims or peers than the caps is refused at the first
+// entry past the cap, so it costs no more than twice the allocations of
+// a legal envelope holding exactly the cap.
+func TestDecodeEnvelopeBoundsBeforeAlloc(t *testing.T) {
+	kp := testKey(t, 0x77)
+	peer := PeerInfo{ID: IDFromPublicKey(kp.Public), Addr: "n1", Key: kp.Public}
+	claim := RepClaim{Provider: "isp", Reporter: "dev-1", Seq: 1, Audits: 2, Violations: 1}
+	lists := []struct {
+		name  string
+		limit int
+		build func(n int) *Envelope
+	}{
+		{"gossip claims", maxGossipClaims, func(n int) *Envelope {
+			e := validEnvelope(t)
+			for i := 0; i < n; i++ {
+				e.Gossip = append(e.Gossip, claim)
+			}
+			return e
+		}},
+		{"peers", maxPeers, func(n int) *Envelope {
+			e := validEnvelope(t)
+			for i := 0; i < n; i++ {
+				e.Peers = append(e.Peers, peer)
+			}
+			return e
+		}},
+	}
+	for _, l := range lists {
+		one, two := len(l.build(1).Encode()), len(l.build(2).Encode())
+		n := 1 + (maxEnvelopeBytes-two)/(two-one)
+		legal, hostile := l.build(l.limit).Encode(), l.build(n).Encode()
+		if len(hostile) > maxEnvelopeBytes {
+			t.Fatalf("%s: hostile envelope is %d bytes, over the %d cap", l.name, len(hostile), maxEnvelopeBytes)
+		}
+		var legalErr, hostileErr error
+		legalAllocs := testing.AllocsPerRun(5, func() { _, legalErr = DecodeEnvelope(legal) })
+		hostileAllocs := testing.AllocsPerRun(5, func() { _, hostileErr = DecodeEnvelope(hostile) })
+		if legalErr != nil {
+			t.Fatalf("%s: legal envelope at the cap: %v", l.name, legalErr)
+		}
+		if hostileErr == nil {
+			t.Fatalf("%s: %d entries accepted", l.name, n)
+		}
+		if hostileAllocs > 2*legalAllocs {
+			t.Errorf("%s: %d entries in %d bytes cost %.0f allocations to refuse, a legal %d cost %.0f",
+				l.name, n, len(hostile), hostileAllocs, l.limit, legalAllocs)
+		}
 	}
 }
