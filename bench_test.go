@@ -230,9 +230,7 @@ policy 0 match any action=forward
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := range compiled.FlowMods {
-		compiled.FlowMods[i].Apply(sw.Table, 0)
-	}
+	sw.Table.InstallAll(compiled.Entries(), 0)
 	data := buildFrame(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -268,9 +266,7 @@ policy 0 match any action=forward
 		if err != nil {
 			b.Fatal(err)
 		}
-		for i := range compiled.FlowMods {
-			compiled.FlowMods[i].Apply(t, 0)
-		}
+		t.InstallAll(compiled.Entries(), 0)
 	}
 	// 128 distinct flows so the 5-tuple hash spreads load across shards.
 	frames := make([][]byte, 128)

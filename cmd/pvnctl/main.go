@@ -73,8 +73,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "meter %-20s rate=%.0f bps\n", m.ID, m.RateBps)
 		}
 		fmt.Fprintf(stdout, "\n# flow rules (match order)\n")
-		for _, fm := range compiled.FlowMods {
-			fmt.Fprintf(stdout, "prio=%-4d %-50s -> %v\n", fm.Priority, fm.Match.String(), fm.Actions)
+		for _, r := range compiled.Rules {
+			fmt.Fprintf(stdout, "prio=%-4d %-50s -> %v\n", r.Priority, r.Match.String(), r.Actions)
 		}
 		return nil
 

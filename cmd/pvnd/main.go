@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"pvn/internal/core"
 	"pvn/internal/deployserver"
 	"pvn/internal/discovery"
 	"pvn/internal/middlebox"
@@ -35,7 +34,6 @@ import (
 	"pvn/internal/packet"
 	"pvn/internal/pki"
 	"pvn/internal/pvnc"
-	"pvn/internal/tunnel"
 )
 
 // request is the daemon's wire request envelope.
@@ -143,7 +141,6 @@ func serveMain(args []string) {
 	provider := fs.String("provider", "pvnd-isp", "provider name quoted in offers")
 	offerTTL := fs.Duration("offer-ttl", 30*time.Second, "how long quoted offers stay deployable")
 	leaseTTL := fs.Duration("lease-ttl", 0, "deployment lease length; 0 = deployments last until teardown")
-	leaseSweep := fs.Duration("lease-sweep", 10*time.Second, "how often lapsed leases are reclaimed (with -lease-ttl)")
 	mbxFailPolicy := fs.String("mbx-fail-policy", "", "default middlebox failure policy when a type declares none: open or closed (empty = closed)")
 	mbxBreaker := fs.Int("mbx-breaker-threshold", 8, "failures within the health window that open an instance's circuit breaker")
 	mbxBackoff := fs.Duration("mbx-restart-backoff", 200*time.Millisecond, "initial broken-instance restart cooldown (doubles per re-open, capped at 10s)")
@@ -196,15 +193,7 @@ func serveMain(args []string) {
 	srv := deployserver.New(policy, sw, rt, now)
 	srv.LeaseTTL = *leaseTTL
 	if *leaseTTL > 0 {
-		//lint:allow goleak daemon-lifetime lease sweeper; pvnd has no shutdown path short of process exit
-		go func() {
-			for range time.Tick(*leaseSweep) {
-				if expired := srv.SweepExpired(); len(expired) > 0 {
-					log.Printf("pvnd: reclaimed %d lapsed leases: %v", len(expired), expired)
-				}
-			}
-		}()
-		log.Printf("pvnd: deployment leases: ttl=%v sweep=%v", *leaseTTL, *leaseSweep)
+		log.Printf("pvnd: deployment leases: ttl=%v, lapsed ones reclaimed at the next request", *leaseTTL)
 	}
 
 	ln, err := net.Listen("tcp", *listen)
@@ -244,7 +233,12 @@ func handle(conn net.Conn, srv *deployserver.Server) {
 	}
 }
 
+// dispatch serves one request. Lapsed leases are reclaimed first, so a
+// request never sees a deployment whose lease has run out.
 func dispatch(req *request, srv *deployserver.Server) *response {
+	for _, f := range srv.SweepExpired() {
+		log.Printf("pvnd: reclaimed the lapsed lease of %s (%d bytes forfeited)", f.DeviceID, f.Bytes)
+	}
 	switch req.Type {
 	case "dm":
 		if req.DM == nil {
@@ -305,10 +299,6 @@ func clientMain(args []string) {
 	retryBackoff := fs.Duration("retry-backoff", 200*time.Millisecond, "initial retry delay (doubles per retry, capped at 5s)")
 	timeout := fs.Duration("timeout", 15*time.Second, "overall deadline for reaching a deployment")
 	fallback := fs.String("fallback-tunnel", "", "trusted remote PVN address to tunnel to when the daemon yields no deployment (empty = fail hard)")
-	fallbackRTT := fs.Duration("fallback-rtt", 80*time.Millisecond, "interdomain RTT penalty assumed for -fallback-tunnel")
-	probeInterval := fs.Duration("tunnel-probe-interval", 50*time.Millisecond, "health-probe cadence for tunnel endpoints")
-	downThreshold := fs.Int("tunnel-down-threshold", 4, "lost probes within the health window that mark a tunnel endpoint down")
-	drainDeadline := fs.Duration("roam-drain-deadline", core.DefaultDrainDeadline, "how long in-flight flows may drain through the old network after a make-before-break roam")
 	fs.Parse(args)
 
 	if *pvncPath == "" {
@@ -332,24 +322,10 @@ func clientMain(args []string) {
 		if *fallback == "" {
 			log.Fatalf("pvnd client: %s (no -fallback-tunnel configured)", why)
 		}
-		addr, err := packet.ParseIPv4(*fallback)
-		if err != nil {
+		if _, err := packet.ParseIPv4(*fallback); err != nil {
 			log.Fatalf("pvnd client: %s; bad -fallback-tunnel: %v", why, err)
 		}
-		tt := tunnel.NewTable(cfg.Device)
-		tt.Health = tunnel.HealthConfig{ProbeInterval: *probeInterval, DownThreshold: *downThreshold}
-		// Health transitions, not per-probe events: a flapping endpoint
-		// must not become a log storm.
-		tt.OnEvent = func(ev tunnel.Event) {
-			log.Printf("pvnd client: tunnel %s: %s -> %s — %s", ev.Endpoint, ev.From, ev.To, ev.Detail)
-		}
-		tt.OnFailover = func(f packet.Flow, from, to string) {
-			log.Printf("pvnd client: tunnel failover: flow re-pinned %s -> %s", from, to)
-		}
-		tt.Add(&tunnel.Endpoint{Name: "fallback", Addr: addr, ExtraRTT: *fallbackRTT, Trusted: true})
-		ep, _ := tt.BestTrusted()
-		log.Printf("pvnd client: %s; falling back to tunnel via %s (%s, +%v RTT, probes every %v, down after %d lost)",
-			why, ep.Name, *fallback, ep.ExtraRTT, *probeInterval, *downThreshold)
+		log.Printf("pvnd client: %s; falling back to tunnel via %s", why, *fallback)
 		os.Exit(0)
 	}
 
@@ -383,7 +359,6 @@ func clientMain(args []string) {
 		return resp
 	}
 
-	log.Printf("pvnd client: roam policy: make-before-break, drain deadline %v", *drainDeadline)
 	neg := discovery.NewNegotiator(*deviceID, cfg, *budget, discovery.StrategyReduce)
 	backoff := discovery.Backoff{Initial: *retryBackoff}
 	deadline := time.Now().Add(*timeout)

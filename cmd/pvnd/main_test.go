@@ -115,6 +115,57 @@ func TestDispatchErrors(t *testing.T) {
 	}
 }
 
+// TestDispatchSweepsLapsedLeases: pvnd runs no sweeper goroutine, so
+// every request, whatever its type, first reclaims the leases that have
+// lapsed. The next request after a lease runs out leaves the device
+// with no deployment, no rules and no middlebox instance.
+func TestDispatchSweepsLapsedLeases(t *testing.T) {
+	cfg, err := pvnc.Parse(testCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []*request{
+		{Type: "dm"},
+		{Type: "deploy"},
+		{Type: "manifest", DeviceID: "dev1"},
+		{Type: "usage", DeviceID: "dev1"},
+		{Type: "renew", DeviceID: "dev1"},
+		{Type: "teardown", DeviceID: "dev1"},
+		{Type: "bogus"},
+	}
+	for _, req := range reqs {
+		var now time.Duration
+		srv := testSrv(t)
+		srv.Now = func() time.Duration { return now }
+		srv.LeaseTTL = time.Minute
+		neg := discovery.NewNegotiator("dev1", cfg, 100, discovery.StrategyReduce)
+		offer := dispatch(&request{Type: "dm", DM: neg.MakeDM()}, srv).Offer
+		dec := neg.Evaluate(offer, 0)
+		if resp := dispatch(&request{Type: "deploy", Deploy: neg.BuildDeployRequest(offer, dec)}, srv); !resp.Deploy.OK {
+			t.Fatalf("deploy: %s", resp.Deploy.Reason)
+		}
+		if len(srv.Runtime.InstanceIDs()) == 0 {
+			t.Fatal("deployment booted no instance")
+		}
+
+		now = time.Minute - 1
+		dispatch(&request{Type: "usage", DeviceID: "dev1"}, srv)
+		if srv.Deployment("dev1") == nil {
+			t.Fatalf("%s: lease reclaimed before it lapsed", req.Type)
+		}
+
+		now = time.Minute
+		resp := dispatch(req, srv)
+		if srv.Deployment("dev1") != nil || len(srv.Runtime.InstanceIDs()) != 0 || srv.Switch.Table.Len() != 0 {
+			t.Fatalf("%s after the lease lapsed: deployment %v, %d instances, %d rules left",
+				req.Type, srv.Deployment("dev1"), len(srv.Runtime.InstanceIDs()), srv.Switch.Table.Len())
+		}
+		if req.DeviceID == "dev1" && req.Type != "manifest" && resp.Error == "" {
+			t.Fatalf("%s of a lapsed lease succeeded: %+v", req.Type, resp)
+		}
+	}
+}
+
 // TestHandleOverRealConn drives the JSON framing over a TCP connection.
 func TestHandleOverRealConn(t *testing.T) {
 	srv := testSrv(t)

@@ -161,11 +161,15 @@ func TestPipelineMatchesSerial(t *testing.T) {
 			tbl.Install(&e, 0)
 		}
 	}
-	// The clock steps one second at each flow mod.
-	mods := map[int]openflow.FlowMod{
-		n / 4:     {Command: openflow.FlowAdd, Priority: 110, Cookie: 9, Match: dportMatch(9999), Actions: out}, // punts become outputs
-		n / 2:     {Command: openflow.FlowAdd, Priority: 120, Cookie: 11, Match: dportMatch(25), Actions: out},  // shadows the drop rule
-		3 * n / 4: {Command: openflow.FlowDeleteCookie, Cookie: 11},                                             // drop rule back in force
+	// The clock steps one second at each scripted table change.
+	mods := map[int]func(tbl *openflow.FlowTable, now time.Duration){
+		n / 4: func(tbl *openflow.FlowTable, now time.Duration) { // punts become outputs
+			tbl.Install(&openflow.FlowEntry{Priority: 110, Cookie: 9, Match: dportMatch(9999), Actions: out}, now)
+		},
+		n / 2: func(tbl *openflow.FlowTable, now time.Duration) { // shadows the drop rule
+			tbl.Install(&openflow.FlowEntry{Priority: 120, Cookie: 11, Match: dportMatch(25), Actions: out}, now)
+		},
+		3 * n / 4: func(tbl *openflow.FlowTable, _ time.Duration) { tbl.RemoveByCookie(11) }, // drop rule back in force
 	}
 	var clock atomic.Int64
 	now := func() time.Duration { return time.Duration(clock.Load()) }
@@ -179,10 +183,10 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	var want ShardStats
 	var refTimed, swTimed *openflow.FlowEntry // the rule that expires, as each table billed it
 	for i, data := range pkts {
-		if fm, ok := mods[i]; ok {
+		if mod, ok := mods[i]; ok {
 			clock.Add(int64(time.Second))
-			fm.Apply(ref.table, now())
-			fm.Apply(sw.Table, now())
+			mod(ref.table, now())
+			mod(sw.Table, now())
 		}
 		r, s := ref.process(data, 0), sw.Process(data, 0)
 		if r.Verdict != s.Verdict || r.Port != s.Port || r.TunnelName != s.TunnelName ||
@@ -241,11 +245,11 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	rules(p.Table())
 	p.Start()
 	for i, data := range pkts {
-		if fm, ok := mods[i]; ok {
+		if mod, ok := mods[i]; ok {
 			p.Drain()
 			clock.Add(int64(time.Second))
 			p.ExpireNow()
-			fm.Apply(p.Table(), now())
+			mod(p.Table(), now())
 		}
 		if !p.Submit(data, 0) {
 			t.Fatal("unexpected backpressure drop")
@@ -383,16 +387,14 @@ func TestRuleUpdateMidStream(t *testing.T) {
 		t.Fatalf("outputs = %d, want 100", before.Outputs)
 	}
 
-	// Control plane flips port 80 to drop, at higher priority, via the
-	// same FlowMod path deployserver uses.
-	fm := openflow.FlowMod{
-		Command:  openflow.FlowAdd,
+	// Control plane flips port 80 to drop, at higher priority, through
+	// the same table deployserver writes.
+	p.Table().Install(&openflow.FlowEntry{
 		Priority: 200,
 		Match:    openflow.Match{Fields: openflow.FieldProto | openflow.FieldDstPort, Proto: packet.IPProtoTCP, DstPort: 80},
 		Actions:  []openflow.Action{openflow.Drop()},
 		Cookie:   99,
-	}
-	fm.Apply(p.Table(), 0)
+	}, 0)
 
 	for i := 0; i < 100; i++ {
 		p.Submit(web, 0)

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pvn/internal/middlebox"
 	"pvn/internal/netsim"
 	"pvn/internal/tunnel"
 )
@@ -164,11 +163,6 @@ type ShardStats struct {
 // Stats aggregates the pipeline's per-shard counters.
 type Stats struct {
 	Shards []ShardStats
-	// Chain aggregates supervision counters (panics contained, breaker
-	// opens, restarts, bypasses, …) from the chain executor — the
-	// middlebox runtime's verdict stream surfaced next to the packet
-	// counters it explains.
-	Chain middlebox.SupervisorStats
 	// Tunnel is the attached tunnel table's snapshot (endpoint health,
 	// per-endpoint usage, failover counts); zero when Config.Tunnels is
 	// unset.
@@ -221,22 +215,13 @@ func (c *shardCounters) snapshot(depth int) ShardStats {
 	}
 }
 
-// chainSupervisor is implemented by supervised chain executors
-// (middlebox.Runtime).
-type chainSupervisor interface {
-	SupervisorStats() middlebox.SupervisorStats
-}
-
 // Stats returns a point-in-time copy of every shard's counters, plus
-// the supervision counters of the chain executor.
+// the tunnel table's snapshot.
 func (p *Pipeline) Stats() Stats {
 	out := Stats{Shards: make([]ShardStats, len(p.shards))}
 	for i, sh := range p.shards {
 		out.Shards[i] = sh.counters.snapshot(sh.queue.depth())
 		out.Shards[i].CacheFlushes = sh.sw.CacheFlushes()
-	}
-	if sup, ok := p.cfg.Chains.(chainSupervisor); ok {
-		out.Chain = sup.SupervisorStats()
 	}
 	if p.cfg.Tunnels != nil {
 		out.Tunnel = p.cfg.Tunnels.Stats()

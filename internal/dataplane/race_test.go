@@ -161,14 +161,12 @@ func TestPipelineRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			fm := openflow.FlowMod{
-				Command:  openflow.FlowAdd,
+			p.Table().Install(&openflow.FlowEntry{
 				Priority: 200 + i,
 				Match:    openflow.Match{Fields: openflow.FieldDstPort, DstPort: 9999},
 				Actions:  []openflow.Action{openflow.Drop()},
 				Cookie:   1000,
-			}
-			fm.Apply(p.Table(), 0)
+			}, 0)
 			if i%3 == 0 {
 				p.Table().RemoveByCookie(1000)
 			}
@@ -287,8 +285,8 @@ func TestPipelinePanicStormRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			st := p.Stats()
-			if st.Chain.Panics < 0 || st.Chain.Bypasses < 0 {
+			p.Stats()
+			if sup := rt.SupervisorStats(); sup.Panics < 0 || sup.Bypasses < 0 {
 				panic("impossible negative supervision counter")
 			}
 		}
@@ -297,8 +295,7 @@ func TestPipelinePanicStormRace(t *testing.T) {
 	p.Drain()
 	p.Stop()
 
-	st := p.Stats()
-	total := st.Total()
+	total := p.Stats().Total()
 	if total.Processed != 4000 {
 		t.Fatalf("processed %d, want 4000", total.Processed)
 	}
@@ -310,14 +307,15 @@ func TestPipelinePanicStormRace(t *testing.T) {
 	if total.ChainErrs != 1000 || total.Drops != 1000 {
 		t.Fatalf("chain errs/drops %d/%d, want 1000/1000", total.ChainErrs, total.Drops)
 	}
-	if st.Chain.Panics == 0 {
+	sup := rt.SupervisorStats()
+	if sup.Panics == 0 {
 		t.Fatal("panic storm injected no panics")
 	}
-	if st.Chain.BreakerOpens == 0 {
+	if sup.BreakerOpens == 0 {
 		t.Fatal("breaker never opened under the storm")
 	}
-	if st.Chain.Bypasses == 0 || st.Chain.BrokenDrops == 0 {
-		t.Fatalf("supervision stats %+v: want bypasses and broken drops", st.Chain)
+	if sup.Bypasses == 0 || sup.BrokenDrops == 0 {
+		t.Fatalf("supervision stats %+v: want bypasses and broken drops", sup)
 	}
 	// Every storm packet either ran the box cleanly or was bypassed;
 	// faulting packets count in both Packets and Bypasses (the call ran,

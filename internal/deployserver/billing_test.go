@@ -151,7 +151,7 @@ func TestUsageAndManifestMatchCookieOracle(t *testing.T) {
 		p, b := oracle(dev)
 		want[dev] = [2]int64{p, b}
 	}
-	swept := s.SweepExpiredDetail()
+	swept := s.SweepExpired()
 	if len(swept) != 2 {
 		t.Fatalf("swept %d leases, want dev3 and dev5", len(swept))
 	}
@@ -172,7 +172,7 @@ func TestUsageAndManifestMatchCookieOracle(t *testing.T) {
 
 // TestUsageKeepsOperatorDeletedRules pins the one place billing from a
 // deployment's own entries differs from the by-cookie walk it replaced:
-// traffic a rule carried before an operator FlowMod deleted it stays
+// traffic a rule carried before an operator deleted it by cookie stays
 // billed to its deployment (the walk over what is still installed lost
 // it), while the manifest counts only what is still installed.
 func TestUsageKeepsOperatorDeletedRules(t *testing.T) {
@@ -192,8 +192,7 @@ func TestUsageKeepsOperatorDeletedRules(t *testing.T) {
 	}
 	rules := s.BuildManifest("dev1").RuleCount
 
-	del := openflow.FlowMod{Command: openflow.FlowDeleteCookie, Cookie: cookie}
-	if n := del.Apply(s.Switch.Table, now); n != rules {
+	if n := s.Switch.Table.RemoveByCookie(cookie); n != rules {
 		t.Fatalf("operator delete removed %d rules, the manifest counted %d", n, rules)
 	}
 	if p, b := s.Switch.Table.StatsByCookie(cookie); p != 0 || b != 0 {
@@ -210,5 +209,45 @@ func TestUsageKeepsOperatorDeletedRules(t *testing.T) {
 	}
 	if s.Switch.Table.Len() != 0 || s.ExtraRules.Len() != 0 {
 		t.Fatalf("rules left: %d and %d", s.Switch.Table.Len(), s.ExtraRules.Len())
+	}
+}
+
+// TestCrashForfeitsBookedUsage: Crash reports, for every booked
+// deployment and in device-ID order, exactly the usage Usage reported
+// just before it, then leaves no deployment, rule, meter, chain or
+// instance behind.
+func TestCrashForfeitsBookedUsage(t *testing.T) {
+	now := time.Duration(0)
+	s := testServer(t, &now)
+	s.ExtraRules = openflow.NewFlowTable()
+	for _, i := range []int{3, 1, 12, 2} {
+		req := &discovery.DeployRequest{DeviceID: fmt.Sprintf("dev%d", i), PVNCSource: subscriberSrc(i, 0), Payment: 300}
+		if resp := s.HandleDeploy(req); !resp.OK {
+			t.Fatalf("deploy %d: %s", i, resp.Reason)
+		}
+		subscriberTraffic(s.Switch.Table, i, 2+i, now)
+		subscriberTraffic(s.ExtraRules, i, i, now)
+	}
+	var want []Forfeit
+	for _, dev := range []string{"dev1", "dev12", "dev2", "dev3"} {
+		p, b, ok := s.Usage(dev)
+		if !ok || p == 0 {
+			t.Fatalf("%s: usage %d pkts (booked %t); the traffic missed it", dev, p, ok)
+		}
+		want = append(want, Forfeit{DeviceID: dev, Cookie: s.Deployment(dev).Cookie, Packets: p, Bytes: b})
+	}
+	insts := len(s.Runtime.InstanceIDs())
+
+	got, rules, _, _, instances := s.Crash()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Crash forfeits\n%v\nwant the Usage rows in device-ID order\n%v", got, want)
+	}
+	if rules == 0 || instances != insts {
+		t.Fatalf("Crash reclaimed %d rules and %d of %d instances", rules, instances, insts)
+	}
+	if len(s.DeviceIDs()) != 0 || s.Switch.Table.Len() != 0 || s.ExtraRules.Len() != 0 ||
+		len(s.Runtime.ChainKeys()) != 0 || len(s.Runtime.InstanceIDs()) != 0 {
+		t.Fatalf("state left after Crash: %d deployments, %d+%d rules, %d chains, %d instances",
+			len(s.DeviceIDs()), s.Switch.Table.Len(), s.ExtraRules.Len(), len(s.Runtime.ChainKeys()), len(s.Runtime.InstanceIDs()))
 	}
 }

@@ -310,7 +310,7 @@ func (s *Server) tables() []*openflow.FlowTable {
 }
 
 // usage sums the traffic of the deployment's own rules over every
-// table. A rule removed early (an operator FlowMod, an expiry) keeps
+// table. A rule removed early (an operator's delete, an expiry) keeps
 // its counters, so what it carried stays billed.
 func (s *Server) usage(dep *Deployment) (packets, bytes int64) {
 	for _, es := range dep.rules {
@@ -495,48 +495,60 @@ func (s *Server) leaseJitter(deviceID string) time.Duration {
 	return time.Duration(h % uint64(s.RenewJitter))
 }
 
-// SweptLease records one lease-expiry teardown with the deployment's
-// final usage counters — what the device forfeits when it lets a lease
-// lapse (billing for swept traffic happens out of band, if at all; the
-// scenario harness uses these to keep its byte accounting exact).
-type SweptLease struct {
+// Forfeit is one deployment's final usage when it ends without an
+// invoice: its lease lapsed (SweepExpired) or its provider crashed
+// (Crash). Billing for that traffic happens out of band, if at all; the
+// scenario harness and the orchestrator use these rows to keep their
+// byte accounting exact.
+type Forfeit struct {
 	DeviceID       string
 	Cookie         uint64
 	Packets, Bytes int64
 }
 
-// SweepExpired tears down every deployment whose lease has lapsed and
-// returns the affected device IDs, sorted. cmd/pvnd runs this
-// periodically; simulations call it from scheduled events.
-func (s *Server) SweepExpired() []string {
-	swept := s.SweepExpiredDetail()
-	ids := make([]string, len(swept))
-	for i, sl := range swept {
-		ids[i] = sl.DeviceID
+// forfeitsLocked lists the usage of every deployment pick accepts, in
+// device-ID order (deterministic across runs).
+func (s *Server) forfeitsLocked(pick func(*Deployment) bool) []Forfeit {
+	var rows []Forfeit
+	for id, dep := range s.deployments {
+		if pick(dep) {
+			packets, bytes := s.usage(dep)
+			rows = append(rows, Forfeit{DeviceID: id, Cookie: dep.Cookie, Packets: packets, Bytes: bytes})
+		}
 	}
-	return ids
+	sort.Slice(rows, func(i, j int) bool { return rows[i].DeviceID < rows[j].DeviceID })
+	return rows
 }
 
-// SweepExpiredDetail is SweepExpired reporting each lapsed lease's
-// final usage, in device-ID order (deterministic across runs).
-func (s *Server) SweepExpiredDetail() []SweptLease {
+// SweepExpired tears down every deployment whose lease has lapsed and
+// returns what each forfeits, in device-ID order. cmd/pvnd runs it at
+// the start of every request; simulations call it from scheduled events.
+func (s *Server) SweepExpired() []Forfeit {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.Now()
-	var expired []string
-	for id, dep := range s.deployments {
-		if dep.LeaseExpires > 0 && now >= dep.LeaseExpires {
-			expired = append(expired, id)
-		}
-	}
-	sort.Strings(expired)
-	swept := make([]SweptLease, 0, len(expired))
-	for _, id := range expired {
-		cookie := s.deployments[id].Cookie
-		packets, bytes, _ := s.teardownLocked(id)
-		swept = append(swept, SweptLease{DeviceID: id, Cookie: cookie, Packets: packets, Bytes: bytes})
+	swept := s.forfeitsLocked(func(dep *Deployment) bool {
+		return dep.LeaseExpires > 0 && now >= dep.LeaseExpires
+	})
+	for _, f := range swept {
+		// Listed under this lock, so the teardown finds it and cannot fail.
+		_, _, _ = s.teardownLocked(f.DeviceID)
 	}
 	return swept
+}
+
+// Crash simulates the provider crashing: every booked deployment's usage
+// is forfeited (the book dies with the process, so none of it is ever
+// invoiced), then Restart loses the book and ReclaimOrphans mops up the
+// state it leaked. It returns the forfeits, in device-ID order, and what
+// ReclaimOrphans reclaimed.
+func (s *Server) Crash() (forfeits []Forfeit, rules, meters, chains, instances int) {
+	s.mu.Lock()
+	forfeits = s.forfeitsLocked(func(*Deployment) bool { return true })
+	s.mu.Unlock()
+	s.Restart()
+	rules, meters, chains, instances = s.ReclaimOrphans()
+	return forfeits, rules, meters, chains, instances
 }
 
 // Restart simulates the deploy-server process crashing and coming back:

@@ -208,7 +208,7 @@ func TestLeaseExpiryAndRenew(t *testing.T) {
 		t.Fatalf("renewed lease swept: %v", expired)
 	}
 	now = 19 * time.Second // lapse is inclusive: now >= expiry
-	if expired := s.SweepExpired(); len(expired) != 1 || expired[0] != "dev1" {
+	if expired := s.SweepExpired(); len(expired) != 1 || expired[0].DeviceID != "dev1" {
 		t.Fatalf("sweep: %v", expired)
 	}
 	if s.Switch.Table.Len() != 0 || len(s.Runtime.InstancesOf("alice")) != 0 {

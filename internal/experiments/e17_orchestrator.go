@@ -249,10 +249,10 @@ func E17(p E17Params) *Result {
 		}
 		killedAt := clock.Now()
 		forfeited := map[string]int64{}
-		for devID, b := range c.KillHost(victim) {
+		for _, f := range c.KillHost(victim) {
 			for id, d := range devs {
-				if d.ID == devID {
-					forfeited[id] += b
+				if d.ID == f.DeviceID {
+					forfeited[id] += f.Bytes
 				}
 			}
 		}

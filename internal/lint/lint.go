@@ -247,7 +247,6 @@ func DefaultConfig() *Config {
 			"pvn/internal/netsim.Message.Payload": true,
 		},
 		TaintSinks: map[string]bool{
-			"pvn/internal/openflow.FlowMod.Apply":           true,
 			"pvn/internal/openflow.FlowTable.Install":       true,
 			"pvn/internal/openflow.FlowTable.InstallAll":    true,
 			"pvn/internal/openflow.FlowTable.AddMeter":      true,

@@ -144,10 +144,6 @@ func (t *Transcoder) Process(ctx *middlebox.Context, data []byte) ([]byte, middl
 	if !strings.HasPrefix(ct, "video/") {
 		return data, middlebox.VerdictPass, nil
 	}
-	ip, tc := p.IPv4(), p.TCP()
-	if ip == nil || tc == nil {
-		return data, middlebox.VerdictPass, nil
-	}
 	t.BytesIn += int64(len(h.Body))
 	newLen := int(float64(len(h.Body)) * t.Ratio)
 	if newLen < 1 {
@@ -159,10 +155,7 @@ func (t *Transcoder) Process(ctx *middlebox.Context, data []byte) ([]byte, middl
 	nh.SetHeader("X-PVN-Transcoded", "1")
 	t.BytesOut += int64(newLen)
 
-	nip := &packet.IPv4{TOS: ip.TOS, ID: ip.ID, TTL: ip.TTL, Protocol: ip.Protocol, Src: ip.Src, Dst: ip.Dst}
-	nt := &packet.TCP{SrcPort: tc.SrcPort, DstPort: tc.DstPort, Seq: tc.Seq, Ack: tc.Ack, Flags: tc.Flags, Window: tc.Window}
-	nt.SetNetworkLayerForChecksum(nip)
-	out, err := packet.SerializeToBytes(nip, nt, &nh)
+	out, err := packet.Reserialize(p, packet.Rewrite{Payload: &nh})
 	if err != nil {
 		return data, middlebox.VerdictPass, nil
 	}

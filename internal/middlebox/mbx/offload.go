@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pvn/internal/middlebox"
-	"pvn/internal/openflow"
 	"pvn/internal/packet"
 )
 
@@ -71,7 +70,7 @@ func (r *ReplicaSelector) Process(ctx *middlebox.Context, data []byte) ([]byte, 
 	if !ok || best == r.Service {
 		return data, middlebox.VerdictPass, nil
 	}
-	out, err := openflow.RewriteDst(data, best, 0)
+	out, err := packet.Reserialize(p, packet.Rewrite{Dst: best})
 	if err != nil {
 		return data, middlebox.VerdictPass, nil
 	}
@@ -105,10 +104,6 @@ func (w *WebRenderer) Process(ctx *middlebox.Context, data []byte) ([]byte, midd
 	if !strings.HasPrefix(strings.ToLower(h.Header("Content-Type")), "text/html") {
 		return data, middlebox.VerdictPass, nil
 	}
-	ip, tc := p.IPv4(), p.TCP()
-	if ip == nil || tc == nil {
-		return data, middlebox.VerdictPass, nil
-	}
 	rendered := renderHTML(string(h.Body))
 	if len(rendered) >= len(h.Body) {
 		return data, middlebox.VerdictPass, nil
@@ -123,10 +118,7 @@ func (w *WebRenderer) Process(ctx *middlebox.Context, data []byte) ([]byte, midd
 	nh.SetHeader("Content-Length", strconv.Itoa(len(rendered)))
 	nh.SetHeader("X-PVN-Rendered", "1")
 
-	nip := &packet.IPv4{TOS: ip.TOS, ID: ip.ID, TTL: ip.TTL, Protocol: ip.Protocol, Src: ip.Src, Dst: ip.Dst}
-	nt := &packet.TCP{SrcPort: tc.SrcPort, DstPort: tc.DstPort, Seq: tc.Seq, Ack: tc.Ack, Flags: tc.Flags, Window: tc.Window}
-	nt.SetNetworkLayerForChecksum(nip)
-	out, err := packet.SerializeToBytes(nip, nt, &nh)
+	out, err := packet.Reserialize(p, packet.Rewrite{Payload: &nh})
 	if err != nil {
 		return data, middlebox.VerdictPass, nil
 	}

@@ -228,9 +228,7 @@ func (d *PIIDetect) scan(sc *scanScratch, text []byte) []string {
 // returns nil when the packet is not rewritable HTTP.
 func (d *PIIDetect) redact(p *packet.Packet, found []string) []byte {
 	h := p.HTTP()
-	ip := p.IPv4()
-	t := p.TCP()
-	if h == nil || ip == nil || t == nil {
+	if h == nil {
 		return nil
 	}
 	body := string(h.Body)
@@ -246,10 +244,7 @@ func (d *PIIDetect) redact(p *packet.Packet, found []string) []byte {
 	nh.Body = []byte(body)
 	nh.Path = path
 
-	nip := &packet.IPv4{TOS: ip.TOS, ID: ip.ID, TTL: ip.TTL, Protocol: ip.Protocol, Src: ip.Src, Dst: ip.Dst}
-	nt := &packet.TCP{SrcPort: t.SrcPort, DstPort: t.DstPort, Seq: t.Seq, Ack: t.Ack, Flags: t.Flags, Window: t.Window}
-	nt.SetNetworkLayerForChecksum(nip)
-	out, err := packet.SerializeToBytes(nip, nt, &nh)
+	out, err := packet.Reserialize(p, packet.Rewrite{Payload: &nh})
 	if err != nil {
 		return nil
 	}

@@ -49,10 +49,6 @@ func (c *Compressor) Process(ctx *middlebox.Context, data []byte) ([]byte, middl
 	if h.Header("Content-Encoding") != "" {
 		return data, middlebox.VerdictPass, nil // already encoded
 	}
-	ip, tc := p.IPv4(), p.TCP()
-	if ip == nil || tc == nil {
-		return data, middlebox.VerdictPass, nil
-	}
 
 	var buf bytes.Buffer
 	w, err := flate.NewWriter(&buf, flate.BestSpeed)
@@ -73,10 +69,7 @@ func (c *Compressor) Process(ctx *middlebox.Context, data []byte) ([]byte, middl
 	nh.SetHeader("Content-Encoding", "deflate")
 	nh.SetHeader("Content-Length", strconv.Itoa(buf.Len()))
 
-	nip := &packet.IPv4{TOS: ip.TOS, ID: ip.ID, TTL: ip.TTL, Protocol: ip.Protocol, Src: ip.Src, Dst: ip.Dst}
-	nt := &packet.TCP{SrcPort: tc.SrcPort, DstPort: tc.DstPort, Seq: tc.Seq, Ack: tc.Ack, Flags: tc.Flags, Window: tc.Window}
-	nt.SetNetworkLayerForChecksum(nip)
-	out, err := packet.SerializeToBytes(nip, nt, &nh)
+	out, err := packet.Reserialize(p, packet.Rewrite{Payload: &nh})
 	if err != nil {
 		return data, middlebox.VerdictPass, nil
 	}

@@ -24,10 +24,3 @@ func (s *SyncExecutor) ExecuteChainBatch(chain string, pkts [][]byte, outs [][]b
 		outs[i], delays[i], errs[i] = s.rt.ExecuteChain(chain, p)
 	}
 }
-
-// SupervisorStats exposes the wrapped runtime's supervision counters to
-// metrics pollers (e.g. dataplane.Pipeline.Stats).
-func (s *SyncExecutor) SupervisorStats() SupervisorStats { return s.rt.SupervisorStats() }
-
-// Runtime returns the wrapped runtime.
-func (s *SyncExecutor) Runtime() *Runtime { return s.rt }

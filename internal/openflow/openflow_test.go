@@ -304,28 +304,6 @@ func TestSwitchMeterAddsDelay(t *testing.T) {
 	}
 }
 
-func TestRewriteDstTCP(t *testing.T) {
-	proxy := packet.MustParseIPv4("10.99.0.1")
-	out, err := RewriteDst(tcpPacket(t, clientIP, webIP, 1234, 80, "GETx"), proxy, 8080)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := packet.Decode(out, packet.LayerTypeIPv4)
-	if p.IPv4().Dst != proxy {
-		t.Fatalf("dst %v, want %v", p.IPv4().Dst, proxy)
-	}
-	if p.TCP().DstPort != 8080 {
-		t.Fatalf("dport %d, want 8080", p.TCP().DstPort)
-	}
-	// Checksums must still verify after the rewrite.
-	if !p.TCP().VerifyChecksum(p.IPv4().LayerPayload()) {
-		t.Fatal("rewritten packet has bad TCP checksum")
-	}
-	if string(p.TCP().LayerPayload()) != "GETx" {
-		t.Fatal("payload corrupted by rewrite")
-	}
-}
-
 func TestSwitchTunnelVerdict(t *testing.T) {
 	sw := NewSwitch("s1", nil)
 	sw.Table.Install(&FlowEntry{Priority: 1, Actions: []Action{Tunnel("cloud")}}, 0)
@@ -379,21 +357,6 @@ func TestSwitchProcessZeroAlloc(t *testing.T) {
 	}
 	if len(sw.cache.m) != flows {
 		t.Fatalf("%d flows memoized after the miss pass, want %d: the packets did not all miss", len(sw.cache.m), flows)
-	}
-}
-
-func TestFlowModApply(t *testing.T) {
-	tbl := NewFlowTable()
-	add := FlowMod{Command: FlowAdd, Priority: 9, Cookie: 5, Actions: []Action{Output(1)}}
-	if n := add.Apply(tbl, 0); n != 1 || tbl.Len() != 1 {
-		t.Fatalf("add affected %d", n)
-	}
-	del := FlowMod{Command: FlowDeleteCookie, Cookie: 5}
-	if n := del.Apply(tbl, 0); n != 1 || tbl.Len() != 0 {
-		t.Fatalf("delete affected %d", n)
-	}
-	if n := (&FlowMod{Command: "bogus"}).Apply(tbl, 0); n != 0 {
-		t.Fatalf("bogus command affected %d", n)
 	}
 }
 

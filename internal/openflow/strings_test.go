@@ -71,44 +71,6 @@ func TestSwitchString(t *testing.T) {
 	}
 }
 
-func TestRewriteDstUDPAndPlainIP(t *testing.T) {
-	dst := packet.MustParseIPv4("10.9.9.9")
-
-	// UDP rewrite, port change included.
-	ip := &packet.IPv4{Src: packet.MustParseIPv4("10.0.0.1"), Dst: packet.MustParseIPv4("10.0.0.2"), Protocol: packet.IPProtoUDP}
-	udp := &packet.UDP{SrcPort: 1000, DstPort: 53}
-	udp.SetNetworkLayerForChecksum(ip)
-	data, _ := packet.SerializeToBytes(ip, udp, packet.Payload("q"))
-	out, err := RewriteDst(data, dst, 5353)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := packet.Decode(out, packet.LayerTypeIPv4)
-	if p.IPv4().Dst != dst || p.UDP().DstPort != 5353 {
-		t.Fatalf("udp rewrite %s", p)
-	}
-	if !p.UDP().VerifyChecksum(p.IPv4().LayerPayload()) {
-		t.Fatal("udp checksum broken")
-	}
-
-	// Plain IP (no transport): address rewritten, payload preserved.
-	ip2 := &packet.IPv4{Src: packet.MustParseIPv4("10.0.0.1"), Dst: packet.MustParseIPv4("10.0.0.2"), Protocol: 250}
-	data2, _ := packet.SerializeToBytes(ip2, packet.Payload("raw"))
-	out2, err := RewriteDst(data2, dst, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := packet.Decode(out2, packet.LayerTypeIPv4)
-	if p2.IPv4().Dst != dst || string(p2.IPv4().LayerPayload()) != "raw" {
-		t.Fatalf("plain rewrite %s", p2)
-	}
-
-	// Non-IPv4 input errors.
-	if _, err := RewriteDst([]byte("garbage"), dst, 0); err == nil {
-		t.Fatal("garbage rewritten")
-	}
-}
-
 func TestEffBits(t *testing.T) {
 	m := &Match{Fields: FieldSrcIP, SrcIP: packet.MustParseIPv4("10.0.0.0"), SrcBits: 8}
 	if s := m.String(); !strings.Contains(s, "/8") {

@@ -191,41 +191,3 @@ func (t *FlowTable) Interpret(actions []Action, data []byte, now time.Duration, 
 	// Action list ended without a terminal action: drop, per OpenFlow.
 	return nil, out, delay, nil
 }
-
-// RewriteDst returns a copy of the IPv4 packet with its destination
-// address (and, if port is nonzero and the packet is TCP/UDP, destination
-// port) rewritten, with all checksums recomputed.
-func RewriteDst(data []byte, dst packet.IPv4Address, port uint16) ([]byte, error) {
-	p := packet.Decode(data, packet.LayerTypeIPv4)
-	ip := p.IPv4()
-	if ip == nil {
-		return nil, fmt.Errorf("openflow: rewrite of non-IPv4 packet")
-	}
-	newIP := &packet.IPv4{
-		TOS: ip.TOS, ID: ip.ID, Flags: ip.Flags, FragOff: ip.FragOff,
-		TTL: ip.TTL, Protocol: ip.Protocol, Src: ip.Src, Dst: dst,
-	}
-	switch {
-	case p.TCP() != nil:
-		t := p.TCP()
-		nt := &packet.TCP{
-			SrcPort: t.SrcPort, DstPort: t.DstPort, Seq: t.Seq, Ack: t.Ack,
-			Flags: t.Flags, Window: t.Window, Urgent: t.Urgent,
-		}
-		if port != 0 {
-			nt.DstPort = port
-		}
-		nt.SetNetworkLayerForChecksum(newIP)
-		return packet.SerializeToBytes(newIP, nt, packet.Payload(t.LayerPayload()))
-	case p.UDP() != nil:
-		u := p.UDP()
-		nu := &packet.UDP{SrcPort: u.SrcPort, DstPort: u.DstPort}
-		if port != 0 {
-			nu.DstPort = port
-		}
-		nu.SetNetworkLayerForChecksum(newIP)
-		return packet.SerializeToBytes(newIP, nu, packet.Payload(u.LayerPayload()))
-	default:
-		return packet.SerializeToBytes(newIP, packet.Payload(ip.LayerPayload()))
-	}
-}

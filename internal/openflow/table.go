@@ -25,7 +25,8 @@ type FlowEntry struct {
 	Match    Match
 	Actions  []Action
 	// Cookie is an opaque owner tag; the PVN deployment server uses it
-	// to attribute rules to user deployments and tear them down.
+	// to attribute rules to user deployments and, after a crash, to find
+	// the rules no deployment owns.
 	Cookie uint64
 	// IdleTimeout evicts the entry when unused this long; 0 = never.
 	IdleTimeout time.Duration
@@ -127,7 +128,7 @@ func (s *snapshot) match(f PacketFields) *FlowEntry {
 
 // FlowTable is the whole match/action state of one forwarding element:
 // a copy-on-write rule snapshot and the meter bank its Metered actions
-// name. Rule writes (Install/InstallAll/RemoveByCookie/Expire)
+// name. Rule writes (Install/InstallAll/RemoveEntries/RemoveByCookie/Expire)
 // serialize on a writer mutex and publish a new snapshot atomically —
 // one generation bump and so one flow-cache flush per call, however many
 // rules the call carries. A write copies the leaves it touches and the
@@ -287,9 +288,10 @@ func (t *FlowTable) CountFiled(es []*FlowEntry) int {
 }
 
 // RemoveByCookie deletes all entries carrying any of the given cookies,
-// as one table write, and returns how many were removed. The deployment
-// server uses this for PVN teardown (one cookie) and for reclaiming
-// what a crash orphaned (all of their cookies at once).
+// as one table write, and returns how many were removed. It walks every
+// rule, so it is not the teardown (that is RemoveEntries): the
+// deployment server uses it to reclaim what a crash orphaned, all of
+// their cookies at once.
 func (t *FlowTable) RemoveByCookie(cookies ...uint64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 
 	"pvn/internal/billing"
 	"pvn/internal/core"
+	"pvn/internal/deployserver"
 	"pvn/internal/discovery"
 	"pvn/internal/netsim"
 	"pvn/internal/pvnc"
@@ -378,26 +379,18 @@ func (c *Cluster) beat(h *Host) {
 	c.clock.Schedule(c.cfg.HeartbeatEvery, func() { c.beat(h) })
 }
 
-// KillHost crashes a host: heartbeats stop answering, the deployserver
-// process restarts empty, and leaked switch/runtime state is mopped.
-// It returns the usage each resident device forfeits (bytes metered
-// but never invoiced) — callers keeping exact billing account these at
-// kill time, mirroring the scenario engine's crash path.
-func (c *Cluster) KillHost(name string) map[string]int64 {
+// KillHost crashes a host: heartbeats stop answering and its
+// deployserver crashes (deployserver.Server.Crash). It returns the usage
+// each resident device forfeits (metered but never invoiced); callers
+// keeping exact billing account these at kill time.
+func (c *Cluster) KillHost(name string) []deployserver.Forfeit {
 	h := c.hostByName[name]
 	if h == nil || h.down {
 		return nil
 	}
 	h.down = true
-	forfeited := map[string]int64{}
-	for _, id := range h.Net.Server.DeviceIDs() {
-		if _, b, ok := h.Net.Server.Usage(id); ok {
-			forfeited[id] = b
-		}
-	}
-	h.Net.Server.Restart()
-	h.Net.Server.ReclaimOrphans()
-	return forfeited
+	forfeits, _, _, _, _ := h.Net.Server.Crash()
+	return forfeits
 }
 
 // RestoreHost brings a crashed host back; the next beat returns it to

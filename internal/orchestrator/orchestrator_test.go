@@ -231,10 +231,10 @@ func TestKillHostEvacuation(t *testing.T) {
 
 	forfeited := map[string]int64{}
 	killedAt := clock.Now()
-	for dev, b := range c.KillHost(dead) {
+	for _, f := range c.KillHost(dead) {
 		for id, d := range devs {
-			if d.ID == dev {
-				forfeited[id] += b
+			if d.ID == f.DeviceID {
+				forfeited[id] += f.Bytes
 			}
 		}
 	}

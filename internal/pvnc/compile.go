@@ -33,10 +33,11 @@ type MeterPlan struct {
 // Compiled is the lowered form of a PVNC: everything the deployment
 // server installs.
 type Compiled struct {
-	// FlowMods are installed into the edge switch, already
-	// priority-ordered.
-	FlowMods []openflow.FlowMod
-	// Meters must exist before the FlowMods referencing them.
+	// Rules are installed into the edge switch, already
+	// priority-ordered. They are templates: install the copies Entries
+	// hands out, never these.
+	Rules []openflow.FlowEntry
+	// Meters must exist before the rules referencing them.
 	Meters []MeterPlan
 	// Middleboxes must be instantiated (per middlebox runtime) before
 	// traffic flows.
@@ -54,9 +55,10 @@ type Compiled struct {
 // order: one table's worth (each table a deployment is written to counts
 // its own traffic), ready for FlowTable.InstallAll.
 func (c *Compiled) Entries() []*openflow.FlowEntry {
-	entries := make([]*openflow.FlowEntry, len(c.FlowMods))
-	for i := range c.FlowMods {
-		entries[i] = c.FlowMods[i].Entry()
+	entries := make([]*openflow.FlowEntry, len(c.Rules))
+	for i := range c.Rules {
+		e := c.Rules[i]
+		entries[i] = &e
 	}
 	return entries
 }

@@ -47,8 +47,8 @@ policy 0 match any action=forward
 		fmt.Println("compile:", err)
 		return
 	}
-	for _, fm := range compiled.FlowMods {
-		fmt.Printf("prio=%d %s -> %v\n", fm.Priority, fm.Match.String(), fm.Actions)
+	for _, r := range compiled.Rules {
+		fmt.Printf("prio=%d %s -> %v\n", r.Priority, r.Match.String(), r.Actions)
 	}
 	// Output:
 	// prio=100 src=10.0.0.5/32,proto=6,dport=443 -> [tunnel:cloud]

@@ -187,17 +187,17 @@ func TestCompileProducesOrderedRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.FlowMods) != 14 {
-		t.Fatalf("flow mods %d, want 14", len(c.FlowMods))
+	if len(c.Rules) != 14 {
+		t.Fatalf("rules %d, want 14", len(c.Rules))
 	}
 	last := 1 << 30
-	for _, fm := range c.FlowMods {
-		if fm.Priority > last {
-			t.Fatal("flow mods not in descending priority order")
+	for _, r := range c.Rules {
+		if r.Priority > last {
+			t.Fatal("rules not in descending priority order")
 		}
-		last = fm.Priority
-		if fm.Cookie != 7 {
-			t.Fatalf("cookie %d", fm.Cookie)
+		last = r.Priority
+		if r.Cookie != 7 {
+			t.Fatalf("cookie %d", r.Cookie)
 		}
 	}
 	if len(c.Meters) != 1 || c.Meters[0].RateBps != 1.5e6 {
@@ -217,9 +217,7 @@ func TestCompiledRulesBehaveOnSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := openflow.NewSwitch("edge", nil)
-	for i := range c.FlowMods {
-		c.FlowMods[i].Apply(sw.Table, 0)
-	}
+	sw.Table.InstallAll(c.Entries(), 0)
 	for _, m := range c.Meters {
 		sw.Table.AddMeter(m.ID, openflow.Meter{RateBps: m.RateBps})
 	}

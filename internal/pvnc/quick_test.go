@@ -115,17 +115,17 @@ func TestQuickValidConfigsCompile(t *testing.T) {
 			t.Logf("seed %d: compile: %v", seed, err)
 			return false
 		}
-		if len(c.FlowMods) != p.Estimate().NumFlowRules {
-			t.Logf("seed %d: %d rules, estimate %d", seed, len(c.FlowMods), p.Estimate().NumFlowRules)
+		if len(c.Rules) != p.Estimate().NumFlowRules {
+			t.Logf("seed %d: %d rules, estimate %d", seed, len(c.Rules), p.Estimate().NumFlowRules)
 			return false
 		}
 		// Priorities are non-increasing.
 		last := 1 << 30
-		for _, fm := range c.FlowMods {
-			if fm.Priority > last {
+		for _, r := range c.Rules {
+			if r.Priority > last {
 				return false
 			}
-			last = fm.Priority
+			last = r.Priority
 		}
 		return true
 	}, &quick.Config{MaxCount: 150}); err != nil {
@@ -206,8 +206,8 @@ func TestQuickEveryRulePinnedToCoveredAddr(t *testing.T) {
 				t.Logf("seed %d: %s: %v", seed, name, err)
 				return false
 			}
-			for _, fm := range c.FlowMods {
-				m := fm.Match
+			for _, r := range c.Rules {
+				m := r.Match
 				bySrc := m.Fields&openflow.FieldSrcIP != 0 && exact(m.SrcBits) && covered[m.SrcIP]
 				byDst := m.Fields&openflow.FieldDstIP != 0 && exact(m.DstBits) && covered[m.DstIP]
 				if !bySrc && !byDst {

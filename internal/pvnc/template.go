@@ -228,9 +228,9 @@ func (skel *skeleton) specialize(p *PVNC, opt CompileOptions, st *TemplateStats)
 				mOut = matchFor(sp.pol.Match, addr, true)
 				mIn = matchFor(sp.pol.Match, addr, false)
 			}
-			out.FlowMods = append(out.FlowMods,
-				openflow.FlowMod{Command: openflow.FlowAdd, Priority: sp.pol.Priority, Match: mOut, Actions: outActs, Cookie: opt.Cookie},
-				openflow.FlowMod{Command: openflow.FlowAdd, Priority: sp.pol.Priority, Match: mIn, Actions: inActs, Cookie: opt.Cookie})
+			out.Rules = append(out.Rules,
+				openflow.FlowEntry{Priority: sp.pol.Priority, Match: mOut, Actions: outActs, Cookie: opt.Cookie},
+				openflow.FlowEntry{Priority: sp.pol.Priority, Match: mIn, Actions: inActs, Cookie: opt.Cookie})
 			if st != nil {
 				st.Entries += 2
 				st.NaiveActionBytes += actionSliceBytes(outActs) + actionSliceBytes(inActs)

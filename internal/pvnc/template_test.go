@@ -88,8 +88,8 @@ func TestCompileSharedAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	aliased, private := 0, 0
-	for i := range a.FlowMods {
-		am, bm := &a.FlowMods[i], &b.FlowMods[i]
+	for i := range a.Rules {
+		am, bm := &a.Rules[i], &b.Rules[i]
 		hasChain := false
 		for _, act := range am.Actions {
 			if act.Chain != "" {
@@ -99,17 +99,17 @@ func TestCompileSharedAliasing(t *testing.T) {
 		if hasChain {
 			private++
 			if &am.Actions[0] == &bm.Actions[0] {
-				t.Fatalf("flowmod %d: namespace-bearing actions shared across deployments", i)
+				t.Fatalf("rule %d: namespace-bearing actions shared across deployments", i)
 			}
 		} else {
 			aliased++
 			if &am.Actions[0] != &bm.Actions[0] {
-				t.Fatalf("flowmod %d: namespace-free actions not shared", i)
+				t.Fatalf("rule %d: namespace-free actions not shared", i)
 			}
 		}
 	}
 	if aliased == 0 || private == 0 {
-		t.Fatalf("degenerate template: %d aliased, %d private flowmods", aliased, private)
+		t.Fatalf("degenerate template: %d aliased, %d private rules", aliased, private)
 	}
 }
 

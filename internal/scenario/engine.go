@@ -295,12 +295,12 @@ func (e *Engine) sweepLoop(until time.Duration) {
 // invariant accounts exactly.
 func (e *Engine) sweepOnce() {
 	for _, n := range e.W.Nets {
-		for _, sl := range n.Server.SweepExpiredDetail() {
-			if d := e.W.devByID[sl.DeviceID]; d != nil {
-				d.forfeited += sl.Bytes
+		for _, f := range n.Server.SweepExpired() {
+			if d := e.W.devByID[f.DeviceID]; d != nil {
+				d.forfeited += f.Bytes
 			}
 			e.sweeps++
-			e.note("sweep", "%s lease lapsed on %s, %d bytes forfeited", sl.DeviceID, n.Name, sl.Bytes)
+			e.note("sweep", "%s lease lapsed on %s, %d bytes forfeited", f.DeviceID, n.Name, f.Bytes)
 		}
 	}
 }
@@ -493,22 +493,17 @@ func (e *Engine) completeHandover(d *device) {
 	e.note("roam-done", "%s now on %s (%s)", d.id, h.New.Network.Name, h.New.Mode)
 }
 
-// opCrash crashes one provider: every deployment's usage is forfeited
-// (the book dies with the process), then Restart loses the book and
-// ReclaimOrphans mops the leaked rules, meters, chains and instances.
+// opCrash crashes one provider (deployserver.Server.Crash) and credits
+// each device's forfeited usage to its drift ledger.
 func (e *Engine) opCrash() {
 	n := e.W.Nets[e.rng.Intn(len(e.W.Nets))]
-	for _, id := range n.Server.DeviceIDs() {
-		_, b, ok := n.Server.Usage(id)
-		if ok {
-			if d := e.W.devByID[id]; d != nil {
-				d.forfeited += b
-				e.note("crash-forfeit", "%s forfeits %d bytes on %s", id, b, n.Name)
-			}
+	forfeits, rules, meters, chains, insts := n.Server.Crash()
+	for _, f := range forfeits {
+		if d := e.W.devByID[f.DeviceID]; d != nil {
+			d.forfeited += f.Bytes
+			e.note("crash-forfeit", "%s forfeits %d bytes on %s", f.DeviceID, f.Bytes, n.Name)
 		}
 	}
-	n.Server.Restart()
-	rules, meters, chains, insts := n.Server.ReclaimOrphans()
 	e.crashes++
 	e.note("crash", "%s restarted; reclaimed %d rules %d meters %d chains %d instances",
 		n.Name, rules, meters, chains, insts)
