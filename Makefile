@@ -137,9 +137,12 @@ soak:
 # subscribers) and diff it against the committed BENCH_DATAPLANE.json.
 # Allocs/op gates strictly (machine-independent); ops/sec only flags
 # collapses below 25% of the baseline, so CI hardware variance passes
-# but a new per-packet allocation or lock does not.
+# but a new per-packet allocation or lock does not. Then re-run E16, the
+# overlay, at full size and hold its allocs/op to BENCH_E16.json by the
+# same rule.
 bench-gate:
 	$(GO) run ./cmd/pvnbench -gate BENCH_DATAPLANE.json -quick
+	$(GO) run ./cmd/pvnbench -gate BENCH_E16.json
 
 # Re-record the committed dataplane baseline (full-size sweep). Run on a
 # quiet machine and commit the resulting BENCH_DATAPLANE.json.
@@ -148,7 +151,7 @@ bench-baseline:
 
 # The pre-merge gate: build, lint, full tests, full race pass, the E16
 # and E17 determinism pairs, the short adversarial soak, the soak exit
-# gate, short fuzz, and the dataplane perf gate.
+# gate, short fuzz, and the dataplane and overlay perf gates.
 check: build lint test race e16-determinism e17-determinism soak-short soak-exit-gate fuzz-short bench-gate
 
 # One iteration of every benchmark (experiments E1-E12 + micro-benches).

@@ -1,8 +1,10 @@
 package main
 
 // The bench gate: re-run the dataplane sweep and diff it against the
-// committed BENCH_DATAPLANE.json baseline. Two thresholds, deliberately
-// asymmetric:
+// committed BENCH_DATAPLANE.json baseline, or re-run the experiment a
+// committed BENCH_<exp>.json records (E16, the overlay) and hold its
+// allocs/op to the same rule as the sweep's. Two thresholds,
+// deliberately asymmetric:
 //
 //   - allocs/op gates strictly (baseline + 0.5): allocation counts are
 //     machine-independent, so any real increase is a code regression —
@@ -68,9 +70,54 @@ func compareDataplane(base, cur *dataplaneArtifact) []string {
 	return violations
 }
 
-// runGate executes the sweep and diffs it against the baseline at path.
+// compareExperiment returns the violation when the current run of an
+// experiment allocates more per op than its baseline allows, or "".
+func compareExperiment(base, cur *benchArtifact) string {
+	if cur.AllocsOp > base.AllocsOp+gateAllocSlack {
+		return fmt.Sprintf("%s: allocs/op regressed %.3f -> %.3f (limit %.3f)",
+			base.ID, base.AllocsOp, cur.AllocsOp, base.AllocsOp+gateAllocSlack)
+	}
+	return ""
+}
+
+// runExperimentGate re-runs the experiment the baseline at path records,
+// at full size as it was recorded, and diffs its allocs/op.
+func runExperimentGate(path string, base *benchArtifact) error {
+	for _, e := range all {
+		if e.id != base.ID {
+			continue
+		}
+		res, cur := runMeasured(e, false)
+		fmt.Println(res.String())
+		if v := compareExperiment(base, cur); v != "" {
+			fmt.Fprintf(os.Stderr, "bench-gate: %s\n", v)
+			return fmt.Errorf("bench gate failed vs %s", path)
+		}
+		fmt.Printf("bench gate passed vs %s (%.3f allocs/op, within +%.1f of %.3f)\n",
+			path, cur.AllocsOp, gateAllocSlack, base.AllocsOp)
+		return nil
+	}
+	return fmt.Errorf("%s: no experiment %q", path, base.ID)
+}
+
+// runGate diffs a fresh run against the baseline at path: the dataplane
+// sweep for BENCH_DATAPLANE.json, else the experiment the file records.
 // It returns an error if the gate fails.
 func runGate(path string, quick bool) error {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var exp benchArtifact
+	if err := json.Unmarshal(blob, &exp); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if exp.ID != "DATAPLANE" {
+		if exp.AllocsOp <= 0 {
+			return fmt.Errorf("%s: baseline records no allocs/op", path)
+		}
+		return runExperimentGate(path, &exp)
+	}
 	base, err := loadDataplaneBaseline(path)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,5 +146,61 @@ func TestCommittedBaselineCoversMissPath(t *testing.T) {
 		} else if r.AllocsOp >= 0.5 {
 			t.Errorf("%s: %.2f allocs/op recorded, want none per packet", cfg, r.AllocsOp)
 		}
+	}
+}
+
+// TestExperimentGate: a BENCH_<exp>.json baseline holds its
+// experiment's allocs/op to the sweep's rule. Sub-alloc jitter and
+// fewer allocations pass; a new allocation per op fails. A baseline
+// naming no experiment, or recording no allocs/op, is refused before
+// anything runs.
+func TestExperimentGate(t *testing.T) {
+	base := &benchArtifact{ID: "E16", AllocsOp: 75.6}
+	for _, c := range []struct {
+		allocs float64
+		fail   bool
+	}{{75.6, false}, {76.0, false}, {50, false}, {76.2, true}, {76.6, true}} {
+		cur := *base
+		cur.AllocsOp = c.allocs
+		v := compareExperiment(base, &cur)
+		if (v != "") != c.fail {
+			t.Errorf("%.1f allocs/op against %.1f: violation %q, want failure=%t", c.allocs, base.AllocsOp, v, c.fail)
+		}
+		if c.fail && !strings.Contains(v, "E16") {
+			t.Errorf("violation %q does not name the experiment", v)
+		}
+	}
+	dir := t.TempDir()
+	for name, blob := range map[string]string{
+		"unknown.json":  `{"id":"E99","allocs_per_op":1}`,
+		"no-count.json": `{"id":"E16"}`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := runGate(path, false); err == nil {
+			t.Errorf("%s: gate passed", name)
+		}
+	}
+}
+
+// TestCommittedE16Baseline: the committed overlay baseline names an
+// experiment the gate can re-run and records its allocs/op.
+func TestCommittedE16Baseline(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("..", "..", "BENCH_E16.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base benchArtifact
+	if err := json.Unmarshal(blob, &base); err != nil {
+		t.Fatal(err)
+	}
+	known := false
+	for _, e := range all {
+		known = known || e.id == base.ID
+	}
+	if base.ID != "E16" || !known || base.AllocsOp <= 0 {
+		t.Fatalf("BENCH_E16.json records experiment %q (known=%t) at %.2f allocs/op", base.ID, known, base.AllocsOp)
 	}
 }

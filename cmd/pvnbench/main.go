@@ -197,9 +197,16 @@ type benchArtifact struct {
 	Metrics   map[string]float64 `json:"metrics,omitempty"`
 }
 
-// writeBenchJSON records one experiment run under dir/BENCH_<id>.json.
-func writeBenchJSON(dir string, res *experiments.Result, wall time.Duration, allocs, allocBytes uint64) error {
-	art := benchArtifact{
+// runMeasured runs one experiment and records its wall time and what it
+// allocated.
+func runMeasured(e experiment, quick bool) (*experiments.Result, *benchArtifact) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	res := e.run(quick)
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	art := &benchArtifact{
 		ID:      res.ID,
 		Title:   res.Title,
 		WallMS:  float64(wall) / float64(time.Millisecond),
@@ -210,14 +217,19 @@ func writeBenchJSON(dir string, res *experiments.Result, wall time.Duration, all
 		if wall > 0 {
 			art.OpsPerSec = ops / wall.Seconds()
 		}
-		art.AllocsOp = float64(allocs) / ops
-		art.BytesOp = float64(allocBytes) / ops
+		art.AllocsOp = float64(after.Mallocs-before.Mallocs) / ops
+		art.BytesOp = float64(after.TotalAlloc-before.TotalAlloc) / ops
 	}
+	return res, art
+}
+
+// writeBenchJSON records one experiment run under dir/BENCH_<id>.json.
+func writeBenchJSON(dir string, art *benchArtifact) error {
 	blob, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_"+res.ID+".json"), append(blob, '\n'), 0o644)
+	return os.WriteFile(filepath.Join(dir, "BENCH_"+art.ID+".json"), append(blob, '\n'), 0o644)
 }
 
 func main() {
@@ -226,7 +238,7 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller parameters for a fast pass")
 	benchJSON := flag.String("bench-json", "", "directory to write BENCH_<exp>.json artifacts into")
 	dataplaneFlag := flag.Bool("dataplane", false, "run the dataplane scaling sweep instead of the experiments")
-	gateFlag := flag.String("gate", "", "run the dataplane sweep and fail on regression vs this BENCH_DATAPLANE.json baseline")
+	gateFlag := flag.String("gate", "", "fail on regression vs this committed baseline: BENCH_DATAPLANE.json re-runs the dataplane sweep, BENCH_<exp>.json its experiment")
 	soakFlag := flag.Bool("soak", false, "run the scenario-engine random soak instead of the experiments")
 	seedFlag := flag.Uint64("seed", 1, "soak: RNG seed (a violation report's reproduction line sets this)")
 	simHours := flag.Float64("sim-hours", 1.0, "soak: simulated hours of composed storms")
@@ -282,19 +294,11 @@ func main() {
 		if len(want) > 0 && !want[strings.ToUpper(e.id)] {
 			continue
 		}
-		var before runtime.MemStats
-		if *benchJSON != "" {
-			runtime.ReadMemStats(&before)
-		}
-		start := time.Now()
-		res := e.run(*quick)
-		wall := time.Since(start)
+		res, art := runMeasured(e, *quick)
 		fmt.Println(res.String())
-		fmt.Printf("(%s completed in %v)\n\n", e.id, wall.Round(time.Millisecond))
+		fmt.Printf("(%s completed in %v)\n\n", e.id, time.Duration(art.WallMS*float64(time.Millisecond)).Round(time.Millisecond))
 		if *benchJSON != "" {
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after)
-			if err := writeBenchJSON(*benchJSON, res, wall, after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc); err != nil {
+			if err := writeBenchJSON(*benchJSON, art); err != nil {
 				fmt.Fprintf(os.Stderr, "pvnbench: bench-json: %v\n", err)
 				os.Exit(1)
 			}

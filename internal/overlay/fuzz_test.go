@@ -2,11 +2,13 @@ package overlay
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pvn/internal/pki"
@@ -40,6 +42,28 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	}
 	f.Add([]byte(`{"kind":"ping"}`))
 	f.Add([]byte{})
+	// Each refusal of the fixed-width readers: IDs that are not 64
+	// lower-case hex digits, and keys that are not 44 base64 digits
+	// decoding to 32 bytes, as the sender's key and as a record's.
+	canon := string((&Envelope{Kind: KindValue, RPC: 11, From: from, Target: ServiceKey("pvn"),
+		Records: []*Record{rec}, Peers: []PeerInfo{from}}).Encode())
+	target, key := ServiceKey("pvn").String(), base64.StdEncoding.EncodeToString(kp.Public)
+	for _, id := range []string{strings.ToUpper(target), target[:63], target + "0"} {
+		f.Add([]byte(strings.Replace(canon, target, id, 1)))
+	}
+	for _, k := range []string{key[:43], key + "A", key[:20] + "\n" + key[21:], key[:20] + `\n` + key[22:],
+		base64.StdEncoding.EncodeToString(append(bytes.Clone(kp.Public), 0))} {
+		for _, field := range []string{`"key":"`, `"public_key":"`} {
+			f.Add([]byte(strings.Replace(canon, field+key, field+k, 1)))
+		}
+	}
+	for _, n := range []int{maxPeers, maxPeers + 1} {
+		e := &Envelope{Kind: KindNodes, RPC: 12, From: from}
+		for len(e.Peers) < n {
+			e.Peers = append(e.Peers, from)
+		}
+		f.Add(e.Encode())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeEnvelope(data)

@@ -1,6 +1,9 @@
 package overlay
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Iterative lookup, the heart of Kademlia. The implementation is
 // round-based rather than free-running: each round queries the alpha
@@ -41,7 +44,8 @@ type lookup struct {
 	n         *Node
 	target    ID
 	findValue bool
-	entries   map[ID]*lkEntry
+	// shortlist holds the candidates nearest-first, each ID once.
+	shortlist []*lkEntry
 	inFlight  int
 	res       LookupResult
 	records   map[string]*Record // publisher -> highest-Seq record under target
@@ -117,30 +121,38 @@ func (n *Node) startLookup(target ID, findValue bool, done func(LookupResult)) {
 		n:         n,
 		target:    target,
 		findValue: findValue,
-		entries:   make(map[ID]*lkEntry),
 		records:   make(map[string]*Record),
 		done:      done,
 		res:       LookupResult{Target: target},
 	}
-	for _, p := range n.table.Closest(target, bucketSize) {
-		lk.entries[p.ID] = &lkEntry{peer: p}
+	var scratch [closestScratch]*contact
+	cs := n.table.closest(target, bucketSize, scratch[:0])
+	entries := make([]lkEntry, len(cs)+1)
+	lk.shortlist = make([]*lkEntry, len(cs), len(cs)+1)
+	for i, c := range cs {
+		entries[i].peer = c.peer
+		lk.shortlist[i] = &entries[i]
 	}
 	// We always count as a responded candidate for our own ID space
 	// position: a lookup on a one-node network terminates immediately.
-	lk.entries[n.self.ID] = &lkEntry{peer: n.self, queried: true, responded: true}
+	self := &entries[len(cs)]
+	*self = lkEntry{peer: n.self, queried: true, responded: true}
+	lk.insert(self)
 	lk.round()
 }
 
-// sorted returns all candidates nearest-first.
-func (lk *lookup) sorted() []*lkEntry {
-	out := make([]*lkEntry, 0, len(lk.entries))
-	for _, e := range lk.entries {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return DistanceLess(out[i].peer.ID, out[j].peer.ID, lk.target)
+// insert puts a candidate not yet listed at its place in the shortlist.
+func (lk *lookup) insert(e *lkEntry) {
+	i, _ := lk.find(e.peer.ID)
+	lk.shortlist = slices.Insert(lk.shortlist, i, e)
+}
+
+// find returns where id sits in the shortlist, or would go, and
+// whether it is there.
+func (lk *lookup) find(id ID) (int, bool) {
+	return slices.BinarySearchFunc(lk.shortlist, id, func(e *lkEntry, id ID) int {
+		return distanceCmp(e.peer.ID, id, lk.target)
 	})
-	return out
 }
 
 // round queries the alpha closest unqueried candidates within the k
@@ -149,25 +161,22 @@ func (lk *lookup) round() {
 	if lk.finished {
 		return
 	}
-	candidates := lk.sorted()
-	if len(candidates) > bucketSize {
-		candidates = candidates[:bucketSize]
-	}
-	var batch []*lkEntry
-	for _, e := range candidates {
+	var batch [lookupAlpha]*lkEntry
+	nb := 0
+	for _, e := range lk.shortlist[:min(len(lk.shortlist), bucketSize)] {
 		if !e.queried {
-			batch = append(batch, e)
-			if len(batch) == lookupAlpha {
+			batch[nb] = e
+			if nb++; nb == lookupAlpha {
 				break
 			}
 		}
 	}
-	if len(batch) == 0 {
+	if nb == 0 {
 		lk.finish()
 		return
 	}
 	lk.res.Rounds++
-	for _, e := range batch {
+	for _, e := range batch[:nb] {
 		e.queried = true
 		lk.inFlight++
 		lk.res.RPCs++
@@ -188,13 +197,12 @@ func (lk *lookup) onReply(e *lkEntry, resp *Envelope) {
 	e.responded = true
 	for _, pi := range resp.Peers {
 		// DecodeEnvelope bounds-checked these, but re-check the key
-		// binding here: shortlist entries drive who we talk to next.
-		if !pi.valid() {
+		// binding of each new one here: shortlist entries drive who we
+		// talk to next. Most are already listed, and pay no hash.
+		if _, known := lk.find(pi.ID); known || !pi.valid() {
 			continue
 		}
-		if _, known := lk.entries[pi.ID]; !known {
-			lk.entries[pi.ID] = &lkEntry{peer: pi.Peer()}
-		}
+		lk.insert(&lkEntry{peer: pi.Peer()})
 	}
 	if lk.findValue && resp.Kind == KindValue {
 		for _, r := range resp.Records {
@@ -223,7 +231,9 @@ func (lk *lookup) onTimeout(e *lkEntry) {
 	lk.res.Timeouts++
 	// The contact already took a strike in Node.request; drop it from
 	// the shortlist so convergence does not wait on the dead.
-	delete(lk.entries, e.peer.ID)
+	if i, ok := lk.find(e.peer.ID); ok {
+		lk.shortlist = slices.Delete(lk.shortlist, i, i+1)
+	}
 	lk.advance()
 }
 
@@ -242,7 +252,7 @@ func (lk *lookup) finish() {
 	}
 	lk.finished = true
 	var closest []Peer
-	for _, e := range lk.sorted() {
+	for _, e := range lk.shortlist {
 		if e.responded {
 			closest = append(closest, e.peer)
 			if len(closest) == bucketSize {

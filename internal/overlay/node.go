@@ -406,10 +406,11 @@ func (n *Node) reply(req *Envelope, resp *Envelope) {
 
 // closestInfos serializes our k closest contacts to target.
 func (n *Node) closestInfos(target ID) []PeerInfo {
-	peers := n.table.Closest(target, bucketSize)
-	out := make([]PeerInfo, 0, len(peers))
-	for _, p := range peers {
-		out = append(out, PeerInfo{ID: p.ID, Addr: p.Addr, Key: p.Key})
+	var scratch [closestScratch]*contact
+	cs := n.table.closest(target, bucketSize, scratch[:0])
+	out := make([]PeerInfo, len(cs))
+	for i, c := range cs {
+		out[i] = PeerInfo{ID: c.peer.ID, Addr: c.peer.Addr, Key: c.peer.Key}
 	}
 	return out
 }

@@ -80,12 +80,9 @@ func (id ID) MarshalText() ([]byte, error) {
 	return b, nil
 }
 
-// DistanceLess reports whether a is XOR-closer to target than b — the
-// total order every routing and storage decision uses.
-func DistanceLess(a, b, target ID) bool { return distanceCmp(a, b, target) < 0 }
-
-// distanceCmp is the three-way form of DistanceLess: negative when a is
-// XOR-closer to target than b, zero when a == b, positive otherwise.
+// distanceCmp orders IDs by XOR distance to target, the total order
+// every routing and storage decision uses: negative when a is closer
+// than b, zero when a == b, positive otherwise.
 func distanceCmp(a, b, target ID) int {
 	for i := 0; i < IDBytes; i++ {
 		da, db := a[i]^target[i], b[i]^target[i]

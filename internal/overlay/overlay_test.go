@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func TestIDDistanceOrderAndBuckets(t *testing.T) {
 	b := idWithBytes(0x01)
 	c := idWithBytes(0x80)
 
-	if !DistanceLess(b, c, a) {
+	if distanceCmp(b, c, a) >= 0 {
 		t.Fatal("0x01 is XOR-closer to 0x00 than 0x80")
 	}
 	// Highest differing bit: 0x80 differs from 0x00 in bit 255 (the
@@ -154,6 +155,49 @@ func TestTableClosestOrdering(t *testing.T) {
 	}
 }
 
+// TestTableFootprint: a table stores only the buckets from the top down
+// to the deepest one in use. In a 128-node overlay that is about eight,
+// so 128 full tables retain their contacts and little else; 256 bucket
+// headers each (6 KiB a table) would not fit the bound. Evicting every
+// contact gives the buckets back.
+func TestTableFootprint(t *testing.T) {
+	const nodes = 128
+	peers := make([]Peer, nodes)
+	for i := range peers {
+		peers[i] = Peer{ID: ContentKey([]byte(fmt.Sprint(i))), Addr: fmt.Sprint("n", i)}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tables := make([]*Table, nodes)
+	contacts := 0
+	for i := range tables {
+		tables[i] = NewTable(peers[i].ID, bucketSize)
+		for _, p := range peers {
+			tables[i].Update(p, 0)
+		}
+		contacts += tables[i].Len()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	// A contact is one 96-byte allocation and a slot in its bucket, which
+	// append may have left up to half empty; a table and its bucket
+	// headers get 1 KiB.
+	if bound := int64(contacts)*(96+2*8) + nodes*1024; retained > bound {
+		t.Errorf("%d tables holding %d contacts retain %d bytes, bound %d", nodes, contacts, retained, bound)
+	}
+	tb := tables[0]
+	for _, p := range peers {
+		tb.Fail(p.ID)
+		tb.Fail(p.ID)
+	}
+	if tb.Len() != 0 || len(tb.buckets) != 0 {
+		t.Errorf("after evicting every contact: %d contacts in %d buckets", tb.Len(), len(tb.buckets))
+	}
+	runtime.KeepAlive(tables)
+}
+
 // TestClosestMatchesSortAll holds Closest's bucket walk to the plain
 // definition: every contact sorted by XOR distance, first n kept. The
 // tables crowd self's low buckets (peers sharing long prefixes with it)
@@ -204,7 +248,7 @@ func TestClosestMatchesSortAll(t *testing.T) {
 		}
 		for _, target := range targets {
 			want := append([]Peer(nil), all...)
-			sort.Slice(want, func(i, j int) bool { return DistanceLess(want[i].ID, want[j].ID, target) })
+			sort.Slice(want, func(i, j int) bool { return distanceCmp(want[i].ID, want[j].ID, target) < 0 })
 			for _, n := range []int{0, 1, 3, 16, 64, len(all), len(all) + 5} {
 				w := want
 				if len(w) > n {

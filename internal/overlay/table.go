@@ -25,15 +25,17 @@ type contact struct {
 // the simulated clock means the node left.
 const maxContactFails = 2
 
-// Table is the Kademlia routing table: IDBits k-buckets of contacts
-// ordered least-recently-seen first. It is single-threaded by design —
-// the owning node drives it from netsim clock events only.
+// Table is the Kademlia routing table: k-buckets of contacts ordered
+// least-recently-seen first. It is single-threaded by design — the
+// owning node drives it from netsim clock events only.
 type Table struct {
 	self ID
 	k    int
-	// buckets[i] holds contacts whose highest differing bit from self
-	// is i; each is ordered least-recently-seen first.
-	buckets [IDBits][]*contact
+	// buckets[j] is k-bucket IDBits-1-j, the contacts whose highest
+	// differing bit from self is IDBits-1-j. A bucket one level deeper
+	// holds half as many IDs, so only the top few fill: the slice ends
+	// at the deepest bucket in use (see bucket and setBucket).
+	buckets [][]*contact
 }
 
 // NewTable builds an empty table for the given identity and bucket
@@ -43,6 +45,27 @@ func NewTable(self ID, k int) *Table {
 		k = 16
 	}
 	return &Table{self: self, k: k}
+}
+
+// bucket returns k-bucket i, empty when it lies deeper than any in use.
+func (t *Table) bucket(i int) []*contact {
+	if j := IDBits - 1 - i; j < len(t.buckets) {
+		return t.buckets[j]
+	}
+	return nil
+}
+
+// setBucket replaces k-bucket i, growing the table down to it or
+// trimming empty buckets off the deep end.
+func (t *Table) setBucket(i int, b []*contact) {
+	j := IDBits - 1 - i
+	if j >= len(t.buckets) {
+		t.buckets = append(t.buckets, make([][]*contact, j+1-len(t.buckets))...)
+	}
+	t.buckets[j] = b
+	for len(t.buckets) > 0 && len(t.buckets[len(t.buckets)-1]) == 0 {
+		t.buckets = t.buckets[:len(t.buckets)-1]
+	}
 }
 
 // Update records that the peer was heard from at now. Known contacts
@@ -57,7 +80,7 @@ func (t *Table) Update(p Peer, now time.Duration) bool {
 	if bi < 0 {
 		return false // never bucket self
 	}
-	b := t.buckets[bi]
+	b := t.bucket(bi)
 	for i, c := range b {
 		if c.peer.ID == p.ID {
 			c.lastSeen = now
@@ -65,17 +88,17 @@ func (t *Table) Update(p Peer, now time.Duration) bool {
 			if len(p.Key) > 0 {
 				c.peer = p
 			}
-			t.buckets[bi] = append(append(b[:i], b[i+1:]...), c)
+			t.setBucket(bi, append(append(b[:i], b[i+1:]...), c))
 			return true
 		}
 	}
 	if len(b) < t.k {
-		t.buckets[bi] = append(b, &contact{peer: p, lastSeen: now})
+		t.setBucket(bi, append(b, &contact{peer: p, lastSeen: now}))
 		return true
 	}
 	for i, c := range b {
 		if c.fails > 0 {
-			t.buckets[bi] = append(append(b[:i], b[i+1:]...), &contact{peer: p, lastSeen: now})
+			t.setBucket(bi, append(append(b[:i], b[i+1:]...), &contact{peer: p, lastSeen: now}))
 			return true
 		}
 	}
@@ -90,11 +113,12 @@ func (t *Table) Fail(id ID) bool {
 	if bi < 0 {
 		return false
 	}
-	for i, c := range t.buckets[bi] {
+	b := t.bucket(bi)
+	for i, c := range b {
 		if c.peer.ID == id {
 			c.fails++
 			if c.fails >= maxContactFails {
-				t.buckets[bi] = append(t.buckets[bi][:i], t.buckets[bi][i+1:]...)
+				t.setBucket(bi, append(b[:i], b[i+1:]...))
 				return true
 			}
 			return false
@@ -103,16 +127,32 @@ func (t *Table) Fail(id ID) bool {
 	return false
 }
 
+// closestScratch is the stack room a reply's closest-set walk sorts in
+// before it spills to the heap: four full buckets.
+const closestScratch = 4 * bucketSize
+
 // Closest returns up to n known peers ordered by XOR distance to
 // target (ties cannot occur: IDs are unique points in the metric).
+func (t *Table) Closest(target ID, n int) []Peer {
+	var scratch [closestScratch]*contact
+	cs := t.closest(target, n, scratch[:0])
+	out := make([]Peer, len(cs))
+	for i, c := range cs {
+		out[i] = c.peer
+	}
+	return out
+}
+
+// closest collects in scratch up to n contacts nearest target, nearest
+// first. The table retains none of it.
 //
 // The buckets already partition contacts by distance. With b the
 // bucket target itself falls in, contacts in bucket b lie nearer than
 // 2^b, those in buckets 0..b-1 all lie in [2^b, 2^(b+1)), and those in
-// bucket i > b lie in [2^i, 2^(i+1)). Closest walks those groups in
+// bucket i > b lie in [2^i, 2^(i+1)). closest walks those groups in
 // that order and sorts within each, stopping at the first group that
 // reaches n, so a reply sorts about n contacts rather than the table.
-func (t *Table) Closest(target ID, n int) []Peer {
+func (t *Table) closest(target ID, n int, scratch []*contact) []*contact {
 	b := BucketIndex(t.self, target) // -1 when target is self: groups 0, 1, 2, ...
 	group := func(g int) (lo, hi int) {
 		switch g {
@@ -123,23 +163,14 @@ func (t *Table) Closest(target ID, n int) []Peer {
 		}
 		return b + g - 1, b + g - 1
 	}
-	groups, size := 0, 0
-	for ; groups <= IDBits-b && size < n; groups++ {
-		lo, hi := group(groups)
-		for i := lo; i <= hi; i++ {
-			size += len(t.buckets[i])
-		}
-	}
-	out := make([]Peer, 0, size)
-	for g := 0; g < groups; g++ {
+	out := scratch[:0]
+	for g := 0; g <= IDBits-b && len(out) < n; g++ {
 		start := len(out)
 		lo, hi := group(g)
-		for i := lo; i <= hi; i++ {
-			for _, c := range t.buckets[i] {
-				out = append(out, c.peer)
-			}
+		for i := max(lo, IDBits-len(t.buckets)); i <= hi; i++ {
+			out = append(out, t.bucket(i)...)
 		}
-		slices.SortFunc(out[start:], func(x, y Peer) int { return distanceCmp(x.ID, y.ID, target) })
+		slices.SortFunc(out[start:], func(x, y *contact) int { return distanceCmp(x.peer.ID, y.peer.ID, target) })
 	}
 	if len(out) > n {
 		out = out[:n]
@@ -150,8 +181,8 @@ func (t *Table) Closest(target ID, n int) []Peer {
 // Len returns the total number of contacts.
 func (t *Table) Len() int {
 	n := 0
-	for i := range t.buckets {
-		n += len(t.buckets[i])
+	for _, b := range t.buckets {
+		n += len(b)
 	}
 	return n
 }

@@ -369,26 +369,77 @@ func (r *reader) opt(s string) bool {
 func (r *reader) lit(s string) { r.need(r.opt(s)) }
 
 func (r *reader) envelope() *Envelope {
-	e := &Envelope{Kind: r.str(`{"kind":`), RPC: r.uint(`,"rpc":`), From: r.peer(`,"from":`),
+	e := &Envelope{Kind: r.str(`{"kind":`), RPC: r.uint(`,"rpc":`), From: r.from(),
 		Target: r.id(`,"target":`), Record: optional(r, `,"record":`, r.record),
-		Records: list(r, `,"records":[`, maxRecords, r.record), Peers: list(r, `,"peers":[`, maxPeers, r.peer),
+		Records: list(r, `,"records":[`, maxRecords, r.record), Peers: r.peers(),
 		Gossip: list(r, `,"gossip":[`, maxGossipClaims, r.claim), Err: optional(r, `,"err":`, r.nonEmpty)}
 	r.lit(`}`)
 	return e
 }
 
-func (r *reader) peer(key string) PeerInfo {
+// peer reads one peer entry. Its key, when present, is decoded into
+// keyBuf and pi.Key is left nil: the caller decides where keys live.
+func (r *reader) peer(key string, keyBuf []byte) (pi PeerInfo, hasKey bool) {
 	r.lit(key)
-	pi := PeerInfo{ID: r.id(`{"id":`), Addr: r.str(`,"addr":`), Key: optional(r, `,"key":`, r.bytes)}
+	pi.ID, pi.Addr = r.id(`{"id":`), r.str(`,"addr":`)
+	if hasKey = r.opt(`,"key":`); hasKey {
+		r.pubKey("", keyBuf)
+	}
 	r.lit(`}`)
+	return pi, hasKey
+}
+
+func (r *reader) from() PeerInfo {
+	var key [ed25519.PublicKeySize]byte
+	pi, hasKey := r.peer(`,"from":`, key[:])
+	if hasKey {
+		pi.Key = bytes.Clone(key[:])
+	}
 	return pi
+}
+
+// peers reads the peer list into stack scratch, then allocates the
+// slice at its final length and every key in one slab. Like list, it
+// fails at the separator before entry maxPeers+1.
+func (r *reader) peers() []PeerInfo {
+	if !r.opt(`,"peers":[`) {
+		return nil
+	}
+	const size = ed25519.PublicKeySize
+	var (
+		scratch [maxPeers]PeerInfo
+		hasKey  [maxPeers]bool
+		keyBuf  [maxPeers * size]byte
+		n, nk   int
+	)
+	for r.err == nil {
+		if scratch[n], hasKey[n] = r.peer("", keyBuf[nk*size:][:size]); hasKey[n] {
+			nk++
+		}
+		if n++; !r.opt(",") {
+			break
+		}
+		r.need(n < maxPeers)
+	}
+	if r.lit("]"); r.err != nil {
+		return nil
+	}
+	out := make([]PeerInfo, n)
+	keys := bytes.Clone(keyBuf[:nk*size])
+	for i := range out {
+		out[i] = scratch[i]
+		if hasKey[i] {
+			out[i].Key, keys = keys[:size:size], keys[size:]
+		}
+	}
+	return out
 }
 
 func (r *reader) record(key string) *Record {
 	r.lit(key)
 	rec := &Record{Kind: r.str(`{"kind":`), Key: r.id(`,"key":`), Service: optional(r, `,"service":`, r.nonEmpty),
-		Publisher: r.str(`,"publisher":`), PublicKey: r.bytes(`,"public_key":`), Seq: r.uint(`,"seq":`),
-		Body: r.body(`,"body":`), Sig: optional(r, `,"sig":`, r.bytes)}
+		Publisher: r.str(`,"publisher":`), PublicKey: r.pubKey(`,"public_key":`, make([]byte, ed25519.PublicKeySize)),
+		Seq: r.uint(`,"seq":`), Body: r.body(`,"body":`), Sig: optional(r, `,"sig":`, r.bytes)}
 	r.lit(`}`)
 	return rec
 }
@@ -469,8 +520,8 @@ func (r *reader) nonEmpty(key string) string {
 // are not plain.
 var strictBase64 = base64.StdEncoding.Strict()
 
-// bytes reads a []byte: padded standard base64, not empty (an empty key
-// or signature is omitted, an empty public key invalid).
+// bytes reads a signature: padded standard base64, not empty (an empty
+// one is omitted).
 func (r *reader) bytes(key string) []byte {
 	q, isPlain := r.quoted(key)
 	if r.need(isPlain && len(q) > 2); r.err != nil {
@@ -482,13 +533,62 @@ func (r *reader) bytes(key string) []byte {
 	return out[:n]
 }
 
-// id reads an ID: exactly 2*IDBytes lower-case hex digits.
-func (r *reader) id(key string) (id ID) {
-	q, _ := r.quoted(key)
-	if r.need(len(q) == 2+2*IDBytes && !bytes.ContainsAny(q, "ABCDEF")); r.err == nil {
-		_, err := hex.Decode(id[:], q[1:len(q)-1])
-		r.need(err == nil)
+// fixed reads a string token of exactly n bytes and returns what is
+// between its quotes, for the caller to check.
+func (r *reader) fixed(key string, n int) []byte {
+	r.lit(key)
+	b := r.b[r.i:]
+	if r.need(r.err == nil && len(b) > n+1 && b[0] == '"' && b[n+1] == '"'); r.err != nil {
+		return nil
 	}
+	r.i += n + 2
+	return b[1 : n+1]
+}
+
+// keyChars is an Ed25519 public key's length in padded base64.
+const keyChars = (ed25519.PublicKeySize + 2) / 3 * 4
+
+// pubKey reads an Ed25519 public key into dst and returns it: exactly
+// keyChars base64 digits that decode to len(dst) bytes. A key of any
+// other size fails valid or wellFormed, so this refuses nothing the
+// checks after it would pass; CR and LF, which the strict decoder
+// skips, leave the key short.
+func (r *reader) pubKey(key string, dst []byte) []byte {
+	var buf [keyChars / 4 * 3]byte // DecodedLen(keyChars): one byte more than a key
+	n, err := strictBase64.Decode(buf[:], r.fixed(key, keyChars))
+	r.need(err == nil && n == len(dst))
+	return dst[:copy(dst, buf[:n])]
+}
+
+// hexVal maps a lower-case hex digit to its value and every other
+// byte, upper-case digits included, to 0xff.
+var hexVal = func() (t [256]byte) {
+	for c := range t {
+		switch {
+		case '0' <= c && c <= '9':
+			t[c] = byte(c - '0')
+		case 'a' <= c && c <= 'f':
+			t[c] = byte(c - 'a' + 10)
+		default:
+			t[c] = 0xff
+		}
+	}
+	return t
+}()
+
+// id reads an ID in one pass: exactly 2*IDBytes lower-case hex digits.
+func (r *reader) id(key string) (id ID) {
+	d := r.fixed(key, 2*IDBytes)
+	if d == nil {
+		return id
+	}
+	var bad byte
+	for i := range id {
+		hi, lo := hexVal[d[2*i]], hexVal[d[2*i+1]]
+		bad |= hi | lo
+		id[i] = hi<<4 | lo
+	}
+	r.need(bad < 0x10)
 	return id
 }
 

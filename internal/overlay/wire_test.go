@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -180,6 +181,56 @@ func TestDecodeEnvelopeBoundsBeforeAlloc(t *testing.T) {
 		if hostileAllocs > 2*legalAllocs {
 			t.Errorf("%s: %d entries in %d bytes cost %.0f allocations to refuse, a legal %d cost %.0f",
 				l.name, n, len(hostile), hostileAllocs, l.limit, legalAllocs)
+		}
+	}
+}
+
+// TestDecodeEnvelopeAllocBudget pins what reading a reply allocates.
+// The peer list is allocated once at its final length, with every key
+// in one slab, so peers cost the list, the slab and one address each;
+// a record costs its struct and one allocation per string or byte
+// field.
+func TestDecodeEnvelopeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	kp := testKey(t, 0xa10)
+	from := PeerInfo{ID: IDFromPublicKey(kp.Public), Addr: "n0", Key: kp.Public}
+	var peers []PeerInfo
+	for i := uint64(0); i < bucketSize; i++ {
+		pk := testKey(t, 0xa20+i)
+		peers = append(peers, PeerInfo{ID: IDFromPublicKey(pk.Public), Addr: fmt.Sprint("n", i+1), Key: pk.Public})
+	}
+	var recs []*Record
+	for i := uint64(0); i < 3; i++ {
+		recs = append(recs, NewOfferRecord("pvn", OfferAd{Provider: fmt.Sprint("isp-", i), DeployServer: "d"},
+			testKey(t, 0xa40+i), 1))
+	}
+	// The envelope, its kind and the sender's address and key, then the
+	// list, the slab and the addresses.
+	peerAllocs := 4 + 2 + bucketSize
+	cases := []struct {
+		name   string
+		env    *Envelope
+		budget int
+	}{
+		{"16-peer nodes", &Envelope{Kind: KindNodes, RPC: 1, From: from, Target: ServiceKey("pvn"), Peers: peers},
+			peerAllocs},
+		// Records grow their list by append: 1, 2 and 4 slots. Each
+		// record is its struct plus kind, service, publisher, public
+		// key, body and signature.
+		{"3-record value", &Envelope{Kind: KindValue, RPC: 2, From: from, Target: ServiceKey("pvn"), Records: recs, Peers: peers},
+			peerAllocs + 3 + 3*7},
+	}
+	for _, c := range cases {
+		wire := c.env.Encode()
+		var err error
+		got := testing.AllocsPerRun(20, func() { _, err = DecodeEnvelope(wire) })
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got > float64(c.budget) {
+			t.Errorf("%s: %.0f allocations to decode, budget %d", c.name, got, c.budget)
 		}
 	}
 }
