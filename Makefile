@@ -74,10 +74,10 @@ test-race:
 # decoder and the HTTP/TLS/DNS parsers each chain hop runs on wire bytes,
 # the DHT wire envelope (a differential against encoding/json, plus
 # its encoder held to json.Marshal) and the offer/module records it carries, the
-# distributed-store module manifest, the UDP discovery datagrams (DM and
-# offer), certificate blobs, tunnel frames,
-# the PVNC and user-script compilers, the pcap reader and pvnd's deploy
-# request (which must tear down to the host it found) — plus the
+# distributed-store module manifest, certificate blobs, tunnel frames,
+# the PVNC and user-script compilers, the pcap reader, pvnd's DM request
+# (whose offer must be well-formed) and its deploy request (which must
+# tear down to the host it found) — plus the
 # differentials holding the reusable Decoder to a fresh decode and the
 # TCP reassembler to a plain byte array, and tls-verify's per-connection
 # state across random segment sequences with FIN and RST. Patterns are anchored:
@@ -97,7 +97,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeCertificate$$' -fuzztime=6s ./internal/pki/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecap$$' -fuzztime=6s ./internal/tunnel/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=6s ./internal/overlay/
-	$(GO) test -run='^$$' -fuzz='^FuzzDiscoveryDatagram$$' -fuzztime=6s ./internal/discovery/
+	$(GO) test -run='^$$' -fuzz='^FuzzDispatchDM$$' -fuzztime=6s ./cmd/pvnd/
 	$(GO) test -run='^$$' -fuzz='^FuzzDeployRequest$$' -fuzztime=6s ./cmd/pvnd/
 	$(GO) test -run='^$$' -fuzz='^FuzzReassemble$$' -fuzztime=6s ./internal/reasm/
 	$(GO) test -run='^$$' -fuzz='^FuzzTLSVerify$$' -fuzztime=6s ./internal/middlebox/mbx/

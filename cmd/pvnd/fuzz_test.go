@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"pvn/internal/deployserver"
 	"pvn/internal/discovery"
+	"pvn/internal/pvnc"
 )
 
 // residentHost is testSrv with every builtin middlebox type on offer at
@@ -103,6 +107,122 @@ func FuzzDeployRequest(f *testing.F) {
 		}
 		if after := stateOf(srv); fmt.Sprint(after) != fmt.Sprint(before) {
 			t.Fatalf("deploy ok=%v (%s) and teardown left the host changed:\nbefore %+v\nafter  %+v", resp.Deploy.OK, resp.Deploy.Reason, before, after)
+		}
+	})
+}
+
+// FuzzDispatchDM: pvnd decodes every request line a hostile network
+// sends and answers a DM through ProviderPolicy.HandleDM. Decoding and
+// dispatch may not panic, and any offer that comes back must be
+// well-formed: it answers that DM's seq, quotes only required types the
+// provider hosts at the provider's prices, sums them, expires after
+// now, and reaches the client's response intact. A DM that names no
+// device gets no offer and takes no slot in the offer book.
+func FuzzDispatchDM(f *testing.F) {
+	cfg, err := pvnc.Parse(`
+pvnc fuzz
+owner alice
+device 10.0.0.5
+middlebox tlsv tls-verify
+middlebox pii pii-detect mode=block
+middlebox vid transcoder
+chain secure tlsv pii
+chain video vid
+policy 100 match proto=tcp dport=443 via=secure action=forward
+policy 80 match dst=203.0.113.0/24 via=video action=forward
+policy 0 match any action=forward
+`)
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := discovery.NewNegotiator("dev1", cfg, 1000, discovery.StrategyStrict)
+	prices := map[string]int64{"tls-verify": 100, "pii-detect": 200, "transcoder": 300}
+	full := &discovery.ProviderPolicy{Provider: "isp-full", DeployServer: "pvn-host",
+		Standards: []string{discovery.StandardMatchAction, discovery.StandardMiddlebox}, Supported: prices}
+	mustJSON := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	// The DM and offer datagram seeds of the former UDP transport,
+	// each carried as the dm of a request line.
+	for _, dm := range [][]byte{
+		mustJSON(n.MakeDM()),
+		mustJSON(full.HandleDM(n.MakeDM(), 0)),
+		mustJSON(&discovery.DM{DeviceID: "d", Standards: []string{discovery.StandardMatchAction},
+			RequiredTypes: []string{"tls-verify", "tls-verify", "unhosted"}}),
+		[]byte(`{"device_id":""}`),
+		[]byte(`{"offer_id":"o","price_per_module":{"a":-1}}`),
+		[]byte(`null`),
+		{},
+	} {
+		if len(dm) == 0 {
+			f.Add(dm)
+			continue
+		}
+		f.Add([]byte(`{"type":"dm","dm":` + string(dm) + "}\n"))
+	}
+	f.Add([]byte(`{"type":"dm","dm":{"standards":["match-action/1"],"required_types":["pii-detect"]}}`))
+
+	const now = 5 * time.Second
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req request
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&req) != nil {
+			return
+		}
+		req.Type = "dm"
+		srv := testSrv(t)
+		srv.Now = func() time.Duration { return now }
+		policy := srv.Provider
+		policy.Supported = prices
+		dm := req.DM
+		resp := dispatch(&req, srv)
+		o := resp.Offer
+		if dm == nil {
+			if resp.Error == "" || o != nil {
+				t.Fatalf("request without a dm answered %+v", resp)
+			}
+			return
+		}
+		if dm.DeviceID == "" {
+			if o != nil || policy.OfferStatus(policy.Provider+"-1", now) != discovery.OfferUnknown {
+				t.Fatalf("DM without a device ID got offer %+v or a book slot", o)
+			}
+			return
+		}
+		if o == nil {
+			return
+		}
+		if o.OfferID == "" || o.Provider != policy.Provider || o.DMSeq != dm.Seq || o.ExpiresAt <= now {
+			t.Fatalf("malformed offer %+v for DM %+v", o, dm)
+		}
+		required := map[string]bool{}
+		for _, rt := range dm.RequiredTypes {
+			required[rt] = true
+		}
+		var total int64
+		for _, st := range o.SupportedTypes {
+			price, hosted := policy.Supported[st]
+			if !required[st] || !hosted || o.PricePerModule[st] != price {
+				t.Fatalf("offer quotes %q (required %t, hosted %t, price %d of %d)", st, required[st], hosted, o.PricePerModule[st], price)
+			}
+			total += price
+		}
+		if o.TotalCost != total {
+			t.Fatalf("offer total %d, supported types sum to %d", o.TotalCost, total)
+		}
+		var wire bytes.Buffer
+		if err := json.NewEncoder(&wire).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		var got response
+		if err := json.NewDecoder(&wire).Decode(&got); err != nil {
+			t.Fatalf("client cannot decode the offer: %v", err)
+		}
+		if !reflect.DeepEqual(got.Offer, o) {
+			t.Fatalf("offer changed on the wire:\nsent %+v\ngot  %+v", o, got.Offer)
 		}
 	})
 }

@@ -200,14 +200,6 @@ func serveMain(args []string) {
 	if err != nil {
 		log.Fatalf("pvnd: listen: %v", err)
 	}
-	// Discovery also answers over UDP datagrams on the same port (the
-	// paper's DHCP/UPnP-style zone flooding); deployment stays on TCP.
-	if udpConn, err := net.ListenPacket("udp", *listen); err == nil {
-		go discovery.ServeUDP(udpConn, policy, now)
-		log.Printf("pvnd: UDP discovery on %s", udpConn.LocalAddr())
-	} else {
-		log.Printf("pvnd: UDP discovery disabled: %v", err)
-	}
 	log.Printf("pvnd: serving PVN deployments on %s as %q", ln.Addr(), *provider)
 	for {
 		conn, err := ln.Accept()

@@ -115,6 +115,27 @@ func TestDispatchErrors(t *testing.T) {
 	}
 }
 
+// TestDispatchDMWithoutDevice: a DM that names no device gets no offer
+// and takes no slot in the provider's offer book.
+func TestDispatchDMWithoutDevice(t *testing.T) {
+	srv := testSrv(t)
+	var req request
+	line := `{"type":"dm","dm":{"standards":["match-action/1"],"required_types":["pii-detect"]}}`
+	if err := json.Unmarshal([]byte(line), &req); err != nil {
+		t.Fatal(err)
+	}
+	if resp := dispatch(&req, srv); resp.Offer != nil {
+		t.Fatalf("DM without a device ID answered with offer %s", resp.Offer.OfferID)
+	}
+	if st := srv.Provider.OfferStatus("t-isp-1", 0); st != discovery.OfferUnknown {
+		t.Fatalf("offer book holds t-isp-1 (state %v) after a refused DM", st)
+	}
+	req.DM.DeviceID = "dev1"
+	if resp := dispatch(&req, srv); resp.Offer == nil || resp.Offer.OfferID != "t-isp-1" {
+		t.Fatalf("first DM naming a device: %+v, want offer t-isp-1", resp)
+	}
+}
+
 // TestDispatchSweepsLapsedLeases: pvnd runs no sweeper goroutine, so
 // every request, whatever its type, first reclaims the leases that have
 // lapsed. The next request after a lease runs out leaves the device

@@ -6,7 +6,7 @@
 // what is offered free), and deployment requests/responses.
 //
 // The package is transport-independent: messages are plain JSON-able
-// structs moved by netsim in simulations and by the UDP/TCP daemon in
+// structs moved by netsim in simulations and by the TCP daemon in
 // cmd/pvnd.
 package discovery
 
@@ -130,7 +130,7 @@ type ProviderPolicy struct {
 	Disabled bool
 
 	// mu guards the mutable negotiation state below. cmd/pvnd answers
-	// DMs from concurrent TCP connections and the UDP responder at once.
+	// DMs from concurrent TCP connections at once.
 	mu        sync.Mutex
 	nextOffer int
 	// issued remembers every outstanding offer's expiry so the deploy
@@ -145,9 +145,8 @@ type ProviderPolicy struct {
 	refused int64
 }
 
-// maxOffers caps a provider's live offers. DMs arrive unauthenticated
-// (pvnd serves them on a UDP port), so without it a flood grows the
-// book to rate × OfferTTL.
+// maxOffers caps a provider's live offers. DMs arrive unauthenticated,
+// so without it a flood grows the book to rate × OfferTTL.
 const maxOffers = 1 << 16
 
 // OfferState classifies a quoted offer ID at deploy time.
@@ -166,9 +165,10 @@ const (
 
 // HandleDM evaluates a discovery message and returns an offer, or nil
 // when the provider does not (or cannot) serve the request — including
-// when it already holds maxOffers live offers.
+// a DM that names no device, and when the provider already holds
+// maxOffers live offers.
 func (pp *ProviderPolicy) HandleDM(dm *DM, now time.Duration) *Offer {
-	if pp.Disabled {
+	if pp.Disabled || dm.DeviceID == "" {
 		return nil
 	}
 	if !sharesStandard(pp.Standards, dm.Standards) {

@@ -204,6 +204,17 @@ func TestBestOfferPicksCheapest(t *testing.T) {
 	if !ok || best.Provider != "isp-cheap" || dec.Cost != 30 {
 		t.Fatalf("best %+v dec %+v", best, dec)
 	}
+
+	// Byte-identical terms: the cost tie breaks by provider name, so
+	// the winner does not depend on the order the offers arrived in.
+	zebra, apple := fullProvider(), fullProvider()
+	zebra.Provider, apple.Provider = "isp-zebra", "isp-apple"
+	za, ap := zebra.HandleDM(dm, 0), apple.HandleDM(dm, 0)
+	for _, order := range [][]*Offer{{za, ap}, {ap, za}} {
+		if best, _, ok := n.BestOffer(order, 0); !ok || best.Provider != "isp-apple" {
+			t.Fatalf("order %s,%s: best %+v, want isp-apple (name tie-break)", order[0].Provider, order[1].Provider, best)
+		}
+	}
 }
 
 func TestBestOfferNoneAcceptable(t *testing.T) {

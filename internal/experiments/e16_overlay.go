@@ -316,7 +316,7 @@ func E16(p E16Params) *Result {
 				rejects++
 				continue
 			}
-			if _, err := devStore.InstallRemote("alice", m, modKey.String()); err != nil {
+			if err := devStore.InstallRemote("alice", m, modKey.String()); err != nil {
 				rejects++
 				continue
 			}

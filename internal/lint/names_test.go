@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,7 +16,7 @@ import (
 
 // nameAllow lists the functions, methods and types that no product path
 // reaches and no other package's tests reference, but that stay on
-// purpose, each with its reason.
+// purpose. Each reason names the open ROADMAP item that will call it.
 var nameAllow = map[string]string{
 	"pvn/internal/auditor.Ledger.OpenDispute":   reasonDisputes,
 	"pvn/internal/auditor.PrivacyExposureCheck": reasonDisputes,
@@ -26,35 +27,20 @@ var nameAllow = map[string]string{
 	"pvn/internal/billing.Ledger.Balance":       reasonDisputes,
 	"pvn/internal/billing.ApplyDispute":         reasonDisputes,
 
-	"pvn/internal/store.Store.Publish":         reasonStore,
-	"pvn/internal/store.Store.Purchase":        reasonStore,
-	"pvn/internal/store.Store.Search":          reasonStore,
-	"pvn/internal/store.Store.InstallIntoPVNC": reasonStore,
-	"pvn/internal/store.Module.AsMiddlebox":    reasonStore,
-	"pvn/internal/pvnc.WithMiddlebox":          reasonStore,
-
-	"pvn/internal/middlebox/mbx.PrefetchEngine":           reasonPrefetch,
-	"pvn/internal/middlebox/mbx.NewPrefetchEngine":        reasonPrefetch,
-	"pvn/internal/middlebox/mbx.ExtractLinks":             reasonPrefetch,
-	"pvn/internal/middlebox/mbx.Prefetcher.StoreResource": reasonPrefetch,
-	"pvn/internal/middlebox/mbx.Prefetcher.CacheSize":     reasonPrefetch,
-
-	"pvn/internal/middlebox/mbx.Decompress": "the compressor's inverse; its tests check every compressed body against it",
-	"pvn/internal/discovery.DiscoverUDP":    "the device half of the UDP discovery pvnd serves; FuzzDiscoveryDatagram fuzzes its decodeOffer",
-
 	"pvn/internal/orchestrator.Cluster.RestoreHost": reasonStorm,
 	"pvn/internal/orchestrator.Cluster.RetryParked": reasonStorm,
 	"pvn/internal/scenario.Engine.AttachCluster":    reasonStorm,
 
-	"pvn/internal/middlebox.Runtime.AlertsDropped": "the alert ring's overflow counter, for the metrics surface to report",
+	"pvn/internal/middlebox.Runtime.AlertsDropped": "the alert ring's overflow counter, for the debug endpoint of ROADMAP item 4 to report",
 }
 
 const (
-	reasonDisputes = "billing disputes (paper §3.1/§3.3), for the signed usage record to wire"
-	reasonStore    = "the PVN Store (paper §3.1)"
-	reasonPrefetch = "the prefetch engine (paper §4)"
-	reasonStorm    = "for the scenario storm to drive through the orchestrator"
+	reasonDisputes = "billing disputes (paper §3.1/§3.3), for the signed usage record of ROADMAP item 16 to wire"
+	reasonStorm    = "for the scenario storm of ROADMAP item 6(c) to drive through the orchestrator"
 )
+
+// allowNamesItem matches the open ROADMAP item an allow reason must name.
+var allowNamesItem = regexp.MustCompile(`item \d+`)
 
 // dynamicMethods are the methods the standard library finds on an
 // `any` by type assertion (fmt, encoding/json, errors): a reached type
@@ -371,7 +357,10 @@ func TestNamesHaveCallers(t *testing.T) {
 		byName[d.name] = obj
 	}
 	var stale []string
-	for name := range nameAllow {
+	for name, reason := range nameAllow {
+		if !allowNamesItem.MatchString(reason) {
+			t.Errorf("nameAllow reason for %s names no open ROADMAP item (\"item N\"): %q", name, reason)
+		}
 		switch obj := byName[name]; {
 		case obj == nil:
 			stale = append(stale, name+", which is not declared in the tree")

@@ -2,6 +2,8 @@ package mbx
 
 import (
 	"bytes"
+	"compress/flate"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -576,6 +578,14 @@ func TestMalwareScan(t *testing.T) {
 
 // --- Compressor / Prefetcher ---
 
+// Decompress reverses Compressor, so every compressed body can be
+// checked to be lossless.
+func Decompress(body []byte) ([]byte, error) {
+	r := flate.NewReader(bytes.NewReader(body))
+	defer r.Close()
+	return io.ReadAll(r)
+}
+
 func TestCompressorLossless(t *testing.T) {
 	box := NewCompressor()
 	_, rt := ctx(t, box)
@@ -622,8 +632,8 @@ func TestCompressorSkipsSmallBinaryAndEncoded(t *testing.T) {
 func TestPrefetcherCacheAndEviction(t *testing.T) {
 	f := NewPrefetcher()
 	f.CapBytes = 100
-	f.StoreResource("h", "/a", bytes.Repeat([]byte("a"), 60))
-	f.StoreResource("h", "/b", bytes.Repeat([]byte("b"), 60)) // evicts /a
+	f.store("h/a", bytes.Repeat([]byte("a"), 60))
+	f.store("h/b", bytes.Repeat([]byte("b"), 60)) // evicts /a
 	if _, ok := f.Lookup("h", "/a"); ok {
 		t.Fatal("/a survived eviction")
 	}
@@ -633,8 +643,8 @@ func TestPrefetcherCacheAndEviction(t *testing.T) {
 	if f.Hits != 1 || f.Misses != 1 {
 		t.Fatalf("hits=%d misses=%d", f.Hits, f.Misses)
 	}
-	if f.CacheSize() != 60 {
-		t.Fatalf("cache size %d", f.CacheSize())
+	if f.cacheSize != 60 {
+		t.Fatalf("cache size %d", f.cacheSize)
 	}
 }
 

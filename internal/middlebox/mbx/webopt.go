@@ -3,7 +3,6 @@ package mbx
 import (
 	"bytes"
 	"compress/flate"
-	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -84,14 +83,6 @@ func cloneHTTP(h *packet.HTTP) packet.HTTP {
 	return nh
 }
 
-// Decompress reverses Compressor, for tests and for device-side
-// verification that compression is lossless.
-func Decompress(body []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(body))
-	defer r.Close()
-	return io.ReadAll(r)
-}
-
 // Prefetcher caches HTTP responses at the middlebox and answers repeat
 // requests from cache — the paper's "run code on the middlebox that
 // prefetches content to move it closer to users, without consuming device
@@ -142,12 +133,6 @@ func (f *Prefetcher) Process(ctx *middlebox.Context, data []byte) ([]byte, middl
 	return data, middlebox.VerdictPass, nil
 }
 
-// StoreResource inserts a prefetched resource directly (the prefetch
-// logic runs as middlebox code issuing its own upstream fetches).
-func (f *Prefetcher) StoreResource(host, path string, body []byte) {
-	f.store(host+path, body)
-}
-
 func (f *Prefetcher) store(key string, body []byte) {
 	if old, ok := f.cache[key]; ok {
 		f.cacheSize -= len(old)
@@ -163,6 +148,3 @@ func (f *Prefetcher) store(key string, body []byte) {
 		delete(f.cache, victim)
 	}
 }
-
-// CacheSize returns cached bytes, for memory accounting tests.
-func (f *Prefetcher) CacheSize() int { return f.cacheSize }

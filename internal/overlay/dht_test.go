@@ -211,7 +211,7 @@ func TestDHTTamperedModuleRejectedAtFetch(t *testing.T) {
 	}
 	s := store.New()
 	s.RegisterPublisher("acme", kp.Public)
-	if _, err := s.InstallRemote("alice", got, key.String()); err != nil {
+	if err := s.InstallRemote("alice", got, key.String()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -411,20 +411,34 @@ func TestInstallRemoteTrustChain(t *testing.T) {
 	s := store.New()
 	s.RegisterPublisher("acme", kp.Public)
 
-	if _, err := s.InstallRemote("alice", m, m.ContentAddress()); err != nil {
+	if err := s.InstallRemote("alice", m, m.ContentAddress()); err != nil {
 		t.Fatal(err)
 	}
 	// Tampered manifest: wrong address.
 	tampered := *m
 	tampered.Config = map[string]string{"list": "evil"}
-	if _, err := s.InstallRemote("alice", &tampered, m.ContentAddress()); !errors.Is(err, store.ErrAddressMismatch) {
+	if err := s.InstallRemote("alice", &tampered, m.ContentAddress()); !errors.Is(err, store.ErrAddressMismatch) {
 		t.Fatalf("tampered: %v, want ErrAddressMismatch", err)
 	}
 	// Unknown publisher.
 	other := *m
 	other.Publisher = "nobody"
-	if _, err := s.InstallRemote("alice", &other, other.ContentAddress()); !errors.Is(err, store.ErrUnknownPublisher) {
+	if err := s.InstallRemote("alice", &other, other.ContentAddress()); !errors.Is(err, store.ErrUnknownPublisher) {
 		t.Fatalf("unknown publisher: %v", err)
+	}
+	// Corrupted signature at the right content address.
+	forged := *m
+	forged.Signature = append([]byte(nil), m.Signature...)
+	forged.Signature[0] ^= 0xff
+	if err := s.InstallRemote("alice", &forged, forged.ContentAddress()); !errors.Is(err, store.ErrBadSignature) {
+		t.Fatalf("corrupted signature: %v, want ErrBadSignature", err)
+	}
+	// A signed paid module: there is no purchase path, so no entitlement.
+	paid := *m
+	paid.PriceMicro = 500
+	paid.Sign(kp.Private)
+	if err := s.InstallRemote("alice", &paid, paid.ContentAddress()); !errors.Is(err, store.ErrNotEntitled) {
+		t.Fatalf("paid module: %v, want ErrNotEntitled", err)
 	}
 }
 

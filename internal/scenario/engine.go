@@ -551,7 +551,7 @@ func (e *Engine) opFetch() {
 				e.rejects++
 				continue
 			}
-			if _, err := st.InstallRemote("owner-soak", m, ow.modKey.String()); err != nil {
+			if err := st.InstallRemote("owner-soak", m, ow.modKey.String()); err != nil {
 				e.rejects++
 				continue
 			}

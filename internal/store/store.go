@@ -1,10 +1,10 @@
-// Package store implements the "PVN Store" the paper proposes (§3.1): a
-// marketplace of PVNC components — malware-detection modules,
+// Package store holds the manifests of the "PVN Store" the paper
+// proposes (§3.1): PVNC components — malware-detection modules,
 // web-optimizing modules, tracker-blocking modules — that developers
-// publish (and sell) and non-expert users install. Modules are signed by
-// their publishers; the store verifies signatures at publish time and
-// devices can re-verify at install time, so a compromised store cannot
-// silently swap module contents.
+// sign and publish into the discovery overlay. A device keeps a trust
+// set of publisher keys and re-verifies every manifest it fetches
+// (content address, then signature), so no replica can silently swap
+// module contents.
 package store
 
 import (
@@ -14,8 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 )
 
 // Errors.
@@ -23,9 +21,8 @@ var (
 	ErrUnknownPublisher = errors.New("store: unknown publisher")
 	ErrBadSignature     = errors.New("store: module signature invalid")
 	ErrNotFound         = errors.New("store: module not found")
-	ErrDuplicate        = errors.New("store: module version already published")
 	ErrNotEntitled      = errors.New("store: user not entitled to module")
-	ErrUnderpayment     = errors.New("store: payment below price")
+	ErrAddressMismatch  = errors.New("store: manifest does not hash to the requested content address")
 )
 
 // Module is one installable PVNC component.
@@ -41,9 +38,9 @@ type Module struct {
 	// Config is the middlebox configuration the module ships (e.g. a
 	// domain list for tracker-block, a script for user-script).
 	Config map[string]string `json:"config,omitempty"`
-	// Description is shown in search results.
+	// Description is a human-readable summary.
 	Description string `json:"description,omitempty"`
-	// PriceMicro is the purchase price in microcredits (0 = free).
+	// PriceMicro is the price in microcredits (0 = free).
 	PriceMicro int64 `json:"price_micro"`
 
 	// Signature covers the canonical JSON of everything above.
@@ -139,23 +136,15 @@ func (m *Module) VerifySignature(pub ed25519.PublicKey) error {
 	return nil
 }
 
-// Store is the marketplace.
+// Store is a device's trust set for module manifests fetched from the
+// overlay: the publishers whose signatures it accepts.
 type Store struct {
-	publishers   map[string]ed25519.PublicKey
-	modules      map[string][]*Module       // name -> versions in publish order
-	entitlements map[string]map[string]bool // user -> module name
-	// Revenue tracks gross sales per publisher, in microcredits.
-	Revenue map[string]int64
+	publishers map[string]ed25519.PublicKey
 }
 
-// New builds an empty store.
+// New builds an empty trust set.
 func New() *Store {
-	return &Store{
-		publishers:   make(map[string]ed25519.PublicKey),
-		modules:      make(map[string][]*Module),
-		entitlements: make(map[string]map[string]bool),
-		Revenue:      make(map[string]int64),
-	}
+	return &Store{publishers: make(map[string]ed25519.PublicKey)}
 }
 
 // RegisterPublisher records a developer's signing key.
@@ -163,158 +152,29 @@ func (s *Store) RegisterPublisher(name string, pub ed25519.PublicKey) {
 	s.publishers[name] = pub
 }
 
-// Publish adds a signed module. The signature must verify under the
-// registered publisher key and the (name, version) pair must be new.
-func (s *Store) Publish(m *Module) error {
+// InstallRemote admits a manifest fetched from the discovery overlay
+// (or any untrusted replica) for the user. The full trust chain is
+// enforced locally: the publisher must be registered in this trust set,
+// the manifest must hash to the content address the device asked the
+// overlay for, the publisher signature must verify over the canonical
+// bytes, and the user must be entitled to it. There is no purchase
+// path, so only free modules are entitled.
+func (s *Store) InstallRemote(user string, m *Module, wantAddress string) error {
+	if m == nil {
+		return ErrNotFound
+	}
 	pub, ok := s.publishers[m.Publisher]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownPublisher, m.Publisher)
 	}
-	if err := m.VerifySignature(pub); err != nil {
-		return err
-	}
-	for _, v := range s.modules[m.Name] {
-		if v.Version == m.Version {
-			return fmt.Errorf("%w: %s@%s", ErrDuplicate, m.Name, m.Version)
-		}
-	}
-	s.modules[m.Name] = append(s.modules[m.Name], m)
-	return nil
-}
-
-// Latest returns the most recently published version of a module.
-func (s *Store) Latest(name string) (*Module, error) {
-	vs := s.modules[name]
-	if len(vs) == 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return vs[len(vs)-1], nil
-}
-
-// Get returns a specific version.
-func (s *Store) Get(name, version string) (*Module, error) {
-	for _, v := range s.modules[name] {
-		if v.Version == version {
-			return v, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %s@%s", ErrNotFound, name, version)
-}
-
-// Search returns the latest version of every module whose name, type or
-// description contains the query (case-insensitive), sorted by name.
-func (s *Store) Search(query string) []*Module {
-	q := strings.ToLower(query)
-	var out []*Module
-	for name := range s.modules {
-		m, _ := s.Latest(name)
-		if m == nil {
-			continue
-		}
-		hay := strings.ToLower(m.Name + " " + m.Type + " " + m.Description)
-		if q == "" || strings.Contains(hay, q) {
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Purchase grants a user access to a module. Free modules need no
-// payment; paid ones require payment >= price. Revenue accrues to the
-// publisher.
-func (s *Store) Purchase(user, name string, payment int64) error {
-	m, err := s.Latest(name)
-	if err != nil {
-		return err
-	}
-	if payment < m.PriceMicro {
-		return fmt.Errorf("%w: paid %d, price %d", ErrUnderpayment, payment, m.PriceMicro)
-	}
-	if s.entitlements[user] == nil {
-		s.entitlements[user] = make(map[string]bool)
-	}
-	s.entitlements[user][name] = true
-	s.Revenue[m.Publisher] += m.PriceMicro
-	return nil
-}
-
-// Entitled reports whether a user may install a module. Free modules are
-// always entitled.
-func (s *Store) Entitled(user, name string) bool {
-	m, err := s.Latest(name)
-	if err != nil {
-		return false
-	}
-	if m.PriceMicro == 0 {
-		return true
-	}
-	return s.entitlements[user][name]
-}
-
-// Errors for remotely fetched manifests.
-var (
-	ErrAddressMismatch = errors.New("store: manifest does not hash to the requested content address")
-)
-
-// InstallRemote admits a manifest fetched from the discovery overlay
-// (or any untrusted replica) into this device's catalog and installs
-// it for the user. The full trust chain is enforced locally, exactly
-// as for a marketplace install: the publisher must be registered in
-// this store's trust set, the manifest must hash to the content
-// address the device asked the overlay for, the publisher signature
-// must verify over the canonical bytes, and the user must be entitled
-// (free, or previously purchased). The admitted module joins the local
-// catalog so later Install/Latest calls see it.
-func (s *Store) InstallRemote(user string, m *Module, wantAddress string) (*Module, error) {
-	if m == nil {
-		return nil, ErrNotFound
-	}
-	pub, ok := s.publishers[m.Publisher]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPublisher, m.Publisher)
-	}
 	if got := m.ContentAddress(); got != wantAddress {
-		return nil, fmt.Errorf("%w: got %.16s…, want %.16s…", ErrAddressMismatch, got, wantAddress)
+		return fmt.Errorf("%w: got %.16s…, want %.16s…", ErrAddressMismatch, got, wantAddress)
 	}
 	if err := m.VerifySignature(pub); err != nil {
-		return nil, err
+		return err
 	}
-	// Admit into the catalog (idempotently) before the entitlement
-	// check: Entitled consults the local record.
-	known := false
-	for _, v := range s.modules[m.Name] {
-		if v.Version == m.Version {
-			known = true
-			break
-		}
+	if m.PriceMicro != 0 {
+		return fmt.Errorf("%w: %s -> %s", ErrNotEntitled, user, m.Name)
 	}
-	if !known {
-		s.modules[m.Name] = append(s.modules[m.Name], m)
-	}
-	if !s.Entitled(user, m.Name) {
-		return nil, fmt.Errorf("%w: %s -> %s", ErrNotEntitled, user, m.Name)
-	}
-	return m, nil
-}
-
-// Install fetches a module for a user, enforcing entitlement and
-// re-verifying the signature end to end (defense against a tampered
-// store database).
-func (s *Store) Install(user, name string) (*Module, error) {
-	m, err := s.Latest(name)
-	if err != nil {
-		return nil, err
-	}
-	if !s.Entitled(user, name) {
-		return nil, fmt.Errorf("%w: %s -> %s", ErrNotEntitled, user, name)
-	}
-	pub, ok := s.publishers[m.Publisher]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPublisher, m.Publisher)
-	}
-	if err := m.VerifySignature(pub); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return nil
 }

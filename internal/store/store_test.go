@@ -7,14 +7,10 @@ import (
 	"pvn/internal/pki"
 )
 
-type fixture struct {
-	store   *Store
-	acmeKey pki.KeyPair
-	evilKey pki.KeyPair
-}
-
-func newFixture(t *testing.T) *fixture {
-	t.Helper()
+// TestInstallReverifiesSignature: a replica that rewrites a module and
+// serves it under the rewritten content's own address, or re-signs it
+// with a key that is not the publisher's, is refused at the signature.
+func TestInstallReverifiesSignature(t *testing.T) {
 	acme, err := pki.GenerateKey(pki.NewDeterministicRand(1))
 	if err != nil {
 		t.Fatal(err)
@@ -22,144 +18,26 @@ func newFixture(t *testing.T) *fixture {
 	evil, _ := pki.GenerateKey(pki.NewDeterministicRand(2))
 	s := New()
 	s.RegisterPublisher("acme", acme.Public)
-	return &fixture{store: s, acmeKey: acme, evilKey: evil}
-}
-
-func (f *fixture) module(name, version string, price int64) *Module {
-	m := &Module{
-		Name: name, Version: version, Publisher: "acme", Type: "tracker-block",
-		Config:      map[string]string{"domains": "ads.example,tracker.net"},
-		Description: "blocks common trackers",
-		PriceMicro:  price,
+	module := func() *Module {
+		m := &Module{
+			Name: "acme/radar", Version: "1.0", Publisher: "acme", Type: "tracker-block",
+			Config: map[string]string{"domains": "ads.example,tracker.net"},
+		}
+		m.Sign(acme.Private)
+		return m
 	}
-	m.Sign(f.acmeKey.Private)
-	return m
-}
 
-func TestPublishAndInstallFree(t *testing.T) {
-	f := newFixture(t)
-	if err := f.store.Publish(f.module("acme/radar", "1.0", 0)); err != nil {
+	m := module()
+	if err := s.InstallRemote("alice", m, m.ContentAddress()); err != nil {
 		t.Fatal(err)
 	}
-	m, err := f.store.Install("alice", "acme/radar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Config["domains"] == "" {
-		t.Fatal("config lost")
-	}
-}
-
-func TestPublishUnknownPublisher(t *testing.T) {
-	f := newFixture(t)
-	m := f.module("x/y", "1.0", 0)
-	m.Publisher = "stranger"
-	m.Sign(f.evilKey.Private)
-	if err := f.store.Publish(m); !errors.Is(err, ErrUnknownPublisher) {
-		t.Fatalf("err=%v", err)
-	}
-}
-
-func TestPublishBadSignature(t *testing.T) {
-	f := newFixture(t)
-	m := f.module("acme/radar", "1.0", 0)
-	m.Signature[0] ^= 0xff
-	if err := f.store.Publish(m); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("err=%v", err)
-	}
-	// Signed by the wrong key.
-	m2 := f.module("acme/radar", "1.0", 0)
-	m2.Sign(f.evilKey.Private)
-	if err := f.store.Publish(m2); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("err=%v", err)
-	}
-}
-
-func TestPublishDuplicateVersion(t *testing.T) {
-	f := newFixture(t)
-	f.store.Publish(f.module("acme/radar", "1.0", 0))
-	if err := f.store.Publish(f.module("acme/radar", "1.0", 0)); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("err=%v", err)
-	}
-}
-
-func TestLatestAndGetVersions(t *testing.T) {
-	f := newFixture(t)
-	f.store.Publish(f.module("acme/radar", "1.0", 0))
-	f.store.Publish(f.module("acme/radar", "2.0", 0))
-	m, err := f.store.Latest("acme/radar")
-	if err != nil || m.Version != "2.0" {
-		t.Fatalf("latest %+v err=%v", m, err)
-	}
-	old, err := f.store.Get("acme/radar", "1.0")
-	if err != nil || old.Version != "1.0" {
-		t.Fatalf("get %+v err=%v", old, err)
-	}
-	if _, err := f.store.Get("acme/radar", "9.9"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err=%v", err)
-	}
-	if _, err := f.store.Latest("ghost"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err=%v", err)
-	}
-}
-
-func TestSearch(t *testing.T) {
-	f := newFixture(t)
-	f.store.Publish(f.module("acme/radar", "1.0", 0))
-	malware := &Module{Name: "acme/clamlite", Version: "1.0", Publisher: "acme",
-		Type: "malware-scan", Description: "detects malware signatures"}
-	malware.Sign(f.acmeKey.Private)
-	f.store.Publish(malware)
-
-	if got := f.store.Search("malware"); len(got) != 1 || got[0].Name != "acme/clamlite" {
-		t.Fatalf("search malware: %+v", got)
-	}
-	if got := f.store.Search("TRACKER"); len(got) != 1 {
-		t.Fatalf("case-insensitive search failed: %+v", got)
-	}
-	if got := f.store.Search(""); len(got) != 2 {
-		t.Fatalf("empty query: %d results", len(got))
-	}
-	if got := f.store.Search("quantum"); len(got) != 0 {
-		t.Fatalf("bogus query matched: %+v", got)
-	}
-}
-
-func TestPurchaseFlow(t *testing.T) {
-	f := newFixture(t)
-	f.store.Publish(f.module("acme/pro", "1.0", 500))
-
-	if f.store.Entitled("alice", "acme/pro") {
-		t.Fatal("entitled before purchase")
-	}
-	if _, err := f.store.Install("alice", "acme/pro"); !errors.Is(err, ErrNotEntitled) {
-		t.Fatalf("err=%v", err)
-	}
-	if err := f.store.Purchase("alice", "acme/pro", 100); !errors.Is(err, ErrUnderpayment) {
-		t.Fatalf("err=%v", err)
-	}
-	if err := f.store.Purchase("alice", "acme/pro", 500); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.store.Install("alice", "acme/pro"); err != nil {
-		t.Fatal(err)
-	}
-	if f.store.Revenue["acme"] != 500 {
-		t.Fatalf("revenue %d", f.store.Revenue["acme"])
-	}
-	// Bob is still locked out.
-	if _, err := f.store.Install("bob", "acme/pro"); !errors.Is(err, ErrNotEntitled) {
-		t.Fatalf("err=%v", err)
-	}
-}
-
-func TestInstallReverifiesSignature(t *testing.T) {
-	f := newFixture(t)
-	m := f.module("acme/radar", "1.0", 0)
-	f.store.Publish(m)
-	// Simulate post-publish database tampering.
 	m.Config["domains"] = "nothing"
-	if _, err := f.store.Install("alice", "acme/radar"); !errors.Is(err, ErrBadSignature) {
+	if err := s.InstallRemote("alice", m, m.ContentAddress()); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("tampered module installed: err=%v", err)
+	}
+	m = module()
+	m.Sign(evil.Private)
+	if err := s.InstallRemote("alice", m, m.ContentAddress()); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("module signed by the wrong key installed: err=%v", err)
 	}
 }
