@@ -143,10 +143,11 @@ type ShardStats struct {
 	Enqueued, Dropped, Processed, Batches int64
 	Bytes                                 int64
 	CacheHits                             int64
-	// CacheFlushes counts the times this shard's flow cache hit its
-	// bound and was emptied — nonzero means some sender is minting
-	// 5-tuples faster than the rules change.
-	CacheFlushes                       int64
+	// CacheEvictions counts the flows this shard's flow cache dropped
+	// after a whole generation without a hit (openflow's two
+	// generations of 12288 new flows each) — a steady climb means some
+	// sender is minting 5-tuples faster than the rules change.
+	CacheEvictions                     int64
 	Outputs, Drops, Tunnels, PacketIns int64
 	// ChainErrs counts packets whose middlebox chain failed on this
 	// shard (a box errored or panicked fail-closed, or a broken box's
@@ -179,7 +180,7 @@ func (s Stats) Total() ShardStats {
 		t.Batches += sh.Batches
 		t.Bytes += sh.Bytes
 		t.CacheHits += sh.CacheHits
-		t.CacheFlushes += sh.CacheFlushes
+		t.CacheEvictions += sh.CacheEvictions
 		t.Outputs += sh.Outputs
 		t.Drops += sh.Drops
 		t.Tunnels += sh.Tunnels
@@ -221,7 +222,7 @@ func (p *Pipeline) Stats() Stats {
 	out := Stats{Shards: make([]ShardStats, len(p.shards))}
 	for i, sh := range p.shards {
 		out.Shards[i] = sh.counters.snapshot(sh.queue.depth())
-		out.Shards[i].CacheFlushes = sh.sw.CacheFlushes()
+		out.Shards[i].CacheEvictions = sh.sw.CacheEvictions()
 	}
 	if p.cfg.Tunnels != nil {
 		out.Tunnel = p.cfg.Tunnels.Stats()

@@ -59,7 +59,7 @@ func (p *Pipeline) work(sh *shard) {
 // All counters accumulate in a localCounters and hit the shard atomics
 // once, at the end.
 func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool) {
-	t0 := time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
+	t0 := openflow.PerfStamp()
 	now := p.cfg.Now()
 	c := &sh.counters
 	c.batches.Add(1)
@@ -86,7 +86,7 @@ func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool)
 	lc.processed = int64(n)
 	var t1 int64
 	if sampled {
-		t1 = time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
+		t1 = openflow.PerfStamp()
 		lc.lookupNs = (t1 - t0) - lc.decodeNs
 	}
 
@@ -128,7 +128,7 @@ func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool)
 		}
 	}
 
-	end := time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
+	end := openflow.PerfStamp()
 	lc.totalNs = end - t0
 	if sampled {
 		lc.chainNs = end - t1

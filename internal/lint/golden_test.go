@@ -20,10 +20,13 @@ var wantRe = regexp.MustCompile("// want `([^`]+)`")
 // fire inside it exactly as they do inside the real tree.
 func testConfig(module string) *Config {
 	return &Config{
-		DeterministicPkgs: map[string]bool{module: true},
-		MiddleboxPkgs:     map[string]bool{module: true},
-		SupervisorFiles:   map[string]bool{"supervisor.go": true},
-		ProjectPrefix:     module,
+		DeterministicPkgs: map[string]bool{module: true, module + "/leak": true, module + "/counters": true},
+		PerfClocks: map[string]map[string]bool{
+			module + ".PerfStamp": {module: true, module + "/counters": true},
+		},
+		MiddleboxPkgs:   map[string]bool{module: true},
+		SupervisorFiles: map[string]bool{"supervisor.go": true},
+		ProjectPrefix:   module,
 		// Taint scoping for the trustflow mini-module: the module-local
 		// decoder, sinks and wire type play the roles the real config
 		// gives to overlay records and deploy/install entry points.

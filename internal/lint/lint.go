@@ -152,6 +152,11 @@ type Config struct {
 	// the netsim clock and all randomness from a seeded RNG (checks:
 	// nondet, clockparam).
 	DeterministicPkgs map[string]bool
+	// PerfClocks are project functions ("pkg/path.Func") that read the
+	// wall clock for perf counters, each with the packages that may call
+	// them; nondet reports a reference from any other deterministic
+	// package, as it would the time.Now inside.
+	PerfClocks map[string]map[string]bool
 	// MiddleboxPkgs are import paths subject to failpolicy's panic rule
 	// (panics belong to the supervisor, not to boxes).
 	MiddleboxPkgs map[string]bool
@@ -220,6 +225,12 @@ func DefaultConfig() *Config {
 			"pvn/internal/overlay":       true,
 			"pvn/internal/scenario":      true,
 			"pvn/internal/orchestrator":  true,
+		},
+		PerfClocks: map[string]map[string]bool{
+			"pvn/internal/openflow.PerfStamp": {
+				"pvn/internal/openflow":  true,
+				"pvn/internal/dataplane": true,
+			},
 		},
 		MiddleboxPkgs: map[string]bool{
 			"pvn/internal/middlebox":     true,

@@ -12,7 +12,9 @@ import (
 // ladders, middlebox supervision — so every timestamp must come from
 // the netsim clock (or an injected now func) and every random draw from
 // a seeded netsim.RNG. A single time.Now() leaking in silently turns a
-// reproducibility guarantee into a machine-speed artifact.
+// reproducibility guarantee into a machine-speed artifact. The project's
+// own perf-counter clocks (Config.PerfClocks) count as wall-clock reads
+// outside the packages they serve.
 var NondetAnalyzer = &Analyzer{
 	Name: "nondet",
 	Doc:  "wall-clock time (time.Now/Sleep/After/Since/Until/AfterFunc) or global math/rand in a simulation-deterministic package",
@@ -45,6 +47,9 @@ func runNondet(pass *Pass) {
 		path, name, obj, ok := pass.pkgRef(sel)
 		if !ok {
 			return true
+		}
+		if callers, ok := pass.Config.PerfClocks[path+"."+name]; ok && !callers[pass.Pkg.Path] {
+			pass.Reportf(sel.Pos(), "%s.%s reads the wall clock for perf counters; simulation-deterministic package %s may not call it", path, name, pass.Pkg.Path)
 		}
 		switch path {
 		case "time":

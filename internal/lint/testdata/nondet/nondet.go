@@ -42,3 +42,10 @@ func Stamp() time.Time {
 func DurationsOnly(d time.Duration) time.Duration {
 	return d + time.Millisecond
 }
+
+// PerfStamp is the module's perf-counter clock (Config.PerfClocks): its
+// own read is annotated, and only the packages configured for it may
+// call it.
+func PerfStamp() int64 {
+	return time.Now().UnixNano() //lint:allow nondet golden-file: the one annotated perf-counter read
+}

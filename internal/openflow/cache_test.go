@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"time"
@@ -68,9 +69,14 @@ func sameEntries(t *testing.T, what string, ref, fast []*FlowEntry) {
 	}
 }
 
-// TestFlowCacheBounded: one more distinct flow than the cache may hold
-// flushes it instead of growing it, the flush is counted, and the
-// answers and per-rule counters stay those of the uncached Lookup.
+// TestFlowCacheBounded holds the flow cache to its contract while fresh
+// flows stream past a few dozen flows that keep coming back: the young
+// generation never holds more than 2*flowCacheGen flows nor the cache
+// more than 4*flowCacheGen, a flow inserted or hit within the last
+// flowCacheGen new flows still hits, every flow it drops is counted as
+// an eviction, it never empties at once (only a rule write does that),
+// and the answers and per-rule counters stay those of the uncached
+// Lookup.
 func TestFlowCacheBounded(t *testing.T) {
 	ref, fast := &scanTable{}, NewFlowTable()
 	for _, install := range []func(*FlowEntry, time.Duration){ref.Install, fast.Install} {
@@ -80,34 +86,158 @@ func TestFlowCacheBounded(t *testing.T) {
 	c := newFlowCache()
 	dst := packet.MustParseIPv4("93.184.216.34")
 	flow := func(i int) probe {
-		src := packet.IPv4Address{10, byte(i >> 16), 0, 1}
+		src := packet.IPv4Address{10, byte(i >> 16), byte(i >> 8), 1}
 		return tcpProbe(src, dst, uint16(i), uint16(80+363*(i%2)), 0, 40+i%7)
 	}
+	// misses counts new flows: every miss is memoized. touched is each
+	// flow's misses count at its last insert or hit.
+	var misses, revived, evicted int
+	touched := make(map[int]int)
 	check := func(i int) {
 		p := flow(i)
+		_, inOld := c.old[p.key]
 		want, _ := ref.Lookup(p.fields, p.size, 0)
-		if got := fastLookup(fast, c, p, 0); ruleID(got) != ruleID(want) {
-			t.Fatalf("flow %d: cached path chose rule %d, Lookup rule %d", i, ruleID(got), ruleID(want))
+		actions, e := fast.lookupCached(c, p.key, true, p.size, 0)
+		switch {
+		case e == nil:
+			if last, ok := touched[i]; ok {
+				if misses-last <= flowCacheGen {
+					t.Fatalf("flow %d missed %d new flows after its last insert or hit; a generation is %d", i, misses-last, flowCacheGen)
+				}
+				evicted++
+			}
+			actions, _ = fast.lookupScan(c, p.key, true, p.fields, p.size, 0)
+			misses++
+		case inOld:
+			revived++
 		}
-		if len(c.m) > flowCacheMax {
-			t.Fatalf("flow %d: cache holds %d entries, bound is %d", i, len(c.m), flowCacheMax)
+		touched[i] = misses
+		if ruleID(actions) != ruleID(want) {
+			t.Fatalf("flow %d: cached path chose rule %d, Lookup rule %d", i, ruleID(actions), ruleID(want))
+		}
+		held := len(c.m) + len(c.old)
+		if len(c.m) > 2*flowCacheGen || held > 4*flowCacheGen {
+			t.Fatalf("flow %d: cache holds %d flows, %d young; bounds are %d and %d", i, held, len(c.m), 4*flowCacheGen, 2*flowCacheGen)
+		}
+		if ev := int(c.evictions.Load()); misses != held+ev {
+			t.Fatalf("flow %d: %d flows inserted, %d held and %d evictions counted", i, misses, held, ev)
+		}
+		if misses > flowCacheGen && held < flowCacheGen {
+			t.Fatalf("flow %d: cache emptied to %d flows with no rule write", i, held)
 		}
 	}
-	for i := 0; i < flowCacheMax; i++ {
-		check(i)
+	// Every other packet is a slot for one of 64 residents, which takes
+	// it once in 1+r*flowCacheGen/2048 rounds of 64 slots, and a round
+	// brings about 126 new flows: resident r comes back after one round
+	// to almost four generations' worth, so some are hit in the young
+	// generation, some in the old one, and the slowest are evicted in
+	// between. Every other packet is a fresh flow.
+	const residents, fresh = 64, 8 * flowCacheGen
+	next := residents
+	for n := 0; next < residents+fresh; n++ {
+		slot := n / 2
+		if r := slot % residents; n%2 == 0 && (slot/residents)%(1+r*flowCacheGen/2048) == 0 {
+			check(r)
+			continue
+		}
+		check(next)
+		next++
 	}
-	if len(c.m) != flowCacheMax || c.flushes.Load() != 0 {
-		t.Fatalf("at the bound: %d entries, %d flushes; want %d and 0", len(c.m), c.flushes.Load(), flowCacheMax)
+	if revived == 0 || evicted == 0 {
+		t.Fatalf("%d residents hit in the old generation, %d evicted; the schedule should produce both", revived, evicted)
 	}
-	check(flowCacheMax) // the one that does not fit
-	if len(c.m) != 1 || c.flushes.Load() != 1 {
-		t.Fatalf("past the bound: %d entries, %d flushes; want 1 and 1", len(c.m), c.flushes.Load())
+	sameEntries(t, "after rotations", ref.Entries(), fast.Entries())
+
+	// A rule write empties both generations: the next lookup answers
+	// from the new rule set and leaves one flow cached.
+	for _, install := range []func(*FlowEntry, time.Duration){ref.Install, fast.Install} {
+		install(&FlowEntry{Priority: 30, Match: Match{Fields: FieldProto, Proto: packet.IPProtoTCP}, Actions: []Action{Output(3)}}, 0)
 	}
-	for i := 0; i < 64; i++ { // flushed flows come back through the scan, then hit
-		check(i)
-		check(i)
+	for i := 0; i < residents; i++ {
+		p := flow(i)
+		want, _ := ref.Lookup(p.fields, p.size, 0)
+		if got := fastLookup(fast, c, p, 0); ruleID(got) != ruleID(want) || ruleID(got) != 3 {
+			t.Fatalf("flow %d after a rule write: cached path chose rule %d, Lookup rule %d", i, ruleID(got), ruleID(want))
+		}
+		if held := len(c.m) + len(c.old); held != i+1 {
+			t.Fatalf("after a rule write and %d flows: cache holds %d", i+1, held)
+		}
 	}
-	sameEntries(t, "after overflow", ref.Entries(), fast.Entries())
+	sameEntries(t, "after the rule write", ref.Entries(), fast.Entries())
+}
+
+// TestFlowCacheReuseDistance pins what the cache answers at each reuse
+// distance, counted in new flows: every flow's second packet comes
+// exactly d new flows after its first, as when two producers that each
+// carry half of every flow drift d packets' worth of new flows apart.
+// Within a generation every second packet hits — a flow moved up from
+// the old generation does not shorten it — and beyond it the hit rate
+// falls exactly as the two generations dictate: a flow first seen at
+// position p of its generation is still held up to 2*flowCacheGen-p
+// new flows later, so at 1.5 generations the first half of each
+// generation's flows hit and at two none do. A missed second packet is not memoized again (it is the
+// flow's last), so the generations stay aligned with the flow numbers.
+func TestFlowCacheReuseDistance(t *testing.T) {
+	table := NewFlowTable()
+	table.Install(&FlowEntry{Priority: 10, Match: Match{Fields: FieldProto, Proto: packet.IPProtoTCP}, Actions: []Action{Output(1)}}, 0)
+	dst := packet.MustParseIPv4("93.184.216.34")
+	flow := func(i int) probe {
+		return tcpProbe(packet.IPv4Address{10, byte(i >> 16), byte(i >> 8), byte(i)}, dst, 1024, 443, 0, 40)
+	}
+	const flows = 8 * flowCacheGen
+	for _, tc := range []struct {
+		d, wantHits int
+	}{
+		{flowCacheGen - 1, flows - (flowCacheGen - 1)},
+		{flowCacheGen + flowCacheGen/2, 7 * flowCacheGen / 2}, // the first half of each generation, over 6.5 of them
+		{2 * flowCacheGen, 0},
+	} {
+		c := newFlowCache()
+		hits := 0
+		for i := 0; i < flows; i++ {
+			p := flow(i)
+			if _, e := table.lookupCached(c, p.key, true, p.size, 0); e != nil {
+				t.Fatalf("d=%d: flow %d hit before its first packet", tc.d, i)
+			}
+			table.lookupScan(c, p.key, true, p.fields, p.size, 0)
+			if i >= tc.d {
+				q := flow(i - tc.d)
+				if _, e := table.lookupCached(c, q.key, true, q.size, 0); e != nil {
+					hits++
+				}
+			}
+		}
+		if hits != tc.wantHits {
+			t.Errorf("reuse distance %d new flows (generation %d): %d of %d second packets hit, want %d",
+				tc.d, flowCacheGen, hits, flows-tc.d, tc.wantHits)
+		}
+		if held := len(c.m) + len(c.old); held > 4*flowCacheGen {
+			t.Errorf("d=%d: cache holds %d flows, bound is %d", tc.d, held, 4*flowCacheGen)
+		}
+	}
+}
+
+// TestFlowCacheRevivalsStayBounded: flows that all keep coming back
+// within a generation would keep every flow a sender ever opened, so
+// the young generation also ends when it holds 2*flowCacheGen flows.
+// Here every flow returns every half generation, forever.
+func TestFlowCacheRevivalsStayBounded(t *testing.T) {
+	table := NewFlowTable()
+	table.Install(&FlowEntry{Priority: 10, Match: Match{Fields: FieldProto, Proto: packet.IPProtoTCP}, Actions: []Action{Output(1)}}, 0)
+	dst := packet.MustParseIPv4("93.184.216.34")
+	flow := func(i int) probe {
+		return tcpProbe(packet.IPv4Address{10, byte(i >> 16), byte(i >> 8), byte(i)}, dst, 1024, 443, 0, 40)
+	}
+	c := newFlowCache()
+	const half = flowCacheGen / 2
+	for i := 0; i < 6*flowCacheGen; i++ {
+		for j := i; j >= 0; j -= half {
+			fastLookup(table, c, flow(j), 0)
+		}
+		if held := len(c.m) + len(c.old); len(c.m) > 2*flowCacheGen || held > 4*flowCacheGen {
+			t.Fatalf("after %d flows: cache holds %d flows, %d young; bounds are %d and %d", i+1, held, len(c.m), 4*flowCacheGen, 2*flowCacheGen)
+		}
+	}
 }
 
 // TestCachedLookupMatchesLookup is the differential oracle for the
@@ -115,10 +245,18 @@ func TestFlowCacheBounded(t *testing.T) {
 // lookupCached followed on a miss by lookupScan must pick the rule the
 // reference scan picks on a twin rule set and leave every entry's
 // counters the same — including entries Expire hands back and packets
-// that cannot be cached, which share one meaningless key.
+// that cannot be cached, which share one meaningless key. Seed 9 adds
+// more distinct flows than both caches' generations hold, and
+// installs, removes by cookie and expires in turn, once per rotateEvery
+// steps, so every cache rotates between the writes.
 func TestCachedLookupMatchesLookup(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
+	const rotateSeed, rotateEvery = 9, 10 * flowCacheGen
+	for seed := int64(1); seed <= rotateSeed; seed++ {
 		r := rand.New(rand.NewSource(seed))
+		steps, churn := 6000, 0
+		if seed == rotateSeed {
+			steps, churn = 6*rotateEvery, 6*flowCacheGen
+		}
 		ref, fast := &scanTable{}, NewFlowTable()
 		// Two caches, as two shards would hold: each sees generation
 		// bumps only when its own next packet arrives.
@@ -130,6 +268,12 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 		for i := 0; i < 48; i++ {
 			flows = append(flows, tcpProbe(addrs[r.Intn(4)], addrs[r.Intn(4)],
 				ports[r.Intn(5)], ports[r.Intn(5)], uint16(r.Intn(2)), 40+r.Intn(1400)))
+		}
+		// Churn flows: the rule set's addresses and ports but source
+		// ports of their own, each sent a few times over the run.
+		for i := 0; i < churn; i++ {
+			flows = append(flows, tcpProbe(addrs[r.Intn(4)], addrs[r.Intn(4)],
+				uint16(1024+i), ports[r.Intn(5)], uint16(r.Intn(2)), 40+r.Intn(1400)))
 		}
 		// Non-IPv4 frames: never cacheable, all under the zero key of
 		// their port, told apart only by their fields.
@@ -165,9 +309,16 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			twinRule(now)
 		}
-		for step := 0; step < 6000; step++ {
+		for step := 0; step < steps; step++ {
 			now += time.Duration(r.Intn(300)) * time.Microsecond
-			switch op := r.Intn(100); {
+			op := r.Intn(100)
+			if churn > 0 {
+				op = 6 // a lookup, but for one write per rotateEvery steps
+				if step%rotateEvery == rotateEvery-1 {
+					op = []int{0, 2, 3}[step/rotateEvery%3]
+				}
+			}
+			switch {
 			case op < 2:
 				twinRule(now)
 			case op < 3:
@@ -184,6 +335,9 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 				sameEntries(t, "expired", ref.Expire(now), fast.Expire(now))
 			default:
 				p := flows[r.Intn(len(flows))]
+				if churn > 0 && r.Intn(4) == 0 {
+					p = flows[r.Intn(48)]
+				}
 				want, _ := ref.Lookup(p.fields, p.size, now)
 				c := caches[p.key.Flow.FastHash()%2]
 				if got := fastLookup(fast, c, p, now); ruleID(got) != ruleID(want) || len(got) != len(want) {
@@ -195,5 +349,65 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 		if len(caches[0].m)+len(caches[1].m) == 0 {
 			t.Errorf("seed %d: nothing was ever cached; the test did not reach the fast path", seed)
 		}
+		if seed == rotateSeed && (caches[0].evictions.Load() == 0 || caches[1].evictions.Load() == 0) {
+			t.Errorf("seed %d: evictions %d and %d; every cache should have rotated", seed, caches[0].evictions.Load(), caches[1].evictions.Load())
+		}
+	}
+}
+
+// holds reports whether the cache would answer key without a scan.
+func (c *flowCache) holds(key CacheKey) bool {
+	_, young := c.m[key]
+	_, old := c.old[key]
+	return young || old
+}
+
+// TestPortChurnKeepsNeighbourFlowsCached: a neighbour minting a fresh
+// 5-tuple for every packet against its own catch-all rule displaces
+// only flows idle for a whole generation, so a resident whose flows
+// keep sending never loses a cached decision to it. The resident's 32
+// flows send one packet in every 64, so each comes back every 2048
+// packets; the neighbour sends the rest, a million flows of one packet.
+func TestPortChurnKeepsNeighbourFlowsCached(t *testing.T) {
+	resident, neighbour := packet.MustParseIPv4("10.0.0.5"), packet.MustParseIPv4("10.0.0.66")
+	sw := NewSwitch("s1", nil)
+	sw.Table.InstallAll([]*FlowEntry{
+		{Priority: 10, Match: Match{Fields: FieldSrcIP, SrcIP: resident, SrcBits: 32}, Actions: []Action{Output(1)}},
+		{Priority: 10, Match: Match{Fields: FieldSrcIP, SrcIP: neighbour, SrcBits: 32}, Actions: []Action{Output(2)}},
+	}, 0)
+	const flows, every, churn = 32, 64, 1_000_000
+	residentFrames := make([][]byte, flows)
+	for i := range residentFrames {
+		residentFrames[i] = tcpPacket(t, resident, webIP, uint16(40000+i), 443, "x")
+	}
+	// One neighbour frame, re-addressed per packet: a fresh destination
+	// address and source port, with the IPv4 header checksum (the only
+	// one the decoder checks) kept valid.
+	frame := tcpPacket(t, neighbour, webIP, 0, 80, "x")
+	ihl := int(frame[0]&0x0f) * 4
+	var residentMisses, churned int
+	for n := 0; churned < churn; n++ {
+		port, data := uint16(2), frame
+		if n%every == 0 {
+			port, data = 1, residentFrames[n/every%flows]
+			if key, _ := KeyOf(data, 0); n >= every*flows && !sw.cache.holds(key) {
+				residentMisses++
+			}
+		} else {
+			copy(frame[16:20], []byte{198, 18, byte(churned >> 16), 1})
+			binary.BigEndian.PutUint16(frame[ihl:], uint16(churned))
+			binary.BigEndian.PutUint16(frame[10:12], 0)
+			binary.BigEndian.PutUint16(frame[10:12], packet.Checksum(frame[:ihl]))
+			churned++
+		}
+		if d := sw.Process(data, 0); d.Verdict != VerdictOutput || d.Port != port {
+			t.Fatalf("packet %d: verdict %v port %d, want output on %d", n, d.Verdict, d.Port, port)
+		}
+	}
+	if residentMisses != 0 {
+		t.Errorf("%d of the resident's packets after warm-up missed the flow cache, want 0", residentMisses)
+	}
+	if ev, floor := sw.CacheEvictions(), int64(churn-2*flowCacheGen); ev < floor {
+		t.Errorf("%d evictions counted, want at least %d: every churned flow but the cache's two generations", ev, floor)
 	}
 }

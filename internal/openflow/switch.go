@@ -138,19 +138,27 @@ func (s *Switch) Resolve(key CacheKey, cacheable bool, data []byte, now time.Dur
 	}
 	var t0 int64
 	if decodeNs != nil {
-		t0 = time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
+		t0 = PerfStamp()
 	}
 	fields := ExtractFields(s.dec.DecodeHeaders(data, packet.LayerTypeIPv4), key.InPort)
 	if decodeNs != nil {
-		*decodeNs += time.Now().UnixNano() - t0 //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
+		*decodeNs += PerfStamp() - t0
 	}
 	actions, entry = s.Table.lookupScan(s.cache, key, cacheable, fields, len(data), now)
 	return actions, entry, false
 }
 
-// CacheFlushes reports how many times the switch's flow cache overflowed
-// its bound and was emptied. Safe to call from any goroutine.
-func (s *Switch) CacheFlushes() int64 { return s.cache.flushes.Load() }
+// CacheEvictions reports how many flows the switch's flow cache dropped
+// because they went a whole generation without a hit; flows a rule
+// write invalidated are not counted. Safe to call from any goroutine.
+func (s *Switch) CacheEvictions() int64 { return s.cache.evictions.Load() }
+
+// PerfStamp reads the wall clock in ns for the packet path's perf
+// counters: the decode, lookup and chain split and the queue-latency
+// samples. What it returns never feeds simulated time.
+func PerfStamp() int64 {
+	return time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
+}
 
 // Interpret runs one packet's action list to the action that decides
 // it: the one action interpreter, behind Switch.Process and the

@@ -420,40 +420,83 @@ func (k CacheKey) describes(f PacketFields) bool {
 }
 
 // flowCache is an exact-match fast path over the rule snapshot, in the
-// spirit of OVS's flow cache. Each Switch owns one and uses it from one
-// goroutine at a time, so it needs no lock; a generation bump (any rule
-// update or expiry) invalidates it wholesale.
+// spirit of OVS's exact-match cache. Each Switch owns one and uses it
+// from one goroutine at a time, so it needs no lock.
+//
+// It holds two generations: m, the young one, takes every miss's memo
+// and every flow hit in old. A generation lasts flowCacheGen new flows
+// (misses memoized into m; a flow moved up from old is not new), or
+// until m holds twice that many. Then old is emptied — its flows were
+// not hit for a whole generation and are counted as evictions — and the
+// two swap, reusing the storage both maps grew. So a flow inserted or
+// hit within its switch's last flowCacheGen new flows is always still
+// held, unless more than flowCacheGen flows were moved up from old
+// meanwhile; a sender minting fresh 5-tuples displaces only flows that
+// idled that long; and a switch holds at most 4*flowCacheGen flows. A
+// rule generation bump (any rule update or expiry) empties both.
 type flowCache struct {
-	gen     uint64
-	m       map[CacheKey]*FlowEntry
-	flushes atomic.Int64
+	gen       uint64
+	m, old    map[CacheKey]*FlowEntry
+	fresh     int // new flows m has taken this generation
+	evictions atomic.Int64
 }
 
-// flowCacheMax bounds one flowCache. Whoever sends the traffic picks the
-// 5-tuples (spoofed source ports are free), so without a bound the map
-// grows for as long as the rules stay put. A full cache is flushed
-// wholesale, like a generation bump: live flows pay one more scan each.
-const flowCacheMax = 1 << 18
+// flowCacheGen is how many new flows one generation takes: the reuse
+// distance, counted in a switch's new flows, within which a flow's next
+// packet always hits. Whoever sends the traffic picks the 5-tuples
+// (spoofed source ports are free), so without a bound the cache grows
+// for as long as the rules stay put. The size is 1.5 times the longest
+// reuse distance pvnbench's miss rows reach (about 8.1k new flows per
+// shard at 2 shards, where two producers that drift apart each carry
+// half of every flow); the bench workloads' flows all return within
+// 4096. A map of 12288 flows fits the same 16384 slots as one of 8192.
+const flowCacheGen = 12288
 
-func newFlowCache() *flowCache { return &flowCache{m: make(map[CacheKey]*FlowEntry)} }
+func newFlowCache() *flowCache {
+	return &flowCache{m: make(map[CacheKey]*FlowEntry), old: make(map[CacheKey]*FlowEntry)}
+}
+
+// insert files e under key in the young generation, ending the
+// generation first when it is over: old's flows are evicted and m
+// becomes old. fresh says key is a new flow rather than one moved up
+// from old.
+func (c *flowCache) insert(key CacheKey, e *FlowEntry, fresh bool) {
+	if (fresh && c.fresh >= flowCacheGen) || len(c.m) >= 2*flowCacheGen {
+		c.evictions.Add(int64(len(c.old)))
+		clear(c.old)
+		c.m, c.old = c.old, c.m
+		c.fresh = 0
+	}
+	if fresh {
+		c.fresh++
+	}
+	c.m[key] = e
+}
 
 // lookupCached answers from the caller's exact-match cache alone — the
 // steady-state fast path, which needs only the 5-tuple key and no
 // packet decode at all. cacheable is false for packets whose 5-tuple
 // could not be extracted (they still match, just uncached). A hit
-// returns the memoized entry and its actions; a nil entry means the
-// caller must extract match fields and call lookupScan.
+// returns the memoized entry and its actions, moving a flow found in
+// the old generation to the young one; a nil entry means the caller
+// must extract match fields and call lookupScan.
 func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, size int, now time.Duration) ([]Action, *FlowEntry) {
 	if gen := t.snap.Load().gen; c.gen != gen {
 		c.gen = gen
 		clear(c.m)
+		clear(c.old)
+		c.fresh = 0
 	}
 	if !cacheable {
 		return nil, nil
 	}
 	e := c.m[key]
 	if e == nil {
-		return nil, nil
+		if e = c.old[key]; e == nil {
+			return nil, nil
+		}
+		delete(c.old, key)
+		c.insert(key, e, false)
 	}
 	e.count(size, now)
 	return e.Actions, e
@@ -474,11 +517,7 @@ func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, siz
 func (t *FlowTable) lookupScan(c *flowCache, key CacheKey, cacheable bool, fields PacketFields, size int, now time.Duration) ([]Action, *FlowEntry) {
 	actions, e := t.Lookup(fields, size, now)
 	if e != nil && cacheable && key.describes(fields) {
-		if len(c.m) >= flowCacheMax {
-			clear(c.m)
-			c.flushes.Add(1)
-		}
-		c.m[key] = e
+		c.insert(key, e, true)
 	}
 	return actions, e
 }
