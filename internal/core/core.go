@@ -82,7 +82,9 @@ type AccessNetwork struct {
 
 	// AttestationLies, when set, makes the provider attest to the
 	// device's requested hash regardless of what actually runs — the
-	// dishonest-ISP case experiment E8 audits.
+	// dishonest-ISP case. Only TestAuditDetectsLyingProvider sets it;
+	// experiment E8 models config tampering in its own simulated
+	// providers and never reaches this field.
 	AttestationLies bool
 }
 

@@ -85,12 +85,10 @@ type Config struct {
 	OnTunnel func(name string, data []byte)
 	// OnController receives table-miss punts.
 	OnController func(inPort uint16, data []byte)
-	// OnExpired observes entries evicted by idle/hard timeouts.
-	OnExpired func(*openflow.FlowEntry)
-	// All four hooks are called from worker goroutines, concurrently.
+	// All three hooks are called from worker goroutines, concurrently.
 
-	// Now supplies simulated time for counters/timeouts/meters; nil
-	// means time zero, like openflow.NewSwitch.
+	// Now supplies simulated time for meters; nil means time zero, like
+	// openflow.NewSwitch.
 	Now func() time.Duration
 }
 
@@ -113,9 +111,7 @@ type Pipeline struct {
 
 	bufPool sync.Pool
 
-	inFlight     atomic.Int64
-	sinceExpire  atomic.Int64
-	expireEveryN int64
+	inFlight atomic.Int64
 
 	wg sync.WaitGroup
 	// lifeMu guards started/stopped: Start and Stop are idempotent and
@@ -142,11 +138,7 @@ func New(cfg Config) *Pipeline {
 	if cfg.Now == nil {
 		cfg.Now = func() time.Duration { return 0 }
 	}
-	p := &Pipeline{
-		cfg:          cfg,
-		table:        openflow.NewFlowTable(),
-		expireEveryN: 4096,
-	}
+	p := &Pipeline{cfg: cfg, table: openflow.NewFlowTable()}
 	p.bufPool.New = func() any { b := make([]byte, 0, 2048); return &b }
 	for i := 0; i < cfg.Shards; i++ {
 		p.shards = append(p.shards, &shard{id: i, queue: newRing(cfg.QueueDepth, cfg.Policy),
@@ -259,27 +251,5 @@ func (p *Pipeline) getBuf(n int) *[]byte {
 func (p *Pipeline) release(bp *[]byte) {
 	if bp != nil && cap(*bp) <= 64<<10 {
 		p.bufPool.Put(bp)
-	}
-}
-
-// maybeExpire runs table expiry roughly every expireEveryN processed
-// packets, pipeline-wide, so timeouts fire without a dedicated timer
-// goroutine (Switch.Process's expire-per-packet, amortized). Workers
-// call it once per batch with the batch size; the pass fires when the
-// running count crosses an expireEveryN boundary.
-func (p *Pipeline) maybeExpire(n int64) {
-	s := p.sinceExpire.Add(n)
-	if s/p.expireEveryN == (s-n)/p.expireEveryN {
-		return
-	}
-	p.ExpireNow()
-}
-
-// ExpireNow forces an expiry pass immediately.
-func (p *Pipeline) ExpireNow() {
-	for _, fe := range p.table.Expire(p.cfg.Now()) {
-		if p.cfg.OnExpired != nil {
-			p.cfg.OnExpired(fe)
-		}
 	}
 }

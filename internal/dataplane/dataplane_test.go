@@ -124,12 +124,12 @@ func sameEntry(a, b *openflow.FlowEntry) bool {
 // TestPipelineMatchesSerial holds the three ways a packet can be run —
 // the sharded pipeline, Switch.Process inline, and the refSwitch oracle
 // — to each other on twin rule sets and the same traffic, with the same
-// flow mods, clock steps and expiries landing at the same packet index
-// on every side. Switch.Process must agree with the oracle packet by
-// packet: verdict, port, tunnel, bytes, delay and matched entry. The
-// pipeline, whose shards reorder packets, must agree in its verdict and
+// flow mods and clock steps landing at the same packet index on every
+// side. Switch.Process must agree with the oracle packet by packet:
+// verdict, port, tunnel, bytes, delay and matched entry. The pipeline,
+// whose shards reorder packets, must agree in its verdict and
 // chain-error counts. All three must bill every cookie alike, and count
-// the meter and the expired rule alike.
+// the meter and the rule removed mid-stream alike.
 func TestPipelineMatchesSerial(t *testing.T) {
 	dports := []uint16{80, 443, 25, 8080, 9999, 8443, 8081, 7070, 6001, 6002}
 	const wellFormed = 4000
@@ -144,7 +144,9 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	pkts = append([][]byte{badIPChecksum(pkts[0]), cutTCPHeader(pkts[len(dports)])}, pkts...)
 	n := len(pkts)
 	out := []openflow.Action{openflow.Output(1)}
-	rules := func(tbl *openflow.FlowTable) {
+	// rules installs the twin rule set and returns its cookie-15 rule,
+	// which leaves at the second clock step.
+	rules := func(tbl *openflow.FlowTable) (leaving *openflow.FlowEntry) {
 		installRules(t, tbl)
 		drop := []openflow.Action{openflow.Drop()}
 		tbl.Install(&openflow.FlowEntry{Priority: 1, Cookie: 13, Actions: drop, // undecodable
@@ -155,19 +157,23 @@ func TestPipelineMatchesSerial(t *testing.T) {
 			{Priority: 60, Cookie: 12, Match: dportMatch(8443), Actions: []openflow.Action{openflow.Metered("shape"), openflow.Output(1)}},
 			{Priority: 60, Cookie: 14, Match: dportMatch(6001), Actions: []openflow.Action{openflow.ToMiddlebox("e/c"), openflow.Output(1)}},
 			{Priority: 60, Cookie: 14, Match: dportMatch(6002), Actions: []openflow.Action{openflow.ToMiddlebox("p/c"), openflow.Output(1)}},
-			// Falls due at the second clock step.
-			{Priority: 60, Cookie: 15, Match: dportMatch(7070), Actions: out, HardTimeout: 1500 * time.Millisecond},
+			{Priority: 60, Cookie: 15, Match: dportMatch(7070), Actions: out},
 		} {
 			tbl.Install(&e, 0)
+			if e.Cookie == 15 {
+				leaving = &e
+			}
 		}
+		return leaving
 	}
 	// The clock steps one second at each scripted table change.
 	mods := map[int]func(tbl *openflow.FlowTable, now time.Duration){
 		n / 4: func(tbl *openflow.FlowTable, now time.Duration) { // punts become outputs
 			tbl.Install(&openflow.FlowEntry{Priority: 110, Cookie: 9, Match: dportMatch(9999), Actions: out}, now)
 		},
-		n / 2: func(tbl *openflow.FlowTable, now time.Duration) { // shadows the drop rule
+		n / 2: func(tbl *openflow.FlowTable, now time.Duration) { // shadows the drop rule; 7070 starts to punt
 			tbl.Install(&openflow.FlowEntry{Priority: 120, Cookie: 11, Match: dportMatch(25), Actions: out}, now)
+			tbl.RemoveByCookie(15)
 		},
 		3 * n / 4: func(tbl *openflow.FlowTable, _ time.Duration) { tbl.RemoveByCookie(11) }, // drop rule back in force
 	}
@@ -176,12 +182,11 @@ func TestPipelineMatchesSerial(t *testing.T) {
 
 	// Switch.Process against the oracle, packet by packet.
 	ref := newRefSwitch(faultyRuntime(t), now)
-	rules(ref.table)
+	refLeaving := rules(ref.table)
 	sw := openflow.NewSwitch("inline", now)
 	sw.Chains = faultyRuntime(t)
-	rules(sw.Table)
+	swLeaving := rules(sw.Table)
 	var want ShardStats
-	var refTimed, swTimed *openflow.FlowEntry // the rule that expires, as each table billed it
 	for i, data := range pkts {
 		if mod, ok := mods[i]; ok {
 			clock.Add(int64(time.Second))
@@ -193,9 +198,6 @@ func TestPipelineMatchesSerial(t *testing.T) {
 			!bytes.Equal(r.Data, s.Data) || r.Delay != s.Delay || !sameEntry(r.Entry, s.Entry) {
 			t.Fatalf("packet %d: Switch.Process %v port=%d tunnel=%q delay=%v entry=%v, oracle %v port=%d tunnel=%q delay=%v entry=%v (same bytes: %t)",
 				i, s.Verdict, s.Port, s.TunnelName, s.Delay, s.Entry, r.Verdict, r.Port, r.TunnelName, r.Delay, r.Entry, bytes.Equal(r.Data, s.Data))
-		}
-		if r.Entry != nil && r.Entry.Cookie == 15 {
-			refTimed, swTimed = r.Entry, s.Entry
 		}
 		switch r.Verdict {
 		case openflow.VerdictOutput:
@@ -209,16 +211,15 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		}
 	}
 	want.ChainErrs = ref.chainErrs
-	if want.ChainErrs != 2*wellFormed/int64(len(dports)) || refTimed == nil || ref.table.CountByCookie(15) != 0 {
-		t.Fatalf("oracle: %d chain errors, timed rule billed %v and %d left installed; the mix did not reach both failing chains and the expiry",
-			want.ChainErrs, refTimed, ref.table.CountByCookie(15))
+	if leftPkts, _ := refLeaving.Stats(); want.ChainErrs != 2*wellFormed/int64(len(dports)) || leftPkts == 0 || ref.table.CountByCookie(15) != 0 {
+		t.Fatalf("oracle: %d chain errors, removed rule billed %d packets and %d left installed; the mix did not reach both failing chains and the removal",
+			want.ChainErrs, leftPkts, ref.table.CountByCookie(15))
 	}
 
 	// Sharded pipeline, with every hook counting deliveries.
 	clock.Store(0)
 	var mu sync.Mutex
 	hookCounts := map[string]int{}
-	var pipeTimed []*openflow.FlowEntry
 	hook := func(kind string) func() {
 		return func() { mu.Lock(); hookCounts[kind]++; mu.Unlock() }
 	}
@@ -240,15 +241,13 @@ func TestPipelineMatchesSerial(t *testing.T) {
 			tunHook()
 		},
 		OnController: func(inPort uint16, data []byte) { ctlHook() },
-		OnExpired:    func(e *openflow.FlowEntry) { pipeTimed = append(pipeTimed, e) },
 	})
-	rules(p.Table())
+	pipeLeaving := rules(p.Table())
 	p.Start()
 	for i, data := range pkts {
 		if mod, ok := mods[i]; ok {
 			p.Drain()
 			clock.Add(int64(time.Second))
-			p.ExpireNow()
 			mod(p.Table(), now())
 		}
 		if !p.Submit(data, 0) {
@@ -295,13 +294,14 @@ func TestPipelineMatchesSerial(t *testing.T) {
 			t.Errorf("cookie %d: oracle billed %d packets", cookie, refPkts)
 		}
 	}
-	// The expired rule's final counters, and the meter's.
-	if len(pipeTimed) != 1 || pipeTimed[0].Cookie != 15 {
-		t.Fatalf("pipeline expired %v, want the one cookie-15 rule", pipeTimed)
-	}
-	for _, e := range []*openflow.FlowEntry{swTimed, pipeTimed[0]} {
-		if e.Packets != refTimed.Packets || e.Bytes != refTimed.Bytes {
-			t.Errorf("expired rule billed %d pkts/%d B vs oracle %d/%d", e.Packets, e.Bytes, refTimed.Packets, refTimed.Bytes)
+	// The removed rule's final counters, and the meter's.
+	refPkts, refBytes := refLeaving.Stats()
+	for i, e := range []*openflow.FlowEntry{swLeaving, pipeLeaving} {
+		if n := tables[i+1].CountByCookie(15); n != 0 {
+			t.Errorf("%d cookie-15 rules left installed", n)
+		}
+		if gotPkts, gotBytes := e.Stats(); gotPkts != refPkts || gotBytes != refBytes {
+			t.Errorf("removed rule billed %d pkts/%d B vs oracle %d/%d", gotPkts, gotBytes, refPkts, refBytes)
 		}
 	}
 	refMeter, _ := ref.table.Meter("shape")
@@ -406,40 +406,6 @@ func TestRuleUpdateMidStream(t *testing.T) {
 	}
 	if got := after.Drops - before.Drops; got != 100 {
 		t.Errorf("drops = %d, want 100", got)
-	}
-}
-
-// TestExpiry checks idle-timeout eviction through the pipeline's expiry
-// path, including final counters on the evicted entry.
-func TestExpiry(t *testing.T) {
-	now := int64(0) // ns, mutated between quiesced phases only
-	p := New(Config{Now: func() time.Duration { return time.Duration(now) }})
-	var expired []*openflow.FlowEntry
-	p.cfg.OnExpired = func(e *openflow.FlowEntry) { expired = append(expired, e) }
-	p.Table().Install(&openflow.FlowEntry{
-		Priority:    10,
-		Match:       openflow.Match{}, // match-any
-		Actions:     []openflow.Action{openflow.Output(1)},
-		Cookie:      5,
-		IdleTimeout: time.Second,
-	}, 0)
-	p.Start()
-	pkts := frames(t, 1)
-	for i := 0; i < 10; i++ {
-		p.Submit(pkts[0], 0)
-	}
-	p.Drain()
-	now = int64(2 * time.Second)
-	p.ExpireNow()
-	p.Stop()
-	if len(expired) != 1 {
-		t.Fatalf("expired %d entries, want 1", len(expired))
-	}
-	if expired[0].Packets != 10 {
-		t.Errorf("expired entry packets = %d, want 10", expired[0].Packets)
-	}
-	if p.Table().Len() != 0 {
-		t.Errorf("table len = %d after expiry", p.Table().Len())
 	}
 }
 

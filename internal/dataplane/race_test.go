@@ -40,15 +40,36 @@ func raceEntry(prio int) *openflow.FlowEntry {
 		Match:    openflow.Match{Fields: openflow.FieldProto, Proto: packet.IPProtoTCP},
 		Actions:  []openflow.Action{openflow.Output(1)},
 		Cookie:   uint64(prio % 3),
-		// A sub-nanosecond idle timeout cannot trigger with a zero
-		// clock; hard timeouts on every 7th entry keep Expire busy.
-		HardTimeout: map[bool]time.Duration{true: time.Nanosecond, false: 0}[prio%7 == 0],
+	}
+}
+
+// raceWriter installs entries 2 onward, removing by cookie every 5th
+// step and, every 11th, the 7th entries installed since by their own
+// pointers. Each step also runs read, a control-plane read.
+func raceWriter(tbl *openflow.FlowTable, read func()) {
+	var retire []*openflow.FlowEntry
+	for i := 2; i < raceWrites; i++ {
+		e := raceEntry(i)
+		tbl.Install(e, 0)
+		if i%7 == 0 {
+			retire = append(retire, e)
+		}
+		if i%5 == 0 {
+			tbl.RemoveByCookie(uint64(i % 3))
+		}
+		if i%11 == 0 {
+			tbl.RemoveEntries(retire)
+			retire = retire[:0]
+		}
+		tbl.StatsByCookie(uint64(i % 3))
+		read()
 	}
 }
 
 // TestShardedTableRace spins M readers (each its own openflow.Switch
 // over the one table, as shards are) against one writer interleaving
-// installs, removals and expiry on the flow table's cached read path.
+// installs and both kinds of removal on the flow table's cached read
+// path.
 func TestShardedTableRace(t *testing.T) {
 	tbl := NewShardedTable()
 	tbl.Install(raceEntry(1), 0)
@@ -67,24 +88,14 @@ func TestShardedTableRace(t *testing.T) {
 			for i := 0; i < raceLookups; i++ {
 				data := pkts[i%len(pkts)]
 				key, ok := openflow.KeyOf(data, 0)
-				sw.Resolve(key, ok, data, time.Duration(i), nil)
+				sw.Resolve(key, ok, data, nil)
 			}
 		}()
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 2; i < raceWrites; i++ {
-			tbl.Install(raceEntry(i), time.Duration(i))
-			if i%5 == 0 {
-				tbl.RemoveByCookie(uint64(i % 3))
-			}
-			if i%11 == 0 {
-				tbl.Expire(time.Duration(i) * time.Millisecond)
-			}
-			tbl.StatsByCookie(uint64(i % 3))
-			tbl.Entries()
-		}
+		raceWriter(tbl, func() { tbl.Entries() })
 	}()
 	wg.Wait()
 
@@ -101,7 +112,7 @@ func TestShardedTableRace(t *testing.T) {
 // TestLegacyTableRace runs the same interleaving against the table's
 // cacheless read path (Lookup, what Switch.Resolve runs on a miss):
 // concurrent snapshot scans with atomic counter updates, against
-// Install/RemoveByCookie/Expire writers.
+// Install/RemoveByCookie/RemoveEntries writers.
 func TestLegacyTableRace(t *testing.T) {
 	tbl := openflow.NewFlowTable()
 	tbl.Install(raceEntry(1), 0)
@@ -112,23 +123,14 @@ func TestLegacyTableRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < raceLookups; i++ {
-				tbl.Lookup(raceFields(i), 100, time.Duration(i))
+				tbl.Lookup(raceFields(i), 100)
 			}
 		}()
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 2; i < raceWrites; i++ {
-			tbl.Install(raceEntry(i), time.Duration(i))
-			if i%5 == 0 {
-				tbl.RemoveByCookie(uint64(i % 3))
-			}
-			if i%11 == 0 {
-				tbl.Expire(time.Duration(i) * time.Millisecond)
-			}
-			tbl.StatsByCookie(uint64(i % 3))
-		}
+		raceWriter(tbl, func() {})
 	}()
 	wg.Wait()
 

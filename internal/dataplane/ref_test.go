@@ -28,11 +28,9 @@ func newRefSwitch(chains openflow.ChainExecutor, now func() time.Duration) *refS
 // process runs one packet to its disposition.
 func (s *refSwitch) process(data []byte, inPort uint16) openflow.Disposition {
 	now := s.now()
-	s.table.Expire(now)
-
 	pkt := packet.Decode(data, packet.LayerTypeIPv4)
 	fields := openflow.ExtractFields(pkt, inPort)
-	actions, entry := s.table.Lookup(fields, len(data), now)
+	actions, entry := s.table.Lookup(fields, len(data))
 
 	d := openflow.Disposition{Data: data, Entry: entry}
 	for _, a := range actions {

@@ -48,7 +48,6 @@ func (p *Pipeline) work(sh *shard) {
 			ws.batch[i] = item{}
 		}
 		p.inFlight.Add(-int64(n))
-		p.maybeExpire(int64(n))
 	}
 }
 
@@ -76,7 +75,7 @@ func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool)
 	// scan, and only sampled batches time those decodes.
 	for i := 0; i < n; i++ {
 		it := &ws.batch[i]
-		actions, _, hit := sh.sw.Resolve(it.key, it.ok, it.data, now, decodeNs)
+		actions, _, hit := sh.sw.Resolve(it.key, it.ok, it.data, decodeNs)
 		if hit {
 			lc.cacheHits++
 		}

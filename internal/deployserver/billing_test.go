@@ -27,7 +27,7 @@ policy 0 match any action=forward
 
 // subscriberTraffic bills packets of distinct sizes, both directions,
 // to subscriber i in one table.
-func subscriberTraffic(tbl *openflow.FlowTable, i, n int, now time.Duration) {
+func subscriberTraffic(tbl *openflow.FlowTable, i, n int) {
 	addr := packet.IPv4Address{10, 0, 1, byte(i)}
 	far := packet.IPv4Address{93, 184, 216, 34}
 	for k := 0; k < n; k++ {
@@ -36,7 +36,7 @@ func subscriberTraffic(tbl *openflow.FlowTable, i, n int, now time.Duration) {
 		if k%2 == 1 {
 			f.SrcIP, f.DstIP, f.SrcPort, f.DstPort = f.DstIP, f.SrcIP, f.DstPort, f.SrcPort
 		}
-		tbl.Lookup(f, 40+k*7+i, now)
+		tbl.Lookup(f, 40+k*7+i)
 	}
 }
 
@@ -79,8 +79,8 @@ func TestUsageAndManifestMatchCookieOracle(t *testing.T) {
 		for _, dev := range s.DeviceIDs() {
 			var i int
 			fmt.Sscanf(dev, "dev%d", &i)
-			subscriberTraffic(tables[0], i, 3+round, now)
-			subscriberTraffic(tables[1], i, 5+2*round, now)
+			subscriberTraffic(tables[0], i, 3+round)
+			subscriberTraffic(tables[1], i, 5+2*round)
 		}
 	}
 	check := func(what string) {
@@ -183,8 +183,8 @@ func TestUsageKeepsOperatorDeletedRules(t *testing.T) {
 		t.Fatal(resp.Reason)
 	}
 	cookie := s.Deployment("dev1").Cookie
-	subscriberTraffic(s.Switch.Table, 1, 6, now)
-	subscriberTraffic(s.ExtraRules, 1, 4, now)
+	subscriberTraffic(s.Switch.Table, 1, 6)
+	subscriberTraffic(s.ExtraRules, 1, 4)
 	wantP, wantB := int64(0), int64(0)
 	for _, tbl := range s.tables() {
 		p, b := tbl.StatsByCookie(cookie)
@@ -225,8 +225,8 @@ func TestCrashForfeitsBookedUsage(t *testing.T) {
 		if resp := s.HandleDeploy(req); !resp.OK {
 			t.Fatalf("deploy %d: %s", i, resp.Reason)
 		}
-		subscriberTraffic(s.Switch.Table, i, 2+i, now)
-		subscriberTraffic(s.ExtraRules, i, i, now)
+		subscriberTraffic(s.Switch.Table, i, 2+i)
+		subscriberTraffic(s.ExtraRules, i, i)
 	}
 	var want []Forfeit
 	for _, dev := range []string{"dev1", "dev12", "dev2", "dev3"} {

@@ -310,8 +310,8 @@ func (s *Server) tables() []*openflow.FlowTable {
 }
 
 // usage sums the traffic of the deployment's own rules over every
-// table. A rule removed early (an operator's delete, an expiry) keeps
-// its counters, so what it carried stays billed.
+// table. A rule removed early (an operator's delete) keeps its
+// counters, so what it carried stays billed.
 func (s *Server) usage(dep *Deployment) (packets, bytes int64) {
 	for _, es := range dep.rules {
 		for _, e := range es {

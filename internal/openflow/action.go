@@ -2,7 +2,7 @@ package openflow
 
 import "fmt"
 
-// ActionType discriminates Action variants for the wire codec.
+// ActionType discriminates Action variants.
 type ActionType uint8
 
 // Action kinds.

@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -36,11 +37,11 @@ func tcpProbe(src, dst packet.IPv4Address, sport, dport, inPort uint16, size int
 
 // fastLookup is Switch.Resolve's protocol: the cache alone first, the
 // scan only on a miss.
-func fastLookup(t *FlowTable, c *flowCache, p probe, now time.Duration) []Action {
-	if actions, e := t.lookupCached(c, p.key, p.cacheable, p.size, now); e != nil {
+func fastLookup(t *FlowTable, c *flowCache, p probe) []Action {
+	if actions, e := t.lookupCached(c, p.key, p.cacheable, p.size); e != nil {
 		return actions
 	}
-	actions, _ := t.lookupScan(c, p.key, p.cacheable, p.fields, p.size, now)
+	actions, _ := t.lookupScan(c, p.key, p.cacheable, p.fields, p.size)
 	return actions
 }
 
@@ -53,8 +54,8 @@ func ruleID(actions []Action) int {
 	return -1
 }
 
-// sameEntries compares what two tables hold, or what two Expire calls
-// returned: same rules in the same order with the same counters.
+// sameEntries compares what two tables hold, or twin rules both removed:
+// same rules in the same order with the same counters.
 func sameEntries(t *testing.T, what string, ref, fast []*FlowEntry) {
 	t.Helper()
 	if len(ref) != len(fast) {
@@ -96,8 +97,8 @@ func TestFlowCacheBounded(t *testing.T) {
 	check := func(i int) {
 		p := flow(i)
 		_, inOld := c.old[p.key]
-		want, _ := ref.Lookup(p.fields, p.size, 0)
-		actions, e := fast.lookupCached(c, p.key, true, p.size, 0)
+		want, _ := ref.Lookup(p.fields, p.size)
+		actions, e := fast.lookupCached(c, p.key, true, p.size)
 		switch {
 		case e == nil:
 			if last, ok := touched[i]; ok {
@@ -106,7 +107,7 @@ func TestFlowCacheBounded(t *testing.T) {
 				}
 				evicted++
 			}
-			actions, _ = fast.lookupScan(c, p.key, true, p.fields, p.size, 0)
+			actions, _ = fast.lookupScan(c, p.key, true, p.fields, p.size)
 			misses++
 		case inOld:
 			revived++
@@ -155,8 +156,8 @@ func TestFlowCacheBounded(t *testing.T) {
 	}
 	for i := 0; i < residents; i++ {
 		p := flow(i)
-		want, _ := ref.Lookup(p.fields, p.size, 0)
-		if got := fastLookup(fast, c, p, 0); ruleID(got) != ruleID(want) || ruleID(got) != 3 {
+		want, _ := ref.Lookup(p.fields, p.size)
+		if got := fastLookup(fast, c, p); ruleID(got) != ruleID(want) || ruleID(got) != 3 {
 			t.Fatalf("flow %d after a rule write: cached path chose rule %d, Lookup rule %d", i, ruleID(got), ruleID(want))
 		}
 		if held := len(c.m) + len(c.old); held != i+1 {
@@ -196,13 +197,13 @@ func TestFlowCacheReuseDistance(t *testing.T) {
 		hits := 0
 		for i := 0; i < flows; i++ {
 			p := flow(i)
-			if _, e := table.lookupCached(c, p.key, true, p.size, 0); e != nil {
+			if _, e := table.lookupCached(c, p.key, true, p.size); e != nil {
 				t.Fatalf("d=%d: flow %d hit before its first packet", tc.d, i)
 			}
-			table.lookupScan(c, p.key, true, p.fields, p.size, 0)
+			table.lookupScan(c, p.key, true, p.fields, p.size)
 			if i >= tc.d {
 				q := flow(i - tc.d)
-				if _, e := table.lookupCached(c, q.key, true, q.size, 0); e != nil {
+				if _, e := table.lookupCached(c, q.key, true, q.size); e != nil {
 					hits++
 				}
 			}
@@ -232,7 +233,7 @@ func TestFlowCacheRevivalsStayBounded(t *testing.T) {
 	const half = flowCacheGen / 2
 	for i := 0; i < 6*flowCacheGen; i++ {
 		for j := i; j >= 0; j -= half {
-			fastLookup(table, c, flow(j), 0)
+			fastLookup(table, c, flow(j))
 		}
 		if held := len(c.m) + len(c.old); len(c.m) > 2*flowCacheGen || held > 4*flowCacheGen {
 			t.Fatalf("after %d flows: cache holds %d flows, %d young; bounds are %d and %d", i+1, held, len(c.m), 4*flowCacheGen, 2*flowCacheGen)
@@ -244,13 +245,14 @@ func TestFlowCacheRevivalsStayBounded(t *testing.T) {
 // dataplane's rule fast path: whatever rule writes land between packets,
 // lookupCached followed on a miss by lookupScan must pick the rule the
 // reference scan picks on a twin rule set and leave every entry's
-// counters the same — including entries Expire hands back and packets
+// counters the same — including entries removed mid-run and packets
 // that cannot be cached, which share one meaningless key. Seed 9 adds
 // more distinct flows than both caches' generations hold, and
-// installs, removes by cookie and expires in turn, once per rotateEvery
-// steps, so every cache rotates between the writes.
+// installs, removes by cookie and removes drawn rules in turn, once per
+// rotateEvery steps, so every cache rotates between the writes.
 func TestCachedLookupMatchesLookup(t *testing.T) {
 	const rotateSeed, rotateEvery = 9, 10 * flowCacheGen
+	removed := 0
 	for seed := int64(1); seed <= rotateSeed; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		steps, churn := 6000, 0
@@ -258,6 +260,7 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 			steps, churn = 6*rotateEvery, 6*flowCacheGen
 		}
 		ref, fast := &scanTable{}, NewFlowTable()
+		var pairs twins
 		// Two caches, as two shards would hold: each sees generation
 		// bumps only when its own next packet arrives.
 		caches := [2]*flowCache{newFlowCache(), newFlowCache()}
@@ -282,7 +285,7 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 		}
 
 		nextID := 0
-		twinRule := func(now time.Duration) {
+		twinRule := func() {
 			m := Match{Fields: FieldSet(r.Intn(1 << 7)), InPort: uint16(r.Intn(2)),
 				EthType: []uint16{packet.EtherTypeIPv4, 0x0806}[r.Intn(2)],
 				SrcIP:   addrs[r.Intn(4)], SrcBits: uint8(8 * r.Intn(5)),
@@ -291,26 +294,19 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 			if r.Intn(3) == 0 {
 				m.Fields &= FieldEthType | FieldInPort // broad rules, so most packets match something
 			}
-			e := FlowEntry{Priority: r.Intn(4), Match: m, Cookie: uint64(nextID % 5),
+			e := &FlowEntry{Priority: r.Intn(4), Match: m, Cookie: uint64(nextID % 5),
 				Actions: []Action{Output(uint16(nextID))}}
-			if r.Intn(3) == 0 {
-				e.IdleTimeout = time.Duration(1+r.Intn(40)) * time.Millisecond
-			}
-			if r.Intn(4) == 0 {
-				e.HardTimeout = time.Duration(1+r.Intn(200)) * time.Millisecond
-			}
 			nextID++
-			twin := e
-			ref.Install(&e, now)
-			fast.Install(&twin, now)
+			copied := *e
+			ref.Install(e, 0)
+			fast.Install(&copied, 0)
+			pairs.add(e, &copied)
 		}
 
-		var now time.Duration
 		for i := 0; i < 12; i++ {
-			twinRule(now)
+			twinRule()
 		}
 		for step := 0; step < steps; step++ {
-			now += time.Duration(r.Intn(300)) * time.Microsecond
 			op := r.Intn(100)
 			if churn > 0 {
 				op = 6 // a lookup, but for one write per rotateEvery steps
@@ -320,7 +316,7 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 			}
 			switch {
 			case op < 2:
-				twinRule(now)
+				twinRule()
 			case op < 3:
 				cookie := uint64(r.Intn(5))
 				rp, rb := ref.StatsByCookie(cookie)
@@ -332,15 +328,15 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 					t.Fatalf("seed %d step %d: RemoveByCookie(%d) removed %d vs %d", seed, step, cookie, a, b)
 				}
 			case op < 6:
-				sameEntries(t, "expired", ref.Expire(now), fast.Expire(now))
+				removed += pairs.remove(t, fmt.Sprintf("seed %d step %d", seed, step), r, 1+r.Intn(3), ref, fast)
 			default:
 				p := flows[r.Intn(len(flows))]
 				if churn > 0 && r.Intn(4) == 0 {
 					p = flows[r.Intn(48)]
 				}
-				want, _ := ref.Lookup(p.fields, p.size, now)
+				want, _ := ref.Lookup(p.fields, p.size)
 				c := caches[p.key.Flow.FastHash()%2]
-				if got := fastLookup(fast, c, p, now); ruleID(got) != ruleID(want) || len(got) != len(want) {
+				if got := fastLookup(fast, c, p); ruleID(got) != ruleID(want) || len(got) != len(want) {
 					t.Fatalf("seed %d step %d: cached path chose rule %d, Lookup rule %d (fields %+v)", seed, step, ruleID(got), ruleID(want), p.fields)
 				}
 			}
@@ -352,6 +348,9 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 		if seed == rotateSeed && (caches[0].evictions.Load() == 0 || caches[1].evictions.Load() == 0) {
 			t.Errorf("seed %d: evictions %d and %d; every cache should have rotated", seed, caches[0].evictions.Load(), caches[1].evictions.Load())
 		}
+	}
+	if removed < 100 {
+		t.Errorf("%d rules removed by drawn removals over all seeds; the mix no longer reaches them", removed)
 	}
 }
 

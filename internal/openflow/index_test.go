@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"pvn/internal/packet"
 )
@@ -15,7 +14,7 @@ import (
 // checkSnapshot verifies what lookups take for granted about a
 // snapshot: every rule is filed exactly once and in the place pinOf
 // names, each place is in its own order, leaves are neither empty nor
-// oversized, and the rule and timeout counters agree with what is filed.
+// oversized, and the rule counter agrees with what is filed.
 func checkSnapshot(t *testing.T, what string, s *snapshot) {
 	t.Helper()
 	// Match order, restated here so the check does not lean on the code
@@ -64,15 +63,6 @@ func checkSnapshot(t *testing.T, what string, s *snapshot) {
 	if len(seqOf) != s.rules {
 		t.Fatalf("%s: %d rules filed, the counter says %d", what, len(seqOf), s.rules)
 	}
-	timed := 0
-	for e := range seqOf {
-		if e.timed() {
-			timed++
-		}
-	}
-	if timed != s.timed {
-		t.Fatalf("%s: timed = %d, %d filed rules carry a timeout", what, s.timed, timed)
-	}
 }
 
 // ruleGen draws the seeded rule sets the index differentials run on,
@@ -80,8 +70,8 @@ func checkSnapshot(t *testing.T, what string, s *snapshot) {
 // to a /24, so prefix rules cover addresses other than their own; the
 // unset address non-IPv4 frames carry; and hot, which gets more rules
 // than a leaf holds. Rules come pinned by source, by destination, on
-// both sides and on neither, some with timeouts; each rule's Output
-// port is its ID.
+// both sides and on neither, and now and then one matches everything
+// under anyCookie; each rule's Output port is its ID.
 type ruleGen struct {
 	r              *rand.Rand
 	addrs, outside []packet.IPv4Address
@@ -89,6 +79,10 @@ type ruleGen struct {
 	ports          []uint16
 	nextID         int
 }
+
+// anyCookie tags ruleGen's match-everything rules, apart from the seven
+// cookies the others share, so a differential can retire them alone.
+const anyCookie = 7
 
 func newRuleGen(seed int64) *ruleGen {
 	g := &ruleGen{
@@ -151,14 +145,8 @@ func (g *ruleGen) rule() FlowEntry {
 		m.InPort = uint16(r.Intn(2))
 	}
 	e := FlowEntry{Priority: r.Intn(4), Match: m, Cookie: uint64(g.nextID % 7), Actions: []Action{Output(uint16(g.nextID))}}
-	if r.Intn(5) == 0 {
-		e.IdleTimeout = time.Duration(1+r.Intn(60)) * time.Millisecond
-	}
-	if r.Intn(6) == 0 {
-		e.HardTimeout = time.Duration(1+r.Intn(300)) * time.Millisecond
-	}
 	if r.Intn(40) == 0 { // matches everything, so it does not get to stay
-		e.Match, e.HardTimeout = Match{}, time.Duration(1+r.Intn(20))*time.Millisecond
+		e.Match, e.Cookie = Match{}, anyCookie
 	}
 	g.nextID++
 	return e
@@ -174,45 +162,47 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 		g := newRuleGen(seed)
 		r, addrs, hot, outside, ports, pick := g.r, g.addrs, g.hot, g.outside, g.ports, g.pick
 		ref, fast := &scanTable{}, NewFlowTable()
-		rule := g.rule
-		// install puts k twin rules in both tables: one by one in the
-		// reference, as one InstallAll (or Install, for k = 1) in the
-		// indexed table.
-		install := func(k int, now time.Duration) {
-			batch := make([]*FlowEntry, k)
-			for i := range batch {
-				e := rule()
-				twin := e
-				ref.Install(&e, now)
-				batch[i] = &twin
+		var pairs twins
+		// install puts twin copies of the rules in both tables: one by
+		// one in the reference, as one InstallAll (or Install, for one
+		// rule) in the indexed table.
+		install := func(rules ...FlowEntry) {
+			batch := make([]*FlowEntry, len(rules))
+			for i := range rules {
+				e, copied := &rules[i], rules[i]
+				ref.Install(e, 0)
+				batch[i] = &copied
+				pairs.add(e, &copied)
 			}
-			if k == 1 {
-				fast.Install(batch[0], now)
+			if len(batch) == 1 {
+				fast.Install(batch[0], 0)
 			} else {
-				fast.InstallAll(batch, now)
+				fast.InstallAll(batch, 0)
 			}
 		}
+		drawn := func(k int) []FlowEntry {
+			rules := make([]FlowEntry, k)
+			for i := range rules {
+				rules[i] = g.rule()
+			}
+			return rules
+		}
 
-		var now time.Duration
-		install(60, now)
+		install(drawn(60)...)
 		for i := 0; i < leafMax+40; i++ { // hot outgrows one leaf, one rule at a time
-			e := FlowEntry{Priority: r.Intn(4), Cookie: 100, Actions: []Action{Output(uint16(g.nextID))},
-				Match: Match{Fields: FieldSrcIP | FieldDstPort, SrcIP: hot, SrcBits: 32, DstPort: uint16(1000 + i)}}
+			install(FlowEntry{Priority: r.Intn(4), Cookie: 100, Actions: []Action{Output(uint16(g.nextID))},
+				Match: Match{Fields: FieldSrcIP | FieldDstPort, SrcIP: hot, SrcBits: 32, DstPort: uint16(1000 + i)}})
 			g.nextID++
-			twin := e
-			ref.Install(&e, now)
-			fast.Install(&twin, now)
 		}
 		checkSnapshot(t, "after fill", fast.snap.Load())
 
-		var matched, missed, crossTies int
+		var matched, missed, crossTies, removed int
 		for step := 0; step < 5000; step++ {
-			now += time.Duration(r.Intn(200)) * time.Microsecond
 			switch op := r.Intn(100); {
 			case op < 3:
-				install(1, now)
+				install(drawn(1)...)
 			case op < 6:
-				install(2+r.Intn(7), now)
+				install(drawn(2 + r.Intn(7))...)
 			case op < 7:
 				a, b := uint64(r.Intn(7)), uint64(r.Intn(7))
 				want := ref.RemoveByCookie(a)
@@ -226,8 +216,12 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 				if got := fast.RemoveByCookie(a, b); got != want {
 					t.Fatalf("seed %d step %d: RemoveByCookie(%d, %d) removed %d, reference %d", seed, step, a, b, got, want)
 				}
+			case op < 9:
+				removed += pairs.remove(t, fmt.Sprintf("seed %d step %d", seed, step), r, 1+r.Intn(3), ref, fast)
 			case op < 10:
-				sameEntries(t, "expired", ref.Expire(now), fast.Expire(now))
+				if got, want := fast.RemoveByCookie(anyCookie), ref.RemoveByCookie(anyCookie); got != want {
+					t.Fatalf("seed %d step %d: RemoveByCookie(anyCookie) removed %d, reference %d", seed, step, got, want)
+				}
 			case op < 11:
 				checkSnapshot(t, "mid-run", fast.snap.Load())
 			default:
@@ -247,8 +241,8 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 					f = PacketFields{InPort: f.InPort, EthType: []uint16{0x0806, 0x86dd}[r.Intn(2)]} // non-IPv4 frame
 				}
 				size := 40 + r.Intn(1400)
-				_, want := ref.Lookup(f, size, now)
-				_, got := fast.Lookup(f, size, now)
+				_, want := ref.Lookup(f, size)
+				_, got := fast.Lookup(f, size)
 				if (want == nil) != (got == nil) || want != nil && ruleID(want.Actions) != ruleID(got.Actions) {
 					t.Fatalf("seed %d step %d: indexed lookup chose %v, reference scan %v (fields %+v)", seed, step, got, want, f)
 				}
@@ -270,8 +264,9 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 		}
 		checkSnapshot(t, "final", fast.snap.Load())
 		sameEntries(t, "final table", ref.Entries(), fast.Entries())
-		if matched < 1000 || missed < 20 || crossTies < 100 {
-			t.Errorf("seed %d: %d matched, %d missed, %d cross-index ties; the rule mix no longer reaches every case", seed, matched, missed, crossTies)
+		if matched < 1000 || missed < 20 || crossTies < 100 || removed < 20 {
+			t.Errorf("seed %d: %d matched, %d missed, %d cross-index ties, %d removed by drawn removals; the rule mix no longer reaches every case",
+				seed, matched, missed, crossTies, removed)
 		}
 		if n := len(fast.snap.Load().bySrc.leaves); n < 2 {
 			t.Errorf("seed %d: bySrc ended with %d leaves; the hot address no longer splits one", seed, n)
@@ -393,15 +388,16 @@ func TestIndexedLookupUnderWrites(t *testing.T) {
 				if i%2 == 1 {
 					f.SrcIP, f.DstIP, f.SrcPort, f.DstPort = f.DstIP, f.SrcIP, f.DstPort, f.SrcPort
 				}
-				if _, e := tbl.Lookup(f, 40, time.Duration(i)); e == nil || e.Cookie != uint64(owner+1) {
+				if _, e := tbl.Lookup(f, 40); e == nil || e.Cookie != uint64(owner+1) {
 					t.Errorf("resident %d's packet found %v", owner, e)
 					return
 				}
 			}
 		}(r)
 	}
-	// Visitors attach between the residents' addresses and past them,
-	// some with rules that time out, and leave again.
+	// Visitors attach between the residents' addresses and past them and
+	// leave again: each one's first rule alone, then the rest by cookie.
+	var firsts []*FlowEntry
 	for i := 0; i < writes; i++ {
 		visitor := residents + i%50
 		rules := compiledShape(visitor)
@@ -411,10 +407,11 @@ func TestIndexedLookupUnderWrites(t *testing.T) {
 				e.Cookie, e.Priority = uint64(visitor+1), e.Priority-1 // loses to the resident's own
 			}
 		}
-		rules[0].HardTimeout = time.Millisecond
-		tbl.InstallAll(rules, time.Duration(i))
+		tbl.InstallAll(rules, 0)
+		firsts = append(firsts, rules[0])
 		if i%3 == 2 {
-			tbl.Expire(time.Duration(i) + time.Millisecond)
+			tbl.RemoveEntries(firsts)
+			firsts = firsts[:0]
 			tbl.RemoveByCookie(uint64(visitor+1), uint64(visitor+2))
 		}
 	}
@@ -445,8 +442,8 @@ func (g *ruleGen) fields() PacketFields {
 
 // TestRemoveEntriesMatchesRemoveByCookie is the differential oracle for
 // scoped removal. Two twin tables get the same deployments: seeded
-// random rules (pinned by source, by destination and by neither, some
-// timed), then four deployments interleaved on the hot address, one
+// random rules (pinned by source, by destination and by neither), then
+// four deployments interleaved on the hot address, one
 // rule at a time, so its run spans several leaves with each of the four
 // in every one. Tearing each deployment down by its own entries must
 // leave what tearing it down by cookie leaves — the same rules in the
@@ -505,8 +502,8 @@ func TestRemoveEntriesMatchesRemoveByCookie(t *testing.T) {
 			t.Helper()
 			for i := 0; i < 300; i++ {
 				f, size := g.fields(), 40+r.Intn(1400)
-				_, want := byCookie.Lookup(f, size, 0)
-				_, got := scoped.Lookup(f, size, 0)
+				_, want := byCookie.Lookup(f, size)
+				_, got := scoped.Lookup(f, size)
 				if (want == nil) != (got == nil) || want != nil && ruleID(want.Actions) != ruleID(got.Actions) {
 					t.Fatalf("seed %d %s: scoped table chose %v, by-cookie table %v (fields %+v)", seed, what, got, want, f)
 				}

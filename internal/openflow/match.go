@@ -1,13 +1,14 @@
 // Package openflow implements the match/action switching substrate PVNCs
 // compile to: priority-ordered flow tables over header-field matches, an
 // action vocabulary that includes middlebox redirection and rate meters,
-// a switch that executes them, and a length-prefixed wire codec for the
-// controller channel.
+// and a switch that executes them.
 //
 // It is intentionally a subset of real OpenFlow — the subset the paper's
 // "standard match/action rules" (§3.1) requires — but the semantics
-// (priority matching, table-miss to controller, counters, timeouts) follow
-// the OpenFlow model.
+// (priority matching, table-miss to controller, counters) follow the
+// OpenFlow model. Rules carry no idle or hard timeout: a rule stays until
+// it is removed, and a deployment's rules leave with its lease, its
+// teardown or a crash reclaim (package deployserver).
 package openflow
 
 import (

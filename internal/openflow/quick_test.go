@@ -100,8 +100,8 @@ func TestQuickTableLookupDeterministic(t *testing.T) {
 			tbl.Install(&FlowEntry{Priority: int(p), Cookie: uint64(i),
 				Actions: []Action{Output(uint16(i))}}, 0)
 		}
-		a1, e1 := tbl.Lookup(f, 1, 0)
-		a2, e2 := tbl.Lookup(f, 1, 0)
+		a1, e1 := tbl.Lookup(f, 1)
+		a2, e2 := tbl.Lookup(f, 1)
 		if e1 == nil || e2 == nil {
 			return e1 == e2
 		}
@@ -172,8 +172,8 @@ func TestQuickInstallOrder(t *testing.T) {
 			}
 		}
 		for _, f := range probes {
-			_, a := one.Lookup(f, 1, 0)
-			_, b := all.Lookup(f, 1, 0)
+			_, a := one.Lookup(f, 1)
+			_, b := all.Lookup(f, 1)
 			if (a == nil) != (b == nil) || a != nil && a.Cookie != b.Cookie {
 				return false
 			}

@@ -68,7 +68,7 @@ type Switch struct {
 	// Chains executes Middlebox actions; nil makes such actions drops
 	// (fail-closed: PVN traffic must not bypass its middleboxes).
 	Chains ChainExecutor
-	// Now supplies simulated time for counters/timeouts/meters.
+	// Now supplies simulated time for meters.
 	Now func() time.Duration
 
 	// PacketIns counts table-miss punts to the controller.
@@ -94,17 +94,15 @@ func NewSwitchOn(id string, table *FlowTable, chains ChainExecutor, now func() t
 	return &Switch{ID: id, Table: table, Chains: chains, Now: now, cache: newFlowCache()}
 }
 
-// Process runs one packet (raw IPv4 bytes) to its disposition: expire
-// due rules, Resolve its actions, Interpret them.
+// Process runs one packet (raw IPv4 bytes) to its disposition: Resolve
+// its actions, Interpret them.
 //
 // The cache and decoder belong to the switch, so Process must be called
 // from one goroutine at a time.
 func (s *Switch) Process(data []byte, inPort uint16) Disposition {
-	now := s.Now()
-	s.Table.Expire(now)
 	key, cacheable := KeyOf(data, inPort)
-	actions, entry, _ := s.Resolve(key, cacheable, data, now, nil)
-	term, out, delay, _ := s.Table.Interpret(actions, data, now, s.Chains)
+	actions, entry, _ := s.Resolve(key, cacheable, data, nil)
+	term, out, delay, _ := s.Table.Interpret(actions, data, s.Now(), s.Chains)
 	d := Disposition{Data: out, Delay: delay, Entry: entry}
 	if term == nil {
 		return d
@@ -132,8 +130,8 @@ func (s *Switch) Process(data []byte, inPort uint16) Disposition {
 // When decodeNs is non-nil the miss's header decode is timed into it;
 // callers sampling their stage split pass it on sampled batches only.
 // Like Process, Resolve must be called from one goroutine at a time.
-func (s *Switch) Resolve(key CacheKey, cacheable bool, data []byte, now time.Duration, decodeNs *int64) (actions []Action, entry *FlowEntry, hit bool) {
-	if actions, entry = s.Table.lookupCached(s.cache, key, cacheable, len(data), now); entry != nil {
+func (s *Switch) Resolve(key CacheKey, cacheable bool, data []byte, decodeNs *int64) (actions []Action, entry *FlowEntry, hit bool) {
+	if actions, entry = s.Table.lookupCached(s.cache, key, cacheable, len(data)); entry != nil {
 		return actions, entry, true
 	}
 	var t0 int64
@@ -144,7 +142,7 @@ func (s *Switch) Resolve(key CacheKey, cacheable bool, data []byte, now time.Dur
 	if decodeNs != nil {
 		*decodeNs += PerfStamp() - t0
 	}
-	actions, entry = s.Table.lookupScan(s.cache, key, cacheable, fields, len(data), now)
+	actions, entry = s.Table.lookupScan(s.cache, key, cacheable, fields, len(data))
 	return actions, entry, false
 }
 

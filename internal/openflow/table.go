@@ -28,17 +28,10 @@ type FlowEntry struct {
 	// to attribute rules to user deployments and, after a crash, to find
 	// the rules no deployment owns.
 	Cookie uint64
-	// IdleTimeout evicts the entry when unused this long; 0 = never.
-	IdleTimeout time.Duration
-	// HardTimeout evicts the entry this long after install; 0 = never.
-	HardTimeout time.Duration
 
 	// Counters.
 	Packets int64
 	Bytes   int64
-
-	installedAt time.Duration
-	lastUsed    int64 // time.Duration ns
 }
 
 // String implements fmt.Stringer.
@@ -52,19 +45,9 @@ func (e *FlowEntry) Stats() (packets, bytes int64) {
 	return atomic.LoadInt64(&e.Packets), atomic.LoadInt64(&e.Bytes)
 }
 
-func (e *FlowEntry) timed() bool { return e.IdleTimeout > 0 || e.HardTimeout > 0 }
-
-func (e *FlowEntry) expired(now time.Duration) bool {
-	if e.HardTimeout > 0 && now-e.installedAt >= e.HardTimeout {
-		return true
-	}
-	return e.IdleTimeout > 0 && now-time.Duration(atomic.LoadInt64(&e.lastUsed)) >= e.IdleTimeout
-}
-
-func (e *FlowEntry) count(size int, now time.Duration) {
+func (e *FlowEntry) count(size int) {
 	atomic.AddInt64(&e.Packets, 1)
 	atomic.AddInt64(&e.Bytes, int64(size))
-	atomic.StoreInt64(&e.lastUsed, int64(now))
 }
 
 // missActions run on table miss: punt to the controller, the OpenFlow
@@ -90,7 +73,6 @@ var missActions = []Action{ToController()}
 type snapshot struct {
 	gen   uint64
 	rules int // rules filed
-	timed int // of them, the ones carrying an idle or hard timeout
 
 	bySrc, byDst addrIndex
 	open         []slot
@@ -128,7 +110,7 @@ func (s *snapshot) match(f PacketFields) *FlowEntry {
 
 // FlowTable is the whole match/action state of one forwarding element:
 // a copy-on-write rule snapshot and the meter bank its Metered actions
-// name. Rule writes (Install/InstallAll/RemoveEntries/RemoveByCookie/Expire)
+// name. Rule writes (Install/InstallAll/RemoveEntries/RemoveByCookie)
 // serialize on a writer mutex and publish a new snapshot atomically —
 // one generation bump and so one flow-cache flush per call, however many
 // rules the call carries. A write copies the leaves it touches and the
@@ -164,7 +146,8 @@ func (t *FlowTable) Generation() uint64 { return t.snap.Load().gen }
 // Len returns the number of installed entries.
 func (t *FlowTable) Len() int { return t.snap.Load().rules }
 
-// Install adds one entry at the given simulated time: InstallAll of one.
+// Install adds one entry: InstallAll of one. now is ignored, as by
+// InstallAll; it stays because bench/ calls Install(&fe, 0).
 func (t *FlowTable) Install(e *FlowEntry, now time.Duration) {
 	t.InstallAll([]*FlowEntry{e}, now)
 }
@@ -174,7 +157,9 @@ func (t *FlowTable) Install(e *FlowEntry, now time.Duration) {
 // snapshot swap. The table keeps the entries themselves: their counters
 // are live from here on. Each new entry is the youngest of its
 // priority, so it goes right before the first entry of lower priority
-// in its place and the order needs no re-sort.
+// in its place and the order needs no re-sort. now is ignored: a rule
+// carries no timeout, so its install time matters to nothing. It stays
+// because bench/ calls Install(&fe, 0), which passes it on.
 func (t *FlowTable) InstallAll(batch []*FlowEntry, now time.Duration) {
 	if len(batch) == 0 {
 		return
@@ -182,14 +167,9 @@ func (t *FlowTable) InstallAll(batch []*FlowEntry, now time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := t.snap.Load()
-	next := &snapshot{gen: old.gen + 1, rules: old.rules + len(batch), timed: old.timed,
+	next := &snapshot{gen: old.gen + 1, rules: old.rules + len(batch),
 		bySrc: old.bySrc, byDst: old.byDst, open: old.open}
 	for _, e := range batch {
-		e.installedAt = now
-		atomic.StoreInt64(&e.lastUsed, int64(now))
-		if e.timed() {
-			next.timed++
-		}
 		t.seq++
 		s := slot{e: e, seq: t.seq}
 		switch pinOf(&e.Match) {
@@ -232,14 +212,8 @@ func (t *FlowTable) remove(dead func(*FlowEntry) bool) []*FlowEntry {
 // are filtered out, leaving the given indexes and unpinned list. Callers
 // hold t.mu and have removed at least one rule.
 func (t *FlowTable) publish(old *snapshot, bySrc, byDst addrIndex, open, gone []slot) {
-	next := &snapshot{gen: old.gen + 1, rules: old.rules - len(gone), timed: old.timed,
-		bySrc: bySrc, byDst: byDst, open: open}
-	for _, o := range gone {
-		if o.e.timed() {
-			next.timed--
-		}
-	}
-	t.snap.Store(next)
+	t.snap.Store(&snapshot{gen: old.gen + 1, rules: old.rules - len(gone),
+		bySrc: bySrc, byDst: byDst, open: open})
 }
 
 // RemoveEntries deletes exactly the given entries — pointers this table
@@ -248,9 +222,9 @@ func (t *FlowTable) publish(old *snapshot, bySrc, byDst addrIndex, open, gone []
 // entries' own pin keys name the only leaves that can hold them (one
 // address's run may span two leaves), and the unpinned list is filtered
 // only when one of them is unpinned, so the write costs the deployment's
-// own rules, not the table's. Entries already gone (expired, or removed
-// by cookie) are skipped; when none is left nothing is published and
-// nothing is allocated.
+// own rules, not the table's. Entries already gone (removed by cookie,
+// or by an earlier RemoveEntries) are skipped; when none is left nothing
+// is published and nothing is allocated.
 func (t *FlowTable) RemoveEntries(es []*FlowEntry) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -306,19 +280,6 @@ func (t *FlowTable) RemoveByCookie(cookies ...uint64) int {
 	return len(t.remove(func(e *FlowEntry) bool { _, ok := set[e.Cookie]; return ok }))
 }
 
-// Expire removes entries whose idle or hard timeout has passed and
-// returns them; their counters are final once lookups still holding the
-// previous snapshot finish. With no timed entry installed it is one
-// atomic load, so callers may run it per packet.
-func (t *FlowTable) Expire(now time.Duration) []*FlowEntry {
-	if t.snap.Load().timed == 0 {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.remove(func(e *FlowEntry) bool { return e.expired(now) })
-}
-
 // StatsByCookie sums packet/byte counters over entries with the cookie,
 // the data source for usage-based billing.
 func (t *FlowTable) StatsByCookie(cookie uint64) (packets, bytes int64) {
@@ -355,14 +316,12 @@ func (t *FlowTable) Entries() []*FlowEntry {
 	for i, o := range all {
 		e := o.e
 		copies[i] = FlowEntry{
-			Priority:    e.Priority,
-			Match:       e.Match,
-			Actions:     e.Actions,
-			Cookie:      e.Cookie,
-			IdleTimeout: e.IdleTimeout,
-			HardTimeout: e.HardTimeout,
-			Packets:     atomic.LoadInt64(&e.Packets),
-			Bytes:       atomic.LoadInt64(&e.Bytes),
+			Priority: e.Priority,
+			Match:    e.Match,
+			Actions:  e.Actions,
+			Cookie:   e.Cookie,
+			Packets:  atomic.LoadInt64(&e.Packets),
+			Bytes:    atomic.LoadInt64(&e.Bytes),
 		}
 		out[i] = &copies[i]
 	}
@@ -372,12 +331,12 @@ func (t *FlowTable) Entries() []*FlowEntry {
 // Lookup finds the packet summary's rule in the current snapshot and
 // updates the winning entry's counters — the uncached read under
 // lookupScan. Misses return the table-miss actions and a nil entry.
-func (t *FlowTable) Lookup(f PacketFields, size int, now time.Duration) ([]Action, *FlowEntry) {
+func (t *FlowTable) Lookup(f PacketFields, size int) ([]Action, *FlowEntry) {
 	e := t.snap.Load().match(f)
 	if e == nil {
 		return missActions, nil
 	}
-	e.count(size, now)
+	e.count(size)
 	return e.Actions, e
 }
 
@@ -433,7 +392,7 @@ func (k CacheKey) describes(f PacketFields) bool {
 // held, unless more than flowCacheGen flows were moved up from old
 // meanwhile; a sender minting fresh 5-tuples displaces only flows that
 // idled that long; and a switch holds at most 4*flowCacheGen flows. A
-// rule generation bump (any rule update or expiry) empties both.
+// rule generation bump (any rule write) empties both.
 type flowCache struct {
 	gen       uint64
 	m, old    map[CacheKey]*FlowEntry
@@ -480,7 +439,7 @@ func (c *flowCache) insert(key CacheKey, e *FlowEntry, fresh bool) {
 // returns the memoized entry and its actions, moving a flow found in
 // the old generation to the young one; a nil entry means the caller
 // must extract match fields and call lookupScan.
-func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, size int, now time.Duration) ([]Action, *FlowEntry) {
+func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, size int) ([]Action, *FlowEntry) {
 	if gen := t.snap.Load().gen; c.gen != gen {
 		c.gen = gen
 		clear(c.m)
@@ -498,7 +457,7 @@ func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, siz
 		delete(c.old, key)
 		c.insert(key, e, false)
 	}
-	e.count(size, now)
+	e.count(size)
 	return e.Actions, e
 }
 
@@ -514,8 +473,8 @@ func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, siz
 // well-formed packets share. The converse is not policed: a malformed
 // packet whose peeked 5-tuple is already cached hits in lookupCached,
 // is never decoded, and follows the flow's actions.
-func (t *FlowTable) lookupScan(c *flowCache, key CacheKey, cacheable bool, fields PacketFields, size int, now time.Duration) ([]Action, *FlowEntry) {
-	actions, e := t.Lookup(fields, size, now)
+func (t *FlowTable) lookupScan(c *flowCache, key CacheKey, cacheable bool, fields PacketFields, size int) ([]Action, *FlowEntry) {
+	actions, e := t.Lookup(fields, size)
 	if e != nil && cacheable && key.describes(fields) {
 		c.insert(key, e, true)
 	}
