@@ -14,11 +14,11 @@ vet:
 	$(GO) vet ./...
 
 # Static analysis. pvnlint first: it is stdlib-only, works offline, and
-# enforces the project contracts (determinism, clock discipline,
+# enforces the project contracts (determinism and clock discipline,
 # fail-closed specs, atomic/plain field races, dropped lifecycle
-# errors, plus the flow-sensitive trustflow/lockorder/goleak suite:
-# wire data verified before sinks, lock ordering, stoppable
-# goroutines) that generic linters cannot know about. Then staticcheck when
+# errors, plus the flow-sensitive trustflow/lockorder pair: wire data
+# verified before sinks, lock ordering) that generic linters cannot
+# know about. Then staticcheck when
 # it is installed (or fetchable), with a `go vet` fallback so
 # offline/minimal environments still get a lint pass instead of a hard
 # failure.

@@ -206,17 +206,38 @@ func serveMain(args []string) {
 		if err != nil {
 			log.Fatalf("pvnd: accept: %v", err)
 		}
-		go handle(conn, srv)
+		go handle(conn, srv, connIdleTimeout)
 	}
 }
 
-func handle(conn net.Conn, srv *deployserver.Server) {
+// A connection is dropped when a request line does not arrive in full
+// within connIdleTimeout, or runs past maxRequestLine bytes. Without
+// them a client that connects and sends nothing pins its goroutine and
+// socket for good, and one that sends a line without end grows its
+// buffer without bound.
+const (
+	connIdleTimeout = 30 * time.Second
+	maxRequestLine  = 1 << 20
+)
+
+// handle serves newline-delimited JSON requests on conn until the
+// client closes it, sends a line that is not a request, or is dropped:
+// idle is the time each request line (and its answer) may take.
+func handle(conn net.Conn, srv *deployserver.Server, idle time.Duration) {
 	defer conn.Close()
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	lines := bufio.NewScanner(conn)
+	lines.Buffer(make([]byte, 0, 4096), maxRequestLine)
 	enc := json.NewEncoder(conn)
 	for {
+		conn.SetDeadline(time.Now().Add(idle))
+		if !lines.Scan() {
+			if err := lines.Err(); err != nil {
+				log.Printf("pvnd: dropped connection from %s: %v", conn.RemoteAddr(), err)
+			}
+			return
+		}
 		var req request
-		if err := dec.Decode(&req); err != nil {
+		if err := json.Unmarshal(lines.Bytes(), &req); err != nil {
 			return
 		}
 		// The deployment server locks internally, so concurrent client

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -187,27 +189,49 @@ func TestDispatchSweepsLapsedLeases(t *testing.T) {
 	}
 }
 
-// TestHandleOverRealConn drives the JSON framing over a TCP connection.
-func TestHandleOverRealConn(t *testing.T) {
+// serveTest serves each connection to a loopback listener with handle,
+// dropping connections idle past idle, and signals every return of
+// handle on the channel it returns.
+func serveTest(t *testing.T, idle time.Duration) (addr string, returned <-chan struct{}) {
+	t.Helper()
 	srv := testSrv(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
+	// One slot per connection a test opens, so a returning handle
+	// never blocks on a signal nobody reads.
+	done := make(chan struct{}, 4)
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				handle(conn, srv, idle)
+				done <- struct{}{}
+			}()
 		}
-		handle(conn, srv)
 	}()
+	return ln.Addr().String(), done
+}
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
+// TestHandleOverRealConn drives the JSON framing over a TCP connection.
+func TestHandleOverRealConn(t *testing.T) {
+	addr, _ := serveTest(t, connIdleTimeout)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	requestOffer(t, conn)
+}
+
+// requestOffer sends a DM on conn and expects the daemon's offer back.
+func requestOffer(t *testing.T, conn net.Conn) {
+	t.Helper()
 	conn.SetDeadline(time.Now().Add(2 * time.Second))
 	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
 
@@ -222,6 +246,64 @@ func TestHandleOverRealConn(t *testing.T) {
 	}
 	if resp.Type != "offer" || resp.Offer == nil || resp.Offer.Provider != "t-isp" {
 		t.Fatalf("offer over wire %+v", resp)
+	}
+}
+
+// TestHandleDropsSilentClient: a client that connects and sends nothing
+// is dropped once the idle deadline passes, so it pins neither the
+// connection's goroutine nor its socket.
+func TestHandleDropsSilentClient(t *testing.T) {
+	addr, returned := serveTest(t, 100*time.Millisecond)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("handle still serving a silent client 2s after a 100ms idle deadline")
+	}
+	expectClosed(t, conn)
+}
+
+// TestHandleDropsOversizeLine: a request line longer than the cap closes
+// that connection instead of growing its buffer, and the daemon goes on
+// serving other clients.
+func TestHandleDropsOversizeLine(t *testing.T) {
+	addr, returned := serveTest(t, 2*time.Second)
+	big, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer big.Close()
+	// A string that never ends is a valid request prefix, so only the
+	// cap stops the read. The daemon may close while the line is still
+	// being written, so the write's error is not the check; the close
+	// is.
+	go big.Write(append([]byte(`{"type":"`), bytes.Repeat([]byte("x"), maxRequestLine)...))
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("handle still reading a line past maxRequestLine")
+	}
+	expectClosed(t, big)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	requestOffer(t, conn)
+}
+
+// expectClosed reads from conn until the daemon's close shows.
+func expectClosed(t *testing.T, conn net.Conn) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	_, err := io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("connection still open after handle returned")
 	}
 }
 

@@ -1,7 +1,9 @@
-// Command pvnlint runs the project-contract static analyzers over the
-// module: determinism (nondet, clockparam), fail-closed security
-// middleboxes (failpolicy), atomic/plain mixed field access
-// (unlockedfield) and dropped lifecycle errors (errdrop). It is
+// Command pvnlint runs the project's six contract analyzers over the
+// module: determinism and clock discipline (nondet), fail-closed
+// security middleboxes (failpolicy), atomic/plain mixed field access
+// (unlockedfield), dropped lifecycle errors (errdrop), wire data
+// verified before it reaches a sink (trustflow) and lock ordering
+// (lockorder). It is
 // stdlib-only and offline: packages are parsed and type-checked from
 // source, so it needs no module downloads, build cache or cgo.
 //
@@ -19,7 +21,8 @@
 // when clean). Exit status: 0 clean, 1 findings, 2 usage or load
 // failure. Deliberate exceptions are annotated in source as
 // `//lint:allow <check> <reason>` on the offending line or the line
-// above it; the reason is mandatory.
+// above it; the reason is mandatory, and the check must be one -list
+// prints.
 package main
 
 import (

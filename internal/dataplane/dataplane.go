@@ -187,7 +187,7 @@ func (p *Pipeline) Stop() {
 		sh.queue.close()
 	}
 	if p.started {
-		p.wg.Wait() //lint:allow lockorder lifeMu held across the join on purpose: it serializes Stop against Start, and workers never touch lifeMu, so the Wait cannot deadlock
+		p.wg.Wait() //lint:allow lockorder lifeMu held across the join on purpose: it serializes Stop against Start, and workers never touch lifeMu, so the Wait cannot deadlock (TestStartStopRace, TestStartStopIdempotent)
 	}
 }
 
@@ -195,7 +195,7 @@ func (p *Pipeline) Stop() {
 // meaningful while workers are running.
 func (p *Pipeline) Drain() {
 	for p.inFlight.Load() != 0 {
-		time.Sleep(20 * time.Microsecond) //lint:allow nondet spin-wait on real worker goroutines; no simulated time passes here
+		time.Sleep(20 * time.Microsecond) //lint:allow nondet spin-wait on real worker goroutines; no simulated time passes here (TestPipelineMatchesSerial drains, then matches the serial reference exactly)
 	}
 }
 

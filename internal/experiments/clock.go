@@ -43,9 +43,9 @@ func (s SimStopwatch) Start() func(int) time.Duration {
 type WallStopwatch struct{}
 
 func (WallStopwatch) Start() func(int) time.Duration {
-	start := time.Now() //lint:allow nondet the explicit wall-clock measurement mode (pvnbench -wallclock)
+	start := time.Now() //lint:allow nondet the explicit wall-clock measurement mode (pvnbench -wallclock); the default is synthetic (TestWallclockOnlyOnRequest)
 	return func(int) time.Duration {
-		return time.Since(start) //lint:allow nondet the explicit wall-clock measurement mode (pvnbench -wallclock)
+		return time.Since(start) //lint:allow nondet the explicit wall-clock measurement mode (pvnbench -wallclock); the default is synthetic (TestWallclockOnlyOnRequest)
 	}
 }
 

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"time"
+)
 
 func TestE11ScaleShape(t *testing.T) {
 	p := DefaultE11
@@ -72,5 +76,26 @@ func TestE3cCrossValidationShape(t *testing.T) {
 		if r := cell(t, res.Rows[i][3]); r < 0.9 || r > 1.15 {
 			t.Fatalf("clean link ratio %v, want ~1.0", r)
 		}
+	}
+}
+
+// TestWallclockOnlyOnRequest: E11 reads the wall clock only through a
+// WallStopwatch its caller passes (pvnbench -wallclock). The default is
+// the synthetic stopwatch, whose cost is a pure function of the op
+// count, and the table says which of the two it used.
+func TestWallclockOnlyOnRequest(t *testing.T) {
+	if _, ok := timing(nil).(SimStopwatch); !ok || isWallclock(nil) {
+		t.Fatalf("default stopwatch = %T, want SimStopwatch", timing(nil))
+	}
+	if got := timing(nil).Start()(3); got != 3*time.Microsecond {
+		t.Fatalf("synthetic cost of 3 ops = %v, want 3µs", got)
+	}
+	if !isWallclock(WallStopwatch{}) || (WallStopwatch{}).Start()(1) < 0 {
+		t.Fatal("WallStopwatch does not measure real time")
+	}
+	p := DefaultE11
+	p.UserCounts, p.PacketsPerProbe = []int{1}, 50
+	if s := E11(p).String(); !strings.Contains(s, "simclock timing") {
+		t.Fatalf("default E11 does not say its costs are synthetic:\n%s", s)
 	}
 }

@@ -121,38 +121,39 @@ func runGolden(t *testing.T, name string, a *Analyzer) {
 }
 
 func TestNondetGolden(t *testing.T)        { runGolden(t, "nondet", NondetAnalyzer) }
-func TestClockParamGolden(t *testing.T)    { runGolden(t, "clockparam", ClockParamAnalyzer) }
 func TestFailPolicyGolden(t *testing.T)    { runGolden(t, "failpolicy", FailPolicyAnalyzer) }
 func TestUnlockedFieldGolden(t *testing.T) { runGolden(t, "unlockedfield", UnlockedFieldAnalyzer) }
 func TestErrDropGolden(t *testing.T)       { runGolden(t, "errdrop", ErrDropAnalyzer) }
 func TestTrustFlowGolden(t *testing.T)     { runGolden(t, "trustflow", TrustFlowAnalyzer) }
 func TestLockOrderGolden(t *testing.T)     { runGolden(t, "lockorder", LockOrderAnalyzer) }
-func TestGoLeakGolden(t *testing.T)        { runGolden(t, "goleak", GoLeakAnalyzer) }
 
-// TestMalformedAllow: a reasonless //lint:allow suppresses nothing and
-// is itself reported; the comment-above form with a reason suppresses.
+// TestMalformedAllow: a reasonless //lint:allow, and one naming a
+// check no analyzer runs, suppress nothing and are themselves reported;
+// the comment-above form with a reason suppresses.
 func TestMalformedAllow(t *testing.T) {
 	pkgs := loadTestdata(t, "allowcheck")
 	diags := Run(testConfig("allowcheck"), pkgs, []*Analyzer{NondetAnalyzer})
-	var gotLint, gotNondet int
+	var reasonless, nondet int
+	stale := map[string]bool{}
 	for _, d := range diags {
-		switch d.Check {
-		case "lint":
-			gotLint++
-			if !strings.Contains(d.Message, "no reason") {
-				t.Errorf("malformed-allow message = %q", d.Message)
-			}
-		case "nondet":
-			gotNondet++
+		switch {
+		case d.Check == "nondet":
+			nondet++
+		case d.Check == "lint" && strings.Contains(d.Message, "no reason"):
+			reasonless++
+		case d.Check == "lint" && strings.Contains(d.Message, "names no registered check"):
+			stale[strings.Fields(d.Message)[1]] = true
+		default:
+			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
-	if gotLint != 1 || gotNondet != 1 {
+	if reasonless != 1 || nondet != 2 || !stale["goleak"] || !stale["clockparam"] || len(stale) != 2 {
 		var all []string
 		for _, d := range diags {
 			all = append(all, d.String())
 		}
-		t.Fatalf("want 1 lint + 1 nondet diagnostic, got %d + %d:\n%s",
-			gotLint, gotNondet, strings.Join(all, "\n"))
+		t.Fatalf("want 1 reasonless allow, stale allows for goleak and clockparam, and 2 nondet findings; got %d, %v, %d:\n%s",
+			reasonless, stale, nondet, strings.Join(all, "\n"))
 	}
 }
 

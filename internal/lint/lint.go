@@ -15,7 +15,8 @@
 //
 // An annotation covers findings of the named check on its own line or
 // on the line directly below it (comment-above style). The reason is
-// mandatory; a bare `//lint:allow nondet` is itself a diagnostic.
+// mandatory; a bare `//lint:allow nondet` is itself a diagnostic, and so
+// is an annotation naming a check that no registered analyzer runs.
 package lint
 
 import (
@@ -92,17 +93,7 @@ type ModulePass struct {
 	Check  string
 	Config *Config
 	Pkgs   []*Package
-
-	fnOnce sync.Once
-	fns    map[*types.Func]*FuncDecl
 	diags  []Diagnostic
-}
-
-// FuncDecl pairs a declared function with the package it lives in —
-// the module-wide function index for cross-package analyzers.
-type FuncDecl struct {
-	Pkg  *Package
-	Decl *ast.FuncDecl
 }
 
 // Fset returns the FileSet shared by all loaded packages.
@@ -111,29 +102,6 @@ func (p *ModulePass) Fset() *token.FileSet {
 		return token.NewFileSet()
 	}
 	return p.Pkgs[0].Fset
-}
-
-// Funcs lazily builds the module-wide function index. The loader
-// shares one type universe across a Load call, so *types.Func identity
-// holds across packages.
-func (p *ModulePass) Funcs() map[*types.Func]*FuncDecl {
-	p.fnOnce.Do(func() {
-		p.fns = map[*types.Func]*FuncDecl{}
-		for _, pkg := range p.Pkgs {
-			for _, f := range pkg.Files {
-				for _, d := range f.Decls {
-					fd, ok := d.(*ast.FuncDecl)
-					if !ok {
-						continue
-					}
-					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						p.fns[fn] = &FuncDecl{Pkg: pkg, Decl: fd}
-					}
-				}
-			}
-		}
-	})
-	return p.fns
 }
 
 // Reportf records a finding positioned in pkg's file set.
@@ -149,8 +117,8 @@ func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ..
 // scoped analyzers; DefaultConfig returns the pvn repo contract.
 type Config struct {
 	// DeterministicPkgs are import paths where all time must flow from
-	// the netsim clock and all randomness from a seeded RNG (checks:
-	// nondet, clockparam).
+	// the netsim clock and all randomness from a seeded RNG (check:
+	// nondet).
 	DeterministicPkgs map[string]bool
 	// PerfClocks are project functions ("pkg/path.Func") that read the
 	// wall clock for perf counters, each with the packages that may call
@@ -278,19 +246,18 @@ func DefaultConfig() *Config {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NondetAnalyzer,
-		ClockParamAnalyzer,
 		FailPolicyAnalyzer,
 		UnlockedFieldAnalyzer,
 		ErrDropAnalyzer,
 		TrustFlowAnalyzer,
 		LockOrderAnalyzer,
-		GoLeakAnalyzer,
 	}
 }
 
 // Run executes the analyzers over the packages, applies `//lint:allow`
 // suppressions, and returns the surviving diagnostics sorted by
-// position. Malformed annotations surface as "lint" diagnostics.
+// position. Reasonless and stale annotations surface as "lint"
+// diagnostics.
 //
 // Per-package passes run concurrently (one worker per CPU); module
 // analyzers run concurrently with each other after the allow set is
@@ -298,14 +265,10 @@ func Analyzers() []*Analyzer {
 // are (file, line, check), so cross-package module findings suppress
 // exactly like package ones.
 func Run(cfg *Config, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
+	found, diags := scanAllows(pkgs)
 	allows := allowSet{}
-	for _, pkg := range pkgs {
-		set, bad := suppressions(pkg)
-		diags = append(diags, bad...)
-		for k := range set {
-			allows[k] = true
-		}
+	for _, a := range found {
+		allows[allowKey{a.Pos.Filename, a.Pos.Line, a.Check}] = true
 	}
 
 	var mu sync.Mutex
@@ -387,66 +350,57 @@ func (s allowSet) covers(d Diagnostic) bool {
 
 var allowRe = regexp.MustCompile(`^//\s*lint:allow\s+(\S+)(\s+(.*))?$`)
 
-// suppressions scans a package's comments for //lint:allow annotations.
-// Well-formed ones land in the returned set keyed by the line they sit
-// on; annotations with no reason come back as diagnostics instead —
-// an unexplained suppression is exactly the review drift the linter
-// exists to stop.
-func suppressions(pkg *Package) (allowSet, []Diagnostic) {
-	set := allowSet{}
-	var bad []Diagnostic
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				if strings.TrimSpace(m[3]) == "" {
-					bad = append(bad, Diagnostic{
-						Pos:     pos,
-						Check:   "lint",
-						Message: fmt.Sprintf("//lint:allow %s has no reason; write //lint:allow %s <why>", m[1], m[1]),
-					})
-					continue
-				}
-				set[allowKey{pos.Filename, pos.Line, m[1]}] = true
-			}
-		}
-	}
-	return set, bad
-}
-
-// Allows lists every well-formed //lint:allow annotation in the
-// packages (check, reason, position) so suppressions stay reviewable
-// (`make lint-fix-audit`).
+// Allow is one well-formed //lint:allow annotation: the check it
+// suppresses and the reason it gives.
 type Allow struct {
 	Pos    token.Position
 	Check  string
 	Reason string
 }
 
-// CollectAllows returns all annotations sorted by position.
-func CollectAllows(pkgs []*Package) []Allow {
-	var out []Allow
+// scanAllows is the one walk over //lint:allow annotations. One with a
+// reason that names a registered check comes back as an Allow. One with
+// no reason, or naming no registered check, suppresses nothing and comes
+// back as a "lint" diagnostic instead: an unexplained or stale
+// suppression is exactly the review drift the linter exists to stop.
+func scanAllows(pkgs []*Package) ([]Allow, []Diagnostic) {
+	registered := map[string]bool{}
+	for _, a := range Analyzers() {
+		registered[a.Name] = true
+	}
+	var allows []Allow
+	var bad []Diagnostic
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					m := allowRe.FindStringSubmatch(c.Text)
-					if m == nil || strings.TrimSpace(m[3]) == "" {
+					if m == nil {
 						continue
 					}
-					out = append(out, Allow{
-						Pos:    pkg.Fset.Position(c.Pos()),
-						Check:  m[1],
-						Reason: strings.TrimSpace(m[3]),
-					})
+					pos := pkg.Fset.Position(c.Pos())
+					check, reason := m[1], strings.TrimSpace(m[3])
+					switch {
+					case reason == "":
+						bad = append(bad, Diagnostic{pos, "lint",
+							fmt.Sprintf("//lint:allow %s has no reason; write //lint:allow %s <why>", check, check)})
+					case !registered[check]:
+						bad = append(bad, Diagnostic{pos, "lint",
+							fmt.Sprintf("//lint:allow %s names no registered check (pvnlint -list), so it suppresses nothing", check)})
+					default:
+						allows = append(allows, Allow{pos, check, reason})
+					}
 				}
 			}
 		}
 	}
+	return allows, bad
+}
+
+// CollectAllows returns the annotations that suppress findings, sorted
+// by position, so suppressions stay reviewable (`make lint-fix-audit`).
+func CollectAllows(pkgs []*Package) []Allow {
+	out, _ := scanAllows(pkgs)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos.Filename != out[j].Pos.Filename {
 			return out[i].Pos.Filename < out[j].Pos.Filename

@@ -5,27 +5,30 @@ import (
 	"go/types"
 )
 
-// NondetAnalyzer (check "nondet") flags wall-clock time and global
-// random state inside the simulation-deterministic packages. Those
+// NondetAnalyzer (check "nondet") flags wall-clock time, wall-clock
+// tickers and timers, and global random state inside the
+// simulation-deterministic packages, in every function. Those
 // packages promise bit-identical behavior given a seed — experiment
 // tables E1–E15, the discovery session state machine, tunnel health
 // ladders, middlebox supervision — so every timestamp must come from
 // the netsim clock (or an injected now func) and every random draw from
 // a seeded netsim.RNG. A single time.Now() leaking in silently turns a
-// reproducibility guarantee into a machine-speed artifact. The project's
+// reproducibility guarantee into a machine-speed artifact, and a ticker
+// pins its caller to a wall-clock cadence netsim cannot compress or
+// step; cadence comes from a netsim.Clock or a now func. The project's
 // own perf-counter clocks (Config.PerfClocks) count as wall-clock reads
 // outside the packages they serve.
 var NondetAnalyzer = &Analyzer{
 	Name: "nondet",
-	Doc:  "wall-clock time (time.Now/Sleep/After/Since/Until/AfterFunc) or global math/rand in a simulation-deterministic package",
+	Doc:  "wall-clock time (time.Now/Sleep/After/Since/Until/AfterFunc/NewTicker/NewTimer/Tick) or global math/rand in a simulation-deterministic package",
 	Run:  runNondet,
 }
 
-// wallClockFuncs read or wait on the real clock. Ticker/Timer
-// construction is clockparam's half of the contract.
+// wallClockFuncs read, wait on or tick by the real clock.
 var wallClockFuncs = map[string]bool{
 	"Now": true, "Sleep": true, "After": true,
 	"AfterFunc": true, "Since": true, "Until": true,
+	"NewTicker": true, "NewTimer": true, "Tick": true,
 }
 
 // seededRandOK are the math/rand names that do NOT touch the package's

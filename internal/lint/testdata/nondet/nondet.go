@@ -28,6 +28,37 @@ func Shuffle(xs []int) {
 	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] }) // want `math/rand\.Shuffle uses the global generator`
 }
 
+// Tickers and timers tick by the wall clock: an exported API that builds
+// one pins its callers to real cadence, and so does an unexported
+// helper.
+func PollLoop(interval time.Duration) *time.Ticker {
+	return time.NewTicker(interval) // want `time\.NewTicker reads the wall clock`
+}
+
+func Deadline(d time.Duration) *time.Timer {
+	return time.NewTimer(d) // want `time\.NewTimer reads the wall clock`
+}
+
+func Cadence(d time.Duration) <-chan time.Time {
+	return time.Tick(d) // want `time\.Tick reads the wall clock`
+}
+
+type Prober struct{}
+
+func (Prober) Run(d time.Duration) *time.Ticker {
+	return time.NewTicker(d) // want `time\.NewTicker reads the wall clock`
+}
+
+func internalTick(d time.Duration) *time.Ticker {
+	return time.NewTicker(d) // want `time\.NewTicker reads the wall clock`
+}
+
+// TakesClock is the conforming shape: cadence comes from the caller, so
+// netsim can schedule it.
+func TakesClock(now func() time.Duration, every time.Duration) time.Duration {
+	return now() + every
+}
+
 // Seeded uses a locally-seeded generator: the project idiom, not flagged.
 func Seeded() *rand.Rand {
 	return rand.New(rand.NewSource(1))

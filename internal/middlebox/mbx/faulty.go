@@ -83,7 +83,7 @@ func (f *FaultyBox) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 			return nil, middlebox.VerdictDrop, fmt.Errorf("faulty: injected error (hard-down until %v)", f.Plan.FailUntil)
 		}
 		f.Injected.Panics++
-		//lint:allow failpolicy injected fault: panicking is this box's job; the supervisor's recover() is the system under test
+		//lint:allow failpolicy injected fault: panicking is this box's job; the supervisor recovers it (TestRestartAfterCooldown)
 		panic(fmt.Sprintf("faulty: injected panic (hard-down until %v)", f.Plan.FailUntil))
 	}
 
@@ -101,11 +101,11 @@ func (f *FaultyBox) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 		if d <= 0 {
 			d = 100 * time.Microsecond
 		}
-		time.Sleep(d) //lint:allow nondet slow-injection stalls the real worker goroutine on purpose; counts, not timings, are what E14 asserts
+		time.Sleep(d) //lint:allow nondet slow-injection stalls the real goroutine on purpose and changes no verdict, output or count (TestFaultyStallKeepsDraws)
 	}
 	if pPanic || every(f.Plan.PanicEvery) {
 		f.Injected.Panics++
-		//lint:allow failpolicy injected fault: panicking is this box's job; the supervisor's recover() is the system under test
+		//lint:allow failpolicy injected fault: panicking is this box's job; the supervisor recovers it (TestSupervisedFaultKinds "panicking", TestPipelinePanicStormRace)
 		panic(fmt.Sprintf("faulty: injected panic on call %d", f.calls))
 	}
 	if pErr || every(f.Plan.ErrorEvery) {

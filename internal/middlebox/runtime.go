@@ -661,7 +661,7 @@ func (r *Runtime) ExecuteChain(chain string, data []byte) ([]byte, time.Duration
 	}
 	c.owner.mu.Lock()
 	defer c.owner.mu.Unlock()
-	return r.run(c, data) //lint:allow lockorder mu is held shared and the owner lock serializes only this owner's boxes (order: Server.mu → Runtime.mu shared → owner lock → evMu leaf); Process cannot re-enter the runtime
+	return r.run(c, data) //lint:allow lockorder mu is held shared and the owner lock serializes only this owner's boxes (order: Server.mu → Runtime.mu shared → owner lock → evMu leaf); Process cannot re-enter the runtime (TestParallelOwnersExactCounters churns the control plane under chain traffic)
 }
 
 // run executes one packet through c. The caller holds r.mu shared and

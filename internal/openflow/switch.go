@@ -155,7 +155,7 @@ func (s *Switch) CacheEvictions() int64 { return s.cache.evictions.Load() }
 // counters: the decode, lookup and chain split and the queue-latency
 // samples. What it returns never feeds simulated time.
 func PerfStamp() int64 {
-	return time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time
+	return time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time (E14 runs the sharded pipeline and TestExperimentsDeterministic holds its table bit-identical; TestNondetGolden keeps other packages off PerfStamp)
 }
 
 // Interpret runs one packet's action list to the action that decides

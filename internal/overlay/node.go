@@ -343,9 +343,9 @@ func (n *Node) deliver(msg *netsim.Message) {
 	}
 	// Every valid envelope refreshes the sender's contact and merges
 	// its gossip — anti-entropy rides on all traffic.
-	//lint:allow trustflow DecodeEnvelope validated From's key binding; contact freshness is by design unauthenticated (Kademlia liveness, not identity)
+	//lint:allow trustflow DecodeEnvelope rejects a From whose key does not hash to its ID (TestDecodeEnvelopeRejects "spoofed sender key"); contact freshness is unauthenticated by design (Kademlia liveness, not identity)
 	n.table.Update(e.From.Peer(), n.clock.Now())
-	//lint:allow trustflow gossip claims are unsigned by design; Merge caps per-claim influence and the reputation model discounts unverified reporters
+	//lint:allow trustflow gossip claims are unsigned by design; Merge drops malformed and stale claims and Score gives each reporter one vote (TestRepStoreMergeAndScore)
 	n.Stats.GossipMerged += n.rep.Merge(e.Gossip)
 
 	switch e.Kind {
