@@ -78,8 +78,9 @@ test-race:
 # the PVNC and user-script compilers, the pcap reader, pvnd's DM request
 # (whose offer must be well-formed) and its deploy request (which must
 # tear down to the host it found) — plus the
-# differentials holding the reusable Decoder to a fresh decode and the
-# TCP reassembler to a plain byte array, and tls-verify's per-connection
+# differentials holding the reusable Decoder to a fresh decode, the
+# in-place HTTP view to the old string parser and the TCP reassembler to
+# a plain byte array, and tls-verify's per-connection
 # state across random segment sequences with FIN and RST. Patterns are anchored:
 # go test refuses -fuzz when it matches more than one target.
 fuzz-short:
@@ -89,6 +90,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzEnvelopeEncode$$' -fuzztime=6s ./internal/overlay/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeModule$$' -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzHTTPDecode$$' -fuzztime=6s ./internal/packet/
+	$(GO) test -run='^$$' -fuzz='^FuzzHTTPView$$' -fuzztime=6s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzTLSDecode$$' -fuzztime=6s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzDNSDecode$$' -fuzztime=6s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=6s ./internal/pvnc/

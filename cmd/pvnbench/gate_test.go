@@ -105,8 +105,9 @@ func TestGateBaselineRoundTrip(t *testing.T) {
 
 // TestCommittedBaselineCoversChainPath: the gate only holds the rows the
 // baseline has, so the committed one must keep the chain-bearing rule
-// set beside the no-chain one, within the chain's allocation budget: the
-// decode's one copy of the HTTP header block per packet.
+// set beside the no-chain one, within the chain's allocation budget:
+// none per packet, only the pools' amortized growth, since the boxes
+// read HTTP through the in-place view.
 func TestCommittedBaselineCoversChainPath(t *testing.T) {
 	base, err := loadDataplaneBaseline(filepath.Join("..", "..", "BENCH_DATAPLANE.json"))
 	if err != nil {
@@ -120,8 +121,8 @@ func TestCommittedBaselineCoversChainPath(t *testing.T) {
 		r, ok := rows[cfg]
 		if !ok {
 			t.Errorf("BENCH_DATAPLANE.json has no %q row", cfg)
-		} else if strings.HasPrefix(cfg, "chain") && (r.AllocsOp < 1 || r.AllocsOp > 2) {
-			t.Errorf("%s: %.2f allocs/op recorded, want the decode's one copy (at most 2)", cfg, r.AllocsOp)
+		} else if strings.HasPrefix(cfg, "chain") && r.AllocsOp >= 0.5 {
+			t.Errorf("%s: %.2f allocs/op recorded, want none per packet (below 0.5)", cfg, r.AllocsOp)
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"pvn/internal/deployserver"
@@ -201,30 +202,64 @@ func serveMain(args []string) {
 		log.Fatalf("pvnd: listen: %v", err)
 	}
 	log.Printf("pvnd: serving PVN deployments on %s as %q", ln.Addr(), *provider)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			log.Fatalf("pvnd: accept: %v", err)
-		}
-		go handle(conn, srv, connIdleTimeout)
-	}
+	log.Fatalf("pvnd: accept: %v", serve(ln, srv, connIdleTimeout, maxConns))
 }
 
 // A connection is dropped when a request line does not arrive in full
 // within connIdleTimeout, or runs past maxRequestLine bytes. Without
 // them a client that connects and sends nothing pins its goroutine and
 // socket for good, and one that sends a line without end grows its
-// buffer without bound.
+// buffer without bound. At most maxConns connections are served at
+// once, so clients that each trickle a line hold at most maxConns
+// buffers of maxRequestLine between them.
 const (
 	connIdleTimeout = 30 * time.Second
 	maxRequestLine  = 1 << 20
+	maxConns        = 256
 )
+
+// refusedConns counts the connections serve closed unserved.
+var refusedConns atomic.Int64
+
+// serve accepts connections on ln and serves each with handle, at most
+// limit at once. A connection past the limit is closed at once, unread,
+// and counted in refusedConns; the first refusal of each overload (a
+// run of refusals with no connection served in between) logs one line.
+// A served connection's slot is freed before it is closed, so once a
+// client sees its connection close, a new one is served. serve returns
+// Accept's error.
+func serve(ln net.Listener, srv *deployserver.Server, idle time.Duration, limit int) error {
+	slots := make(chan struct{}, limit)
+	overloaded := false
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		select {
+		case slots <- struct{}{}:
+			overloaded = false
+			go func() {
+				handle(conn, srv, idle)
+				<-slots
+				conn.Close()
+			}()
+		default:
+			n := refusedConns.Add(1)
+			if !overloaded {
+				overloaded = true
+				log.Printf("pvnd: serving %d connections, the limit: refusing more (%d refused so far)", limit, n)
+			}
+			conn.Close()
+		}
+	}
+}
 
 // handle serves newline-delimited JSON requests on conn until the
 // client closes it, sends a line that is not a request, or is dropped:
-// idle is the time each request line (and its answer) may take.
+// idle is the time each request line (and its answer) may take. The
+// caller closes conn.
 func handle(conn net.Conn, srv *deployserver.Server, idle time.Duration) {
-	defer conn.Close()
 	lines := bufio.NewScanner(conn)
 	lines.Buffer(make([]byte, 0, 4096), maxRequestLine)
 	enc := json.NewEncoder(conn)

@@ -189,10 +189,10 @@ func TestDispatchSweepsLapsedLeases(t *testing.T) {
 	}
 }
 
-// serveTest serves each connection to a loopback listener with handle,
-// dropping connections idle past idle, and signals every return of
-// handle on the channel it returns.
-func serveTest(t *testing.T, idle time.Duration) (addr string, returned <-chan struct{}) {
+// serveTest runs serve on a loopback listener, dropping connections idle
+// past idle and serving at most limit at once, and signals every close of
+// a connection it accepted, served or refused, on the channel it returns.
+func serveTest(t *testing.T, idle time.Duration, limit int) (addr string, closed <-chan struct{}) {
 	t.Helper()
 	srv := testSrv(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -200,27 +200,42 @@ func serveTest(t *testing.T, idle time.Duration) (addr string, returned <-chan s
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	// One slot per connection a test opens, so a returning handle
-	// never blocks on a signal nobody reads.
-	done := make(chan struct{}, 4)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				handle(conn, srv, idle)
-				done <- struct{}{}
-			}()
-		}
-	}()
+	// More slots than connections any test opens, so a close never
+	// blocks on a signal nobody reads.
+	done := make(chan struct{}, 16)
+	go serve(signalListener{ln, done}, srv, idle, limit)
 	return ln.Addr().String(), done
+}
+
+// signalListener hands out connections that signal on closed when they
+// are closed.
+type signalListener struct {
+	net.Listener
+	closed chan<- struct{}
+}
+
+func (l signalListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return signalConn{conn, l.closed}, nil
+}
+
+type signalConn struct {
+	net.Conn
+	closed chan<- struct{}
+}
+
+func (c signalConn) Close() error {
+	err := c.Conn.Close()
+	c.closed <- struct{}{}
+	return err
 }
 
 // TestHandleOverRealConn drives the JSON framing over a TCP connection.
 func TestHandleOverRealConn(t *testing.T) {
-	addr, _ := serveTest(t, connIdleTimeout)
+	addr, _ := serveTest(t, connIdleTimeout, maxConns)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +268,7 @@ func requestOffer(t *testing.T, conn net.Conn) {
 // is dropped once the idle deadline passes, so it pins neither the
 // connection's goroutine nor its socket.
 func TestHandleDropsSilentClient(t *testing.T) {
-	addr, returned := serveTest(t, 100*time.Millisecond)
+	addr, returned := serveTest(t, 100*time.Millisecond, maxConns)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +286,7 @@ func TestHandleDropsSilentClient(t *testing.T) {
 // that connection instead of growing its buffer, and the daemon goes on
 // serving other clients.
 func TestHandleDropsOversizeLine(t *testing.T) {
-	addr, returned := serveTest(t, 2*time.Second)
+	addr, returned := serveTest(t, 2*time.Second, maxConns)
 	big, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +310,50 @@ func TestHandleDropsOversizeLine(t *testing.T) {
 	}
 	defer conn.Close()
 	requestOffer(t, conn)
+}
+
+// TestServeRefusesPastLimit: with limit connections being served, one
+// more is closed at once and counted, and once a served client leaves, a
+// new one is served.
+func TestServeRefusesPastLimit(t *testing.T) {
+	const limit = 3
+	addr, closed := serveTest(t, 5*time.Second, limit)
+	waitClose := func(what string) {
+		t.Helper()
+		select {
+		case <-closed:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: no connection closed within 2s", what)
+		}
+	}
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	before := refusedConns.Load()
+	var held []net.Conn
+	for i := 0; i < limit; i++ {
+		conn := dial()
+		requestOffer(t, conn) // served, and its handle waits for the next line
+		held = append(held, conn)
+	}
+	expectClosed(t, dial())
+	waitClose("the connection past the limit")
+	if n := refusedConns.Load() - before; n != 1 {
+		t.Fatalf("%d connections refused, want 1", n)
+	}
+
+	held[0].Close()
+	waitClose("the client that left")
+	requestOffer(t, dial())
+	if n := refusedConns.Load() - before; n != 1 {
+		t.Fatalf("%d connections refused after a slot freed, want 1", n)
+	}
 }
 
 // expectClosed reads from conn until the daemon's close shows.

@@ -14,14 +14,14 @@ import (
 )
 
 // TestChainAllocBudget pins what a clean packet costs on the realistic
-// chain, pii-detect mode=block + tracker-block: one allocation, the
-// string the HTTP header block is copied into, per ExecuteChain and so
-// per packet through the pipeline, whose own path allocates nothing. The
-// Context and the decode's layers come from a pool, and neither box
-// allocates on a clean packet. The copy stays on purpose: header strings
-// may outlive the packet buffer (tracker-block's alert keeps the host).
+// chain, pii-detect mode=block + tracker-block: nothing, per ExecuteChain
+// and so per packet through the pipeline, whose own path allocates
+// nothing either. The Context, its headers-only decode and its HTTP view
+// come from a pool, and both boxes read the message through that view,
+// so no header block is copied into a string; what a box keeps (the
+// host in tracker-block's alert) it copies, and only on a finding.
 func TestChainAllocBudget(t *testing.T) {
-	const budget = 1
+	const budget = 0
 	var clock atomic.Int64
 	now := func() time.Duration { return time.Duration(clock.Load()) }
 	rt := middlebox.NewRuntime(now)

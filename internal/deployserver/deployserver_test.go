@@ -78,6 +78,18 @@ func TestDeployHappyPath(t *testing.T) {
 	}
 }
 
+// mkHTTP is a POST of body from the device in cfgSrc to a web server.
+func mkHTTP(body string) []byte {
+	h := &packet.HTTP{IsRequest: true, Method: "POST", Path: "/login", Body: []byte(body)}
+	h.SetHeader("Host", "site.example")
+	msg, _ := packet.SerializeToBytes(h)
+	ip := &packet.IPv4{Src: packet.MustParseIPv4("10.0.0.5"), Dst: packet.MustParseIPv4("93.184.216.34"), Protocol: packet.IPProtoTCP}
+	tcp := &packet.TCP{SrcPort: 40000, DstPort: 80}
+	tcp.SetNetworkLayerForChecksum(ip)
+	data, _ := packet.SerializeToBytes(ip, tcp, packet.Payload(msg))
+	return data
+}
+
 func TestDeployedDataPlaneEnforcesPolicy(t *testing.T) {
 	now := time.Duration(0)
 	s := testServer(t, &now)
@@ -85,19 +97,6 @@ func TestDeployedDataPlaneEnforcesPolicy(t *testing.T) {
 		t.Fatalf("NACK: %s", resp.Reason)
 	}
 	now = 50 * time.Millisecond // after boot
-
-	dev := packet.MustParseIPv4("10.0.0.5")
-	web := packet.MustParseIPv4("93.184.216.34")
-	mkHTTP := func(body string) []byte {
-		h := &packet.HTTP{IsRequest: true, Method: "POST", Path: "/login", Body: []byte(body)}
-		h.SetHeader("Host", "site.example")
-		msg, _ := packet.SerializeToBytes(h)
-		ip := &packet.IPv4{Src: dev, Dst: web, Protocol: packet.IPProtoTCP}
-		tcp := &packet.TCP{SrcPort: 40000, DstPort: 80}
-		tcp.SetNetworkLayerForChecksum(ip)
-		data, _ := packet.SerializeToBytes(ip, tcp, packet.Payload(msg))
-		return data
-	}
 
 	// A leaking request must be dropped by the PII chain.
 	d := s.Switch.Process(mkHTTP("password=hunter2"), 0)
@@ -149,6 +148,31 @@ func TestDeployNACKs(t *testing.T) {
 		if s.Switch.Table.Len() != 0 || len(s.Runtime.InstancesOf("alice")) != 0 {
 			t.Errorf("%s: partial install left behind", c.name)
 		}
+	}
+}
+
+// TestDeployRefusesUnknownBoxKey: a misspelt box key (secret= for
+// secrets=) is NACKed by name and installs nothing, where it used to be
+// ignored and deploy a pii-detect that protects no secret, so the
+// leaking POST was forwarded. The correct key still drops it.
+func TestDeployRefusesUnknownBoxKey(t *testing.T) {
+	now := time.Duration(0)
+	s := testServer(t, &now)
+	req := deployReq(t, 300)
+	req.PVNCSource = strings.Replace(req.PVNCSource, "secrets=hunter2", "secret=hunter2", 1)
+	resp := s.HandleDeploy(req)
+	if resp.OK || !strings.Contains(resp.Reason, `unknown config key "secret" for pii-detect`) {
+		t.Fatalf("misspelt key: ok=%v reason %q, want a NACK naming the key", resp.OK, resp.Reason)
+	}
+	if s.Switch.Table.Len() != 0 || len(s.Runtime.InstanceIDs()) != 0 {
+		t.Fatal("the refused deploy left rules or instances behind")
+	}
+	if resp := s.HandleDeploy(deployReq(t, 300)); !resp.OK {
+		t.Fatalf("secrets=: NACK %s", resp.Reason)
+	}
+	now = 50 * time.Millisecond // after boot
+	if d := s.Switch.Process(mkHTTP("password=hunter2"), 0); d.Verdict != openflow.VerdictDrop {
+		t.Fatalf("leaking POST verdict %v, want a drop", d.Verdict)
 	}
 }
 

@@ -31,22 +31,39 @@ func NewTrackerBlock(domains []string) *TrackerBlock {
 // Name implements middlebox.Box.
 func (t *TrackerBlock) Name() string { return "tracker-block" }
 
-// Process implements middlebox.Box. The host is matched in whatever case
-// it arrived in, and lowered only for the alert of a blocked packet.
+// Process implements middlebox.Box. A plaintext request's host is read
+// through ctx.HTTP; only other traffic needs ctx.Packet's full decode.
 func (t *TrackerBlock) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	host := hostOf(ctx.Packet(data))
-	if host == "" {
+	if v := ctx.HTTP(data); v != nil {
+		if !v.IsRequest {
+			return data, middlebox.VerdictPass, nil
+		}
+		return blockHost(t, ctx, data, v.Host())
+	}
+	return blockHost(t, ctx, data, sniOf(ctx.Packet(data)))
+}
+
+// blockHost drops data if host is in a blocked domain. The host is
+// matched in whatever case it arrived in, and lowered, into a string of
+// its own, only for the alert of a blocked packet.
+func blockHost[S ~string | ~[]byte](t *TrackerBlock, ctx *middlebox.Context, data []byte, host S) ([]byte, middlebox.Verdict, error) {
+	if len(host) == 0 {
 		return data, middlebox.VerdictPass, nil
 	}
 	if !isASCII(host) {
 		// Unicode lowering can change a host's length and map non-ASCII
 		// letters onto ASCII ones: lower it first, as a block list would.
-		host = strings.ToLower(host)
+		return matchHost(t, ctx, data, strings.ToLower(string(host)))
 	}
+	return matchHost(t, ctx, data, host)
+}
+
+// matchHost is blockHost's match, on a host that is ASCII or lowered.
+func matchHost[S ~string | ~[]byte](t *TrackerBlock, ctx *middlebox.Context, data []byte, host S) ([]byte, middlebox.Verdict, error) {
 	for _, d := range t.Domains {
 		if inDomain(host, d) {
 			t.Blocked++
-			ctx.Alert("tracker-blocked", strings.ToLower(host))
+			ctx.Alert("tracker-blocked", strings.ToLower(string(host)))
 			return nil, middlebox.VerdictDrop, nil
 		}
 	}
@@ -55,7 +72,7 @@ func (t *TrackerBlock) Process(ctx *middlebox.Context, data []byte) ([]byte, mid
 
 // inDomain reports whether host, with A-Z folded, is the lowercase domain
 // or a subdomain of it.
-func inDomain(host, domain string) bool {
+func inDomain[S ~string | ~[]byte](host S, domain string) bool {
 	n := len(host) - len(domain)
 	if n < 0 || n > 0 && host[n-1] != '.' {
 		return false
@@ -73,7 +90,7 @@ func inDomain(host, domain string) bool {
 }
 
 // isASCII reports whether s has no byte above 0x7F.
-func isASCII(s string) bool {
+func isASCII[S ~string | ~[]byte](s S) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= 0x80 {
 			return false
@@ -82,12 +99,8 @@ func isASCII(s string) bool {
 	return true
 }
 
-// hostOf extracts the destination hostname from HTTP Host or TLS SNI, as
-// the packet carries it.
-func hostOf(p *packet.Packet) string {
-	if h := p.HTTP(); h != nil && h.IsRequest {
-		return h.Host()
-	}
+// sniOf extracts the server name a TLS ClientHello carries, or "".
+func sniOf(p *packet.Packet) string {
 	if tl := p.TLS(); tl != nil {
 		for _, rec := range tl.Records {
 			if rec.Type != packet.TLSTypeHandshake {

@@ -145,6 +145,47 @@ func TestReaderBehindRewriterSeesRewrittenPacket(t *testing.T) {
 	})
 }
 
+// viewTap records what ctx.HTTP shows a hop, copied: path and host.
+type viewTap struct{ path, host string }
+
+func (*viewTap) Name() string { return "view-tap" }
+func (v *viewTap) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
+	h := ctx.HTTP(data)
+	v.path, v.host = string(h.Path), string(h.Host())
+	return data, middlebox.VerdictPass, nil
+}
+
+// viewDecoy asks ctx.HTTP about bytes of its own choosing and passes the
+// real packet on.
+type viewDecoy struct{ decoy []byte }
+
+func (*viewDecoy) Name() string { return "view-decoy" }
+func (d *viewDecoy) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
+	if ctx.HTTP(d.decoy) == nil {
+		return nil, middlebox.VerdictDrop, errors.New("decoy did not parse")
+	}
+	return data, middlebox.VerdictPass, nil
+}
+
+// TestHTTPViewFollowsTheSlice: ctx.HTTP keeps Packet's same-slice rule.
+// A box cannot plant a view of other bytes for the hops behind it, a hop
+// behind a rewriter sees the rewritten message, and a hop ahead of it
+// the original.
+func TestHTTPViewFollowsTheSlice(t *testing.T) {
+	before, after := &viewTap{}, &viewTap{}
+	decoy := &viewDecoy{decoy: httpReq(t, "GET", "ads.example", "/decoy", "")}
+	rt := chainOf(t, decoy, before, NewPIIDetect(PIIRedact, []string{"hunter2"}), after)
+	if out, err := runChain(t, rt, httpReq(t, "GET", "good.example", "/l/hunter2", "")); err != nil || out == nil {
+		t.Fatalf("chain: out=%v err=%v", out != nil, err)
+	}
+	if before.path != "/l/hunter2" || before.host != "good.example" {
+		t.Errorf("the hop behind the decoy saw %q %q", before.host, before.path)
+	}
+	if after.path != "/l/*******" || after.host != "good.example" {
+		t.Errorf("the hop behind the rewriter saw %q %q, want the redacted message", after.host, after.path)
+	}
+}
+
 // chainAllocs is what one packet through alice's chain on rt allocates,
 // once the pooled scratch has grown.
 func chainAllocs(t *testing.T, rt *middlebox.Runtime, frame []byte) float64 {
@@ -158,22 +199,25 @@ func chainAllocs(t *testing.T, rt *middlebox.Runtime, frame []byte) float64 {
 	return testing.AllocsPerRun(200, exec)
 }
 
-// TestCleanPacketBoxAllocs: a clean ~800-byte GET allocates once per
-// chain invocation, for the decode's copy of the header block, and
-// neither pii-detect (every detector, block mode) nor tracker-block (a
-// mixed-case host) adds to that.
+// TestCleanPacketBoxAllocs: a clean ~800-byte GET allocates nothing per
+// chain invocation: not the isolation check (a headers-only decode into
+// pooled storage), not pii-detect (every detector, block mode) and not
+// tracker-block (a mixed-case host), alone or together. Both read the
+// message through ctx.HTTP's view of the packet bytes, so no header
+// block is copied into a string.
 func TestCleanPacketBoxAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
 	get := httpReq(t, "GET", "News.Example", "/story", "", packet.HTTPHeader{Name: "Cookie", Value: strings.Repeat("abcdefghij klmnop; ", 37)})
-	decode := chainAllocs(t, chainOf(t), get) // the isolation check alone
-	if decode != 1 {
-		t.Errorf("the decode allocates %.1f per packet, want 1", decode)
-	}
-	for _, box := range []middlebox.Box{NewPIIDetect(PIIBlock, []string{"hunter2", "DevID-77"}), NewTrackerBlock([]string{"ads.example", "tracker.net"})} {
-		if got := chainAllocs(t, chainOf(t, box), get) - decode; got != 0 {
-			t.Errorf("%s allocates %.1f per clean packet, want 0", box.Name(), got)
+	pii := NewPIIDetect(PIIBlock, []string{"hunter2", "DevID-77"})
+	trk := NewTrackerBlock([]string{"ads.example", "tracker.net"})
+	for _, c := range []struct {
+		name  string
+		boxes []middlebox.Box
+	}{{"the isolation check", nil}, {pii.Name(), []middlebox.Box{pii}}, {trk.Name(), []middlebox.Box{trk}}, {"both", []middlebox.Box{pii, trk}}} {
+		if got := chainAllocs(t, chainOf(t, c.boxes...), get); got != 0 {
+			t.Errorf("%s allocates %.1f per clean packet, want 0", c.name, got)
 		}
 	}
 }

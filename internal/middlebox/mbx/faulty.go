@@ -13,7 +13,7 @@ import (
 // the middlebox-level sibling of netsim.FaultInjector. Three injection
 // shapes compose:
 //
-//   - rate-based (ErrorRate/PanicRate/CorruptRate/SlowRate): each call
+//   - rate-based (ErrorRate/PanicRate/CorruptRate): each call
 //     draws from the box's seeded RNG, so a run is reproducible
 //     bit-for-bit given the seed and call order;
 //   - modulo-based (ErrorEvery/PanicEvery/CorruptEvery): call #N, #2N, …
@@ -23,9 +23,9 @@ import (
 //     deadline faults, which makes breaker/restart experiments exact —
 //     the box is hard-down for a known window and clean after.
 type FaultPlan struct {
-	// ErrorRate / PanicRate / CorruptRate / SlowRate are per-call
-	// probabilities in [0,1], drawn from the seeded RNG.
-	ErrorRate, PanicRate, CorruptRate, SlowRate float64
+	// ErrorRate / PanicRate / CorruptRate are per-call probabilities in
+	// [0,1], drawn from the seeded RNG.
+	ErrorRate, PanicRate, CorruptRate float64
 	// ErrorEvery / PanicEvery / CorruptEvery fault every Nth call
 	// (1 = every call). Zero disables.
 	ErrorEvery, PanicEvery, CorruptEvery int
@@ -34,17 +34,14 @@ type FaultPlan struct {
 	FailUntil time.Duration
 	// FailKind is what FailUntil injects: "panic" (default) or "error".
 	FailKind string
-	// SlowDelay is the wall-clock stall injected on a slow call.
-	// Zero defaults to 100 µs.
-	SlowDelay time.Duration
 }
 
 // FaultyBox wraps an inner middlebox (or a pass-through when Inner is
-// nil) with seeded, deterministic fault injection: errors, panics,
-// output corruption and slow calls. It exists to drive the supervision
-// layer — panic isolation, circuit breakers, failure policies, restart
-// — in tests and experiments, the way netsim.FaultInjector drives the
-// control-plane retry machinery.
+// nil) with seeded, deterministic fault injection: errors, panics and
+// output corruption. It exists to drive the supervision layer — panic
+// isolation, circuit breakers, failure policies, restart — in tests and
+// experiments, the way netsim.FaultInjector drives the control-plane
+// retry machinery.
 type FaultyBox struct {
 	Inner middlebox.Box
 	Plan  FaultPlan
@@ -54,7 +51,7 @@ type FaultyBox struct {
 
 	// Injected counts what the plan actually did.
 	Injected struct {
-		Errors, Panics, Corrupts, Slows int64
+		Errors, Panics, Corrupts int64
 	}
 }
 
@@ -93,16 +90,7 @@ func (f *FaultyBox) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 	pPanic := f.Plan.PanicRate > 0 && f.rng.Bool(f.Plan.PanicRate)
 	pErr := f.Plan.ErrorRate > 0 && f.rng.Bool(f.Plan.ErrorRate)
 	pCorrupt := f.Plan.CorruptRate > 0 && f.rng.Bool(f.Plan.CorruptRate)
-	pSlow := f.Plan.SlowRate > 0 && f.rng.Bool(f.Plan.SlowRate)
 
-	if pSlow {
-		f.Injected.Slows++
-		d := f.Plan.SlowDelay
-		if d <= 0 {
-			d = 100 * time.Microsecond
-		}
-		time.Sleep(d) //lint:allow nondet slow-injection stalls the real goroutine on purpose and changes no verdict, output or count (TestFaultyStallKeepsDraws)
-	}
 	if pPanic || every(f.Plan.PanicEvery) {
 		f.Injected.Panics++
 		//lint:allow failpolicy injected fault: panicking is this box's job; the supervisor recovers it (TestSupervisedFaultKinds "panicking", TestPipelinePanicStormRace)
@@ -135,7 +123,12 @@ func (f *FaultyBox) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 	return out, v, err
 }
 
-// faultPlanFromConfig parses the "faulty" type's instance config.
+// faultKeys are the "faulty" type's config keys, the ones
+// faultPlanFromConfig reads.
+var faultKeys = []string{"error-rate", "panic-rate", "corrupt-rate", "error-every", "panic-every", "corrupt-every", "fail-until-ms", "fail-kind", "seed"}
+
+// faultPlanFromConfig parses the "faulty" type's instance config, whose
+// keys the runtime has checked against faultKeys.
 func faultPlanFromConfig(cfg map[string]string) (FaultPlan, uint64, error) {
 	var plan FaultPlan
 	var seed uint64 = 1
@@ -148,8 +141,6 @@ func faultPlanFromConfig(cfg map[string]string) (FaultPlan, uint64, error) {
 			plan.PanicRate, err = strconv.ParseFloat(val, 64)
 		case "corrupt-rate":
 			plan.CorruptRate, err = strconv.ParseFloat(val, 64)
-		case "slow-rate":
-			plan.SlowRate, err = strconv.ParseFloat(val, 64)
 		case "error-every":
 			plan.ErrorEvery, err = strconv.Atoi(val)
 		case "panic-every":
@@ -165,16 +156,8 @@ func faultPlanFromConfig(cfg map[string]string) (FaultPlan, uint64, error) {
 				err = fmt.Errorf("want panic or error")
 			}
 			plan.FailKind = val
-		case "slow-us":
-			var us int
-			us, err = strconv.Atoi(val)
-			plan.SlowDelay = time.Duration(us) * time.Microsecond
 		case "seed":
 			seed, err = strconv.ParseUint(val, 10, 64)
-		case "fail":
-			// Failure-policy override, consumed by the runtime.
-		default:
-			return plan, 0, fmt.Errorf("faulty: unknown config key %q", key)
 		}
 		if err != nil {
 			return plan, 0, fmt.Errorf("faulty: bad %s %q: %v", key, val, err)

@@ -560,6 +560,17 @@ func TestTrackerBlockByHostAndSNI(t *testing.T) {
 			t.Errorf("%q blocked with alert %q, want %q", tc.host, alerts[len(alerts)-1].Detail, tc.alert)
 		}
 	}
+
+	// The header name matches as strings.EqualFold does, so a "Hoſt"
+	// header (a long s) names the host as well.
+	msg, err := packet.SerializeToBytes(&packet.HTTP{IsRequest: true, Method: "GET", Path: "/",
+		Headers: []packet.HTTPHeader{{Name: "Ho\u017ft", Value: "ads.example"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := runChain(t, rt, tcpSeg(t, 80, msg)); out != nil {
+		t.Error("a tracker host in a Ho\u017ft header passed")
+	}
 }
 
 func TestMalwareScan(t *testing.T) {

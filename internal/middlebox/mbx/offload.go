@@ -175,6 +175,7 @@ func renderHTML(html string) string {
 func registerOffload(rt *middlebox.Runtime) {
 	rt.Register(&middlebox.Spec{
 		Type:       "replica-select",
+		Keys:       []string{"service", "replicas"},
 		FailPolicy: middlebox.FailOpen, // a broken selector loses a latency win, nothing else
 		New: func(cfg map[string]string) (middlebox.Box, error) {
 			svc, err := packet.ParseIPv4(cfg["service"])

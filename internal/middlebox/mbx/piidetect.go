@@ -63,22 +63,17 @@ type scanScratch struct{ text, lower []byte }
 
 var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// scanText returns what the detectors read. For HTTP that is the whole
-// message, assembled in sc: PII leaks ride in paths and headers as often
-// as bodies, and the parts are joined so a token that straddles two of
+// scanText returns what the detectors read of an HTTP message: the whole
+// of it, assembled in sc, since PII leaks ride in paths and headers as
+// often as bodies. The parts are joined so a token that straddles two of
 // them is still found. Anything else is scanned where it lies.
-func (sc *scanScratch) scanText(p *packet.Packet) []byte {
-	payload := p.ApplicationPayload()
-	h := p.HTTP()
-	if h == nil {
-		return payload
-	}
-	t := append(sc.text[:0], h.Method...)
+func (sc *scanScratch) scanText(v *packet.HTTPView) []byte {
+	t := append(sc.text[:0], v.Method...)
 	t = append(t, ' ')
-	t = append(t, h.Path...)
+	t = append(t, v.Path...)
 	t = append(t, ' ')
-	t = append(t, payload...)
-	for _, hd := range h.Headers {
+	t = append(t, v.Body...)
+	for _, hd := range v.Headers {
 		t = append(t, ' ')
 		t = append(t, hd.Name...)
 		t = append(t, ": "...)
@@ -103,16 +98,25 @@ func foldASCII[S ~string | ~[]byte](dst []byte, src S) []byte {
 	return dst
 }
 
-// Process implements middlebox.Box.
+// Process implements middlebox.Box. HTTP is read through ctx.HTTP; only
+// other traffic, and a redaction, need ctx.Packet's full decode.
 func (d *PIIDetect) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := ctx.Packet(data)
-	if p.TLS() != nil {
-		// Encrypted: out of scope for the in-network detector (the
-		// paper routes these to trusted execution instead, Fig 1c).
-		return data, middlebox.VerdictPass, nil
+	v := ctx.HTTP(data)
+	var text []byte
+	if v == nil {
+		p := ctx.Packet(data)
+		if p.TLS() != nil {
+			// Encrypted: out of scope for the in-network detector (the
+			// paper routes these to trusted execution instead, Fig 1c).
+			return data, middlebox.VerdictPass, nil
+		}
+		text = p.ApplicationPayload()
 	}
 	sc := scanPool.Get().(*scanScratch)
-	found := d.scan(sc, sc.scanText(p))
+	if v != nil {
+		text = sc.scanText(v)
+	}
+	found := d.scan(sc, text)
 	scanPool.Put(sc)
 	if len(found) == 0 {
 		return data, middlebox.VerdictPass, nil
@@ -127,7 +131,7 @@ func (d *PIIDetect) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 		d.Blocked++
 		return nil, middlebox.VerdictDrop, nil
 	case PIIRedact:
-		out := d.redact(p, found)
+		out := d.redact(ctx.Packet(data), found)
 		if out != nil {
 			d.Redactions++
 			return out, middlebox.VerdictPass, nil

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"pvn/internal/middlebox"
 	"pvn/internal/packet"
 )
 
@@ -225,27 +226,55 @@ func randomCases(seed int64, n int) []scanCase {
 	return cases
 }
 
+// textTap is a hop that keeps a copy of the scan text pii-detect builds
+// from ctx.HTTP, or nil when ctx.HTTP has no view of the packet.
+type textTap struct {
+	sc   scanScratch
+	text []byte
+}
+
+func (*textTap) Name() string { return "text-tap" }
+func (tap *textTap) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
+	tap.text = nil
+	if v := ctx.HTTP(data); v != nil {
+		tap.text = slices.Clone(tap.sc.scanText(v))
+	}
+	return data, middlebox.VerdictPass, nil
+}
+
 // TestScanMatchesReference is the differential oracle for the in-place
 // scan: over the straddle cases and a seeded random corpus, the scan
-// text is byte-identical to the old concatenation and the findings are
-// the old scan's, in order; over the seeded raw texts the findings are
-// the old scan's and the fold is foldASCII's.
+// text pii-detect builds from Context.HTTP is byte-identical to the old
+// concatenation of the string decode, both for the packet a chain was
+// entered with (the pooled view, after the isolation check's headers
+// decode) and for bytes of a box's own choosing (a view of their own),
+// and the findings are the old scan's, in order; over the seeded raw
+// texts the findings are the old scan's and the fold is foldASCII's.
 func TestScanMatchesReference(t *testing.T) {
 	d := NewPIIDetect(PIIAlert, scanSecrets)
 	cases := append(append([]scanCase(nil), straddleCases...), randomCases(14, 600)...)
 	hits := map[string]int{}
+	tap := &textTap{}
+	rt := chainOf(t, tap)
 	var sc scanScratch // one scratch for the whole corpus, as a worker reuses its own
 	for i, c := range cases {
-		p := packet.Decode(c.frame(t), packet.LayerTypeIPv4)
+		frame := c.frame(t)
+		p := packet.Decode(frame, packet.LayerTypeIPv4)
 		if p.HTTP() == nil {
 			t.Fatalf("case %d does not decode as HTTP: %+v", i, c)
 		}
 		want := refScanText(p)
-		text := sc.scanText(p)
-		if string(text) != string(want) {
-			t.Fatalf("case %d: scan text differs\n got %q\nwant %q", i, text, want)
+		if _, err := runChain(t, rt, frame); err != nil {
+			t.Fatal(err)
 		}
-		got, ref := d.scan(&sc, text), refScan(d, string(want))
+		own := new(middlebox.Context).HTTP(frame)
+		if tap.text == nil || own == nil {
+			t.Fatalf("case %d: Context.HTTP has no view (entered %t, own bytes %t)", i, tap.text != nil, own != nil)
+		}
+		if text := sc.scanText(own); string(text) != string(want) || string(tap.text) != string(want) {
+			t.Fatalf("case %d: scan text differs\n got %q\n and %q\nwant %q", i, tap.text, text, want)
+		}
+		got, ref := d.scan(&sc, tap.text), refScan(d, string(want))
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("case %d %+v:\n got %q\nwant %q", i, c, got, ref)
 		}
@@ -262,10 +291,13 @@ func TestScanMatchesReference(t *testing.T) {
 		}
 	}
 
-	// Not HTTP: the payload is scanned where it lies.
-	raw := packet.Decode(tcpSeg(t, 9000, []byte("id HUNTER2 617-555-1234 \xff\xfe")), packet.LayerTypeIPv4)
-	text := sc.scanText(raw)
-	if got, ref := d.scan(&sc, text), refScan(d, string(refScanText(raw))); !reflect.DeepEqual(got, ref) || len(got) != 2 {
+	// Not HTTP: no view, and the payload is scanned where it lies.
+	frame := tcpSeg(t, 9000, []byte("id HUNTER2 617-555-1234 \xff\xfe"))
+	if _, err := runChain(t, rt, frame); err != nil || tap.text != nil {
+		t.Fatalf("raw payload: err=%v, view text %q", err, tap.text)
+	}
+	raw := packet.Decode(frame, packet.LayerTypeIPv4)
+	if got, ref := d.scan(&sc, raw.ApplicationPayload()), refScan(d, string(refScanText(raw))); !reflect.DeepEqual(got, ref) || len(got) != 2 {
 		t.Fatalf("raw payload: got %q, want %q", got, ref)
 	}
 	if d.scan(&sc, nil) != nil {

@@ -51,6 +51,7 @@ func (t *TCPProxy) Process(ctx *middlebox.Context, data []byte) ([]byte, middleb
 func RegisterBuiltins(rt *middlebox.Runtime, deps Deps) {
 	rt.Register(&middlebox.Spec{
 		Type:       "tls-verify",
+		Keys:       []string{"mode"},
 		Security:   true,
 		FailPolicy: middlebox.FailClosed,
 		New: func(cfg map[string]string) (middlebox.Box, error) {
@@ -64,6 +65,7 @@ func RegisterBuiltins(rt *middlebox.Runtime, deps Deps) {
 	})
 	rt.Register(&middlebox.Spec{
 		Type:       "dns-validate",
+		Keys:       []string{"quorum"},
 		Security:   true,
 		FailPolicy: middlebox.FailClosed,
 		New: func(cfg map[string]string) (middlebox.Box, error) {
@@ -80,6 +82,7 @@ func RegisterBuiltins(rt *middlebox.Runtime, deps Deps) {
 	})
 	rt.Register(&middlebox.Spec{
 		Type:       "pii-detect",
+		Keys:       []string{"mode", "secrets"},
 		Security:   true,
 		FailPolicy: middlebox.FailClosed,
 		New: func(cfg map[string]string) (middlebox.Box, error) {
@@ -106,6 +109,7 @@ func RegisterBuiltins(rt *middlebox.Runtime, deps Deps) {
 	})
 	rt.Register(&middlebox.Spec{
 		Type:           "transcoder",
+		Keys:           []string{"ratio"},
 		FailPolicy:     middlebox.FailOpen,
 		PerPacketDelay: 500 * time.Microsecond, // media re-encode is heavy
 		MemoryBytes:    32 << 20,
@@ -123,6 +127,7 @@ func RegisterBuiltins(rt *middlebox.Runtime, deps Deps) {
 	})
 	rt.Register(&middlebox.Spec{
 		Type:       "tracker-block",
+		Keys:       []string{"domains"},
 		Security:   true,
 		FailPolicy: middlebox.FailClosed,
 		New: func(cfg map[string]string) (middlebox.Box, error) {
@@ -135,6 +140,7 @@ func RegisterBuiltins(rt *middlebox.Runtime, deps Deps) {
 	})
 	rt.Register(&middlebox.Spec{
 		Type:       "malware-scan",
+		Keys:       []string{"signatures"},
 		Security:   true,
 		FailPolicy: middlebox.FailClosed,
 		New: func(cfg map[string]string) (middlebox.Box, error) {
@@ -174,6 +180,7 @@ func RegisterBuiltins(rt *middlebox.Runtime, deps Deps) {
 		// Untrusted user code defaults to fail-closed: whatever the
 		// script was filtering must not silently flow when it breaks.
 		Type:       "user-script",
+		Keys:       []string{"script"},
 		FailPolicy: middlebox.FailClosed,
 		New: func(cfg map[string]string) (middlebox.Box, error) {
 			src := cfg["script"]
@@ -187,6 +194,7 @@ func RegisterBuiltins(rt *middlebox.Runtime, deps Deps) {
 		// Deterministic fault injection for supervision tests and
 		// experiments (E14); see FaultyBox.
 		Type: "faulty",
+		Keys: faultKeys,
 		New: func(cfg map[string]string) (middlebox.Box, error) {
 			plan, seed, err := faultPlanFromConfig(cfg)
 			if err != nil {

@@ -354,7 +354,7 @@ func extractScriptFields(p *packet.Packet) *scriptFields {
 		f.payload = string(p.ApplicationPayload())
 	}
 	if f.host == "" {
-		f.host = strings.ToLower(hostOf(p))
+		f.host = strings.ToLower(sniOf(p))
 	}
 	return f
 }

@@ -9,30 +9,36 @@ import (
 )
 
 // keepBox breaks the Box contract on purpose: it keeps the HTTP layer
-// ctx.Packet showed it for one packet, with that layer's header list,
-// and reads both when the next packet arrives, before asking for the
-// new decode.
+// ctx.Packet showed it for one packet and the view ctx.HTTP showed it,
+// each with its header list, and reads them when the next packet
+// arrives, before asking for the new ones.
 type keepBox struct {
-	kept    *packet.HTTP
-	headers []packet.HTTPHeader
-	// path and firstHeader are what the kept view read on the next call.
-	path, firstHeader string
+	kept        *packet.HTTP
+	headers     []packet.HTTPHeader
+	view        *packet.HTTPView
+	viewHeaders []packet.HTTPHeaderView
+	// path and firstHeader are what the kept layer read on the next
+	// call, viewPath and viewHeader what the kept view read.
+	path, firstHeader, viewPath, viewHeader string
 }
 
 func (*keepBox) Name() string { return "keep" }
 func (k *keepBox) Process(ctx *Context, data []byte) ([]byte, Verdict, error) {
 	if k.kept != nil {
 		k.path, k.firstHeader = k.kept.Path, k.headers[0].Name
+		k.viewPath, k.viewHeader = string(k.view.Path), string(k.viewHeaders[0].Name)
 	}
 	k.kept = ctx.Packet(data).HTTP()
 	k.headers = k.kept.Headers
+	k.view = ctx.HTTP(data)
+	k.viewHeaders = k.view.Headers
 	return data, VerdictPass, nil
 }
 
-// TestRetainedViewSeesPoison: race builds poison the pooled decode at the
-// end of every chain invocation, so a box that keeps a view of one packet
-// reads the poison marker on the next, never the old packet's fields or
-// a plausible later packet's.
+// TestRetainedViewSeesPoison: race builds poison the pooled decode and
+// HTTP view at the end of every chain invocation, so a box that keeps a
+// view of one packet reads the poison marker on the next, never the old
+// packet's fields or a plausible later packet's.
 func TestRetainedViewSeesPoison(t *testing.T) {
 	if !raceEnabled {
 		t.Skip("the decode scratch is poisoned in race builds only")
@@ -68,7 +74,10 @@ func TestRetainedViewSeesPoison(t *testing.T) {
 			continue
 		}
 		if box.path != "" || !strings.Contains(box.firstHeader, "poisoned") {
-			t.Errorf("packet %d: the view kept from the packet before read path %q, header %q; want the poison", i, box.path, box.firstHeader)
+			t.Errorf("packet %d: the layer kept from the packet before read path %q, header %q; want the poison", i, box.path, box.firstHeader)
+		}
+		if box.viewPath != "" || !strings.Contains(box.viewHeader, "poisoned") {
+			t.Errorf("packet %d: the view kept from the packet before read path %q, header %q; want the poison", i, box.viewPath, box.viewHeader)
 		}
 	}
 }

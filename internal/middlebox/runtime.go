@@ -37,6 +37,9 @@ var (
 	ErrDuplicateChain  = errors.New("middlebox: chain already exists")
 	ErrDropped         = errors.New("middlebox: packet dropped by policy")
 	ErrInstanceunknown = errors.New("middlebox: unknown instance")
+	// ErrUnknownKey refuses an instance config key its type does not
+	// declare.
+	ErrUnknownKey = errors.New("middlebox: unknown config key")
 	// ErrBoxPanic wraps a panic contained by the supervisor.
 	ErrBoxPanic = errors.New("middlebox: box panicked")
 	// ErrBoxBroken marks a packet dropped because a fail-closed
@@ -62,9 +65,10 @@ const (
 // returned to the pool when the chain finishes; it is used from exactly
 // one goroutine, under the owner's lock. Neither the Context nor
 // anything reached through it (ctx.Packet's packet, its layers, their
-// header lists and record slices) may outlive the Process call: the
-// next packet reuses the storage. Race builds poison it after every
-// invocation, so a box that keeps such a view reads garbage there.
+// header lists and record slices, ctx.HTTP's view) may outlive the
+// Process call: the next packet reuses the storage. Race builds poison
+// it after every invocation, so a box that keeps such a view reads
+// garbage there.
 type Context struct {
 	// Owner is the user the instance belongs to.
 	Owner string
@@ -73,15 +77,23 @@ type Context struct {
 
 	runtime  *Runtime
 	instance *Instance
-	// pkt is the decode of pktData, kept for the chain invocation (see
-	// Packet).
-	pkt     *packet.Packet
-	pktData []byte
 	// entered is the packet the chain was entered with, the one slice
-	// whose decode goes into dec; everything else a hop asks about gets
-	// a decode of its own.
+	// that decodes into dec and parses into view; everything else a hop
+	// asks about gets a decode and a view of its own.
 	entered []byte
 	dec     packet.Decoder
+	view    packet.HTTPView
+	// hdrs is dec's decode of entered, headers only or full, once made.
+	hdrs *packet.Packet
+	// pkt is the full decode of pktData, kept for the chain invocation
+	// (see Packet).
+	pkt     *packet.Packet
+	pktData []byte
+	// httpv is the HTTP view of httpData, or nil when httpData is not
+	// HTTP; httpDone says whether httpData has been looked at (see HTTP).
+	httpv    *packet.HTTPView
+	httpData []byte
+	httpDone bool
 }
 
 // ctxPool recycles Contexts and their decode storage across chain
@@ -89,19 +101,20 @@ type Context struct {
 // of resident subscribers and runs a handful of chains at a time.
 var ctxPool = sync.Pool{New: func() any { return new(Context) }}
 
-// Packet returns data decoded as an IPv4 packet. The decode is done once
-// per chain invocation and shared by the isolation check and every hop
-// that is handed the same bytes; a hop that passes on different bytes (a
-// rewriting box) makes the next caller decode those instead, so the
-// result always describes exactly the slice passed in. The packet is a
-// read-only view: a box must not modify it, its layers or data, nor keep
-// any of it past Process.
+// Packet returns data decoded as an IPv4 packet, every layer down to the
+// application one. The decode is done once per chain invocation, the
+// first time a hop asks, and shared by every hop that is handed the same
+// bytes; a hop that passes on different bytes (a rewriting box) makes the
+// next caller decode those instead, so the result always describes
+// exactly the slice passed in. The packet is a read-only view: a box must
+// not modify it, its layers or data, nor keep any of it past Process.
 func (c *Context) Packet(data []byte) *packet.Packet {
 	if c.pkt != nil && sameSlice(c.pktData, data) {
 		return c.pkt
 	}
 	if sameSlice(c.entered, data) {
 		c.pkt = c.dec.Decode(data, packet.LayerTypeIPv4)
+		c.hdrs = c.pkt
 	} else {
 		c.pkt = packet.Decode(data, packet.LayerTypeIPv4)
 	}
@@ -109,15 +122,56 @@ func (c *Context) Packet(data []byte) *packet.Packet {
 	return c.pkt
 }
 
+// headers returns a decode of data down to at least its transport layer:
+// for the entered packet the one in dec, made headers-only on first use;
+// for anything else Packet's.
+func (c *Context) headers(data []byte) *packet.Packet {
+	if !sameSlice(c.entered, data) {
+		return c.Packet(data)
+	}
+	if c.hdrs == nil {
+		c.hdrs = c.dec.DecodeHeaders(data, packet.LayerTypeIPv4)
+	}
+	return c.hdrs
+}
+
+// HTTP returns the HTTP message data carries, parsed in place, or nil
+// when data is not a TCP segment that Packet would decode as HTTP (the
+// port decides, and the view refuses what the HTTP layer refuses). It
+// is cached per invocation by the same same-slice rule as Packet, and
+// costs no application-layer decode: a box that only reads HTTP asks for
+// this and never for Packet. Every field aliases data, so it is
+// read-only, and a box that keeps a field past Process copies it.
+func (c *Context) HTTP(data []byte) *packet.HTTPView {
+	if c.httpDone && sameSlice(c.httpData, data) {
+		return c.httpv
+	}
+	c.httpv, c.httpData, c.httpDone = nil, data, true
+	tcp := c.headers(data).TCP()
+	if tcp == nil || tcp.NextLayerType() != packet.LayerTypeHTTP {
+		return nil
+	}
+	v := &c.view
+	if !sameSlice(c.entered, data) {
+		v = new(packet.HTTPView)
+	}
+	if v.Parse(tcp.LayerPayload()) == nil {
+		c.httpv = v
+	}
+	return c.httpv
+}
+
 // release ends the chain invocation c served and returns it to ctxPool,
 // dropping its references to the packet. Race builds poison the decode
-// storage first, so a view retained past Process fails loudly.
+// and view storage first, so a view retained past Process fails loudly.
 func (c *Context) release() {
 	if raceEnabled {
 		c.dec.Poison()
+		c.view.Poison()
 	}
 	c.Owner, c.Now, c.runtime, c.instance = "", 0, nil, nil
-	c.pkt, c.pktData, c.entered = nil, nil, nil
+	c.entered, c.hdrs, c.pkt, c.pktData = nil, nil, nil, nil
+	c.httpv, c.httpData, c.httpDone = nil, nil, false
 	ctxPool.Put(c)
 }
 
@@ -150,21 +204,21 @@ type Alert struct {
 // Box is the middlebox implementation interface. Implementations must be
 // deterministic and must not retain data across calls except through
 // their own fields (their sandboxed state), and what they keep there must
-// be their own: data, ctx.Packet(data), its layers and every slice
-// reached through them (header lists, bodies, payloads) are reused for
-// later packets once Process returns. Strings are safe to keep, slices
-// must be copied. Process calls on all of one owner's boxes are
-// serialized; boxes of different owners run concurrently, so anything a
-// box shares beyond its owner (a resolver set, a package variable) needs
-// its own synchronization.
+// be their own: data, ctx.Packet(data), its layers, ctx.HTTP(data) and
+// every slice reached through them (header lists, bodies, payloads) are
+// reused for later packets once Process returns. Strings are safe to
+// keep, slices must be copied. Process calls on all of one owner's boxes
+// are serialized; boxes of different owners run concurrently, so
+// anything a box shares beyond its owner (a resolver set, a package
+// variable) needs its own synchronization.
 type Box interface {
 	// Name identifies the middlebox type.
 	Name() string
 	// Process inspects/transforms one raw IPv4 packet. Returning
 	// VerdictDrop discards it; out is ignored then. Returning modified
-	// bytes with VerdictPass rewrites the packet: data itself and
-	// ctx.Packet(data) are shared with the other hops and read-only, so
-	// a rewrite is a new slice.
+	// bytes with VerdictPass rewrites the packet: data itself,
+	// ctx.Packet(data) and ctx.HTTP(data) are shared with the other hops
+	// and read-only, so a rewrite is a new slice.
 	Process(ctx *Context, data []byte) (out []byte, v Verdict, err error)
 }
 
@@ -174,6 +228,11 @@ type Spec struct {
 	Type string
 	// New builds an instance from a configuration map.
 	New func(cfg map[string]string) (Box, error)
+	// Keys lists the config keys New reads. They and "fail", which every
+	// type takes, are all Instantiate accepts: it refuses any other key
+	// by name, so a misspelt key (secret= for secrets=) fails the deploy
+	// instead of booting a box without what the key was meant to set.
+	Keys []string
 	// MemoryBytes is the per-instance footprint. Zero defaults to 6 MB,
 	// the paper's cited figure.
 	MemoryBytes int
@@ -199,6 +258,22 @@ const (
 	DefaultBootDelay      = 30 * time.Millisecond
 	DefaultPerPacketDelay = 45 * time.Microsecond
 )
+
+// checkKeys refuses a config with a key s does not declare, naming the
+// first such key in sorted order.
+func (s *Spec) checkKeys(cfg map[string]string) error {
+	var unknown []string
+	for k := range cfg {
+		if k != "fail" && !slices.Contains(s.Keys, k) {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	slices.Sort(unknown)
+	return fmt.Errorf("%w %q for %s", ErrUnknownKey, unknown[0], s.Type)
+}
 
 func (s *Spec) memory() int {
 	if s.MemoryBytes == 0 {
@@ -309,8 +384,8 @@ type ownerEntry struct {
 // (deployserver's Server.mu) → mu → owner lock → evMu.
 //
 // Code the runtime calls under these locks — Box.Process, Spec.New,
-// OnEvent — must not call back into it (Context.Alert and
-// Context.Packet are the sanctioned ways in). Now and Spec.New are
+// OnEvent — must not call back into it (Context.Alert, Context.Packet
+// and Context.HTTP are the sanctioned ways in). Now and Spec.New are
 // called from concurrent executions and must be goroutine-safe.
 // Counters and health read off a returned *Instance are stable only
 // while no chain of its owner is executing.
@@ -438,6 +513,9 @@ func (r *Runtime) Instantiate(owner, typ string, cfg map[string]string) (*Instan
 	}
 	if r.memUsed+spec.memory() > r.memCap() {
 		return nil, fmt.Errorf("%w: need %d, %d of %d in use", ErrMemoryExceeded, spec.memory(), r.memUsed, r.memCap())
+	}
+	if err := spec.checkKeys(cfg); err != nil {
+		return nil, err
 	}
 	pol, err := ParseFailPolicy(cfg["fail"])
 	if err != nil {
@@ -671,12 +749,13 @@ func (r *Runtime) run(c *Chain, data []byte) ([]byte, time.Duration, error) {
 	var delay time.Duration
 
 	// One pooled Context per chain invocation, re-pointed per hop: the
-	// hot path decodes once, into storage the previous invocation
+	// hot path decodes the headers once, for the isolation check, and
+	// parses the HTTP message once, into storage the previous invocation
 	// already grew.
 	ctx := ctxPool.Get().(*Context)
 	ctx.Owner, ctx.runtime, ctx.entered = c.Owner, r, data
 	defer ctx.release()
-	if len(c.OwnerAddrs) > 0 && !packetBelongsTo(c, ctx.Packet(data)) {
+	if len(c.OwnerAddrs) > 0 && !packetBelongsTo(c, ctx.headers(data)) {
 		return nil, 0, fmt.Errorf("%w: chain %s/%s", ErrIsolation, c.Owner, c.Name)
 	}
 	if len(c.Boxes) == 0 && c.residueClosed {

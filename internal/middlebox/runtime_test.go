@@ -39,7 +39,7 @@ func (alertBox) Process(ctx *Context, data []byte) ([]byte, Verdict, error) {
 
 func testRuntime(now *time.Duration) *Runtime {
 	rt := NewRuntime(func() time.Duration { return *now })
-	rt.Register(&Spec{Type: "pass", New: func(cfg map[string]string) (Box, error) {
+	rt.Register(&Spec{Type: "pass", Keys: []string{"tag"}, New: func(cfg map[string]string) (Box, error) {
 		var tag byte
 		if cfg["tag"] != "" {
 			tag = cfg["tag"][0]

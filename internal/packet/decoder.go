@@ -4,9 +4,11 @@ package packet
 // allocates a fresh Decoder per call, a long-lived Decoder owns one
 // instance of each layer and re-parses into them, so steady-state header
 // decoding performs zero heap allocations and a full decode of an HTTP
-// packet allocates only the string its header block is parsed from
+// packet allocates only the string its header block is copied into
 // (ClickOS-class per-packet budgets, paper §3.3, leave no room for a
-// malloc per layer).
+// malloc per layer). A caller that only reads an HTTP message, and keeps
+// none of it, parses the transport payload into an HTTPView instead and
+// allocates nothing.
 //
 // The trade-off is aliasing: the *Packet a Decoder returns and every
 // layer it exposes, including slices such as HTTP.Headers, are views into
@@ -126,6 +128,8 @@ func (d *Decoder) application(t LayerType) DecodingLayer {
 
 // poisonText is what Poison writes over every header name and value.
 const poisonText = "\x00poisoned: a decoder view outlived its decode\x00"
+
+var poisonBytes = []byte(poisonText)
 
 // Poison overwrites what the last decode left in d: HTTP header names and
 // values become a marker string, and every layer struct, DNS entry and

@@ -1,7 +1,9 @@
 package packet
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -143,6 +145,147 @@ func FuzzHTTPDecode(f *testing.F) {
 			t.Fatalf("parsed message failed to serialize: %v", err)
 		}
 	})
+}
+
+// refDecodeHTTP is HTTP.DecodeFromBytes as it was before HTTPView, kept
+// verbatim (two passes over strings, after one copy of the header block)
+// so FuzzHTTPView compares the view against the behaviour, not against a
+// port of it.
+func refDecodeHTTP(h *HTTP, data []byte) error {
+	*h = HTTP{Headers: h.Headers[:0]}
+	head, body, _ := bytes.Cut(data, []byte("\r\n\r\n")) // no blank line: a header-only fragment
+	startLine, rest, more := strings.Cut(string(head), "\r\n")
+	if startLine == "" {
+		return errf(LayerTypeHTTP, "empty message")
+	}
+	f0, r0, ok0 := strings.Cut(startLine, " ")
+	f1, f2, ok1 := strings.Cut(r0, " ")
+	if !ok0 || !ok1 {
+		return errf(LayerTypeHTTP, "malformed start line %q", startLine)
+	}
+	if strings.HasPrefix(f0, "HTTP/") {
+		h.Proto = f0
+		code, err := strconv.Atoi(f1)
+		if err != nil {
+			return errf(LayerTypeHTTP, "bad status code %q", f1)
+		}
+		h.StatusCode = code
+		h.StatusText = f2
+	} else {
+		if !strings.HasPrefix(f2, "HTTP/") {
+			return errf(LayerTypeHTTP, "not an HTTP start line %q", startLine)
+		}
+		h.IsRequest = true
+		h.Method = f0
+		h.Path = f1
+		h.Proto = f2
+	}
+	for more {
+		var line string
+		line, rest, more = strings.Cut(rest, "\r\n")
+		if line == "" {
+			continue
+		}
+		name, value, ok := strings.Cut(line, ":")
+		if !ok {
+			return errf(LayerTypeHTTP, "malformed header %q", line)
+		}
+		h.Headers = append(h.Headers, HTTPHeader{
+			Name:  strings.TrimSpace(name),
+			Value: strings.TrimSpace(value),
+		})
+	}
+	h.Body = body
+	return nil
+}
+
+// viewSeeds are the HTTP corpus plus the edges of the one-pass line walk:
+// where the blank line falls, stray CRs, a CRLF that ends the data, empty
+// and space-only values, Unicode white space and case folding in header
+// names, and every refusal.
+func viewSeeds() [][]byte {
+	seeds := httpSeeds()
+	for _, s := range []string{
+		"GET / HTTP/1.1\r\n\r\n",
+		"GET / HTTP/1.1\r\n",
+		"GET / HTTP/1.1\r\nHost: h\r\n",
+		"GET / HTTP/1.1\r\r\n\r\n\r\nbody\r\n\r\n",
+		"GET / HTTP/1.1\r\nA: b\r\r\nC:\r\nD:   \r\n\r\n",
+		"\r\nGET / HTTP/1.1\r\n\r\n",
+		"\r\n\r\nbody",
+		"GET  HTTP/1.1 x\r\n",
+		"POST /a%20b HTTP/1.0\r\nHoſt: ſite\r\n\u00a0X-Y\u2003:\u0085 z \r\n\r\nk=v",
+		"HTTP/1.1 +200 OK\r\n\r\n",
+		"HTTP/1.1 0099 \r\n\r\n",
+		"HTTP/1.1 99999999999999999999 Big\r\n\r\n",
+		"HTTP/1.1 200\r\n\r\n",
+		"GET / FTP/1.1\r\n\r\n",
+		"GET / HTTP/1.1\r\nno colon\r\n\r\n",
+		"GET / HTTP/1.1\r\n: empty name\r\nhOsT:\tH.example \r\n\r\n",
+	} {
+		seeds = append(seeds, []byte(s))
+	}
+	return seeds
+}
+
+// FuzzHTTPView is the differential for the one HTTP grammar: on any
+// input, HTTPView.Parse accepts or refuses what the old string parser
+// did, with the same error, and an accepted view is the old parse field
+// by field (Body's nil-ness included), with every field a subslice of
+// the input and Header matching as the old Header did. HTTP, which is now
+// built on the view, must match the reference too. The view is reused
+// across the two inputs, so a field of the first must not show in the
+// second.
+func FuzzHTTPView(f *testing.F) {
+	seeds := viewSeeds()
+	for i, s := range seeds {
+		f.Add(seeds[(i+1)%len(seeds)], s)
+	}
+	f.Fuzz(func(t *testing.T, prev, data []byte) {
+		var v HTTPView
+		var h HTTP
+		_, _ = v.Parse(prev), h.DecodeFromBytes(prev)
+		var ref HTTP
+		refErr := refDecodeHTTP(&ref, data)
+		err, herr := v.Parse(data), h.DecodeFromBytes(data)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) || fmt.Sprint(herr) != fmt.Sprint(refErr) {
+			t.Fatalf("%q: view error %v, HTTP error %v, want %v", data, err, herr, refErr)
+		}
+		if refErr != nil {
+			return
+		}
+		within := func(field string, b []byte) {
+			if len(b) > 0 && (cap(b) > cap(data) || &data[cap(data)-cap(b)] != &b[0]) {
+				t.Fatalf("%q: %s is not a subslice of the input", data, field)
+			}
+		}
+		got := HTTP{IsRequest: v.IsRequest, Method: string(v.Method), Path: string(v.Path), Proto: string(v.Proto),
+			StatusCode: v.StatusCode, StatusText: string(v.StatusText), Body: v.Body}
+		for _, b := range [][]byte{v.Method, v.Path, v.Proto, v.StatusText, v.Body} {
+			within("a start-line field or the body", b)
+		}
+		for _, hd := range v.Headers {
+			within("a header", hd.Name)
+			within("a header", hd.Value)
+			got.Headers = append(got.Headers, HTTPHeader{Name: string(hd.Name), Value: string(hd.Value)})
+		}
+		for name, parse := range map[string]*HTTP{"view": &got, "HTTP": &h} {
+			if d, w := httpFields(parse), httpFields(&ref); d != w {
+				t.Fatalf("%q: %s differs from the reference\n got %s\nwant %s", data, name, d, w)
+			}
+		}
+		for _, hd := range append(ref.Headers, HTTPHeader{Name: "Host"}, HTTPHeader{Name: "content-length"}) {
+			if g, w := v.Header(hd.Name), ref.Header(hd.Name); string(g) != w {
+				t.Fatalf("%q: Header(%q) = %q, want %q", data, hd.Name, g, w)
+			}
+		}
+	})
+}
+
+// httpFields renders an HTTP's exported fields, Body's nil-ness included.
+func httpFields(h *HTTP) string {
+	return fmt.Sprintf("req=%t %q %q %q %d %q headers=%q body=%q nil=%t",
+		h.IsRequest, h.Method, h.Path, h.Proto, h.StatusCode, h.StatusText, h.Headers, h.Body, h.Body == nil)
 }
 
 // A FuzzDecoderReuse mode word packs one 4-bit step per input: the
