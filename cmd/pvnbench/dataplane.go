@@ -5,8 +5,10 @@ package main
 // pipeline over the canonical pvnc rule set, of
 // the pipeline over a chain-bearing one (HTTP GETs through
 // pii-detect + tracker-block on one shared middlebox.Runtime — what
-// every real PVNC pays), and of the pipeline's miss path (a thousand
-// subscribers' rules under flows that never return), reporting ops/sec,
+// every real PVNC pays), of the pipeline's miss path (a thousand
+// subscribers' rules under flows that never return), and of its
+// quiescence path (short bursts from one producer, each ended by
+// Drain, as a session's burst is), reporting ops/sec,
 // allocs/op and queue-latency percentiles per configuration. Its JSON
 // artifact (BENCH_DATAPLANE.json) is the committed baseline `make
 // bench-gate` diffs against, so fast-path regressions (a new per-packet
@@ -150,7 +152,7 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 		if err := installDataplaneRules(dp.Table()); err != nil {
 			return nil, err
 		}
-		row, err := measurePipeline(fmt.Sprintf("shards=%d", shards), shards, n, dp, cycle(frames))
+		row, err := measurePipeline(fmt.Sprintf("shards=%d", shards), shards, n, 0, dp, cycle(frames))
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +167,7 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := measurePipeline(fmt.Sprintf("chain shards=%d", shards), shards, n/4, dp, cycle(chainFrames))
+		row, err := measurePipeline(fmt.Sprintf("chain shards=%d", shards), shards, n/4, 0, dp, cycle(chainFrames))
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +185,7 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := measurePipeline(fmt.Sprintf("miss shards=%d", shards), shards, n, dp, missFrame)
+		row, err := measurePipeline(fmt.Sprintf("miss shards=%d", shards), shards, n, 0, dp, missFrame)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +199,50 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 		}
 		art.Rows = append(art.Rows, row)
 	}
+
+	// The quiescence path: what a packet costs when every burstPackets
+	// of them end in a Drain, so the wait for the last packet to retire
+	// and the drainer's wake-up are paid once per burst.
+	bursts, err := burstFrames()
+	if err != nil {
+		return nil, err
+	}
+	for _, shards := range []int{1, 2} {
+		dp := dataplane.New(dataplane.Config{Shards: shards, Policy: dataplane.Block})
+		if err := installDataplaneRules(dp.Table()); err != nil {
+			return nil, err
+		}
+		row, err := measurePipeline(fmt.Sprintf("burst shards=%d", shards), shards, n, burstPackets, dp, cycle(bursts))
+		if err != nil {
+			return nil, err
+		}
+		art.Rows = append(art.Rows, row)
+	}
 	return art, nil
+}
+
+// A burst is burstPackets forty-byte segments over burstFlows flows,
+// the shape of the burst bench's attach_churn sends after every attach.
+const (
+	burstPackets = 256
+	burstFlows   = 64
+)
+
+// burstFrames builds one forty-byte TCP segment (headers only) for each
+// burst flow, to a port the canonical rule set forwards.
+func burstFrames() ([][]byte, error) {
+	frames := make([][]byte, burstFlows)
+	for i := range frames {
+		ip := &packet.IPv4{Src: packet.MustParseIPv4("10.0.0.5"), Dst: packet.MustParseIPv4("93.184.216.34"), Protocol: packet.IPProtoTCP}
+		tcp := &packet.TCP{SrcPort: uint16(30000 + i), DstPort: 443}
+		tcp.SetNetworkLayerForChecksum(ip)
+		data, err := packet.SerializeToBytes(ip, tcp)
+		if err != nil {
+			return nil, err
+		}
+		frames[i] = data
+	}
+	return frames, nil
 }
 
 // cycle serves frames round-robin.
@@ -205,18 +250,30 @@ func cycle(frames [][]byte) func(int64, []byte) []byte {
 	return func(i int64, _ []byte) []byte { return frames[i%int64(len(frames))] }
 }
 
-// measurePipeline starts dp, pumps n frames through it from
-// min(GOMAXPROCS, shards) producers and stops it. frame returns the i'th
-// frame of the run, counted across warm-up and measurement, and may
-// build it in the scratch buffer it is handed (Submit copies). A drop
-// under the Block policy is an error.
-func measurePipeline(config string, shards int, n int64, dp *dataplane.Pipeline, frame func(i int64, scratch []byte) []byte) (dataplaneRow, error) {
+// measurePipeline starts dp, pumps n frames through it and stops it.
+// With burst zero, min(GOMAXPROCS, shards) producers share each pass and
+// one Drain ends it; otherwise one producer Drains after every burst
+// frames. frame returns the i'th frame of the run, counted across
+// warm-up and measurement, and may build it in the scratch buffer it is
+// handed (Submit copies). A drop under the Block policy is an error.
+func measurePipeline(config string, shards int, n, burst int64, dp *dataplane.Pipeline, frame func(i int64, scratch []byte) []byte) (dataplaneRow, error) {
 	dp.Start()
 	producers := min(runtime.GOMAXPROCS(0), shards)
 	var sent int64
 	pump := func(count int64) {
 		base := sent
 		sent += count
+		if burst > 0 {
+			scratch := make([]byte, 0, 64)
+			for i := int64(0); i < count; i++ {
+				dp.Submit(frame(base+i, scratch), 0)
+				if (i+1)%burst == 0 {
+					dp.Drain()
+				}
+			}
+			dp.Drain()
+			return
+		}
 		var wg sync.WaitGroup
 		for pr := 0; pr < producers; pr++ {
 			wg.Add(1)

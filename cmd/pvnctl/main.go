@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	pvnctl validate <file>   # syntax + invariant check
+//	pvnctl validate <file>   # syntax, invariants, box types and config keys
 //	pvnctl compile <file>    # show the lowered flow rules and plans
 //	pvnctl estimate <file>   # resource request quoted during discovery
 //	pvnctl format <file>     # canonical form (stable hash input)
@@ -16,6 +16,8 @@ import (
 	"io"
 	"os"
 
+	"pvn/internal/middlebox"
+	"pvn/internal/middlebox/mbx"
 	"pvn/internal/pvnc"
 )
 
@@ -43,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	switch cmd {
 	case "validate":
-		errs := cfg.Validate()
+		errs := append(cfg.Validate(), checkBoxes(cfg)...)
 		if len(errs) == 0 {
 			fmt.Fprintf(stdout, "%s: OK (%d middleboxes, %d chains, %d policies)\n",
 				cfg.Name, len(cfg.Middleboxes), len(cfg.Chains), len(cfg.Policies))
@@ -93,4 +95,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	return fmt.Errorf("unknown command %q (want validate|compile|estimate|format|hash)", cmd)
+}
+
+// checkBoxes holds every middlebox line to the built-in registry a host
+// boots boxes from: a type it does not register, or a config key the
+// type does not declare, fails the deploy. Each error reads as the
+// host's NACK reason does.
+func checkBoxes(cfg *pvnc.PVNC) []error {
+	rt := middlebox.NewRuntime(nil)
+	mbx.RegisterBuiltins(rt, mbx.Deps{})
+	var errs []error
+	for _, m := range cfg.Middleboxes {
+		if err := rt.CheckConfig(m.Type, m.Config); err != nil {
+			errs = append(errs, fmt.Errorf("instantiate %s: %w", m.LocalName, err))
+		}
+	}
+	return errs
 }

@@ -56,6 +56,30 @@ func TestValidateViolations(t *testing.T) {
 	}
 }
 
+// TestValidateChecksBoxes: validate holds each middlebox line to the
+// built-in registry, so a config key the type does not declare or a type
+// no host registers fails here, named as the host's NACK names it, and
+// not at deploy time.
+func TestValidateChecksBoxes(t *testing.T) {
+	for _, c := range []struct{ line, want string }{
+		{"middlebox pii pii-detect mode=block secret=hunter2", `instantiate pii: middlebox: unknown config key "secret" for pii-detect`},
+		{"middlebox pii pii-sniffer mode=block", `instantiate pii: middlebox: unknown middlebox type: "pii-sniffer"`},
+	} {
+		cfg := strings.Replace(goodCfg, "middlebox pii pii-detect mode=block", c.line, 1)
+		_, errOut, err := runCtl(t, "validate", writeCfg(t, cfg))
+		if err == nil {
+			t.Errorf("%q validated", c.line)
+		}
+		if !strings.Contains(errOut, c.want) {
+			t.Errorf("%q: stderr %q, want %q", c.line, errOut, c.want)
+		}
+	}
+	cfg := strings.Replace(goodCfg, "mode=block", "mode=block secrets=hunter2", 1)
+	if out, errOut, err := runCtl(t, "validate", writeCfg(t, cfg)); err != nil || !strings.Contains(out, "ctl-test: OK") {
+		t.Errorf("declared key secrets= refused: out %q stderr %q err %v", out, errOut, err)
+	}
+}
+
 func TestCompileOutput(t *testing.T) {
 	path := writeCfg(t, goodCfg)
 	out, _, err := runCtl(t, "compile", path)

@@ -111,7 +111,13 @@ type Pipeline struct {
 
 	bufPool sync.Pool
 
+	// inFlight counts admitted packets not yet retired. Drain parks on
+	// drained while drainers says it waits; retire wakes it only then,
+	// so a batch with no drainer pays one atomic load for it.
 	inFlight atomic.Int64
+	drainers atomic.Int32
+	drainMu  sync.Mutex
+	drained  sync.Cond
 
 	wg sync.WaitGroup
 	// lifeMu guards started/stopped: Start and Stop are idempotent and
@@ -139,6 +145,7 @@ func New(cfg Config) *Pipeline {
 		cfg.Now = func() time.Duration { return 0 }
 	}
 	p := &Pipeline{cfg: cfg, table: openflow.NewFlowTable()}
+	p.drained.L = &p.drainMu
 	p.bufPool.New = func() any { b := make([]byte, 0, 2048); return &b }
 	for i := 0; i < cfg.Shards; i++ {
 		p.shards = append(p.shards, &shard{id: i, queue: newRing(cfg.QueueDepth, cfg.Policy),
@@ -191,11 +198,38 @@ func (p *Pipeline) Stop() {
 	}
 }
 
-// Drain blocks until every admitted packet has been processed. Only
-// meaningful while workers are running.
+// Drain blocks until no admitted packet is in flight: every packet
+// Submit admitted before the call has been processed and its hook has
+// returned. It parks the caller, spending no CPU and arming no timer,
+// and the retire that brings the count to zero (the last packet of a
+// worker's batch, or a rejected Submit) wakes it. Several goroutines
+// may Drain at once, and Submit may run meanwhile; a Drain then also
+// waits for what arrives before the count next reaches zero. Drain
+// returns only while workers run or after Stop: on a pipeline never
+// started it waits for packets nothing will process.
 func (p *Pipeline) Drain() {
+	if p.inFlight.Load() == 0 {
+		return
+	}
+	p.drainMu.Lock()
+	p.drainers.Add(1)
 	for p.inFlight.Load() != 0 {
-		time.Sleep(20 * time.Microsecond) //lint:allow nondet spin-wait on real worker goroutines; no simulated time passes here (TestPipelineMatchesSerial drains, then matches the serial reference exactly)
+		p.drained.Wait()
+	}
+	p.drainers.Add(-1)
+	p.drainMu.Unlock()
+}
+
+// retire takes n packets out of the in-flight count and wakes any
+// Drain when that empties it. The count is decremented before drainers
+// is read, and Drain registers before it reads the count, so one of
+// the two always sees the other (sync/atomic is sequentially
+// consistent): no wake-up is lost.
+func (p *Pipeline) retire(n int64) {
+	if p.inFlight.Add(-n) == 0 && p.drainers.Load() != 0 {
+		p.drainMu.Lock()
+		p.drained.Broadcast()
+		p.drainMu.Unlock()
 	}
 }
 
@@ -223,8 +257,8 @@ func (p *Pipeline) Submit(data []byte, inPort uint16) bool {
 	p.inFlight.Add(1)
 	if !sh.queue.push(it) {
 		p.release(bp)
-		p.inFlight.Add(-1)
 		sh.counters.dropped.Add(1)
+		p.retire(1)
 		return false
 	}
 	return true

@@ -47,7 +47,7 @@ func (p *Pipeline) work(sh *shard) {
 			p.release(ws.batch[i].buf)
 			ws.batch[i] = item{}
 		}
-		p.inFlight.Add(-int64(n))
+		p.retire(int64(n))
 	}
 }
 

@@ -180,3 +180,46 @@ func TestOneTableWritePerDeployment(t *testing.T) {
 		t.Fatalf("rules left: %d and %d", tables[0].Len(), tables[1].Len())
 	}
 }
+
+// TestNeighbourChurnKeepsResidentFlowsCached: another tenant's deploy
+// and teardown each write both tables, but every rule they file or
+// remove is pinned to that tenant's address, so a resident's cached flow
+// still hits afterwards, through Switch.Process's resolve step and
+// through the pipeline.
+func TestNeighbourChurnKeepsResidentFlowsCached(t *testing.T) {
+	now := time.Duration(0)
+	s, dp := mirroredServer(t, &now)
+	deployRated(t, s)
+	now = 50 * time.Millisecond // after boot
+
+	frames, _ := dnsFrames(t, 1)
+	f := frames[0]
+	if d := s.Switch.Process(f, 0); d.Verdict != openflow.VerdictOutput {
+		t.Fatalf("resident's packet: verdict %v", d.Verdict)
+	}
+	dp.Submit(f, 0)
+	dp.Drain()
+
+	gen := s.Switch.Table.Generation()
+	neighbour := strings.NewReplacer("owner alice", "owner bob", "10.0.0.5", "10.0.0.77").Replace(cfgSrc)
+	if resp := s.HandleDeploy(&discovery.DeployRequest{DeviceID: "dev2", PVNCSource: neighbour, Payment: 300}); !resp.OK {
+		t.Fatalf("neighbour's deploy: %s", resp.Reason)
+	}
+	if _, _, err := s.Teardown("dev2"); err != nil {
+		t.Fatalf("neighbour's teardown: %v", err)
+	}
+	if g := s.Switch.Table.Generation(); g != gen+2 {
+		t.Fatalf("the neighbour's deploy and teardown moved the generation %d -> %d, want two writes", gen, g)
+	}
+
+	key, ok := openflow.KeyOf(f, 0)
+	if _, _, hit := s.Switch.Resolve(key, ok, f, nil); !hit {
+		t.Error("the resident's flow missed the switch's flow cache after a neighbour's deploy and teardown")
+	}
+	before := dp.Stats().Total().CacheHits
+	dp.Submit(f, 0)
+	dp.Drain()
+	if d := dp.Stats().Total().CacheHits - before; d != 1 {
+		t.Errorf("the resident's packet made %d pipeline cache hits after a neighbour's deploy and teardown, want 1", d)
+	}
+}

@@ -221,3 +221,20 @@ func TestCleanPacketBoxAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestReaderBehindRewriterAllocs: a hop behind a rewriter reads the
+// rewritten bytes through the context's second decoder and view, so
+// tracker-block behind pii-detect mode=redact adds no allocation to
+// what the redaction itself costs.
+func TestReaderBehindRewriterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	leak := httpReq(t, "GET", "News.Example", "/l/hunter2", "", packet.HTTPHeader{Name: "Cookie", Value: strings.Repeat("abcdefghij klmnop; ", 37)})
+	redact := func() middlebox.Box { return NewPIIDetect(PIIRedact, []string{"hunter2"}) }
+	alone := chainAllocs(t, chainOf(t, redact()), leak)
+	behind := chainAllocs(t, chainOf(t, redact(), NewTrackerBlock([]string{"ads.example", "tracker.net"})), leak)
+	if behind != alone {
+		t.Errorf("tracker-block behind a redacting pii-detect adds %.1f allocations per packet (%.1f alone, %.1f with it), want 0", behind-alone, alone, behind)
+	}
+}

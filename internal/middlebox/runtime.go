@@ -78,13 +78,21 @@ type Context struct {
 	runtime  *Runtime
 	instance *Instance
 	// entered is the packet the chain was entered with, the one slice
-	// that decodes into dec and parses into view; everything else a hop
-	// asks about gets a decode and a view of its own.
+	// that decodes into dec and parses into view.
 	entered []byte
 	dec     packet.Decoder
 	view    packet.HTTPView
 	// hdrs is dec's decode of entered, headers only or full, once made.
 	hdrs *packet.Packet
+	// The second set of scratch serves the last other slice a hop asked
+	// headers or an HTTP view of, in practice the bytes a rewriting box
+	// returned: outHdrs is outDec's headers-only decode of outData, and
+	// HTTP parses that slice into outView. Asking about yet another
+	// slice reuses them.
+	outDec  packet.Decoder
+	outView packet.HTTPView
+	outHdrs *packet.Packet
+	outData []byte
 	// pkt is the full decode of pktData, kept for the chain invocation
 	// (see Packet).
 	pkt     *packet.Packet
@@ -124,15 +132,21 @@ func (c *Context) Packet(data []byte) *packet.Packet {
 
 // headers returns a decode of data down to at least its transport layer:
 // for the entered packet the one in dec, made headers-only on first use;
-// for anything else Packet's.
+// for a slice Packet has decoded, that decode; for any other, a
+// headers-only decode into outDec.
 func (c *Context) headers(data []byte) *packet.Packet {
-	if !sameSlice(c.entered, data) {
-		return c.Packet(data)
+	switch {
+	case sameSlice(c.entered, data):
+		if c.hdrs == nil {
+			c.hdrs = c.dec.DecodeHeaders(data, packet.LayerTypeIPv4)
+		}
+		return c.hdrs
+	case c.pkt != nil && sameSlice(c.pktData, data):
+		return c.pkt
+	case c.outHdrs == nil || !sameSlice(c.outData, data):
+		c.outHdrs, c.outData = c.outDec.DecodeHeaders(data, packet.LayerTypeIPv4), data
 	}
-	if c.hdrs == nil {
-		c.hdrs = c.dec.DecodeHeaders(data, packet.LayerTypeIPv4)
-	}
-	return c.hdrs
+	return c.outHdrs
 }
 
 // HTTP returns the HTTP message data carries, parsed in place, or nil
@@ -141,7 +155,9 @@ func (c *Context) headers(data []byte) *packet.Packet {
 // is cached per invocation by the same same-slice rule as Packet, and
 // costs no application-layer decode: a box that only reads HTTP asks for
 // this and never for Packet. Every field aliases data, so it is
-// read-only, and a box that keeps a field past Process copies it.
+// read-only, and a box that keeps a field past Process copies it. The
+// view of any slice but the entered packet, such as a rewriter's
+// output, is reused when a hop asks about yet another slice.
 func (c *Context) HTTP(data []byte) *packet.HTTPView {
 	if c.httpDone && sameSlice(c.httpData, data) {
 		return c.httpv
@@ -153,7 +169,7 @@ func (c *Context) HTTP(data []byte) *packet.HTTPView {
 	}
 	v := &c.view
 	if !sameSlice(c.entered, data) {
-		v = new(packet.HTTPView)
+		v = &c.outView
 	}
 	if v.Parse(tcp.LayerPayload()) == nil {
 		c.httpv = v
@@ -168,9 +184,12 @@ func (c *Context) release() {
 	if raceEnabled {
 		c.dec.Poison()
 		c.view.Poison()
+		c.outDec.Poison()
+		c.outView.Poison()
 	}
 	c.Owner, c.Now, c.runtime, c.instance = "", 0, nil, nil
 	c.entered, c.hdrs, c.pkt, c.pktData = nil, nil, nil, nil
+	c.outHdrs, c.outData = nil, nil
 	c.httpv, c.httpData, c.httpDone = nil, nil, false
 	ctxPool.Put(c)
 }
@@ -501,15 +520,38 @@ func (r *Runtime) MemoryUsed() int {
 	return r.memUsed
 }
 
+// spec returns the registered Spec of typ. The caller holds mu.
+func (r *Runtime) spec(typ string) (*Spec, error) {
+	spec, ok := r.registry[typ]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownType, typ)
+	}
+	return spec, nil
+}
+
+// CheckConfig returns the error Instantiate refuses typ and cfg with
+// when the registry alone decides: a type that is not registered, or a
+// config key the type does not declare. It boots nothing, so a tool can
+// hold a configuration to the host's registry before any deploy.
+func (r *Runtime) CheckConfig(typ string, cfg map[string]string) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	spec, err := r.spec(typ)
+	if err != nil {
+		return err
+	}
+	return spec.checkKeys(cfg)
+}
+
 // Instantiate boots an instance of the named type for owner. The instance
 // becomes usable BootDelay after the call (simulated time); the returned
 // Instance reports that in ReadyAt.
 func (r *Runtime) Instantiate(owner, typ string, cfg map[string]string) (*Instance, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	spec, ok := r.registry[typ]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownType, typ)
+	spec, err := r.spec(typ)
+	if err != nil {
+		return nil, err
 	}
 	if r.memUsed+spec.memory() > r.memCap() {
 		return nil, fmt.Errorf("%w: need %d, %d of %d in use", ErrMemoryExceeded, spec.memory(), r.memUsed, r.memCap())

@@ -149,8 +149,44 @@ func TestFlowCacheBounded(t *testing.T) {
 	}
 	sameEntries(t, "after rotations", ref.Entries(), fast.Entries())
 
-	// A rule write empties both generations: the next lookup answers
-	// from the new rule set and leaves one flow cached.
+	// A write pinned to one address makes the next lookup drop that
+	// address's flows from both generations, and only those: here the
+	// residents' source, which the first 256 fresh flows share.
+	src := flow(0).fields.SrcIP
+	var held []CacheKey
+	inOld := 0
+	for gen, m := range []map[CacheKey]*FlowEntry{c.m, c.old} {
+		for k := range m {
+			held = append(held, k)
+			if gen == 1 && k.Flow.Src.Addr == src {
+				inOld++
+			}
+		}
+	}
+	if inOld == 0 {
+		t.Fatalf("no flow from %v in the old generation; the schedule should leave some", src)
+	}
+	for _, install := range []func(*FlowEntry, time.Duration){ref.Install, fast.Install} {
+		install(&FlowEntry{Priority: 25, Match: Match{Fields: FieldSrcIP, SrcIP: src, SrcBits: 32}, Actions: []Action{Output(4)}}, 0)
+	}
+	for i := 0; i < residents; i++ {
+		p := flow(i)
+		want, _ := ref.Lookup(p.fields, p.size)
+		if got := fastLookup(fast, c, p); ruleID(got) != ruleID(want) || ruleID(got) != 4 {
+			t.Fatalf("flow %d after a write pinned to its source: cached path chose rule %d, Lookup rule %d", i, ruleID(got), ruleID(want))
+		}
+		if i > 0 {
+			continue
+		}
+		for _, k := range held {
+			if fromSrc := k.Flow.Src.Addr == src; c.holds(k) == fromSrc && k != p.key {
+				t.Fatalf("flow %+v: held=%t after a write pinned to %v, want %t", k.Flow, c.holds(k), src, !fromSrc)
+			}
+		}
+	}
+
+	// An unpinned rule write empties both generations: the next lookup
+	// answers from the new rule set and leaves one flow cached.
 	for _, install := range []func(*FlowEntry, time.Duration){ref.Install, fast.Install} {
 		install(&FlowEntry{Priority: 30, Match: Match{Fields: FieldProto, Proto: packet.IPProtoTCP}, Actions: []Action{Output(3)}}, 0)
 	}
@@ -250,9 +286,14 @@ func TestFlowCacheRevivalsStayBounded(t *testing.T) {
 // more distinct flows than both caches' generations hold, and
 // installs, removes by cookie and removes drawn rules in turn, once per
 // rotateEvery steps, so every cache rotates between the writes.
+//
+// The other seeds also install and remove rules pinned to bystander
+// addresses no flow uses, and rules pinned to no address at all. When a
+// cache catches up over bystander writes alone it must still hold every
+// flow it held; after an unpinned write it must hold none.
 func TestCachedLookupMatchesLookup(t *testing.T) {
 	const rotateSeed, rotateEvery = 9, 10 * flowCacheGen
-	removed := 0
+	removed, keptOver, flushedBy := 0, 0, 0
 	for seed := int64(1); seed <= rotateSeed; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		steps, churn := 6000, 0
@@ -284,7 +325,28 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 			flows = append(flows, probe{key: CacheKey{InPort: 0}, fields: PacketFields{EthType: eth}, size: 60})
 		}
 
+		// kinds marks the generations a bystander or an unpinned write
+		// made, for checkCatchUp.
+		kinds := map[uint64]string{}
+		wrote := func(from uint64, kind string) {
+			if g := fast.Generation(); g != from {
+				kinds[g] = kind
+			}
+		}
+		bystanders := []packet.IPv4Address{{10, 200, 0, 1}, {10, 200, 0, 2}, {198, 51, 100, 7}}
+		var strangers twins
+
 		nextID := 0
+		// twin installs one rule on both tables and records the write.
+		twin := func(into *twins, e *FlowEntry, kind string) {
+			nextID++
+			copied := *e
+			from := fast.Generation()
+			ref.Install(e, 0)
+			fast.Install(&copied, 0)
+			into.add(e, &copied)
+			wrote(from, kind)
+		}
 		twinRule := func() {
 			m := Match{Fields: FieldSet(r.Intn(1 << 7)), InPort: uint16(r.Intn(2)),
 				EthType: []uint16{packet.EtherTypeIPv4, 0x0806}[r.Intn(2)],
@@ -294,13 +356,8 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 			if r.Intn(3) == 0 {
 				m.Fields &= FieldEthType | FieldInPort // broad rules, so most packets match something
 			}
-			e := &FlowEntry{Priority: r.Intn(4), Match: m, Cookie: uint64(nextID % 5),
-				Actions: []Action{Output(uint16(nextID))}}
-			nextID++
-			copied := *e
-			ref.Install(e, 0)
-			fast.Install(&copied, 0)
-			pairs.add(e, &copied)
+			twin(&pairs, &FlowEntry{Priority: r.Intn(4), Match: m, Cookie: uint64(nextID % 5),
+				Actions: []Action{Output(uint16(nextID))}}, "")
 		}
 
 		for i := 0; i < 12; i++ {
@@ -309,7 +366,7 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			op := r.Intn(100)
 			if churn > 0 {
-				op = 6 // a lookup, but for one write per rotateEvery steps
+				op = 10 // a lookup, but for one write per rotateEvery steps
 				if step%rotateEvery == rotateEvery-1 {
 					op = []int{0, 2, 3}[step/rotateEvery%3]
 				}
@@ -329,6 +386,22 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 				}
 			case op < 6:
 				removed += pairs.remove(t, fmt.Sprintf("seed %d step %d", seed, step), r, 1+r.Intn(3), ref, fast)
+			case op < 8:
+				a := bystanders[r.Intn(len(bystanders))]
+				m := Match{Fields: FieldSrcIP | FieldProto, SrcIP: a, SrcBits: 32, Proto: packet.IPProtoTCP}
+				if r.Intn(2) == 0 {
+					m = Match{Fields: FieldDstIP | FieldProto, DstIP: a, Proto: packet.IPProtoTCP}
+				}
+				twin(&strangers, &FlowEntry{Priority: r.Intn(4), Match: m, Cookie: 5, Actions: []Action{Output(uint16(nextID))}}, "bystander")
+			case op < 9:
+				if len(strangers.refs) > 0 {
+					from := fast.Generation()
+					strangers.remove(t, fmt.Sprintf("seed %d step %d", seed, step), r, 1+r.Intn(2), ref, fast)
+					wrote(from, "bystander")
+				}
+			case op < 10:
+				m := Match{Fields: FieldProto | FieldDstPort, Proto: packet.IPProtoTCP, DstPort: ports[r.Intn(5)]}
+				twin(&pairs, &FlowEntry{Priority: r.Intn(4), Match: m, Cookie: uint64(nextID % 5), Actions: []Action{Output(uint16(nextID))}}, "unpinned")
 			default:
 				p := flows[r.Intn(len(flows))]
 				if churn > 0 && r.Intn(4) == 0 {
@@ -336,6 +409,11 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 				}
 				want, _ := ref.Lookup(p.fields, p.size)
 				c := caches[p.key.Flow.FastHash()%2]
+				if s := fast.snap.Load(); c.gen != s.gen {
+					b, u := checkCatchUp(t, fmt.Sprintf("seed %d step %d", seed, step), c, s, kinds)
+					keptOver += b2i(b)
+					flushedBy += b2i(u)
+				}
 				if got := fastLookup(fast, c, p); ruleID(got) != ruleID(want) || len(got) != len(want) {
 					t.Fatalf("seed %d step %d: cached path chose rule %d, Lookup rule %d (fields %+v)", seed, step, ruleID(got), ruleID(want), p.fields)
 				}
@@ -352,6 +430,60 @@ func TestCachedLookupMatchesLookup(t *testing.T) {
 	if removed < 100 {
 		t.Errorf("%d rules removed by drawn removals over all seeds; the mix no longer reaches them", removed)
 	}
+	if keptOver < 500 || flushedBy < 200 {
+		t.Errorf("%d catch-ups over bystander writes alone, %d after an unpinned write; the mix no longer reaches them", keptOver, flushedBy)
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// checkCatchUp brings c up to s, as its next lookup would, and holds
+// the result to what the writes it missed allow: every flow it keeps,
+// in either generation, answers the rule s chooses for it; over writes
+// pinned to bystander addresses alone, within the write log's reach,
+// every flow stays; after an unpinned write, none does. It reports
+// which of the last two it checked. The flows are tcpProbes, so a key
+// gives back its packet's fields.
+func checkCatchUp(t *testing.T, what string, c *flowCache, s *snapshot, kinds map[uint64]string) (bystanders, unpinned bool) {
+	t.Helper()
+	var held []CacheKey
+	for _, m := range []map[CacheKey]*FlowEntry{c.m, c.old} {
+		for k := range m {
+			held = append(held, k)
+		}
+	}
+	bystanders = s.gen-c.gen <= writeLogMax && len(held) > 0
+	for g := c.gen + 1; g <= s.gen; g++ {
+		bystanders = bystanders && kinds[g] == "bystander"
+		unpinned = unpinned || kinds[g] == "unpinned"
+	}
+	c.catchUp(s)
+	for _, m := range []map[CacheKey]*FlowEntry{c.m, c.old} {
+		for k, e := range m {
+			f := k.Flow
+			fields := PacketFields{InPort: k.InPort, EthType: packet.EtherTypeIPv4, SrcIP: f.Src.Addr, DstIP: f.Dst.Addr,
+				Proto: f.Proto, SrcPort: f.Src.Port, DstPort: f.Dst.Port}
+			if want := s.match(fields); want != e {
+				t.Fatalf("%s: flow %+v kept rule %d, the snapshot chooses another", what, f, ruleID(e.Actions))
+			}
+		}
+	}
+	if n := len(c.m) + len(c.old); unpinned && n != 0 {
+		t.Fatalf("%s: %d flows outlived an unpinned write", what, n)
+	}
+	if bystanders {
+		for _, k := range held {
+			if !c.holds(k) {
+				t.Fatalf("%s: flow %+v dropped by writes pinned to bystander addresses", what, k.Flow)
+			}
+		}
+	}
+	return bystanders, unpinned
 }
 
 // holds reports whether the cache would answer key without a scan.

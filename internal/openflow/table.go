@@ -70,12 +70,77 @@ var missActions = []Action{ToController()}
 // rules on the packet's two addresses plus the unpinned ones, and a
 // write copies only the leaves it touches, whatever the other
 // subscribers installed.
+//
+// log remembers what the writes that made the last len(log) generations
+// touched, oldest first (the last made gen), so a flow cache that finds
+// itself behind drops only the flows those writes could have changed.
 type snapshot struct {
 	gen   uint64
 	rules int // rules filed
 
 	bySrc, byDst addrIndex
 	open         []slot
+
+	log []tableWrite
+}
+
+// tableWrite is what one rule write touched, as the flow caches see it:
+// the addresses the rules it filed or removed are pinned to, or all
+// when one of them is unpinned or they name more than writeAddrsMax
+// addresses. A rule pinned to an address can only match packets from
+// or to it (pinOf), so a cached decision for a flow that has neither
+// of a write's addresses at either end is the one the new snapshot
+// makes too.
+type tableWrite struct {
+	addrs []uint32
+	all   bool
+}
+
+const (
+	// writeLogMax is how many writes a snapshot remembers: a cache more
+	// than that many generations behind empties itself. A session costs
+	// two writes (deploy and teardown), and a shard that took no packet
+	// meanwhile is behind by every write since.
+	writeLogMax = 16
+	// writeAddrsMax bounds the addresses one catch-up walks its flows
+	// against; a write or catch-up touching more empties the cache. A
+	// deployment pins its rules to its device's few addresses.
+	writeAddrsMax = 32
+)
+
+// touch adds the address e is pinned to.
+func (w *tableWrite) touch(e *FlowEntry) {
+	if w.all {
+		return
+	}
+	var a uint32
+	switch pinOf(&e.Match) {
+	case pinSrc:
+		a = addrKey(e.Match.SrcIP)
+	case pinDst:
+		a = addrKey(e.Match.DstIP)
+	default:
+		w.all, w.addrs = true, nil
+		return
+	}
+	if !slices.Contains(w.addrs, a) {
+		if len(w.addrs) == writeAddrsMax {
+			w.all, w.addrs = true, nil
+			return
+		}
+		w.addrs = append(w.addrs, a)
+	}
+}
+
+// logged returns s's log with w appended, as the next snapshot's: a
+// fresh array, since s's is shared with the readers of s, of at most
+// writeLogMax writes.
+func (s *snapshot) logged(w tableWrite) []tableWrite {
+	log := s.log
+	if len(log) == writeLogMax {
+		log = log[1:]
+	}
+	return append(log[:len(log):len(log)], w)
 }
 
 // each calls fn on every filed rule, in no particular order.
@@ -112,12 +177,17 @@ func (s *snapshot) match(f PacketFields) *FlowEntry {
 // a copy-on-write rule snapshot and the meter bank its Metered actions
 // name. Rule writes (Install/InstallAll/RemoveEntries/RemoveByCookie)
 // serialize on a writer mutex and publish a new snapshot atomically —
-// one generation bump and so one flow-cache flush per call, however many
-// rules the call carries. A write copies the leaves it touches and the
-// index roots; every other leaf is shared with the previous snapshot.
-// Lookups — Switch.Resolve, through the flow cache private to that
-// switch — read the current snapshot lock-free and keep using an old
-// generation until their next packet.
+// one generation bump per call, however many rules the call carries. A
+// write copies the leaves it touches and the index roots; every other
+// leaf is shared with the previous snapshot. Lookups — Switch.Resolve,
+// through the flow cache private to that switch — read the current
+// snapshot lock-free and keep using an old generation until their next
+// packet. That packet brings the cache up to date: it drops the flows
+// to or from an address the missed writes' rules are pinned to, and
+// everything when one of those writes filed or removed an unpinned
+// rule or the snapshot's write log no longer reaches back to the
+// cache's generation. So one subscriber's deployment or teardown leaves
+// the other subscribers' cached flows in place.
 type FlowTable struct {
 	mu   sync.Mutex // serializes rule writers
 	seq  uint64     // install stamps handed out; guarded by mu
@@ -139,8 +209,9 @@ func NewFlowTable() *FlowTable {
 	return t
 }
 
-// Generation counts the writes that changed the rule set. Each one costs
-// every flow cache a flush, so a deployment should move it once.
+// Generation counts the writes that changed the rule set. Each one makes
+// every flow cache drop the flows its rules' addresses could match, so
+// a deployment should move it once.
 func (t *FlowTable) Generation() uint64 { return t.snap.Load().gen }
 
 // Len returns the number of installed entries.
@@ -169,7 +240,9 @@ func (t *FlowTable) InstallAll(batch []*FlowEntry, now time.Duration) {
 	old := t.snap.Load()
 	next := &snapshot{gen: old.gen + 1, rules: old.rules + len(batch),
 		bySrc: old.bySrc, byDst: old.byDst, open: old.open}
+	var w tableWrite
 	for _, e := range batch {
+		w.touch(e)
 		t.seq++
 		s := slot{e: e, seq: t.seq}
 		switch pinOf(&e.Match) {
@@ -182,6 +255,7 @@ func (t *FlowTable) InstallAll(batch []*FlowEntry, now time.Duration) {
 			next.open = splice(next.open, at, s)
 		}
 	}
+	next.log = old.logged(w)
 	t.snap.Store(next)
 }
 
@@ -212,8 +286,12 @@ func (t *FlowTable) remove(dead func(*FlowEntry) bool) []*FlowEntry {
 // are filtered out, leaving the given indexes and unpinned list. Callers
 // hold t.mu and have removed at least one rule.
 func (t *FlowTable) publish(old *snapshot, bySrc, byDst addrIndex, open, gone []slot) {
+	var w tableWrite
+	for _, o := range gone {
+		w.touch(o.e)
+	}
 	t.snap.Store(&snapshot{gen: old.gen + 1, rules: old.rules - len(gone),
-		bySrc: bySrc, byDst: byDst, open: open})
+		bySrc: bySrc, byDst: byDst, open: open, log: old.logged(w)})
 }
 
 // RemoveEntries deletes exactly the given entries — pointers this table
@@ -391,12 +469,17 @@ func (k CacheKey) describes(f PacketFields) bool {
 // hit within its switch's last flowCacheGen new flows is always still
 // held, unless more than flowCacheGen flows were moved up from old
 // meanwhile; a sender minting fresh 5-tuples displaces only flows that
-// idled that long; and a switch holds at most 4*flowCacheGen flows. A
-// rule generation bump (any rule write) empties both.
+// idled that long; and a switch holds at most 4*flowCacheGen flows.
+//
+// gen is the rule generation the cache answers for. A rule write leaves
+// it behind, and the cache's next lookup catches up (catchUp): it drops
+// from both generations the flows the missed writes could have changed,
+// or empties both, without counting either as evictions.
 type flowCache struct {
 	gen       uint64
 	m, old    map[CacheKey]*FlowEntry
-	fresh     int // new flows m has taken this generation
+	fresh     int      // new flows m has taken this generation
+	scope     []uint32 // catchUp's scratch: the missed writes' addresses
 	evictions atomic.Int64
 }
 
@@ -432,6 +515,44 @@ func (c *flowCache) insert(key CacheKey, e *FlowEntry, fresh bool) {
 	c.m[key] = e
 }
 
+// catchUp brings the cache from its generation to s's. It drops the
+// flows from or to an address in the writes s's log holds for the
+// generations in between, or empties the cache when one of them was
+// unpinned, when they name more than writeAddrsMax addresses, or when
+// the log does not reach back that far.
+func (c *flowCache) catchUp(s *snapshot) {
+	behind := s.gen - c.gen
+	c.gen = s.gen
+	scope, flush := c.scope[:0], behind > uint64(len(s.log))
+	if !flush {
+		for _, w := range s.log[len(s.log)-int(behind):] {
+			if flush = w.all; flush {
+				break
+			}
+			for _, a := range w.addrs {
+				if !slices.Contains(scope, a) {
+					scope = append(scope, a)
+				}
+			}
+		}
+		flush = flush || len(scope) > writeAddrsMax
+	}
+	c.scope = scope
+	if flush {
+		clear(c.m)
+		clear(c.old)
+		c.fresh = 0
+		return
+	}
+	for _, m := range [2]map[CacheKey]*FlowEntry{c.m, c.old} {
+		for k := range m {
+			if slices.Contains(scope, addrKey(k.Flow.Src.Addr)) || slices.Contains(scope, addrKey(k.Flow.Dst.Addr)) {
+				delete(m, k)
+			}
+		}
+	}
+}
+
 // lookupCached answers from the caller's exact-match cache alone — the
 // steady-state fast path, which needs only the 5-tuple key and no
 // packet decode at all. cacheable is false for packets whose 5-tuple
@@ -440,11 +561,8 @@ func (c *flowCache) insert(key CacheKey, e *FlowEntry, fresh bool) {
 // the old generation to the young one; a nil entry means the caller
 // must extract match fields and call lookupScan.
 func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, size int) ([]Action, *FlowEntry) {
-	if gen := t.snap.Load().gen; c.gen != gen {
-		c.gen = gen
-		clear(c.m)
-		clear(c.old)
-		c.fresh = 0
+	if s := t.snap.Load(); c.gen != s.gen {
+		c.catchUp(s)
 	}
 	if !cacheable {
 		return nil, nil
@@ -462,8 +580,8 @@ func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, siz
 }
 
 // lookupScan is Lookup, memoizing the winning entry in the cache.
-// Callers must have tried lookupCached first (it also syncs the cache
-// generation).
+// Callers must have tried lookupCached first (it also brings the cache
+// up to the current generation).
 //
 // The key is what the submit path peeked from raw bytes; fields is what
 // the decoder, with its length and checksum checks, saw. The answer is
