@@ -16,9 +16,8 @@ vet:
 # Static analysis. pvnlint first: it is stdlib-only, works offline, and
 # enforces the project contracts (determinism and clock discipline,
 # fail-closed specs, atomic/plain field races, dropped lifecycle
-# errors, plus the flow-sensitive trustflow/lockorder pair: wire data
-# verified before sinks, lock ordering) that generic linters cannot
-# know about. Then staticcheck when
+# errors, plus the flow-sensitive lock ordering) that generic linters
+# cannot know about. Then staticcheck when
 # it is installed (or fetchable), with a `go vet` fallback so
 # offline/minimal environments still get a lint pass instead of a hard
 # failure.
@@ -37,9 +36,9 @@ lint:
 
 # Audit trail for lint suppressions: every //lint:allow annotation in
 # the tree with its mandatory reason, one line each, for review. The
-# flow-sensitive checks use the same mechanism, so deliberate
-# unverified flows and held-across-blocking locks show up here too
-# (pvnlint -json gives the machine-readable finding list CI archives).
+# flow-sensitive lockorder uses the same mechanism, so deliberate
+# held-across-blocking locks show up here too (pvnlint -json gives the
+# machine-readable finding list CI archives).
 lint-fix-audit:
 	$(GO) run ./cmd/pvnlint -allows ./...
 

@@ -1,8 +1,7 @@
-// Command pvnlint runs the project's six contract analyzers over the
+// Command pvnlint runs the project's five contract analyzers over the
 // module: determinism and clock discipline (nondet), fail-closed
 // security middleboxes (failpolicy), atomic/plain mixed field access
-// (unlockedfield), dropped lifecycle errors (errdrop), wire data
-// verified before it reaches a sink (trustflow) and lock ordering
+// (unlockedfield), dropped lifecycle errors (errdrop) and lock ordering
 // (lockorder). It is
 // stdlib-only and offline: packages are parsed and type-checked from
 // source, so it needs no module downloads, build cache or cgo.

@@ -183,9 +183,6 @@ func (s *Server) HandleDeploy(req *discovery.DeployRequest) *discovery.DeployRes
 		// either the store or the path tampered with it.
 		return nack("PVNC hash mismatch: got %.16s..., requested %.16s...", cfg.Hash(), req.PVNCHash)
 	}
-	if errs := cfg.Validate(); len(errs) > 0 {
-		return nack("invalid PVNC: %v", errs[0])
-	}
 	if prior != nil && cfg.Hash() == prior.Hash {
 		// The device's deploy installed but every ACK was lost, so it
 		// abandoned the offer, re-discovered and is asking for the PVNC
@@ -208,8 +205,11 @@ func (s *Server) HandleDeploy(req *discovery.DeployRequest) *discovery.DeployRes
 		return nack("payment %d below price %d", req.Payment, owed)
 	}
 
-	s.nextCookie++
-	cookie := s.nextCookie
+	// The cookie is taken only once the config compiles. Compiling is
+	// the one validation: Compile and CompileShared refuse whatever
+	// Validate rejects, so an invalid PVNC NACKs here, before anything
+	// is installed.
+	cookie := s.nextCookie + 1
 	// Namespace chains per deployment so the same owner can deploy the
 	// same PVNC from several devices without collisions (§3.1).
 	namespace := cfg.Owner + "." + req.DeviceID
@@ -228,6 +228,7 @@ func (s *Server) HandleDeploy(req *discovery.DeployRequest) *discovery.DeployRes
 	if err != nil {
 		return nack("compile: %v", err)
 	}
+	s.nextCookie = cookie
 
 	dep := &Deployment{
 		DeviceID:    req.DeviceID,

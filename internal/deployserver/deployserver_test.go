@@ -148,6 +148,10 @@ func TestDeployNACKs(t *testing.T) {
 		if s.Switch.Table.Len() != 0 || len(s.Runtime.InstancesOf("alice")) != 0 {
 			t.Errorf("%s: partial install left behind", c.name)
 		}
+		// A NACK takes no cookie: the next good deploy gets the first.
+		if resp := s.HandleDeploy(deployReq(t, 300)); !resp.OK || resp.Cookie != 1 {
+			t.Errorf("%s: deploy after the NACK: %+v, want cookie 1", c.name, resp)
+		}
 	}
 }
 

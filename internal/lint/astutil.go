@@ -58,3 +58,43 @@ func inProject(cfg *Config, obj types.Object) bool {
 	return path == cfg.ProjectPrefix || len(path) > len(cfg.ProjectPrefix) &&
 		path[:len(cfg.ProjectPrefix)+1] == cfg.ProjectPrefix+"/"
 }
+
+// calleeOf resolves a call's static target to its types.Func (methods
+// and package-level functions alike), or nil.
+func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		if s, ok := info.Selections[fun]; ok {
+			f, _ := s.Obj().(*types.Func)
+			return f
+		}
+		f, _ := info.Uses[fun.Sel].(*types.Func)
+		return f
+	case *ast.Ident:
+		f, _ := info.Uses[fun].(*types.Func)
+		return f
+	}
+	return nil
+}
+
+// fieldOwner finds the named type declaring f, as "Type." (best
+// effort: scans the package scope).
+func fieldOwner(f *types.Var) string {
+	scope := f.Pkg().Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i) == f {
+				return name + "."
+			}
+		}
+	}
+	return ""
+}

@@ -1,7 +1,7 @@
 package lint
 
 // Intra-procedural control-flow graphs over go/ast, the substrate for
-// the flow-sensitive analyzers (trustflow, lockorder). The builder
+// lockorder, the flow-sensitive analyzer. The builder
 // lowers one function body into basic blocks of statements/condition
 // expressions connected by successor edges; solveForward then runs any
 // monotone forward dataflow problem to fixpoint by worklist iteration.

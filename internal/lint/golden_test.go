@@ -27,20 +27,6 @@ func testConfig(module string) *Config {
 		MiddleboxPkgs:   map[string]bool{module: true},
 		SupervisorFiles: map[string]bool{"supervisor.go": true},
 		ProjectPrefix:   module,
-		// Taint scoping for the trustflow mini-module: the module-local
-		// decoder, sinks and wire type play the roles the real config
-		// gives to overlay records and deploy/install entry points.
-		TaintPkgs: map[string]bool{module: true},
-		TaintSources: map[string]bool{
-			module + ".DecodeMsg": true,
-		},
-		TaintSinks: map[string]bool{
-			module + ".Deploy":        true,
-			module + ".Table.Install": true,
-		},
-		WireTypes: map[string]bool{
-			module + ".Record": true,
-		},
 	}
 }
 
@@ -124,7 +110,6 @@ func TestNondetGolden(t *testing.T)        { runGolden(t, "nondet", NondetAnalyz
 func TestFailPolicyGolden(t *testing.T)    { runGolden(t, "failpolicy", FailPolicyAnalyzer) }
 func TestUnlockedFieldGolden(t *testing.T) { runGolden(t, "unlockedfield", UnlockedFieldAnalyzer) }
 func TestErrDropGolden(t *testing.T)       { runGolden(t, "errdrop", ErrDropAnalyzer) }
-func TestTrustFlowGolden(t *testing.T)     { runGolden(t, "trustflow", TrustFlowAnalyzer) }
 func TestLockOrderGolden(t *testing.T)     { runGolden(t, "lockorder", LockOrderAnalyzer) }
 
 // TestMalformedAllow: a reasonless //lint:allow, and one naming a
@@ -147,12 +132,12 @@ func TestMalformedAllow(t *testing.T) {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
-	if reasonless != 1 || nondet != 2 || !stale["goleak"] || !stale["clockparam"] || len(stale) != 2 {
+	if reasonless != 1 || nondet != 2 || !stale["goleak"] || !stale["clockparam"] || !stale["trustflow"] || len(stale) != 3 {
 		var all []string
 		for _, d := range diags {
 			all = append(all, d.String())
 		}
-		t.Fatalf("want 1 reasonless allow, stale allows for goleak and clockparam, and 2 nondet findings; got %d, %v, %d:\n%s",
+		t.Fatalf("want 1 reasonless allow, stale allows for goleak, clockparam and trustflow, and 2 nondet findings; got %d, %v, %d:\n%s",
 			reasonless, stale, nondet, strings.Join(all, "\n"))
 	}
 }

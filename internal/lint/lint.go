@@ -96,14 +96,6 @@ type ModulePass struct {
 	diags  []Diagnostic
 }
 
-// Fset returns the FileSet shared by all loaded packages.
-func (p *ModulePass) Fset() *token.FileSet {
-	if len(p.Pkgs) == 0 {
-		return token.NewFileSet()
-	}
-	return p.Pkgs[0].Fset
-}
-
 // Reportf records a finding positioned in pkg's file set.
 func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...interface{}) {
 	p.diags = append(p.diags, Diagnostic{
@@ -134,43 +126,6 @@ type Config struct {
 	// ProjectPrefix is the module path; errdrop only polices methods
 	// defined in packages under it.
 	ProjectPrefix string
-
-	// TaintPkgs are import paths analyzed by trustflow — the packages
-	// that handle data from the wire, overlay replicas or providers.
-	TaintPkgs map[string]bool
-	// TaintSources are fully qualified functions ("pkg/path.Func" or
-	// "pkg/path.Type.Method") whose results are untrusted.
-	TaintSources map[string]bool
-	// TaintFieldSources are struct fields ("pkg/path.Type.Field")
-	// whose reads yield untrusted data (e.g. netsim message payloads).
-	TaintFieldSources map[string]bool
-	// TaintSinks are functions that must never receive tainted
-	// arguments: deploy, install, rule-table mutation, compiles.
-	TaintSinks map[string]bool
-	// WireTypes are named types presumed tainted when they arrive as
-	// parameters of exported functions or function literals.
-	WireTypes map[string]bool
-	// SanitizerPattern matches project function names that vouch for
-	// their receiver/arguments (default `(?i)^(verify|valid)`, which
-	// covers Verify*, Validate*, and the unexported valid/validate
-	// helpers).
-	SanitizerPattern string
-
-	sanOnce sync.Once
-	sanRe   *regexp.Regexp
-}
-
-// sanitizerRe compiles SanitizerPattern once (safe under the parallel
-// driver).
-func (c *Config) sanitizerRe() *regexp.Regexp {
-	c.sanOnce.Do(func() {
-		pat := c.SanitizerPattern
-		if pat == "" {
-			pat = `(?i)^(verify|valid)`
-		}
-		c.sanRe = regexp.MustCompile(pat)
-	})
-	return c.sanRe
 }
 
 // DefaultConfig is the contract for this repository: the packages whose
@@ -206,39 +161,6 @@ func DefaultConfig() *Config {
 		},
 		SupervisorFiles: map[string]bool{"supervisor.go": true},
 		ProjectPrefix:   "pvn",
-		TaintPkgs: map[string]bool{
-			"pvn/internal/overlay":      true,
-			"pvn/internal/discovery":    true,
-			"pvn/internal/deployserver": true,
-			"pvn/internal/orchestrator": true,
-			"pvn/internal/store":        true,
-			"pvn/internal/pvnc":         true,
-		},
-		TaintSources: map[string]bool{
-			"pvn/internal/overlay.DecodeEnvelope": true,
-			"pvn/internal/store.DecodeModule":     true,
-			"pvn/internal/pvnc.Parse":             true,
-			"pvn/internal/pki.DecodeCertificate":  true,
-			"pvn/internal/pki.DecodeChain":        true,
-		},
-		TaintFieldSources: map[string]bool{
-			// FaultInjector-delivered control traffic arrives here.
-			"pvn/internal/netsim.Message.Payload": true,
-		},
-		TaintSinks: map[string]bool{
-			"pvn/internal/openflow.FlowTable.Install":       true,
-			"pvn/internal/openflow.FlowTable.InstallAll":    true,
-			"pvn/internal/openflow.FlowTable.AddMeter":      true,
-			"pvn/internal/pvnc.Compile":                     true,
-			"pvn/internal/pvnc.TemplateCache.CompileShared": true,
-			"pvn/internal/middlebox.Runtime.Instantiate":    true,
-			"pvn/internal/middlebox.Runtime.BuildChainIn":   true,
-			"pvn/internal/deployserver.Server.HandleDeploy": true,
-		},
-		WireTypes: map[string]bool{
-			"pvn/internal/overlay.Record":   true,
-			"pvn/internal/overlay.Envelope": true,
-		},
 	}
 }
 
@@ -249,7 +171,6 @@ func Analyzers() []*Analyzer {
 		FailPolicyAnalyzer,
 		UnlockedFieldAnalyzer,
 		ErrDropAnalyzer,
-		TrustFlowAnalyzer,
 		LockOrderAnalyzer,
 	}
 }

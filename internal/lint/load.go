@@ -63,21 +63,11 @@ type loader struct {
 // deliberately violate contracts to prove the code under test enforces
 // them.
 func Load(root, module string, patterns ...string) ([]*Package, error) {
-	root, err := filepath.Abs(root)
+	l, err := newLoader(root, module)
 	if err != nil {
 		return nil, err
 	}
-	// The source importer consults go/build's default context. Cgo off
-	// keeps every stdlib package (net in particular) on its pure-Go
-	// fallback so type-checking never needs a C toolchain.
-	build.Default.CgoEnabled = false
-	l := &loader{
-		root:   root,
-		module: module,
-		fset:   token.NewFileSet(),
-		cache:  map[string]*Package{},
-	}
-	l.stdlib = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
+	root = l.root
 
 	var dirs []string
 	seen := map[string]bool{}
@@ -119,6 +109,26 @@ func Load(root, module string, patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
+}
+
+// newLoader makes an empty loader for the module rooted at root.
+func newLoader(root, module string) (*loader, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	// The source importer consults go/build's default context. Cgo off
+	// keeps every stdlib package (net in particular) on its pure-Go
+	// fallback so type-checking never needs a C toolchain.
+	build.Default.CgoEnabled = false
+	l := &loader{
+		root:   root,
+		module: module,
+		fset:   token.NewFileSet(),
+		cache:  map[string]*Package{},
+	}
+	l.stdlib = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
+	return l, nil
 }
 
 // walkGoDirs calls add for every directory under base that contains at
@@ -174,9 +184,36 @@ func (l *loader) load(path string) (*Package, error) {
 	l.cache[path] = nil // in progress
 
 	dir := l.dirFor(path)
-	entries, err := os.ReadDir(dir)
+	files, err := l.parseDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %s: %w", path, err)
+	}
+	if len(files) == 0 {
+		delete(l.cache, path)
+		return nil, nil
+	}
+	pkg, typeErrs := l.check(path, dir, files)
+	if len(typeErrs) > 0 {
+		msgs := make([]string, 0, len(typeErrs))
+		for i, e := range typeErrs {
+			if i == 8 {
+				msgs = append(msgs, fmt.Sprintf("... and %d more", len(typeErrs)-i))
+				break
+			}
+			msgs = append(msgs, e.Error())
+		}
+		return nil, fmt.Errorf("lint: type-checking %s:\n  %s", path, strings.Join(msgs, "\n  "))
+	}
+	l.cache[path] = pkg
+	return pkg, nil
+}
+
+// parseDir parses the non-test files of dir a plain `go build` would
+// compile, sorted by name.
+func (l *loader) parseDir(dir string) ([]*ast.File, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	var names []string
 	for _, e := range entries {
@@ -196,11 +233,6 @@ func (l *loader) load(path string) (*Package, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	if len(names) == 0 {
-		delete(l.cache, path)
-		return nil, nil
-	}
-
 	var files []*ast.File
 	for _, n := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, n), nil, parser.ParseComments)
@@ -209,7 +241,13 @@ func (l *loader) load(path string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
+	return files, nil
+}
 
+// check type-checks files, parsed from dir, as the package at path,
+// importing module packages through the loader, and returns every type
+// error.
+func (l *loader) check(path, dir string, files []*ast.File) (*Package, []error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -225,19 +263,7 @@ func (l *loader) load(path string) (*Package, error) {
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tpkg, _ := conf.Check(path, l.fset, files, info)
-	if len(typeErrs) > 0 {
-		msgs := make([]string, 0, len(typeErrs))
-		for i, e := range typeErrs {
-			if i == 8 {
-				msgs = append(msgs, fmt.Sprintf("... and %d more", len(typeErrs)-i))
-				break
-			}
-			msgs = append(msgs, e.Error())
-		}
-		return nil, fmt.Errorf("lint: type-checking %s:\n  %s", path, strings.Join(msgs, "\n  "))
-	}
-
-	pkg := &Package{
+	return &Package{
 		Path:  path,
 		Dir:   dir,
 		Name:  files[0].Name.Name,
@@ -245,9 +271,7 @@ func (l *loader) load(path string) (*Package, error) {
 		Files: files,
 		Types: tpkg,
 		Info:  info,
-	}
-	l.cache[path] = pkg
-	return pkg, nil
+	}, typeErrs
 }
 
 // loaderImporter adapts the loader into go/types' ImporterFrom:

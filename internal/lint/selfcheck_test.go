@@ -13,13 +13,13 @@ import (
 // defend the reason in review.
 func TestRepoCleanAtHead(t *testing.T) {
 	// The sweep is only as strong as its analyzer set: exactly these
-	// six must be registered, the flow-sensitive ones included, or this
-	// test silently weakens.
+	// five must be registered, the flow-sensitive lockorder included, or
+	// this test silently weakens.
 	var names []string
 	for _, a := range Analyzers() {
 		names = append(names, a.Name)
 	}
-	want := []string{"nondet", "failpolicy", "unlockedfield", "errdrop", "trustflow", "lockorder"}
+	want := []string{"nondet", "failpolicy", "unlockedfield", "errdrop", "lockorder"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("Analyzers() = %v, want %v", names, want)
 	}

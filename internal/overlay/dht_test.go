@@ -221,9 +221,10 @@ func TestDHTTamperedModuleRejectedAtFetch(t *testing.T) {
 // signature, so the forgery cannot verify — but before lookups
 // verified at the merge, the fake's higher Seq displaced the honest,
 // verifiable record from the highest-Seq-per-publisher merge and the
-// caller was left with junk it could only reject. (Found by the
-// trustflow analyzer: onReply stored wire-decoded records without a
-// Verify on the path.)
+// caller was left with junk it could only reject. (Found by a taint
+// analysis: onReply stored wire-decoded records without a Verify on the
+// path. The merge now holds only verified records, so that code no
+// longer compiles.)
 func TestDHTForgedHighSeqCannotDisplaceHonestRecord(t *testing.T) {
 	net, nodes := newSwarm(t, 10, 16, Config{Replicate: 16})
 	kp := testKey(t, 107)

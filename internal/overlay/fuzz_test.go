@@ -198,8 +198,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		want := fmt.Sprint(r.Verify())
 		for pass := 0; pass < 2; pass++ {
-			if got := fmt.Sprint(node.verifyRecord(r)); got != want {
-				t.Fatalf("verifyRecord pass %d = %s, Verify = %s", pass, got, want)
+			v, err := node.verifyRecord(r)
+			if got := fmt.Sprint(err); got != want || (err == nil) != (v.r == r) {
+				t.Fatalf("verifyRecord pass %d = %s vouching for %p, Verify = %s", pass, got, v.r, want)
 			}
 		}
 		if ad, err := DecodeOfferAd(r); err == nil {

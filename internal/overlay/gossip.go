@@ -81,6 +81,9 @@ func NewRepStore() *RepStore {
 // Merge folds incoming claims in, keeping the highest Seq per
 // (provider, reporter). It returns how many claims changed state —
 // the anti-entropy "delta", zero when both sides already agree.
+// Claims are unsigned by design, so every envelope's gossip merges
+// unverified: Merge drops malformed and stale claims, and Score gives
+// each reporter one vote (TestRepStoreMergeAndScore).
 func (rs *RepStore) Merge(claims []RepClaim) int {
 	changed := 0
 	for _, c := range claims {

@@ -48,7 +48,7 @@ type lookup struct {
 	shortlist []*lkEntry
 	inFlight  int
 	res       LookupResult
-	records   map[string]*Record // publisher -> highest-Seq record under target
+	records   map[string]verified // publisher -> highest-Seq record under target
 	done      func(LookupResult)
 	finished  bool
 }
@@ -105,7 +105,7 @@ func (n *Node) Put(r *Record, done func(acks int)) {
 			env.Record = r
 			env.Target = r.Key
 			n.request(t, env,
-				func(resp *Envelope) {
+				func(resp inbound) {
 					if resp.Err == "" {
 						acks++
 					}
@@ -121,7 +121,7 @@ func (n *Node) startLookup(target ID, findValue bool, done func(LookupResult)) {
 		n:         n,
 		target:    target,
 		findValue: findValue,
-		records:   make(map[string]*Record),
+		records:   make(map[string]verified),
 		done:      done,
 		res:       LookupResult{Target: target},
 	}
@@ -188,21 +188,19 @@ func (lk *lookup) round() {
 		env.Target = lk.target
 		entry := e
 		lk.n.request(e.peer, env,
-			func(resp *Envelope) { lk.onReply(entry, resp) },
+			func(resp inbound) { lk.onReply(entry, resp) },
 			func() { lk.onTimeout(entry) })
 	}
 }
 
-func (lk *lookup) onReply(e *lkEntry, resp *Envelope) {
+func (lk *lookup) onReply(e *lkEntry, resp inbound) {
 	e.responded = true
-	for _, pi := range resp.Peers {
-		// DecodeEnvelope bounds-checked these, but re-check the key
-		// binding of each new one here: shortlist entries drive who we
-		// talk to next. Most are already listed, and pay no hash.
-		if _, known := lk.find(pi.ID); known || !pi.valid() {
-			continue
+	// DecodeEnvelope checked each entry's key binding, so a new one
+	// joins the shortlist without a second hash.
+	for i, pi := range resp.Peers {
+		if _, known := lk.find(pi.ID); !known {
+			lk.insert(&lkEntry{peer: resp.peer(i)})
 		}
-		lk.insert(&lkEntry{peer: pi.Peer()})
 	}
 	if lk.findValue && resp.Kind == KindValue {
 		for _, r := range resp.Records {
@@ -215,12 +213,13 @@ func (lk *lookup) onReply(e *lkEntry, resp *Envelope) {
 			// honest record lost to a fake the replica knew was junk.
 			// Every replica returns the same records, so past the first
 			// reply this is a memo hit.
-			if err := lk.n.verifyRecord(r); err != nil {
+			v, err := lk.n.verifyRecord(r)
+			if err != nil {
 				lk.n.Stats.BadRecords++
 				continue
 			}
-			if old, ok := lk.records[r.Publisher]; !ok || r.Seq > old.Seq {
-				lk.records[r.Publisher] = r
+			if old, ok := lk.records[r.Publisher]; !ok || r.Seq > old.r.Seq {
+				lk.records[r.Publisher] = v
 			}
 		}
 	}
@@ -268,7 +267,7 @@ func (lk *lookup) finish() {
 		}
 		sort.Strings(pubs)
 		for _, p := range pubs {
-			lk.res.Records = append(lk.res.Records, lk.records[p])
+			lk.res.Records = append(lk.res.Records, lk.records[p].r)
 		}
 		lk.res.Found = true
 	}

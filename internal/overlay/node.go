@@ -68,7 +68,7 @@ var ErrStoreFull = errors.New("overlay: record store full")
 // pendingRPC tracks one in-flight request awaiting its response.
 type pendingRPC struct {
 	to        ID
-	onReply   func(*Envelope)
+	onReply   func(inbound)
 	onTimeout func()
 }
 
@@ -83,7 +83,7 @@ type Node struct {
 	clock *netsim.Clock
 
 	table   *Table
-	records map[ID]map[string]*Record // key -> publisher -> record
+	records map[ID]map[string]verified // key -> publisher -> record
 	rep     *RepStore
 
 	// verified holds the digests of records whose Verify passed here
@@ -114,7 +114,7 @@ func NewNode(sim *netsim.Node, kp pki.KeyPair, cfg Config) *Node {
 		self:     Peer{ID: IDFromPublicKey(kp.Public), Addr: sim.ID, Key: kp.Public},
 		sim:      sim,
 		clock:    sim.Network().Clock,
-		records:  make(map[ID]map[string]*Record),
+		records:  make(map[ID]map[string]verified),
 		rep:      NewRepStore(),
 		verified: make(map[[sha256.Size]byte]struct{}),
 		pending:  make(map[uint64]*pendingRPC),
@@ -162,11 +162,19 @@ func (n *Node) Refresh(done func(LookupResult)) { n.Lookup(n.self.ID, done) }
 // (the node is its own first replica). It enforces the same
 // verification and key cap as a remote store.
 func (n *Node) StoreLocal(r *Record) error {
-	if err := n.verifyRecord(r); err != nil {
+	v, err := n.verifyRecord(r)
+	if err != nil {
 		return err
 	}
-	return n.admit(r)
+	return n.admit(v)
 }
+
+// verified is a record whose Verify passed on this node. verifyRecord
+// is the only function that makes one, and every write of a record
+// into node state (admit, and the lookup merge) takes one, so a record
+// off the wire cannot reach state unverified: that would not compile.
+// It is the pointer alone, and costs nothing to pass.
+type verified struct{ r *Record }
 
 // verifyRecord is r.Verify, run once per node for each record. Verify
 // is a pure function of the record's fields and recordDigest hashes
@@ -174,21 +182,21 @@ func (n *Node) StoreLocal(r *Record) error {
 // on identical input and it passed: the memo is exact, not a cache of
 // a looser check. Only successes are kept, so a bad record re-runs
 // Verify every time it arrives.
-func (n *Node) verifyRecord(r *Record) error {
+func (n *Node) verifyRecord(r *Record) (verified, error) {
 	d := recordDigest(r)
 	if _, ok := n.verified[d]; ok {
-		return nil
+		return verified{r}, nil
 	}
 	n.Stats.RecordVerifies++
 	if err := r.Verify(); err != nil {
-		return err
+		return verified{}, err
 	}
 	if len(n.verified) >= maxVerified {
 		clear(n.verified)
 		n.Stats.VerifyFlushes++
 	}
 	n.verified[d] = struct{}{}
-	return nil
+	return verified{r}, nil
 }
 
 // recordDigest is the verified-record memo key: SHA-256 over every
@@ -224,17 +232,18 @@ func appendField[T ~string | ~[]byte](b []byte, f T) []byte {
 // (key, publisher). A stale Seq, or a new publisher under a key already
 // holding maxRecords of them, is dropped silently; a new key past
 // maxKeys is refused with ErrStoreFull.
-func (n *Node) admit(r *Record) error {
+func (n *Node) admit(v verified) error {
+	r := v.r
 	byPub := n.records[r.Key]
 	if byPub == nil {
 		if len(n.records) >= maxKeys {
 			n.Stats.KeysRefused++
 			return ErrStoreFull
 		}
-		byPub = make(map[string]*Record)
+		byPub = make(map[string]verified)
 		n.records[r.Key] = byPub
 	}
-	if old, ok := byPub[r.Publisher]; ok && old.Seq >= r.Seq {
+	if old, ok := byPub[r.Publisher]; ok && old.r.Seq >= r.Seq {
 		return nil
 	}
 	if len(byPub) >= maxRecords {
@@ -242,7 +251,7 @@ func (n *Node) admit(r *Record) error {
 			return nil // key full of other publishers; bound memory
 		}
 	}
-	byPub[r.Publisher] = r
+	byPub[r.Publisher] = v
 	return nil
 }
 
@@ -260,7 +269,7 @@ func (n *Node) held(key ID) []*Record {
 	sort.Strings(pubs)
 	out := make([]*Record, 0, len(pubs))
 	for _, p := range pubs {
-		r := byPub[p]
+		r := byPub[p].r
 		if n.TamperStored != nil {
 			if t := n.TamperStored(r); t != nil {
 				r = t
@@ -305,7 +314,7 @@ func (n *Node) transmit(to Peer, e *Envelope) {
 
 // request issues one RPC and arms its timeout. Exactly one of onReply
 // and onTimeout eventually fires.
-func (n *Node) request(to Peer, e *Envelope, onReply func(*Envelope), onTimeout func()) {
+func (n *Node) request(to Peer, e *Envelope, onReply func(inbound), onTimeout func()) {
 	n.nextRPC++
 	id := n.nextRPC
 	e.RPC = id
@@ -341,11 +350,10 @@ func (n *Node) deliver(msg *netsim.Message) {
 		n.Stats.BadEnvelopes++
 		return
 	}
+	in := inbound{e}
 	// Every valid envelope refreshes the sender's contact and merges
 	// its gossip — anti-entropy rides on all traffic.
-	//lint:allow trustflow DecodeEnvelope rejects a From whose key does not hash to its ID (TestDecodeEnvelopeRejects "spoofed sender key"); contact freshness is unauthenticated by design (Kademlia liveness, not identity)
-	n.table.Update(e.From.Peer(), n.clock.Now())
-	//lint:allow trustflow gossip claims are unsigned by design; Merge drops malformed and stale claims and Score gives each reporter one vote (TestRepStoreMergeAndScore)
+	n.table.Update(in.sender(), n.clock.Now())
 	n.Stats.GossipMerged += n.rep.Merge(e.Gossip)
 
 	switch e.Kind {
@@ -353,44 +361,44 @@ func (n *Node) deliver(msg *netsim.Message) {
 		if p, ok := n.pending[e.RPC]; ok {
 			delete(n.pending, e.RPC)
 			if p.onReply != nil {
-				p.onReply(e)
+				p.onReply(in)
 			}
 		}
 	case KindPing:
-		n.reply(e, n.envelope(KindPong, e.RPC))
+		n.reply(in, n.envelope(KindPong, e.RPC))
 	case KindFindNode:
 		resp := n.envelope(KindNodes, e.RPC)
 		resp.Peers = n.closestInfos(e.Target)
-		n.reply(e, resp)
+		n.reply(in, resp)
 	case KindFindValue:
 		if recs := n.held(e.Target); len(recs) > 0 {
 			resp := n.envelope(KindValue, e.RPC)
 			resp.Records = recs
 			resp.Peers = n.closestInfos(e.Target)
-			n.reply(e, resp)
+			n.reply(in, resp)
 			return
 		}
 		resp := n.envelope(KindNodes, e.RPC)
 		resp.Peers = n.closestInfos(e.Target)
-		n.reply(e, resp)
+		n.reply(in, resp)
 	case KindStore:
 		resp := n.envelope(KindStored, e.RPC)
 		if e.Record == nil {
 			resp.Err = "no record"
-		} else if err := n.verifyRecord(e.Record); err != nil {
+		} else if v, err := n.verifyRecord(e.Record); err != nil {
 			// A replica never stores what it cannot verify: the DHT
 			// carries only publisher-signed, key-bound records.
 			n.Stats.BadRecords++
 			resp.Err = err.Error()
-		} else if err := n.admit(e.Record); err != nil {
+		} else if err := n.admit(v); err != nil {
 			resp.Err = err.Error()
 		}
-		n.reply(e, resp)
+		n.reply(in, resp)
 	}
 }
 
 // reply answers a request, excluding the asker from any peer list.
-func (n *Node) reply(req *Envelope, resp *Envelope) {
+func (n *Node) reply(req inbound, resp *Envelope) {
 	if len(resp.Peers) > 0 {
 		kept := resp.Peers[:0]
 		for _, p := range resp.Peers {
@@ -401,7 +409,7 @@ func (n *Node) reply(req *Envelope, resp *Envelope) {
 		resp.Peers = kept
 	}
 	n.Stats.RepliesSent++
-	n.transmit(req.From.Peer(), resp)
+	n.transmit(req.sender(), resp)
 }
 
 // closestInfos serializes our k closest contacts to target.

@@ -34,10 +34,11 @@ func (os *OfferSource) Query(dm *discovery.DM, deliver func(*discovery.Offer)) {
 	os.Node.Get(key, func(res LookupResult) {
 		os.LookupRounds = res.Rounds
 		var offers []*discovery.Offer
+		// The lookup merge verified these on this node already, so the
+		// memo answers without a second Ed25519 check.
+		verify := func(r *Record) error { _, err := os.Node.verifyRecord(r); return err }
 		for _, rec := range res.Records {
-			// The lookup merge verified these on this node already, so
-			// the memo answers without a second Ed25519 check.
-			ad, err := decodeOfferAd(rec, os.Node.verifyRecord)
+			ad, err := decodeOfferAd(rec, verify)
 			if err != nil {
 				os.AdsRejected++
 				continue

@@ -305,6 +305,12 @@ func TestDecodeEnvelopeRejects(t *testing.T) {
 	spoofed.From.Key = kp.Public // key does not hash to claimed ID
 	cases["spoofed sender key"] = spoofed.Encode()
 
+	// A peer entry naming a known node's ID with another key: the only
+	// key-binding check a reply's contacts get is this one.
+	forged := *base
+	forged.Peers = []PeerInfo{{ID: base.From.ID, Addr: "n9", Key: kp.Public}}
+	cases["forged peer key under a known ID"] = forged.Encode()
+
 	noaddr := *base
 	noaddr.From.Addr = ""
 	cases["empty sender addr"] = noaddr.Encode()

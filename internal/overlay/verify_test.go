@@ -52,11 +52,11 @@ func TestVerifyRecordMatchesVerify(t *testing.T) {
 		"sig byte": func(r *Record) { r.Sig[0] ^= 1 },
 	}
 	for _, base := range []*Record{offer, module} {
-		if err := n.verifyRecord(base); err != nil {
-			t.Fatalf("%s: valid record rejected: %v", base.Kind, err)
+		if v, err := n.verifyRecord(base); err != nil || v.r != base {
+			t.Fatalf("%s: valid record: err %v, vouches for %p, want %p", base.Kind, err, v.r, base)
 		}
 		runs := n.Stats.RecordVerifies
-		if err := n.verifyRecord(cloneRecord(base)); err != nil || n.Stats.RecordVerifies != runs {
+		if _, err := n.verifyRecord(cloneRecord(base)); err != nil || n.Stats.RecordVerifies != runs {
 			t.Fatalf("%s: identical copy: err %v, %d new Verify runs, want a memo hit", base.Kind, err, n.Stats.RecordVerifies-runs)
 		}
 		for name, mutate := range mutations {
@@ -67,8 +67,8 @@ func TestVerifyRecordMatchesVerify(t *testing.T) {
 				t.Fatalf("%s/%s: mutation left the record valid; the oracle needs a rejected record", base.Kind, name)
 			}
 			for pass := 0; pass < 2; pass++ {
-				if got := n.verifyRecord(r); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s/%s pass %d: verifyRecord = %v, Verify = %v", base.Kind, name, pass, got, want)
+				if v, got := n.verifyRecord(r); fmt.Sprint(got) != fmt.Sprint(want) || v.r != nil {
+					t.Errorf("%s/%s pass %d: verifyRecord = %v vouching for %p, Verify = %v", base.Kind, name, pass, got, v.r, want)
 				}
 			}
 		}
@@ -141,7 +141,7 @@ func TestVerifyMemoBound(t *testing.T) {
 		if seq > 1 {
 			r = NewOfferRecord("pvn", ad, kp, seq)
 		}
-		if err := n.verifyRecord(r); err != nil {
+		if _, err := n.verifyRecord(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestVerifyMemoBound(t *testing.T) {
 	if len(n.verified) != 1 {
 		t.Fatalf("memo holds %d entries after the flush, want 1", len(n.verified))
 	}
-	if err := n.verifyRecord(first); err != nil || n.Stats.RecordVerifies != maxVerified+2 {
+	if _, err := n.verifyRecord(first); err != nil || n.Stats.RecordVerifies != maxVerified+2 {
 		t.Fatalf("flushed record: err %v, %d verifies; want a fresh Verify", err, n.Stats.RecordVerifies)
 	}
 }
@@ -178,7 +178,7 @@ func TestStoreKeyCap(t *testing.T) {
 	env.Target = env.Record.Key
 	var reply string
 	replied := false
-	a.request(b.Self(), env, func(resp *Envelope) { reply, replied = resp.Err, true }, nil)
+	a.request(b.Self(), env, func(resp inbound) { reply, replied = resp.Err, true }, nil)
 	net.Clock.Run()
 	if !replied || reply != ErrStoreFull.Error() {
 		t.Fatalf("remote store past the cap: replied %t err %q, want %q", replied, reply, ErrStoreFull)

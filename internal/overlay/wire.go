@@ -58,11 +58,6 @@ type PeerInfo struct {
 	Key  []byte `json:"key,omitempty"`
 }
 
-// Peer converts wire info to the in-memory form.
-func (pi PeerInfo) Peer() Peer {
-	return Peer{ID: pi.ID, Addr: pi.Addr, Key: ed25519.PublicKey(pi.Key)}
-}
-
 // valid reports whether the entry is structurally sound: a non-empty
 // bounded address and, when a key travels along, one of the right size
 // that actually hashes to the claimed ID.
@@ -77,6 +72,28 @@ func (pi PeerInfo) valid() bool {
 		return false
 	}
 	return IDFromPublicKey(pi.Key) == pi.ID
+}
+
+// inbound is an envelope DecodeEnvelope accepted, and the only way a
+// wire PeerInfo becomes a Peer: validate ran valid() on the sender and
+// on every peer entry, so each key binding is hashed once, at decode,
+// and the entries convert here without a second check. Only
+// Node.deliver makes one.
+type inbound struct{ *Envelope }
+
+// sender is the envelope's sender as a contact. Refreshing a routing
+// table entry from it is unauthenticated by design: contact freshness
+// is Kademlia liveness, not identity. The identity is checked, since
+// DecodeEnvelope rejects a From whose key does not hash to its ID
+// (TestDecodeEnvelopeRejects "spoofed sender key").
+func (in inbound) sender() Peer {
+	return Peer{ID: in.From.ID, Addr: in.From.Addr, Key: in.From.Key}
+}
+
+// peer is peer entry i as a contact.
+func (in inbound) peer(i int) Peer {
+	pi := in.Peers[i]
+	return Peer{ID: pi.ID, Addr: pi.Addr, Key: pi.Key}
 }
 
 // Envelope is the single overlay message shape. Kind selects which
