@@ -79,7 +79,8 @@ test-race:
 # tear down to the host it found) — plus the
 # differentials holding the reusable Decoder to a fresh decode, the
 # in-place HTTP view to the old string parser and the TCP reassembler to
-# a plain byte array, and tls-verify's per-connection
+# a plain byte array, pii-detect's scan to the reference scan on any
+# text and secret list, and tls-verify's per-connection
 # state across random segment sequences with FIN and RST. Patterns are anchored:
 # go test refuses -fuzz when it matches more than one target.
 fuzz-short:
@@ -102,6 +103,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDeployRequest$$' -fuzztime=6s ./cmd/pvnd/
 	$(GO) test -run='^$$' -fuzz='^FuzzReassemble$$' -fuzztime=6s ./internal/reasm/
 	$(GO) test -run='^$$' -fuzz='^FuzzTLSVerify$$' -fuzztime=6s ./internal/middlebox/mbx/
+	$(GO) test -run='^$$' -fuzz='^FuzzPIIScan$$' -fuzztime=6s ./internal/middlebox/mbx/
 
 # The overlay determinism gate: the E16 table must be bit-identical
 # across runs under the race detector (DESIGN.md §12).

@@ -8,7 +8,8 @@ package main
 // every real PVNC pays), of the pipeline's miss path (a thousand
 // subscribers' rules under flows that never return), and of its
 // quiescence path (short bursts from one producer, each ended by
-// Drain, as a session's burst is), reporting ops/sec,
+// Drain, as a session's burst is, back to back and with the producer
+// parked between them), reporting ops/sec,
 // allocs/op and queue-latency percentiles per configuration. Its JSON
 // artifact (BENCH_DATAPLANE.json) is the committed baseline `make
 // bench-gate` diffs against, so fast-path regressions (a new per-packet
@@ -152,7 +153,7 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 		if err := installDataplaneRules(dp.Table()); err != nil {
 			return nil, err
 		}
-		row, err := measurePipeline(fmt.Sprintf("shards=%d", shards), shards, n, 0, dp, cycle(frames))
+		row, err := measurePipeline(fmt.Sprintf("shards=%d", shards), shards, n, 0, 0, dp, cycle(frames))
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +168,7 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := measurePipeline(fmt.Sprintf("chain shards=%d", shards), shards, n/4, 0, dp, cycle(chainFrames))
+		row, err := measurePipeline(fmt.Sprintf("chain shards=%d", shards), shards, n/4, 0, 0, dp, cycle(chainFrames))
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +186,7 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := measurePipeline(fmt.Sprintf("miss shards=%d", shards), shards, n, 0, dp, missFrame)
+		row, err := measurePipeline(fmt.Sprintf("miss shards=%d", shards), shards, n, 0, 0, dp, missFrame)
 		if err != nil {
 			return nil, err
 		}
@@ -202,30 +203,41 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 
 	// The quiescence path: what a packet costs when every burstPackets
 	// of them end in a Drain, so the wait for the last packet to retire
-	// and the drainer's wake-up are paid once per burst.
+	// and the drainer's wake-up are paid once per burst. Back to back,
+	// the workers never go idle; with the producer parked for
+	// burstIdle between bursts, as a session's Connect parks it, every
+	// burst starts on an idle process and its Drain must wake one.
 	bursts, err := burstFrames()
 	if err != nil {
 		return nil, err
 	}
-	for _, shards := range []int{1, 2} {
-		dp := dataplane.New(dataplane.Config{Shards: shards, Policy: dataplane.Block})
-		if err := installDataplaneRules(dp.Table()); err != nil {
-			return nil, err
+	for _, idle := range []time.Duration{0, burstIdle} {
+		for _, shards := range []int{1, 2} {
+			dp := dataplane.New(dataplane.Config{Shards: shards, Policy: dataplane.Block})
+			if err := installDataplaneRules(dp.Table()); err != nil {
+				return nil, err
+			}
+			config := fmt.Sprintf("burst shards=%d", shards)
+			if idle > 0 {
+				config = fmt.Sprintf("burst idle shards=%d", shards)
+			}
+			row, err := measurePipeline(config, shards, n, burstPackets, idle, dp, cycle(bursts))
+			if err != nil {
+				return nil, err
+			}
+			art.Rows = append(art.Rows, row)
 		}
-		row, err := measurePipeline(fmt.Sprintf("burst shards=%d", shards), shards, n, burstPackets, dp, cycle(bursts))
-		if err != nil {
-			return nil, err
-		}
-		art.Rows = append(art.Rows, row)
 	}
 	return art, nil
 }
 
 // A burst is burstPackets forty-byte segments over burstFlows flows,
 // the shape of the burst bench's attach_churn sends after every attach.
+// burstIdle is how long the idle rows park the producer between bursts.
 const (
 	burstPackets = 256
 	burstFlows   = 64
+	burstIdle    = 200 * time.Microsecond
 )
 
 // burstFrames builds one forty-byte TCP segment (headers only) for each
@@ -253,22 +265,30 @@ func cycle(frames [][]byte) func(int64, []byte) []byte {
 // measurePipeline starts dp, pumps n frames through it and stops it.
 // With burst zero, min(GOMAXPROCS, shards) producers share each pass and
 // one Drain ends it; otherwise one producer Drains after every burst
-// frames. frame returns the i'th frame of the run, counted across
+// frames and then sleeps for idle, which the row's time leaves out.
+// frame returns the i'th frame of the run, counted across
 // warm-up and measurement, and may build it in the scratch buffer it is
 // handed (Submit copies). A drop under the Block policy is an error.
-func measurePipeline(config string, shards int, n, burst int64, dp *dataplane.Pipeline, frame func(i int64, scratch []byte) []byte) (dataplaneRow, error) {
+func measurePipeline(config string, shards int, n, burst int64, idle time.Duration, dp *dataplane.Pipeline, frame func(i int64, scratch []byte) []byte) (dataplaneRow, error) {
 	dp.Start()
 	producers := min(runtime.GOMAXPROCS(0), shards)
 	var sent int64
+	var parked time.Duration // of the latest pump
 	pump := func(count int64) {
 		base := sent
 		sent += count
+		parked = 0
 		if burst > 0 {
 			scratch := make([]byte, 0, 64)
 			for i := int64(0); i < count; i++ {
 				dp.Submit(frame(base+i, scratch), 0)
 				if (i+1)%burst == 0 {
 					dp.Drain()
+					if idle > 0 {
+						start := time.Now()
+						time.Sleep(idle)
+						parked += time.Since(start)
+					}
 				}
 			}
 			dp.Drain()
@@ -289,6 +309,11 @@ func measurePipeline(config string, shards int, n, burst int64, dp *dataplane.Pi
 		dp.Drain()
 	}
 	row := measure(config, n, pump, pump)
+	if parked > 0 {
+		busy := time.Duration(row.NsPerOp*float64(n)) - parked
+		row.NsPerOp = float64(busy.Nanoseconds()) / float64(n)
+		row.OpsPerSec = float64(n) / busy.Seconds()
+	}
 	dist := dp.LatencyDist()
 	if dist.N() > 0 {
 		row.P50Us = dist.Percentile(50)
@@ -421,9 +446,9 @@ func missFrame(i int64, scratch []byte) []byte {
 func (a *dataplaneArtifact) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s (GOMAXPROCS=%d)\n", a.ID, a.Title, a.GoMaxProcs)
-	fmt.Fprintf(&b, "%-14s %12s %14s %12s %10s %10s\n", "config", "ns/op", "pkts/sec", "allocs/op", "p50 µs", "p99 µs")
+	fmt.Fprintf(&b, "%-20s %12s %14s %12s %10s %10s\n", "config", "ns/op", "pkts/sec", "allocs/op", "p50 µs", "p99 µs")
 	for _, r := range a.Rows {
-		fmt.Fprintf(&b, "%-14s %12.1f %14.0f %12.3f %10.1f %10.1f\n",
+		fmt.Fprintf(&b, "%-20s %12.1f %14.0f %12.3f %10.1f %10.1f\n",
 			r.Config, r.NsPerOp, r.OpsPerSec, r.AllocsOp, r.P50Us, r.P99Us)
 	}
 	return b.String()

@@ -130,9 +130,9 @@ func TestCommittedBaselineCoversChainPath(t *testing.T) {
 // TestCommittedBaselineCoversMissPath: the same for the flow-cache miss
 // path, the inline path (Switch.Process, the workers' code on the
 // caller's goroutine) and the quiescence path (bursts each ended by
-// Drain) — the rows must be in the committed baseline for the gate to
-// hold them, and none allocates per packet beyond the cache's own
-// amortized growth.
+// Drain, back to back and from a producer parked between them) — the
+// rows must be in the committed baseline for the gate to hold them, and
+// none allocates per packet beyond the cache's own amortized growth.
 func TestCommittedBaselineCoversMissPath(t *testing.T) {
 	base, err := loadDataplaneBaseline(filepath.Join("..", "..", "BENCH_DATAPLANE.json"))
 	if err != nil {
@@ -142,7 +142,7 @@ func TestCommittedBaselineCoversMissPath(t *testing.T) {
 	for _, r := range base.Rows {
 		rows[r.Config] = r
 	}
-	for _, cfg := range []string{"miss shards=1", "miss shards=2", "inline", "burst shards=1", "burst shards=2"} {
+	for _, cfg := range []string{"miss shards=1", "miss shards=2", "inline", "burst shards=1", "burst shards=2", "burst idle shards=1", "burst idle shards=2"} {
 		if r, ok := rows[cfg]; !ok {
 			t.Errorf("BENCH_DATAPLANE.json has no %q row", cfg)
 		} else if r.AllocsOp >= 0.5 {

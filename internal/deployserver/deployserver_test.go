@@ -180,6 +180,32 @@ func TestDeployRefusesUnknownBoxKey(t *testing.T) {
 	}
 }
 
+// TestDeployRefusesUnboundedSecrets: pii-detect's secret list is
+// bounded, since its owner's every packet pays a search per secret on a
+// worker other owners share. A list over the bound, an oversize secret
+// or an empty entry is NACKed by name and installs nothing.
+func TestDeployRefusesUnboundedSecrets(t *testing.T) {
+	now := time.Duration(0)
+	for _, c := range []struct{ secrets, why string }{
+		{"hunter2" + strings.Repeat(",s", 64), "secrets: more than 64 entries"},
+		{"hunter2," + strings.Repeat("s", 257), "secrets: entry 2 is 257 bytes, over 256"},
+		{"hunter2,,x", "secrets: entry 2 is empty"},
+	} {
+		s := testServer(t, &now)
+		req := deployReq(t, 300)
+		req.PVNCSource = strings.Replace(req.PVNCSource, "secrets=hunter2", "secrets="+c.secrets, 1)
+		if resp := s.HandleDeploy(req); resp.OK || !strings.Contains(resp.Reason, `instantiate "pii-detect": `+c.why) {
+			t.Errorf("%.30s…: ok=%v reason %q, want a NACK with %q", c.secrets, resp.OK, resp.Reason, c.why)
+		}
+		if s.Switch.Table.Len() != 0 || len(s.Runtime.InstanceIDs()) != 0 {
+			t.Errorf("%.30s…: the refused deploy left rules or instances behind", c.secrets)
+		}
+		if resp := s.HandleDeploy(deployReq(t, 300)); !resp.OK {
+			t.Errorf("deploy after the NACK: %s", resp.Reason)
+		}
+	}
+}
+
 // TestDoubleDeployIdempotent: a walk-in redeploy of the PVNC already
 // installed is re-ACKed with the original cookie and installs nothing
 // twice (a second deployment for the same device never coexists with

@@ -788,17 +788,30 @@ func TestRegisterBuiltinsBadConfigs(t *testing.T) {
 	bad := []struct {
 		typ string
 		cfg map[string]string
+		why string
 	}{
-		{"user-script", nil},
-		{"user-script", map[string]string{"script": "when x then y"}},
-		{"transcoder", map[string]string{"ratio": "abc"}},
-		{"pii-detect", map[string]string{"mode": "explode"}},
-		{"dns-validate", map[string]string{"quorum": "-1"}},
+		{"user-script", nil, ""},
+		{"user-script", map[string]string{"script": "when x then y"}, ""},
+		{"transcoder", map[string]string{"ratio": "abc"}, ""},
+		{"pii-detect", map[string]string{"mode": "explode"}, "bad pii mode"},
+		{"pii-detect", map[string]string{"secrets": strings.Repeat("s,", maxSecrets) + "s"}, "secrets: more than 64 entries"},
+		{"pii-detect", map[string]string{"secrets": "a," + strings.Repeat("x", maxSecretLen+1)}, "secrets: entry 2 is 257 bytes, over 256"},
+		{"pii-detect", map[string]string{"secrets": "a,,b"}, "secrets: entry 2 is empty"},
+		{"pii-detect", map[string]string{"secrets": "a,"}, "secrets: entry 2 is empty"},
+		{"dns-validate", map[string]string{"quorum": "-1"}, ""},
 	}
 	for _, c := range bad {
-		if _, err := rt.Instantiate("u", c.typ, c.cfg); err == nil {
+		_, err := rt.Instantiate("u", c.typ, c.cfg)
+		if err == nil {
 			t.Errorf("bad config accepted for %s: %v", c.typ, c.cfg)
+		} else if !strings.Contains(err.Error(), c.why) {
+			t.Errorf("%s %v refused with %q, want %q", c.typ, c.cfg, err, c.why)
 		}
+	}
+	// At the limits a secret list is accepted.
+	full := strings.Repeat(strings.Repeat("x", maxSecretLen)+",", maxSecrets-1) + "y"
+	if _, err := rt.Instantiate("u", "pii-detect", map[string]string{"secrets": full}); err != nil {
+		t.Errorf("%d secrets of up to %d bytes refused: %v", maxSecrets, maxSecretLen, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package mbx
 import (
 	"bytes"
 	"encoding/binary"
-	"math/bits"
 	"strings"
 	"sync"
 
@@ -55,11 +54,24 @@ func NewPIIDetect(mode PIIMode, secrets []string) *PIIDetect {
 // Name implements middlebox.Box.
 func (d *PIIDetect) Name() string { return "pii-detect" }
 
-// scanScratch is the working memory of one scan: the text scanned and
-// its case-folded copy. It is pooled per worker, never held per
-// instance or per owner: a host keeps thousands of resident detectors
-// and runs a handful at a time.
-type scanScratch struct{ text, lower []byte }
+// scanScratch is the working memory of one scan: the text scanned, the
+// case-folded copy of as much of it as some detector needed, and the
+// byte counts the secret search took of it. It is pooled per worker,
+// never held per instance or per owner: a host keeps thousands of
+// resident detectors and runs a handful at a time.
+type scanScratch struct {
+	text []byte
+	// lower is text[from:] folded, and from is len(text) until a
+	// detector asks for a fold.
+	lower []byte
+	from  int
+	// counts[c] is how often byte c occurs in the text, for each c whose
+	// bit is set in counted.
+	counted [4]uint64
+	counts  [256]int
+	// checks counts the candidate comparisons of the secret search.
+	checks int
+}
 
 var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
@@ -144,36 +156,26 @@ func (d *PIIDetect) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 	}
 }
 
-// foldScan is foldASCII over a whole scan text in one pass that also
-// reports the index of the first ASCII digit in src, or -1. It works a
-// 64-bit word at a time (SWAR): per byte, the 0x80 bit of
-// inRange(w, 'A', 'Z') shifted down to 0x20 is exactly the case bit to
-// set, and inRange(w, '0', '9') marks digits.
-func foldScan(dst, src []byte) ([]byte, int) {
+// foldScan is foldASCII a 64-bit word at a time (SWAR): per byte, the
+// 0x80 bit of inRange(w, 'A', 'Z') shifted down to 0x20 is exactly the
+// case bit to set.
+func foldScan(dst, src []byte) []byte {
 	n := len(dst)
 	dst = append(dst, src...)
-	out, digit := dst[n:], -1
+	out := dst[n:]
 	i := 0
 	for ; i+8 <= len(out); i += 8 {
 		w := binary.LittleEndian.Uint64(out[i:])
 		if upper := inRange(w, 'A', 'Z'); upper != 0 {
 			binary.LittleEndian.PutUint64(out[i:], w|upper>>2)
 		}
-		if digit < 0 {
-			if m := inRange(w, '0', '9'); m != 0 {
-				digit = i + bits.TrailingZeros64(m)/8
-			}
-		}
 	}
 	for ; i < len(out); i++ {
-		switch c := out[i]; {
-		case 'A' <= c && c <= 'Z':
+		if c := out[i]; 'A' <= c && c <= 'Z' {
 			out[i] = c + ('a' - 'A')
-		case digit < 0 && '0' <= c && c <= '9':
-			digit = i
 		}
 	}
-	return dst, digit
+	return dst
 }
 
 const (
@@ -195,19 +197,20 @@ func inRange(w uint64, lo, hi byte) uint64 {
 }
 
 // scan returns descriptions of each PII hit in text, using sc for the
-// folded copy. It allocates only when there is a finding, and findings
-// are copies: nothing returned points into sc. Each structural detector
-// starts where its pattern first can: the phone search at the first
-// digit, the GPS search just before the first '='.
+// working memory. It allocates only when there is a finding, and
+// findings are copies: nothing returned points into sc. No detector
+// folds or searches the whole text unless it must: each secret is
+// looked for at its rarest leading byte, the phone search probes every
+// phoneMinDigits'th byte, and only the text from just before the first
+// '=' is folded for the coordinate search.
 func (d *PIIDetect) scan(sc *scanScratch, text []byte) []string {
 	if len(text) == 0 {
 		return nil
 	}
+	sc.lower, sc.from, sc.counted, sc.checks = sc.lower[:0], len(text), [4]uint64{}, 0
 	var found []string
-	var digit int
-	sc.lower, digit = foldScan(sc.lower[:0], text)
 	for i, sec := range d.folded {
-		if len(sec) > 0 && bytes.Contains(sc.lower, sec) {
+		if sc.containsFold(text, sec) {
 			found = append(found, "secret:"+d.Secrets[i])
 		}
 	}
@@ -215,16 +218,116 @@ func (d *PIIDetect) scan(sc *scanScratch, text []byte) []string {
 		if e := findEmail(text); e != nil {
 			found = append(found, "email:"+string(e))
 		}
-		if digit >= 0 {
-			if ph := findPhone(text[digit:]); ph != nil {
-				found = append(found, "phone:"+string(ph))
-			}
+		if ph := findPhone(text); ph != nil {
+			found = append(found, "phone:"+string(ph))
 		}
-		if g := findGPS(sc.lower); g != nil {
-			found = append(found, "gps:"+string(g))
+		// Each coordinate key ends in '=', so none starts before 3
+		// bytes ahead of the first one.
+		if eq := bytes.IndexByte(text, '='); eq >= 0 {
+			if g := findGPS(sc.fold(text, max(eq-3, 0))); g != nil {
+				found = append(found, "gps:"+string(g))
+			}
 		}
 	}
 	return found
+}
+
+// fold returns text[from:] case-folded, folding it into sc.lower unless
+// this scan already folded that much.
+func (sc *scanScratch) fold(text []byte, from int) []byte {
+	if from < sc.from {
+		sc.lower, sc.from = foldScan(sc.lower[:0], text[from:]), from
+	}
+	return sc.lower[from-sc.from:]
+}
+
+// count returns how often byte c occurs in text, counting each byte
+// value at most once per scan.
+func (sc *scanScratch) count(text []byte, c byte) int {
+	if bit := uint64(1) << (c & 63); sc.counted[c>>6]&bit == 0 {
+		sc.counted[c>>6] |= bit
+		sc.counts[c] = bytes.Count(text, []byte{c})
+	}
+	return sc.counts[c]
+}
+
+const (
+	// anchorSpan is how many of a secret's leading bytes the search
+	// weighs as its anchor.
+	anchorSpan = 4
+	// maxCandidates bounds the anchor hits the search checks one by
+	// one; a secret whose anchor occurs more often than that, or in more
+	// bytes of candidates than the text is long, is searched linearly
+	// in the folded text instead.
+	maxCandidates = 16
+)
+
+// containsFold reports whether text holds the case-folded secret sec,
+// ignoring ASCII case. Of sec's first anchorSpan bytes it picks the one
+// whose two cases occur least often in text (the first that occurs at
+// most once will do) and compares sec only where that byte sits, so a
+// message lacking any one of them costs only the counts. An anchor too
+// common for that cuts over to bytes.Contains over the folded text, so
+// a text saturated with anchors costs one linear pass.
+func (sc *scanScratch) containsFold(text, sec []byte) bool {
+	if len(sec) == 0 || len(sec) > len(text) {
+		return false
+	}
+	at, n := 0, len(text)+1
+	for j, c := range sec[:min(len(sec), anchorSpan)] {
+		k := sc.count(text, c)
+		if 'a' <= c && c <= 'z' {
+			k += sc.count(text, c-('a'-'A'))
+		}
+		if k < n {
+			at, n = j, k
+		}
+		if n <= 1 {
+			break
+		}
+	}
+	if n == 0 {
+		return false
+	}
+	if n > maxCandidates || n*len(sec) > len(text) {
+		return bytes.Contains(sc.fold(text, 0), sec)
+	}
+	c, up := sec[at], sec[at]-('a'-'A')
+	if sc.count(text, c) > 0 && sc.matchAt(text, sec, at, c) {
+		return true
+	}
+	return 'a' <= c && c <= 'z' && sc.count(text, up) > 0 && sc.matchAt(text, sec, at, up)
+}
+
+// matchAt reports whether sec matches text, ignoring ASCII case, at some
+// occurrence of byte b that lines up with sec[at].
+func (sc *scanScratch) matchAt(text, sec []byte, at int, b byte) bool {
+	// An anchor at hi or later leaves no room for the rest of sec.
+	hi := len(text) - len(sec) + at + 1
+	for i := at; i < hi; i++ {
+		k := bytes.IndexByte(text[i:hi], b)
+		if k < 0 {
+			return false
+		}
+		i += k
+		sc.checks++
+		if equalFold(text[i-at:], sec) {
+			return true
+		}
+	}
+	return false
+}
+
+// equalFold reports whether s begins with the case-folded sec, ignoring
+// ASCII case.
+func equalFold(s, sec []byte) bool {
+	s = s[:len(sec)]
+	for i, c := range sec {
+		if b := s[i]; b != c && !('A' <= b && b <= 'Z' && b+('a'-'A') == c) {
+			return false
+		}
+	}
+	return true
 }
 
 // redact rewrites the HTTP body, replacing each finding's literal value
@@ -314,53 +417,84 @@ func isAlnum(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
+// phoneMinDigits is the fewest digits a phone-like run has.
+const phoneMinDigits = 10
+
 // findPhone returns the first run of 10-11 digits (allowing separators),
-// or nil.
+// or nil. A run is a maximal stretch of digits and the separators '-',
+// ' ' and '.', and it is returned from its first digit to its last. One
+// with phoneMinDigits digits spans at least as many bytes, so a probe
+// every phoneMinDigits'th byte lands in it, and only the runs a probe
+// lands in are expanded.
 func findPhone(s []byte) []byte {
-	i := 0
-	for i < len(s) {
-		if s[i] < '0' || s[i] > '9' {
-			i++
+	for p := phoneMinDigits - 1; p < len(s); p += phoneMinDigits {
+		if !phoneBytes[s[p]] {
 			continue
 		}
-		digits := 0
-		j := i
-		for j < len(s) && (s[j] >= '0' && s[j] <= '9' || s[j] == '-' || s[j] == ' ' || s[j] == '.') {
-			if s[j] >= '0' && s[j] <= '9' {
+		start, end := p, p+1
+		for start > 0 && phoneBytes[s[start-1]] {
+			start--
+		}
+		for end < len(s) && phoneBytes[s[end]] {
+			end++
+		}
+		first, last, digits := -1, 0, 0
+		for i, c := range s[start:end] {
+			if isDigit(c) {
+				if first < 0 {
+					first = start + i
+				}
+				last = start + i
 				digits++
-			} else if digits == 0 {
-				break
 			}
-			j++
 		}
-		// Trim trailing separators.
-		for j > i && (s[j-1] == '-' || s[j-1] == ' ' || s[j-1] == '.') {
-			j--
+		if digits >= phoneMinDigits && digits <= phoneMinDigits+1 {
+			return s[first : last+1]
 		}
-		if digits >= 10 && digits <= 11 {
-			return s[i:j]
-		}
-		if j == i {
-			j++
-		}
-		i = j
+		// Move to the last probe inside the run; the loop steps past it.
+		p += (end - 1 - p) / phoneMinDigits * phoneMinDigits
 	}
 	return nil
 }
 
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// phoneBytes marks the digits and the separators a phone-like run allows.
+var phoneBytes = func() (t [256]bool) {
+	for _, c := range []byte("0123456789- .") {
+		t[c] = true
+	}
+	return t
+}()
+
 // findGPS detects "lat=...&lon=..."-style coordinate pairs, the common
 // mobile-app location leak shape, in case-folded text. Each key ends in
-// '=', so none starts before 3 bytes ahead of the first '='.
+// '=', so the search steps from one '=' to the next.
 func findGPS(lower []byte) []byte {
-	eq := bytes.IndexByte(lower, '=')
-	if eq < 0 {
-		return nil
+	latIdx, lonIdx, lngIdx := -1, -1, -1
+	for i := 3; i < len(lower) && (latIdx < 0 || lonIdx < 0); i++ {
+		k := bytes.IndexByte(lower[i:], '=')
+		if k < 0 {
+			break
+		}
+		i += k
+		switch at := i - 3; string(lower[at:i]) {
+		case "lat":
+			if latIdx < 0 {
+				latIdx = at
+			}
+		case "lon":
+			if lonIdx < 0 {
+				lonIdx = at
+			}
+		case "lng":
+			if lngIdx < 0 {
+				lngIdx = at
+			}
+		}
 	}
-	from := max(eq-3, 0)
-	latIdx := index(lower, from, "lat=")
-	lonIdx := index(lower, from, "lon=")
 	if lonIdx < 0 {
-		lonIdx = index(lower, from, "lng=")
+		lonIdx = lngIdx
 	}
 	if latIdx >= 0 && lonIdx >= 0 {
 		end := lonIdx + 4
@@ -374,13 +508,4 @@ func findGPS(lower []byte) []byte {
 		return lower[start:end]
 	}
 	return nil
-}
-
-// index is bytes.Index(s, sep) for a match known not to start before
-// from.
-func index(s []byte, from int, sep string) int {
-	if i := bytes.Index(s[from:], []byte(sep)); i >= 0 {
-		return from + i
-	}
-	return -1
 }

@@ -29,11 +29,16 @@ func refScanText(p *packet.Packet) []byte {
 	return payload
 }
 
-func refScan(d *PIIDetect, s string) []string {
+func refScan(d *PIIDetect, s string) []string { return refScanFold(d, s, strings.ToLower) }
+
+// refScanFold is refScan with toLower in place of strings.ToLower, for
+// FuzzPIIScan's non-ASCII texts, where the byte-wise fold is meant to
+// differ.
+func refScanFold(d *PIIDetect, s string, toLower func(string) string) []string {
 	var found []string
-	lower := strings.ToLower(s)
+	lower := toLower(s)
 	for _, sec := range d.Secrets {
-		if sec != "" && strings.Contains(lower, strings.ToLower(sec)) {
+		if sec != "" && strings.Contains(lower, toLower(sec)) {
 			found = append(found, fmt.Sprintf("secret:%s", sec))
 		}
 	}
@@ -249,7 +254,9 @@ func (tap *textTap) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 // entered with (the pooled view, after the isolation check's headers
 // decode) and for bytes of a box's own choosing (a view of their own),
 // and the findings are the old scan's, in order; over the seeded raw
-// texts the findings are the old scan's and the fold is foldASCII's.
+// texts the findings are the old scan's, the fold is foldASCII's over
+// the part of the text the scan folded, and that part reaches back to 3
+// bytes before the first '=', where a coordinate can start.
 func TestScanMatchesReference(t *testing.T) {
 	d := NewPIIDetect(PIIAlert, scanSecrets)
 	cases := append(append([]scanCase(nil), straddleCases...), randomCases(14, 600)...)
@@ -313,8 +320,11 @@ func TestScanMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("seeded text %d %q:\n got %q\nwant %q", i, text, got, ref)
 		}
-		if want := foldASCII(nil, text); string(sc.lower) != string(want) {
-			t.Fatalf("seeded text %d %q: folded to %q, want %q", i, text, sc.lower, want)
+		if want := foldASCII(nil, text[sc.from:]); string(sc.lower) != string(want) {
+			t.Fatalf("seeded text %d %q: folded from %d to %q, want %q", i, text, sc.from, sc.lower, want)
+		}
+		if eq := bytes.IndexByte(text, '='); eq >= 0 && sc.from > max(eq-3, 0) {
+			t.Fatalf("seeded text %d %q: folded from %d, past where a coordinate can start", i, text, sc.from)
 		}
 		for _, f := range got {
 			hits[f[:strings.IndexByte(f, ':')]]++
@@ -328,8 +338,7 @@ func TestScanMatchesReference(t *testing.T) {
 }
 
 // TestFoldScanMatchesFoldASCII: on random bytes the word-at-a-time fold
-// is foldASCII, appended after what dst already holds, and the digit it
-// reports is the first one.
+// is foldASCII, appended after what dst already holds.
 func TestFoldScanMatchesFoldASCII(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	var dst []byte
@@ -337,12 +346,9 @@ func TestFoldScanMatchesFoldASCII(t *testing.T) {
 		src := make([]byte, r.Intn(41))
 		r.Read(src)
 		prefix := r.Intn(3)
-		got, digit := foldScan(append(dst[:0], "ab"[:prefix]...), src)
+		got := foldScan(append(dst[:0], "ab"[:prefix]...), src)
 		if want := foldASCII([]byte("ab"[:prefix]), src); string(got) != string(want) {
 			t.Fatalf("foldScan(%q) = %q, want %q", src, got, want)
-		}
-		if want := bytes.IndexFunc(src, func(c rune) bool { return '0' <= c && c <= '9' }); digit != want {
-			t.Fatalf("foldScan(%q) reports digit %d, want %d", src, digit, want)
 		}
 		dst = got
 	}
@@ -410,4 +416,145 @@ func TestRedactMasksBehindNonASCII(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScanLinearWorstCase: texts saturated with a secret's leading bytes
+// cut the anchor search over to one linear search, so the candidates
+// checked one by one stay within maxCandidates and within one text's
+// length of compared bytes, and the findings stay the reference's.
+func TestScanLinearWorstCase(t *testing.T) {
+	var sc scanScratch
+	found := 0
+	check := func(name, text, secret string) {
+		t.Helper()
+		d := NewPIIDetect(PIIAlert, []string{secret})
+		got, ref := d.scan(&sc, []byte(text)), refScan(d, text)
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%s: %.40q… against %q:\n got %q\nwant %q", name, text, secret, got, ref)
+		}
+		if sc.checks > maxCandidates || sc.checks*len(secret) > len(text) {
+			t.Fatalf("%s: %d candidates of %d bytes checked one by one in %d bytes of text", name, sc.checks, len(secret), len(text))
+		}
+		found += len(got)
+	}
+
+	long := strings.Repeat("a", 63) + "b"
+	for _, c := range []struct {
+		text, secret string
+		linear       bool
+	}{
+		{strings.Repeat("a", 1400), long, true},
+		{strings.Repeat("a", 1400) + "B", long, true},
+		{strings.Repeat("aA", 700), "aAaA" + strings.Repeat("x", 60), true},
+		// Each leading byte maxCandidates times, but the candidates
+		// would compare more bytes than the text holds.
+		{strings.Repeat("abcd"+strings.Repeat("z", 60), maxCandidates), "abcd" + strings.Repeat("z", 200), true},
+		// maxCandidates anchors of a short secret: checked one by one.
+		{strings.Repeat("hunter ", maxCandidates) + strings.Repeat("z", 200), "hunter2", false},
+		{strings.Repeat("HUNTER ", maxCandidates-1) + "hUnTeR2", "hunter2", false},
+	} {
+		check(fmt.Sprintf("linear=%t", c.linear), c.text, c.secret)
+		if folded := sc.from == 0; folded != c.linear {
+			t.Errorf("%.40q… against %q: folded from %d after %d candidates, want linear=%t", c.text, c.secret, sc.from, sc.checks, c.linear)
+		}
+	}
+
+	// Texts over a four-letter alphabet make every anchor common.
+	r := rand.New(rand.NewSource(49))
+	word := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "aAbB"[r.Intn(4)]
+		}
+		return string(b)
+	}
+	for i := 0; i < 2000; i++ {
+		check(fmt.Sprintf("random %d", i), word(1+r.Intn(1400)), word(1+r.Intn(12)))
+	}
+	if found < 100 {
+		t.Errorf("only %d findings: the texts never exercise a match", found)
+	}
+}
+
+// FuzzPIIScan: on any text and any comma-separated secrets (non-ASCII,
+// empty, overlapping, longer than the text) the scan's findings are the
+// reference's. Where strings.ToLower changes non-ASCII text (other
+// letters, invalid UTF-8) the scan folds ASCII only, as it is meant to,
+// and the reference folds the same way.
+func FuzzPIIScan(f *testing.F) {
+	f.Add([]byte("GET /l?token=Hunter2 lat=1&LON=2 call 617-555-1234 x@y.zz"), "hunter2,,ter2 t,HUNTER2")
+	f.Add([]byte(strings.Repeat("a", 300)), strings.Repeat("a", 63)+"b,a,aa")
+	f.Add([]byte("grÜsse ЖУК \xff\xfe İ K"), "grüsse,жук,\xff,i,k")
+	f.Add([]byte("ab"), "abc,,b")
+	f.Add([]byte("1234567890 12.345.678.901 -- 5 5 5 5 5 5 5 5 5 5"), "5 5")
+	f.Fuzz(func(t *testing.T, text []byte, secrets string) {
+		d := NewPIIDetect(PIIAlert, strings.Split(secrets, ","))
+		toLower := strings.ToLower
+		if strings.ToLower(string(text)) != string(foldASCII(nil, text)) || strings.ToLower(secrets) != string(foldASCII(nil, secrets)) {
+			toLower = func(s string) string { return string(foldASCII(nil, s)) }
+		}
+		var sc scanScratch
+		if got, ref := d.scan(&sc, text), refScanFold(d, string(text), toLower); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("text %q, secrets %q:\n got %q\nwant %q", text, secrets, got, ref)
+		}
+		if want := foldASCII(nil, text[min(sc.from, len(text)):]); string(sc.lower) != string(want) {
+			t.Fatalf("text %q: folded from %d to %q, want %q", text, sc.from, sc.lower, want)
+		}
+	})
+}
+
+// scanSink keeps the benchmarked scans' results live.
+var scanSink []string
+
+// BenchmarkPIIScan: one scan of a bench-shaped GET (path, Host, a
+// filler Cookie; a leak carries the first secret in the path) at 200
+// and 1400 bytes, against 1 and 16 secrets, and of a text saturated
+// with the one secret's leading byte.
+func BenchmarkPIIScan(b *testing.B) {
+	r := rand.New(rand.NewSource(7))
+	letters := func(alphabet string, n int) string {
+		buf := make([]byte, n)
+		for i := range buf {
+			buf[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return string(buf)
+	}
+	const filler = "abcdefghijklmnoprstuvwxyz"
+	secrets := []string{"zq" + letters(filler, 10)}
+	for len(secrets) < 16 {
+		secrets = append(secrets, letters("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_", 8+r.Intn(9)))
+	}
+	get := func(size int, leak bool) []byte {
+		path := "/" + letters(filler, 8)
+		if leak {
+			path += "?token=" + secrets[0]
+		}
+		text := "GET " + path + "  Host: news.example Cookie: session "
+		return []byte(text + letters(filler, max(size-len(text), 0)))
+	}
+	run := func(name string, d *PIIDetect, text []byte, want int) {
+		b.Run(name, func(b *testing.B) {
+			var sc scanScratch
+			if got := d.scan(&sc, text); len(got) != want {
+				b.Fatalf("%d findings %q, want %d", len(got), got, want)
+			}
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				scanSink = d.scan(&sc, text)
+			}
+		})
+	}
+	for _, leak := range []bool{false, true} {
+		for _, size := range []int{200, 1400} {
+			for _, n := range []int{1, 16} {
+				name := fmt.Sprintf("clean/%dB/%dsecrets", size, n)
+				if leak {
+					name = fmt.Sprintf("leak/%dB/%dsecrets", size, n)
+				}
+				run(name, NewPIIDetect(PIIBlock, secrets[:n]), get(size, leak), map[bool]int{false: 0, true: 1}[leak])
+			}
+		}
+	}
+	run("adversarial/1400B", NewPIIDetect(PIIBlock, []string{strings.Repeat("a", 63) + "b"}), bytes.Repeat([]byte("a"), 1400), 0)
 }

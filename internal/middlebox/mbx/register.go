@@ -23,6 +23,15 @@ type Deps struct {
 	OpenResolvers []*dnssim.Resolver
 }
 
+// A pii-detect instance protects at most maxSecrets secrets of at most
+// maxSecretLen bytes each: every packet of its owner pays a search per
+// secret, on a worker that other owners share. An empty entry (a stray
+// comma) is refused too, rather than protect nothing silently.
+const (
+	maxSecrets   = 64
+	maxSecretLen = 256
+)
+
 // TCPProxy marks flows for split-TCP treatment. The connection splitting
 // itself is modelled by tcpsim (flow level); the box exists so PVNCs can
 // place the proxy in a chain, count its flows and charge its CPU.
@@ -94,7 +103,18 @@ func RegisterBuiltins(rt *middlebox.Runtime, deps Deps) {
 			}
 			var secrets []string
 			if s := cfg["secrets"]; s != "" {
+				if strings.Count(s, ",") >= maxSecrets {
+					return nil, fmt.Errorf("secrets: more than %d entries", maxSecrets)
+				}
 				secrets = strings.Split(s, ",")
+			}
+			for i, sec := range secrets {
+				switch {
+				case sec == "":
+					return nil, fmt.Errorf("secrets: entry %d is empty", i+1)
+				case len(sec) > maxSecretLen:
+					return nil, fmt.Errorf("secrets: entry %d is %d bytes, over %d", i+1, len(sec), maxSecretLen)
+				}
 			}
 			return NewPIIDetect(mode, secrets), nil
 		},
