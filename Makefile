@@ -3,7 +3,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build vet lint lint-fix-audit test race test-race fuzz-short e16-determinism e17-determinism soak-short soak-exit-gate soak bench-gate bench-baseline check bench experiments examples cover loc clean
+.PHONY: all build vet lint lint-fix-audit test race test-race fuzz-short e16-determinism e17-determinism soak-short soak-exit-gate soak bench-gate bench-baseline ab check bench experiments examples cover loc clean
 
 all: build vet test
 
@@ -60,8 +60,9 @@ race:
 # every invocation (a box that keeps a view of it fails there), the
 # DNS resolvers every owner's dns-validate box shares, and the trust
 # store's signature memo that every owner's tls-verify box and every
-# audit share — and the sharded pipeline, whose workers each resolve
-# through their own switch over that one table. Faster than a
+# audit share — and the pipeline, whose submitters resolve through each
+# shard's switch over that one table and finish chain-free packets
+# themselves while workers finish chain work. Faster than a
 # full `make race` and targeted at the lifecycle code paths.
 test-race:
 	$(GO) test -race ./internal/discovery/ ./internal/deployserver/ ./internal/netsim/ ./cmd/pvnd/ \
@@ -151,6 +152,19 @@ bench-gate:
 # quiet machine and commit the resulting BENCH_DATAPLANE.json.
 bench-baseline:
 	$(GO) run ./cmd/pvnbench -dataplane -bench-json .
+
+# A/B pairs for a claim on bench's workloads: build bench at AB_BASE
+# (unpacked with git archive, offline) and from the working tree into
+# AB_DIR, run AB_PAIRS alternating pairs of each of AB_WORKLOADS at
+# bench's own run length, print `bench -compare` of the two sides and
+# the change's win count per end-to-end metric. Writes nothing under
+# bench/. Minutes-scale; not part of check.
+AB_BASE ?= HEAD
+AB_DIR ?= $(or $(TMPDIR),/tmp)/pvn-ab
+AB_WORKLOADS ?= fwd_cached
+AB_PAIRS ?= 10
+ab:
+	$(GO) run ./cmd/pvnbench -ab $(AB_BASE) -ab-dir $(AB_DIR) -ab-workloads $(AB_WORKLOADS) -ab-pairs $(AB_PAIRS)
 
 # The pre-merge gate: build, lint, full tests, full race pass, the E16
 # and E17 determinism pairs, the short adversarial soak, the soak exit

@@ -242,10 +242,12 @@ policy 0 match any action=forward
 }
 
 // BenchmarkDataplaneScaling compares the inline path against the
-// sharded pipeline on the same compiled rule set: sub-benchmark "inline"
-// is one core calling Switch.Process; "shards=N" submits from parallel
-// producers into an N-worker pipeline (Block policy, so every packet is
-// processed). One op = one packet, so pkts/sec = 1e9 / (ns/op).
+// pipeline on the same compiled rule set: sub-benchmark "inline" is one
+// core calling Switch.Process; "shards=N" submits from parallel
+// producers into an N-shard pipeline (Block policy, so every packet is
+// processed; the rule set runs no chain, so a packet finishes in Submit
+// unless its shard has packets queued). One op = one packet, so
+// pkts/sec = 1e9 / (ns/op).
 func BenchmarkDataplaneScaling(b *testing.B) {
 	install := func(b *testing.B, t *openflow.FlowTable) {
 		b.Helper()
@@ -292,12 +294,10 @@ policy 0 match any action=forward
 			}
 		}
 	})
-	// Inline runs the workers' code with no ring hand-off, so on this
-	// chain-free rule set it out-runs every shard count on a 2-core host;
-	// shards pay only where there is per-packet work to spread (the chain
-	// rows of pvnbench -dataplane). On GOMAXPROCS=1 the sweep only
-	// measures pipeline overhead, since workers and producers share one
-	// core.
+	// Inline is the pipeline's finish without the shard's lock and
+	// counters, so on this chain-free rule set it out-runs every shard
+	// count; shards pay only where there is chain work to spread (the
+	// chain rows of pvnbench -dataplane).
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			dp := dataplane.New(dataplane.Config{Shards: shards, Policy: dataplane.Block})

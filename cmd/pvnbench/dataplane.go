@@ -1,16 +1,18 @@
 package main
 
 // The dataplane scaling entry: a self-contained sweep of the inline
-// path (Switch.Process on the caller's goroutine) and the sharded
-// pipeline over the canonical pvnc rule set, of
-// the pipeline over a chain-bearing one (HTTP GETs through
+// path (Switch.Process on the caller's goroutine) and the pipeline over
+// the canonical pvnc rule set (chain-free, so its packets finish in
+// Submit), of the pipeline over a chain-bearing one (HTTP GETs through
 // pii-detect + tracker-block on one shared middlebox.Runtime — what
-// every real PVNC pays), of the pipeline's miss path (a thousand
-// subscribers' rules under flows that never return), and of its
-// quiescence path (short bursts from one producer, each ended by
-// Drain, as a session's burst is, back to back and with the producer
-// parked between them), reporting ops/sec,
-// allocs/op and queue-latency percentiles per configuration. Its JSON
+// every real PVNC pays, and what crosses to the shard workers), of the
+// pipeline's miss path (a thousand subscribers' rules under flows that
+// never return), and of its quiescence path (short bursts from one
+// producer, each ended by Drain, as a session's burst is, back to back
+// and with the producer parked between them), reporting ops/sec, CPU
+// ns per packet (the process's user+system time over the timed pass,
+// which a 2-vCPU machine can compare where wall time cannot),
+// allocs/op and latency percentiles per configuration. Its JSON
 // artifact (BENCH_DATAPLANE.json) is the committed baseline `make
 // bench-gate` diffs against, so fast-path regressions (a new per-packet
 // allocation, a serialization bottleneck) fail CI instead of landing
@@ -25,6 +27,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"pvn/internal/dataplane"
@@ -41,6 +44,7 @@ type dataplaneRow struct {
 	Packets   int64   `json:"packets"`
 	NsPerOp   float64 `json:"ns_per_op"`
 	OpsPerSec float64 `json:"ops_per_sec"`
+	CPUNsOp   float64 `json:"cpu_ns_per_op"`
 	AllocsOp  float64 `json:"allocs_per_op"`
 	P50Us     float64 `json:"p50_us,omitempty"`
 	P99Us     float64 `json:"p99_us,omitempty"`
@@ -100,14 +104,17 @@ func measure(config string, n int64, warm, run func(count int64)) dataplaneRow {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	cpu0 := processCPU()
 	start := time.Now()
 	run(n)
 	wall := time.Since(start)
+	cpu := processCPU() - cpu0
 	runtime.ReadMemStats(&after)
 	row := dataplaneRow{
 		Config:   config,
 		Packets:  n,
 		NsPerOp:  float64(wall.Nanoseconds()) / float64(n),
+		CPUNsOp:  float64(cpu.Nanoseconds()) / float64(n),
 		AllocsOp: float64(after.Mallocs-before.Mallocs) / float64(n),
 	}
 	if wall > 0 {
@@ -129,7 +136,7 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 	}
 	art := &dataplaneArtifact{
 		ID:         "DATAPLANE",
-		Title:      "dataplane scaling: inline Switch.Process vs sharded pipeline",
+		Title:      "dataplane: inline Switch.Process vs the pipeline (chain work sharded)",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 
@@ -148,17 +155,21 @@ func runDataplaneBench(quick bool) (*dataplaneArtifact, error) {
 	}
 	art.Rows = append(art.Rows, measure("inline", n, inline, inline))
 
-	for _, shards := range []int{1, 2, 4, 8} {
-		dp := dataplane.New(dataplane.Config{Shards: shards, Policy: dataplane.Block})
-		if err := installDataplaneRules(dp.Table()); err != nil {
-			return nil, err
-		}
-		row, err := measurePipeline(fmt.Sprintf("shards=%d", shards), shards, n, 0, 0, dp, cycle(frames))
-		if err != nil {
-			return nil, err
-		}
-		art.Rows = append(art.Rows, row)
+	// The pipeline as bench wires it (zero-value shard count) under one
+	// producer: the rule set runs no chain, so every packet finishes in
+	// Submit and the row is the pipeline's cost over Switch.Process.
+	dp := dataplane.New(dataplane.Config{Policy: dataplane.Block})
+	if err := installDataplaneRules(dp.Table()); err != nil {
+		return nil, err
 	}
+	row, err := measurePipeline("pipeline", 1, n, 0, 0, dp, cycle(frames))
+	if err != nil {
+		return nil, err
+	}
+	if st := dp.Stats().Total(); st.Inline != st.Processed {
+		return nil, fmt.Errorf("pvnbench: %d of %d chain-free packets finished in Submit", st.Inline, st.Processed)
+	}
+	art.Rows = append(art.Rows, row)
 
 	// The chain-bearing rule set: every shard executes on one shared
 	// runtime, as pvnd wires it.
@@ -263,15 +274,15 @@ func cycle(frames [][]byte) func(int64, []byte) []byte {
 }
 
 // measurePipeline starts dp, pumps n frames through it and stops it.
-// With burst zero, min(GOMAXPROCS, shards) producers share each pass and
-// one Drain ends it; otherwise one producer Drains after every burst
+// With burst zero, min(GOMAXPROCS, producers) producers share each pass
+// and one Drain ends it; otherwise one producer Drains after every burst
 // frames and then sleeps for idle, which the row's time leaves out.
 // frame returns the i'th frame of the run, counted across
 // warm-up and measurement, and may build it in the scratch buffer it is
 // handed (Submit copies). A drop under the Block policy is an error.
-func measurePipeline(config string, shards int, n, burst int64, idle time.Duration, dp *dataplane.Pipeline, frame func(i int64, scratch []byte) []byte) (dataplaneRow, error) {
+func measurePipeline(config string, producers int, n, burst int64, idle time.Duration, dp *dataplane.Pipeline, frame func(i int64, scratch []byte) []byte) (dataplaneRow, error) {
 	dp.Start()
-	producers := min(runtime.GOMAXPROCS(0), shards)
+	producers = min(runtime.GOMAXPROCS(0), producers)
 	var sent int64
 	var parked time.Duration // of the latest pump
 	pump := func(count int64) {
@@ -446,10 +457,10 @@ func missFrame(i int64, scratch []byte) []byte {
 func (a *dataplaneArtifact) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s (GOMAXPROCS=%d)\n", a.ID, a.Title, a.GoMaxProcs)
-	fmt.Fprintf(&b, "%-20s %12s %14s %12s %10s %10s\n", "config", "ns/op", "pkts/sec", "allocs/op", "p50 µs", "p99 µs")
+	fmt.Fprintf(&b, "%-20s %12s %14s %12s %12s %10s %10s\n", "config", "ns/op", "pkts/sec", "cpu ns/op", "allocs/op", "p50 µs", "p99 µs")
 	for _, r := range a.Rows {
-		fmt.Fprintf(&b, "%-20s %12.1f %14.0f %12.3f %10.1f %10.1f\n",
-			r.Config, r.NsPerOp, r.OpsPerSec, r.AllocsOp, r.P50Us, r.P99Us)
+		fmt.Fprintf(&b, "%-20s %12.1f %14.0f %12.1f %12.3f %10.1f %10.1f\n",
+			r.Config, r.NsPerOp, r.OpsPerSec, r.CPUNsOp, r.AllocsOp, r.P50Us, r.P99Us)
 	}
 	return b.String()
 }
@@ -461,4 +472,14 @@ func writeDataplaneJSON(dir string, art *dataplaneArtifact) error {
 		return err
 	}
 	return os.WriteFile(dir+"/BENCH_DATAPLANE.json", append(blob, '\n'), 0o644)
+}
+
+// processCPU is the user+system time this process has used so far, from
+// its own resource counters.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -105,7 +105,8 @@ func TestGateBaselineRoundTrip(t *testing.T) {
 
 // TestCommittedBaselineCoversChainPath: the gate only holds the rows the
 // baseline has, so the committed one must keep the chain-bearing rule
-// set beside the no-chain one, within the chain's allocation budget:
+// set beside the no-chain one (the pipeline row, whose packets finish
+// in Submit), within the chain's allocation budget:
 // none per packet, only the pools' amortized growth, since the boxes
 // read HTTP through the in-place view.
 func TestCommittedBaselineCoversChainPath(t *testing.T) {
@@ -117,7 +118,7 @@ func TestCommittedBaselineCoversChainPath(t *testing.T) {
 	for _, r := range base.Rows {
 		rows[r.Config] = r
 	}
-	for _, cfg := range []string{"shards=1", "shards=2", "chain shards=1", "chain shards=2"} {
+	for _, cfg := range []string{"pipeline", "chain shards=1", "chain shards=2"} {
 		r, ok := rows[cfg]
 		if !ok {
 			t.Errorf("BENCH_DATAPLANE.json has no %q row", cfg)
@@ -128,11 +129,12 @@ func TestCommittedBaselineCoversChainPath(t *testing.T) {
 }
 
 // TestCommittedBaselineCoversMissPath: the same for the flow-cache miss
-// path, the inline path (Switch.Process, the workers' code on the
-// caller's goroutine) and the quiescence path (bursts each ended by
-// Drain, back to back and from a producer parked between them) — the
-// rows must be in the committed baseline for the gate to hold them, and
-// none allocates per packet beyond the cache's own amortized growth.
+// path, the inline path (Switch.Process on the caller's goroutine), the
+// pipeline finishing chain-free packets in Submit, and the quiescence
+// path (bursts each ended by Drain, back to back and from a producer
+// parked between them) — the rows must be in the committed baseline for
+// the gate to hold them, and none allocates per packet beyond the
+// cache's own amortized growth. Every row records CPU ns per packet.
 func TestCommittedBaselineCoversMissPath(t *testing.T) {
 	base, err := loadDataplaneBaseline(filepath.Join("..", "..", "BENCH_DATAPLANE.json"))
 	if err != nil {
@@ -141,8 +143,11 @@ func TestCommittedBaselineCoversMissPath(t *testing.T) {
 	rows := map[string]dataplaneRow{}
 	for _, r := range base.Rows {
 		rows[r.Config] = r
+		if r.CPUNsOp <= 0 {
+			t.Errorf("%s: no CPU ns per packet recorded", r.Config)
+		}
 	}
-	for _, cfg := range []string{"miss shards=1", "miss shards=2", "inline", "burst shards=1", "burst shards=2", "burst idle shards=1", "burst idle shards=2"} {
+	for _, cfg := range []string{"miss shards=1", "miss shards=2", "inline", "pipeline", "burst shards=1", "burst shards=2", "burst idle shards=1", "burst idle shards=2"} {
 		if r, ok := rows[cfg]; !ok {
 			t.Errorf("BENCH_DATAPLANE.json has no %q row", cfg)
 		} else if r.AllocsOp >= 0.5 {

@@ -7,6 +7,7 @@
 //	pvnbench -exp E3,E5  # run a subset
 //	pvnbench -list       # list experiments
 //	pvnbench -quick      # smaller parameters (CI-sized)
+//	pvnbench -ab HEAD    # A/B bench pairs: HEAD against the working tree
 package main
 
 import (
@@ -243,7 +244,19 @@ func main() {
 	seedFlag := flag.Uint64("seed", 1, "soak: RNG seed (a violation report's reproduction line sets this)")
 	simHours := flag.Float64("sim-hours", 1.0, "soak: simulated hours of composed storms")
 	flag.BoolVar(&wallclock, "wallclock", false, "measure E11's per-packet cost with the real clock (its table becomes machine-dependent)")
+	abBase := flag.String("ab", "", "A/B: build bench at this git revision and from the working tree, run alternating pairs, print bench -compare and win counts")
+	abDir := flag.String("ab-dir", filepath.Join(os.TempDir(), "pvn-ab"), "A/B: scratch directory for binaries, runs and logs")
+	abWorkloads := flag.String("ab-workloads", "fwd_cached", "A/B: comma-separated bench workloads")
+	abPairs := flag.Int("ab-pairs", 10, "A/B: alternating pairs per workload")
 	flag.Parse()
+
+	if *abBase != "" {
+		if err := runAB(abConfig{base: *abBase, dir: *abDir, workloads: splitList(*abWorkloads), pairs: *abPairs}); err != nil {
+			fmt.Fprintf(os.Stderr, "pvnbench: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *soakFlag {
 		if err := runSoak(*seedFlag, *simHours); err != nil {

@@ -17,7 +17,7 @@ import (
 // once full it silently ignored every later sample and LatencyDist
 // froze on startup traffic forever.
 func TestLatencyRingLateSamples(t *testing.T) {
-	var c shardCounters
+	var c latencyRing
 	for i := 0; i < latencyReservoir; i++ {
 		c.sampleLatency(1 * time.Microsecond)
 	}
@@ -60,10 +60,10 @@ func TestLatencyRingLateSamples(t *testing.T) {
 func TestLatencyDistTracksLateTraffic(t *testing.T) {
 	p := New(Config{Shards: 1})
 	for i := 0; i < latencyReservoir; i++ {
-		p.shards[0].counters.sampleLatency(time.Microsecond)
+		p.shards[0].latency.sampleLatency(time.Microsecond)
 	}
 	for i := 0; i < latencyReservoir; i++ {
-		p.shards[0].counters.sampleLatency(100 * time.Microsecond)
+		p.shards[0].latency.sampleLatency(100 * time.Microsecond)
 	}
 	if got := p.LatencyDist().Max(); got != 100 {
 		t.Fatalf("LatencyDist max = %vµs, want 100µs: late samples never landed", got)
@@ -238,25 +238,40 @@ func TestDropAccountingInvariant(t *testing.T) {
 }
 
 // TestPipelineZeroAllocFastPath pins the tentpole's headline property:
-// the no-chain steady state (flow-cache hit, Output action) allocates
-// nothing per packet — pooled buffers in, preallocated worker arenas
-// through, pooled buffers out.
+// the no-chain steady state allocates nothing per packet. A packet
+// finished in Submit — a flow-cache hit with an Output action, or a
+// table miss (never cached) decoded into the shard's decoder, scanned
+// and punted — copies nothing; a queued packet goes pooled buffers in,
+// preallocated worker arenas through, pooled buffers out.
 func TestPipelineZeroAllocFastPath(t *testing.T) {
-	pkts := frames(t, 1)
-	p := New(Config{Shards: 1, QueueDepth: 256, Policy: Block})
-	installRules(t, p.Table())
-	p.Start()
-	defer p.Stop()
-	for i := 0; i < 1024; i++ { // warm pool, flow cache, latency ring
-		p.Submit(pkts[0], 0)
-	}
-	p.Drain()
+	for _, tc := range []struct {
+		name   string
+		dport  uint16
+		inline bool
+	}{{"inline hit", 80, true}, {"inline miss", 9999, true}, {"queued chain", 8080, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pkts := frames(t, 1, tc.dport)
+			p := New(Config{Shards: 1, QueueDepth: 256, Policy: Block, Chains: buildRuntime(t)})
+			installRules(t, p.Table())
+			p.Start()
+			defer p.Stop()
+			for i := 0; i < 1024; i++ { // warm pool, flow cache, latency ring
+				p.Submit(pkts[0], 0)
+			}
+			p.Drain()
 
-	avg := testing.AllocsPerRun(500, func() {
-		p.Submit(pkts[0], 0)
-	})
-	p.Drain()
-	if avg >= 1 && !raceEnabled {
-		t.Fatalf("fast path allocates %.2f/op, want 0", avg)
+			before := p.Stats().Total()
+			avg := testing.AllocsPerRun(500, func() {
+				p.Submit(pkts[0], 0)
+			})
+			p.Drain()
+			st := p.Stats().Total()
+			if inline := st.Inline-before.Inline == st.Processed-before.Processed; inline != tc.inline {
+				t.Fatalf("%d of %d packets finished in Submit", st.Inline-before.Inline, st.Processed-before.Processed)
+			}
+			if avg >= 1 && !raceEnabled {
+				t.Fatalf("fast path allocates %.2f/op, want 0", avg)
+			}
+		})
 	}
 }

@@ -1,41 +1,53 @@
-// Package dataplane is the PVN host's parallel packet pipeline: it puts
-// bounded queues and a sharded worker pool in front of the per-packet
+// Package dataplane is the PVN host's packet pipeline: the per-packet
 // path openflow.Switch.Process runs inline (Switch.Resolve's flow cache
 // or header decode and lookup → FlowTable.Interpret → output/tunnel/
-// controller), so one edge host can use every core the access hardware
-// has (ROADMAP: "heavy traffic from millions of users, as fast as the
-// hardware allows"; paper §3.3 cites ClickOS-class per-packet budgets
-// that leave no room for a global lock). Each shard is an
-// openflow.Switch over the pipeline's table, so the workers and
-// Switch.Process share one resolve step and one action interpreter; the
-// pipeline adds the rings, the batching and the hooks.
+// controller), with a sharded worker pool behind it for middlebox chain
+// work, so one edge host can spread the expensive packets over every
+// core the access hardware has (ROADMAP: "heavy traffic from millions
+// of users, as fast as the hardware allows"; paper §3.3 cites
+// ClickOS-class per-packet budgets that leave no room for a global
+// lock). Each shard is an openflow.Switch over the pipeline's table, so
+// Submit and Switch.Process share one resolve step and one action
+// interpreter; the pipeline adds the rings, the batching and the hooks.
 //
 // Architecture:
 //
-//		Submit ─hash(5-tuple)─▶ per-shard bounded ring ─batch─▶ worker ─▶ hooks
-//		                              │                            │
-//		                        backpressure/drop      shard's Switch.Resolve
-//		                          policy                over COW rule snapshot
+//		Submit ─hash(5-tuple)─▶ shard's Switch.Resolve ─┬─ no chain or cache miss, shard idle ─▶ finish ─▶ hooks
+//		        (per-shard mutex, COW rule snapshot)     │                                  (on the Submit caller)
+//		                                                 └─ cached chain flow, or shard busy ─▶ bounded ring ─batch─▶ worker: finish ─▶ hooks
+//		                                                                                   backpressure/drop policy
 //
+//	  - Submit resolves every packet itself: the shard's flow cache, or on
+//	    a miss a header decode and a rule scan. A per-shard mutex guards
+//	    that switch and is held around Resolve only, never across
+//	    Interpret or a hook, so a hook may Submit again.
+//	  - A packet whose actions name no middlebox chain, or a flow's first
+//	    packet (a flow-cache miss), finishes on the submitting goroutine
+//	    (finish: bill the rule → Interpret → verdict → hook → counters)
+//	    while the pipeline runs and its shard has nothing queued or in its
+//	    worker. Every other packet — a cached flow's chain work — is
+//	    queued with its resolution, and the shard's worker only finishes
+//	    it, resolving it again first if a rule write came after its
+//	    Submit. Both paths run the one finish function.
 //	  - Packets are partitioned by the symmetric packet.Flow hash, so both
-//	    directions of a conversation land on the same shard and all
-//	    per-flow state (the exact-match flow cache) is owned by exactly one
-//	    worker — no locks on the hot path. That cache holds two
-//	    generations of 12288 new flows each, so a shard's memory does not
-//	    grow with the flows it has seen; ShardStats.CacheEvictions counts
-//	    the idle flows it drops.
+//	    directions of a conversation land on one shard, and a shard
+//	    finishes its packets in Submit order: a packet finishes in Submit
+//	    only behind none of its shard's queued ones. The shard's flow cache
+//	    holds two generations of 12288 new flows each, so its memory does
+//	    not grow with the flows it has seen; ShardStats.CacheEvictions
+//	    counts the idle flows it drops.
 //	  - Rule and meter state lives in an openflow.FlowTable: an
 //	    atomically-published copy-on-write snapshot written by the
-//	    control plane (deployserver flow mods) and read lock-free by
-//	    every worker through its shard switch's private flow cache.
+//	    control plane (deployserver flow mods) and read lock-free through
+//	    each shard switch's private flow cache.
 //	  - Workers pull fixed-size batches from their ring to amortize queue
 //	    synchronization, and recycle packet buffers through a sync.Pool.
 //	  - Queues are bounded; the DropPolicy decides whether overload tail
 //	    drops or blocks the producer. Memory stays bounded either way.
 //
 // Middlebox chains: the one openflow.ChainExecutor is invoked
-// concurrently from worker goroutines, one ExecuteChain call (made by
-// Interpret) per Middlebox action. A middlebox.Runtime locks itself per
+// concurrently from worker goroutines and submitters, one ExecuteChain
+// call (made by Interpret) per Middlebox action. A middlebox.Runtime locks itself per
 // owner, so workers serialize only where their packets belong to the
 // same owner.
 package dataplane
@@ -50,8 +62,15 @@ import (
 	"pvn/internal/tunnel"
 )
 
-// Config parameterizes a Pipeline. The zero value is usable: GOMAXPROCS
-// shards, batch 32, queue depth 1024, tail drop, no hooks.
+// Config parameterizes a Pipeline. The zero value is usable: chain-free
+// packets and flows' first packets finish in Submit, and cached flows'
+// chain work goes to GOMAXPROCS shards with batch 32, queue depth 1024
+// and tail drop; no hooks.
+//
+// Shards, BatchSize, QueueDepth and Policy govern queued packets only:
+// a cached flow's packets whose actions run a middlebox chain, and any
+// packet that arrives while its shard still holds queued ones (or
+// before Start).
 type Config struct {
 	// Shards is the number of queue+worker pairs (one worker owns one
 	// shard). Zero means GOMAXPROCS.
@@ -85,7 +104,10 @@ type Config struct {
 	OnTunnel func(name string, data []byte)
 	// OnController receives table-miss punts.
 	OnController func(inPort uint16, data []byte)
-	// All three hooks are called from worker goroutines, concurrently.
+	// All three hooks are called concurrently: on the Submit caller's
+	// goroutine for a packet finished there (before Submit returns, with
+	// the caller's own bytes), and on a worker goroutine for a queued
+	// one. A hook may call Submit; it must not call Stop.
 
 	// Now supplies simulated time for meters; nil means time zero, like
 	// openflow.NewSwitch.
@@ -93,17 +115,32 @@ type Config struct {
 }
 
 // shard is one queue + worker + privately-owned flow state: the
-// worker's openflow.Switch over the pipeline's table and executor,
-// whose flow cache and decoder only that worker touches.
+// openflow.Switch over the pipeline's table whose flow cache and
+// decoder the shard's submitters share under mu.
 type shard struct {
-	id       int
-	queue    *ring
-	sw       *openflow.Switch
-	counters shardCounters
+	id    int
+	queue *ring
+	// mu guards sw, counts and finishing. Submit holds it around Resolve
+	// only, never across Interpret or a hook, so a hook that Submits
+	// cannot deadlock.
+	mu sync.Mutex
+	sw *openflow.Switch
+	// counts is the shard's live ShardStats, less QueueDepth and
+	// CacheEvictions, which Stats reads where they live.
+	counts ShardStats
+	// finishing counts the finishes running in Submit; Stop waits for it
+	// to empty, so no hook runs after Stop returns.
+	finishing int
+	// pending counts the shard's packets queued or in its worker. A
+	// packet finishes in Submit only while it is zero, so it never
+	// overtakes one of them.
+	pending atomic.Int64
+	latency latencyRing
 }
 
-// Pipeline is the running dataplane: N shards fed by Submit, draining
-// through workers into the configured hooks.
+// Pipeline is the running dataplane: N shards fed by Submit, which
+// finishes chain-free packets itself and queues the rest to the shards'
+// workers.
 type Pipeline struct {
 	cfg    Config
 	table  *openflow.FlowTable
@@ -111,13 +148,17 @@ type Pipeline struct {
 
 	bufPool sync.Pool
 
-	// inFlight counts admitted packets not yet retired. Drain parks on
+	// inFlight counts queued packets not yet retired. Drain parks on
 	// drained while drainers says it waits; retire wakes it only then,
 	// so a batch with no drainer pays one atomic load for it.
 	inFlight atomic.Int64
 	drainers atomic.Int32
 	drainMu  sync.Mutex
 	drained  sync.Cond
+
+	// running is true between Start and Stop: only then may a packet
+	// finish in Submit.
+	running atomic.Bool
 
 	wg sync.WaitGroup
 	// lifeMu guards started/stopped: Start and Stop are idempotent and
@@ -161,10 +202,10 @@ func (p *Pipeline) Table() *openflow.FlowTable { return p.table }
 // survives only as the name bench/ calls; use openflow.NewFlowTable.
 func NewShardedTable() *openflow.FlowTable { return openflow.NewFlowTable() }
 
-// Start launches one worker per shard. It is idempotent and safe to
-// call concurrently with Stop; once the pipeline has been stopped,
-// Start is a no-op (the queues are closed — the pipeline cannot be
-// restarted).
+// Start launches one worker per shard and lets chain-free packets
+// finish in Submit. It is idempotent and safe to call concurrently with
+// Stop; once the pipeline has been stopped, Start is a no-op (the
+// queues are closed — the pipeline cannot be restarted).
 func (p *Pipeline) Start() {
 	p.lifeMu.Lock()
 	defer p.lifeMu.Unlock()
@@ -176,13 +217,15 @@ func (p *Pipeline) Start() {
 		p.wg.Add(1)
 		go p.work(sh)
 	}
+	p.running.Store(true)
 }
 
-// Stop closes the queues, lets workers drain what is already enqueued,
-// and waits for them to exit. Idempotent: further Stops return
-// immediately, and a Start racing the first Stop either wins (its
-// workers are then drained and joined here) or observes stopped and
-// does nothing.
+// Stop ends finishing in Submit, closes the queues, lets workers drain
+// what is already enqueued, and waits for them and for every finish
+// still running in a Submit to return: no hook runs after Stop has
+// returned. Idempotent: further Stops return immediately, and a Start
+// racing the first Stop either wins (its workers are then drained and
+// joined here) or observes stopped and does nothing.
 func (p *Pipeline) Stop() {
 	p.lifeMu.Lock()
 	defer p.lifeMu.Unlock()
@@ -190,17 +233,33 @@ func (p *Pipeline) Stop() {
 		return
 	}
 	p.stopped = true
+	p.running.Store(false)
 	for _, sh := range p.shards {
 		sh.queue.close()
 	}
 	if p.started {
 		p.wg.Wait() //lint:allow lockorder lifeMu held across the join on purpose: it serializes Stop against Start, and workers never touch lifeMu, so the Wait cannot deadlock (TestStartStopRace, TestStartStopIdempotent)
 	}
+	// A Submit reads running and raises finishing under the shard's mu,
+	// and running went false above, so every finish in Submit that can
+	// still run is counted here. Each is one hook at most.
+	for _, sh := range p.shards {
+		for {
+			sh.mu.Lock()
+			n := sh.finishing
+			sh.mu.Unlock()
+			if n == 0 {
+				break
+			}
+			runtime.Gosched()
+		}
+	}
 }
 
-// Drain blocks until no admitted packet is in flight: every packet
-// Submit admitted before the call has been processed and its hook has
-// returned. It parks the caller, spending no CPU and arming no timer,
+// Drain blocks until no queued packet is in flight: every packet
+// Submit queued before the call has been processed and its hook has
+// returned (a packet Submit finished itself was done when its Submit
+// returned). It parks the caller, spending no CPU and arming no timer,
 // and the retire that brings the count to zero (the last packet of a
 // worker's batch, or a rejected Submit) wakes it. Several goroutines
 // may Drain at once, and Submit may run meanwhile; a Drain then also
@@ -233,9 +292,23 @@ func (p *Pipeline) retire(n int64) {
 	}
 }
 
-// Submit hands one raw IPv4 packet to the pipeline. The caller keeps
-// ownership of data: it is copied into a pooled buffer. It reports
-// whether the packet was admitted (false = backpressure drop).
+// Submit hands one raw IPv4 packet to the pipeline and reports whether
+// it was admitted (false = backpressure drop). It resolves the packet's
+// actions through its shard's switch. While the pipeline runs and the
+// shard has nothing queued, a packet finishes right here — interpreted,
+// counted, and handed to its hook before Submit returns — when its
+// actions run no middlebox chain, or when the flow cache missed on it:
+// a flow's first packet is the one a session waits on, and handing it
+// to an idle worker would add only a wake-up and a yield to its
+// latency. Any other packet — a cached chain flow's — is copied into a
+// pooled buffer (the caller keeps ownership of data) and queued,
+// resolution and all, for the shard's worker to finish, so a stream of
+// chain work runs on the workers in parallel with its producer. The
+// worker resolves a queued packet again when the table has been written
+// since its Submit, so a rule write (a deploy, a teardown) applies to
+// every packet not yet finishing, queued or not. A packet is billed to
+// its rule (FlowEntry.Count) when it finishes, so one dropped at the
+// queue bills nothing.
 //
 // Counting: Enqueued is incremented for every Submit, admitted or not,
 // and every rejected packet increments Dropped — see the ShardStats
@@ -243,25 +316,87 @@ func (p *Pipeline) retire(n int64) {
 func (p *Pipeline) Submit(data []byte, inPort uint16) bool {
 	key, ok := openflow.KeyOf(data, inPort)
 	sh := p.shards[int(key.Flow.FastHash()%uint64(len(p.shards)))]
-	seq := sh.counters.enqueued.Add(1)
+
+	// Read before Resolve, so a rule write between the two makes the
+	// worker resolve a queued packet again rather than miss the write.
+	gen := uint32(p.table.Generation())
+	sh.mu.Lock()
+	c := &sh.counts
+	c.Enqueued++
+	// Every stageSampleEvery'th packet of a shard times its resolve, and
+	// its finish if it finishes here; the others read no clock.
+	seq := c.Enqueued
+	sampled := seq%stageSampleEvery == 0
+	var t0, t1, decodeNs int64
+	var dp *int64
+	if sampled {
+		t0, dp = openflow.PerfStamp(), &decodeNs
+	}
+	actions, entry, hit := sh.sw.Resolve(key, ok, data, dp)
+	if sampled {
+		t1 = openflow.PerfStamp()
+		c.DecodeNs += decodeNs
+		c.LookupNs += t1 - t0 - decodeNs
+		c.TotalNs += (t1 - t0) * stageSampleEvery
+	}
+	inline := (!hit || !runsChain(actions)) && p.running.Load() && sh.pending.Load() == 0
+	if inline {
+		sh.finishing++
+	} else {
+		sh.pending.Add(1)
+	}
+	sh.mu.Unlock()
+
+	if inline {
+		lc := ShardStats{Batches: 1, Inline: 1}
+		if hit {
+			lc.CacheHits = 1
+		}
+		delay := p.finish(entry, data, inPort, p.cfg.Now(), &lc)
+		if sampled {
+			end := openflow.PerfStamp()
+			lc.ChainNs = end - t1
+			lc.TotalNs = (end - t1) * stageSampleEvery
+			if seq%latencySampleEvery == 0 {
+				sh.latency.sampleLatency(time.Duration(end-t0) + delay)
+			}
+		}
+		sh.mu.Lock()
+		sh.counts.add(&lc)
+		sh.finishing--
+		sh.mu.Unlock()
+		return true
+	}
 
 	bp := p.getBuf(len(data))
 	*bp = append((*bp)[:0], data...)
-	it := item{buf: bp, data: *bp, inPort: inPort, key: key, ok: ok}
+	it := item{buf: bp, data: *bp, inPort: inPort, entry: entry, hit: hit, gen: gen}
 	if seq%latencySampleEvery == 0 {
-		// Stamp only the sampled packets, so the submit fast path pays
-		// no clock read for the other latencySampleEvery-1.
-		it.enq = openflow.PerfStamp()
+		it.enq = t0
 	}
-
 	p.inFlight.Add(1)
 	if !sh.queue.push(it) {
 		p.release(bp)
-		sh.counters.dropped.Add(1)
+		sh.mu.Lock()
+		sh.counts.Dropped++
+		sh.mu.Unlock()
+		sh.pending.Add(-1)
 		p.retire(1)
 		return false
 	}
 	return true
+}
+
+// runsChain reports whether an action list sends the packet through a
+// middlebox chain: the work Submit leaves to a shard's worker once the
+// flow is cached.
+func runsChain(actions []openflow.Action) bool {
+	for i := range actions {
+		if actions[i].Type == openflow.ActionTypeMiddlebox {
+			return true
+		}
+	}
+	return false
 }
 
 // getBuf returns a pooled buffer (len 0) with capacity for n bytes. An

@@ -128,8 +128,10 @@ func sameEntry(a, b *openflow.FlowEntry) bool {
 // side. Switch.Process must agree with the oracle packet by packet:
 // verdict, port, tunnel, bytes, delay and matched entry. The pipeline,
 // whose shards reorder packets, must agree in its verdict and
-// chain-error counts. All three must bill every cookie alike, and count
-// the meter and the rule removed mid-stream alike.
+// chain-error counts; its stream is mixed, so chain-free packets finish
+// in Submit and cached chain flows queue to the workers. All three must bill
+// every cookie alike, and count the meter and the rule removed
+// mid-stream alike.
 func TestPipelineMatchesSerial(t *testing.T) {
 	dports := []uint16{80, 443, 25, 8080, 9999, 8443, 8081, 7070, 6001, 6002}
 	const wellFormed = 4000
@@ -260,6 +262,9 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	got := p.Stats().Total()
 	if got.Processed != int64(n) {
 		t.Fatalf("processed = %d, want %d", got.Processed, n)
+	}
+	if got.Inline == 0 || got.Inline == got.Processed {
+		t.Errorf("%d of %d packets finished in Submit; the stream must take both paths", got.Inline, got.Processed)
 	}
 	if got.Outputs != want.Outputs || got.Drops != want.Drops ||
 		got.Tunnels != want.Tunnels || got.PacketIns != want.PacketIns || got.ChainErrs != want.ChainErrs {
@@ -498,7 +503,7 @@ func TestTraceWorkload(t *testing.T) {
 }
 
 // TestShardAffinity checks both directions of a flow land on one shard,
-// so bidirectional state stays worker-private.
+// so bidirectional state stays with one shard.
 func TestShardAffinity(t *testing.T) {
 	fwd, ok1 := openflow.KeyOf(mustFrame(t, "10.0.0.5", "93.184.216.34", 40000, 80), 0)
 	rev, ok2 := openflow.KeyOf(mustFrame(t, "93.184.216.34", "10.0.0.5", 80, 40000), 0)

@@ -103,13 +103,16 @@ func TestDrainStress(t *testing.T) {
 
 // TestDrainWaitsForHeldOutput: the worker's hook is part of a packet's
 // processing, so while OnOutput holds the last packet Drain stays
-// parked, and it returns once the hook lets the packet go.
+// parked, and it returns once the hook lets the packet go. The packets
+// are one flow through a chain (dport 8080): its first finishes in
+// Submit (a cache miss), and the rest queue to the worker rather than
+// finish in Submit, where the held hook would hold the test.
 func TestDrainWaitsForHeldOutput(t *testing.T) {
 	const n = 10
-	pkts := frames(t, n, 80)
+	pkt := frames(t, 1, 8080)[0]
 	held, release := make(chan struct{}), make(chan struct{})
 	var outputs atomic.Int32
-	p := New(Config{Shards: 1, BatchSize: 4, OnOutput: func(uint16, []byte) {
+	p := New(Config{Shards: 1, BatchSize: 4, Chains: buildRuntime(t), OnOutput: func(uint16, []byte) {
 		if outputs.Add(1) == n {
 			close(held)
 			<-release
@@ -118,8 +121,8 @@ func TestDrainWaitsForHeldOutput(t *testing.T) {
 	installRules(t, p.Table())
 	p.Start()
 	defer p.Stop()
-	for _, f := range pkts {
-		if !p.Submit(f, 0) {
+	for range n {
+		if !p.Submit(pkt, 0) {
 			t.Fatal("running pipeline rejected a packet")
 		}
 	}
@@ -138,7 +141,7 @@ func TestDrainWaitsForHeldOutput(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Drain did not return after the last packet was released")
 	}
-	if st := p.Stats().Total(); st.Processed != n {
-		t.Fatalf("processed %d after Drain, want %d", st.Processed, n)
+	if st := p.Stats().Total(); st.Processed != n || st.Inline != 1 {
+		t.Fatalf("processed %d after Drain, %d of them in Submit; want %d, 1", st.Processed, st.Inline, n)
 	}
 }

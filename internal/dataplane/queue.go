@@ -23,13 +23,18 @@ const (
 // item is one queued packet. buf is the pooled backing array (carried
 // as the same *[]byte the pool hands out, so recycling never allocates
 // a fresh slice header); data is the live packet region within it.
+// entry is what Submit resolved it to (nil: table miss), so the worker
+// only finishes it; openflow.ActionsOf gives back its actions. A rule
+// write since (gen no longer the table's) makes the worker resolve it
+// again. hit and gen fill inPort's padding: the item stays 56 bytes.
 type item struct {
 	buf    *[]byte
 	data   []byte
+	entry  *openflow.FlowEntry
 	inPort uint16
-	key    openflow.CacheKey
-	ok     bool  // key extraction succeeded
-	enq    int64 // wall-clock ns at enqueue; 0 = not latency-sampled
+	hit    bool   // Resolve answered entry from the flow cache
+	gen    uint32 // the table generation entry was resolved under, truncated
+	enq    int64  // wall-clock ns at Submit; 0 = not latency-sampled
 }
 
 // ring is a bounded FIFO of packets feeding one shard's worker. A single

@@ -6,140 +6,116 @@ import (
 	"pvn/internal/openflow"
 )
 
-// workerState is one worker's preallocated scratch: the drained batch
-// and per-packet state. Everything is sized to BatchSize once, so the
-// steady-state loop allocates nothing.
-type workerState struct {
-	batch []item
-
-	// Per-packet state, indexed like batch.
-	acts  [][]openflow.Action // resolved action list
-	delay []time.Duration     // shaping/chain delay Interpret reported
-}
-
-func newWorkerState(batchSize int) *workerState {
-	return &workerState{
-		batch: make([]item, batchSize),
-		acts:  make([][]openflow.Action, batchSize),
-		delay: make([]time.Duration, batchSize),
-	}
-}
-
-// work is one shard's worker loop: drain a batch, process it as a unit,
-// recycle buffers, retire the batch from the in-flight count. Exits when
-// the queue is closed and empty.
+// work is one shard's worker loop: drain a batch, finish it as a unit,
+// recycle buffers, retire the batch from the pending and in-flight
+// counts. Exits when the queue is closed and empty.
 func (p *Pipeline) work(sh *shard) {
 	defer p.wg.Done()
-	ws := newWorkerState(p.cfg.BatchSize)
+	batch := make([]item, p.cfg.BatchSize)
 	var batchNo int64
 	for {
-		n := sh.queue.popBatch(ws.batch)
+		n := sh.queue.popBatch(batch)
 		if n == 0 {
 			return
 		}
 		// Every batch pays two clock reads (start/end); every
-		// stageSampleEvery'th also carries per-stage stamps so the
-		// decode/lookup/chain split in ShardStats stays meaningful.
+		// stageSampleEvery'th also times its finishes as ChainNs.
 		sampled := batchNo%stageSampleEvery == 0
 		batchNo++
-		p.processBatch(sh, ws, n, sampled)
-		for i := 0; i < n; i++ {
-			p.release(ws.batch[i].buf)
-			ws.batch[i] = item{}
+		p.processBatch(sh, batch[:n], sampled)
+		for i := range batch[:n] {
+			p.release(batch[i].buf)
+			batch[i] = item{}
 		}
+		sh.pending.Add(-int64(n))
 		p.retire(int64(n))
 	}
 }
 
-// processBatch resolves the whole batch's actions through the shard's
-// switch (Switch.Resolve, the step Switch.Process runs inline), then
-// runs each packet through openflow's one interpreter
-// (FlowTable.Interpret) and hands it to its verdict's hook.
-// All counters accumulate in a localCounters and hit the shard atomics
-// once, at the end.
-func (p *Pipeline) processBatch(sh *shard, ws *workerState, n int, sampled bool) {
+// processBatch finishes a batch of queued packets, whose actions Submit
+// already resolved, in arrival order. It counts into a local ShardStats
+// and adds that to the shard's once, at the end.
+func (p *Pipeline) processBatch(sh *shard, batch []item, sampled bool) {
 	t0 := openflow.PerfStamp()
 	now := p.cfg.Now()
-	c := &sh.counters
-	c.batches.Add(1)
-	var lc localCounters
-	var decodeNs *int64
-	if sampled {
-		decodeNs = &lc.decodeNs
-	}
-
-	// Stage 1: resolve actions for the whole batch. The flow cache is
-	// keyed by the 5-tuple Submit already extracted, so the steady state
-	// never decodes a packet; only cache misses pay for a header decode
-	// (into the switch's reusable decoder — no allocation) and a rule
-	// scan, and only sampled batches time those decodes.
-	for i := 0; i < n; i++ {
-		it := &ws.batch[i]
-		actions, _, hit := sh.sw.Resolve(it.key, it.ok, it.data, decodeNs)
+	lc := ShardStats{Batches: 1}
+	for i := range batch {
+		it := &batch[i]
+		entry, hit := it.entry, it.hit
+		if uint32(p.table.Generation()) != it.gen {
+			// A rule write (a deploy, a teardown) since Submit resolved
+			// the packet: it runs the rules as they stand now, as it would
+			// have had it finished in Submit after the write. gen is
+			// truncated; only exactly 2³² writes in between would hide one.
+			key, ok := openflow.KeyOf(it.data, it.inPort)
+			sh.mu.Lock()
+			_, entry, hit = sh.sw.Resolve(key, ok, it.data, nil)
+			sh.mu.Unlock()
+		}
 		if hit {
-			lc.cacheHits++
+			lc.CacheHits++
 		}
-		ws.acts[i] = actions
-		lc.bytes += int64(len(it.data))
+		delay := p.finish(entry, it.data, it.inPort, now, &lc)
+		if it.enq != 0 {
+			// Submit stamped every latencySampleEvery'th packet: queue
+			// wait + processing, plus its modelled shaping/chain delay.
+			sh.latency.sampleLatency(time.Duration(openflow.PerfStamp()-it.enq) + delay)
+		}
 	}
-	lc.processed = int64(n)
-	var t1 int64
+	lc.TotalNs = openflow.PerfStamp() - t0
 	if sampled {
-		t1 = openflow.PerfStamp()
-		lc.lookupNs = (t1 - t0) - lc.decodeNs
+		lc.ChainNs = lc.TotalNs
 	}
+	sh.mu.Lock()
+	sh.counts.add(&lc)
+	sh.mu.Unlock()
+}
 
-	// Stage 2: interpret each action list to its verdict, in arrival
-	// order, and count it and hand it to that verdict's hook. It is timed
-	// as a whole, between stamps the batch takes anyway: two clock reads
-	// per packet cost the bare-forwarding batch ~15 %.
-	for i := 0; i < n; i++ {
-		it := &ws.batch[i]
-		term, out, delay, err := sh.sw.Table.Interpret(ws.acts[i], it.data, now, sh.sw.Chains)
-		ws.delay[i] = delay
-		if err != nil {
-			lc.chainErrs++
+// finish runs one resolved packet to its verdict — it bills the entry
+// (nil: table miss), runs openflow's one interpreter
+// (FlowTable.Interpret), then that verdict's hook — and counts it into
+// lc. It returns the shaping/chain delay Interpret reported. Both paths
+// call it: Submit for a packet it finishes itself, and a worker for a
+// queued one. Billing here, not at Resolve, bills a rule only for the
+// packets the pipeline runs: one it drops at its queue is not.
+func (p *Pipeline) finish(entry *openflow.FlowEntry, data []byte, inPort uint16, now time.Duration, lc *ShardStats) time.Duration {
+	if entry != nil {
+		entry.Count(len(data))
+	}
+	term, out, delay, err := p.table.Interpret(openflow.ActionsOf(entry), data, now, p.cfg.Chains)
+	lc.Processed++
+	lc.Bytes += int64(len(data))
+	if err != nil {
+		lc.ChainErrs++
+	}
+	if term == nil {
+		lc.Drops++
+		return delay
+	}
+	switch term.Type {
+	case openflow.ActionTypeOutput:
+		lc.Outputs++
+		if p.cfg.OnOutput != nil {
+			p.cfg.OnOutput(term.Port, out)
 		}
-		if term == nil {
-			lc.drops++
-			continue
+	case openflow.ActionTypeController:
+		lc.PacketIns++
+		if p.cfg.OnController != nil {
+			p.cfg.OnController(inPort, out)
 		}
-		switch term.Type {
-		case openflow.ActionTypeOutput:
-			lc.outputs++
-			if p.cfg.OnOutput != nil {
-				p.cfg.OnOutput(term.Port, out)
+	case openflow.ActionTypeTunnel:
+		lc.Tunnels++
+		name := term.Tunnel
+		if p.cfg.Tunnels != nil {
+			// The flow is re-peeked from the bytes Submit was given: only
+			// a tunnel verdict needs it, so packets do not carry it.
+			if key, ok := openflow.KeyOf(data, inPort); ok {
+				name, _ = p.cfg.Tunnels.Route(name, key.Flow)
 			}
-		case openflow.ActionTypeController:
-			lc.packetIns++
-			if p.cfg.OnController != nil {
-				p.cfg.OnController(it.inPort, out)
-			}
-		case openflow.ActionTypeTunnel:
-			lc.tunnels++
-			name := term.Tunnel
-			if p.cfg.Tunnels != nil && it.ok {
-				name, _ = p.cfg.Tunnels.Route(name, it.key.Flow)
-			}
-			if p.cfg.OnTunnel != nil {
-				p.cfg.OnTunnel(name, out)
-			}
+		}
+		if p.cfg.OnTunnel != nil {
+			p.cfg.OnTunnel(name, out)
 		}
 	}
-
-	end := openflow.PerfStamp()
-	lc.totalNs = end - t0
-	if sampled {
-		lc.chainNs = end - t1
-	}
-	lc.flush(c)
-
-	// Latency samples: Submit stamps every latencySampleEvery'th packet;
-	// anything stamped in this batch gets queue wait + processing plus
-	// its modelled shaping/chain delay.
-	for i := 0; i < n; i++ {
-		if e := ws.batch[i].enq; e != 0 {
-			c.sampleLatency(time.Duration(end-e) + ws.delay[i])
-		}
-	}
+	return delay
 }

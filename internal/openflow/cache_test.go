@@ -35,13 +35,16 @@ func tcpProbe(src, dst packet.IPv4Address, sport, dport, inPort uint16, size int
 	}
 }
 
-// fastLookup is Switch.Resolve's protocol: the cache alone first, the
-// scan only on a miss.
+// fastLookup is Switch.Process's protocol: Resolve (the cache alone
+// first, the scan only on a miss), then bill the entry.
 func fastLookup(t *FlowTable, c *flowCache, p probe) []Action {
-	if actions, e := t.lookupCached(c, p.key, p.cacheable, p.size); e != nil {
-		return actions
+	actions, e := t.lookupCached(c, p.key, p.cacheable)
+	if e == nil {
+		actions, e = t.lookupScan(c, p.key, p.cacheable, p.fields)
 	}
-	actions, _ := t.lookupScan(c, p.key, p.cacheable, p.fields, p.size)
+	if e != nil {
+		e.Count(p.size)
+	}
 	return actions
 }
 
@@ -98,7 +101,7 @@ func TestFlowCacheBounded(t *testing.T) {
 		p := flow(i)
 		_, inOld := c.old[p.key]
 		want, _ := ref.Lookup(p.fields, p.size)
-		actions, e := fast.lookupCached(c, p.key, true, p.size)
+		actions, e := fast.lookupCached(c, p.key, true)
 		switch {
 		case e == nil:
 			if last, ok := touched[i]; ok {
@@ -107,10 +110,13 @@ func TestFlowCacheBounded(t *testing.T) {
 				}
 				evicted++
 			}
-			actions, _ = fast.lookupScan(c, p.key, true, p.fields, p.size)
+			actions, e = fast.lookupScan(c, p.key, true, p.fields)
 			misses++
 		case inOld:
 			revived++
+		}
+		if e != nil {
+			e.Count(p.size)
 		}
 		touched[i] = misses
 		if ruleID(actions) != ruleID(want) {
@@ -233,13 +239,13 @@ func TestFlowCacheReuseDistance(t *testing.T) {
 		hits := 0
 		for i := 0; i < flows; i++ {
 			p := flow(i)
-			if _, e := table.lookupCached(c, p.key, true, p.size); e != nil {
+			if _, e := table.lookupCached(c, p.key, true); e != nil {
 				t.Fatalf("d=%d: flow %d hit before its first packet", tc.d, i)
 			}
-			table.lookupScan(c, p.key, true, p.fields, p.size)
+			table.lookupScan(c, p.key, true, p.fields)
 			if i >= tc.d {
 				q := flow(i - tc.d)
-				if _, e := table.lookupCached(c, q.key, true, q.size); e != nil {
+				if _, e := table.lookupCached(c, q.key, true); e != nil {
 					hits++
 				}
 			}

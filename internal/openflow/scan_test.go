@@ -50,7 +50,7 @@ func (r *scanTable) RemoveEntries(es []*FlowEntry) []*FlowEntry {
 func (r *scanTable) Lookup(f PacketFields, size int) ([]Action, *FlowEntry) {
 	for _, e := range r.entries {
 		if e.Match.Matches(f) {
-			e.count(size)
+			e.Count(size)
 			return e.Actions, e
 		}
 	}

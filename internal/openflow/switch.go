@@ -95,13 +95,16 @@ func NewSwitchOn(id string, table *FlowTable, chains ChainExecutor, now func() t
 }
 
 // Process runs one packet (raw IPv4 bytes) to its disposition: Resolve
-// its actions, Interpret them.
+// its actions, bill them to the entry, Interpret them.
 //
 // The cache and decoder belong to the switch, so Process must be called
 // from one goroutine at a time.
 func (s *Switch) Process(data []byte, inPort uint16) Disposition {
 	key, cacheable := KeyOf(data, inPort)
 	actions, entry, _ := s.Resolve(key, cacheable, data, nil)
+	if entry != nil {
+		entry.Count(len(data))
+	}
 	term, out, delay, _ := s.Table.Interpret(actions, data, s.Now(), s.Chains)
 	d := Disposition{Data: out, Delay: delay, Entry: entry}
 	if term == nil {
@@ -125,13 +128,14 @@ func (s *Switch) Process(data []byte, inPort uint16) Disposition {
 // the headers into the switch's decoder and looks the fields up in the
 // snapshot. The cache memoizes only decisions the decoder agreed with,
 // and a malformed frame riding an already cached 5-tuple follows the
-// flow's actions (see lookupScan).
+// flow's actions (see lookupScan). Resolve bills nothing: the caller
+// Counts the entry for a packet it runs.
 //
 // When decodeNs is non-nil the miss's header decode is timed into it;
 // callers sampling their stage split pass it on sampled batches only.
 // Like Process, Resolve must be called from one goroutine at a time.
 func (s *Switch) Resolve(key CacheKey, cacheable bool, data []byte, decodeNs *int64) (actions []Action, entry *FlowEntry, hit bool) {
-	if actions, entry = s.Table.lookupCached(s.cache, key, cacheable, len(data)); entry != nil {
+	if actions, entry = s.Table.lookupCached(s.cache, key, cacheable); entry != nil {
 		return actions, entry, true
 	}
 	var t0 int64
@@ -142,7 +146,7 @@ func (s *Switch) Resolve(key CacheKey, cacheable bool, data []byte, decodeNs *in
 	if decodeNs != nil {
 		*decodeNs += PerfStamp() - t0
 	}
-	actions, entry = s.Table.lookupScan(s.cache, key, cacheable, fields, len(data))
+	actions, entry = s.Table.lookupScan(s.cache, key, cacheable, fields)
 	return actions, entry, false
 }
 

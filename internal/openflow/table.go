@@ -45,7 +45,12 @@ func (e *FlowEntry) Stats() (packets, bytes int64) {
 	return atomic.LoadInt64(&e.Packets), atomic.LoadInt64(&e.Bytes)
 }
 
-func (e *FlowEntry) count(size int) {
+// Count bills one packet of size bytes to the entry. Lookup counts the
+// packets it answers; Switch.Resolve counts none, so that its caller
+// bills only the packets it goes on to run: Process bills each, and a
+// dataplane pipeline does not bill a packet it resolved and then
+// dropped at its queue.
+func (e *FlowEntry) Count(size int) {
 	atomic.AddInt64(&e.Packets, 1)
 	atomic.AddInt64(&e.Bytes, int64(size))
 }
@@ -411,11 +416,20 @@ func (t *FlowTable) Entries() []*FlowEntry {
 // lookupScan. Misses return the table-miss actions and a nil entry.
 func (t *FlowTable) Lookup(f PacketFields, size int) ([]Action, *FlowEntry) {
 	e := t.snap.Load().match(f)
-	if e == nil {
-		return missActions, nil
+	if e != nil {
+		e.Count(size)
 	}
-	e.count(size)
-	return e.Actions, e
+	return ActionsOf(e), e
+}
+
+// ActionsOf returns the actions a lookup that found e runs: e's own, or
+// the table-miss punt when e is nil. A caller that carries only the
+// entry Resolve returned gets its actions back from it.
+func ActionsOf(e *FlowEntry) []Action {
+	if e == nil {
+		return missActions
+	}
+	return e.Actions
 }
 
 // CacheKey identifies one exact flow at one ingress port — everything a
@@ -557,10 +571,10 @@ func (c *flowCache) catchUp(s *snapshot) {
 // steady-state fast path, which needs only the 5-tuple key and no
 // packet decode at all. cacheable is false for packets whose 5-tuple
 // could not be extracted (they still match, just uncached). A hit
-// returns the memoized entry and its actions, moving a flow found in
+// returns the memoized entry and its actions, uncounted, moving a flow found in
 // the old generation to the young one; a nil entry means the caller
 // must extract match fields and call lookupScan.
-func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, size int) ([]Action, *FlowEntry) {
+func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool) ([]Action, *FlowEntry) {
 	if s := t.snap.Load(); c.gen != s.gen {
 		c.catchUp(s)
 	}
@@ -575,11 +589,11 @@ func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, siz
 		delete(c.old, key)
 		c.insert(key, e, false)
 	}
-	e.count(size)
 	return e.Actions, e
 }
 
-// lookupScan is Lookup, memoizing the winning entry in the cache.
+// lookupScan is Lookup without the count, memoizing the winning entry
+// in the cache.
 // Callers must have tried lookupCached first (it also brings the cache
 // up to the current generation).
 //
@@ -591,12 +605,12 @@ func (t *FlowTable) lookupCached(c *flowCache, key CacheKey, cacheable bool, siz
 // well-formed packets share. The converse is not policed: a malformed
 // packet whose peeked 5-tuple is already cached hits in lookupCached,
 // is never decoded, and follows the flow's actions.
-func (t *FlowTable) lookupScan(c *flowCache, key CacheKey, cacheable bool, fields PacketFields, size int) ([]Action, *FlowEntry) {
-	actions, e := t.Lookup(fields, size)
+func (t *FlowTable) lookupScan(c *flowCache, key CacheKey, cacheable bool, fields PacketFields) ([]Action, *FlowEntry) {
+	e := t.snap.Load().match(fields)
 	if e != nil && cacheable && key.describes(fields) {
 		c.insert(key, e, true)
 	}
-	return actions, e
+	return ActionsOf(e), e
 }
 
 // AddMeter installs a named meter, replacing any earlier one with the
