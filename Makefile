@@ -79,7 +79,8 @@ test-race:
 # (whose offer must be well-formed) and its deploy request (which must
 # tear down to the host it found) — plus the
 # differentials holding the reusable Decoder to a fresh decode, the
-# in-place HTTP view to the old string parser and the TCP reassembler to
+# in-place HTTP view to the old string parser, the boxes' packet rewrites
+# to the Reserialize oracle, and the TCP reassembler to
 # a plain byte array, pii-detect's scan to the reference scan on any
 # text and secret list, and tls-verify's per-connection
 # state across random segment sequences with FIN and RST. Patterns are anchored:
@@ -92,6 +93,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeModule$$' -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzHTTPDecode$$' -fuzztime=6s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzHTTPView$$' -fuzztime=6s ./internal/packet/
+	$(GO) test -run='^$$' -fuzz='^FuzzRewrite$$' -fuzztime=6s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzTLSDecode$$' -fuzztime=6s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzDNSDecode$$' -fuzztime=6s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=6s ./internal/pvnc/

@@ -137,10 +137,23 @@ func (s *Session) logf(format string, args ...interface{}) {
 	s.Messages = append(s.Messages, fmt.Sprintf(format, args...))
 }
 
-// flowOf extracts the canonical 5-tuple from a raw IPv4 packet.
+// flowOf extracts the canonical 5-tuple from a raw IPv4 packet: the flow
+// packet.FlowOf finds in a full decode, from the IPv4 and transport
+// headers decoded on the stack, so a packet costs no allocation.
 func flowOf(data []byte) (packet.Flow, bool) {
-	f, ok := packet.FlowOf(packet.Decode(data, packet.LayerTypeIPv4))
-	if !ok {
+	var ip packet.IPv4
+	var tcp packet.TCP
+	var udp packet.UDP
+	if ip.DecodeFromBytes(data) != nil {
+		return packet.Flow{}, false
+	}
+	f := packet.Flow{Proto: ip.Protocol, Src: packet.Endpoint{Addr: ip.Src}, Dst: packet.Endpoint{Addr: ip.Dst}}
+	switch {
+	case f.Proto == packet.IPProtoTCP && tcp.DecodeFromBytes(ip.LayerPayload()) == nil:
+		f.Src.Port, f.Dst.Port = tcp.SrcPort, tcp.DstPort
+	case f.Proto == packet.IPProtoUDP && udp.DecodeFromBytes(ip.LayerPayload()) == nil:
+		f.Src.Port, f.Dst.Port = udp.SrcPort, udp.DstPort
+	default:
 		return packet.Flow{}, false
 	}
 	return f.Canonical(), true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -346,5 +347,67 @@ func TestSessionMessagesNarrate(t *testing.T) {
 	joined := strings.Join(s.Messages, "\n")
 	if !strings.Contains(joined, "discovery") || !strings.Contains(joined, "deployed") {
 		t.Fatalf("messages %v", s.Messages)
+	}
+}
+
+// TestFlowOfMatchesFullDecode: flowOf accepts exactly what packet.FlowOf
+// finds in a full decode, a checksum-valid IPv4 header carrying TCP or
+// UDP, and gives its canonical form.
+func TestFlowOfMatchesFullDecode(t *testing.T) {
+	dev, srv := packet.MustParseIPv4("10.0.0.5"), packet.MustParseIPv4("93.184.216.34")
+	seg := func(src, dst packet.IPv4Address, proto byte, layers ...packet.SerializableLayer) []byte {
+		t.Helper()
+		ip := &packet.IPv4{Src: src, Dst: dst, Protocol: proto}
+		for _, l := range layers {
+			if l, ok := l.(interface{ SetNetworkLayerForChecksum(*packet.IPv4) }); ok {
+				l.SetNetworkLayerForChecksum(ip)
+			}
+		}
+		data, err := packet.SerializeToBytes(append([]packet.SerializableLayer{ip}, layers...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	tcp := seg(dev, srv, packet.IPProtoTCP, &packet.TCP{SrcPort: 40000, DstPort: 443}, packet.Payload("x"))
+	udp := seg(dev, srv, packet.IPProtoUDP, &packet.UDP{SrcPort: 5353, DstPort: 53}, packet.Payload("q"))
+	badSum := bytes.Clone(tcp)
+	badSum[8]-- // TTL, under the header checksum
+	shortUDPLen := bytes.Clone(udp)
+	shortUDPLen[25] = 4 // UDP length below its own header
+	for name, data := range map[string][]byte{
+		"tcp": tcp, "udp": udp, "reply": seg(srv, dev, packet.IPProtoTCP, &packet.TCP{SrcPort: 443, DstPort: 40000}),
+		"icmp": seg(dev, srv, packet.IPProtoICMP, packet.Payload("ping")), "bad checksum": badSum, "udp length": shortUDPLen,
+		"tcp truncated": tcp[:30], "no transport": tcp[:20], "empty": nil, "garbage": []byte("GET / HTTP/1.1"),
+	} {
+		want, wantOK := packet.FlowOf(packet.Decode(data, packet.LayerTypeIPv4))
+		if got, ok := flowOf(data); ok != wantOK || wantOK && got != want.Canonical() {
+			t.Errorf("%s: flowOf = %v, %v; a full decode gives %v, %v", name, got, ok, want.Canonical(), wantOK)
+		}
+	}
+}
+
+// TestSessionProcessSeenFlowAllocs: an in-network session allocates
+// nothing for a packet of a flow it has already carried: the flow record
+// reads the headers in place, and the switch hits its flow cache.
+func TestSessionProcessSeenFlowAllocs(t *testing.T) {
+	w := newWorld(t, fullProvider())
+	s, err := Connect(w.dev, []*AccessNetwork{w.network})
+	if err != nil || s.Mode != ModeInNetwork {
+		t.Fatalf("connect: %v (%v)", err, s.Messages)
+	}
+	w.now = 50 * time.Millisecond
+	ip := &packet.IPv4{Src: w.dev.Addr, Dst: packet.MustParseIPv4("93.184.216.34"), Protocol: packet.IPProtoTCP}
+	tcp := &packet.TCP{SrcPort: 40000, DstPort: 443}
+	tcp.SetNetworkLayerForChecksum(ip)
+	pkt, err := packet.SerializeToBytes(ip, tcp, packet.Payload("hello"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := s.Process(pkt, 0); err != nil || d.Verdict != openflow.VerdictOutput {
+		t.Fatalf("first packet: %v, %v", d.Verdict, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Process(pkt, 0) }); n != 0 {
+		t.Errorf("Session.Process allocates %.1f per packet of a seen flow, want 0", n)
 	}
 }

@@ -135,29 +135,18 @@ func (t *Transcoder) Name() string { return "transcoder" }
 // Process implements middlebox.Box: video responses get their bodies
 // shrunk by Ratio and re-checksummed; everything else passes untouched.
 func (t *Transcoder) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := ctx.Packet(data)
-	h := p.HTTP()
-	if h == nil || h.IsRequest || len(h.Body) == 0 {
+	v := ctx.HTTP(data)
+	if v == nil || v.IsRequest || len(v.Body) == 0 {
 		return data, middlebox.VerdictPass, nil
 	}
-	ct := strings.ToLower(h.Header("Content-Type"))
-	if !strings.HasPrefix(ct, "video/") {
+	if !strings.HasPrefix(strings.ToLower(string(v.Header("Content-Type"))), "video/") {
 		return data, middlebox.VerdictPass, nil
 	}
-	t.BytesIn += int64(len(h.Body))
-	newLen := int(float64(len(h.Body)) * t.Ratio)
-	if newLen < 1 {
-		newLen = 1
-	}
-	nh := cloneHTTP(h)
-	nh.Body = h.Body[:newLen]
-	nh.SetHeader("Content-Length", strconv.Itoa(newLen))
-	nh.SetHeader("X-PVN-Transcoded", "1")
+	t.BytesIn += int64(len(v.Body))
+	newLen := max(int(float64(len(v.Body))*t.Ratio), 1)
 	t.BytesOut += int64(newLen)
 
-	out, err := packet.Reserialize(p, packet.Rewrite{Payload: &nh})
-	if err != nil {
-		return data, middlebox.VerdictPass, nil
-	}
-	return out, middlebox.VerdictPass, nil
+	return rewriteHTTP(data, v, v.Body[:newLen],
+		packet.HTTPHeader{Name: "Content-Length", Value: strconv.Itoa(newLen)},
+		packet.HTTPHeader{Name: "X-PVN-Transcoded", Value: "1"}), middlebox.VerdictPass, nil
 }

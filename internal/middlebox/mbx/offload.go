@@ -2,7 +2,6 @@ package mbx
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -39,39 +38,33 @@ func (r *ReplicaSelector) Observe(replica packet.IPv4Address, rtt time.Duration)
 	r.rtts[replica] = rtt
 }
 
-// Best returns the lowest-RTT replica, or ok=false with no data.
-func (r *ReplicaSelector) Best() (packet.IPv4Address, bool) {
-	var best packet.IPv4Address
+// Best returns the lowest-RTT replica, the lowest by address string among
+// equals, or ok=false with no data.
+func (r *ReplicaSelector) Best() (best packet.IPv4Address, ok bool) {
 	bestRTT := time.Duration(1<<62 - 1)
-	found := false
-	// Deterministic tie-break: sort candidates.
-	keys := make([]packet.IPv4Address, 0, len(r.rtts))
-	for k := range r.rtts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	for _, k := range keys {
-		if r.rtts[k] < bestRTT {
-			best, bestRTT, found = k, r.rtts[k], true
+	for k, rtt := range r.rtts {
+		if rtt < bestRTT || ok && rtt == bestRTT && k.String() < best.String() {
+			best, bestRTT, ok = k, rtt, true
 		}
 	}
-	return best, found
+	return best, ok
 }
 
 // Process implements middlebox.Box: outbound packets to the service
 // address get their destination rewritten to the best replica.
 func (r *ReplicaSelector) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := ctx.Packet(data)
-	ip := p.IPv4()
-	if ip == nil || ip.Dst != r.Service {
+	if len(data) < 20 || packet.IPv4Address(data[16:20]) != r.Service {
 		return data, middlebox.VerdictPass, nil
 	}
+	// Reseal makes a corrupted header valid, so only one whose checksum
+	// checks out is rewritten.
 	best, ok := r.Best()
-	if !ok || best == r.Service {
+	if hlen := int(data[0]&0x0f) * 4; !ok || best == r.Service || hlen > len(data) || packet.Checksum(data[:hlen]) != 0 {
 		return data, middlebox.VerdictPass, nil
 	}
-	out, err := packet.Reserialize(p, packet.Rewrite{Dst: best})
-	if err != nil {
+	out := append([]byte(nil), data...)
+	copy(out[16:20], best[:])
+	if packet.Reseal(out) != nil {
 		return data, middlebox.VerdictPass, nil
 	}
 	r.Rewritten++
@@ -96,33 +89,25 @@ func (w *WebRenderer) Name() string { return "web-render" }
 
 // Process implements middlebox.Box.
 func (w *WebRenderer) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := ctx.Packet(data)
-	h := p.HTTP()
-	if h == nil || h.IsRequest || len(h.Body) == 0 {
+	v := ctx.HTTP(data)
+	if v == nil || v.IsRequest || len(v.Body) == 0 {
 		return data, middlebox.VerdictPass, nil
 	}
-	if !strings.HasPrefix(strings.ToLower(h.Header("Content-Type")), "text/html") {
+	if !strings.HasPrefix(strings.ToLower(string(v.Header("Content-Type"))), "text/html") {
 		return data, middlebox.VerdictPass, nil
 	}
-	rendered := renderHTML(string(h.Body))
-	if len(rendered) >= len(h.Body) {
+	rendered := renderHTML(string(v.Body))
+	if len(rendered) >= len(v.Body) {
 		return data, middlebox.VerdictPass, nil
 	}
-	w.BytesIn += int64(len(h.Body))
+	w.BytesIn += int64(len(v.Body))
 	w.BytesOut += int64(len(rendered))
 	w.Rendered++
 
-	nh := cloneHTTP(h)
-	nh.Body = []byte(rendered)
-	nh.SetHeader("Content-Type", "text/plain; charset=utf-8")
-	nh.SetHeader("Content-Length", strconv.Itoa(len(rendered)))
-	nh.SetHeader("X-PVN-Rendered", "1")
-
-	out, err := packet.Reserialize(p, packet.Rewrite{Payload: &nh})
-	if err != nil {
-		return data, middlebox.VerdictPass, nil
-	}
-	return out, middlebox.VerdictPass, nil
+	return rewriteHTTP(data, v, []byte(rendered),
+		packet.HTTPHeader{Name: "Content-Type", Value: "text/plain; charset=utf-8"},
+		packet.HTTPHeader{Name: "Content-Length", Value: strconv.Itoa(len(rendered))},
+		packet.HTTPHeader{Name: "X-PVN-Rendered", Value: "1"}), middlebox.VerdictPass, nil
 }
 
 // renderHTML extracts the visible text of an HTML document: tags,

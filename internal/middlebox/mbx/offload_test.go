@@ -79,6 +79,39 @@ func TestReplicaSelectorNoMeasurements(t *testing.T) {
 	}
 }
 
+// TestReplicaSelectorTieBreak: among replicas of equal RTT the lowest
+// address string wins, whatever order the map yields them in.
+func TestReplicaSelectorTieBreak(t *testing.T) {
+	box := NewReplicaSelector(serviceAddr)
+	for _, a := range []string{"198.51.100.9", "198.51.100.10", "198.51.100.200", "198.51.100.11"} {
+		box.Observe(packet.MustParseIPv4(a), 20*time.Millisecond)
+	}
+	box.Observe(packet.MustParseIPv4("198.51.100.1"), 30*time.Millisecond)
+	for i := 0; i < 20; i++ {
+		if best, ok := box.Best(); !ok || best != packet.MustParseIPv4("198.51.100.10") {
+			t.Fatalf("best %v, %v; want 198.51.100.10", best, ok)
+		}
+	}
+}
+
+// TestReplicaSelectorPassesCorruptHeader: a packet to the service whose
+// IPv4 header checksum is wrong passes on as it came; resealing it would
+// have made it valid.
+func TestReplicaSelectorPassesCorruptHeader(t *testing.T) {
+	box := NewReplicaSelector(serviceAddr)
+	box.Observe(packet.MustParseIPv4("198.51.100.1"), time.Millisecond)
+	_, rt := ctx(t, box)
+	ip := &packet.IPv4{Src: devIP, Dst: serviceAddr, Protocol: packet.IPProtoTCP}
+	tcp := &packet.TCP{SrcPort: 1, DstPort: 443}
+	tcp.SetNetworkLayerForChecksum(ip)
+	data, _ := packet.SerializeToBytes(ip, tcp, packet.Payload("x"))
+	data[8]-- // TTL, under the header checksum
+	out, err := runChain(t, rt, data)
+	if err != nil || !bytes.Equal(out, data) || box.Rewritten != 0 {
+		t.Fatalf("corrupt header: err=%v rewritten=%d out=%x", err, box.Rewritten, out)
+	}
+}
+
 func TestWebRendererExtractsText(t *testing.T) {
 	box := NewWebRenderer()
 	_, rt := ctx(t, box)

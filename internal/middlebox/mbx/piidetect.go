@@ -103,15 +103,21 @@ func foldASCII[S ~string | ~[]byte](dst []byte, src S) []byte {
 	n := len(dst)
 	dst = append(dst, src...)
 	for i, c := range dst[n:] {
-		if 'A' <= c && c <= 'Z' {
-			dst[n+i] = c + ('a' - 'A')
-		}
+		dst[n+i] = lowerASCII(c)
 	}
 	return dst
 }
 
-// Process implements middlebox.Box. HTTP is read through ctx.HTTP; only
-// other traffic, and a redaction, need ctx.Packet's full decode.
+// lowerASCII returns c with A-Z lowered.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + ('a' - 'A')
+	}
+	return c
+}
+
+// Process implements middlebox.Box. HTTP is read, and redacted, through
+// ctx.HTTP; only other traffic needs ctx.Packet's full decode.
 func (d *PIIDetect) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
 	v := ctx.HTTP(data)
 	var text []byte
@@ -143,8 +149,7 @@ func (d *PIIDetect) Process(ctx *middlebox.Context, data []byte) ([]byte, middle
 		d.Blocked++
 		return nil, middlebox.VerdictDrop, nil
 	case PIIRedact:
-		out := d.redact(ctx.Packet(data), found)
-		if out != nil {
+		if out := redact(data, v, found); out != nil {
 			d.Redactions++
 			return out, middlebox.VerdictPass, nil
 		}
@@ -330,51 +335,43 @@ func equalFold(s, sec []byte) bool {
 	return true
 }
 
-// redact rewrites the HTTP body, replacing each finding's literal value
-// with asterisks, and re-serializes the packet with fresh checksums. It
-// returns nil when the packet is not rewritable HTTP.
-func (d *PIIDetect) redact(p *packet.Packet, found []string) []byte {
-	h := p.HTTP()
-	if h == nil {
+// redact returns a copy of data, the packet v is an HTTP view of, with
+// every occurrence of each finding's literal value in the path and the
+// body masked by as many asterisks, or nil when data carries no HTTP
+// message or the copy cannot be resealed.
+func redact(data []byte, v *packet.HTTPView, found []string) []byte {
+	if v == nil {
 		return nil
 	}
-	body := string(h.Body)
-	path := h.Path
+	out := append([]byte(nil), data...)
 	for _, f := range found {
-		i := strings.IndexByte(f, ':')
-		val := f[i+1:]
-		mask := strings.Repeat("*", len(val))
-		body = replaceFold(body, val, mask)
-		path = replaceFold(path, val, mask)
+		val := f[strings.IndexByte(f, ':')+1:]
+		for _, field := range [...][]byte{v.Path, v.Body} {
+			if at := cap(data) - cap(field); len(field) > 0 {
+				maskFold(out[at:at+len(field)], val)
+			}
+		}
 	}
-	nh := *h
-	nh.Body = []byte(body)
-	nh.Path = path
-
-	out, err := packet.Reserialize(p, packet.Rewrite{Payload: &nh})
-	if err != nil {
+	if packet.Reseal(out) != nil {
 		return nil
 	}
 	return out
 }
 
-// replaceFold replaces every occurrence of old in s, ignoring ASCII
-// case, with new.
-func replaceFold(s, old, new string) string {
-	if old == "" {
-		return s
-	}
-	var b strings.Builder
-	ls, lo := foldASCII(nil, s), foldASCII(nil, old)
-	for {
-		i := bytes.Index(ls, lo)
-		if i < 0 {
-			b.WriteString(s)
-			return b.String()
+// maskFold overwrites with '*' each occurrence of val in b, left to
+// right, ignoring ASCII case byte for byte as foldASCII does.
+func maskFold(b []byte, val string) {
+	for i := 0; val != "" && i+len(val) <= len(b); i++ {
+		k := 0
+		for k < len(val) && lowerASCII(b[i+k]) == lowerASCII(val[k]) {
+			k++
 		}
-		b.WriteString(s[:i])
-		b.WriteString(new)
-		s, ls = s[i+len(old):], ls[i+len(old):]
+		if k == len(val) {
+			for k = range val {
+				b[i+k] = '*'
+			}
+			i += len(val) - 1
+		}
 	}
 }
 

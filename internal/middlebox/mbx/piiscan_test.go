@@ -383,8 +383,8 @@ func seededTexts() [][]byte {
 	return texts
 }
 
-// TestRedactMasksBehindNonASCII pins the replaceFold offset bug: offsets
-// found in strings.ToLower(s) indexed s, and ToLower changes the length
+// TestRedactMasksBehindNonASCII pins an offset bug of an earlier
+// string replace: offsets found in strings.ToLower(s) indexed s, and ToLower changes the length
 // of invalid UTF-8 (one byte becomes U+FFFD, three) and of some letters
 // ("İ" grows by one), so the mask landed late and left part of the
 // secret in the packet — or ran off the end and panicked, which an

@@ -40,12 +40,11 @@ func compressible(ct string) bool {
 
 // Process implements middlebox.Box.
 func (c *Compressor) Process(ctx *middlebox.Context, data []byte) ([]byte, middlebox.Verdict, error) {
-	p := ctx.Packet(data)
-	h := p.HTTP()
-	if h == nil || h.IsRequest || len(h.Body) < c.MinBytes || !compressible(h.Header("Content-Type")) {
+	v := ctx.HTTP(data)
+	if v == nil || v.IsRequest || len(v.Body) < c.MinBytes || !compressible(string(v.Header("Content-Type"))) {
 		return data, middlebox.VerdictPass, nil
 	}
-	if h.Header("Content-Encoding") != "" {
+	if len(v.Header("Content-Encoding")) != 0 {
 		return data, middlebox.VerdictPass, nil // already encoded
 	}
 
@@ -54,33 +53,56 @@ func (c *Compressor) Process(ctx *middlebox.Context, data []byte) ([]byte, middl
 	if err != nil {
 		return data, middlebox.VerdictPass, nil
 	}
-	if _, err := w.Write(h.Body); err != nil || w.Close() != nil {
+	if _, err := w.Write(v.Body); err != nil || w.Close() != nil {
 		return data, middlebox.VerdictPass, nil
 	}
-	if buf.Len() >= len(h.Body) {
+	if buf.Len() >= len(v.Body) {
 		return data, middlebox.VerdictPass, nil // incompressible after all
 	}
-	c.BytesIn += int64(len(h.Body))
+	c.BytesIn += int64(len(v.Body))
 	c.BytesOut += int64(buf.Len())
 
-	nh := cloneHTTP(h)
-	nh.Body = buf.Bytes()
-	nh.SetHeader("Content-Encoding", "deflate")
-	nh.SetHeader("Content-Length", strconv.Itoa(buf.Len()))
-
-	out, err := packet.Reserialize(p, packet.Rewrite{Payload: &nh})
-	if err != nil {
-		return data, middlebox.VerdictPass, nil
-	}
-	return out, middlebox.VerdictPass, nil
+	return rewriteHTTP(data, v, buf.Bytes(),
+		packet.HTTPHeader{Name: "Content-Encoding", Value: "deflate"},
+		packet.HTTPHeader{Name: "Content-Length", Value: strconv.Itoa(buf.Len())}), middlebox.VerdictPass, nil
 }
 
-// cloneHTTP copies h with a header list of its own, so a rewriting box's
-// SetHeader calls leave the decode it shares with the other hops alone.
-func cloneHTTP(h *packet.HTTP) packet.HTTP {
-	nh := *h
-	nh.Headers = slices.Clone(h.Headers)
-	return nh
+// rewriteHTTP returns a copy of data, the packet v is an HTTP view of,
+// with body in place of v.Body and each header of set at its value,
+// resealed, or data itself when the copy cannot be resealed. A header of
+// set overwrites everything after the colon of the first header that
+// HTTPView.Header would return for its name; one v lacks is added after
+// the last header. v must have a body (the blank line ends its header
+// block), and the names in set must differ.
+func rewriteHTTP(data []byte, v *packet.HTTPView, body []byte, set ...packet.HTTPHeader) []byte {
+	bodyAt := cap(data) - cap(v.Body)
+	out := make([]byte, 0, len(data)+len(body))
+	done, added := 0, uint64(0) // data[:done] is in out; bit j: set[j] is in too
+	for _, hd := range v.Headers {
+		j := slices.IndexFunc(set, func(s packet.HTTPHeader) bool {
+			return len(hd.Name) <= 3*len(s.Name) && strings.EqualFold(string(hd.Name), s.Name)
+		})
+		if j >= 0 && added&(1<<j) == 0 {
+			added |= 1 << j
+			// An empty value has no offset, so the name's is the one
+			// the line is found from.
+			from := cap(data) - cap(hd.Name) + len(hd.Name)
+			from += bytes.IndexByte(data[from:], ':') + 1
+			out = append(append(append(out, data[done:from]...), ' '), set[j].Value...)
+			done = from + bytes.Index(data[from:], []byte("\r\n"))
+		}
+	}
+	out = append(out, data[done:bodyAt-2]...)
+	for j, s := range set {
+		if added&(1<<j) == 0 {
+			out = append(append(append(append(out, s.Name...), ": "...), s.Value...), "\r\n"...)
+		}
+	}
+	out = append(append(out, "\r\n"...), body...)
+	if packet.Reseal(out) != nil {
+		return data
+	}
+	return out
 }
 
 // Prefetcher caches HTTP responses at the middlebox and answers repeat

@@ -320,3 +320,16 @@ func TestMatchString(t *testing.T) {
 		t.Fatal("empty match should render as any")
 	}
 }
+
+// TestPerfStampPositive: a stamp is never 0, the dataplane's "not
+// sampled" mark, and stamps do not run backwards.
+func TestPerfStampPositive(t *testing.T) {
+	prev := PerfStamp()
+	for i := 0; i < 1000; i++ {
+		s := PerfStamp()
+		if prev <= 0 || s < prev {
+			t.Fatalf("stamps %d then %d", prev, s)
+		}
+		prev = s
+	}
+}

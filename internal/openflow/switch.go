@@ -155,11 +155,14 @@ func (s *Switch) Resolve(key CacheKey, cacheable bool, data []byte, decodeNs *in
 // write invalidated are not counted. Safe to call from any goroutine.
 func (s *Switch) CacheEvictions() int64 { return s.cache.evictions.Load() }
 
-// PerfStamp reads the wall clock in ns for the packet path's perf
-// counters: the decode, lookup and chain split and the queue-latency
-// samples. What it returns never feeds simulated time.
+var perfBase = time.Now() //lint:allow nondet PerfStamp's origin: its stamps are differences from it, never simulated time
+
+// PerfStamp reads the monotonic clock alone, in ns since perfBase plus
+// one (a stamp is never 0), for the packet path's perf counters: the
+// decode, lookup and chain split and the queue-latency samples. What it
+// returns never feeds simulated time.
 func PerfStamp() int64 {
-	return time.Now().UnixNano() //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time (E14 runs the sharded pipeline and TestExperimentsDeterministic holds its table bit-identical; TestNondetGolden keeps other packages off PerfStamp)
+	return int64(time.Since(perfBase)) + 1 //lint:allow nondet perf-counter stamp: measures real worker cost, never feeds simulated time (E14 runs the sharded pipeline and TestExperimentsDeterministic holds its table bit-identical; TestNondetGolden keeps other packages off PerfStamp)
 }
 
 // Interpret runs one packet's action list to the action that decides

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -215,24 +216,16 @@ func (v *HTTPView) Poison() {
 // SerializeTo implements SerializableLayer.
 func (h *HTTP) SerializeTo(b *Buffer) error {
 	var sb strings.Builder
+	proto := cmp.Or(h.Proto, "HTTP/1.1")
 	if h.IsRequest {
-		proto := h.Proto
-		if proto == "" {
-			proto = "HTTP/1.1"
-		}
 		fmt.Fprintf(&sb, "%s %s %s\r\n", h.Method, h.Path, proto)
 	} else {
-		proto := h.Proto
-		if proto == "" {
-			proto = "HTTP/1.1"
-		}
 		fmt.Fprintf(&sb, "%s %d %s\r\n", proto, h.StatusCode, h.StatusText)
 	}
 	for _, hd := range h.Headers {
 		fmt.Fprintf(&sb, "%s: %s\r\n", hd.Name, hd.Value)
 	}
 	sb.WriteString("\r\n")
-	out := append([]byte(sb.String()), h.Body...)
-	b.PushBytes(out)
+	b.PushBytes(append([]byte(sb.String()), h.Body...))
 	return nil
 }

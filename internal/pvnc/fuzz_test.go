@@ -10,6 +10,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("pvnc x\nowner a\ndevice 1.2.3.4\npolicy 0 match any action=forward")
 	f.Add("pvnc x\nowner a\ndevice 1.2.3.4\npolicy 10 match dport=80 action=forward")
 	f.Add("middlebox a b c=d")
+	f.Add("policy 0 match any rate=.1 action=forward") // Format would write rate=0bps
 	f.Add("")
 
 	f.Fuzz(func(t *testing.T, src string) {

@@ -312,7 +312,8 @@ func parsePrefix(s string) (packet.IPv4Address, uint8, error) {
 	return addr, uint8(bits), nil
 }
 
-// parseRate accepts "1500000", "1.5mbps", "200kbps", "1gbps".
+// parseRate accepts "1500000", "1.5mbps", "200kbps", "1gbps", at least
+// 1 bps: Format writes whole bps, and "0" does not parse.
 func parseRate(s string) (float64, error) {
 	s = strings.ToLower(s)
 	mult := 1.0
@@ -327,7 +328,7 @@ func parseRate(s string) (float64, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
+	if err != nil || !(v*mult >= 1) {
 		return 0, fmt.Errorf("bad rate %q", s)
 	}
 	return v * mult, nil

@@ -86,6 +86,9 @@ func TestParseErrorsCarryLineNumbers(t *testing.T) {
 		{"policy 1 match any", "missing action"},
 		{"policy 1 match dst=1.2.3.4/40 action=forward", "bad prefix"},
 		{"policy 1 match rate=fast any action=forward", "bad rate"},
+		{"policy 1 match rate=.1 any action=forward", "bad rate"},
+		{"policy 1 match rate=0.9bps any action=forward", "bad rate"},
+		{"policy 1 match rate=nan any action=forward", "bad rate"},
 		{"policy 1 match any action=tunnel:", "requires a name"},
 		{"policy 1 nomatch any action=forward", "policy requires"},
 		{"policy 1 match wat=1 action=forward", "unknown policy token"},

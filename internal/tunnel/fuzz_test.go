@@ -2,13 +2,15 @@ package tunnel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"pvn/internal/packet"
 )
 
 // FuzzDecap: tunnel frames come from endpoints the device does not
-// control. Decap must never panic, and the inner packet of any frame it
+// control. Decap must never panic, must accept and refuse exactly what a
+// full decode of the frame does, and the inner packet of any frame it
 // accepts, re-encapsulated under the same tunnel ID, must decapsulate to
 // the same bytes and ID.
 func FuzzDecap(f *testing.F) {
@@ -32,6 +34,9 @@ func FuzzDecap(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, id, err := Decap(data)
+		if wantIn, wantID, wantErr := fullDecap(data); err != wantErr || id != wantID || !bytes.Equal(got, wantIn) {
+			t.Fatalf("Decap = %x, %d, %v; a full decode gives %x, %d, %v", got, id, err, wantIn, wantID, wantErr)
+		}
 		if err != nil {
 			return
 		}
@@ -47,4 +52,21 @@ func FuzzDecap(f *testing.F) {
 			t.Fatalf("round trip changed the frame: id %d -> %d, %d -> %d inner bytes", id, backID, len(got), len(back))
 		}
 	})
+}
+
+// fullDecap is Decap over a full packet.Decode of the frame, the
+// reference Decap's header-by-header decode is held to.
+func fullDecap(outer []byte) ([]byte, uint32, error) {
+	u := packet.Decode(outer, packet.LayerTypeIPv4).UDP()
+	if u == nil || u.DstPort != Port {
+		return nil, 0, ErrNotTunnel
+	}
+	payload := u.LayerPayload()
+	if len(payload) < headerLen {
+		return nil, 0, ErrTruncated
+	}
+	if payload[0] != magic[0] || payload[1] != magic[1] {
+		return nil, 0, ErrNotTunnel
+	}
+	return payload[headerLen:], binary.BigEndian.Uint32(payload[3:7]), nil
 }

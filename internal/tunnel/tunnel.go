@@ -60,10 +60,13 @@ func Encap(inner []byte, outerSrc, outerDst packet.IPv4Address, tunnelID uint32)
 }
 
 // Decap unwraps a tunnel frame, returning the inner packet and tunnel ID.
+// It decodes the outer headers on the stack: a frame whose IPv4 header
+// decodes costs no allocation.
 func Decap(outer []byte) (inner []byte, tunnelID uint32, err error) {
-	p := packet.Decode(outer, packet.LayerTypeIPv4)
-	u := p.UDP()
-	if u == nil || u.DstPort != Port {
+	var ip packet.IPv4
+	var u packet.UDP
+	if ip.DecodeFromBytes(outer) != nil || ip.NextLayerType() != packet.LayerTypeUDP ||
+		u.DecodeFromBytes(ip.LayerPayload()) != nil || u.DstPort != Port {
 		return nil, 0, ErrNotTunnel
 	}
 	payload := u.LayerPayload()

@@ -79,6 +79,42 @@ func TestDecapRejectsNonTunnel(t *testing.T) {
 	}
 }
 
+// TestDecapAllocs: Decap reads the outer headers without allocating,
+// whether it accepts a frame or refuses it past the IPv4 header (a
+// header the IPv4 layer refuses costs the error it builds), and each
+// refusal keeps its error.
+func TestDecapAllocs(t *testing.T) {
+	frame, err := Encap(innerPacket(t), devAddr, cloudAddr, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badSum := bytes.Clone(frame)
+	badSum[8]-- // TTL, under the header checksum
+	wrongPort := bytes.Clone(frame)
+	wrongPort[23]++ // UDP destination port
+	badMagic := bytes.Clone(frame)
+	badMagic[28] = 'X'
+	for _, c := range []struct {
+		name   string
+		frame  []byte
+		err    error
+		ipv4OK bool
+	}{
+		{"frame", frame, nil, true}, {"not UDP", innerPacket(t), ErrNotTunnel, true},
+		{"wrong port", wrongPort, ErrNotTunnel, true}, {"bad magic", badMagic, ErrNotTunnel, true},
+		{"truncated", frame[:Overhead-1], ErrTruncated, true},
+		{"bad checksum", badSum, ErrNotTunnel, false}, {"empty", nil, ErrNotTunnel, false},
+	} {
+		var err error
+		if n := testing.AllocsPerRun(100, func() { _, _, err = Decap(c.frame) }); n != 0 && c.ipv4OK {
+			t.Errorf("%s: Decap allocates %.1f, want 0", c.name, n)
+		}
+		if err != c.err {
+			t.Errorf("%s: err %v, want %v", c.name, err, c.err)
+		}
+	}
+}
+
 func TestTableWrapAndStats(t *testing.T) {
 	tbl := NewTable(devAddr)
 	tbl.Add(&Endpoint{Name: "cloud", Addr: cloudAddr, ExtraRTT: 20 * time.Millisecond, Trusted: true})
